@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import random
 import sys as _sys
-from fractions import Fraction
 from typing import Optional
 
 from . import membership, model, oracle, unbounded
 from .exact import Q, Vector
-from .model import (FIRST_CLASS, ORDINARY, ParsedSystem, QuantifierAssignment,
-                    SystemFormatError, parse_rational, parse_system)
+from .model import (FIRST_CLASS, ORDINARY, ParsedSystem, SystemFormatError,
+                    parse_rational, parse_system)
 
 
 class UsageError(Exception):
@@ -86,19 +85,13 @@ def cmd_kernel(args) -> int:
     parsed = _load(args.file)
     sys = parsed.system
     y = _vector(args.dir, sys.n, "direction")
-    if parsed.quant.forall_set:
-        ok, cert = membership.member_ae_kernel(sys, parsed.quant, y)
-    else:
-        ok, cert = membership.member_kernel(sys, y)
+    ok, cert = membership.member_ae_kernel(sys, parsed.quant, y)
     if ok:
         print(f"IN KERNEL (witness p = {_fmt(cert.witness_p)})")
     else:
         print(f"NOT IN KERNEL (separator w = {_fmt(cert.separator.w)})")
     if args.strict:
-        if parsed.quant.forall_set:
-            strict, eps = membership.strict_kernel_member_ae(sys, parsed.quant, y)
-        else:
-            strict, eps = membership.strict_kernel_member(sys, y)
+        strict, eps = membership.strict_kernel_member_ae(sys, parsed.quant, y)
         print(f"STRICT: {'yes' if strict else 'no'} (eps = {eps})")
     return 0
 
@@ -107,9 +100,8 @@ def cmd_unbounded(args) -> int:
     parsed = _load(args.file)
     sys = parsed.system
     y = _vector(args.dir, sys.n, "direction")
-    quant = parsed.quant if parsed.quant.forall_set else None
-    verdict = unbounded.decide_unbounded(sys, quant, y, budget=args.budget,
-                                         seed=args.seed)
+    verdict = unbounded.decide_unbounded(sys, parsed.quant, y,
+                                         budget=args.budget, seed=args.seed)
     print(f"{verdict.status.value} by {verdict.rule.value}: {verdict.detail}")
     ev = verdict.evidence
     if isinstance(ev, unbounded.ProbeReport):
@@ -186,13 +178,11 @@ def cmd_verify(args) -> int:
             checks.append(("oettli-prager", oettli_prager_member(sys, x)))
         if FIRST_CLASS in flags:
             checks.append(("first-class", membership.member_first_class(sys, x)))
+        bad = [name for name, val in checks if val != got]
         if parsed.quant.forall_set:
             ae = membership.member_ae(sys, parsed.quant, x)[0]
-            ae_want = oracle.ae_vertex_oracle(sys, parsed.quant, x)
-            checks.append(("ae-vertex-vs-ae", ae == ae_want))
-            status = "ok" if ae == ae_want else "DISAGREE"
-        bad = [name for name, val in checks if val != got and name != "ae-vertex-vs-ae"]
-        bad += [name for name, val in checks if name == "ae-vertex-vs-ae" and not val]
+            if ae != oracle.ae_vertex_oracle(sys, parsed.quant, x):
+                bad.append("ae-vertex-vs-ae")
         if bad:
             disagreements += 1
             lines.append(f"point {_fmt(x)}: member_united = {got}, "

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, dot, lp_feasible,
                     lp_maximize, recession_cone, vec_add, vec_scale, zeros)
-from .model import (CLASS_C, ORDINARY, ParametricSystem, SystemClass,
-                    _fold_thin_params, classify)
+from .model import (CLASS_C, ORDINARY, ParametricSystem, _fold_thin_params,
+                    classify)
 
 ORTHANT = "ORTHANT"
 SIGNCONE = "SIGNCONE"

@@ -1,6 +1,10 @@
 """Membership tests for united, AE, and tolerable solution sets and their
 kernels, with machine-checkable certificates.
 
+There is one membership routine, for AE solution sets; the united set is the
+AE set with no universal parameters, and the tolerable set is the AE set of
+the combined system.
+
 A positive answer carries a witness parameter vector that re-substitutes to an
 exact equality.  A negative answer carries a separating vector w for which the
 characterization inequality
@@ -16,12 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (FarkasCertificate, Feasible, Infeasible, Polyhedron, Q,
-                    Vector, dot, lp_feasible, lp_maximize, vec_add, vec_scale,
-                    zeros)
+from .exact import (FarkasCertificate, Infeasible, Polyhedron, Q, Vector, dot,
+                    lp_feasible, lp_maximize, vec_add, vec_scale, zeros)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
                     residual_vectors)
 
@@ -80,20 +82,12 @@ def _separator_from_farkas(sys: ParametricSystem, residuals: list[Vector],
 
 def member_united(sys: ParametricSystem, x: Sequence[Q]) -> tuple[bool, Certificate]:
     """Is x in the united solution set?"""
-    residuals = residual_vectors(sys, x)
-    exists = list(range(sys.K))
-    rhs = [-residuals[0][i] for i in range(sys.m)]
-    P = _exists_polyhedron(sys, residuals, exists, rhs)
-    res = lp_feasible(P)
-    if isinstance(res, Feasible):
-        return True, Certificate.witness(res.point)
-    fc = _separator_from_farkas(sys, residuals, exists, res.eq_mult)
-    return False, Certificate.separator(fc)
+    return member_ae(sys, QuantifierAssignment.all_exists(sys.K), x)
 
 
 def member_kernel(sys: ParametricSystem, y: Sequence[Q]) -> tuple[bool, Certificate]:
     """Is y in the united kernel, i.e. A(p) y = 0 for some admissible p?"""
-    return member_united(sys.homogenized(), y)
+    return member_ae_kernel(sys, QuantifierAssignment.all_exists(sys.K), y)
 
 
 def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
@@ -112,7 +106,7 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     residuals = residual_vectors(sys, x)
 
     witness: Optional[Vector] = None
-    for vertex in _box_vertices(sys, forall):
+    for vertex in sys.vertices(forall):
         rhs = [-residuals[0][i] for i in range(sys.m)]
         for k, pk in zip(forall, vertex):
             rhs = [r - pk * residuals[k + 1][i] for i, r in enumerate(rhs)]
@@ -130,19 +124,6 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
             witness = p_full
     assert witness is not None
     return True, Certificate.witness(witness)
-
-
-def _box_vertices(sys: ParametricSystem, indices: Sequence[int]):
-    """Vertices of the sub-box over the given parameter indices (lex order)."""
-    if not indices:
-        yield []
-        return
-    k, rest = indices[0], indices[1:]
-    iv = sys.params[k].interval
-    ends = [iv.lo] if iv.is_thin() else [iv.lo, iv.hi]
-    for v in ends:
-        for tail in _box_vertices(sys, rest):
-            yield [v] + tail
 
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
@@ -179,31 +160,8 @@ def kernel_tolerable(tsys: TolerableSystem, y: Sequence[Q]) -> bool:
 
 def strict_kernel_member(sys: ParametricSystem,
                          y: Sequence[Q]) -> tuple[bool, Q]:
-    """Does 0 lie in the interior of the zonotope Z(y) = {A(p) y : p in box}?
-
-    Decided by 2m exact LPs: for each coordinate direction +-e_i, maximize
-    eps with eps*(+-e_i) in Z(y).  The minimum of the maxima is returned; it
-    is positive exactly when 0 is interior.
-    """
-    if len(y) != sys.n:
-        raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
-    m = sys.m
-    center = sys.A_at(sys.midpoint())
-    c = [dot(row, y) for row in center]
-    gens = [[dot(row, y) for row in par.A] for par in sys.params]
-    rads = [par.interval.rad for par in sys.params]
-
-    best: Optional[Q] = None
-    for i in range(m):
-        for sign in (Q(1), Q(-1)):
-            val = _zonotope_reach(c, gens, rads, i, sign, m)
-            if val is None or val <= 0:
-                return False, val if val is not None else Q(0)
-            if best is None or val < best:
-                best = val
-    if best is None:  # m == 0
-        best = Q(1)
-    return best > 0, best
+    """Does 0 lie in the interior of the zonotope Z(y) = {A(p) y : p in box}?"""
+    return strict_kernel_member_ae(sys, QuantifierAssignment.all_exists(sys.K), y)
 
 
 def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
@@ -213,7 +171,10 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     The characterization inequality must hold strictly for every nonzero w,
     which is equivalent to containment of the universally-shifted center in
     the interior of the existential generator zonotope; that containment is
-    decided at the vertices of the universal box.
+    decided at the vertices of the universal box.  Each containment takes 2m
+    exact LPs: for each coordinate direction +-e_i, maximize eps with
+    eps*(+-e_i) in the zonotope.  The minimum of the maxima is returned; it
+    is positive exactly when the center is interior.
     """
     quant.validate_for(sys.K)
     if len(y) != sys.n:
@@ -228,9 +189,10 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     e_rads = [sys.params[k].interval.rad for k in exists]
 
     best: Optional[Q] = None
-    for deviations in _deviation_vertices(sys, forall):
+    for vertex in sys.vertices(forall):
         q = c[:]
-        for k, t in zip(forall, deviations):
+        for k, pk in zip(forall, vertex):
+            t = pk - sys.params[k].interval.mid
             q = [a + t * g for a, g in zip(q, gens_all[k])]
         for i in range(m):
             for sign in (Q(1), Q(-1)):
@@ -242,19 +204,6 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     if best is None:  # m == 0
         best = Q(1)
     return best > 0, best
-
-
-def _deviation_vertices(sys: ParametricSystem, indices: Sequence[int]):
-    """Vertices of the universal box as deviations from the midpoint."""
-    if not indices:
-        yield []
-        return
-    k, rest = indices[0], indices[1:]
-    rad = sys.params[k].interval.rad
-    ends = [Q(0)] if rad == 0 else [-rad, rad]
-    for t in ends:
-        for tail in _deviation_vertices(sys, rest):
-            yield [t] + tail
 
 
 def _zonotope_reach(c: Vector, gens: list[Vector], rads: list[Q],

@@ -11,13 +11,13 @@ every formula treats it as a parameter fixed at 1 with radius 0.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
-from .exact import (Matrix, Q, Vector, mat_vec, qmat, qvec, vec_add, vec_scale,
-                    vec_sub, zeros)
+from .exact import (Matrix, Q, Vector, mat_vec, vec_add, vec_scale, vec_sub,
+                    zeros)
 
 
 class SystemFormatError(ValueError):
@@ -107,6 +107,16 @@ class ParametricSystem:
 
     def midpoint(self) -> Vector:
         return [par.interval.mid for par in self.params]
+
+    def vertices(self, indices: Sequence[int]) -> Iterator[Vector]:
+        """Vertices of the sub-box over the given parameter indices.
+
+        Lexicographic order, lo before hi; a thin interval gives one end, and
+        no indices give one empty vertex.
+        """
+        ends = [[iv.lo] if iv.is_thin() else [iv.lo, iv.hi]
+                for iv in (self.params[k].interval for k in indices)]
+        return (list(v) for v in itertools.product(*ends))
 
     def homogenized(self) -> "ParametricSystem":
         """Same matrix family with every right-hand side zeroed."""
@@ -299,7 +309,13 @@ def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: str) -> Q:
-    """Exact rational from an integer, decimal, or num/den literal."""
+    """Exact rational from an integer, decimal, or num/den literal.
+
+    Only strings are accepted: a JSON number may already have been rounded
+    to a float, so it is rejected rather than converted.
+    """
+    if not isinstance(text, str):
+        raise SystemFormatError(f"number {text!r} must be a string literal")
     try:
         return Q(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -340,7 +356,7 @@ def parse_system(text: str) -> ParsedSystem:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SystemFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SystemFormatError("top level must be an object")
@@ -350,6 +366,8 @@ def parse_system(text: str) -> ParsedSystem:
     m, n = doc["m"], doc["n"]
 
     const = doc.get("constant", {})
+    if not isinstance(const, dict):
+        raise SystemFormatError("'constant' must be an object")
     A0 = _parse_matrix(const["A"], m, n, "constant.A") if "A" in const \
         else [[Q(0)] * n for _ in range(m)]
     b0 = _parse_vector(const["b"], m, "constant.b") if "b" in const \
@@ -358,11 +376,16 @@ def parse_system(text: str) -> ParsedSystem:
     params: list[Parameter] = []
     forall: set[int] = set()
     explicit = False
-    for k, pdoc in enumerate(doc.get("parameters", [])):
+    pdocs = doc.get("parameters", [])
+    if not isinstance(pdocs, list):
+        raise SystemFormatError("'parameters' must be a list")
+    for k, pdoc in enumerate(pdocs):
         where = f"parameters[{k}]"
         if not isinstance(pdoc, dict):
             raise SystemFormatError(f"{where}: expected an object")
         name = pdoc.get("name", f"p{k + 1}")
+        if not isinstance(name, str):
+            raise SystemFormatError(f"{where}.name: expected a string")
         iv = pdoc.get("interval")
         if not isinstance(iv, list) or len(iv) != 2:
             raise SystemFormatError(f"{where}.interval: expected [lo, hi]")

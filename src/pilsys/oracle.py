@@ -7,11 +7,11 @@ LP-based membership tests is a meaningful cross-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 from typing import Optional, Sequence
 
-from .exact import (AffineSolutionSet, Polyhedron, Q, UniqueSolution,
-                    Vector, fm_feasible, lin_solve, zeros)
+from .exact import (Polyhedron, Q, UniqueSolution, Vector, fm_feasible,
+                    lin_solve, zeros)
 from .membership import (member_ae, member_kernel, member_tolerable,
                          member_united)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
@@ -57,7 +57,7 @@ def ae_vertex_oracle(sys: ParametricSystem, quant: QuantifierAssignment,
     if len(forall) > _FM_CAP or len(exists) > _FM_CAP:
         raise ValueError("quantifier block exceeds the FM oracle cap")
     residuals = residual_vectors(sys, x)
-    for vertex in _vertices(sys, forall):
+    for vertex in sys.vertices(forall):
         rhs = [-residuals[0][i] for i in range(sys.m)]
         for k, pk in zip(forall, vertex):
             rhs = [r - pk * residuals[k + 1][i] for i, r in enumerate(rhs)]
@@ -67,30 +67,20 @@ def ae_vertex_oracle(sys: ParametricSystem, quant: QuantifierAssignment,
     return True
 
 
-def _vertices(sys: ParametricSystem, indices: Sequence[int]):
-    if not indices:
-        yield []
-        return
-    k, rest = indices[0], indices[1:]
-    iv = sys.params[k].interval
-    ends = [iv.lo] if iv.lo == iv.hi else [iv.lo, iv.hi]
-    for v in ends:
-        for tail in _vertices(sys, rest):
-            yield [v] + tail
-
-
-def sample_solution_cloud(sys: ParametricSystem, grid_per_param: int = 5,
-                          seed: int = 0) -> list[Vector]:
+def sample_solution_cloud(sys: ParametricSystem,
+                          grid_per_param: int = 5) -> list[Vector]:
     """Unique solutions of A(p) x = b(p) on a uniform rational grid over the box.
 
     Parameter values where the system is singular or inconsistent are skipped.
-    Deterministic; the seed is accepted for interface stability only.
+    Deterministic.
     """
     if grid_per_param < 2:
         raise ValueError("grid_per_param must be at least 2")
     points: list[Vector] = []
     seen = set()
-    for p in _grid(sys, grid_per_param):
+    axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)
+            for iv in sys.box]
+    for p in itertools.product(*axes):
         res = lin_solve(sys.A_at(p), sys.b_at(p))
         if isinstance(res, UniqueSolution):
             key = tuple(res.point)
@@ -100,22 +90,9 @@ def sample_solution_cloud(sys: ParametricSystem, grid_per_param: int = 5,
     return points
 
 
-def _grid(sys: ParametricSystem, steps: int):
-    def axis(k: int):
-        iv = sys.params[k].interval
-        if iv.lo == iv.hi:
-            return [iv.lo]
-        return [iv.lo + Q(i, steps - 1) * (iv.hi - iv.lo) for i in range(steps)]
-
-    def rec(k: int):
-        if k == sys.K:
-            yield []
-            return
-        for v in axis(k):
-            for tail in rec(k + 1):
-                yield [v] + tail
-
-    yield from rec(0)
+def _coords(lo: Q, hi: Q, steps: int) -> list[Q]:
+    """steps equally spaced rationals from lo to hi inclusive."""
+    return [lo + Q(i, steps - 1) * (hi - lo) for i in range(steps)]
 
 
 UNITED = "UNITED"
@@ -135,9 +112,6 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
         raise ValueError("resolution must be between 2 and 512")
     x_lo, x_hi, y_lo, y_hi = (Q(v) for v in window)
 
-    def coords(lo: Q, hi: Q):
-        return [lo + Q(i, resolution - 1) * (hi - lo) for i in range(resolution)]
-
     def member(pt: Vector) -> bool:
         if which == UNITED:
             return member_united(sys, pt)[0]
@@ -153,8 +127,8 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
             return member_tolerable(tolerable, pt)[0]
         raise ValueError(f"unknown set {which!r}")
 
-    xs = coords(x_lo, x_hi)
-    ys = coords(y_lo, y_hi)
+    xs = _coords(x_lo, x_hi, resolution)
+    ys = _coords(y_lo, y_hi, resolution)
     return [[member([x1, x2]) for x2 in ys] for x1 in xs]
 
 
@@ -166,15 +140,12 @@ def raster_csv(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     grid = rasterize(sys, quant, window, resolution, which, tolerable)
     x_lo, x_hi, y_lo, y_hi = (Q(v) for v in window)
 
-    def coords(lo: Q, hi: Q):
-        return [lo + Q(i, resolution - 1) * (hi - lo) for i in range(resolution)]
-
     def fmt(v: Q) -> str:
         return f"{v.numerator}/{v.denominator}"
 
     lines = ["x1,x2,member"]
-    xs = coords(x_lo, x_hi)
-    ys = coords(y_lo, y_hi)
+    xs = _coords(x_lo, x_hi, resolution)
+    ys = _coords(y_lo, y_hi, resolution)
     for i, x1 in enumerate(xs):
         for j, x2 in enumerate(ys):
             lines.append(f"{fmt(x1)},{fmt(x2)},{1 if grid[i][j] else 0}")

@@ -8,17 +8,17 @@ and reported honestly as UNKNOWN with the probe trace as evidence.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, lin_solve,
-                    vec_add, vec_scale, zeros)
-from .membership import (Certificate, member_ae, member_ae_kernel,
-                         member_kernel, member_tolerable, member_united,
-                         strict_kernel_member, kernel_tolerable)
+                    vec_add, vec_scale)
+from .membership import (kernel_tolerable, member_ae, member_ae_kernel,
+                         member_kernel,  # noqa: F401 -- re-exported
+                         strict_kernel_member_ae)
 from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
                     TolerableSystem, classify)
 
@@ -55,14 +55,6 @@ class UnboundedVerdict:
     detail: str = ""
 
 
-def _membership_fn(quant: Optional[QuantifierAssignment]):
-    def member(sys: ParametricSystem, x: Sequence[Q]) -> bool:
-        if quant is None or not quant.forall_set:
-            return member_united(sys, x)[0]
-        return member_ae(sys, quant, x)[0]
-    return member
-
-
 def find_base_points(sys: ParametricSystem,
                      quant: Optional[QuantifierAssignment] = None,
                      budget: int = 16, seed: int = 0) -> list[Vector]:
@@ -70,13 +62,13 @@ def find_base_points(sys: ParametricSystem,
 
     Candidates come from the box midpoint, box vertices, and seeded random
     box points; each is kept only if it passes the exact membership test.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  No assignment means the united set.
     """
-    member = _membership_fn(quant)
+    if quant is None:
+        quant = QuantifierAssignment.all_exists(sys.K)
     rng = random.Random(seed)
     samples: list[Vector] = [sys.midpoint()]
-    for vertex in _vertex_stream(sys, budget):
-        samples.append(vertex)
+    samples.extend(itertools.islice(sys.vertices(range(sys.K)), budget))
     for _ in range(budget):
         p = []
         for par in sys.params:
@@ -92,7 +84,7 @@ def find_base_points(sys: ParametricSystem,
         if isinstance(res, (UniqueSolution, AffineSolutionSet)):
             x = res.point
             key = tuple(x)
-            if key not in seen and member(sys, x):
+            if key not in seen and member_ae(sys, quant, x)[0]:
                 seen.add(key)
                 points.append(x)
         if len(points) >= budget:
@@ -100,26 +92,13 @@ def find_base_points(sys: ParametricSystem,
     return points
 
 
-def _vertex_stream(sys: ParametricSystem, limit: int):
-    if sys.K == 0:
-        return
-    count = 0
-    for mask in range(2 ** sys.K):
-        if count >= limit:
-            return
-        p = []
-        for k, par in enumerate(sys.params):
-            p.append(par.interval.hi if (mask >> k) & 1 else par.interval.lo)
-        yield p
-        count += 1
-
-
 def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
               x0: Sequence[Q], y: Sequence[Q],
               max_doublings: int = 20) -> ProbeReport:
     """Test membership of x0 + alpha*y at alpha = 0, 1, 2, 4, ..., 2^max_doublings."""
-    member = _membership_fn(quant)
-    if not member(sys, list(x0)):
+    if quant is None:
+        quant = QuantifierAssignment.all_exists(sys.K)
+    if not member_ae(sys, quant, x0)[0]:
         raise ValueError("probe base point is not a member")
     alphas = [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]
     tested: list[Q] = []
@@ -127,7 +106,7 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     for a in alphas:
         tested.append(a)
         pt = vec_add(list(x0), vec_scale(a, list(y)))
-        if not member(sys, pt):
+        if not member_ae(sys, quant, pt)[0]:
             first_exit = a
             break
     return ProbeReport(list(x0), list(y), tested, first_exit,
@@ -140,13 +119,11 @@ def decide_unbounded(sys: ParametricSystem,
                      max_doublings: int = 20) -> UnboundedVerdict:
     """Decision cascade for 'is y an unbounded direction of the solution set'."""
     y = list(y)
-    have_forall = quant is not None and bool(quant.forall_set)
+    if quant is None:
+        quant = QuantifierAssignment.all_exists(sys.K)
 
     # (i) kernel membership is necessary
-    if have_forall:
-        in_kernel, cert = member_ae_kernel(sys, quant, y)
-    else:
-        in_kernel, cert = member_kernel(sys, y)
+    in_kernel, cert = member_ae_kernel(sys, quant, y)
     if not in_kernel:
         return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM2, cert,
                                 "direction is not in the kernel")
@@ -154,11 +131,7 @@ def decide_unbounded(sys: ParametricSystem,
     base_points = find_base_points(sys, quant, budget=budget, seed=seed)
 
     # (ii) strict kernel membership plus a base point is sufficient
-    if have_forall:
-        from .membership import strict_kernel_member_ae
-        strict, eps = strict_kernel_member_ae(sys, quant, y)
-    else:
-        strict, eps = strict_kernel_member(sys, y)
+    strict, eps = strict_kernel_member_ae(sys, quant, y)
     if strict and base_points:
         # The unbounded ray emerges beyond some threshold shift along y, so
         # slide the reported base point up the ray until its probe is clean.
@@ -168,7 +141,7 @@ def decide_unbounded(sys: ParametricSystem,
             f"strict kernel membership (eps = {eps}) with a base point")
 
     # (iii) special classes: kernel pieces characterize unboundedness
-    if not have_forall:
+    if not quant.forall_set:
         flags = classify(sys)
         if ORDINARY in flags or CLASS_C in flags:
             from .cones import decompose
@@ -190,14 +163,13 @@ def decide_unbounded(sys: ParametricSystem,
             return UnboundedVerdict(
                 Status.UNKNOWN, Rule.PROBE, rep,
                 f"no exit through alpha = 2^{max_doublings} from base "
-                f"{tuple(x0)}; kernel: yes; strict: no")
+                f"{','.join(str(v) for v in x0)}; kernel: yes; strict: no")
     detail = "no base point found" if not reports else \
         "every probe exits; kernel: yes; strict: no"
     return UnboundedVerdict(Status.UNKNOWN, Rule.PROBE, reports, detail)
 
 
-def _ray_base_point(sys: ParametricSystem,
-                    quant: Optional[QuantifierAssignment],
+def _ray_base_point(sys: ParametricSystem, quant: QuantifierAssignment,
                     base_points: list[Vector], y: Vector,
                     max_doublings: int) -> Vector:
     """A member point on the ray whose forward probe along y never exits.
@@ -206,12 +178,11 @@ def _ray_base_point(sys: ParametricSystem,
     candidate base points x0 + s*y are tried for doubling shifts s.  Falls
     back to the first base point if no clean probe is found in budget.
     """
-    member = _membership_fn(quant)
     shifts = [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]
     for x0 in base_points:
         for s in shifts:
             x1 = vec_add(x0, vec_scale(s, y))
-            if not member(sys, x1):
+            if not member_ae(sys, quant, x1)[0]:
                 continue
             if probe_ray(sys, quant, x1, y, max_doublings).exhausted:
                 return x1

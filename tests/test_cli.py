@@ -48,6 +48,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent.json", "--point", "1")
         assert code == 1
 
+    def test_malformed_system(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "constant": 5}))
+        code, _, err = run(capsys, "check", str(path), "--point", "1")
+        assert code == 1 and err.startswith("error:")
+
 
 class TestKernel:
     def test_in_kernel(self, capsys, e1_file):
@@ -78,6 +84,45 @@ class TestUnbounded:
     def test_e1_no(self, capsys, e1_file):
         code, out, _ = run(capsys, "unbounded", e1_file, "--dir", "1,0")
         assert code == 0 and out.startswith("CERTIFIED_NO by THM2")
+
+
+PINNED = [
+    (("check", "E1", "--point", "1,0"), "MEMBER (witness p1 = 1)\n"),
+    (("check", "E1", "--point", "1,-5"), "MEMBER (witness p1 = 1/6)\n"),
+    (("check", "E1", "--point", "1,1"), "NOT A MEMBER (separator w = 0,1)\n"),
+    (("kernel", "E1", "--dir", "0,-1", "--strict"),
+     "IN KERNEL (witness p = 0)\nSTRICT: no (eps = 0)\n"),
+    (("kernel", "E1", "--dir", "1,0", "--strict"),
+     "NOT IN KERNEL (separator w = 1,1)\nSTRICT: no (eps = 0)\n"),
+    (("kernel", "E3", "--dir", "1", "--strict"),
+     "IN KERNEL (witness p = 0)\nSTRICT: yes (eps = 1)\n"),
+    (("unbounded", "E1", "--dir", "0,-1"),
+     "UNKNOWN by PROBE: no exit through alpha = 2^20 from base 1,-1; "
+     "kernel: yes; strict: no\n"
+     "probe: base = 1,-1, alphas tested = 22, first exit = none\n"),
+    (("unbounded", "E1", "--dir", "0,1"),
+     "UNKNOWN by PROBE: every probe exits; kernel: yes; strict: no\n"
+     "probe: base = 1,-1, first exit = 2\n"
+     "probe: base = 1,0, first exit = 1\n"
+     "probe: base = 1,-1/3, first exit = 1\n"
+     "probe: base = 1,-1/7, first exit = 1\n"),
+    (("unbounded", "E1", "--dir", "1,0"),
+     "CERTIFIED_NO by THM2: direction is not in the kernel\n"),
+    (("unbounded", "E3", "--dir", "1"),
+     "CERTIFIED_YES by THM3: strict kernel membership (eps = 1) "
+     "with a base point\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED,
+                         ids=[" ".join(a) for a, _ in PINNED])
+def test_pinned_stdout(capsys, e1_file, e3_file, argv, expected):
+    command, system, *rest = argv
+    path = {"E1": e1_file, "E3": e3_file}[system]
+    code, out, _ = run(capsys, command, path, *rest)
+    assert code == 0
+    assert out == expected
+    assert "Fraction(" not in out
 
 
 class TestClassify:

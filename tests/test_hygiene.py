@@ -1,0 +1,66 @@
+"""Source hygiene of the package, checked on its syntax tree.
+
+No linter is a dependency, so these checks stand in for one: no unused
+imports, and no floating point anywhere in the package, which keeps every
+decision path exact.  An import kept on purpose is marked ``# noqa: F401``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pilsys"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unused_imports(path):
+    """Names a module imports but never reads."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "noqa: F401" not in lines[alias.lineno - 1]:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def floats(path):
+    """Float literals and uses of the name float."""
+    return [f"line {node.lineno}" for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Name) and node.id == "float"]
+
+
+def test_modules_found():
+    assert len(MODULES) >= 8
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floats(path):
+    assert floats(path) == []
+
+
+def test_checks_catch_offenders(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text("import os\nfrom fractions import Fraction\n"
+                    "import sys  # noqa: F401\nx = 0.5\ny = float(Fraction(1))\n")
+    assert unused_imports(path) == ["os (line 1)"]
+    assert floats(path) == ["line 4", "line 5"]

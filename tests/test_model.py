@@ -1,13 +1,17 @@
+import copy
 import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import E1_DOC, E2_DOC, E3_DOC, gen_general, load
 from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, ORDINARY,
                           TOLERABLE_FORM, Interval, Parameter,
-                          ParametricSystem, QuantifierAssignment,
-                          SystemFormatError, classify, parse_rational,
+                          ParametricSystem, ParsedSystem,
+                          QuantifierAssignment, SystemFormatError,
+                          as_tolerable, classify, parse_rational,
                           parse_system, residual_vectors, serialize_system)
 
 import random
@@ -68,6 +72,129 @@ class TestParsing:
         assert parsed.quant.exists_set == frozenset({0})
         assert not parsed.quant.forall_set
         assert not parsed.explicit_quantifiers
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5)
+    | st.sampled_from(["0", "1", "-1/2", "1/0", "0.1", "x", "forall"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["m", "n", "A", "b", "name",
+                                       "interval", "quantifier"]),
+                      inner, max_size=3),
+    max_leaves=8)
+
+
+def _slots(node):
+    """Every (container, key) position inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid system document with one to three values replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from([E1_DOC, E2_DOC, E3_DOC])))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(JSON_VALUES)
+    return doc
+
+
+RATIONALS = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+@st.composite
+def parsed_systems(draw):
+    m, n, K = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+    def matrix():
+        return [[draw(RATIONALS) for _ in range(n)] for _ in range(m)]
+
+    def vector():
+        return [draw(RATIONALS) for _ in range(m)]
+
+    names = draw(st.lists(st.text(max_size=4), min_size=K, max_size=K, unique=True))
+    params = []
+    for name in names:
+        lo, hi = sorted((draw(RATIONALS), draw(RATIONALS)))
+        params.append(Parameter(name, Interval(lo, hi), matrix(), vector()))
+    system = ParametricSystem(m, n, matrix(), vector(), params)
+    # Quantifiers are written per parameter, so only K > 0 can mark them.
+    explicit = K > 0 and draw(st.booleans())
+    forall = frozenset(draw(st.sets(st.integers(0, K - 1)))) if explicit \
+        else frozenset()
+    quant = QuantifierAssignment(forall, frozenset(range(K)) - forall)
+    tolerable = as_tolerable(system, quant) if explicit else None
+    return ParsedSystem(system, quant, explicit, tolerable)
+
+
+class TestParserTotality:
+    @pytest.mark.parametrize("doc", [
+        {"m": 1, "n": 1, "parameters": [{"interval": [0, 1], "A": [["1"]]}]},
+        {"m": 1, "n": 1, "parameters": [{"interval": ["0", "1"], "A": [[1]]}]},
+        {"m": 1, "n": 1, "parameters": [{"interval": [0.1, 1], "A": [["1"]]}]},
+        {"m": 1, "n": 1, "constant": 5},
+        {"m": 1, "n": 1, "parameters": 5},
+        {"m": 1, "n": 1, "parameters": [{"name": ["p"], "interval": ["0", "1"]}]},
+    ], ids=["int-interval", "int-entry", "float-interval", "constant-5",
+            "parameters-5", "list-name"])
+    def test_mistyped_fields_rejected(self, doc):
+        with pytest.raises(SystemFormatError):
+            load(doc)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(SystemFormatError):
+            parse_system("[" * 100000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=mutated_docs() | JSON_VALUES)
+    def test_parses_or_raises_format_error(self, doc):
+        try:
+            parse_system(json.dumps(doc))
+        except SystemFormatError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(parsed=parsed_systems())
+    def test_serialize_parse_roundtrip(self, parsed):
+        again = parse_system(serialize_system(parsed))
+        assert again == parsed
+
+
+class TestVertices:
+    @staticmethod
+    def system(*intervals):
+        params = [Parameter(f"p{k}", Interval(Q(lo), Q(hi)), [[Q(1)]], [Q(0)])
+                  for k, (lo, hi) in enumerate(intervals)]
+        return ParametricSystem(1, 1, [[Q(0)]], [Q(0)], params)
+
+    def test_lexicographic_lo_before_hi(self):
+        sys = self.system((0, 1), (2, 3), (4, 5))
+        assert list(sys.vertices([0, 1])) == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        assert list(sys.vertices([2, 0])) == [[4, 0], [4, 1], [5, 0], [5, 1]]
+
+    def test_thin_interval_gives_one_end(self):
+        sys = self.system((0, 1), (7, 7))
+        assert list(sys.vertices([0, 1])) == [[0, 7], [1, 7]]
+        assert list(sys.vertices([1])) == [[7]]
+
+    def test_no_indices_give_one_empty_vertex(self):
+        assert list(self.system((0, 1)).vertices([])) == [[]]
+        assert list(self.system().vertices(range(0))) == [[]]
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_k_wide_intervals_give_2_to_the_k(self, k):
+        sys = self.system(*[(-1, 1)] * k)
+        vertices = list(sys.vertices(range(k)))
+        assert len(vertices) == 2 ** k
+        assert len({tuple(v) for v in vertices}) == 2 ** k
 
 
 class TestResiduals:
