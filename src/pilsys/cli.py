@@ -100,6 +100,8 @@ def cmd_unbounded(args) -> int:
     parsed = _load(args.file)
     sys = parsed.system
     y = _vector(args.dir, sys.n, "direction")
+    if args.budget < 0:
+        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     verdict = unbounded.decide_unbounded(sys, parsed.quant, y,
                                          budget=args.budget, seed=args.seed)
     print(f"{verdict.status.value} by {verdict.rule.value}: {verdict.detail}")
@@ -147,8 +149,11 @@ def cmd_raster(args) -> int:
                                 parsed.tolerable)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {args.res}x{args.res} raster to {args.out}")
     return 0
 

@@ -2,9 +2,12 @@
 and Fourier-Motzkin elimination.
 
 All arithmetic uses :class:`fractions.Fraction`; there is no floating point
-anywhere in a decision path.  The LP solver is a phase-1/phase-2 simplex with
-Bland's rule, so it always terminates and an infeasible outcome carries exact
-Farkas multipliers that a validator can re-check.
+anywhere in a decision path.  The LP solver is a phase-1/phase-2 primal
+simplex over bounded variables: single-variable rows become bounds and
+equalities stay equalities, so a membership LP ("a parameter box plus
+equalities") has one tableau row per equation.  Bland's rule makes it
+terminate, and an infeasible outcome carries exact Farkas multipliers, read
+from the reduced costs, that a validator can re-check.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def recession_cone(P: Polyhedron) -> Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# LP feasibility / optimization (phase-1/2 simplex, Bland's rule)
+# LP feasibility / optimization (bounded-variable simplex, Bland's rule)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -189,205 +192,207 @@ class Infeasible:
 LPResult = Union[Feasible, Infeasible]
 
 
-class _Tableau:
-    """Simplex tableau in Gauss-Jordan reduced form over exact rationals.
+class _BoundedSimplex:
+    """Primal simplex over bounded variables, in Gauss-Jordan tableau form.
 
-    min c.z  s.t.  M z = q, z >= 0, starting from an identity basis.
-    Bland's rule on entering and leaving variables guarantees termination.
+    A row of C with one nonzero entry is not a row of the tableau but a bound
+    lo_j <= x_j <= hi_j (Dantzig's upper-bounding technique); the tightest one
+    wins, and the row that gave it is kept for the certificate.  Every other
+    row of C gets one slack s_i >= 0, and the rows of E stay equalities.  The
+    columns are x, then the slacks, then one artificial per row that the start
+    point violates and per equality row.  A nonbasic variable sits at a
+    finite bound, or at 0 if it has none; ``val`` holds the value of every
+    variable and ``lo``/``hi`` its bounds (None is infinite).
+
+    Bland's rule picks the entering variable and, among tied ratios, the
+    leaving one, so the method terminates.  A variable with lo = hi never
+    enters.  After a feasible phase 1 the artificials are fixed at 0 and
+    phase 2 runs on the same tableau.
     """
 
-    def __init__(self, M: Matrix, q: Vector, c: Vector, basis: list[int]):
-        self.rows = [row[:] + [q[i]] for i, row in enumerate(M)]
-        self.ncols = len(M[0]) if M else 0
-        self.basis = basis[:]
-        # reduced cost row and objective value
-        self.cost = c[:] + [Q(0)]
-        for i, bi in enumerate(self.basis):
-            if self.cost[bi] != 0:
-                f = self.cost[bi]
-                self.cost = [x - f * y for x, y in zip(self.cost, self.rows[i])]
+    def __init__(self, P: Polyhedron):
+        n = self.n = P.dim
+        self.P = P
+        lo: list[Optional[Q]] = [None] * n
+        hi: list[Optional[Q]] = [None] * n
+        self.lo_row: list[Optional[int]] = [None] * n
+        self.hi_row: list[Optional[int]] = [None] * n
+        self.general: list[int] = []
+        for i, (row, di) in enumerate(zip(P.C, P.d)):
+            nz = [j for j, a in enumerate(row) if a != 0]
+            if len(nz) != 1:
+                self.general.append(i)
+                continue
+            j = nz[0]
+            bound = di / row[j]
+            if row[j] > 0:
+                if hi[j] is None or bound < hi[j]:
+                    hi[j], self.hi_row[j] = bound, i
+            elif lo[j] is None or bound > lo[j]:
+                lo[j], self.lo_row[j] = bound, i
+        self.crossed = next((j for j in range(n) if lo[j] is not None
+                             and hi[j] is not None and lo[j] > hi[j]), None)
+        if self.crossed is not None:
+            self.feasible = False
+            return
 
-    def pivot(self, r: int, c: int) -> None:
-        pv = self.rows[r][c]
-        self.rows[r] = [x / pv for x in self.rows[r]]
-        for i in range(len(self.rows)):
-            if i != r and self.rows[i][c] != 0:
-                f = self.rows[i][c]
-                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], self.rows[r])]
-        if self.cost[c] != 0:
-            f = self.cost[c]
-            self.cost = [x - f * y for x, y in zip(self.cost, self.rows[r])]
-        self.basis[r] = c
-
-    def solve(self, allowed: Optional[set[int]] = None) -> str:
-        """Run simplex to optimality.  Returns 'optimal' or 'unbounded'."""
-        while True:
-            entering = None
-            for j in range(self.ncols):
-                if allowed is not None and j not in allowed:
-                    continue
-                if self.cost[j] < 0:
-                    entering = j
-                    break
-            if entering is None:
-                return "optimal"
-            leaving = None
-            best = None
-            for i, row in enumerate(self.rows):
-                a = row[entering]
-                if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[i] < self.basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return "unbounded"
-            self.pivot(leaving, entering)
-
-    def objective(self) -> Q:
-        return -self.cost[-1]
-
-    def values(self) -> Vector:
-        z = zeros(self.ncols)
-        for i, bi in enumerate(self.basis):
-            z[bi] = self.rows[i][-1]
-        return z
-
-
-class _StandardLP:
-    """Inequality system G x <= h over free x, in phase-1 simplex form.
-
-    Free variables are split x = u - v; each row gets a slack, and rows with
-    negative rhs are negated and given an artificial variable.
-    """
-
-    def __init__(self, G: Matrix, h: Vector, n: int):
-        self.n = n
-        self.nrows = len(G)
-        ncols = 2 * n + self.nrows  # u, v, slacks; artificials appended
-        M: Matrix = []
-        q: Vector = []
-        self.flip: list[bool] = []
-        basis: list[int] = []
-        art_cols: list[int] = []
-        for i, (row, hi) in enumerate(zip(G, h)):
-            flip = hi < 0
-            sgn = Q(-1) if flip else Q(1)
-            mrow = [sgn * a for a in row] + [-sgn * a for a in row] + \
-                [Q(0)] * self.nrows
-            mrow[2 * n + i] = sgn
-            self.flip.append(flip)
-            M.append(mrow)
-            q.append(sgn * hi)
-            if flip:
-                art_cols.append(len(M) - 1)
-                basis.append(-1)  # patched below
+        x = [l if l is not None else h if h is not None else Q(0)
+             for l, h in zip(lo, hi)]
+        g = len(self.general)
+        self.width = width = n + g
+        self.rows: Matrix = []
+        self.val = x + zeros(g)
+        basis: list[Optional[int]] = []
+        pending: list[tuple[int, Q]] = []  # (tableau row, residual at x)
+        for r, i in enumerate(self.general):
+            row = P.C[i] + zeros(g)
+            row[n + r] = Q(1)
+            self.rows.append(row)
+            res = P.d[i] - dot(P.C[i], x)
+            if res >= 0:
+                basis.append(n + r)
+                self.val[n + r] = res
             else:
-                basis.append(2 * n + i)
-        self.nart = len(art_cols)
-        total = ncols + self.nart
-        for j, i in enumerate(art_cols):
-            for r in range(self.nrows):
-                M[r].append(Q(1) if r == i else Q(0))
-            basis[i] = ncols + j
-        self.ncols_real = ncols
-        c = zeros(total)
-        for j in range(ncols, total):
-            c[j] = Q(1)
-        self.tab = _Tableau(M, q, c, basis)
-        self.tab.solve()
+                basis.append(None)
+                pending.append((r, res))
+        for row, fk in zip(P.E, P.f):
+            pending.append((len(self.rows), fk - dot(row, x)))
+            basis.append(None)
+            self.rows.append(row + zeros(g))
+        for row in self.rows:
+            row.extend(zeros(len(pending)))
+        self.lo = lo + zeros(g + len(pending))
+        self.hi = hi + [None] * g
+        # per artificial: (tableau row, sign of its column, phase-1 cost)
+        self.arts: list[tuple[int, Q, Q]] = []
+        for a, (r, res) in enumerate(pending):
+            sign = Q(1) if res >= 0 else Q(-1)
+            self.rows[r][width + a] = sign
+            if sign < 0:
+                self.rows[r] = [-v for v in self.rows[r]]
+            basis[r] = width + a
+            self.val.append(abs(res))
+            # an artificial whose row holds at the start stays at 0
+            cost = Q(1) if res != 0 else Q(0)
+            self.hi.append(None if cost else Q(0))
+            self.arts.append((r, sign, cost))
+        self.basis: list[int] = basis
+        self._set_cost(zeros(width) + [c for _, _, c in self.arts])
+        self._solve()
+        self.feasible = all(v == 0 for v in self.val[width:])
 
-    @property
-    def feasible(self) -> bool:
-        return self.tab.objective() == 0
+    def _set_cost(self, cost: Vector) -> None:
+        """Reduced costs d = cost - cost_B T for the current basis."""
+        d = cost
+        for r, b in enumerate(self.basis):
+            f = cost[b]
+            if f:
+                d = [x - f * y if y else x for x, y in zip(d, self.rows[r])]
+        self.d = d
+
+    def _pivot(self, r: int, j: int) -> None:
+        rows = self.rows
+        pv = rows[r][j]
+        prow = rows[r] = [x / pv if x else x for x in rows[r]]
+        # most entries are 0 (artificial and slack columns), so skip them
+        for i, row in enumerate(rows):
+            f = row[j]
+            if i != r and f:
+                rows[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+        f = self.d[j]
+        if f:
+            self.d = [x - f * y if y else x for x, y in zip(self.d, prow)]
+        self.basis[r] = j
+
+    def _entering(self) -> Optional[tuple[int, int]]:
+        """Bland: the lowest-index variable whose move lowers the cost."""
+        lo, hi, val = self.lo, self.hi, self.val
+        for j, dj in enumerate(self.d):
+            if dj < 0 and (hi[j] is None or val[j] < hi[j]):
+                return j, 1
+            if dj > 0 and (lo[j] is None or val[j] > lo[j]):
+                return j, -1
+        return None
+
+    def _solve(self) -> bool:
+        """Minimize the cost; False when it is unbounded below."""
+        lo, hi, val, basis = self.lo, self.hi, self.val, self.basis
+        while True:
+            move = self._entering()
+            if move is None:
+                return True
+            j, step = move
+            # the entering variable's own bound flip, then each basic variable
+            bound = hi[j] if step > 0 else lo[j]
+            t = None if bound is None else abs(bound - val[j])
+            leave = None
+            for r, row in enumerate(self.rows):
+                if row[j] == 0:
+                    continue
+                rate = -step * row[j]  # change of basic r per unit of t
+                b = basis[r]
+                limit = hi[b] if rate > 0 else lo[b]
+                if limit is None:
+                    continue
+                ratio = (limit - val[b]) / rate
+                if t is None or ratio < t or \
+                        (ratio == t and leave is not None and b < basis[leave]):
+                    t, leave = ratio, r
+            if t is None:
+                return False
+            if t != 0:
+                val[j] += step * t
+                for r, row in enumerate(self.rows):
+                    if row[j] != 0:
+                        val[basis[r]] -= step * t * row[j]
+            if leave is not None:
+                self._pivot(leave, j)
 
     def point(self) -> Vector:
-        z = self.tab.values()
-        return [z[j] - z[self.n + j] for j in range(self.n)]
+        return self.val[:self.n]
 
-    def farkas(self) -> Vector:
-        """Multipliers lam >= 0 with lam.G = 0 and lam.h < 0."""
-        # Dual values from the reduced costs of the initial identity columns.
-        lam = []
-        for i in range(self.nrows):
-            if self.flip[i]:
-                # identity column was an artificial (cost 1), row was negated
-                col = self._art_col(i)
-                y_i = Q(1) - self.tab.cost[col]
-                lam.append(y_i)
-            else:
-                col = self.ncols_real - self.nrows + i  # slack i
-                y_i = -self.tab.cost[col]
-                lam.append(-y_i)
-        return lam
+    def farkas(self) -> Infeasible:
+        """Multipliers read from the phase-1 reduced costs.
 
-    def _art_col(self, row: int) -> int:
-        j = self.ncols_real
-        for i in range(self.nrows):
-            if self.flip[i]:
-                if i == row:
-                    return j
-                j += 1
-        raise AssertionError("row has no artificial column")
+        Row i of the tableau has dual y_i = -d(slack i), or sign * (cost - d)
+        from its artificial; the multiplier of the original row is -y_i.  A
+        structural reduced cost d_j is cancelled by the bound row x_j sits on.
+        """
+        P, n = self.P, self.n
+        lam = zeros(len(P.C))
+        if self.crossed is not None:
+            for i in (self.lo_row[self.crossed], self.hi_row[self.crossed]):
+                lam[i] = 1 / abs(P.C[i][self.crossed])
+            return Infeasible(lam, zeros(len(P.E)))
+        d = self.d
+        for r, i in enumerate(self.general):
+            lam[i] = d[n + r]
+        g = len(self.general)
+        mu = []
+        for a, (r, sign, cost) in enumerate(self.arts):
+            if r >= g:
+                mu.append(sign * (d[self.width + a] - cost))
+        for j in range(n):
+            i = self.lo_row[j] if d[j] > 0 else self.hi_row[j] if d[j] < 0 else None
+            if i is not None:
+                lam[i] = -d[j] / P.C[i][j]
+        return Infeasible(lam, mu)
 
-    def drop_artificials(self) -> None:
-        """After a feasible phase 1, pivot artificials out of the basis."""
-        for r in range(self.nrows):
-            if self.tab.basis[r] >= self.ncols_real:
-                c = next((j for j in range(self.ncols_real)
-                          if self.tab.rows[r][j] != 0), None)
-                if c is not None:
-                    self.tab.pivot(r, c)
-                # else: redundant zero row; the artificial stays basic at 0
-
-    def maximize(self, obj: Vector) -> tuple[str, Optional[Q], Optional[Vector]]:
-        """Maximize obj.x over the feasible region (phase 2)."""
-        self.drop_artificials()
-        c = zeros(len(self.tab.cost) - 1)
-        for j in range(self.n):
-            c[j] = -obj[j]
-            c[self.n + j] = obj[j]
-        self.tab.cost = c + [Q(0)]
-        for i, bi in enumerate(self.tab.basis):
-            if self.tab.cost[bi] != 0:
-                f = self.tab.cost[bi]
-                self.tab.cost = [x - f * y
-                                 for x, y in zip(self.tab.cost, self.tab.rows[i])]
-        allowed = set(range(self.ncols_real))
-        status = self.tab.solve(allowed)
-        if status == "unbounded":
+    def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
+        """Phase 2: maximize obj.x with the artificials fixed at 0."""
+        for a in range(self.width, len(self.val)):
+            self.hi[a] = Q(0)
+        self._set_cost([-Q(c) for c in obj] + zeros(len(self.val) - self.n))
+        if not self._solve():
             return "unbounded", None, None
-        # phase 2 minimizes -obj, so the maximum is the negated optimum
-        return "optimal", -self.tab.objective(), self.point()
-
-
-def _as_inequalities(P: Polyhedron) -> tuple[Matrix, Vector, int]:
-    """Equalities expanded into inequality pairs (E<=f first, then -E<=-f)."""
-    G = [row[:] for row in P.C]
-    h = P.d[:]
-    for row, fi in zip(P.E, P.f):
-        G.append(row[:])
-        h.append(fi)
-    for row, fi in zip(P.E, P.f):
-        G.append([-a for a in row])
-        h.append(-fi)
-    return G, h, len(P.C)
+        x = self.point()
+        return "optimal", dot(obj, x), x
 
 
 def lp_feasible(P: Polyhedron) -> LPResult:
     """Exact feasibility of P, with a Farkas certificate on failure."""
-    if not P.C and not P.E:
-        return Feasible(zeros(P.dim))
-    G, h, n_ineq = _as_inequalities(P)
-    lp = _StandardLP(G, h, P.dim)
-    if lp.feasible:
-        return Feasible(lp.point())
-    lam = lp.farkas()
-    ineq_mult = lam[:n_ineq]
-    n_eq = len(P.E)
-    eq_mult = [lam[n_ineq + j] - lam[n_ineq + n_eq + j] for j in range(n_eq)]
-    return Infeasible(ineq_mult, eq_mult)
+    lp = _BoundedSimplex(P)
+    return Feasible(lp.point()) if lp.feasible else lp.farkas()
 
 
 def lp_maximize(P: Polyhedron, obj: Sequence[Q]):
@@ -398,15 +403,10 @@ def lp_maximize(P: Polyhedron, obj: Sequence[Q]):
     """
     if len(obj) != P.dim:
         raise ValueError("objective has wrong dimension")
-    if not P.C and not P.E:
-        if all(c == 0 for c in obj):
-            return "optimal", Q(0), zeros(P.dim)
-        return "unbounded", None, None
-    G, h, _ = _as_inequalities(P)
-    lp = _StandardLP(G, h, P.dim)
+    lp = _BoundedSimplex(P)
     if not lp.feasible:
         return "infeasible", None, None
-    return lp.maximize(list(obj))
+    return lp.maximize(obj)
 
 
 def check_infeasibility_certificate(P: Polyhedron, cert: Infeasible) -> bool:

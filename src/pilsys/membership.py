@@ -35,17 +35,26 @@ class CertKind(Enum):
 
 @dataclass(frozen=True)
 class Certificate:
+    """A verdict's certificate; build one with ``Certificate.witness(p)`` or
+    ``Certificate.separator(fc)``."""
+
     kind: CertKind
     witness_p: Optional[Vector] = None
     separator: Optional[FarkasCertificate] = None
 
-    @staticmethod
-    def witness(p: Vector) -> "Certificate":
-        return Certificate(CertKind.WITNESS, witness_p=p)
 
-    @staticmethod
-    def separator(fc: FarkasCertificate) -> "Certificate":
-        return Certificate(CertKind.SEPARATOR, separator=fc)
+def _witness(p: Vector) -> Certificate:
+    return Certificate(CertKind.WITNESS, witness_p=p)
+
+
+def _separator(fc: FarkasCertificate) -> Certificate:
+    return Certificate(CertKind.SEPARATOR, separator=fc)
+
+
+# The constructors share their names with the fields they fill.  Attached
+# after the class is built, they cannot become the fields' defaults.
+Certificate.witness = staticmethod(_witness)
+Certificate.separator = staticmethod(_separator)
 
 
 def _exists_polyhedron(sys: ParametricSystem, residuals: list[Vector],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -308,6 +309,13 @@ def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
+# Fraction expands an exponent into an integer of that many digits, so a
+# short literal such as "1e999999999" would take minutes and gigabytes.
+MAX_LITERAL_LENGTH = 1000
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([+-]?\d+)\Z")
+
+
 def parse_rational(text: str) -> Q:
     """Exact rational from an integer, decimal, or num/den literal.
 
@@ -316,8 +324,16 @@ def parse_rational(text: str) -> Q:
     """
     if not isinstance(text, str):
         raise SystemFormatError(f"number {text!r} must be a string literal")
+    text = text.strip()
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise SystemFormatError(f"number literal of {len(text)} characters is "
+                                f"longer than {MAX_LITERAL_LENGTH}")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise SystemFormatError(f"exponent of {text!r} is beyond "
+                                f"+-{MAX_EXPONENT}")
     try:
-        return Q(text.strip())
+        return Q(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemFormatError(f"bad number literal {text!r}: {exc}") from None
 

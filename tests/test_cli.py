@@ -177,3 +177,16 @@ class TestUsage:
     def test_no_command(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
+
+    def test_raster_unwritable_out(self, capsys, e1_file, tmp_path):
+        out_path = str(tmp_path / "missing" / "r.csv")
+        code, out, err = run(capsys, "raster", e1_file, "--window=-2,2,-6,1",
+                             "--res", "3", "--out", out_path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+
+    def test_negative_budget(self, capsys, e1_file):
+        code, out, err = run(capsys, "unbounded", e1_file, "--dir", "0,-1",
+                             "--budget", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --budget") and "islice" not in err

@@ -178,3 +178,138 @@ class TestCertificates:
             else:
                 assert P.contains(res.point)
         assert seen > 20
+
+
+def fm_max(P, obj):
+    """max obj.x over a bounded P: project P and t = obj.x onto t by FM."""
+    R = Polyhedron([row + [Q(0)] for row in P.C], P.d[:],
+                   [row + [Q(0)] for row in P.E] + [list(obj) + [Q(-1)]],
+                   P.f + [Q(0)], P.dim + 1)
+    while R.dim > 1:
+        R = fm_eliminate(R, 0)
+    if not fm_feasible(R):
+        return None
+    uppers = [di / row[0] for row, di in zip(R.C, R.d) if row[0] > 0]
+    uppers += [fi / row[0] for row, fi in zip(R.E, R.f) if row[0] != 0]
+    return min(uppers)
+
+
+def assert_infeasible(P):
+    res = lp_feasible(P)
+    assert isinstance(res, Infeasible)
+    assert check_infeasibility_certificate(P, res)
+    return res
+
+
+class TestBoundRows:
+    """Rows of C with one nonzero entry, which bound a single variable."""
+
+    def test_thin_bound(self):
+        # x = 2 from two rows, x + y <= 3, y >= -5
+        P = poly([[1, 0], [-1, 0], [1, 1], [0, -1]], [2, -2, 3, 5])
+        res = lp_feasible(P)
+        assert isinstance(res, Feasible) and res.point[0] == 2
+        assert P.contains(res.point)
+        assert lp_maximize(P, qvec([1, 0]))[:2] == ("optimal", Q(2))
+        assert lp_maximize(P, qvec([-1, 0]))[:2] == ("optimal", Q(-2))
+        assert lp_maximize(P, qvec([0, 1]))[:2] == ("optimal", Q(1))
+        assert_infeasible(poly([[1], [-1]], [2, -2], E=[[1]], f=[3]))
+
+    @pytest.mark.parametrize("C,d,lower,upper,outside", [
+        ([[1], [2], [-1]], [5, 2, 0], 0, 1, 3),
+        ([[2], [1], [-1]], [2, 5, 0], 0, 1, 3),
+        ([[-1], [-3], [1]], [3, 0, 7], 0, 7, -1),
+    ], ids=["tighter-second", "tighter-first", "lower"])
+    def test_tighter_bound_wins(self, C, d, lower, upper, outside):
+        P = poly(C, d)
+        assert lp_maximize(P, qvec([1]))[1] == upper
+        assert lp_maximize(P, qvec([-1]))[1] == -lower
+        # the point violates only the tighter of the two rows on its side
+        assert_infeasible(poly(C, d, E=[[1]], f=[outside]))
+
+    def test_contradictory_bounds(self):
+        # x >= 1 and 3x <= 0, with a consistent box on y
+        P = poly([[-1, 0], [0, 1], [3, 0], [0, -1]], [-1, 5, 0, 0])
+        res = assert_infeasible(P)
+        assert res.ineq_mult[0] > 0 and res.ineq_mult[2] > 0
+        assert lp_maximize(P, qvec([0, 1]))[0] == "infeasible"
+
+    def test_zero_row_negative_rhs(self):
+        P = poly([[1, 0], [0, 0], [-1, 0]], [1, -1, 0])
+        res = assert_infeasible(P)
+        assert res.ineq_mult[1] > 0
+        assert_infeasible(Polyhedron([[]], [Q(-1)], [], [], 0))
+        assert isinstance(lp_feasible(poly([[0, 0]], [0])), Feasible)
+
+    def test_free_variable_only_in_equalities(self):
+        # x in [0, 1], y free, x + y = 2
+        P = poly([[1, 0], [-1, 0]], [1, 0], E=[[1, 1]], f=[2])
+        res = lp_feasible(P)
+        assert isinstance(res, Feasible) and P.contains(res.point)
+        status, val, arg = lp_maximize(P, qvec([0, 1]))
+        assert (status, val) == ("optimal", Q(2)) and arg == [Q(0), Q(2)]
+        # and y = 3x + 5 cannot meet x + y = 2 inside the box
+        assert_infeasible(poly([[1, 0], [-1, 0]], [1, 0],
+                               E=[[1, 1], [3, -1]], f=[2, -5]))
+
+    def test_maximize_unbounded_along_free_variable(self):
+        box_x = [[1, 0, 0], [-1, 0, 0]]
+        P = poly(box_x, [1, 0], dim=3)
+        assert lp_maximize(P, qvec([0, 1, 0]))[0] == "unbounded"
+        assert lp_maximize(P, qvec([0, 0, -1]))[0] == "unbounded"
+        P = poly(box_x, [1, 0], E=[[0, 1, -1]], f=[0])  # y = z, both free
+        assert lp_maximize(P, qvec([0, 1, 0]))[0] == "unbounded"
+        assert lp_maximize(P, qvec([0, 1, -1]))[:2] == ("optimal", Q(0))
+
+    def test_maximize_at_bound_flip(self):
+        # box x in [0, 3], y in [-1, 2]; x + y <= 10 never binds
+        P = poly([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [3, 0, 2, 1, 10])
+        assert lp_maximize(P, qvec([1, 1])) == ("optimal", Q(5), [Q(3), Q(2)])
+        assert lp_maximize(P, qvec([-1, -2])) == ("optimal", Q(2), [Q(0), Q(-1)])
+
+
+def random_bounded(rng):
+    """A random polyhedron whose every variable is boxed (sometimes thin,
+    sometimes by two rows, rarely crossed), plus general rows and equalities."""
+    dim = rng.randint(1, 4)
+    rows = []
+    for j in range(dim):
+        lo = Q(rng.randint(-3, 3), rng.randint(1, 2))
+        hi = lo if rng.random() < 0.15 else lo + Q(rng.randint(0, 4), rng.randint(1, 2))
+        if rng.random() < 0.05:
+            lo, hi = hi + 1, lo
+        for sign, b in ((1, hi), (-1, -lo)) + (((1, hi + 1),) if rng.random() < 0.3 else ()):
+            scale = Q(rng.randint(1, 3))
+            row = [Q(0)] * dim
+            row[j] = sign * scale
+            rows.append((row, scale * b))
+    for _ in range(rng.randint(0, 3)):
+        rows.append(([Q(rng.randint(-3, 3)) for _ in range(dim)], Q(rng.randint(-3, 3))))
+    rng.shuffle(rows)
+    E = [[Q(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+    f = [Q(rng.randint(-3, 3)) for _ in E]
+    return Polyhedron([r for r, _ in rows], [b for _, b in rows], E, f, dim)
+
+
+def test_bounded_polyhedra_agree_with_fm():
+    rng = random.Random(2026)
+    kinds = {"feasible": 0, "infeasible": 0}
+    for _ in range(300):
+        P = random_bounded(rng)
+        res = lp_feasible(P)
+        if isinstance(res, Infeasible):
+            kinds["infeasible"] += 1
+            assert check_infeasibility_certificate(P, res)
+        else:
+            kinds["feasible"] += 1
+            assert P.contains(res.point)
+        assert fm_feasible(P) == isinstance(res, Feasible)
+        obj = [Q(rng.randint(-3, 3)) for _ in range(P.dim)]
+        status, val, arg = lp_maximize(P, obj)
+        want = fm_max(P, obj)
+        if want is None:
+            assert status == "infeasible"
+        else:
+            assert (status, val) == ("optimal", want)
+            assert P.contains(arg) and sum(a * x for a, x in zip(obj, arg)) == val
+    assert min(kinds.values()) > 30

@@ -214,6 +214,14 @@ class TestCertificateValidation:
         # note u, v here are placeholders; validation uses w only
         assert validate_certificate(e1.system, None, [Q(1), Q(1)], cert)
 
+    def test_witness_carries_no_separator(self):
+        from pilsys.membership import Certificate
+        cert = Certificate.witness([Q(1)])
+        assert cert.separator is None
+        assert "function" not in repr(cert)
+        assert Certificate.__dataclass_fields__["separator"].default is None
+        assert Certificate.__dataclass_fields__["witness_p"].default is None
+
     def test_witness_rejected_by_validator(self, e1):
         ok, cert = member_united(e1.system, [Q(1), Q(0)])
         assert ok

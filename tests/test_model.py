@@ -149,6 +149,22 @@ class TestParserTotality:
         with pytest.raises(SystemFormatError):
             load(doc)
 
+    @pytest.mark.parametrize("literal", ["1e999999999", " -2.5E-999999999 ",
+                                         "1" * 1001],
+                             ids=["huge-exponent", "tiny-exponent", "long-literal"])
+    def test_oversized_literal_rejected(self, literal):
+        with pytest.raises(SystemFormatError):
+            parse_rational(literal)
+        doc = copy.deepcopy(E3_DOC)
+        doc["constant"]["b"] = [literal]
+        with pytest.raises(SystemFormatError):
+            load(doc)
+
+    def test_literal_at_the_limits_accepted(self):
+        assert parse_rational("1e1000") == Q(10) ** 1000
+        assert parse_rational("1E-1000") == Q(1, 10 ** 1000)
+        assert parse_rational("1" * 1000) == Q(int("1" * 1000))
+
     def test_deep_nesting_rejected(self):
         with pytest.raises(SystemFormatError):
             parse_system("[" * 100000)
