@@ -161,6 +161,8 @@ def cmd_raster(args) -> int:
 def cmd_verify(args) -> int:
     parsed = _load(args.file)
     sys = parsed.system
+    if args.samples < 0:
+        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     rng = random.Random(args.seed)
     flags = model.classify(sys, parsed.quant)
 

@@ -1,9 +1,12 @@
 """Exact rational linear algebra, LP feasibility with Farkas certificates,
 and Fourier-Motzkin elimination.
 
-All arithmetic uses :class:`fractions.Fraction`; there is no floating point
-anywhere in a decision path.  The LP solver is a phase-1/phase-2 primal
-simplex over bounded variables: single-variable rows become bounds and
+Every input and output is a :class:`fractions.Fraction`, and the arithmetic
+is exact throughout; there is no floating point anywhere in a decision path.
+Inside, the hot loops are fraction-free: ``dot`` sums integer products over
+one common denominator, and each simplex tableau row is a list of integers
+over one positive integer denominator.  The LP solver is a phase-1/phase-2
+primal simplex over bounded variables: single-variable rows become bounds and
 equalities stay equalities, so a membership LP ("a parameter box plus
 equalities") has one tableau row per equation.  Bland's rule makes it
 terminate, and an infeasible outcome carries exact Farkas multipliers, read
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 Q = Fraction
@@ -35,7 +39,20 @@ def zeros(n: int) -> Vector:
 
 
 def dot(u: Sequence[Q], v: Sequence[Q]) -> Q:
-    return sum((a * b for a, b in zip(u, v)), Q(0))
+    """Exact u.v: the nonzero products are summed as one integer numerator
+    over the lcm of their denominators, and one Fraction is built at the end."""
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        if a and b:
+            an, ad = a.as_integer_ratio()
+            bn, bd = b.as_integer_ratio()
+            pd = ad * bd
+            if den % pd:
+                m = lcm(den, pd)
+                num *= m // den
+                den = m
+            num += an * bn * (den // pd)
+    return Q(num, den)
 
 
 def mat_vec(A: Sequence[Sequence[Q]], x: Sequence[Q]) -> Vector:
@@ -192,6 +209,21 @@ class Infeasible:
 LPResult = Union[Feasible, Infeasible]
 
 
+def _scaled(row: Sequence[Q]) -> tuple[list[int], int]:
+    """A rational row as integer numerators over the lcm of its denominators
+    (a primitive row: no prime divides that lcm and every numerator)."""
+    den = lcm(*[a.denominator for a in row])
+    return [a.numerator * (den // a.denominator) for a in row], den
+
+
+def _primitive(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide an integer row and its positive denominator by their gcd."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
 class _BoundedSimplex:
     """Primal simplex over bounded variables, in Gauss-Jordan tableau form.
 
@@ -203,6 +235,11 @@ class _BoundedSimplex:
     point violates and per equality row.  A nonbasic variable sits at a
     finite bound, or at 0 if it has none; ``val`` holds the value of every
     variable and ``lo``/``hi`` its bounds (None is infinite).
+
+    The tableau is fraction-free: row r is the list of integers ``rows[r]``
+    over the positive integer ``dens[r]``, and the reduced costs are ``d``
+    over ``dden``; each is kept primitive (gcd 1) after every row operation.
+    The values, the bounds and the step lengths are Fractions.
 
     Bland's rule picks the entering variable and, among tied ratios, the
     leaving one, so the method terminates.  A variable with lo = hi never
@@ -219,7 +256,7 @@ class _BoundedSimplex:
         self.hi_row: list[Optional[int]] = [None] * n
         self.general: list[int] = []
         for i, (row, di) in enumerate(zip(P.C, P.d)):
-            nz = [j for j, a in enumerate(row) if a != 0]
+            nz = [j for j, a in enumerate(row) if a]
             if len(nz) != 1:
                 self.general.append(i)
                 continue
@@ -240,14 +277,17 @@ class _BoundedSimplex:
              for l, h in zip(lo, hi)]
         g = len(self.general)
         self.width = width = n + g
-        self.rows: Matrix = []
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
         self.val = x + zeros(g)
         basis: list[Optional[int]] = []
         pending: list[tuple[int, Q]] = []  # (tableau row, residual at x)
         for r, i in enumerate(self.general):
-            row = P.C[i] + zeros(g)
-            row[n + r] = Q(1)
+            row, den = _scaled(P.C[i])
+            row += [0] * g
+            row[n + r] = den
             self.rows.append(row)
+            self.dens.append(den)
             res = P.d[i] - dot(P.C[i], x)
             if res >= 0:
                 basis.append(n + r)
@@ -258,50 +298,64 @@ class _BoundedSimplex:
         for row, fk in zip(P.E, P.f):
             pending.append((len(self.rows), fk - dot(row, x)))
             basis.append(None)
-            self.rows.append(row + zeros(g))
+            row, den = _scaled(row)
+            self.rows.append(row + [0] * g)
+            self.dens.append(den)
         for row in self.rows:
-            row.extend(zeros(len(pending)))
+            row.extend([0] * len(pending))
         self.lo = lo + zeros(g + len(pending))
         self.hi = hi + [None] * g
         # per artificial: (tableau row, sign of its column, phase-1 cost)
-        self.arts: list[tuple[int, Q, Q]] = []
+        self.arts: list[tuple[int, int, int]] = []
         for a, (r, res) in enumerate(pending):
-            sign = Q(1) if res >= 0 else Q(-1)
-            self.rows[r][width + a] = sign
+            sign = 1 if res >= 0 else -1
+            self.rows[r][width + a] = sign * self.dens[r]
             if sign < 0:
                 self.rows[r] = [-v for v in self.rows[r]]
             basis[r] = width + a
             self.val.append(abs(res))
             # an artificial whose row holds at the start stays at 0
-            cost = Q(1) if res != 0 else Q(0)
+            cost = 1 if res != 0 else 0
             self.hi.append(None if cost else Q(0))
             self.arts.append((r, sign, cost))
         self.basis: list[int] = basis
-        self._set_cost(zeros(width) + [c for _, _, c in self.arts])
+        self._set_cost([0] * width + [c for _, _, c in self.arts])
         self._solve()
         self.feasible = all(v == 0 for v in self.val[width:])
 
-    def _set_cost(self, cost: Vector) -> None:
+    def _set_cost(self, cost: Sequence[Q]) -> None:
         """Reduced costs d = cost - cost_B T for the current basis."""
-        d = cost
+        d, dden = _scaled(cost)
         for r, b in enumerate(self.basis):
-            f = cost[b]
-            if f:
-                d = [x - f * y if y else x for x, y in zip(d, self.rows[r])]
-        self.d = d
+            c = cost[b]
+            if c:
+                # d - (cn / cd) * row / den over dden * cd * den
+                s, f = c.denominator * self.dens[r], c.numerator * dden
+                d, dden = _primitive([x * s - f * y if y else x * s
+                                      for x, y in zip(d, self.rows[r])], dden * s)
+        self.d, self.dden = d, dden
 
     def _pivot(self, r: int, j: int) -> None:
-        rows = self.rows
-        pv = rows[r][j]
-        prow = rows[r] = [x / pv if x else x for x in rows[r]]
-        # most entries are 0 (artificial and slack columns), so skip them
+        rows, dens = self.rows, self.dens
+        prow = rows[r]
+        pden = prow[j]  # row r divided by its entry in column j
+        if pden < 0:
+            prow, pden = [-x for x in prow], -pden
+        prow, pden = _primitive(prow, pden)
+        rows[r], dens[r] = prow, pden
+        # row_i <- (row_i * pden - f * prow) / (den_i * pden), where f is the
+        # numerator in column j; most pivot-row entries are 0, so skip them
         for i, row in enumerate(rows):
             f = row[j]
             if i != r and f:
-                rows[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+                rows[i], dens[i] = _primitive(
+                    [x * pden - f * y if y else x * pden for x, y in zip(row, prow)],
+                    dens[i] * pden)
         f = self.d[j]
         if f:
-            self.d = [x - f * y if y else x for x, y in zip(self.d, prow)]
+            self.d, self.dden = _primitive(
+                [x * pden - f * y if y else x * pden for x, y in zip(self.d, prow)],
+                self.dden * pden)
         self.basis[r] = j
 
     def _entering(self) -> Optional[tuple[int, int]]:
@@ -317,34 +371,50 @@ class _BoundedSimplex:
     def _solve(self) -> bool:
         """Minimize the cost; False when it is unbounded below."""
         lo, hi, val, basis = self.lo, self.hi, self.val, self.basis
+        rows, dens = self.rows, self.dens
         while True:
             move = self._entering()
             if move is None:
                 return True
             j, step = move
-            # the entering variable's own bound flip, then each basic variable
+            # the entering variable's own bound flip, then each basic
+            # variable; the step length so far is tn / td with td > 0
             bound = hi[j] if step > 0 else lo[j]
-            t = None if bound is None else abs(bound - val[j])
+            tn = td = None
+            if bound is not None:
+                gap = abs(bound - val[j])
+                tn, td = gap.numerator, gap.denominator
             leave = None
-            for r, row in enumerate(self.rows):
-                if row[j] == 0:
+            for r, row in enumerate(rows):
+                a = row[j]
+                if not a:
                     continue
-                rate = -step * row[j]  # change of basic r per unit of t
+                rate = -step * a  # change of basic r per unit of t, times dens[r]
                 b = basis[r]
                 limit = hi[b] if rate > 0 else lo[b]
                 if limit is None:
                     continue
-                ratio = (limit - val[b]) / rate
-                if t is None or ratio < t or \
-                        (ratio == t and leave is not None and b < basis[leave]):
-                    t, leave = ratio, r
-            if t is None:
+                # ratio = (limit - val[b]) * dens[r] / rate, compared with
+                # tn / td by cross-multiplying
+                ln, ld = limit.as_integer_ratio()
+                vn, vd = val[b].as_integer_ratio()
+                rn, rd = (ln * vd - vn * ld) * dens[r], ld * vd * rate
+                if rd < 0:
+                    rn, rd = -rn, -rd
+                if tn is None or rn * td < tn * rd or \
+                        (rn * td == tn * rd and leave is not None and b < basis[leave]):
+                    tn, td, leave = rn, rd, r
+            if tn is None:
                 return False
-            if t != 0:
-                val[j] += step * t
-                for r, row in enumerate(self.rows):
-                    if row[j] != 0:
-                        val[basis[r]] -= step * t * row[j]
+            if tn:
+                val[j] += Q(step * tn, td)
+                # basic r moves by -step * t * a / dens[r], t = tn / td
+                for r, row in enumerate(rows):
+                    a = row[j]
+                    if a:
+                        vn, vd = val[basis[r]].as_integer_ratio()
+                        e = td * dens[r]
+                        val[basis[r]] = Q(vn * e - step * a * tn * vd, vd * e)
             if leave is not None:
                 self._pivot(leave, j)
 
@@ -364,7 +434,7 @@ class _BoundedSimplex:
             for i in (self.lo_row[self.crossed], self.hi_row[self.crossed]):
                 lam[i] = 1 / abs(P.C[i][self.crossed])
             return Infeasible(lam, zeros(len(P.E)))
-        d = self.d
+        d = [Q(x, self.dden) for x in self.d]
         for r, i in enumerate(self.general):
             lam[i] = d[n + r]
         g = len(self.general)
@@ -382,7 +452,7 @@ class _BoundedSimplex:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
         for a in range(self.width, len(self.val)):
             self.hi[a] = Q(0)
-        self._set_cost([-Q(c) for c in obj] + zeros(len(self.val) - self.n))
+        self._set_cost([-Q(c) for c in obj] + [0] * (len(self.val) - self.n))
         if not self._solve():
             return "unbounded", None, None
         x = self.point()
@@ -415,15 +485,10 @@ def check_infeasibility_certificate(P: Polyhedron, cert: Infeasible) -> bool:
         return False
     if any(l < 0 for l in cert.ineq_mult):
         return False
-    combo = zeros(P.dim)
-    rhs = Q(0)
-    for l, row, di in zip(cert.ineq_mult, P.C, P.d):
-        combo = vec_add(combo, vec_scale(l, row))
-        rhs += l * di
-    for mu, row, fi in zip(cert.eq_mult, P.E, P.f):
-        combo = vec_add(combo, vec_scale(mu, row))
-        rhs += mu * fi
-    return all(c == 0 for c in combo) and rhs < 0
+    mult = list(cert.ineq_mult) + list(cert.eq_mult)
+    rows = P.C + P.E
+    return all(dot(mult, [row[j] for row in rows]) == 0 for j in range(P.dim)) \
+        and dot(mult, P.d + P.f) < 0
 
 
 # ---------------------------------------------------------------------------

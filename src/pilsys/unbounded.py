@@ -84,7 +84,10 @@ def find_base_points(sys: ParametricSystem,
         if isinstance(res, (UniqueSolution, AffineSolutionSet)):
             x = res.point
             key = tuple(x)
-            if key not in seen and member_ae(sys, quant, x)[0]:
+            # x solves A(p) x = b(p) at a box point p, so with no universal
+            # parameters it is a member by construction
+            if key not in seen and (not quant.forall_set
+                                    or member_ae(sys, quant, x)[0]):
                 seen.add(key)
                 points.append(x)
         if len(points) >= budget:
@@ -98,8 +101,15 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     """Test membership of x0 + alpha*y at alpha = 0, 1, 2, 4, ..., 2^max_doublings."""
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
-    if not member_ae(sys, quant, x0)[0]:
+    rep = _walk_ray(sys, quant, x0, y, max_doublings)
+    if rep.first_exit == 0:
         raise ValueError("probe base point is not a member")
+    return rep
+
+
+def _walk_ray(sys: ParametricSystem, quant: QuantifierAssignment,
+              x0: Sequence[Q], y: Sequence[Q], max_doublings: int) -> ProbeReport:
+    """The probe of ``probe_ray``; first_exit is 0 when x0 is not a member."""
     alphas = [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]
     tested: list[Q] = []
     first_exit: Optional[Q] = None
@@ -182,9 +192,8 @@ def _ray_base_point(sys: ParametricSystem, quant: QuantifierAssignment,
     for x0 in base_points:
         for s in shifts:
             x1 = vec_add(x0, vec_scale(s, y))
-            if not member_ae(sys, quant, x1)[0]:
-                continue
-            if probe_ray(sys, quant, x1, y, max_doublings).exhausted:
+            # a probe from a non-member exits at alpha = 0, not exhausted
+            if _walk_ray(sys, quant, x1, y, max_doublings).exhausted:
                 return x1
     return base_points[0]
 

@@ -190,3 +190,8 @@ class TestUsage:
                              "--budget", "-1")
         assert code == 1 and out == ""
         assert err.startswith("error: --budget") and "islice" not in err
+
+    def test_negative_samples(self, capsys, e1_file):
+        code, out, err = run(capsys, "verify", e1_file, "--samples", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --samples")

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, NoSolution,
-                          Polyhedron, UniqueSolution,
-                          check_infeasibility_certificate, fm_eliminate,
+                          Polyhedron, UniqueSolution, _BoundedSimplex,
+                          check_infeasibility_certificate, dot, fm_eliminate,
                           fm_feasible, lin_solve, lp_feasible, lp_maximize,
                           qmat, qvec, recession_cone)
 
@@ -268,9 +271,21 @@ class TestBoundRows:
         assert lp_maximize(P, qvec([-1, -2])) == ("optimal", Q(2), [Q(0), Q(-1)])
 
 
-def random_bounded(rng):
+def small_int(rng, k):
+    return Q(rng.randint(-k, k))
+
+
+def mixed_rational(rng, k):
+    """Denominators 1-7, and now and then a numerator near 2^64."""
+    if rng.random() < 0.15:
+        return Q(rng.choice((-1, 1)) * (2 ** 64 - rng.randint(0, 9)), rng.randint(1, 7))
+    return Q(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def random_bounded(rng, entry=small_int):
     """A random polyhedron whose every variable is boxed (sometimes thin,
-    sometimes by two rows, rarely crossed), plus general rows and equalities."""
+    sometimes by two rows, rarely crossed), plus general rows and equalities
+    whose entries ``entry(rng, k)`` draws (``small_int`` from [-k, k])."""
     dim = rng.randint(1, 4)
     rows = []
     for j in range(dim):
@@ -284,18 +299,37 @@ def random_bounded(rng):
             row[j] = sign * scale
             rows.append((row, scale * b))
     for _ in range(rng.randint(0, 3)):
-        rows.append(([Q(rng.randint(-3, 3)) for _ in range(dim)], Q(rng.randint(-3, 3))))
+        rows.append(([entry(rng, 3) for _ in range(dim)], entry(rng, 3)))
     rng.shuffle(rows)
-    E = [[Q(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
-    f = [Q(rng.randint(-3, 3)) for _ in E]
+    E = [[entry(rng, 2) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+    f = [entry(rng, 3) for _ in E]
     return Polyhedron([r for r, _ in rows], [b for _, b in rows], E, f, dim)
 
 
+def assert_integer_tableau(lp):
+    """Every tableau row and the reduced-cost row: int numerators over a
+    positive int denominator, with no common factor."""
+    if lp.crossed is not None:
+        return
+    for row, den in list(zip(lp.rows, lp.dens)) + [(lp.d, lp.dden)]:
+        assert all(type(a) is int for a in row) and type(den) is int
+        assert den > 0 and gcd(den, *row) == 1
+
+
 def test_bounded_polyhedra_agree_with_fm():
-    rng = random.Random(2026)
+    agree_with_fm(random.Random(2026), small_int)
+
+
+def test_rational_bounded_polyhedra_agree_with_fm():
+    """General and equality rows over denominators 1-7, some numerators near
+    2^64: the integer tableau rows are scaled by lcms and gcds that matter."""
+    agree_with_fm(random.Random(64), mixed_rational)
+
+
+def agree_with_fm(rng, entry):
     kinds = {"feasible": 0, "infeasible": 0}
     for _ in range(300):
-        P = random_bounded(rng)
+        P = random_bounded(rng, entry)
         res = lp_feasible(P)
         if isinstance(res, Infeasible):
             kinds["infeasible"] += 1
@@ -312,4 +346,26 @@ def test_bounded_polyhedra_agree_with_fm():
         else:
             assert (status, val) == ("optimal", want)
             assert P.contains(arg) and sum(a * x for a, x in zip(obj, arg)) == val
+        # what lp_feasible and lp_maximize ran, with the tableau kept
+        lp = _BoundedSimplex(P)
+        assert_integer_tableau(lp)
+        if lp.feasible:
+            lp.maximize(obj)
+            assert_integer_tableau(lp)
     assert min(kinds.values()) > 30
+
+
+# zeros, ints, small rationals and rationals over large coprime denominators
+rationals = st.one_of(
+    st.just(Q(0)), st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=12),
+    st.builds(Q, st.integers(-2 ** 70, 2 ** 70),
+              st.sampled_from([2 ** 61 - 1, 2 ** 64 - 59, 3 ** 40, 10 ** 19 + 1])))
+
+
+@given(st.lists(st.tuples(rationals, rationals), max_size=8))
+def test_dot_is_the_exact_sum(pairs):
+    u = [a for a, _ in pairs]
+    v = [b for _, b in pairs]
+    got = dot(u, v)
+    assert type(got) is Q and got == sum((a * b for a, b in pairs), Q(0))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
@@ -5,7 +6,9 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import (gen_first_class, gen_general, gen_ordinary,
-                      gen_quantified, load, random_point)
+                      gen_quantified, gen_tolerable_nonempty,
+                      gen_wide_ordinary, load, random_point)
+from pilsys.exact import NoSolution, lin_solve
 from pilsys.membership import (CertKind, kernel_tolerable, member_ae,
                                member_ae_kernel, member_first_class,
                                member_kernel, member_tolerable, member_united,
@@ -14,6 +17,9 @@ from pilsys.membership import (CertKind, kernel_tolerable, member_ae,
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem)
 from pilsys.oracle import fm_member_oracle
+
+PINNED_CERTIFICATES = \
+    "46cca54ed1c13f72c869237f511eb380c0d9f1647704750c9e131147af74d4ff"
 
 PX_EQ_Q = {"m": 1, "n": 1, "parameters": [
     {"name": "p", "interval": ["0", "1"], "A": [["1"]], "quantifier": "forall"},
@@ -241,3 +247,40 @@ class TestCertificateValidation:
             else:
                 assert witness_resubstitutes(sys, x, cert)
         assert found > 50
+
+
+def _solved_point(rng, sys):
+    """A united member by construction: a solution of A(p) x = b(p) at a
+    random box point p, or None when A(p) x = b(p) has no solution."""
+    p = [par.interval.lo + Q(rng.randint(0, 4), 4) * (par.interval.hi - par.interval.lo)
+         for par in sys.params]
+    res = lin_solve(sys.A_at(p), sys.b_at(p))
+    return None if isinstance(res, NoSolution) else res.point
+
+
+def test_certificates_pinned():
+    """The exact certificates, not only the verdicts, of a fixed seeded set
+    of queries.  The LP core pivots deterministically (Bland's rule), so a
+    change of its arithmetic that is exact must leave every witness p,
+    separator (w, u, v) and eps bit for bit as they are."""
+    rng = random.Random(404)
+    calls = []
+    for i in range(40):
+        sys = gen_general(rng, 3, 3, K=rng.randint(1, 4))
+        x = _solved_point(rng, sys) if rng.random() < 0.5 else None
+        calls.append(member_united(sys, x or random_point(rng, sys.n)))
+        if i % 2:  # an AE member by construction, found with a forall set
+            tsys, x = gen_tolerable_nonempty(rng, 2, 2, K=2)
+            sys, quant = tsys.combined()
+        else:
+            sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
+            x = random_point(rng, sys.n, -1, 1)
+        calls.append(member_ae(sys, quant, x))
+        tsys, x0 = gen_tolerable_nonempty(rng, 2, 2, K=rng.randint(1, 2))
+        calls.append(member_tolerable(tsys, x0 if rng.random() < 0.5
+                                      else random_point(rng, 2, -2, 2)))
+        sys = gen_wide_ordinary(rng, 2, 2) if i % 2 else gen_general(rng, 2, 2, K=3)
+        calls.append(strict_kernel_member(sys, random_point(rng, sys.n, -2, 2)))
+    assert 20 < sum(ok for ok, _ in calls) < len(calls) - 20
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == PINNED_CERTIFICATES
