@@ -24,6 +24,10 @@ SIGNCONE = "SIGNCONE"
 _DECOMPOSITION_CAP = 16
 
 
+class DecompositionTooLarge(ValueError):
+    """The 2^n orthants or 2^K sign cones exceed the decomposition cap."""
+
+
 @dataclass(frozen=True)
 class SignVector:
     s: tuple[int, ...]
@@ -102,8 +106,8 @@ def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     if ORDINARY not in classify(sys):
         raise ValueError("system is not ordinary")
     if sys.n > _DECOMPOSITION_CAP:
-        raise ValueError(f"dimension {sys.n} exceeds the 2^n cap of "
-                         f"{_DECOMPOSITION_CAP}")
+        raise DecompositionTooLarge(f"dimension {sys.n} exceeds the 2^n cap "
+                                    f"of {_DECOMPOSITION_CAP}")
     Ac, dA, bc, db = interval_data(sys)
     m, n = sys.m, sys.n
     b_hi = vec_add(bc, db)
@@ -157,8 +161,8 @@ def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     folded, mat_params, rhs_params = _classC_split(sys)
     K = len(mat_params)
     if K > _DECOMPOSITION_CAP:
-        raise ValueError(f"{K} matrix parameters exceed the 2^K cap of "
-                         f"{_DECOMPOSITION_CAP}")
+        raise DecompositionTooLarge(f"{K} matrix parameters exceed the 2^K "
+                                    f"cap of {_DECOMPOSITION_CAP}")
     m, n = folded.m, folded.n
 
     # A(mid p) including the constant term, and the shifted right-hand sides

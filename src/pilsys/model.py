@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .exact import (Matrix, Q, Vector, mat_vec, vec_add, vec_scale, vec_sub,
-                    zeros)
+from .exact import (Matrix, Q, Vector, dot, mat_vec, vec_add, vec_scale,
+                    vec_sub, zeros)
 
 
 class SystemFormatError(ValueError):
@@ -93,18 +93,17 @@ class ParametricSystem:
         return [par.interval for par in self.params]
 
     def A_at(self, p: Sequence[Q]) -> Matrix:
-        A = [row[:] for row in self.A0]
-        for pk, par in zip(p, self.params):
-            for i in range(self.m):
-                for j in range(self.n):
-                    A[i][j] += pk * par.A[i][j]
-        return A
+        # each entry is (1, p).(A0[i][j], A^(1)[i][j], ...), summed by dot
+        # over one common denominator with the zero products skipped
+        coef = [Q(1), *p]
+        mats = [self.A0, *(par.A for par in self.params)]
+        return [[dot(coef, entries) for entries in zip(*rows)]
+                for rows in zip(*mats)]
 
     def b_at(self, p: Sequence[Q]) -> Vector:
-        b = self.b0[:]
-        for pk, par in zip(p, self.params):
-            b = vec_add(b, vec_scale(pk, par.b))
-        return b
+        coef = [Q(1), *p]
+        vecs = [self.b0, *(par.b for par in self.params)]
+        return [dot(coef, entries) for entries in zip(*vecs)]
 
     def midpoint(self) -> Vector:
         return [par.interval.mid for par in self.params]

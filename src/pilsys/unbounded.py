@@ -4,6 +4,12 @@ The kernel is necessary for unboundedness; strict kernel membership plus a
 base point is sufficient; for ordinary and class-C systems the kernel pieces
 characterize unboundedness exactly.  Everything else is probed along the ray
 and reported honestly as UNKNOWN with the probe trace as evidence.
+
+The evidence of a strict-kernel YES is a base point x0 whose ray x0 + alpha*y
+stays in the solution set.  It is found first by a common witness: one AE
+membership query in the ray system, which asks for an admissible p with both
+A(p) x0 = b(p) and A(p) y = 0, and such a p keeps the whole ray.  Only when
+no base point has one are shifted base points walked by probing.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, lin_solve,
-                    vec_add, vec_scale)
+from .exact import (AffineSolutionSet, Matrix, Q, UniqueSolution, Vector,
+                    lin_solve, vec_add, vec_scale, zeros)
 from .membership import (kernel_tolerable, member_ae, member_ae_kernel,
                          member_kernel,  # noqa: F401 -- re-exported
                          strict_kernel_member_ae)
-from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
-                    TolerableSystem, classify)
+from .model import (CLASS_C, ORDINARY, Parameter, ParametricSystem,
+                    QuantifierAssignment, TolerableSystem, classify)
 
 
 class Status(Enum):
@@ -80,6 +86,8 @@ def find_base_points(sys: ParametricSystem,
     points: list[Vector] = []
     seen = set()
     for p in samples[: 2 * budget + 1]:
+        if len(points) >= budget:
+            break
         res = lin_solve(sys.A_at(p), sys.b_at(p))
         if isinstance(res, (UniqueSolution, AffineSolutionSet)):
             x = res.point
@@ -90,8 +98,6 @@ def find_base_points(sys: ParametricSystem,
                                     or member_ae(sys, quant, x)[0]):
                 seen.add(key)
                 points.append(x)
-        if len(points) >= budget:
-            break
     return points
 
 
@@ -143,26 +149,27 @@ def decide_unbounded(sys: ParametricSystem,
     # (ii) strict kernel membership plus a base point is sufficient
     strict, eps = strict_kernel_member_ae(sys, quant, y)
     if strict and base_points:
-        # The unbounded ray emerges beyond some threshold shift along y, so
-        # slide the reported base point up the ray until its probe is clean.
         base = _ray_base_point(sys, quant, base_points, y, max_doublings)
         return UnboundedVerdict(
             Status.CERTIFIED_YES, Rule.THM3, base,
             f"strict kernel membership (eps = {eps}) with a base point")
 
-    # (iii) special classes: kernel pieces characterize unboundedness
+    # (iii) special classes: kernel pieces characterize unboundedness; a
+    # decomposition over its 2^n or 2^K cap leaves the question to (iv)
     if not quant.forall_set:
         flags = classify(sys)
         if ORDINARY in flags or CLASS_C in flags:
-            from .cones import decompose
-            dec = decompose(sys)
-            if any(p.nonempty for p in dec.pieces):
-                for piece in dec.pieces:
-                    if piece.nonempty and piece.kernel_piece.contains(y):
-                        rule = Rule.PROP1 if dec.mode == "ORTHANT" else Rule.PROP2
-                        return UnboundedVerdict(
-                            Status.CERTIFIED_YES, rule, piece,
-                            f"kernel piece {piece.sign} with nonempty solution piece")
+            from .cones import DecompositionTooLarge, decompose
+            try:
+                dec = decompose(sys)
+            except DecompositionTooLarge:
+                dec = None
+            for piece in dec.pieces if dec is not None else ():
+                if piece.nonempty and piece.kernel_piece.contains(y):
+                    rule = Rule.PROP1 if dec.mode == "ORTHANT" else Rule.PROP2
+                    return UnboundedVerdict(
+                        Status.CERTIFIED_YES, rule, piece,
+                        f"kernel piece {piece.sign} with nonempty solution piece")
 
     # (iv) probing fallback
     reports = []
@@ -179,15 +186,45 @@ def decide_unbounded(sys: ParametricSystem,
     return UnboundedVerdict(Status.UNKNOWN, Rule.PROBE, reports, detail)
 
 
+def ray_system(sys: ParametricSystem) -> ParametricSystem:
+    """The system (A(p) x - b(p); A(p) y) = 0 in the unknowns (x, y).
+
+    Same parameters and box; each matrix is [[A^(k), 0], [0, A^(k)]] and each
+    right-hand side [b^(k); 0].  (x0, y) is in its AE set exactly when every
+    universal vertex has an existential p, a common witness, that solves
+    both A(p) x0 = b(p) and A(p) y = 0; that p then solves
+    A(p) (x0 + alpha*y) = b(p) for every alpha, so the whole ray is in the
+    AE set of the system.
+    """
+    n = sys.n
+
+    def block(M: Matrix) -> Matrix:
+        return [row + zeros(n) for row in M] + [zeros(n) + row for row in M]
+
+    return ParametricSystem(
+        2 * sys.m, 2 * n, block(sys.A0), sys.b0 + zeros(sys.m),
+        [Parameter(par.name, par.interval, block(par.A), par.b + zeros(sys.m))
+         for par in sys.params])
+
+
 def _ray_base_point(sys: ParametricSystem, quant: QuantifierAssignment,
                     base_points: list[Vector], y: Vector,
                     max_doublings: int) -> Vector:
-    """A member point on the ray whose forward probe along y never exits.
+    """The THM3 evidence: a member point whose ray along y stays in the set.
 
-    Membership along the ray is guaranteed only beyond a threshold shift, so
-    candidate base points x0 + s*y are tried for doubling shifts s.  Falls
-    back to the first base point if no clean probe is found in budget.
+    The first base point x0 with a common witness (one membership query of
+    (x0, y) in the ray system) is returned: its ray is inside the set for
+    every alpha, so its probe never exits.  Only when no base point has one
+    are the shifted points x0 + s*y walked, for doubling shifts s, since the
+    ray may then enter the set only beyond a threshold shift; the first
+    with a clean probe is returned, or the first base point if none is.
     """
+    ray = ray_system(sys)
+    for x0 in base_points:
+        if member_ae(ray, quant, [*x0, *y])[0]:
+            return x0
+    # no shift gains a common witness (A(p) y = 0 makes A(p)(x0 + s*y) equal
+    # A(p) x0), so the walk tests no more of them
     shifts = [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]
     for x0 in base_points:
         for s in shifts:

@@ -85,6 +85,25 @@ class TestUnbounded:
         code, out, _ = run(capsys, "unbounded", e1_file, "--dir", "1,0")
         assert code == 0 and out.startswith("CERTIFIED_NO by THM2")
 
+    def test_zero_budget_finds_no_base_point(self, capsys, e1_file):
+        code, out, _ = run(capsys, "unbounded", e1_file, "--dir", "0,-1",
+                           "--budget", "0")
+        assert code == 0
+        assert out == "UNKNOWN by PROBE: no base point found\n"
+
+    def test_decomposition_over_cap_probes(self, capsys, tmp_path):
+        # x1 + a*x17 = 1, a in [0, 1]: ordinary with 2^17 orthants
+        doc = {"m": 1, "n": 17,
+               "constant": {"A": [["1"] + ["0"] * 16], "b": ["1"]},
+               "parameters": [{"name": "a", "interval": ["0", "1"],
+                               "A": [["0"] * 16 + ["1"]]}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "unbounded", str(path),
+                             "--dir", ",".join(["0"] * 16 + ["1"]))
+        assert code == 0 and err == ""
+        assert out.startswith("UNKNOWN by PROBE: no exit through")
+
 
 PINNED = [
     (("check", "E1", "--point", "1,0"), "MEMBER (witness p1 = 1)\n"),

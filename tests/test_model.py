@@ -213,6 +213,46 @@ class TestVertices:
         assert len({tuple(v) for v in vertices}) == 2 ** k
 
 
+ENTRIES = st.one_of(st.just(Q(0)), RATIONALS)
+
+
+@st.composite
+def systems_with_parameter_values(draw):
+    """A system with zero-heavy entries, some thin intervals, and a value
+    p_k per parameter: zero, an interval end, or any rational."""
+    m, n, K = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+
+    def matrix():
+        return [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+
+    def vector():
+        return [draw(ENTRIES) for _ in range(m)]
+
+    params, p = [], []
+    for k in range(K):
+        lo, hi = sorted((draw(RATIONALS), draw(RATIONALS)))
+        if draw(st.booleans()):
+            hi = lo
+        params.append(Parameter(f"p{k}", Interval(lo, hi), matrix(), vector()))
+        p.append(draw(st.one_of(st.just(Q(0)), st.sampled_from([lo, hi]),
+                                RATIONALS)))
+    return ParametricSystem(m, n, matrix(), vector(), params), p
+
+
+@given(systems_with_parameter_values())
+def test_a_at_and_b_at_are_the_plain_sums(case):
+    sys, p = case
+    A = [[sys.A0[i][j] + sum((pk * par.A[i][j] for pk, par in zip(p, sys.params)),
+                             Q(0))
+          for j in range(sys.n)] for i in range(sys.m)]
+    b = [sys.b0[i] + sum((pk * par.b[i] for pk, par in zip(p, sys.params)), Q(0))
+         for i in range(sys.m)]
+    got_A, got_b = sys.A_at(p), sys.b_at(p)
+    assert got_A == A and got_b == b
+    assert all(type(x) is Q for row in got_A for x in row)
+    assert all(type(x) is Q for x in got_b)
+
+
 class TestResiduals:
     def test_e1_at_1_0(self, e1):
         v = residual_vectors(e1.system, [Q(1), Q(0)])

@@ -3,14 +3,18 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import (gen_general, gen_ordinary, gen_tolerable_nonempty, load,
+from conftest import (gen_general, gen_ordinary, gen_quantified,
+                      gen_tolerable_nonempty, gen_wide_ordinary, load,
                       random_point)
-from pilsys.membership import kernel_tolerable, member_kernel, member_united
-from pilsys.model import (Interval, Parameter, ParametricSystem, RhsParameter,
-                          TolerableSystem)
+from pilsys import membership, unbounded
+from pilsys.exact import AffineSolutionSet, lin_solve, zeros
+from pilsys.membership import (kernel_tolerable, member_ae, member_kernel,
+                               member_united, witness_resubstitutes)
+from pilsys.model import (Interval, Parameter, ParametricSystem,
+                          QuantifierAssignment, RhsParameter, TolerableSystem)
 from pilsys.unbounded import (Rule, Status, decide_unbounded,
                               decide_unbounded_tolerable, find_base_points,
-                              probe_ray)
+                              probe_ray, ray_system)
 
 
 class TestFindBasePoints:
@@ -32,6 +36,11 @@ class TestFindBasePoints:
         a = find_base_points(e1.system, seed=3)
         b = find_base_points(e1.system, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_at_most_budget_points(self, e1, budget):
+        # every p1 > 0 gives E1 a distinct base point, so the budget binds
+        assert len(find_base_points(e1.system, budget=budget)) == budget
 
 
 class TestProbeRay:
@@ -109,10 +118,111 @@ class TestDecideUnbounded:
                 checked += 1
         assert checked > 0
 
+    def test_decomposition_over_cap_falls_through_to_probes(self):
+        v = decide_unbounded(over_cap_ordinary(), None, unit(17, 16))
+        assert v.status is Status.UNKNOWN and v.rule is Rule.PROBE
+        assert v.evidence.exhausted
+
     def test_deterministic(self, e1):
         a = decide_unbounded(e1.system, None, [Q(0), Q(1)], budget=4, seed=1)
         b = decide_unbounded(e1.system, None, [Q(0), Q(1)], budget=4, seed=1)
         assert (a.status, a.rule, a.detail) == (b.status, b.rule, b.detail)
+
+
+def unit(n, j):
+    y = zeros(n)
+    y[j] = Q(1)
+    return y
+
+
+def over_cap_ordinary():
+    """x1 + a*x17 = 1 with a in [0, 1]: ordinary, 2^17 orthants, and e_17 is
+    in the kernel but not in the strict kernel."""
+    A0 = [unit(17, 0)]
+    a = Parameter("a", Interval(Q(0), Q(1)), [unit(17, 16)], [Q(0)])
+    return ParametricSystem(1, 17, A0, [Q(1)], [a])
+
+
+def null_direction(rng, sys):
+    """A nonzero y with A(p) y = 0 at a box vertex p, or None."""
+    p = next(sys.vertices(range(sys.K)))
+    res = lin_solve(sys.A_at(p), zeros(sys.m))
+    if not isinstance(res, AffineSolutionSet):
+        return None
+    coef = [rng.randint(-2, 2) for _ in res.basis]
+    return [sum((c * v[j] for c, v in zip(coef, res.basis)), Q(0))
+            for j in range(sys.n)]
+
+
+class TestCommonWitness:
+    """THM3 evidence from one membership query in the ray system."""
+
+    def cases(self):
+        rng = random.Random(53)
+        for _ in range(10):
+            sys = gen_general(rng, 2, 3)
+            yield "general", sys, None, null_direction(rng, sys)
+        for _ in range(10):
+            sys = gen_wide_ordinary(rng, 2, 2)
+            yield "wide", sys, None, random_point(rng, sys.n)
+        for _ in range(5):
+            sys, quant = gen_quantified(rng, 1, 3, n_forall=1, n_exists=2)
+            yield "ae", sys, quant, null_direction(rng, sys)
+        for _ in range(5):
+            # every base matrix has a zero first column, so e_1 is in the
+            # kernel at every p and each member has a common witness
+            tsys, _ = gen_tolerable_nonempty(rng, common_kernel_col=0)
+            sys, quant = tsys.combined()
+            yield "ae", sys, quant, unit(sys.n, 0)
+
+    def test_witness_resubstitutes_and_ray_stays(self):
+        checked = {}
+        for family, sys, quant, y in self.cases():
+            if y is None or not any(y):
+                continue
+            q = quant or QuantifierAssignment.all_exists(sys.K)
+            ray = ray_system(sys)
+            for x0 in find_base_points(sys, quant, budget=4):
+                ok, cert = member_ae(ray, q, x0 + y)
+                if not ok:
+                    continue
+                # A(p) x0 = b(p) and A(p) y = 0 at the one witness p
+                assert witness_resubstitutes(ray, x0 + y, cert)
+                assert witness_resubstitutes(sys, x0, cert)
+                assert witness_resubstitutes(sys.homogenized(), y, cert)
+                assert probe_ray(sys, quant, x0, y, max_doublings=20).exhausted
+                checked[family] = checked.get(family, 0) + 1
+        assert sorted(checked) == ["ae", "general", "wide"]
+        assert min(checked.values()) >= 5
+
+    def test_one_ray_lp_and_no_walk(self, monkeypatch):
+        # x1 + a*x2 = 1 with a in [-1, 1]: e_2 is in the strict kernel, and
+        # the first base point (1, 0) has the common witness a = 0
+        sys = ParametricSystem(
+            1, 2, [[Q(1), Q(0)]], [Q(1)],
+            [Parameter("a", Interval(Q(-1), Q(1)), [[Q(0), Q(1)]], [Q(0)])])
+        y = [Q(0), Q(1)]
+        base_points = find_base_points(sys)
+        assert base_points[0] == [Q(1), Q(0)]
+        v = decide_unbounded(sys, None, y)
+        assert v.rule is Rule.THM3 and v.evidence == base_points[0]
+
+        lps = []
+        real_lp = membership.lp_feasible
+
+        def counting_lp(P):
+            lps.append(P)
+            return real_lp(P)
+
+        def no_walk(*args):
+            raise AssertionError("a base point with a common witness is walked")
+
+        monkeypatch.setattr(membership, "lp_feasible", counting_lp)
+        monkeypatch.setattr(unbounded, "_walk_ray", no_walk)
+        quant = QuantifierAssignment.all_exists(sys.K)
+        base = unbounded._ray_base_point(sys, quant, base_points, y, 20)
+        assert base == base_points[0]
+        assert len(lps) == 1 and len(lps[0].E) == 2 * sys.m
 
 
 class TestDecideUnboundedTolerable:
