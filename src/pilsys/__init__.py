@@ -4,8 +4,9 @@ kernels, and certified decisions about unbounded directions.
 """
 
 from .exact import (AffineSolutionSet, FarkasCertificate, Feasible, Infeasible,
-                    NoSolution, Polyhedron, Q, UniqueSolution, fm_eliminate,
-                    lin_solve, lp_feasible, lp_maximize, recession_cone)
+                    NoSolution, Polyhedron, Q, UniqueSolution,
+                    check_infeasibility_certificate, fm_eliminate, lin_solve,
+                    lp_feasible, lp_maximize, recession_cone)
 from .model import (Interval, Parameter, ParametricSystem, ParsedSystem,
                     QuantifierAssignment, RhsParameter, SystemClass,
                     SystemFormatError, TolerableSystem, classify, parse_system,

@@ -28,6 +28,11 @@ from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
                     residual_vectors)
 
 
+# Both AE routines enumerate the 2^|forall| universal vertices; above this
+# many universal parameters they refuse before any LP.
+MAX_FORALL = 20
+
+
 class CertKind(Enum):
     WITNESS = "WITNESS"
     SEPARATOR = "SEPARATOR"
@@ -89,6 +94,15 @@ def _separator_from_farkas(sys: ParametricSystem, residuals: list[Vector],
     return FarkasCertificate(w, u, v)
 
 
+def _split(sys: ParametricSystem,
+           quant: QuantifierAssignment) -> tuple[list[int], list[int]]:
+    """The sorted universal and existential indices, within the vertex cap."""
+    quant.validate_for(sys.K)
+    if len(quant.forall_set) > MAX_FORALL:
+        raise ValueError(f"more than {MAX_FORALL} universal parameters")
+    return sorted(quant.forall_set), sorted(quant.exists_set)
+
+
 def member_united(sys: ParametricSystem, x: Sequence[Q]) -> tuple[bool, Certificate]:
     """Is x in the united solution set?"""
     return member_ae(sys, QuantifierAssignment.all_exists(sys.K), x)
@@ -105,13 +119,10 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
 
     The admissible universal parameters form a convex set (projection of a
     polyhedron), so containment of the whole universal box is decided at its
-    vertices.  The vertex enumeration is capped at 20 universal parameters.
+    vertices.  The vertex enumeration is capped at MAX_FORALL universal
+    parameters.
     """
-    quant.validate_for(sys.K)
-    forall = sorted(quant.forall_set)
-    exists = sorted(quant.exists_set)
-    if len(forall) > 20:
-        raise ValueError("more than 20 universal parameters")
+    forall, exists = _split(sys, quant)
     residuals = residual_vectors(sys, x)
 
     witness: Optional[Vector] = None
@@ -180,20 +191,19 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     The characterization inequality must hold strictly for every nonzero w,
     which is equivalent to containment of the universally-shifted center in
     the interior of the existential generator zonotope; that containment is
-    decided at the vertices of the universal box.  Each containment takes 2m
-    exact LPs: for each coordinate direction +-e_i, maximize eps with
-    eps*(+-e_i) in the zonotope.  The minimum of the maxima is returned; it
-    is positive exactly when the center is interior.
+    decided at the vertices of the universal box, capped like ``member_ae``.
+    Each containment takes 2m exact LPs: for each coordinate direction
+    +-e_i, maximize eps with eps*(+-e_i) in the zonotope.  The minimum of
+    the maxima is returned; it is positive exactly when the center is
+    interior.
     """
-    quant.validate_for(sys.K)
+    forall, exists = _split(sys, quant)
     if len(y) != sys.n:
         raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
     m = sys.m
     center = sys.A_at(sys.midpoint())
     c = [dot(row, y) for row in center]
     gens_all = [[dot(row, y) for row in par.A] for par in sys.params]
-    forall = sorted(quant.forall_set)
-    exists = sorted(quant.exists_set)
     e_gens = [gens_all[k] for k in exists]
     e_rads = [sys.params[k].interval.rad for k in exists]
 

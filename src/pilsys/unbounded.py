@@ -1,15 +1,9 @@
 """Three-tier decision of unbounded directions.
 
-The kernel is necessary for unboundedness; strict kernel membership plus a
-base point is sufficient; for ordinary and class-C systems the kernel pieces
-characterize unboundedness exactly.  Everything else is probed along the ray
-and reported honestly as UNKNOWN with the probe trace as evidence.
-
-The evidence of a strict-kernel YES is a base point x0 whose ray x0 + alpha*y
-stays in the solution set.  It is found first by a common witness: one AE
-membership query in the ray system, which asks for an admissible p with both
-A(p) x0 = b(p) and A(p) y = 0, and such a p keeps the whole ray.  Only when
-no base point has one are shifted base points walked by probing.
+The kernel is necessary for unboundedness; strict kernel membership is
+sufficient; for ordinary and class-C systems the kernel pieces characterize
+unboundedness exactly.  Everything else is probed along the ray and reported
+honestly as UNKNOWN with the probe trace as evidence.
 """
 
 from __future__ import annotations
@@ -20,13 +14,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .exact import (AffineSolutionSet, Matrix, Q, UniqueSolution, Vector,
-                    lin_solve, vec_add, vec_scale, zeros)
+from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, lin_solve,
+                    vec_add, vec_scale)
 from .membership import (kernel_tolerable, member_ae, member_ae_kernel,
                          member_kernel,  # noqa: F401 -- re-exported
                          strict_kernel_member_ae)
-from .model import (CLASS_C, ORDINARY, Parameter, ParametricSystem,
-                    QuantifierAssignment, TolerableSystem, classify)
+from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
+                    TolerableSystem, classify)
 
 
 class Status(Enum):
@@ -107,15 +101,6 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     """Test membership of x0 + alpha*y at alpha = 0, 1, 2, 4, ..., 2^max_doublings."""
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
-    rep = _walk_ray(sys, quant, x0, y, max_doublings)
-    if rep.first_exit == 0:
-        raise ValueError("probe base point is not a member")
-    return rep
-
-
-def _walk_ray(sys: ParametricSystem, quant: QuantifierAssignment,
-              x0: Sequence[Q], y: Sequence[Q], max_doublings: int) -> ProbeReport:
-    """The probe of ``probe_ray``; first_exit is 0 when x0 is not a member."""
     alphas = [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]
     tested: list[Q] = []
     first_exit: Optional[Q] = None
@@ -125,6 +110,8 @@ def _walk_ray(sys: ParametricSystem, quant: QuantifierAssignment,
         if not member_ae(sys, quant, pt)[0]:
             first_exit = a
             break
+    if first_exit == 0:
+        raise ValueError("probe base point is not a member")
     return ProbeReport(list(x0), list(y), tested, first_exit,
                        exhausted=first_exit is None)
 
@@ -144,14 +131,20 @@ def decide_unbounded(sys: ParametricSystem,
         return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM2, cert,
                                 "direction is not in the kernel")
 
-    base_points = find_base_points(sys, quant, budget=budget, seed=seed)
-
-    # (ii) strict kernel membership plus a base point is sufficient
+    # (ii) strict kernel membership is sufficient.  At every universal vertex
+    # Z(y) = {A(p) y} holds +-eps*e_i, hence the l1 ball of radius eps, and
+    # R bounds ||b(p)||_1 over the box.  For each w the minimum over p of
+    # w.(alpha A(p) y - b(p)) is then at most |w|_inf (R - alpha*eps), never
+    # positive once alpha >= R/eps, so alpha*y is in the set for all those
+    # alpha: no sampled base point is needed, and the ray from
+    # (R/eps + 1) y stays in the set.
     strict, eps = strict_kernel_member_ae(sys, quant, y)
-    if strict and base_points:
-        base = _ray_base_point(sys, quant, base_points, y, max_doublings)
+    if strict:
+        R = sum(map(abs, sys.b_at(sys.midpoint())), Q(0)) + sum(
+            (par.interval.rad * abs(v) for par in sys.params for v in par.b),
+            Q(0))
         return UnboundedVerdict(
-            Status.CERTIFIED_YES, Rule.THM3, base,
+            Status.CERTIFIED_YES, Rule.THM3, vec_scale(R / eps + 1, y),
             f"strict kernel membership (eps = {eps}) with a base point")
 
     # (iii) special classes: kernel pieces characterize unboundedness; a
@@ -173,7 +166,7 @@ def decide_unbounded(sys: ParametricSystem,
 
     # (iv) probing fallback
     reports = []
-    for x0 in base_points:
+    for x0 in find_base_points(sys, quant, budget=budget, seed=seed):
         rep = probe_ray(sys, quant, x0, y, max_doublings)
         reports.append(rep)
         if rep.exhausted:
@@ -184,55 +177,6 @@ def decide_unbounded(sys: ParametricSystem,
     detail = "no base point found" if not reports else \
         "every probe exits; kernel: yes; strict: no"
     return UnboundedVerdict(Status.UNKNOWN, Rule.PROBE, reports, detail)
-
-
-def ray_system(sys: ParametricSystem) -> ParametricSystem:
-    """The system (A(p) x - b(p); A(p) y) = 0 in the unknowns (x, y).
-
-    Same parameters and box; each matrix is [[A^(k), 0], [0, A^(k)]] and each
-    right-hand side [b^(k); 0].  (x0, y) is in its AE set exactly when every
-    universal vertex has an existential p, a common witness, that solves
-    both A(p) x0 = b(p) and A(p) y = 0; that p then solves
-    A(p) (x0 + alpha*y) = b(p) for every alpha, so the whole ray is in the
-    AE set of the system.
-    """
-    n = sys.n
-
-    def block(M: Matrix) -> Matrix:
-        return [row + zeros(n) for row in M] + [zeros(n) + row for row in M]
-
-    return ParametricSystem(
-        2 * sys.m, 2 * n, block(sys.A0), sys.b0 + zeros(sys.m),
-        [Parameter(par.name, par.interval, block(par.A), par.b + zeros(sys.m))
-         for par in sys.params])
-
-
-def _ray_base_point(sys: ParametricSystem, quant: QuantifierAssignment,
-                    base_points: list[Vector], y: Vector,
-                    max_doublings: int) -> Vector:
-    """The THM3 evidence: a member point whose ray along y stays in the set.
-
-    The first base point x0 with a common witness (one membership query of
-    (x0, y) in the ray system) is returned: its ray is inside the set for
-    every alpha, so its probe never exits.  Only when no base point has one
-    are the shifted points x0 + s*y walked, for doubling shifts s, since the
-    ray may then enter the set only beyond a threshold shift; the first
-    with a clean probe is returned, or the first base point if none is.
-    """
-    ray = ray_system(sys)
-    for x0 in base_points:
-        if member_ae(ray, quant, [*x0, *y])[0]:
-            return x0
-    # no shift gains a common witness (A(p) y = 0 makes A(p)(x0 + s*y) equal
-    # A(p) x0), so the walk tests no more of them
-    shifts = [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]
-    for x0 in base_points:
-        for s in shifts:
-            x1 = vec_add(x0, vec_scale(s, y))
-            # a probe from a non-member exits at alpha = 0, not exhausted
-            if _walk_ray(sys, quant, x1, y, max_doublings).exhausted:
-                return x1
-    return base_points[0]
 
 
 def decide_unbounded_tolerable(tsys: TolerableSystem, y: Sequence[Q],

@@ -130,6 +130,10 @@ PINNED = [
     (("unbounded", "E3", "--dir", "1"),
      "CERTIFIED_YES by THM3: strict kernel membership (eps = 1) "
      "with a base point\n"),
+    # strictness alone proves the set nonempty: no sampled base point needed
+    (("unbounded", "E3", "--dir", "1", "--budget", "0"),
+     "CERTIFIED_YES by THM3: strict kernel membership (eps = 1) "
+     "with a base point\n"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked on its syntax tree.
 
 No linter is a dependency, so these checks stand in for one: no unused
-imports, and no floating point anywhere in the package, which keeps every
-decision path exact.  An import kept on purpose is marked ``# noqa: F401``.
+imports, no top-level definition that nothing uses, and no floating point
+anywhere in the package, which keeps every decision path exact.  An import
+kept on purpose is marked ``# noqa: F401``.
 """
 
 import ast
@@ -36,6 +37,30 @@ def unused_imports(path):
                   if name not in used)
 
 
+def unreferenced(paths):
+    """Top-level defs and classes that no other statement of the package
+    reads and ``__init__.py`` does not export."""
+    defined, reads = [], []
+    for path in paths:
+        tree = _tree(path)
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif path.name == "__init__.py" and \
+                        isinstance(node, ast.ImportFrom):
+                    names.update(a.asname or a.name for a in node.names)
+            reads.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, stmt))
+    return [f"{name}: {stmt.name}" for name, stmt in defined
+            if not any(stmt.name in names for other, names in reads
+                       if other is not stmt)]
+
+
 def floats(path):
     """Float literals and uses of the name float."""
     return [f"line {node.lineno}" for node in ast.walk(_tree(path))
@@ -53,6 +78,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def test_no_unreferenced_definitions():
+    assert unreferenced(MODULES) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_floats(path):
     assert floats(path) == []
@@ -64,3 +93,12 @@ def test_checks_catch_offenders(tmp_path):
                     "import sys  # noqa: F401\nx = 0.5\ny = float(Fraction(1))\n")
     assert unused_imports(path) == ["os (line 1)"]
     assert floats(path) == ["line 4", "line 5"]
+
+    init = tmp_path / "__init__.py"
+    init.write_text("from .mod import public\n")
+    mod = tmp_path / "mod.py"
+    mod.write_text("def public():\n    return _helper()\n\n\n"
+                   "def _helper():\n    return 1\n\n\n"
+                   "def orphan():\n    return orphan\n\n\n"
+                   "class Unused:\n    pass\n")
+    assert unreferenced([init, mod]) == ["mod.py: orphan", "mod.py: Unused"]

@@ -8,6 +8,7 @@ import pytest
 from conftest import (gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, load, random_point)
+from pilsys import membership
 from pilsys.exact import NoSolution, lin_solve
 from pilsys.membership import (CertKind, kernel_tolerable, member_ae,
                                member_ae_kernel, member_first_class,
@@ -172,6 +173,31 @@ class TestStrictKernelAE:
         assert ok and eps == Q(1)  # 2 - 1
         qa_wide = QuantifierAssignment(frozenset({0}), frozenset({1}))
         assert not strict_kernel_member_ae(sys, qa_wide, [Q(1)])[0]
+
+    def test_universal_vertex_cap(self, monkeypatch):
+        # a in [-2, 2] exists, and 21 universal c_k in [0, 1] leave A(p)
+        # alone: strict at every one of the 2^21 universal vertices, so only
+        # the cap ends the enumeration
+        K = membership.MAX_FORALL + 2
+        sys = ParametricSystem(1, 1, [[Q(0)]], [Q(0)], [
+            Parameter("a", Interval(Q(-2), Q(2)), [[Q(1)]], [Q(0)])] + [
+            Parameter(f"c{k}", Interval(Q(0), Q(1)), [[Q(0)]], [Q(0)])
+            for k in range(1, K)])
+        qa = QuantifierAssignment(frozenset(range(1, K)), frozenset({0}))
+        calls = []
+
+        def reach(*args):
+            calls.append(args)
+            if len(calls) > 3:
+                raise RuntimeError("the universal vertices are not capped")
+            return Q(1)
+
+        monkeypatch.setattr(membership, "_zonotope_reach", reach)
+        with pytest.raises(ValueError, match="universal parameters"):
+            strict_kernel_member_ae(sys, qa, [Q(1)])
+        with pytest.raises(ValueError, match="universal parameters"):
+            member_ae(sys, qa, [Q(1)])
+        assert calls == []
 
 
 class TestTolerable:

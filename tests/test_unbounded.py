@@ -6,15 +6,15 @@ import pytest
 from conftest import (gen_general, gen_ordinary, gen_quantified,
                       gen_tolerable_nonempty, gen_wide_ordinary, load,
                       random_point)
-from pilsys import membership, unbounded
+from pilsys import membership, oracle, unbounded
 from pilsys.exact import AffineSolutionSet, lin_solve, zeros
 from pilsys.membership import (kernel_tolerable, member_ae, member_kernel,
-                               member_united, witness_resubstitutes)
+                               member_united, strict_kernel_member_ae)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem)
 from pilsys.unbounded import (Rule, Status, decide_unbounded,
                               decide_unbounded_tolerable, find_base_points,
-                              probe_ray, ray_system)
+                              probe_ray)
 
 
 class TestFindBasePoints:
@@ -118,6 +118,26 @@ class TestDecideUnbounded:
                 checked += 1
         assert checked > 0
 
+    def test_ae_strict_without_base_point(self):
+        # (1 + 2a - u) x1 + (2 + 2a - u) x2 = 2 + u - 2v, a in [1, 3] exists,
+        # u in [2, 4] and v in [0, 3] forall: y = (-3, 2) gives
+        # A(p) y = 1 - 2a + u, which holds [-1, 1] at u = 2 and at u = 4, so
+        # eps = 1, R = |2| + 1*|1| + 3/2*|-2| = 6 and the evidence is 7y
+        sys = ParametricSystem(
+            1, 2, [[Q(1), Q(2)]], [Q(2)],
+            [Parameter("a", Interval(Q(1), Q(3)), [[Q(2), Q(2)]], [Q(0)]),
+             Parameter("u", Interval(Q(2), Q(4)), [[Q(-1), Q(-1)]], [Q(1)]),
+             Parameter("v", Interval(Q(0), Q(3)), [[Q(0), Q(0)]], [Q(-2)])])
+        quant = QuantifierAssignment(frozenset({1, 2}), frozenset({0}))
+        y = [Q(-3), Q(2)]
+        assert find_base_points(sys, quant, budget=8) == []
+        v = decide_unbounded(sys, quant, y, budget=8)
+        assert v.status is Status.CERTIFIED_YES and v.rule is Rule.THM3
+        assert v.evidence == [Q(-21), Q(14)]
+        assert v.detail == "strict kernel membership (eps = 1) with a base point"
+        assert oracle.ae_vertex_oracle(sys, quant, v.evidence)
+        assert probe_ray(sys, quant, v.evidence, y, max_doublings=20).exhausted
+
     def test_decomposition_over_cap_falls_through_to_probes(self):
         v = decide_unbounded(over_cap_ordinary(), None, unit(17, 16))
         assert v.status is Status.UNKNOWN and v.rule is Rule.PROBE
@@ -143,9 +163,10 @@ def over_cap_ordinary():
     return ParametricSystem(1, 17, A0, [Q(1)], [a])
 
 
-def null_direction(rng, sys):
-    """A nonzero y with A(p) y = 0 at a box vertex p, or None."""
-    p = next(sys.vertices(range(sys.K)))
+def null_direction(rng, sys, p=None):
+    """A y with A(p) y = 0 at p (default: the first box vertex), or None."""
+    if p is None:
+        p = next(sys.vertices(range(sys.K)))
     res = lin_solve(sys.A_at(p), zeros(sys.m))
     if not isinstance(res, AffineSolutionSet):
         return None
@@ -154,8 +175,9 @@ def null_direction(rng, sys):
             for j in range(sys.n)]
 
 
-class TestCommonWitness:
-    """THM3 evidence from one membership query in the ray system."""
+class TestThresholdEvidence:
+    """THM3 evidence in closed form: (R/eps + 1) y, where eps is the strict
+    kernel margin and R bounds ||b(p)||_1 over the box."""
 
     def cases(self):
         rng = random.Random(53)
@@ -170,59 +192,76 @@ class TestCommonWitness:
             yield "ae", sys, quant, null_direction(rng, sys)
         for _ in range(5):
             # every base matrix has a zero first column, so e_1 is in the
-            # kernel at every p and each member has a common witness
+            # kernel at every p
             tsys, _ = gen_tolerable_nonempty(rng, common_kernel_col=0)
             sys, quant = tsys.combined()
-            yield "ae", sys, quant, unit(sys.n, 0)
+            yield "tolerable", sys, quant, unit(sys.n, 0)
+        # a vertex null direction is rarely strict; one of the midpoint is
+        # strict more often, most of all with one row
+        rng = random.Random(59)
+        for _ in range(10):
+            sys = gen_general(rng, 1, 3)
+            yield "general", sys, None, null_direction(rng, sys, sys.midpoint())
+        for _ in range(5):
+            sys, quant = gen_quantified(rng, 1, 3, n_forall=1, n_exists=2)
+            yield "ae", sys, quant, null_direction(rng, sys, sys.midpoint())
 
-    def test_witness_resubstitutes_and_ray_stays(self):
+    def test_evidence_is_the_threshold_point_and_its_ray_stays(self):
         checked = {}
         for family, sys, quant, y in self.cases():
             if y is None or not any(y):
                 continue
+            v = decide_unbounded(sys, quant, y)
+            if v.rule is not Rule.THM3:
+                continue
+            assert v.status is Status.CERTIFIED_YES
             q = quant or QuantifierAssignment.all_exists(sys.K)
-            ray = ray_system(sys)
-            for x0 in find_base_points(sys, quant, budget=4):
-                ok, cert = member_ae(ray, q, x0 + y)
-                if not ok:
-                    continue
-                # A(p) x0 = b(p) and A(p) y = 0 at the one witness p
-                assert witness_resubstitutes(ray, x0 + y, cert)
-                assert witness_resubstitutes(sys, x0, cert)
-                assert witness_resubstitutes(sys.homogenized(), y, cert)
-                assert probe_ray(sys, quant, x0, y, max_doublings=20).exhausted
-                checked[family] = checked.get(family, 0) + 1
+            strict, eps = strict_kernel_member_ae(sys, q, y)
+            assert strict and eps > 0
+            R = sum(abs(v) for v in sys.b_at(sys.midpoint())) + sum(
+                par.interval.rad * abs(v) for par in sys.params for v in par.b)
+            assert v.evidence == [(R / eps + 1) * yj for yj in y]
+            assert member_ae(sys, q, v.evidence)[0]
+            if quant is None:
+                assert oracle.fm_member_oracle(sys, v.evidence)
+            else:
+                assert oracle.ae_vertex_oracle(sys, quant, v.evidence)
+            assert probe_ray(sys, quant, v.evidence, y,
+                             max_doublings=20).exhausted
+            checked[family] = checked.get(family, 0) + 1
+        # every matrix parameter of a tolerable case is universal, so Z(y) is
+        # one point at each universal vertex and never strict
         assert sorted(checked) == ["ae", "general", "wide"]
-        assert min(checked.values()) >= 5
+        assert min(checked.values()) >= 4 and sum(checked.values()) >= 20
 
-    def test_one_ray_lp_and_no_walk(self, monkeypatch):
-        # x1 + a*x2 = 1 with a in [-1, 1]: e_2 is in the strict kernel, and
-        # the first base point (1, 0) has the common witness a = 0
+    def test_only_kernel_and_strict_kernel_lps(self, monkeypatch):
+        # x1 + a*x2 = 1 with a in [-1, 1]: e_2 is in the strict kernel
         sys = ParametricSystem(
             1, 2, [[Q(1), Q(0)]], [Q(1)],
             [Parameter("a", Interval(Q(-1), Q(1)), [[Q(0), Q(1)]], [Q(0)])])
         y = [Q(0), Q(1)]
-        base_points = find_base_points(sys)
-        assert base_points[0] == [Q(1), Q(0)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a THM3 decision samples base points")
+
+        calls = []
+
+        def counting(name, real):
+            def lp(*args):
+                calls.append(name)
+                return real(*args)
+            return lp
+
+        monkeypatch.setattr(unbounded, "find_base_points", forbidden)
+        monkeypatch.setattr(unbounded, "lin_solve", forbidden)
+        monkeypatch.setattr(membership, "lp_feasible",
+                            counting("feasible", membership.lp_feasible))
+        monkeypatch.setattr(membership, "lp_maximize",
+                            counting("maximize", membership.lp_maximize))
         v = decide_unbounded(sys, None, y)
-        assert v.rule is Rule.THM3 and v.evidence == base_points[0]
-
-        lps = []
-        real_lp = membership.lp_feasible
-
-        def counting_lp(P):
-            lps.append(P)
-            return real_lp(P)
-
-        def no_walk(*args):
-            raise AssertionError("a base point with a common witness is walked")
-
-        monkeypatch.setattr(membership, "lp_feasible", counting_lp)
-        monkeypatch.setattr(unbounded, "_walk_ray", no_walk)
-        quant = QuantifierAssignment.all_exists(sys.K)
-        base = unbounded._ray_base_point(sys, quant, base_points, y, 20)
-        assert base == base_points[0]
-        assert len(lps) == 1 and len(lps[0].E) == 2 * sys.m
+        assert v.rule is Rule.THM3 and v.evidence == [Q(0), Q(2)]
+        # one kernel LP, then 2m strict-kernel LPs at the one vertex
+        assert calls == ["feasible", "maximize", "maximize"]
 
 
 class TestDecideUnboundedTolerable:
