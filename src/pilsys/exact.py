@@ -5,12 +5,18 @@ Every input and output is a :class:`fractions.Fraction`, and the arithmetic
 is exact throughout; there is no floating point anywhere in a decision path.
 Inside, the hot loops are fraction-free: ``dot`` sums integer products over
 one common denominator, and each simplex tableau row is a list of integers
-over one positive integer denominator.  The LP solver is a phase-1/phase-2
-primal simplex over bounded variables: single-variable rows become bounds and
-equalities stay equalities, so a membership LP ("a parameter box plus
-equalities") has one tableau row per equation.  Bland's rule makes it
-terminate, and an infeasible outcome carries exact Farkas multipliers, read
-from the reduced costs, that a validator can re-check.
+over one positive integer denominator.
+
+A :class:`Polyhedron` is {x : lo <= x <= hi, C x <= d, E x = f}: explicit
+per-variable bounds (None is no bound) plus inequality and equality rows.
+The LP solver is a phase-1/phase-2 primal simplex over bounded variables:
+the bounds, and every row of C with one nonzero entry, are variable bounds
+rather than tableau rows, and equalities stay equalities, so a membership LP
+("a parameter box plus equalities") has one tableau row per equation.
+Bland's rule makes it terminate, and an infeasible outcome carries exact
+Farkas multipliers, read from the reduced costs, that a validator can
+re-check.  Fourier-Motzkin elimination writes the bounds out as rows first
+and never calls the simplex.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 Q = Fraction
@@ -53,10 +60,6 @@ def dot(u: Sequence[Q], v: Sequence[Q]) -> Q:
                 den = m
             num += an * bn * (den // pd)
     return Q(num, den)
-
-
-def mat_vec(A: Sequence[Sequence[Q]], x: Sequence[Q]) -> Vector:
-    return [dot(row, x) for row in A]
 
 
 def vec_add(u: Sequence[Q], v: Sequence[Q]) -> Vector:
@@ -150,13 +153,20 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
 
 @dataclass
 class Polyhedron:
-    """{x : C x <= d, E x = f} in dimension ``dim``."""
+    """{x : lo <= x <= hi, C x <= d, E x = f} in dimension ``dim``.
+
+    ``lo`` and ``hi`` hold one entry per variable, and None means no bound
+    on that side; left out, they default to no bounds at all.  Finite bounds
+    on one variable must not cross (lo_j <= hi_j), as for an interval.
+    """
 
     C: Matrix
     d: Vector
     E: Matrix
     f: Vector
     dim: int
+    lo: Optional[list[Optional[Q]]] = None
+    hi: Optional[list[Optional[Q]]] = None
 
     def __post_init__(self) -> None:
         if len(self.C) != len(self.d) or len(self.E) != len(self.f):
@@ -167,6 +177,15 @@ class Polyhedron:
         for row in self.E:
             if len(row) != self.dim:
                 raise ValueError("equality row has wrong width")
+        if self.lo is None:
+            self.lo = [None] * self.dim
+        if self.hi is None:
+            self.hi = [None] * self.dim
+        if len(self.lo) != self.dim or len(self.hi) != self.dim:
+            raise ValueError("bounds have wrong length")
+        if any(l is not None and h is not None and l > h
+               for l, h in zip(self.lo, self.hi)):
+            raise ValueError("a lower bound exceeds its upper bound")
 
     @staticmethod
     def from_inequalities(C: Sequence[Sequence], d: Sequence, dim: int) -> "Polyhedron":
@@ -175,14 +194,18 @@ class Polyhedron:
     def contains(self, x: Sequence[Q]) -> bool:
         if len(x) != self.dim:
             raise ValueError("point has wrong dimension")
-        return all(dot(row, x) <= di for row, di in zip(self.C, self.d)) and \
+        return all((l is None or l <= xj) and (h is None or xj <= h)
+                   for l, xj, h in zip(self.lo, x, self.hi)) and \
+            all(dot(row, x) <= di for row, di in zip(self.C, self.d)) and \
             all(dot(row, x) == fi for row, fi in zip(self.E, self.f))
 
 
 def recession_cone(P: Polyhedron) -> Polyhedron:
-    """{y : C y <= 0, E y = 0}; the rhs of P is simply zeroed."""
+    """{y : C y <= 0, E y = 0} with every finite bound of P made 0."""
     return Polyhedron([row[:] for row in P.C], zeros(len(P.C)),
-                      [row[:] for row in P.E], zeros(len(P.E)), P.dim)
+                      [row[:] for row in P.E], zeros(len(P.E)), P.dim,
+                      [None if l is None else Q(0) for l in P.lo],
+                      [None if h is None else Q(0) for h in P.hi])
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +219,18 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Farkas refutation: ineq_mult >= 0 and the combination
+    """Farkas refutation: ineq_mult >= 0, one signed bound_mult entry t_j per
+    variable (t_j > 0 multiplies x_j <= hi_j, t_j < 0 multiplies x_j >= lo_j,
+    and only a finite bound may carry one), and the combination
 
-        sum_i ineq_mult[i] * C_i + sum_j eq_mult[j] * E_j = 0,
-        sum_i ineq_mult[i] * d_i + sum_j eq_mult[j] * f_j < 0
+        sum_i ineq_mult[i] * C_i + sum_j eq_mult[j] * E_j + t = 0,
+        sum_i ineq_mult[i] * d_i + sum_j eq_mult[j] * f_j
+            + sum_{t_j > 0} t_j hi_j + sum_{t_j < 0} t_j lo_j < 0
     """
 
     ineq_mult: Vector
     eq_mult: Vector
+    bound_mult: Vector
 
 
 LPResult = Union[Feasible, Infeasible]
@@ -227,14 +254,15 @@ def _primitive(row: list[int], den: int) -> tuple[list[int], int]:
 class _BoundedSimplex:
     """Primal simplex over bounded variables, in Gauss-Jordan tableau form.
 
-    A row of C with one nonzero entry is not a row of the tableau but a bound
-    lo_j <= x_j <= hi_j (Dantzig's upper-bounding technique); the tightest one
-    wins, and the row that gave it is kept for the certificate.  Every other
-    row of C gets one slack s_i >= 0, and the rows of E stay equalities.  The
-    columns are x, then the slacks, then one artificial per row that the start
-    point violates and per equality row.  A nonbasic variable sits at a
-    finite bound, or at 0 if it has none; ``val`` holds the value of every
-    variable and ``lo``/``hi`` its bounds (None is infinite).
+    The bounds lo_j <= x_j <= hi_j (Dantzig's upper-bounding technique) are
+    those of P, tightened by every row of C with one nonzero entry, which is
+    not a row of the tableau; the tightest bound wins, and the row that gave
+    it is kept for the certificate.  Every other row of C gets one slack
+    s_i >= 0, and the rows of E stay equalities.  The columns are x, then the
+    slacks, then one artificial per row that the start point violates and per
+    equality row.  A nonbasic variable sits at a finite bound, or at 0 if it
+    has none; ``val`` holds the value of every variable and ``lo``/``hi`` its
+    bounds (None is infinite).
 
     The tableau is fraction-free: row r is the list of integers ``rows[r]``
     over the positive integer ``dens[r]``, and the reduced costs are ``d``
@@ -250,8 +278,8 @@ class _BoundedSimplex:
     def __init__(self, P: Polyhedron):
         n = self.n = P.dim
         self.P = P
-        lo: list[Optional[Q]] = [None] * n
-        hi: list[Optional[Q]] = [None] * n
+        lo, hi = list(P.lo), list(P.hi)
+        # the row of C that gave each bound; None for a bound of P itself
         self.lo_row: list[Optional[int]] = [None] * n
         self.hi_row: list[Optional[int]] = [None] * n
         self.general: list[int] = []
@@ -261,8 +289,9 @@ class _BoundedSimplex:
                 self.general.append(i)
                 continue
             j = nz[0]
-            bound = di / row[j]
-            if row[j] > 0:
+            a = row[j]
+            bound = di if a == 1 else -di if a == -1 else di / a
+            if a > 0:
                 if hi[j] is None or bound < hi[j]:
                     hi[j], self.hi_row[j] = bound, i
             elif lo[j] is None or bound > lo[j]:
@@ -275,6 +304,14 @@ class _BoundedSimplex:
 
         x = [l if l is not None else h if h is not None else Q(0)
              for l, h in zip(lo, hi)]
+        xn, xd = _scaled(x)
+
+        def residual(rhs: Q, row: list[int], den: int) -> Q:
+            """rhs - (row / den).x, from one integer dot product with xn."""
+            rn, rd = rhs.as_integer_ratio()
+            e = den * xd
+            return Q(rn * e - rd * sum(map(mul, row, xn)), rd * e)
+
         g = len(self.general)
         self.width = width = n + g
         self.rows: list[list[int]] = []
@@ -284,11 +321,11 @@ class _BoundedSimplex:
         pending: list[tuple[int, Q]] = []  # (tableau row, residual at x)
         for r, i in enumerate(self.general):
             row, den = _scaled(P.C[i])
+            res = residual(P.d[i], row, den)
             row += [0] * g
             row[n + r] = den
             self.rows.append(row)
             self.dens.append(den)
-            res = P.d[i] - dot(P.C[i], x)
             if res >= 0:
                 basis.append(n + r)
                 self.val[n + r] = res
@@ -296,9 +333,9 @@ class _BoundedSimplex:
                 basis.append(None)
                 pending.append((r, res))
         for row, fk in zip(P.E, P.f):
-            pending.append((len(self.rows), fk - dot(row, x)))
-            basis.append(None)
             row, den = _scaled(row)
+            pending.append((len(self.rows), residual(fk, row, den)))
+            basis.append(None)
             self.rows.append(row + [0] * g)
             self.dens.append(den)
         for row in self.rows:
@@ -426,14 +463,14 @@ class _BoundedSimplex:
 
         Row i of the tableau has dual y_i = -d(slack i), or sign * (cost - d)
         from its artificial; the multiplier of the original row is -y_i.  A
-        structural reduced cost d_j is cancelled by the bound row x_j sits on.
+        structural reduced cost d_j is cancelled by the bound x_j sits on.
         """
         P, n = self.P, self.n
-        lam = zeros(len(P.C))
+        lam, t = zeros(len(P.C)), zeros(n)
         if self.crossed is not None:
-            for i in (self.lo_row[self.crossed], self.hi_row[self.crossed]):
-                lam[i] = 1 / abs(P.C[i][self.crossed])
-            return Infeasible(lam, zeros(len(P.E)))
+            self._bound_mult(lam, t, self.crossed, Q(1))
+            self._bound_mult(lam, t, self.crossed, Q(-1))
+            return Infeasible(lam, zeros(len(P.E)), t)
         d = [Q(x, self.dden) for x in self.d]
         for r, i in enumerate(self.general):
             lam[i] = d[n + r]
@@ -443,10 +480,18 @@ class _BoundedSimplex:
             if r >= g:
                 mu.append(sign * (d[self.width + a] - cost))
         for j in range(n):
-            i = self.lo_row[j] if d[j] > 0 else self.hi_row[j] if d[j] < 0 else None
-            if i is not None:
-                lam[i] = -d[j] / P.C[i][j]
-        return Infeasible(lam, mu)
+            if d[j]:
+                self._bound_mult(lam, t, j, -d[j])
+        return Infeasible(lam, mu, t)
+
+    def _bound_mult(self, lam: Vector, t: Vector, j: int, s: Q) -> None:
+        """Multiplier s on the bound of x_j (s > 0: x_j <= hi_j, s < 0:
+        x_j >= lo_j), given to the row of C it came from, if any."""
+        i = self.hi_row[j] if s > 0 else self.lo_row[j]
+        if i is None:
+            t[j] = s
+        else:
+            lam[i] = s / self.P.C[i][j]
 
     def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
@@ -481,14 +526,21 @@ def lp_maximize(P: Polyhedron, obj: Sequence[Q]):
 
 def check_infeasibility_certificate(P: Polyhedron, cert: Infeasible) -> bool:
     """Re-derive the exact contradiction 0 <= c with c < 0 from multipliers."""
-    if len(cert.ineq_mult) != len(P.C) or len(cert.eq_mult) != len(P.E):
+    t = cert.bound_mult
+    if len(cert.ineq_mult) != len(P.C) or len(cert.eq_mult) != len(P.E) \
+            or len(t) != P.dim:
         return False
     if any(l < 0 for l in cert.ineq_mult):
         return False
+    ends = [h if tj > 0 else l if tj < 0 else Q(0)
+            for tj, l, h in zip(t, P.lo, P.hi)]
+    if None in ends:  # a multiplier on an infinite bound
+        return False
     mult = list(cert.ineq_mult) + list(cert.eq_mult)
     rows = P.C + P.E
-    return all(dot(mult, [row[j] for row in rows]) == 0 for j in range(P.dim)) \
-        and dot(mult, P.d + P.f) < 0
+    return all(dot(mult, [row[j] for row in rows]) + t[j] == 0
+               for j in range(P.dim)) \
+        and dot(mult + list(t), P.d + P.f + ends) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +567,27 @@ def _dedup(C: Matrix, d: Vector) -> tuple[Matrix, Vector]:
     return C2, d2
 
 
+def _bounds_as_rows(P: Polyhedron) -> Polyhedron:
+    """P with every finite bound written as a row of C and no bounds left."""
+    if all(b is None for b in P.lo + P.hi):
+        return P
+    C, d = [row[:] for row in P.C], P.d[:]
+    for j, (l, h) in enumerate(zip(P.lo, P.hi)):
+        for sign, end in ((1, h), (-1, l)):
+            if end is not None:
+                row = zeros(P.dim)
+                row[j] = Q(sign)
+                C.append(row)
+                d.append(sign * end)
+    return Polyhedron(C, d, P.E, P.f, P.dim)
+
+
 def fm_eliminate(P: Polyhedron, var: int) -> Polyhedron:
-    """Project P onto the coordinates other than ``var`` (exact)."""
+    """Project P onto the coordinates other than ``var`` (exact); the
+    result has no bounds, since P's bounds become rows first."""
     if not 0 <= var < P.dim:
         raise ValueError(f"variable index {var} out of range for dim {P.dim}")
+    P = _bounds_as_rows(P)
 
     def drop(row: Sequence[Q]) -> Vector:
         return [a for j, a in enumerate(row) if j != var]

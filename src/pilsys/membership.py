@@ -62,25 +62,6 @@ Certificate.witness = staticmethod(_witness)
 Certificate.separator = staticmethod(_separator)
 
 
-def _exists_polyhedron(sys: ParametricSystem, residuals: list[Vector],
-                       exists: Sequence[int], rhs: Vector) -> Polyhedron:
-    """{p_E in box_E : sum_{k in E} p_k v^(k) = rhs} over the listed indices."""
-    dim = len(exists)
-    C, d = [], []
-    for col, k in enumerate(exists):
-        iv = sys.params[k].interval
-        row = zeros(dim)
-        row[col] = Q(1)
-        C.append(row)
-        d.append(iv.hi)
-        row = zeros(dim)
-        row[col] = Q(-1)
-        C.append(row)
-        d.append(-iv.lo)
-    E = [[residuals[k + 1][i] for k in exists] for i in range(sys.m)]
-    return Polyhedron(C, d, E, rhs[:], dim)
-
-
 def _separator_from_farkas(sys: ParametricSystem, residuals: list[Vector],
                            exists: Sequence[int],
                            eq_mult: Vector) -> FarkasCertificate:
@@ -125,13 +106,19 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     forall, exists = _split(sys, quant)
     residuals = residual_vectors(sys, x)
 
+    # Each vertex asks for p_E in box_E with sum_{k in E} p_k v^(k) = rhs:
+    # the box is the bounds, the m equality rows are shared, and only
+    # rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i) changes.
+    E = [[residuals[k + 1][i] for k in exists] for i in range(sys.m)]
+    lo = [sys.params[k].interval.lo for k in exists]
+    hi = [sys.params[k].interval.hi for k in exists]
+    cols = [[residuals[k][i] for k in (0, *(k + 1 for k in forall))]
+            for i in range(sys.m)]
     witness: Optional[Vector] = None
     for vertex in sys.vertices(forall):
-        rhs = [-residuals[0][i] for i in range(sys.m)]
-        for k, pk in zip(forall, vertex):
-            rhs = [r - pk * residuals[k + 1][i] for i, r in enumerate(rhs)]
-        P = _exists_polyhedron(sys, residuals, exists, rhs)
-        res = lp_feasible(P)
+        coef = [Q(1), *vertex]
+        rhs = [-dot(coef, col) for col in cols]
+        res = lp_feasible(Polyhedron([], [], E, rhs, len(exists), lo, hi))
         if isinstance(res, Infeasible):
             fc = _separator_from_farkas(sys, residuals, exists, res.eq_mult)
             return False, Certificate.separator(fc)
@@ -230,23 +217,13 @@ def _zonotope_reach(c: Vector, gens: list[Vector], rads: list[Q],
     """max eps with c + sum t_k g^(k) = eps*sign*e_coord, |t_k| <= rad_k."""
     K = len(gens)
     dim = K + 1  # t_1..t_K, eps
-    C, d = [], []
-    for k in range(K):
-        row = zeros(dim)
-        row[k] = Q(1)
-        C.append(row)
-        d.append(rads[k])
-        row = zeros(dim)
-        row[k] = Q(-1)
-        C.append(row)
-        d.append(rads[k])
     E, f = [], []
     for i in range(m):
         row = [gens[k][i] for k in range(K)]
         row.append(-sign if i == coord else Q(0))
         E.append(row)
         f.append(-c[i])
-    P = Polyhedron(C, d, E, f, dim)
+    P = Polyhedron([], [], E, f, dim, [-r for r in rads] + [None], rads + [None])
     obj = zeros(dim)
     obj[K] = Q(1)
     status, value, _ = lp_maximize(P, obj)
@@ -282,6 +259,8 @@ def validate_certificate(sys: ParametricSystem,
         quant = QuantifierAssignment.all_exists(sys.K)
     w = cert.separator.w
     residuals = residual_vectors(sys, x)
+    if len(w) != sys.m:
+        return False
     mid = residuals[0][:]
     for par, v in zip(sys.params, residuals[1:]):
         mid = vec_add(mid, vec_scale(par.interval.mid, v))
@@ -298,6 +277,8 @@ def witness_resubstitutes(sys: ParametricSystem, x: Sequence[Q],
     """Check a WITNESS exactly: A(p) x = b(p) and p inside the box."""
     if cert.kind is not CertKind.WITNESS:
         raise ValueError("not a WITNESS certificate")
+    if len(x) != sys.n:
+        raise ValueError(f"point has length {len(x)}, expected {sys.n}")
     p = cert.witness_p
     if len(p) != sys.K:
         return False

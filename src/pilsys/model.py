@@ -17,8 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .exact import (Matrix, Q, Vector, dot, mat_vec, vec_add, vec_scale,
-                    vec_sub, zeros)
+from .exact import Matrix, Q, Vector, dot, vec_add, vec_scale, zeros
 
 
 class SystemFormatError(ValueError):
@@ -298,10 +297,10 @@ def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
     """v^(k) = A^(k) x - b^(k) for k = 0..K; index 0 is the constant term."""
     if len(x) != sys.n:
         raise ValueError(f"point has length {len(x)}, expected {sys.n}")
-    out = [vec_sub(mat_vec(sys.A0, x), sys.b0)]
-    for par in sys.params:
-        out.append(vec_sub(mat_vec(par.A, x), par.b))
-    return out
+    # each entry is (A_i, b_i).(x, -1): one dot with b folded into the row
+    xe = [*x, Q(-1)]
+    return [[dot([*row, bi], xe) for row, bi in zip(A, b)]
+            for A, b in [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]]
 
 
 # ---------------------------------------------------------------------------

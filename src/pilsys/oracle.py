@@ -111,6 +111,8 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     if not 2 <= resolution <= 512:
         raise ValueError("resolution must be between 2 and 512")
     x_lo, x_hi, y_lo, y_hi = (Q(v) for v in window)
+    if not (x_lo < x_hi and y_lo < y_hi):
+        raise ValueError("window must have x_lo < x_hi and y_lo < y_hi")
 
     def member(pt: Vector) -> bool:
         if which == UNITED:

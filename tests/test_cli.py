@@ -208,6 +208,14 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot write") and "Traceback" not in err
 
+    @pytest.mark.parametrize("window", ["1,-1,-1,1", "-1,1,1,-1", "0,0,-1,1"])
+    def test_raster_window_not_increasing(self, capsys, e1_file, tmp_path, window):
+        out_path = tmp_path / "r.csv"
+        code, out, err = run(capsys, "raster", e1_file, f"--window={window}",
+                             "--res", "3", "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error: window must have x_lo < x_hi")
+
     def test_negative_budget(self, capsys, e1_file):
         code, out, err = run(capsys, "unbounded", e1_file, "--dir", "0,-1",
                              "--budget", "-1")

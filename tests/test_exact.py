@@ -369,3 +369,130 @@ def test_dot_is_the_exact_sum(pairs):
     v = [b for _, b in pairs]
     got = dot(u, v)
     assert type(got) is Q and got == sum((a * b for a, b in pairs), Q(0))
+
+
+class TestExplicitBounds:
+    """lo <= x <= hi given with the polyhedron, not as rows of C."""
+
+    def test_bounds_reach_the_certificate(self):
+        # x = 5 against x <= 3: the refutation multiplies the bound itself
+        P = Polyhedron([], [], [[Q(1)]], [Q(5)], 1, [None], [Q(3)])
+        res = assert_infeasible(P)
+        assert res.ineq_mult == [] and res.eq_mult == [Q(-1)] \
+            and res.bound_mult == [Q(1)]
+        # the same multipliers on an infinite bound prove nothing
+        free = Polyhedron([], [], [[Q(1)]], [Q(5)], 1, [Q(3)], [None])
+        assert isinstance(lp_feasible(free), Feasible)
+        assert not check_infeasibility_certificate(free, res)
+        assert not check_infeasibility_certificate(
+            P, Infeasible([], [Q(-1)], [Q(1), Q(0)]))
+
+    def test_bound_crossing_a_row(self):
+        # x >= 2 as a bound, 2x <= 2 as a row
+        P = Polyhedron([[Q(2)]], [Q(2)], [], [], 1, [Q(2)], [None])
+        res = assert_infeasible(P)
+        assert res.ineq_mult == [Q(1, 2)] and res.bound_mult == [Q(-1)]
+
+    def test_malformed_bounds(self):
+        with pytest.raises(ValueError):
+            Polyhedron([], [], [], [], 2, [Q(0)], None)
+        with pytest.raises(ValueError):
+            Polyhedron([], [], [], [], 1, [Q(1)], [Q(0)])
+        P = Polyhedron([], [], [], [], 2, [Q(0), None], None)
+        assert P.hi == [None, None]
+        assert P.contains([Q(0), Q(-7)]) and not P.contains([Q(-1), Q(0)])
+
+    def test_fm_writes_the_bounds_out(self):
+        P = Polyhedron([[Q(1), Q(1)]], [Q(1)], [], [], 2, [Q(0), Q(1)], [None, Q(2)])
+        R = fm_eliminate(P, 1)  # x + y <= 1, y >= 1 and x >= 0 leave x = 0
+        assert R.lo == [None] and R.hi == [None]
+        assert R.contains([Q(0)]) and not R.contains([Q(1, 2)]) \
+            and not R.contains([Q(-1)])
+        assert fm_feasible(P)
+        assert not fm_feasible(Polyhedron(P.C, [Q(0)], [], [], 2, P.lo, P.hi))
+
+
+def random_with_bounds(rng, entry):
+    """A polyhedron with random finite and infinite bounds, unit rows that
+    are tighter or looser than a bound or cross the other one, general rows
+    and equalities; and the same set with each finite bound written as a
+    unit row of C, after the rows it had."""
+    dim = rng.randint(1, 4)
+    lo, hi, rows = [], [], []
+    for j in range(dim):
+        l = Q(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7 else None
+        h = Q(rng.randint(0, 4), rng.randint(1, 2)) + (l or 0) \
+            if rng.random() < 0.7 else None
+        lo.append(l)
+        hi.append(h)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            sign = rng.choice((1, -1))
+            near = h if sign > 0 else l
+            if near is None:
+                near = l if sign > 0 else h
+            b = (near or 0) + sign * Q(rng.randint(-2, 4), 2)
+            scale = Q(rng.randint(1, 3))
+            row = [Q(0)] * dim
+            row[j] = sign * scale
+            rows.append((row, sign * scale * b))
+    for _ in range(rng.randint(0, 3)):
+        rows.append(([entry(rng, 3) for _ in range(dim)], entry(rng, 3)))
+    rng.shuffle(rows)
+    E = [[entry(rng, 2) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+    f = [entry(rng, 3) for _ in E]
+    C, d = [r for r, _ in rows], [b for _, b in rows]
+    P = Polyhedron(C, d, E, f, dim, lo, hi)
+    for j in range(dim):
+        for sign, end in ((1, hi[j]), (-1, lo[j])):
+            if end is not None:
+                row = [Q(0)] * dim
+                row[j] = Q(sign)
+                C = C + [row]
+                d = d + [sign * end]
+    return P, Polyhedron(C, d, E, f, dim)
+
+
+@pytest.mark.parametrize("seed,entry", [(7, small_int), (77, mixed_rational)],
+                         ids=["integer", "rational"])
+def test_bounds_agree_with_unit_rows(seed, entry):
+    rng = random.Random(seed)
+    seen = {"feasible": 0, "infeasible": 0, "bound_mult": 0, "crossed": 0,
+            "unbounded": 0}
+    for _ in range(300):
+        P, R = random_with_bounds(rng, entry)
+        res, want = lp_feasible(P), lp_feasible(R)
+        assert type(res) is type(want)
+        assert fm_feasible(P) == fm_feasible(R) == isinstance(res, Feasible)
+        if isinstance(res, Feasible):
+            seen["feasible"] += 1
+            # the same bounds in the same columns: the same pivots
+            assert res.point == want.point
+            assert P.contains(res.point) and R.contains(res.point)
+        else:
+            seen["infeasible"] += 1
+            assert check_infeasibility_certificate(P, res)
+            assert check_infeasibility_certificate(R, want)
+            used = [j for j, t in enumerate(res.bound_mult) if t]
+            seen["bound_mult"] += bool(used)
+            for j in used:
+                # with that bound gone, the same multipliers prove nothing
+                lo, hi = list(P.lo), list(P.hi)
+                (hi if res.bound_mult[j] > 0 else lo)[j] = None
+                assert not check_infeasibility_certificate(
+                    Polyhedron(P.C, P.d, P.E, P.f, P.dim, lo, hi), res)
+        lp = _BoundedSimplex(P)
+        seen["crossed"] += lp.crossed is not None
+        obj = [Q(rng.randint(-3, 3)) for _ in range(P.dim)]
+        got = lp_maximize(P, obj)
+        assert got == lp_maximize(R, obj)
+        seen["unbounded"] += got[0] == "unbounded"
+        assert_integer_tableau(lp)
+        if lp.feasible:
+            lp.maximize(obj)
+            assert_integer_tableau(lp)
+        units = [[Q(int(i == j)) * s for i in range(P.dim)]
+                 for j in range(P.dim) for s in (1, -1)]
+        for y in units + [[entry(rng, 2) for _ in range(P.dim)] for _ in range(4)]:
+            assert P.contains(y) == R.contains(y)
+            assert recession_cone(P).contains(y) == recession_cone(R).contains(y)
+    assert min(seen.values()) > 10, seen

@@ -246,6 +246,20 @@ class TestCertificateValidation:
         # note u, v here are placeholders; validation uses w only
         assert validate_certificate(e1.system, None, [Q(1), Q(1)], cert)
 
+    def test_wrong_lengths(self, e1):
+        from pilsys.exact import FarkasCertificate
+        from pilsys.membership import Certificate
+        ok, cert = member_united(e1.system, [Q(1), Q(0)])
+        assert ok
+        for x in ([Q(1)], [Q(1), Q(0), Q(0)]):
+            with pytest.raises(ValueError):
+                witness_resubstitutes(e1.system, x, cert)
+        # w = (0, 1) separates (1, 1); a third entry, or a missing one, is
+        # not a separator of this 2-row system
+        for w in ([Q(0), Q(1), Q(5)], [Q(1)]):
+            sep = Certificate.separator(FarkasCertificate(w, [Q(0)], [Q(0)]))
+            assert not validate_certificate(e1.system, None, [Q(1), Q(1)], sep)
+
     def test_witness_carries_no_separator(self):
         from pilsys.membership import Certificate
         cert = Certificate.witness([Q(1)])
@@ -273,6 +287,56 @@ class TestCertificateValidation:
             else:
                 assert witness_resubstitutes(sys, x, cert)
         assert found > 50
+
+
+class TestLPShape:
+    """The parameter box reaches the simplex as variable bounds, not rows."""
+
+    def spy(self, monkeypatch, name):
+        seen = []
+        real = getattr(membership, name)
+
+        def wrapped(P, *args):
+            seen.append((P, *args))
+            return real(P, *args)
+
+        monkeypatch.setattr(membership, name, wrapped)
+        return seen
+
+    def test_membership_lps(self, monkeypatch):
+        seen = self.spy(monkeypatch, "lp_feasible")
+        rng = random.Random(71)
+        for i in range(30):
+            if i % 2:
+                sys = gen_general(rng, 3, 3)
+                quant = QuantifierAssignment.all_exists(sys.K)
+            else:
+                sys, quant = gen_quantified(rng, 2, 3, n_forall=rng.randint(1, 2))
+            seen.clear()
+            member_ae(sys, quant, random_point(rng, sys.n))
+            box = [sys.params[k].interval for k in sorted(quant.exists_set)]
+            assert seen
+            for (P,) in seen:
+                assert P.C == [] and P.d == []
+                assert len(P.E) == len(P.f) == sys.m and P.dim == len(box)
+                assert P.lo == [iv.lo for iv in box]
+                assert P.hi == [iv.hi for iv in box]
+
+    def test_strict_kernel_lps(self, monkeypatch):
+        seen = self.spy(monkeypatch, "lp_maximize")
+        rng = random.Random(72)
+        for _ in range(20):
+            sys, quant = gen_quantified(rng, 2, 2, n_forall=1)
+            seen.clear()
+            strict_kernel_member_ae(sys, quant, random_point(rng, sys.n, -2, 2))
+            rads = [sys.params[k].interval.rad for k in sorted(quant.exists_set)]
+            K = len(rads)
+            assert seen
+            for P, obj in seen:
+                assert P.C == [] and len(P.E) == sys.m and P.dim == K + 1
+                assert P.lo == [-r for r in rads] + [None]
+                assert P.hi == rads + [None]
+                assert obj == [Q(0)] * K + [Q(1)]
 
 
 def _solved_point(rng, sys):
