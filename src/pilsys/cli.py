@@ -13,7 +13,7 @@ import sys as _sys
 from typing import Optional
 
 from . import membership, model, oracle, unbounded
-from .exact import Q, Vector
+from .exact import Polyhedron, Q, Vector
 from .model import (FIRST_CLASS, ORDINARY, ParsedSystem, SystemFormatError,
                     parse_rational, parse_system)
 
@@ -117,6 +117,11 @@ def cmd_unbounded(args) -> int:
     return 0
 
 
+def _constraints(P: Polyhedron) -> int:
+    """Rows of C plus finite bounds: the inequalities that state P."""
+    return len(P.C) + sum(b is not None for b in P.lo + P.hi)
+
+
 def cmd_classify(args) -> int:
     parsed = _load(args.file)
     flags = model.classify(parsed.system, parsed.quant)
@@ -131,8 +136,8 @@ def cmd_classify(args) -> int:
         for piece in dec.pieces:
             print(f"piece {piece.sign}: "
                   f"{'nonempty' if piece.nonempty else 'empty'}, "
-                  f"{len(piece.solution_piece.C)} solution rows, "
-                  f"{len(piece.kernel_piece.C)} kernel rows")
+                  f"{_constraints(piece.solution_piece)} solution rows, "
+                  f"{_constraints(piece.kernel_piece)} kernel rows")
     return 0
 
 

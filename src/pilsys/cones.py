@@ -13,8 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, dot, lp_feasible,
-                    lp_maximize, recession_cone, vec_add, vec_scale, zeros)
+from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, _bounds_as_rows,
+                    dot, lp_feasible, lp_maximize, recession_cone, vec_add,
+                    vec_scale, zeros)
 from .model import (CLASS_C, ORDINARY, ParametricSystem, _fold_thin_params,
                     classify)
 
@@ -43,7 +44,6 @@ class SignVector:
 @dataclass
 class Piece:
     sign: SignVector
-    region: Polyhedron
     solution_piece: Polyhedron
     kernel_piece: Polyhedron
     nonempty: bool
@@ -119,22 +119,16 @@ def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
         # rows of (A_c - Delta_A diag(s)) and (A_c + Delta_A diag(s))
         lower = [[Ac[i][j] - dA[i][j] * s[j] for j in range(n)] for i in range(m)]
         upper = [[Ac[i][j] + dA[i][j] * s[j] for j in range(n)] for i in range(m)]
-        orthant_rows = []
-        for j in range(n):
-            row = zeros(n)
-            row[j] = Q(-s[j])
-            orthant_rows.append(row)
-
-        region = Polyhedron([r[:] for r in orthant_rows], zeros(n), [], [], n)
-        sol_C = [r[:] for r in lower] + [[-a for a in r] for r in upper] + \
-            [r[:] for r in orthant_rows]
-        sol_d = b_hi[:] + [-a for a in b_lo] + zeros(n)
-        solution = Polyhedron(sol_C, sol_d, [], [], n)
-        ker_C = [r[:] for r in lower] + [[-a for a in r] for r in upper] + \
-            [r[:] for r in orthant_rows]
-        kernel = Polyhedron(ker_C, zeros(2 * m + n), [], [], n)
+        # the orthant s_j x_j >= 0 as bounds
+        lo = [Q(0) if sj > 0 else None for sj in s]
+        hi = [None if sj > 0 else Q(0) for sj in s]
+        sol_C = lower + [[-a for a in r] for r in upper]
+        solution = Polyhedron(sol_C, b_hi + [-a for a in b_lo], [], [], n,
+                              lo, hi)
+        kernel = Polyhedron([r[:] for r in sol_C], zeros(2 * m), [], [], n,
+                            lo[:], hi[:])
         nonempty = isinstance(lp_feasible(solution), Feasible)
-        pieces.append(Piece(sv, region, solution, kernel, nonempty))
+        pieces.append(Piece(sv, solution, kernel, nonempty))
     return PieceDecomposition(ORTHANT, pieces)
 
 
@@ -181,8 +175,6 @@ def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
             for i in range(m):
                 if any(par.A[i][j] != 0 for j in range(n)):
                     region_C.append([-s[k] * par.A[i][j] for j in range(n)])
-        region = Polyhedron([r[:] for r in region_C], zeros(len(region_C)),
-                            [], [], n)
 
         # A(mid p) -+ sum_k rad(p_k) s_k A^(k)
         lower = [row[:] for row in Amid]
@@ -204,7 +196,7 @@ def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
             [r[:] for r in region_C]
         kernel = Polyhedron(ker_C, zeros(2 * m + len(region_C)), [], [], n)
         nonempty = isinstance(lp_feasible(solution), Feasible)
-        pieces.append(Piece(sv, region, solution, kernel, nonempty))
+        pieces.append(Piece(sv, solution, kernel, nonempty))
     return PieceDecomposition(SIGNCONE, pieces)
 
 
@@ -222,33 +214,28 @@ def decompose(sys: ParametricSystem) -> PieceDecomposition:
 # Recession-cone equality (Propositions on the special classes)
 # ---------------------------------------------------------------------------
 
-def cone_implies(P: Polyhedron, C_other: Matrix) -> bool:
-    """Every y in cone P satisfies each row of C_other . y <= 0.
+def cone_implies(P: Polyhedron, R: Polyhedron) -> bool:
+    """Every y in P satisfies every constraint of R: its rows of C, its rows
+    of E with both signs, and its finite bounds written as rows.
 
-    For a polyhedral cone, max of a linear functional is 0 or unbounded, so
-    the implication holds iff each maximization is bounded (and hence 0).
+    Each constraint c.y <= r is maximized over P; for cones P and R the
+    maximum is 0 or unbounded, so the implication holds iff each
+    maximization is bounded (and hence 0).
     """
-    for row in C_other:
+    R = _bounds_as_rows(R)
+    rows = zip(R.C + R.E + [[-a for a in row] for row in R.E],
+               R.d + R.f + [-v for v in R.f])
+    for row, rhs in rows:
         status, value, _ = lp_maximize(P, row)
-        if status == "unbounded":
-            return False
-        if status == "optimal" and value > 0:  # cannot occur for a cone
+        if status == "unbounded" or (status == "optimal" and value > rhs):
             return False
     return True
 
 
 def cones_equal(P: Polyhedron, R: Polyhedron) -> bool:
-    """Set equality of two polyhedral cones given as C y <= 0 systems."""
-    norm_p = {_row_key(row) for row in P.C if any(a != 0 for a in row)}
-    norm_r = {_row_key(row) for row in R.C if any(a != 0 for a in row)}
-    if norm_p == norm_r and not P.E and not R.E:
-        return True
-    return cone_implies(P, R.C) and cone_implies(R, P.C)
-
-
-def _row_key(row: Vector) -> tuple:
-    lead = next(a for a in row if a != 0)
-    return tuple(a / abs(lead) for a in row)
+    """Set equality of two polyhedral cones, each with rows of C and E and
+    bounds: identical cones at once, else implication both ways."""
+    return P == R or (cone_implies(P, R) and cone_implies(R, P))
 
 
 @dataclass

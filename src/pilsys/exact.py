@@ -10,13 +10,14 @@ over one positive integer denominator.
 A :class:`Polyhedron` is {x : lo <= x <= hi, C x <= d, E x = f}: explicit
 per-variable bounds (None is no bound) plus inequality and equality rows.
 The LP solver is a phase-1/phase-2 primal simplex over bounded variables:
-the bounds, and every row of C with one nonzero entry, are variable bounds
-rather than tableau rows, and equalities stay equalities, so a membership LP
-("a parameter box plus equalities") has one tableau row per equation.
-Bland's rule makes it terminate, and an infeasible outcome carries exact
-Farkas multipliers, read from the reduced costs, that a validator can
-re-check.  Fourier-Motzkin elimination writes the bounds out as rows first
-and never calls the simplex.
+lo and hi are variable bounds rather than tableau rows, every row of C gets
+one slack, and equalities stay equalities, so a membership LP ("a parameter
+box plus equalities") has one tableau row per equation.  A bound on one
+variable is always stated as lo/hi; a row of C with one nonzero entry is an
+ordinary row.  Bland's rule makes it terminate, and an infeasible outcome
+carries exact Farkas multipliers, read from the reduced costs, that a
+validator can re-check.  Fourier-Motzkin elimination writes the bounds out
+as rows first and never calls the simplex.
 """
 
 from __future__ import annotations
@@ -255,14 +256,12 @@ class _BoundedSimplex:
     """Primal simplex over bounded variables, in Gauss-Jordan tableau form.
 
     The bounds lo_j <= x_j <= hi_j (Dantzig's upper-bounding technique) are
-    those of P, tightened by every row of C with one nonzero entry, which is
-    not a row of the tableau; the tightest bound wins, and the row that gave
-    it is kept for the certificate.  Every other row of C gets one slack
-    s_i >= 0, and the rows of E stay equalities.  The columns are x, then the
-    slacks, then one artificial per row that the start point violates and per
-    equality row.  A nonbasic variable sits at a finite bound, or at 0 if it
-    has none; ``val`` holds the value of every variable and ``lo``/``hi`` its
-    bounds (None is infinite).
+    exactly P.lo and P.hi, and are not rows of the tableau.  Every row of C
+    gets one slack s_i >= 0, and the rows of E stay equalities.  The columns
+    are x, then the slacks, then one artificial per row that the start point
+    violates and per equality row.  A nonbasic variable sits at a finite
+    bound, or at 0 if it has none; ``val`` holds the value of every variable
+    and ``lo``/``hi`` its bounds (None is infinite).
 
     The tableau is fraction-free: row r is the list of integers ``rows[r]``
     over the positive integer ``dens[r]``, and the reduced costs are ``d``
@@ -278,32 +277,8 @@ class _BoundedSimplex:
     def __init__(self, P: Polyhedron):
         n = self.n = P.dim
         self.P = P
-        lo, hi = list(P.lo), list(P.hi)
-        # the row of C that gave each bound; None for a bound of P itself
-        self.lo_row: list[Optional[int]] = [None] * n
-        self.hi_row: list[Optional[int]] = [None] * n
-        self.general: list[int] = []
-        for i, (row, di) in enumerate(zip(P.C, P.d)):
-            nz = [j for j, a in enumerate(row) if a]
-            if len(nz) != 1:
-                self.general.append(i)
-                continue
-            j = nz[0]
-            a = row[j]
-            bound = di if a == 1 else -di if a == -1 else di / a
-            if a > 0:
-                if hi[j] is None or bound < hi[j]:
-                    hi[j], self.hi_row[j] = bound, i
-            elif lo[j] is None or bound > lo[j]:
-                lo[j], self.lo_row[j] = bound, i
-        self.crossed = next((j for j in range(n) if lo[j] is not None
-                             and hi[j] is not None and lo[j] > hi[j]), None)
-        if self.crossed is not None:
-            self.feasible = False
-            return
-
         x = [l if l is not None else h if h is not None else Q(0)
-             for l, h in zip(lo, hi)]
+             for l, h in zip(P.lo, P.hi)]
         xn, xd = _scaled(x)
 
         def residual(rhs: Q, row: list[int], den: int) -> Q:
@@ -312,16 +287,16 @@ class _BoundedSimplex:
             e = den * xd
             return Q(rn * e - rd * sum(map(mul, row, xn)), rd * e)
 
-        g = len(self.general)
+        g = len(P.C)
         self.width = width = n + g
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.val = x + zeros(g)
         basis: list[Optional[int]] = []
         pending: list[tuple[int, Q]] = []  # (tableau row, residual at x)
-        for r, i in enumerate(self.general):
-            row, den = _scaled(P.C[i])
-            res = residual(P.d[i], row, den)
+        for r, (row, di) in enumerate(zip(P.C, P.d)):
+            row, den = _scaled(row)
+            res = residual(di, row, den)
             row += [0] * g
             row[n + r] = den
             self.rows.append(row)
@@ -340,8 +315,8 @@ class _BoundedSimplex:
             self.dens.append(den)
         for row in self.rows:
             row.extend([0] * len(pending))
-        self.lo = lo + zeros(g + len(pending))
-        self.hi = hi + [None] * g
+        self.lo = P.lo + zeros(g + len(pending))
+        self.hi = P.hi + [None] * g
         # per artificial: (tableau row, sign of its column, phase-1 cost)
         self.arts: list[tuple[int, int, int]] = []
         for a, (r, res) in enumerate(pending):
@@ -463,35 +438,14 @@ class _BoundedSimplex:
 
         Row i of the tableau has dual y_i = -d(slack i), or sign * (cost - d)
         from its artificial; the multiplier of the original row is -y_i.  A
-        structural reduced cost d_j is cancelled by the bound x_j sits on.
+        structural reduced cost d_j is cancelled by the bound x_j sits on,
+        whose multiplier is -d_j.
         """
-        P, n = self.P, self.n
-        lam, t = zeros(len(P.C)), zeros(n)
-        if self.crossed is not None:
-            self._bound_mult(lam, t, self.crossed, Q(1))
-            self._bound_mult(lam, t, self.crossed, Q(-1))
-            return Infeasible(lam, zeros(len(P.E)), t)
+        n, g = self.n, len(self.P.C)
         d = [Q(x, self.dden) for x in self.d]
-        for r, i in enumerate(self.general):
-            lam[i] = d[n + r]
-        g = len(self.general)
-        mu = []
-        for a, (r, sign, cost) in enumerate(self.arts):
-            if r >= g:
-                mu.append(sign * (d[self.width + a] - cost))
-        for j in range(n):
-            if d[j]:
-                self._bound_mult(lam, t, j, -d[j])
-        return Infeasible(lam, mu, t)
-
-    def _bound_mult(self, lam: Vector, t: Vector, j: int, s: Q) -> None:
-        """Multiplier s on the bound of x_j (s > 0: x_j <= hi_j, s < 0:
-        x_j >= lo_j), given to the row of C it came from, if any."""
-        i = self.hi_row[j] if s > 0 else self.lo_row[j]
-        if i is None:
-            t[j] = s
-        else:
-            lam[i] = s / self.P.C[i][j]
+        mu = [sign * (d[self.width + a] - cost)
+              for a, (r, sign, cost) in enumerate(self.arts) if r >= g]
+        return Infeasible(d[n:self.width], mu, [-dj for dj in d[:n]])
 
     def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""

@@ -11,7 +11,7 @@ import itertools
 from typing import Optional, Sequence
 
 from .exact import (Polyhedron, Q, UniqueSolution, Vector, fm_feasible,
-                    lin_solve, zeros)
+                    lin_solve)
 from .membership import (member_ae, member_kernel, member_tolerable,
                          member_united)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
@@ -22,20 +22,12 @@ _FM_CAP = 12
 
 def _p_polyhedron(sys: ParametricSystem, residuals: list[Vector],
                   indices: Sequence[int], rhs: Vector) -> Polyhedron:
-    dim = len(indices)
-    C, d = [], []
-    for col, k in enumerate(indices):
-        iv = sys.params[k].interval
-        row = zeros(dim)
-        row[col] = Q(1)
-        C.append(row)
-        d.append(iv.hi)
-        row = zeros(dim)
-        row[col] = Q(-1)
-        C.append(row)
-        d.append(-iv.lo)
+    """The parameters ``indices`` in their box with the m equations; FM
+    writes the box out as rows."""
     E = [[residuals[k + 1][i] for k in indices] for i in range(sys.m)]
-    return Polyhedron(C, d, E, rhs[:], dim)
+    return Polyhedron([], [], E, rhs[:], len(indices),
+                      [sys.params[k].interval.lo for k in indices],
+                      [sys.params[k].interval.hi for k in indices])
 
 
 def fm_member_oracle(sys: ParametricSystem, x: Sequence[Q]) -> bool:

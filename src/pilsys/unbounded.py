@@ -145,7 +145,7 @@ def decide_unbounded(sys: ParametricSystem,
             Q(0))
         return UnboundedVerdict(
             Status.CERTIFIED_YES, Rule.THM3, vec_scale(R / eps + 1, y),
-            f"strict kernel membership (eps = {eps}) with a base point")
+            f"strict kernel membership (eps = {eps})")
 
     # (iii) special classes: kernel pieces characterize unboundedness; a
     # decomposition over its 2^n or 2^K cap leaves the question to (iv)

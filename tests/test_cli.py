@@ -128,12 +128,15 @@ PINNED = [
     (("unbounded", "E1", "--dir", "1,0"),
      "CERTIFIED_NO by THM2: direction is not in the kernel\n"),
     (("unbounded", "E3", "--dir", "1"),
-     "CERTIFIED_YES by THM3: strict kernel membership (eps = 1) "
-     "with a base point\n"),
+     "CERTIFIED_YES by THM3: strict kernel membership (eps = 1)\n"),
     # strictness alone proves the set nonempty: no sampled base point needed
     (("unbounded", "E3", "--dir", "1", "--budget", "0"),
-     "CERTIFIED_YES by THM3: strict kernel membership (eps = 1) "
-     "with a base point\n"),
+     "CERTIFIED_YES by THM3: strict kernel membership (eps = 1)\n"),
+    # the orthant sign is a bound, counted with the rows: 2m + n each
+    (("classify", "E3", "--decompose"),
+     "ORDINARY,FIRST_CLASS,CLASS_C\ndecomposition: ORTHANT, 2 pieces\n"
+     "piece +: nonempty, 3 solution rows, 3 kernel rows\n"
+     "piece -: nonempty, 3 solution rows, 3 kernel rows\n"),
 ]
 
 

@@ -8,7 +8,7 @@ from pilsys.cones import (classC_decomposition, cones_equal, decompose,
                           interval_data, oettli_prager_member,
                           orthant_decomposition,
                           special_class_unbounded_equality)
-from pilsys.exact import recession_cone
+from pilsys.exact import Polyhedron, fm_feasible, recession_cone
 from pilsys.membership import member_kernel, member_united
 from pilsys.model import (Interval, Parameter, ParametricSystem, classify)
 
@@ -74,6 +74,18 @@ class TestOrthantDecomposition:
                 x = random_point(rng, sys.n)
                 in_piece = any(p.solution_piece.contains(x) for p in dec.pieces)
                 assert in_piece == oettli_prager_member(sys, x)
+
+    def test_signs_are_bounds(self):
+        rng = random.Random(32)
+        for _ in range(10):
+            sys = gen_ordinary(rng)
+            for piece in orthant_decomposition(sys).pieces:
+                lo = [Q(0) if s > 0 else None for s in piece.sign.s]
+                hi = [None if s > 0 else Q(0) for s in piece.sign.s]
+                for P in (piece.solution_piece, piece.kernel_piece):
+                    assert (P.lo, P.hi) == (lo, hi)
+                    assert len(P.C) == 2 * sys.m and not P.E
+                assert recession_cone(piece.solution_piece) == piece.kernel_piece
 
     def test_kernel_pieces_cover_kernel(self):
         rng = random.Random(31)
@@ -165,15 +177,43 @@ class TestUnboundedEquality:
                         assert rc.contains(y) == piece.kernel_piece.contains(y)
 
 
+class TestPieceNonempty:
+    @pytest.mark.parametrize("gen", [gen_ordinary, gen_class_c],
+                             ids=["ordinary", "class_c"])
+    def test_nonempty_agrees_with_fm(self, gen):
+        rng = random.Random(36)
+        kinds = set()
+        for _ in range(12):
+            for piece in decompose(gen(rng)).pieces:
+                assert piece.nonempty == fm_feasible(piece.solution_piece)
+                kinds.add(piece.nonempty)
+        assert kinds == {True, False}
+
+
 class TestConesEqual:
     def test_syntactic_match(self):
-        from pilsys.exact import Polyhedron
         P = Polyhedron([[Q(2), Q(0)], [Q(0), Q(1)]], [Q(0), Q(0)], [], [], 2)
         R = Polyhedron([[Q(1), Q(0)], [Q(0), Q(3)]], [Q(0), Q(0)], [], [], 2)
         assert cones_equal(P, R)
 
     def test_different_cones(self):
-        from pilsys.exact import Polyhedron
         P = Polyhedron([[Q(1)]], [Q(0)], [], [], 1)   # y <= 0
         R = Polyhedron([[Q(-1)]], [Q(0)], [], [], 1)  # y >= 0
         assert not cones_equal(P, R)
+
+    def test_row_against_equality(self):
+        P = Polyhedron([[Q(1)]], [Q(0)], [], [], 1)   # y <= 0
+        R = Polyhedron([], [], [[Q(1)]], [Q(0)], 1)   # y = 0
+        assert not cones_equal(P, R) and not cones_equal(R, P)
+
+    def test_row_against_bounds(self):
+        P = Polyhedron([[Q(1)]], [Q(0)], [], [], 1)           # y <= 0
+        R = Polyhedron([], [], [], [], 1, [Q(0)], [Q(0)])     # 0 <= y <= 0
+        assert not cones_equal(P, R) and not cones_equal(R, P)
+
+    def test_equality_against_bounds(self):
+        P = Polyhedron([], [], [[Q(1)]], [Q(0)], 1)           # y = 0
+        R = Polyhedron([], [], [], [], 1, [Q(0)], [Q(0)])     # 0 <= y <= 0
+        assert cones_equal(P, R) and cones_equal(R, P)
+        half = Polyhedron([], [], [], [], 1, [Q(0)], [None])  # y >= 0
+        assert not cones_equal(P, half) and not cones_equal(half, P)

@@ -309,8 +309,6 @@ def random_bounded(rng, entry=small_int):
 def assert_integer_tableau(lp):
     """Every tableau row and the reduced-cost row: int numerators over a
     positive int denominator, with no common factor."""
-    if lp.crossed is not None:
-        return
     for row, den in list(zip(lp.rows, lp.dens)) + [(lp.d, lp.dden)]:
         assert all(type(a) is int for a in row) and type(den) is int
         assert den > 0 and gcd(den, *row) == 1
@@ -391,7 +389,7 @@ class TestExplicitBounds:
         # x >= 2 as a bound, 2x <= 2 as a row
         P = Polyhedron([[Q(2)]], [Q(2)], [], [], 1, [Q(2)], [None])
         res = assert_infeasible(P)
-        assert res.ineq_mult == [Q(1, 2)] and res.bound_mult == [Q(-1)]
+        assert res.bound_mult[0] == -2 * res.ineq_mult[0] < 0
 
     def test_malformed_bounds(self):
         with pytest.raises(ValueError):
@@ -456,8 +454,7 @@ def random_with_bounds(rng, entry):
                          ids=["integer", "rational"])
 def test_bounds_agree_with_unit_rows(seed, entry):
     rng = random.Random(seed)
-    seen = {"feasible": 0, "infeasible": 0, "bound_mult": 0, "crossed": 0,
-            "unbounded": 0}
+    seen = {"feasible": 0, "infeasible": 0, "bound_mult": 0, "unbounded": 0}
     for _ in range(300):
         P, R = random_with_bounds(rng, entry)
         res, want = lp_feasible(P), lp_feasible(R)
@@ -465,9 +462,8 @@ def test_bounds_agree_with_unit_rows(seed, entry):
         assert fm_feasible(P) == fm_feasible(R) == isinstance(res, Feasible)
         if isinstance(res, Feasible):
             seen["feasible"] += 1
-            # the same bounds in the same columns: the same pivots
-            assert res.point == want.point
-            assert P.contains(res.point) and R.contains(res.point)
+            for x in (res.point, want.point):
+                assert P.contains(x) and R.contains(x)
         else:
             seen["infeasible"] += 1
             assert check_infeasibility_certificate(P, res)
@@ -481,10 +477,12 @@ def test_bounds_agree_with_unit_rows(seed, entry):
                 assert not check_infeasibility_certificate(
                     Polyhedron(P.C, P.d, P.E, P.f, P.dim, lo, hi), res)
         lp = _BoundedSimplex(P)
-        seen["crossed"] += lp.crossed is not None
         obj = [Q(rng.randint(-3, 3)) for _ in range(P.dim)]
-        got = lp_maximize(P, obj)
-        assert got == lp_maximize(R, obj)
+        got, other = lp_maximize(P, obj), lp_maximize(R, obj)
+        assert got[:2] == other[:2]
+        if got[0] == "optimal":
+            for x in (got[2], other[2]):
+                assert P.contains(x) and R.contains(x)
         seen["unbounded"] += got[0] == "unbounded"
         assert_integer_tableau(lp)
         if lp.feasible:

@@ -134,7 +134,7 @@ class TestDecideUnbounded:
         v = decide_unbounded(sys, quant, y, budget=8)
         assert v.status is Status.CERTIFIED_YES and v.rule is Rule.THM3
         assert v.evidence == [Q(-21), Q(14)]
-        assert v.detail == "strict kernel membership (eps = 1) with a base point"
+        assert v.detail == "strict kernel membership (eps = 1)"
         assert oracle.ae_vertex_oracle(sys, quant, v.evidence)
         assert probe_ray(sys, quant, v.evidence, y, max_doublings=20).exhausted
 
