@@ -4,7 +4,9 @@ systems (sign-cone decomposition), plus recession-cone equality reports.
 
 Inside a fixed sign region the absolute values in the membership
 characterizations become linear, so each piece of the solution set and of the
-kernel is an ordinary polyhedron in exact rationals.
+kernel is an ordinary polyhedron in exact rationals.  One linearization,
+A_c -+ sum_k s_k G_k on the region of the sign vector s, builds both pieces;
+the kernel piece is that linearization with a zero right-hand side.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, _bounds_as_rows,
-                    dot, lp_feasible, lp_maximize, recession_cone, vec_add,
-                    vec_scale, zeros)
+from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, dot, lp_feasible,
+                    recession_cone, vec_add, zeros)
 from .model import (CLASS_C, ORDINARY, ParametricSystem, _fold_thin_params,
                     classify)
 
@@ -61,11 +62,12 @@ def _sign_vectors(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Ordinary interval systems
+# Linearization on sign regions
 # ---------------------------------------------------------------------------
 
 def interval_data(sys: ParametricSystem) -> tuple[Matrix, Matrix, Vector, Vector]:
-    """Reassemble an ordinary system into (A_c, Delta_A, b_c, Delta_b)."""
+    """Reassemble a system into (A_c, Delta_A, b_c, Delta_b): A(mid p) and
+    b(mid p), and the sums of rad(p_k) |A^(k)| and rad(p_k) |b^(k)|."""
     folded = _fold_thin_params(sys)
     m, n = folded.m, folded.n
     Ac = [row[:] for row in folded.A0]
@@ -101,103 +103,72 @@ def oettli_prager_member(sys: ParametricSystem, x: Sequence[Q]) -> bool:
     return True
 
 
+def _linearization(mode: str, n: int, data, gens,
+                   region) -> PieceDecomposition:
+    """One piece per sign vector s of the generators G_k, each given by its
+    nonzero entries (i, j, value): the matrices A_c -+ sum_k s_k G_k, and the
+    sign region region(s) as rows of C (each <= 0) plus lo/hi bounds.
+
+    The solution piece has right-hand side (b_c + Delta_b; Delta_b - b_c; 0).
+    The kernel piece is the same linearization with a zero right-hand side,
+    which is the kernel characterization of the homogenized system.
+    """
+    Ac, _, bc, db = data
+    rhs = vec_add(bc, db) + [r - c for c, r in zip(bc, db)]
+    pieces = []
+    for sv in _sign_vectors(len(gens)):
+        lower = [row[:] for row in Ac]
+        upper = [row[:] for row in Ac]
+        for sk, G in zip(sv.s, gens):
+            for i, j, g in G:
+                lower[i][j] -= sk * g
+                upper[i][j] += sk * g
+        rows, lo, hi = region(sv.s)
+        C = lower + [[-a for a in r] for r in upper] + rows
+        solution = Polyhedron(C, rhs + zeros(len(rows)), [], [], n, lo, hi)
+        kernel = Polyhedron([r[:] for r in C], zeros(len(C)), [], [], n,
+                            lo[:], hi[:])
+        nonempty = isinstance(lp_feasible(solution), Feasible)
+        pieces.append(Piece(sv, solution, kernel, nonempty))
+    return PieceDecomposition(mode, pieces)
+
+
 def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
-    """Per-orthant linearization of an ordinary system and its kernel."""
+    """Per-orthant linearization of an ordinary system and its kernel: the
+    generators are the columns of Delta_A, and the orthant s_j x_j >= 0 is
+    given as bounds."""
     if ORDINARY not in classify(sys):
         raise ValueError("system is not ordinary")
     if sys.n > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"dimension {sys.n} exceeds the 2^n cap "
                                     f"of {_DECOMPOSITION_CAP}")
-    Ac, dA, bc, db = interval_data(sys)
-    m, n = sys.m, sys.n
-    b_hi = vec_add(bc, db)
-    b_lo = [a - b for a, b in zip(bc, db)]
-
-    pieces = []
-    for sv in _sign_vectors(n):
-        s = sv.s
-        # rows of (A_c - Delta_A diag(s)) and (A_c + Delta_A diag(s))
-        lower = [[Ac[i][j] - dA[i][j] * s[j] for j in range(n)] for i in range(m)]
-        upper = [[Ac[i][j] + dA[i][j] * s[j] for j in range(n)] for i in range(m)]
-        # the orthant s_j x_j >= 0 as bounds
-        lo = [Q(0) if sj > 0 else None for sj in s]
-        hi = [None if sj > 0 else Q(0) for sj in s]
-        sol_C = lower + [[-a for a in r] for r in upper]
-        solution = Polyhedron(sol_C, b_hi + [-a for a in b_lo], [], [], n,
-                              lo, hi)
-        kernel = Polyhedron([r[:] for r in sol_C], zeros(2 * m), [], [], n,
-                            lo[:], hi[:])
-        nonempty = isinstance(lp_feasible(solution), Feasible)
-        pieces.append(Piece(sv, solution, kernel, nonempty))
-    return PieceDecomposition(ORTHANT, pieces)
-
-
-# ---------------------------------------------------------------------------
-# Class-C parametric systems
-# ---------------------------------------------------------------------------
-
-def _classC_split(sys: ParametricSystem):
-    """Split a (folded) class-C system into matrix and rhs parameters."""
-    folded = _fold_thin_params(sys)
-    mat_params, rhs_params = [], []
-    for par in folded.params:
-        if all(x == 0 for x in par.b):
-            mat_params.append(par)
-        else:
-            rhs_params.append(par)
-    return folded, mat_params, rhs_params
+    data = interval_data(sys)
+    gens = [[(i, j, row[j]) for i, row in enumerate(data[1]) if row[j] != 0]
+            for j in range(sys.n)]
+    return _linearization(ORTHANT, sys.n, data, gens, lambda s: (
+        [], [Q(0) if sj > 0 else None for sj in s],
+        [None if sj > 0 else Q(0) for sj in s]))
 
 
 def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
-    """Sign-cone linearization of a class-C system and its kernel."""
+    """Sign-cone linearization of a class-C system and its kernel: generators
+    rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b is the shift
+    of the rhs parameters alone), and the sign cone as rows -s_k A^(k)_i."""
     if CLASS_C not in classify(sys):
         raise ValueError("system is not of class C")
-    folded, mat_params, rhs_params = _classC_split(sys)
-    K = len(mat_params)
-    if K > _DECOMPOSITION_CAP:
-        raise DecompositionTooLarge(f"{K} matrix parameters exceed the 2^K "
-                                    f"cap of {_DECOMPOSITION_CAP}")
-    m, n = folded.m, folded.n
-
-    # A(mid p) including the constant term, and the shifted right-hand sides
-    Amid = folded.A_at(folded.midpoint())
-    bmid = folded.b_at(folded.midpoint())
-    dshift = zeros(m)
-    for par in rhs_params:
-        dshift = vec_add(dshift, vec_scale(par.interval.rad,
-                                           [abs(v) for v in par.b]))
-
-    pieces = []
-    for sv in _sign_vectors(max(K, 0)):
-        s = sv.s
-        region_C = []
-        for k, par in enumerate(mat_params):
-            for i in range(m):
-                if any(par.A[i][j] != 0 for j in range(n)):
-                    region_C.append([-s[k] * par.A[i][j] for j in range(n)])
-
-        # A(mid p) -+ sum_k rad(p_k) s_k A^(k)
-        lower = [row[:] for row in Amid]
-        upper = [row[:] for row in Amid]
-        for k, par in enumerate(mat_params):
-            c = par.interval.rad * s[k]
-            for i in range(m):
-                for j in range(n):
-                    lower[i][j] -= c * par.A[i][j]
-                    upper[i][j] += c * par.A[i][j]
-
-        sol_C = [r[:] for r in lower] + [[-a for a in r] for r in upper] + \
-            [r[:] for r in region_C]
-        sol_d = vec_add(bmid, dshift) + \
-            vec_add([-v for v in bmid], dshift) + zeros(len(region_C))
-        solution = Polyhedron(sol_C, sol_d, [], [], n)
-
-        ker_C = [r[:] for r in lower] + [[-a for a in r] for r in upper] + \
-            [r[:] for r in region_C]
-        kernel = Polyhedron(ker_C, zeros(2 * m + len(region_C)), [], [], n)
-        nonempty = isinstance(lp_feasible(solution), Feasible)
-        pieces.append(Piece(sv, solution, kernel, nonempty))
-    return PieceDecomposition(SIGNCONE, pieces)
+    mats = [par for par in _fold_thin_params(sys).params
+            if all(v == 0 for v in par.b)]
+    if len(mats) > _DECOMPOSITION_CAP:
+        raise DecompositionTooLarge(f"{len(mats)} matrix parameters exceed "
+                                    f"the 2^K cap of {_DECOMPOSITION_CAP}")
+    gens = [[(i, j, par.interval.rad * a) for i, row in enumerate(par.A)
+             for j, a in enumerate(row) if a != 0] for par in mats]
+    cone = [(k, row) for k, par in enumerate(mats) for row in par.A
+            if any(a != 0 for a in row)]
+    return _linearization(
+        SIGNCONE, sys.n, interval_data(sys), gens,
+        lambda s: ([[-s[k] * a for a in row] for k, row in cone],
+                   [None] * sys.n, [None] * sys.n))
 
 
 def decompose(sys: ParametricSystem) -> PieceDecomposition:
@@ -213,30 +184,6 @@ def decompose(sys: ParametricSystem) -> PieceDecomposition:
 # ---------------------------------------------------------------------------
 # Recession-cone equality (Propositions on the special classes)
 # ---------------------------------------------------------------------------
-
-def cone_implies(P: Polyhedron, R: Polyhedron) -> bool:
-    """Every y in P satisfies every constraint of R: its rows of C, its rows
-    of E with both signs, and its finite bounds written as rows.
-
-    Each constraint c.y <= r is maximized over P; for cones P and R the
-    maximum is 0 or unbounded, so the implication holds iff each
-    maximization is bounded (and hence 0).
-    """
-    R = _bounds_as_rows(R)
-    rows = zip(R.C + R.E + [[-a for a in row] for row in R.E],
-               R.d + R.f + [-v for v in R.f])
-    for row, rhs in rows:
-        status, value, _ = lp_maximize(P, row)
-        if status == "unbounded" or (status == "optimal" and value > rhs):
-            return False
-    return True
-
-
-def cones_equal(P: Polyhedron, R: Polyhedron) -> bool:
-    """Set equality of two polyhedral cones, each with rows of C and E and
-    bounds: identical cones at once, else implication both ways."""
-    return P == R or (cone_implies(P, R) and cone_implies(R, P))
-
 
 @dataclass
 class PieceEqualityReport:
@@ -260,8 +207,10 @@ class EqualityReport:
 def special_class_unbounded_equality(sys: ParametricSystem) -> EqualityReport:
     """Check recession_cone(solution piece) == kernel piece on nonempty pieces.
 
-    When every piece is empty, the propositions' hypothesis (nonempty solution
-    set) fails and no equality is asserted.
+    The comparison is by structure: equal polyhedra are equal sets, so a
+    mismatch could only be a false alarm.  When every piece is empty, the
+    propositions' hypothesis (nonempty solution set) fails and no equality is
+    asserted.
     """
     dec = decompose(sys)
     sigma_empty = not any(p.nonempty for p in dec.pieces)
@@ -270,7 +219,7 @@ def special_class_unbounded_equality(sys: ParametricSystem) -> EqualityReport:
         if sigma_empty or not piece.nonempty:
             reports.append(PieceEqualityReport(piece.sign, piece.nonempty, None))
             continue
-        rc = recession_cone(piece.solution_piece)
         reports.append(PieceEqualityReport(
-            piece.sign, True, cones_equal(rc, piece.kernel_piece)))
+            piece.sign, True,
+            recession_cone(piece.solution_piece) == piece.kernel_piece))
     return EqualityReport(dec.mode, sigma_empty, reports)

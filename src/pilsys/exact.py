@@ -34,14 +34,6 @@ Vector = list[Q]
 Matrix = list[list[Q]]
 
 
-def qvec(items: Sequence) -> Vector:
-    return [Q(x) for x in items]
-
-
-def qmat(rows: Sequence[Sequence]) -> Matrix:
-    return [[Q(x) for x in row] for row in rows]
-
-
 def zeros(n: int) -> Vector:
     return [Q(0)] * n
 
@@ -187,10 +179,6 @@ class Polyhedron:
         if any(l is not None and h is not None and l > h
                for l, h in zip(self.lo, self.hi)):
             raise ValueError("a lower bound exceeds its upper bound")
-
-    @staticmethod
-    def from_inequalities(C: Sequence[Sequence], d: Sequence, dim: int) -> "Polyhedron":
-        return Polyhedron(qmat(C), qvec(d), [], [], dim)
 
     def contains(self, x: Sequence[Q]) -> bool:
         if len(x) != self.dim:

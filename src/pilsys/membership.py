@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from .exact import (FarkasCertificate, Infeasible, Polyhedron, Q, Vector, dot,
                     lp_feasible, lp_maximize, vec_add, vec_scale, zeros)
-from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
-                    residual_vectors)
+from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
+                    TolerableSystem, classify, residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -234,7 +234,6 @@ def _zonotope_reach(c: Vector, gens: list[Vector], rads: list[Q],
 
 def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
     """First-class characterization: |A(mid)x - b(mid)| <= sum rad |A^(k)x - b^(k)|."""
-    from .model import FIRST_CLASS, classify
     if FIRST_CLASS not in classify(sys):
         raise ValueError("system is not of the first class")
     residuals = residual_vectors(sys, x)
@@ -257,6 +256,7 @@ def validate_certificate(sys: ParametricSystem,
         raise ValueError("only SEPARATOR certificates can be validated")
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
+    quant.validate_for(sys.K)
     w = cert.separator.w
     residuals = residual_vectors(sys, x)
     if len(w) != sys.m:

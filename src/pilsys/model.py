@@ -375,7 +375,8 @@ def parse_system(text: str) -> ParsedSystem:
     if not isinstance(doc, dict):
         raise SystemFormatError("top level must be an object")
     for key in ("m", "n"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
+        # not isinstance: bool subclasses int, so JSON true would pass as 1
+        if type(doc.get(key)) is not int or doc[key] < 1:
             raise SystemFormatError(f"{key!r} must be a positive integer")
     m, n = doc["m"], doc["n"]
 

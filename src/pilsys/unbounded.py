@@ -152,14 +152,14 @@ def decide_unbounded(sys: ParametricSystem,
     if not quant.forall_set:
         flags = classify(sys)
         if ORDINARY in flags or CLASS_C in flags:
-            from .cones import DecompositionTooLarge, decompose
+            from .cones import ORTHANT, DecompositionTooLarge, decompose
             try:
                 dec = decompose(sys)
             except DecompositionTooLarge:
                 dec = None
             for piece in dec.pieces if dec is not None else ():
                 if piece.nonempty and piece.kernel_piece.contains(y):
-                    rule = Rule.PROP1 if dec.mode == "ORTHANT" else Rule.PROP2
+                    rule = Rule.PROP1 if dec.mode == ORTHANT else Rule.PROP2
                     return UnboundedVerdict(
                         Status.CERTIFIED_YES, rule, piece,
                         f"kernel piece {piece.sign} with nonempty solution piece")

@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import gen_class_c, gen_ordinary, load, random_point
-from pilsys.cones import (classC_decomposition, cones_equal, decompose,
-                          interval_data, oettli_prager_member,
+from pilsys import cones
+from pilsys.cones import (Piece, PieceDecomposition, classC_decomposition,
+                          decompose, interval_data, oettli_prager_member,
                           orthant_decomposition,
                           special_class_unbounded_equality)
 from pilsys.exact import Polyhedron, fm_feasible, recession_cone
@@ -162,6 +163,27 @@ class TestUnboundedEquality:
         assert rep.sigma_empty
         assert all(p.recession_equals_kernel is None for p in rep.pieces)
 
+    @pytest.mark.parametrize("gen", [gen_ordinary, gen_class_c],
+                             ids=["ordinary", "class_c"])
+    def test_kernel_piece_is_zero_rhs_linearization(self, gen):
+        rng = random.Random(37)
+        for _ in range(10):
+            for piece in decompose(gen(rng)).pieces:
+                S, P = piece.solution_piece, piece.kernel_piece
+                assert (P.C, P.lo, P.hi) == (S.C, S.lo, S.hi)
+                assert not P.E and all(v == 0 for v in P.d)
+
+    def test_mismatch_is_reported(self, e3, monkeypatch):
+        # a kernel piece with one row dropped is no longer the recession cone
+        piece = decompose(e3.system).pieces[0]
+        K = piece.kernel_piece
+        cut = Polyhedron(K.C[1:], K.d[1:], K.E, K.f, K.dim, K.lo, K.hi)
+        monkeypatch.setattr(cones, "decompose", lambda sys: PieceDecomposition(
+            "ORTHANT", [Piece(piece.sign, piece.solution_piece, cut, True)]))
+        rep = special_class_unbounded_equality(e3.system)
+        assert rep.pieces[0].recession_equals_kernel is False
+        assert rep.verified is False
+
     def test_random_sampled_containment(self):
         rng = random.Random(35)
         for gen in (gen_ordinary, gen_class_c):
@@ -188,32 +210,3 @@ class TestPieceNonempty:
                 assert piece.nonempty == fm_feasible(piece.solution_piece)
                 kinds.add(piece.nonempty)
         assert kinds == {True, False}
-
-
-class TestConesEqual:
-    def test_syntactic_match(self):
-        P = Polyhedron([[Q(2), Q(0)], [Q(0), Q(1)]], [Q(0), Q(0)], [], [], 2)
-        R = Polyhedron([[Q(1), Q(0)], [Q(0), Q(3)]], [Q(0), Q(0)], [], [], 2)
-        assert cones_equal(P, R)
-
-    def test_different_cones(self):
-        P = Polyhedron([[Q(1)]], [Q(0)], [], [], 1)   # y <= 0
-        R = Polyhedron([[Q(-1)]], [Q(0)], [], [], 1)  # y >= 0
-        assert not cones_equal(P, R)
-
-    def test_row_against_equality(self):
-        P = Polyhedron([[Q(1)]], [Q(0)], [], [], 1)   # y <= 0
-        R = Polyhedron([], [], [[Q(1)]], [Q(0)], 1)   # y = 0
-        assert not cones_equal(P, R) and not cones_equal(R, P)
-
-    def test_row_against_bounds(self):
-        P = Polyhedron([[Q(1)]], [Q(0)], [], [], 1)           # y <= 0
-        R = Polyhedron([], [], [], [], 1, [Q(0)], [Q(0)])     # 0 <= y <= 0
-        assert not cones_equal(P, R) and not cones_equal(R, P)
-
-    def test_equality_against_bounds(self):
-        P = Polyhedron([], [], [[Q(1)]], [Q(0)], 1)           # y = 0
-        R = Polyhedron([], [], [], [], 1, [Q(0)], [Q(0)])     # 0 <= y <= 0
-        assert cones_equal(P, R) and cones_equal(R, P)
-        half = Polyhedron([], [], [], [], 1, [Q(0)], [None])  # y >= 0
-        assert not cones_equal(P, half) and not cones_equal(half, P)

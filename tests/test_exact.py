@@ -10,7 +10,15 @@ from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, NoSolution,
                           Polyhedron, UniqueSolution, _BoundedSimplex,
                           check_infeasibility_certificate, dot, fm_eliminate,
                           fm_feasible, lin_solve, lp_feasible, lp_maximize,
-                          qmat, qvec, recession_cone)
+                          recession_cone)
+
+
+def qvec(items):
+    return [Q(x) for x in items]
+
+
+def qmat(rows):
+    return [[Q(x) for x in row] for row in rows]
 
 
 def poly(C, d, E=(), f=(), dim=None):

@@ -268,6 +268,20 @@ class TestCertificateValidation:
         assert Certificate.__dataclass_fields__["separator"].default is None
         assert Certificate.__dataclass_fields__["witness_p"].default is None
 
+    def test_quantifiers_must_partition(self, e1):
+        from pilsys.exact import FarkasCertificate
+        from pilsys.membership import Certificate
+        from pilsys.model import QuantifierAssignment, SystemFormatError
+        # (1, 0) is a member, so no separator may validate for it
+        x = [Q(1), Q(0)]
+        assert member_united(e1.system, x)[0]
+        sep = Certificate.separator(FarkasCertificate([Q(0), Q(1)], [Q(0)], [Q(0)]))
+        assert not validate_certificate(e1.system, None, x, sep)
+        with pytest.raises(SystemFormatError):
+            validate_certificate(e1.system,
+                                 QuantifierAssignment(frozenset(), frozenset()),
+                                 x, sep)
+
     def test_witness_rejected_by_validator(self, e1):
         ok, cert = member_united(e1.system, [Q(1), Q(0)])
         assert ok

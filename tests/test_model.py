@@ -143,8 +143,9 @@ class TestParserTotality:
         {"m": 1, "n": 1, "constant": 5},
         {"m": 1, "n": 1, "parameters": 5},
         {"m": 1, "n": 1, "parameters": [{"name": ["p"], "interval": ["0", "1"]}]},
+        {"m": True, "n": True, "constant": {"A": [["1"]], "b": ["1"]}},
     ], ids=["int-interval", "int-entry", "float-interval", "constant-5",
-            "parameters-5", "list-name"])
+            "parameters-5", "list-name", "bool-dimensions"])
     def test_mistyped_fields_rejected(self, doc):
         with pytest.raises(SystemFormatError):
             load(doc)
