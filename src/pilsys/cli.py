@@ -168,6 +168,8 @@ def cmd_verify(args) -> int:
     sys = parsed.system
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
+    # the FM oracles would refuse the system only after 3^K samples
+    oracle.check_fm_cap(sys)
     rng = random.Random(args.seed)
     flags = model.classify(sys, parsed.quant)
 

@@ -16,13 +16,16 @@ box plus equalities") has one tableau row per equation.  A bound on one
 variable is always stated as lo/hi; a row of C with one nonzero entry is an
 ordinary row.  Bland's rule makes it terminate, and an infeasible outcome
 carries exact Farkas multipliers, read from the reduced costs, that a
-validator can re-check.  Fourier-Motzkin elimination writes the bounds out
-as rows first and never calls the simplex.
+validator can re-check.  A feasible outcome keeps its final tableau:
+``basis_holds`` re-checks that basis under a new equality right-hand side
+with one integer dot per row and no pivot, reading B^-1 off the artificial
+columns.  Fourier-Motzkin elimination writes the bounds out as rows first
+and never calls the simplex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -203,7 +206,13 @@ def recession_cone(P: Polyhedron) -> Polyhedron:
 
 @dataclass(frozen=True)
 class Feasible:
+    """A feasible point.  ``lp`` is the final tableau that found it, kept so
+    that ``basis_holds`` can re-check its basis under a new right-hand side;
+    it is not part of the result's value."""
+
     point: Vector
+    lp: Optional["_BoundedSimplex"] = field(default=None, compare=False,
+                                            repr=False)
 
 
 @dataclass(frozen=True)
@@ -225,7 +234,7 @@ class Infeasible:
 LPResult = Union[Feasible, Infeasible]
 
 
-def _scaled(row: Sequence[Q]) -> tuple[list[int], int]:
+def scaled(row: Sequence[Q]) -> tuple[list[int], int]:
     """A rational row as integer numerators over the lcm of its denominators
     (a primitive row: no prime divides that lcm and every numerator)."""
     den = lcm(*[a.denominator for a in row])
@@ -267,7 +276,7 @@ class _BoundedSimplex:
         self.P = P
         x = [l if l is not None else h if h is not None else Q(0)
              for l, h in zip(P.lo, P.hi)]
-        xn, xd = _scaled(x)
+        xn, xd = scaled(x)
 
         def residual(rhs: Q, row: list[int], den: int) -> Q:
             """rhs - (row / den).x, from one integer dot product with xn."""
@@ -283,7 +292,7 @@ class _BoundedSimplex:
         basis: list[Optional[int]] = []
         pending: list[tuple[int, Q]] = []  # (tableau row, residual at x)
         for r, (row, di) in enumerate(zip(P.C, P.d)):
-            row, den = _scaled(row)
+            row, den = scaled(row)
             res = residual(di, row, den)
             row += [0] * g
             row[n + r] = den
@@ -296,7 +305,7 @@ class _BoundedSimplex:
                 basis.append(None)
                 pending.append((r, res))
         for row, fk in zip(P.E, P.f):
-            row, den = _scaled(row)
+            row, den = scaled(row)
             pending.append((len(self.rows), residual(fk, row, den)))
             basis.append(None)
             self.rows.append(row + [0] * g)
@@ -325,7 +334,7 @@ class _BoundedSimplex:
 
     def _set_cost(self, cost: Sequence[Q]) -> None:
         """Reduced costs d = cost - cost_B T for the current basis."""
-        d, dden = _scaled(cost)
+        d, dden = scaled(cost)
         for r, b in enumerate(self.basis):
             c = cost[b]
             if c:
@@ -427,13 +436,48 @@ class _BoundedSimplex:
         Row i of the tableau has dual y_i = -d(slack i), or sign * (cost - d)
         from its artificial; the multiplier of the original row is -y_i.  A
         structural reduced cost d_j is cancelled by the bound x_j sits on,
-        whose multiplier is -d_j.
+        whose multiplier is -d_j.  Each multiplier is one Fraction built from
+        the integer reduced costs over ``dden``.
         """
-        n, g = self.n, len(self.P.C)
-        d = [Q(x, self.dden) for x in self.d]
-        mu = [sign * (d[self.width + a] - cost)
+        n, g, d, dden = self.n, len(self.P.C), self.d, self.dden
+        mu = [Q(sign * (d[self.width + a] - cost * dden), dden)
               for a, (r, sign, cost) in enumerate(self.arts) if r >= g]
-        return Infeasible(d[n:self.width], mu, [-dj for dj in d[:n]])
+        return Infeasible([Q(x, dden) for x in d[n:self.width]], mu,
+                          [Q(-x, dden) for x in d[:n]])
+
+    def basis_holds(self, f: Sequence[Q]) -> bool:
+        """Does the final basis of a feasible phase 1 stay feasible when the
+        right-hand side of E becomes f?
+
+        The nonbasic variables keep their values and the basic ones move by
+        B^-1 S (f - P.f), where S holds the sign each equality row was scaled
+        by at the start; B^-1 is read off the artificial columns, since every
+        equality row has one.  The step is one integer dot per row, and a
+        basic artificial must stay at 0.  True means that the basis solution
+        for f satisfies every bound, so the LP for f is feasible; False
+        decides nothing.
+        """
+        g, width = len(self.P.C), self.width
+        dn, dd = scaled([fi - f0 for fi, f0 in zip(f, self.P.f)])
+        cols = [(width + a, sign * dn[r - g])
+                for a, (r, sign, _) in enumerate(self.arts)
+                if r >= g and dn[r - g]]
+        for row, den, b in zip(self.rows, self.dens, self.basis):
+            num = sum(row[c] * s for c, s in cols)
+            if not num:
+                continue
+            if b >= width:
+                return False
+            # the new value val[b] + num / (den * dd) is vn / vd; compare
+            # it with the bounds by cross-multiplying (vd > 0)
+            vn, vd = self.val[b].as_integer_ratio()
+            e = den * dd
+            vn, vd = vn * e + num * vd, vd * e
+            l, h = self.lo[b], self.hi[b]
+            if (l is not None and vn * l.denominator < l.numerator * vd) or \
+                    (h is not None and vn * h.denominator > h.numerator * vd):
+                return False
+        return True
 
     def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
@@ -449,7 +493,20 @@ class _BoundedSimplex:
 def lp_feasible(P: Polyhedron) -> LPResult:
     """Exact feasibility of P, with a Farkas certificate on failure."""
     lp = _BoundedSimplex(P)
-    return Feasible(lp.point()) if lp.feasible else lp.farkas()
+    return Feasible(lp.point(), lp) if lp.feasible else lp.farkas()
+
+
+def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
+    """Re-check, with no pivot, the final basis of the LP that gave ``res``
+    when the right-hand side of its equality rows becomes f.
+
+    True means that the LP with right-hand side f is feasible too; False
+    means only that this basis does not show it, and the caller solves that
+    LP cold.
+    """
+    if len(f) != len(res.lp.P.f):
+        raise ValueError("right-hand side has wrong length")
+    return res.lp.basis_holds(f)
 
 
 def lp_maximize(P: Polyhedron, obj: Sequence[Q]):
@@ -607,7 +664,7 @@ class FarkasCertificate:
     def __post_init__(self) -> None:
         if any(a < 0 for a in self.u) or any(a < 0 for a in self.v):
             raise ValueError("box multipliers must be nonnegative")
-        if any(a * b != 0 for a, b in zip(self.u, self.v)):
+        if any(a and b for a, b in zip(self.u, self.v)):
             raise ValueError("u and v must be complementary")
         if all(a == 0 for a in self.w):
             raise ValueError("separating vector must be nonzero")

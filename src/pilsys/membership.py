@@ -14,6 +14,10 @@ characterization inequality
          - sum_{k universal}   rad(p_k) |w.(A^(k) x - b^(k))|
 
 fails strictly; validate_certificate re-checks that violation exactly.
+
+An AE query asks one LP per universal vertex; a later vertex first re-checks
+the last feasible basis and is solved cold only when that fails (see
+member_ae), so every certificate is that of a cold LP.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .exact import (FarkasCertificate, Infeasible, Polyhedron, Q, Vector, dot,
-                    lp_feasible, lp_maximize, vec_add, vec_scale, zeros)
+from .exact import (FarkasCertificate, Feasible, Infeasible, Polyhedron, Q,
+                    Vector, basis_holds, dot, lp_feasible, lp_maximize,
+                    vec_add, vec_scale, zeros)
 from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
                     TolerableSystem, classify, residual_vectors)
 
@@ -62,17 +67,18 @@ Certificate.witness = staticmethod(_witness)
 Certificate.separator = staticmethod(_separator)
 
 
-def _separator_from_farkas(sys: ParametricSystem, residuals: list[Vector],
-                           exists: Sequence[int],
-                           eq_mult: Vector) -> FarkasCertificate:
-    """Canonical complementary certificate (w, u, v) from equality multipliers."""
-    w = eq_mult[:]
-    u, v = [], []
-    for k in exists:
-        t = dot(w, residuals[k + 1])
-        u.append(max(-t, Q(0)))
-        v.append(max(t, Q(0)))
-    return FarkasCertificate(w, u, v)
+def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
+    """Canonical complementary certificate (w, u, v) from a refuted vertex LP.
+
+    w is the equality multipliers, and t_k = w.v^(k) splits into
+    u_k = max(-t_k, 0) and v_k = max(t_k, 0).  The column of existential
+    parameter k in the LP is v^(k), so the Farkas identity w.E + t = 0 gives
+    t_k = -bound_mult_k exactly, and no residual is read again.
+    """
+    zero = Q(0)
+    return FarkasCertificate(res.eq_mult[:],
+                             [t if t > 0 else zero for t in res.bound_mult],
+                             [-t if t < 0 else zero for t in res.bound_mult])
 
 
 def _split(sys: ParametricSystem,
@@ -102,6 +108,13 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     polyhedron), so containment of the whole universal box is decided at its
     vertices.  The vertex enumeration is capped at MAX_FORALL universal
     parameters.
+
+    The first vertex is solved cold and gives the witness.  A later vertex
+    changes only the right-hand side, so the last feasible basis is
+    re-checked there first (``basis_holds``); only when a basic value leaves
+    its bounds is that vertex solved cold, and only a cold LP gives a
+    separator.  So the verdict and certificate are those of one cold LP per
+    vertex.
     """
     forall, exists = _split(sys, quant)
     residuals = residual_vectors(sys, x)
@@ -115,13 +128,17 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     cols = [[residuals[k][i] for k in (0, *(k + 1 for k in forall))]
             for i in range(sys.m)]
     witness: Optional[Vector] = None
+    last: Optional[Feasible] = None
     for vertex in sys.vertices(forall):
         coef = [Q(1), *vertex]
         rhs = [-dot(coef, col) for col in cols]
+        if last is not None and basis_holds(last, rhs):
+            continue
         res = lp_feasible(Polyhedron([], [], E, rhs, len(exists), lo, hi))
         if isinstance(res, Infeasible):
-            fc = _separator_from_farkas(sys, residuals, exists, res.eq_mult)
+            fc = _separator_from_farkas(res)
             return False, Certificate.separator(fc)
+        last = res
         if witness is None:
             p_full = zeros(sys.K)
             for k, pk in zip(forall, vertex):

@@ -7,6 +7,10 @@ A system is the family A(p) x = b(p) with
 
 p ranging over a box of intervals.  The constant term (A0, b0) is explicit;
 every formula treats it as a parameter fixed at 1 with radius 0.
+
+A system keeps, from its first query on, its rows as integers
+(``integer_rows``) and its homogenized system, and a tolerable system its
+combined system; so a system must not be mutated after its first query.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .exact import Matrix, Q, Vector, dot, vec_add, vec_scale, zeros
+from .exact import Matrix, Q, Vector, dot, scaled, vec_add, vec_scale, zeros
 
 
 class SystemFormatError(ValueError):
@@ -118,11 +124,32 @@ class ParametricSystem:
         return (list(v) for v in itertools.product(*ends))
 
     def homogenized(self) -> "ParametricSystem":
-        """Same matrix family with every right-hand side zeroed."""
+        """Same matrix family with every right-hand side zeroed; built once
+        per system, so its integer rows are reused by every kernel query."""
+        return self._homogenized
+
+    @cached_property
+    def _homogenized(self) -> "ParametricSystem":
         return ParametricSystem(
             self.m, self.n, [row[:] for row in self.A0], zeros(self.m),
             [Parameter(par.name, par.interval, [r[:] for r in par.A], zeros(self.m))
              for par in self.params])
+
+    @cached_property
+    def integer_rows(self) -> list[tuple[list[list[int]], int]]:
+        """Per term k = 0..K (0 is the constant term): the rows
+        (A^(k)_i | -b^(k)_i) as integer numerators over one positive
+        denominator for the term, with an all-zero row stored empty.
+
+        Built at the first query and kept on the instance, so a system must
+        not be mutated after its first query.
+        """
+        out, w = [], self.n + 1
+        for A, b in [(self.A0, self.b0), *((par.A, par.b) for par in self.params)]:
+            nums, den = scaled([a for row, bi in zip(A, b) for a in (*row, -bi)])
+            rows = [nums[i:i + w] for i in range(0, len(nums), w)]
+            out.append(([row if any(row) else [] for row in rows], den))
+        return out
 
 
 @dataclass(frozen=True)
@@ -162,7 +189,13 @@ class TolerableSystem:
     rhs_params: list[RhsParameter]
 
     def combined(self) -> tuple[ParametricSystem, QuantifierAssignment]:
-        """One parametric system: base parameters forall, rhs parameters exists."""
+        """One parametric system: base parameters forall, rhs parameters
+        exists.  Built once per tolerable system, so its integer rows are
+        reused by every query."""
+        return self._combined
+
+    @cached_property
+    def _combined(self) -> tuple[ParametricSystem, QuantifierAssignment]:
         sys = self.base
         params = list(sys.params)
         zero = [[Q(0)] * sys.n for _ in range(sys.m)]
@@ -294,13 +327,20 @@ def as_tolerable(sys: ParametricSystem,
 # ---------------------------------------------------------------------------
 
 def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
-    """v^(k) = A^(k) x - b^(k) for k = 0..K; index 0 is the constant term."""
+    """v^(k) = A^(k) x - b^(k) for k = 0..K; index 0 is the constant term.
+
+    x is scaled to integers xn over xd once, and each entry is one integer
+    dot of the cached row (A^(k)_i | -b^(k)_i) with (xn, xd), over the
+    term's denominator times xd.
+    """
     if len(x) != sys.n:
         raise ValueError(f"point has length {len(x)}, expected {sys.n}")
-    # each entry is (A_i, b_i).(x, -1): one dot with b folded into the row
-    xe = [*x, Q(-1)]
-    return [[dot([*row, bi], xe) for row, bi in zip(A, b)]
-            for A, b in [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]]
+    xn, xd = scaled(x)
+    xn.append(xd)
+    zero = Q(0)
+    return [[Q(v, den * xd) if v else zero
+             for v in (sum(map(mul, row, xn)) for row in rows)]
+            for rows, den in sys.integer_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +351,10 @@ def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
 # short literal such as "1e999999999" would take minutes and gigabytes.
 MAX_LITERAL_LENGTH = 1000
 MAX_EXPONENT = 1000
+# An absent matrix defaults to zeros, so a short document can declare sizes
+# whose zero matrices alone would exhaust memory; m*n*(K+1) coefficients are
+# allowed at most.
+MAX_COEFFICIENTS = 10 ** 6
 _EXPONENT = re.compile(r"[eE]([+-]?\d+)\Z")
 
 
@@ -379,6 +423,13 @@ def parse_system(text: str) -> ParsedSystem:
         if type(doc.get(key)) is not int or doc[key] < 1:
             raise SystemFormatError(f"{key!r} must be a positive integer")
     m, n = doc["m"], doc["n"]
+    pdocs = doc.get("parameters", [])
+    if not isinstance(pdocs, list):
+        raise SystemFormatError("'parameters' must be a list")
+    size = m * n * (len(pdocs) + 1)
+    if size > MAX_COEFFICIENTS:
+        raise SystemFormatError(f"m*n*(K+1) = {size} coefficients exceed the "
+                                f"cap of {MAX_COEFFICIENTS}")
 
     const = doc.get("constant", {})
     if not isinstance(const, dict):
@@ -391,9 +442,6 @@ def parse_system(text: str) -> ParsedSystem:
     params: list[Parameter] = []
     forall: set[int] = set()
     explicit = False
-    pdocs = doc.get("parameters", [])
-    if not isinstance(pdocs, list):
-        raise SystemFormatError("'parameters' must be a list")
     for k, pdoc in enumerate(pdocs):
         where = f"parameters[{k}]"
         if not isinstance(pdoc, dict):

@@ -30,10 +30,17 @@ def _p_polyhedron(sys: ParametricSystem, residuals: list[Vector],
                       [sys.params[k].interval.hi for k in indices])
 
 
-def fm_member_oracle(sys: ParametricSystem, x: Sequence[Q]) -> bool:
-    """United membership decided purely by Fourier-Motzkin elimination."""
+def check_fm_cap(sys: ParametricSystem) -> None:
+    """Raise ValueError when ``fm_member_oracle`` refuses sys.  Every
+    quantifier block of ``ae_vertex_oracle`` is at most K wide, so a system
+    within this cap passes that oracle's cap too."""
     if sys.K > _FM_CAP:
         raise ValueError(f"K = {sys.K} exceeds the FM oracle cap of {_FM_CAP}")
+
+
+def fm_member_oracle(sys: ParametricSystem, x: Sequence[Q]) -> bool:
+    """United membership decided purely by Fourier-Motzkin elimination."""
+    check_fm_cap(sys)
     residuals = residual_vectors(sys, x)
     rhs = [-residuals[0][i] for i in range(sys.m)]
     P = _p_polyhedron(sys, residuals, list(range(sys.K)), rhs)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import E1_DOC, E3_DOC
+from pilsys import oracle
 from pilsys.cli import main
 
 
@@ -193,6 +194,22 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", e1_file, "--samples", "10", "--seed", "1")
         _, out2, _ = run(capsys, "verify", e1_file, "--samples", "10", "--seed", "2")
         assert out1 != out2
+
+    def test_over_fm_cap_fails_before_sampling(self, capsys, tmp_path,
+                                               monkeypatch):
+        # x = p1 + ... + p13: square, so verify would sample 3^13 points
+        doc = {"m": 1, "n": 1, "constant": {"A": [["1"]]},
+               "parameters": [{"interval": ["0", "1"], "b": ["1"]}] * 13}
+        path = tmp_path / "k13.json"
+        path.write_text(json.dumps(doc))
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled a system no FM oracle accepts")
+
+        monkeypatch.setattr(oracle, "sample_solution_cloud", never)
+        code, out, err = run(capsys, "verify", str(path), "--samples", "5")
+        assert code == 1 and out == ""
+        assert err == "error: K = 13 exceeds the FM oracle cap of 12\n"
 
 
 class TestUsage:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, NoSolution,
                           Polyhedron, UniqueSolution, _BoundedSimplex,
-                          check_infeasibility_certificate, dot, fm_eliminate,
-                          fm_feasible, lin_solve, lp_feasible, lp_maximize,
-                          recession_cone)
+                          basis_holds, check_infeasibility_certificate, dot,
+                          fm_eliminate, fm_feasible, lin_solve, lp_feasible,
+                          lp_maximize, recession_cone)
 
 
 def qvec(items):
@@ -168,6 +168,45 @@ class TestRecessionCone:
             y = [Q(rng.randint(-4, 4)) for _ in range(dim)]
             if R.contains(y):
                 assert R.contains([2 * a for a in y])
+
+
+class TestBasisHolds:
+    """Re-checking a final basis under a new equality right-hand side."""
+
+    def test_holds_only_where_the_new_lp_is_feasible(self):
+        rng = random.Random(17)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            C = [[Q(rng.randint(-2, 2)) for _ in range(dim)]
+                 for _ in range(rng.randint(0, 2))]
+            d = [Q(rng.randint(0, 3)) for _ in C]
+            E = [[Q(rng.randint(-2, 2)) for _ in range(dim)]
+                 for _ in range(rng.randint(1, 3))]
+            # a repeated equation keeps an artificial basic
+            repeat = rng.random() < 0.3
+            E += E[:1] if repeat else []
+            f = [Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in E]
+            f[-1] = f[0] if repeat else f[-1]
+            lo = [Q(rng.randint(-3, 0)) for _ in range(dim)]
+            hi = [l + Q(rng.randint(0, 3), 2) for l in lo]
+            res = lp_feasible(Polyhedron(C, d, E, f, dim, lo, hi))
+            if not isinstance(res, Feasible):
+                continue
+            assert basis_holds(res, f)
+            for _ in range(4):
+                g = [fi + Q(rng.randint(-1, 1), rng.randint(2, 6)) for fi in f]
+                g[-1] = g[0] if repeat else g[-1]
+                held = basis_holds(res, g)
+                verdicts[held] += 1
+                if held:
+                    assert fm_feasible(Polyhedron(C, d, E, g, dim, lo, hi))
+        assert verdicts[True] > 40 and verdicts[False] > 40
+
+    def test_wrong_length_rejected(self):
+        res = lp_feasible(poly([], [], E=[[1]], f=[0], dim=1))
+        with pytest.raises(ValueError):
+            basis_holds(res, [Q(0), Q(0)])
 
 
 class TestCertificates:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -17,7 +18,7 @@ from pilsys.membership import (CertKind, kernel_tolerable, member_ae,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem)
-from pilsys.oracle import fm_member_oracle
+from pilsys.oracle import ae_vertex_oracle, fm_member_oracle
 
 PINNED_CERTIFICATES = \
     "46cca54ed1c13f72c869237f511eb380c0d9f1647704750c9e131147af74d4ff"
@@ -155,6 +156,109 @@ class TestMemberAE:
             Parameter("q", Interval(Q(-1), Q(1)), [[Q(0)]], [Q(1)])])
         qa = QuantifierAssignment.all_exists(1)
         assert member_ae_kernel(sys, qa, [Q(5)])[0]
+
+
+def _thin(par):
+    return Parameter(par.name, Interval(par.interval.lo, par.interval.lo),
+                     par.A, par.b)
+
+
+def _zero(par):
+    return Parameter(par.name, par.interval, [[Q(0)] * len(row) for row in par.A],
+                     [Q(0)] * len(par.b))
+
+
+def _repeat_first_row(sys):
+    """The same system with its first equation written twice."""
+    def twice(M):
+        return M + M[:1]
+    return ParametricSystem(
+        sys.m + 1, sys.n, twice(sys.A0), twice(sys.b0),
+        [Parameter(par.name, par.interval, twice(par.A), twice(par.b))
+         for par in sys.params])
+
+
+def _warm_start_cases(rng):
+    """AE and tolerable queries, some with thin universal intervals, zero
+    residual columns or a repeated equation (its artificial stays basic)."""
+    for i in range(300):
+        if i % 2:
+            tsys, x = gen_tolerable_nonempty(rng, 2, 2, K=rng.randint(1, 3))
+            sys, quant = tsys.combined()
+            if rng.random() < 0.3:
+                x = random_point(rng, 2, -2, 2)
+        else:
+            sys, quant = gen_quantified(rng, 2, rng.randint(1, 3),
+                                        n_forall=rng.randint(1, 3),
+                                        n_exists=rng.randint(1, 3))
+            x = _solved_point(rng, sys) or random_point(rng, sys.n, -2, 2)
+        params = list(sys.params)
+        for k in quant.forall_set:
+            if rng.random() < 0.25:
+                params[k] = _thin(params[k])
+        if rng.random() < 0.3:
+            k = rng.randrange(sys.K)
+            params[k] = _zero(params[k])
+        sys = ParametricSystem(sys.m, sys.n, sys.A0, sys.b0, params)
+        if rng.random() < 0.5:
+            sys = _repeat_first_row(sys)
+        yield sys, quant, x
+
+
+class TestWarmStart:
+    """Later universal vertices re-check the last feasible basis first."""
+
+    def test_same_results_as_cold_lps_at_every_vertex(self, monkeypatch):
+        rng = random.Random(2024)
+        seen = Counter()
+        real = membership.basis_holds
+
+        def spy(res, f):
+            held = real(res, f)
+            seen["held" if held else "cold"] += 1
+            if held and any(b >= res.lp.width for b in res.lp.basis):
+                seen["artificial basic"] += 1
+            return held
+
+        for sys, quant, x in _warm_start_cases(rng):
+            with monkeypatch.context() as mp:
+                mp.setattr(membership, "basis_holds", spy)
+                warm = member_ae(sys, quant, x)
+            with monkeypatch.context() as mp:
+                mp.setattr(membership, "basis_holds", lambda res, f: False)
+                cold = member_ae(sys, quant, x)
+            assert repr(warm) == repr(cold)
+            assert warm[0] == ae_vertex_oracle(sys, quant, x)
+            seen[warm[0]] += 1
+        assert seen[True] > 50 and seen[False] > 50
+        assert seen[True] > 80 and seen[False] > 80
+        assert seen["held"] > 80 and seen["cold"] > 10
+        assert seen["artificial basic"] > 30
+
+    def test_one_lp_when_the_basis_holds(self, monkeypatch):
+        # x = p1 + p2 + q, p1, p2 in [0, 1] for all, q in [-3, 3] exists
+        def rhs_param(name, lo, hi):
+            return Parameter(name, Interval(Q(lo), Q(hi)), [[Q(0)]], [Q(1)])
+
+        sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [
+            rhs_param("p1", 0, 1), rhs_param("p2", 0, 1), rhs_param("q", -3, 3)])
+        quant = QuantifierAssignment(frozenset({0, 1}), frozenset({2}))
+        calls = []
+        real = membership.lp_feasible
+
+        def counting(P):
+            calls.append(P.f)
+            return real(P)
+
+        monkeypatch.setattr(membership, "lp_feasible", counting)
+        ok, cert = member_ae(sys, quant, [Q(0)])
+        assert ok and cert.witness_p == [Q(0), Q(0), Q(0)]
+        assert calls == [[Q(0)]]  # q = -(p1 + p2) stays in [-3, 3]
+        calls.clear()
+        # x = -2: q = -2 - p1 - p2 leaves [-3, 3] only at the last vertex
+        ok, cert = member_ae(sys, quant, [Q(-2)])
+        assert not ok and validate_certificate(sys, quant, [Q(-2)], cert)
+        assert calls == [[Q(2)], [Q(4)]]
 
 
 class TestStrictKernelAE:

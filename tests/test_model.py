@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E1_DOC, E2_DOC, E3_DOC, gen_general, load
-from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, ORDINARY,
-                          TOLERABLE_FORM, Interval, Parameter,
+from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
+                          ORDINARY, TOLERABLE_FORM, Interval, Parameter,
                           ParametricSystem, ParsedSystem,
-                          QuantifierAssignment, SystemFormatError,
-                          as_tolerable, classify, parse_rational,
-                          parse_system, residual_vectors, serialize_system)
+                          QuantifierAssignment, RhsParameter,
+                          SystemFormatError, TolerableSystem, as_tolerable,
+                          classify, parse_rational, parse_system,
+                          residual_vectors, serialize_system)
 
 import random
 
@@ -166,6 +167,17 @@ class TestParserTotality:
         assert parse_rational("1E-1000") == Q(1, 10 ** 1000)
         assert parse_rational("1" * 1000) == Q(int("1" * 1000))
 
+    @pytest.mark.parametrize("m,n,K", [(1001, 1001, 0), (500, 500, 4)])
+    def test_declared_size_over_the_cap_rejected(self, m, n, K):
+        # just over the cap: absent matrices would be allocated as zeros
+        assert m * n * (K + 1) > MAX_COEFFICIENTS
+        doc = {"m": m, "n": n, "parameters": [{"interval": ["0", "1"]}] * K}
+        with pytest.raises(SystemFormatError, match="exceed the cap"):
+            parse_system(json.dumps(doc))
+
+    def test_declared_size_at_the_cap_accepted(self):
+        assert parse_system('{"m": 1000, "n": 1000}').system.m == 1000
+
     def test_deep_nesting_rejected(self):
         with pytest.raises(SystemFormatError):
             parse_system("[" * 100000)
@@ -275,6 +287,41 @@ class TestResiduals:
     def test_dim_mismatch(self, e1):
         with pytest.raises(ValueError):
             residual_vectors(e1.system, [Q(1)])
+
+    def test_same_shape_systems_keep_their_own_rows(self):
+        def system(a, b):
+            return ParametricSystem(1, 1, [[Q(a)]], [Q(b)], [])
+
+        x = [Q(1, 2)]
+        first, second = system(1, 2), system(3, 5)
+        assert residual_vectors(first, x) == [[Q(-3, 2)]]
+        assert residual_vectors(second, x) == [[Q(-7, 2)]]
+        assert residual_vectors(first, x) == [[Q(-3, 2)]]
+        assert residual_vectors(first.homogenized(), x) == [[Q(1, 2)]]
+        assert residual_vectors(second.homogenized(), x) == [[Q(3, 2)]]
+
+
+@settings(deadline=None)
+@given(systems_with_parameter_values(), st.data())
+def test_residual_vectors_are_the_plain_sums(case, data):
+    """On the system, its homogenized system and a combined tolerable system,
+    at the first query and again from the cached rows."""
+    sys, _ = case
+    x = [data.draw(RATIONALS) for _ in range(sys.n)]
+    rhs = [RhsParameter(f"q{l}", Interval(Q(0), Q(1)),
+                        [data.draw(ENTRIES) for _ in range(sys.m)])
+           for l in range(data.draw(st.integers(0, 2)))]
+    tsys = TolerableSystem(sys, rhs)
+    assert sys.homogenized() is sys.homogenized()
+    assert tsys.combined() is tsys.combined()
+    for s in (sys, sys.homogenized(), tsys.combined()[0]):
+        terms = [(s.A0, s.b0), *((par.A, par.b) for par in s.params)]
+        want = [[sum((a * xj for a, xj in zip(row, x)), Q(0)) - bi
+                 for row, bi in zip(A, b)] for A, b in terms]
+        for _ in range(2):
+            got = residual_vectors(s, x)
+            assert got == want
+            assert all(type(v) is Q for vk in got for v in vk)
 
 
 class TestClassify:
