@@ -168,14 +168,17 @@ def cmd_verify(args) -> int:
     sys = parsed.system
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
-    # the FM oracles would refuse the system only after 3^K samples
-    oracle.check_fm_cap(sys)
+    if args.samples:
+        # every point goes to the FM oracle; refuse a system over its cap
+        # before the cloud, which may scan all 3^K grid points
+        oracle.check_fm_cap(sys)
     rng = random.Random(args.seed)
     flags = model.classify(sys, parsed.quant)
 
     points: list[Vector] = []
     if sys.m == sys.n:
-        points.extend(oracle.sample_solution_cloud(sys, grid_per_param=3))
+        points.extend(oracle.sample_solution_cloud(sys, grid_per_param=3,
+                                                   limit=args.samples))
     while len(points) < args.samples:
         points.append([Q(rng.randint(-6, 6), rng.randint(1, 3))
                        for _ in range(sys.n)])

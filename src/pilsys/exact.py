@@ -16,9 +16,9 @@ box plus equalities") has one tableau row per equation.  A bound on one
 variable is always stated as lo/hi; a row of C with one nonzero entry is an
 ordinary row.  Bland's rule makes it terminate, and an infeasible outcome
 carries exact Farkas multipliers, read from the reduced costs, that a
-validator can re-check.  A feasible outcome keeps its final tableau:
-``basis_holds`` re-checks that basis under a new equality right-hand side
-with one integer dot per row and no pivot, reading B^-1 off the artificial
+validator can re-check.  A feasible outcome keeps its final basis:
+``basis_holds`` re-checks it under a new equality right-hand side with one
+integer dot per tableau row and no pivot, reading B^-1 off the artificial
 columns.  Fourier-Motzkin elimination writes the bounds out as rows first
 and never calls the simplex.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 Q = Fraction
 
@@ -204,15 +204,31 @@ def recession_cone(P: Polyhedron) -> Polyhedron:
 # LP feasibility / optimization (bounded-variable simplex, Bland's rule)
 # ---------------------------------------------------------------------------
 
+class _FinalBasis(NamedTuple):
+    """What ``basis_holds`` reads of a feasible phase-1 tableau: its rows,
+    basis, values and bounds, the columns (artificial column, equality row,
+    sign) of the equality rows' artificials, and the equality right-hand
+    side."""
+
+    rows: list[list[int]]
+    dens: list[int]
+    basis: list[int]
+    val: Vector
+    lo: list[Optional[Q]]
+    hi: list[Optional[Q]]
+    width: int
+    arts: list[tuple[int, int, int]]
+    f: Vector
+
+
 @dataclass(frozen=True)
 class Feasible:
-    """A feasible point.  ``lp`` is the final tableau that found it, kept so
-    that ``basis_holds`` can re-check its basis under a new right-hand side;
-    it is not part of the result's value."""
+    """A feasible point.  ``basis`` is the final basis of the LP that found
+    it, kept for ``basis_holds``; it is not part of the result's value."""
 
     point: Vector
-    lp: Optional["_BoundedSimplex"] = field(default=None, compare=False,
-                                            repr=False)
+    basis: Optional[_FinalBasis] = field(default=None, compare=False,
+                                         repr=False)
 
 
 @dataclass(frozen=True)
@@ -445,40 +461,6 @@ class _BoundedSimplex:
         return Infeasible([Q(x, dden) for x in d[n:self.width]], mu,
                           [Q(-x, dden) for x in d[:n]])
 
-    def basis_holds(self, f: Sequence[Q]) -> bool:
-        """Does the final basis of a feasible phase 1 stay feasible when the
-        right-hand side of E becomes f?
-
-        The nonbasic variables keep their values and the basic ones move by
-        B^-1 S (f - P.f), where S holds the sign each equality row was scaled
-        by at the start; B^-1 is read off the artificial columns, since every
-        equality row has one.  The step is one integer dot per row, and a
-        basic artificial must stay at 0.  True means that the basis solution
-        for f satisfies every bound, so the LP for f is feasible; False
-        decides nothing.
-        """
-        g, width = len(self.P.C), self.width
-        dn, dd = scaled([fi - f0 for fi, f0 in zip(f, self.P.f)])
-        cols = [(width + a, sign * dn[r - g])
-                for a, (r, sign, _) in enumerate(self.arts)
-                if r >= g and dn[r - g]]
-        for row, den, b in zip(self.rows, self.dens, self.basis):
-            num = sum(row[c] * s for c, s in cols)
-            if not num:
-                continue
-            if b >= width:
-                return False
-            # the new value val[b] + num / (den * dd) is vn / vd; compare
-            # it with the bounds by cross-multiplying (vd > 0)
-            vn, vd = self.val[b].as_integer_ratio()
-            e = den * dd
-            vn, vd = vn * e + num * vd, vd * e
-            l, h = self.lo[b], self.hi[b]
-            if (l is not None and vn * l.denominator < l.numerator * vd) or \
-                    (h is not None and vn * h.denominator > h.numerator * vd):
-                return False
-        return True
-
     def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
         for a in range(self.width, len(self.val)):
@@ -493,20 +475,49 @@ class _BoundedSimplex:
 def lp_feasible(P: Polyhedron) -> LPResult:
     """Exact feasibility of P, with a Farkas certificate on failure."""
     lp = _BoundedSimplex(P)
-    return Feasible(lp.point(), lp) if lp.feasible else lp.farkas()
+    if not lp.feasible:
+        return lp.farkas()
+    g = len(P.C)
+    arts = [(lp.width + a, r - g, sign)
+            for a, (r, sign, _) in enumerate(lp.arts) if r >= g]
+    return Feasible(lp.point(), _FinalBasis(lp.rows, lp.dens, lp.basis, lp.val,
+                                            lp.lo, lp.hi, lp.width, arts, P.f))
 
 
 def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
     """Re-check, with no pivot, the final basis of the LP that gave ``res``
     when the right-hand side of its equality rows becomes f.
 
-    True means that the LP with right-hand side f is feasible too; False
-    means only that this basis does not show it, and the caller solves that
-    LP cold.
+    The nonbasic variables keep their values and the basic ones move by
+    B^-1 S (f - f0), where f0 is the old right-hand side and S holds the
+    sign each equality row was scaled by at the start; B^-1 is read off the
+    artificial columns, since every equality row has one.  The step is one
+    integer dot per row, and a basic artificial must stay at 0.  True means
+    that the basis solution for f satisfies every bound, so the LP with
+    right-hand side f is feasible too; False means only that this basis does
+    not show it, and the caller solves that LP cold.
     """
-    if len(f) != len(res.lp.P.f):
+    fb = res.basis
+    if len(f) != len(fb.f):
         raise ValueError("right-hand side has wrong length")
-    return res.lp.basis_holds(f)
+    dn, dd = scaled([fi - f0 for fi, f0 in zip(f, fb.f)])
+    cols = [(c, sign * dn[e]) for c, e, sign in fb.arts if dn[e]]
+    for row, den, b in zip(fb.rows, fb.dens, fb.basis):
+        num = sum(row[c] * s for c, s in cols)
+        if not num:
+            continue
+        if b >= fb.width:
+            return False
+        # the new value val[b] + num / (den * dd) is vn / vd; compare it
+        # with the bounds by cross-multiplying (vd > 0)
+        vn, vd = fb.val[b].as_integer_ratio()
+        e = den * dd
+        vn, vd = vn * e + num * vd, vd * e
+        l, h = fb.lo[b], fb.hi[b]
+        if (l is not None and vn * l.denominator < l.numerator * vd) or \
+                (h is not None and vn * h.denominator > h.numerator * vd):
+            return False
+    return True
 
 
 def lp_maximize(P: Polyhedron, obj: Sequence[Q]):

@@ -7,10 +7,6 @@ A system is the family A(p) x = b(p) with
 
 p ranging over a box of intervals.  The constant term (A0, b0) is explicit;
 every formula treats it as a parameter fixed at 1 with radius 0.
-
-A system keeps, from its first query on, its rows as integers
-(``integer_rows``) and its homogenized system, and a tolerable system its
-combined system; so a system must not be mutated after its first query.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -124,32 +119,11 @@ class ParametricSystem:
         return (list(v) for v in itertools.product(*ends))
 
     def homogenized(self) -> "ParametricSystem":
-        """Same matrix family with every right-hand side zeroed; built once
-        per system, so its integer rows are reused by every kernel query."""
-        return self._homogenized
-
-    @cached_property
-    def _homogenized(self) -> "ParametricSystem":
+        """Same matrix family with every right-hand side zeroed."""
         return ParametricSystem(
             self.m, self.n, [row[:] for row in self.A0], zeros(self.m),
             [Parameter(par.name, par.interval, [r[:] for r in par.A], zeros(self.m))
              for par in self.params])
-
-    @cached_property
-    def integer_rows(self) -> list[tuple[list[list[int]], int]]:
-        """Per term k = 0..K (0 is the constant term): the rows
-        (A^(k)_i | -b^(k)_i) as integer numerators over one positive
-        denominator for the term, with an all-zero row stored empty.
-
-        Built at the first query and kept on the instance, so a system must
-        not be mutated after its first query.
-        """
-        out, w = [], self.n + 1
-        for A, b in [(self.A0, self.b0), *((par.A, par.b) for par in self.params)]:
-            nums, den = scaled([a for row, bi in zip(A, b) for a in (*row, -bi)])
-            rows = [nums[i:i + w] for i in range(0, len(nums), w)]
-            out.append(([row if any(row) else [] for row in rows], den))
-        return out
 
 
 @dataclass(frozen=True)
@@ -189,13 +163,7 @@ class TolerableSystem:
     rhs_params: list[RhsParameter]
 
     def combined(self) -> tuple[ParametricSystem, QuantifierAssignment]:
-        """One parametric system: base parameters forall, rhs parameters
-        exists.  Built once per tolerable system, so its integer rows are
-        reused by every query."""
-        return self._combined
-
-    @cached_property
-    def _combined(self) -> tuple[ParametricSystem, QuantifierAssignment]:
+        """One parametric system: base parameters forall, rhs parameters exists."""
         sys = self.base
         params = list(sys.params)
         zero = [[Q(0)] * sys.n for _ in range(sys.m)]
@@ -329,18 +297,22 @@ def as_tolerable(sys: ParametricSystem,
 def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
     """v^(k) = A^(k) x - b^(k) for k = 0..K; index 0 is the constant term.
 
-    x is scaled to integers xn over xd once, and each entry is one integer
-    dot of the cached row (A^(k)_i | -b^(k)_i) with (xn, xd), over the
-    term's denominator times xd.
+    x is scaled to integers xn over xd once, and each term k to integer
+    rows (A^(k)_i | -b^(k)_i) over one denominator; each entry is then one
+    integer dot with (xn, xd), over that denominator times xd.
     """
     if len(x) != sys.n:
         raise ValueError(f"point has length {len(x)}, expected {sys.n}")
     xn, xd = scaled(x)
     xn.append(xd)
-    zero = Q(0)
-    return [[Q(v, den * xd) if v else zero
-             for v in (sum(map(mul, row, xn)) for row in rows)]
-            for rows, den in sys.integer_rows]
+    zero, w, out = Q(0), sys.n + 1, []
+    for A, b in [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]:
+        nums, den = scaled([a for row, bi in zip(A, b) for a in (*row, -bi)])
+        e = den * xd
+        out.append([Q(v, e) if v else zero
+                    for v in (sum(map(mul, nums[i:i + w], xn))
+                              for i in range(0, len(nums), w))])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,13 @@ def ae_vertex_oracle(sys: ParametricSystem, quant: QuantifierAssignment,
     return True
 
 
-def sample_solution_cloud(sys: ParametricSystem,
-                          grid_per_param: int = 5) -> list[Vector]:
+def sample_solution_cloud(sys: ParametricSystem, grid_per_param: int = 5,
+                          limit: Optional[int] = None) -> list[Vector]:
     """Unique solutions of A(p) x = b(p) on a uniform rational grid over the box.
 
     Parameter values where the system is singular or inconsistent are skipped.
-    Deterministic.
+    Deterministic; with ``limit``, the grid is walked only until that many
+    points are found, so they are the first ``limit`` of the whole cloud.
     """
     if grid_per_param < 2:
         raise ValueError("grid_per_param must be at least 2")
@@ -80,6 +81,8 @@ def sample_solution_cloud(sys: ParametricSystem,
     axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)
             for iv in sys.box]
     for p in itertools.product(*axes):
+        if len(points) == limit:
+            break
         res = lin_solve(sys.A_at(p), sys.b_at(p))
         if isinstance(res, UniqueSolution):
             key = tuple(res.point)

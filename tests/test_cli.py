@@ -211,6 +211,35 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: K = 13 exceeds the FM oracle cap of 12\n"
 
+    def test_no_samples_over_fm_cap_is_an_empty_report(self, capsys, tmp_path):
+        doc = {"m": 1, "n": 1, "constant": {"A": [["1"]]},
+               "parameters": [{"interval": ["0", "1"], "b": ["1"]}] * 13}
+        path = tmp_path / "k13.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path), "--samples", "0")
+        assert code == 0 and out == "verify: 0 points, 0 disagreements\n"
+
+    def test_cloud_stops_at_the_sample_count(self, capsys, tmp_path,
+                                             monkeypatch):
+        # x = p1 + ... + p9: its whole cloud is 3^9 grid points
+        doc = {"m": 1, "n": 1, "constant": {"A": [["1"]]},
+               "parameters": [{"interval": ["0", "1"], "b": ["1"]}] * 9}
+        path = tmp_path / "k9.json"
+        path.write_text(json.dumps(doc))
+        solves = []
+        real = oracle.lin_solve
+
+        def counting(A, b):
+            solves.append(1)
+            if len(solves) > 100:
+                raise AssertionError("sampled far more points than asked for")
+            return real(A, b)
+
+        monkeypatch.setattr(oracle, "lin_solve", counting)
+        code, out, _ = run(capsys, "verify", str(path), "--samples", "3")
+        assert code == 0 and out.endswith("verify: 3 points, 0 disagreements\n")
+        assert len(solves) == 3
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys, e1_file):

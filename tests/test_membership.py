@@ -216,7 +216,7 @@ class TestWarmStart:
         def spy(res, f):
             held = real(res, f)
             seen["held" if held else "cold"] += 1
-            if held and any(b >= res.lp.width for b in res.lp.basis):
+            if held and any(b >= res.basis.width for b in res.basis.basis):
                 seen["artificial basic"] += 1
             return held
 
@@ -230,7 +230,6 @@ class TestWarmStart:
             assert repr(warm) == repr(cold)
             assert warm[0] == ae_vertex_oracle(sys, quant, x)
             seen[warm[0]] += 1
-        assert seen[True] > 50 and seen[False] > 50
         assert seen[True] > 80 and seen[False] > 80
         assert seen["held"] > 80 and seen["cold"] > 10
         assert seen["artificial basic"] > 30
