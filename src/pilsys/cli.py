@@ -8,6 +8,7 @@ invocations (including seeds) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys as _sys
 from typing import Optional
@@ -177,8 +178,8 @@ def cmd_verify(args) -> int:
 
     points: list[Vector] = []
     if sys.m == sys.n:
-        points.extend(oracle.sample_solution_cloud(sys, grid_per_param=3,
-                                                   limit=args.samples))
+        points.extend(itertools.islice(
+            oracle.solution_cloud(sys, grid_per_param=3), args.samples))
     while len(points) < args.samples:
         points.append([Q(rng.randint(-6, 6), rng.randint(1, 3))
                        for _ in range(sys.n)])

@@ -8,7 +8,7 @@ LP-based membership tests is a meaningful cross-check.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exact import (Polyhedron, Q, UniqueSolution, Vector, fm_feasible,
                     lin_solve)
@@ -66,30 +66,32 @@ def ae_vertex_oracle(sys: ParametricSystem, quant: QuantifierAssignment,
     return True
 
 
-def sample_solution_cloud(sys: ParametricSystem, grid_per_param: int = 5,
-                          limit: Optional[int] = None) -> list[Vector]:
+def solution_cloud(sys: ParametricSystem,
+                   grid_per_param: int = 5) -> Iterator[Vector]:
     """Unique solutions of A(p) x = b(p) on a uniform rational grid over the box.
 
     Parameter values where the system is singular or inconsistent are skipped.
-    Deterministic; with ``limit``, the grid is walked only until that many
-    points are found, so they are the first ``limit`` of the whole cloud.
+    Deterministic, and lazy: a caller that takes the first few points solves
+    only the grid points up to them, not all grid_per_param^K.
     """
     if grid_per_param < 2:
         raise ValueError("grid_per_param must be at least 2")
-    points: list[Vector] = []
     seen = set()
     axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)
             for iv in sys.box]
     for p in itertools.product(*axes):
-        if len(points) == limit:
-            break
         res = lin_solve(sys.A_at(p), sys.b_at(p))
         if isinstance(res, UniqueSolution):
             key = tuple(res.point)
             if key not in seen:
                 seen.add(key)
-                points.append(res.point)
-    return points
+                yield res.point
+
+
+def sample_solution_cloud(sys: ParametricSystem,
+                          grid_per_param: int = 5) -> list[Vector]:
+    """The whole ``solution_cloud`` as a list."""
+    return list(solution_cloud(sys, grid_per_param))
 
 
 def _coords(lo: Q, hi: Q, steps: int) -> list[Q]:

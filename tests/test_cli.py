@@ -206,7 +206,7 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("sampled a system no FM oracle accepts")
 
-        monkeypatch.setattr(oracle, "sample_solution_cloud", never)
+        monkeypatch.setattr(oracle, "solution_cloud", never)
         code, out, err = run(capsys, "verify", str(path), "--samples", "5")
         assert code == 1 and out == ""
         assert err == "error: K = 13 exceeds the FM oracle cap of 12\n"
