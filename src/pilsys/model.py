@@ -15,7 +15,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from operator import mul
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .exact import Matrix, Q, Vector, dot, scaled, vec_add, vec_scale, zeros
@@ -297,21 +297,29 @@ def as_tolerable(sys: ParametricSystem,
 def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
     """v^(k) = A^(k) x - b^(k) for k = 0..K; index 0 is the constant term.
 
-    x is scaled to integers xn over xd once, and each term k to integer
-    rows (A^(k)_i | -b^(k)_i) over one denominator; each entry is then one
-    integer dot with (xn, xd), over that denominator times xd.
+    x is scaled once to integers xn over xd, so each entry is
+    (A^(k)_i, b^(k)_i).(xn, -xd) / xd: the nonzero products are summed as
+    one integer over the lcm of the row's denominators, as in ``dot``.
     """
     if len(x) != sys.n:
         raise ValueError(f"point has length {len(x)}, expected {sys.n}")
     xn, xd = scaled(x)
-    xn.append(xd)
-    zero, w, out = Q(0), sys.n + 1, []
+    xn.append(-xd)
+    out = []
     for A, b in [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]:
-        nums, den = scaled([a for row, bi in zip(A, b) for a in (*row, -bi)])
-        e = den * xd
-        out.append([Q(v, e) if v else zero
-                    for v in (sum(map(mul, nums[i:i + w], xn))
-                              for i in range(0, len(nums), w))])
+        vk = []
+        for row, bi in zip(A, b):
+            num, den = 0, 1
+            for a, xj in zip((*row, bi), xn):
+                if a and xj:
+                    an, ad = a.as_integer_ratio()
+                    if den % ad:
+                        m = lcm(den, ad)
+                        num *= m // den
+                        den = m
+                    num += an * xj * (den // ad)
+            vk.append(Q(num, den * xd))
+        out.append(vk)
     return out
 
 
