@@ -183,7 +183,6 @@ def cmd_verify(args) -> int:
     while len(points) < args.samples:
         points.append([Q(rng.randint(-6, 6), rng.randint(1, 3))
                        for _ in range(sys.n)])
-    points = points[: args.samples]
 
     disagreements = 0
     lines = []

@@ -17,18 +17,20 @@ fails strictly; validate_certificate re-checks that violation exactly.
 
 An AE query asks one LP per universal vertex; a later vertex first re-checks
 the last feasible basis and is solved cold only when that fails (see
-member_ae), so every certificate is that of a cold LP.
+member_ae), so every certificate is that of a cold LP.  The strict kernel
+test shares those vertex rows over the existential box and adds one free
+eps column per LP (see strict_kernel_member_ae).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .exact import (FarkasCertificate, Feasible, Infeasible, Polyhedron, Q,
-                    Vector, basis_holds, dot, lp_feasible, lp_maximize,
-                    vec_add, vec_scale, zeros)
+from .exact import (FarkasCertificate, Feasible, Infeasible, Matrix,
+                    Polyhedron, Q, Vector, basis_holds, dot, lp_feasible,
+                    lp_maximize, vec_add, vec_scale, zeros)
 from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
                     TolerableSystem, classify, residual_vectors)
 
@@ -81,13 +83,43 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
                              [-t if t < 0 else zero for t in res.bound_mult])
 
 
-def _split(sys: ParametricSystem,
-           quant: QuantifierAssignment) -> tuple[list[int], list[int]]:
-    """The sorted universal and existential indices, within the vertex cap."""
+def _vertex_lp(sys: ParametricSystem, quant: QuantifierAssignment,
+               residuals: list[Vector]
+               ) -> tuple[list[int], list[int], Matrix, list[Q], list[Q],
+                          Iterator[tuple[Vector, Vector]]]:
+    """The AE vertex LP over the residual vectors v^(k) of ``residuals``.
+
+    Each vertex of the universal box asks for p_E in box_E with
+    sum_{k in E} p_k v^(k) = rhs: the box is the bounds lo/hi, the m rows E
+    are shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
+    changes.  Returns the sorted universal and existential indices, E, lo,
+    hi and an iterator of (vertex, rhs); above MAX_FORALL universal
+    parameters it refuses before any LP.
+    """
     quant.validate_for(sys.K)
     if len(quant.forall_set) > MAX_FORALL:
         raise ValueError(f"more than {MAX_FORALL} universal parameters")
-    return sorted(quant.forall_set), sorted(quant.exists_set)
+    forall, exists = sorted(quant.forall_set), sorted(quant.exists_set)
+    E = [[residuals[k + 1][i] for k in exists] for i in range(sys.m)]
+    lo = [sys.params[k].interval.lo for k in exists]
+    hi = [sys.params[k].interval.hi for k in exists]
+    cols = [[residuals[k][i] for k in (0, *(k + 1 for k in forall))]
+            for i in range(sys.m)]
+
+    def rhs_at_vertices():
+        for vertex in sys.vertices(forall):
+            coef = [Q(1), *vertex]
+            yield vertex, [-dot(coef, col) for col in cols]
+
+    return forall, exists, E, lo, hi, rhs_at_vertices()
+
+
+def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:
+    """v^(0) + sum_k mid(p_k) v^(k): the residual at the box midpoint."""
+    mid = residuals[0]
+    for par, v in zip(sys.params, residuals[1:]):
+        mid = vec_add(mid, vec_scale(par.interval.mid, v))
+    return mid
 
 
 def member_united(sys: ParametricSystem, x: Sequence[Q]) -> tuple[bool, Certificate]:
@@ -116,22 +148,11 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     separator.  So the verdict and certificate are those of one cold LP per
     vertex.
     """
-    forall, exists = _split(sys, quant)
-    residuals = residual_vectors(sys, x)
-
-    # Each vertex asks for p_E in box_E with sum_{k in E} p_k v^(k) = rhs:
-    # the box is the bounds, the m equality rows are shared, and only
-    # rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i) changes.
-    E = [[residuals[k + 1][i] for k in exists] for i in range(sys.m)]
-    lo = [sys.params[k].interval.lo for k in exists]
-    hi = [sys.params[k].interval.hi for k in exists]
-    cols = [[residuals[k][i] for k in (0, *(k + 1 for k in forall))]
-            for i in range(sys.m)]
+    forall, exists, E, lo, hi, vertices = _vertex_lp(
+        sys, quant, residual_vectors(sys, x))
     witness: Optional[Vector] = None
     last: Optional[Feasible] = None
-    for vertex in sys.vertices(forall):
-        coef = [Q(1), *vertex]
-        rhs = [-dot(coef, col) for col in cols]
+    for vertex, rhs in vertices:
         if last is not None and basis_holds(last, rhs):
             continue
         res = lp_feasible(Polyhedron([], [], E, rhs, len(exists), lo, hi))
@@ -166,20 +187,17 @@ def member_tolerable(tsys: TolerableSystem,
 def kernel_tolerable(tsys: TolerableSystem, y: Sequence[Q]) -> bool:
     """A(p) y = 0 for *all* p in the box: an exact finite test.
 
-    The condition is affine in p, so it holds on the box iff it holds at the
-    midpoint and every generator direction vanishes.
+    The condition is affine in p, so it holds on the box iff the residual of
+    the homogenized system vanishes at the midpoint and so does the residual
+    vector A^(k) y of every parameter with a positive radius.
     """
     sys = tsys.base
     if len(y) != sys.n:
         raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
-    mid = sys.A_at(sys.midpoint())
-    if any(dot(row, y) != 0 for row in mid):
-        return False
-    for par in sys.params:
-        if par.interval.rad != 0:
-            if any(dot(row, y) != 0 for row in par.A):
-                return False
-    return True
+    residuals = residual_vectors(sys.homogenized(), y)
+    return not any(_mid_residual(sys, residuals)) and \
+        not any(any(v) for par, v in zip(sys.params, residuals[1:])
+                if par.interval.rad != 0)
 
 
 def strict_kernel_member(sys: ParametricSystem,
@@ -193,60 +211,35 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     """Strict form of AE kernel membership.
 
     The characterization inequality must hold strictly for every nonzero w,
-    which is equivalent to containment of the universally-shifted center in
-    the interior of the existential generator zonotope; that containment is
-    decided at the vertices of the universal box, capped like ``member_ae``.
-    Each containment takes 2m exact LPs: for each coordinate direction
-    +-e_i, maximize eps with eps*(+-e_i) in the zonotope.  The minimum of
-    the maxima is returned; it is positive exactly when the center is
-    interior.
+    which is equivalent to 0 lying at every universal vertex in the interior
+    of {sum_{k in E} p_k v^(k) - rhs : p_E in box_E}, v^(k) = A^(k) y; the
+    rows, box and rhs are those of ``member_ae`` on the homogenized system,
+    capped alike.  Each vertex takes 2m exact LPs: for each coordinate
+    direction +-e_i, those rows get one free column -+e_i, and eps is
+    maximized with eps*(+-e_i) reached.  The minimum of the maxima is
+    returned; it is positive exactly when 0 is interior.
     """
-    forall, exists = _split(sys, quant)
     if len(y) != sys.n:
         raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
-    m = sys.m
-    center = sys.A_at(sys.midpoint())
-    c = [dot(row, y) for row in center]
-    gens_all = [[dot(row, y) for row in par.A] for par in sys.params]
-    e_gens = [gens_all[k] for k in exists]
-    e_rads = [sys.params[k].interval.rad for k in exists]
-
-    best: Optional[Q] = None
-    for vertex in sys.vertices(forall):
-        q = c[:]
-        for k, pk in zip(forall, vertex):
-            t = pk - sys.params[k].interval.mid
-            q = [a + t * g for a, g in zip(q, gens_all[k])]
-        for i in range(m):
-            for sign in (Q(1), Q(-1)):
-                val = _zonotope_reach(q, e_gens, e_rads, i, sign, m)
-                if val is None or val <= 0:
-                    return False, val if val is not None else Q(0)
-                if best is None or val < best:
-                    best = val
-    if best is None:  # m == 0
-        best = Q(1)
-    return best > 0, best
-
-
-def _zonotope_reach(c: Vector, gens: list[Vector], rads: list[Q],
-                    coord: int, sign: Q, m: int) -> Optional[Q]:
-    """max eps with c + sum t_k g^(k) = eps*sign*e_coord, |t_k| <= rad_k."""
-    K = len(gens)
-    dim = K + 1  # t_1..t_K, eps
-    E, f = [], []
-    for i in range(m):
-        row = [gens[k][i] for k in range(K)]
-        row.append(-sign if i == coord else Q(0))
-        E.append(row)
-        f.append(-c[i])
-    P = Polyhedron([], [], E, f, dim, [-r for r in rads] + [None], rads + [None])
+    _, exists, E, lo, hi, vertices = _vertex_lp(
+        sys, quant, residual_vectors(sys.homogenized(), y))
+    dim = len(exists) + 1  # p_E, eps
+    lo, hi = lo + [None], hi + [None]
     obj = zeros(dim)
-    obj[K] = Q(1)
-    status, value, _ = lp_maximize(P, obj)
-    if status != "optimal":
-        return None  # infeasible cannot reach the axis; unbounded cannot occur
-    return value
+    obj[-1] = Q(1)
+    axes = [[row + [-sign if r == i else Q(0)] for r, row in enumerate(E)]
+            for i in range(sys.m) for sign in (Q(1), Q(-1))]
+    best: Optional[Q] = None
+    for _, rhs in vertices:
+        for rows in axes:
+            status, val, _ = lp_maximize(
+                Polyhedron([], [], rows, rhs, dim, lo, hi), obj)
+            # infeasible: the axis is out of reach; unbounded cannot occur
+            if status != "optimal" or val <= 0:
+                return False, val if status == "optimal" else Q(0)
+            if best is None or val < best:
+                best = val
+    return True, Q(1) if best is None else best  # m == 0: no axis
 
 
 def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
@@ -254,9 +247,7 @@ def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
     if FIRST_CLASS not in classify(sys):
         raise ValueError("system is not of the first class")
     residuals = residual_vectors(sys, x)
-    mid = residuals[0][:]
-    for par, v in zip(sys.params, residuals[1:]):
-        mid = vec_add(mid, vec_scale(par.interval.mid, v))
+    mid = _mid_residual(sys, residuals)
     for i in range(sys.m):
         rhs_i = sum((par.interval.rad * abs(residuals[k + 1][i])
                      for k, par in enumerate(sys.params)), Q(0))
@@ -278,10 +269,7 @@ def validate_certificate(sys: ParametricSystem,
     residuals = residual_vectors(sys, x)
     if len(w) != sys.m:
         return False
-    mid = residuals[0][:]
-    for par, v in zip(sys.params, residuals[1:]):
-        mid = vec_add(mid, vec_scale(par.interval.mid, v))
-    lhs = dot(w, mid)
+    lhs = dot(w, _mid_residual(sys, residuals))
     rhs = Q(0)
     for k, par in enumerate(sys.params):
         term = par.interval.rad * abs(dot(w, residuals[k + 1]))

@@ -23,6 +23,10 @@ from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
                     TolerableSystem, classify)
 
 
+# The probing fallback of decide_unbounded tests alpha up to 2^PROBE_DOUBLINGS.
+PROBE_DOUBLINGS = 20
+
+
 class Status(Enum):
     CERTIFIED_YES = "CERTIFIED_YES"
     CERTIFIED_NO = "CERTIFIED_NO"
@@ -79,7 +83,7 @@ def find_base_points(sys: ParametricSystem,
 
     points: list[Vector] = []
     seen = set()
-    for p in samples[: 2 * budget + 1]:
+    for p in samples:
         if len(points) >= budget:
             break
         res = lin_solve(sys.A_at(p), sys.b_at(p))
@@ -118,8 +122,8 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
 
 def decide_unbounded(sys: ParametricSystem,
                      quant: Optional[QuantifierAssignment],
-                     y: Sequence[Q], budget: int = 8, seed: int = 0,
-                     max_doublings: int = 20) -> UnboundedVerdict:
+                     y: Sequence[Q], budget: int = 8,
+                     seed: int = 0) -> UnboundedVerdict:
     """Decision cascade for 'is y an unbounded direction of the solution set'."""
     y = list(y)
     if quant is None:
@@ -167,12 +171,12 @@ def decide_unbounded(sys: ParametricSystem,
     # (iv) probing fallback
     reports = []
     for x0 in find_base_points(sys, quant, budget=budget, seed=seed):
-        rep = probe_ray(sys, quant, x0, y, max_doublings)
+        rep = probe_ray(sys, quant, x0, y, PROBE_DOUBLINGS)
         reports.append(rep)
         if rep.exhausted:
             return UnboundedVerdict(
                 Status.UNKNOWN, Rule.PROBE, rep,
-                f"no exit through alpha = 2^{max_doublings} from base "
+                f"no exit through alpha = 2^{PROBE_DOUBLINGS} from base "
                 f"{','.join(str(v) for v in x0)}; kernel: yes; strict: no")
     detail = "no base point found" if not reports else \
         "every probe exits; kernel: yes; strict: no"

@@ -10,7 +10,7 @@ from conftest import (gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, load, random_point)
 from pilsys import membership
-from pilsys.exact import NoSolution, lin_solve
+from pilsys.exact import NoSolution, Polyhedron, dot, fm_eliminate, lin_solve
 from pilsys.membership import (CertKind, kernel_tolerable, member_ae,
                                member_ae_kernel, member_first_class,
                                member_kernel, member_tolerable, member_united,
@@ -293,14 +293,91 @@ class TestStrictKernelAE:
             calls.append(args)
             if len(calls) > 3:
                 raise RuntimeError("the universal vertices are not capped")
-            return Q(1)
+            return "optimal", Q(1), None
 
-        monkeypatch.setattr(membership, "_zonotope_reach", reach)
+        monkeypatch.setattr(membership, "lp_maximize", reach)
         with pytest.raises(ValueError, match="universal parameters"):
             strict_kernel_member_ae(sys, qa, [Q(1)])
         with pytest.raises(ValueError, match="universal parameters"):
             member_ae(sys, qa, [Q(1)])
         assert calls == []
+
+
+def _fm_axis_reach(sys, quant, y):
+    """The largest eps, or None when there is none, of
+    {p_E in box_E : sum_{k in E} p_k A^(k) y -+ eps e_i = rhs} at each
+    universal vertex and each +-e_i, in the order ``strict_kernel_member_ae``
+    asks them; rhs = -(A0 y + sum_{k universal} p_k A^(k) y).  Decided by
+    Fourier-Motzkin elimination of p_E, with no simplex."""
+    forall, exists = sorted(quant.forall_set), sorted(quant.exists_set)
+    gens = [[dot(row, y) for row in par.A] for par in sys.params]
+    c = [dot(row, y) for row in sys.A0]
+    lo = [sys.params[k].interval.lo for k in exists] + [None]
+    hi = [sys.params[k].interval.hi for k in exists] + [None]
+    out = []
+    for vertex in sys.vertices(forall):
+        rhs = [-c[i] - sum((pk * gens[k][i] for k, pk in zip(forall, vertex)), Q(0))
+               for i in range(sys.m)]
+        for i in range(sys.m):
+            for sign in (1, -1):
+                E = [[gens[k][r] for k in exists] + [Q(-sign if r == i else 0)]
+                     for r in range(sys.m)]
+                P = Polyhedron([], [], E, rhs, len(exists) + 1, lo, hi)
+                while P.dim > 1:
+                    P = fm_eliminate(P, 0)
+                # what is left is a c eps <= d and a eps = f in eps alone
+                rows = [(a, d) for (a,), d in zip(P.C, P.d)] + \
+                    [(a, f) for (a,), f in zip(P.E, P.f)] + \
+                    [(-a, -f) for (a,), f in zip(P.E, P.f)]
+                top = min((d / a for a, d in rows if a > 0), default=None)
+                bottom = max((d / a for a, d in rows if a < 0), default=None)
+                empty = any(a == 0 and d < 0 for a, d in rows) or \
+                    (top is not None and bottom is not None and bottom > top)
+                assert empty or top is not None  # eps is bounded by the box
+                out.append(None if empty else top)
+    return out
+
+
+def _through_kernel(rng, sys, y):
+    """sys with A0 shifted so that A(p) y = 0 at an inner box point p."""
+    p = [par.interval.lo + Q(rng.randint(1, 3), 4) * (par.interval.hi - par.interval.lo)
+         for par in sys.params]
+    r = [dot(row, y) for row in sys.A_at(p)]
+    yy = dot(y, y)
+    A0 = [[a - ri * yj / yy for a, yj in zip(row, y)] for row, ri in zip(sys.A0, r)]
+    return ParametricSystem(sys.m, sys.n, A0, sys.b0, sys.params)
+
+
+def test_strict_kernel_eps_matches_fm():
+    """Multi-row verdicts and eps against an FM projection onto eps: strict
+    exactly when every axis reach is positive, and then eps is the least of
+    them; otherwise eps is the first reach that fails (0 when none exists)."""
+    rng = random.Random(2024)
+    strict = Counter()
+    for trial in range(90):
+        if trial % 3 == 0:
+            sys = gen_general(rng, 2, 2, K=3)
+            quant = QuantifierAssignment.all_exists(sys.K)
+        elif trial % 3 == 1:
+            sys = gen_general(rng, 3, 2, K=4)
+            quant = QuantifierAssignment.all_exists(sys.K)
+        else:
+            sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2),
+                                        n_exists=rng.randint(2, 3))
+        y = random_point(rng, sys.n, -1, 1)
+        if trial % 2 and any(y):
+            sys = _through_kernel(rng, sys, y)
+        ok, eps = strict_kernel_member_ae(sys, quant, y)
+        reach = _fm_axis_reach(sys, quant, y)
+        assert ok == all(v is not None and v > 0 for v in reach)
+        if ok:
+            assert eps == min(reach)
+        else:
+            first = next(v for v in reach if v is None or v <= 0)
+            assert eps == (Q(0) if first is None else first)
+        strict[sys.m, bool(quant.forall_set), ok] += 1
+    for m, ae in ((2, False), (3, False), (2, True)):
+        assert strict[m, ae, True] >= 2 and strict[m, ae, False] >= 2, strict
 
 
 class TestTolerable:
@@ -335,6 +412,44 @@ class TestTolerable:
         tsys = TolerableSystem(base, [])
         assert kernel_tolerable(tsys, [Q(0), Q(1)])
 
+
+    def test_kernel_tolerable_matches_all_forall_kernel(self):
+        """A(p) y = 0 on the whole box is AE kernel membership with every
+        parameter universal."""
+        def annihilate(M, y):
+            yy = dot(y, y)
+            return [[a - dot(row, y) * yj / yy for a, yj in zip(row, y)]
+                    for row in M]
+
+        rng = random.Random(77)
+        seen = Counter()
+        for trial in range(30):
+            m, n = rng.choice(((2, 2), (2, 3), (3, 3)))
+            base = gen_tolerable_nonempty(rng, m, n, K=rng.randint(1, 3))[0].base
+            y = random_point(rng, n, -2, 2)
+            if not any(y):
+                y[0] = Q(1)
+            # y in the common null space of A0 and every A^(k); then one
+            # thin parameter keeps a nonzero A^(k) y that A0 cancels at its value
+            null = ParametricSystem(m, n, annihilate(base.A0, y), base.b0, [
+                Parameter(par.name, par.interval, annihilate(par.A, y), par.b)
+                for par in base.params])
+            k = rng.randrange(base.K)
+            t, A = base.params[k].interval.lo, base.params[k].A
+            params = null.params[:]
+            params[k] = Parameter("t", Interval(t, t), A, base.params[k].b)
+            A0 = [[a - t * dot(row, y) * yj / dot(y, y) for a, yj in zip(a0, y)]
+                  for a0, row in zip(null.A0, A)]
+            thin_null = ParametricSystem(m, n, A0, base.b0, params)
+            cases = [(base, y), (base, [Q(0)] * n), (null, y),
+                     (null, random_point(rng, n, -2, 2)), (thin_null, y),
+                     (thin_null, [Q(2) * v for v in y])]
+            for sys, d in cases:
+                want = member_ae_kernel(sys, QuantifierAssignment.all_forall(sys.K), d)[0]
+                got = kernel_tolerable(TolerableSystem(sys, []), d)
+                assert got == want
+                seen[got] += 1
+        assert seen[True] >= 60 and seen[False] >= 30, seen
 
 class TestCertificateValidation:
     def test_zero_w_never_validates(self, e1):
@@ -440,19 +555,27 @@ class TestLPShape:
                 assert P.hi == [iv.hi for iv in box]
 
     def test_strict_kernel_lps(self, monkeypatch):
+        """Each strict-kernel LP is the kernel query's vertex LP over the
+        existential box plus one free eps column."""
         seen = self.spy(monkeypatch, "lp_maximize")
+        kernel_lps = self.spy(monkeypatch, "lp_feasible")
         rng = random.Random(72)
         for _ in range(20):
             sys, quant = gen_quantified(rng, 2, 2, n_forall=1)
+            y = random_point(rng, sys.n, -2, 2)
+            kernel_lps.clear()
+            member_ae_kernel(sys, quant, y)
+            kernel_rows = kernel_lps[0][0].E
             seen.clear()
-            strict_kernel_member_ae(sys, quant, random_point(rng, sys.n, -2, 2))
-            rads = [sys.params[k].interval.rad for k in sorted(quant.exists_set)]
-            K = len(rads)
+            strict_kernel_member_ae(sys, quant, y)
+            box = [sys.params[k].interval for k in sorted(quant.exists_set)]
+            K = len(box)
             assert seen
             for P, obj in seen:
                 assert P.C == [] and len(P.E) == sys.m and P.dim == K + 1
-                assert P.lo == [-r for r in rads] + [None]
-                assert P.hi == rads + [None]
+                assert [row[:K] for row in P.E] == kernel_rows
+                assert P.lo == [iv.lo for iv in box] + [None]
+                assert P.hi == [iv.hi for iv in box] + [None]
                 assert obj == [Q(0)] * K + [Q(1)]
 
 
