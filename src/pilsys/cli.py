@@ -15,8 +15,9 @@ from typing import Optional
 
 from . import membership, model, oracle, unbounded
 from .exact import Polyhedron, Q, Vector
-from .model import (FIRST_CLASS, ORDINARY, ParsedSystem, SystemFormatError,
-                    parse_rational, parse_system)
+from .model import (FIRST_CLASS, ORDINARY, TOLERABLE_FORM, ParsedSystem,
+                    QuantifierAssignment, SystemFormatError, parse_rational,
+                    parse_system)
 
 
 class UsageError(Exception):
@@ -47,35 +48,27 @@ def _fmt(v) -> str:
     return ",".join(str(x) for x in v)
 
 
+def _require_tolerable(parsed: ParsedSystem) -> None:
+    """The tolerable set of a file is its AE set, when the file writes its
+    quantifiers and its existential parameters touch only b."""
+    if not parsed.explicit_quantifiers or \
+            TOLERABLE_FORM not in model.classify(parsed.system, parsed.quant):
+        raise UsageError("system has no tolerable form "
+                         "(existential parameters touch the matrix)")
+
+
 def cmd_check(args) -> int:
     parsed = _load(args.file)
     sys = parsed.system
     x = _vector(args.point, sys.n, "point")
-    which = args.set
-    if which == "auto":
-        if parsed.tolerable is not None:
-            which = "tolerable"
-        elif parsed.quant.forall_set:
-            which = "ae"
-        else:
-            which = "united"
-    if which == "united":
-        ok, cert = membership.member_united(sys, x)
-    elif which == "ae":
-        ok, cert = membership.member_ae(sys, parsed.quant, x)
-    elif which == "tolerable":
-        if parsed.tolerable is None:
-            raise UsageError("system has no tolerable form "
-                             "(existential parameters touch the matrix)")
-        ok, cert = membership.member_tolerable(parsed.tolerable, x)
-    else:
-        raise UsageError(f"unknown set {which!r}")
+    if args.set == "tolerable":
+        _require_tolerable(parsed)
+    quant = QuantifierAssignment.all_exists(sys.K) if args.set == "united" \
+        else parsed.quant
+    ok, cert = membership.member_ae(sys, quant, x)
     if ok:
-        names = [p.name for p in sys.params]
-        if which == "tolerable":
-            combined, _ = parsed.tolerable.combined()
-            names = [p.name for p in combined.params]
-        pairs = " ".join(f"{nm} = {pv}" for nm, pv in zip(names, cert.witness_p))
+        pairs = " ".join(f"{par.name} = {pv}"
+                         for par, pv in zip(sys.params, cert.witness_p))
         print(f"MEMBER (witness {pairs})" if pairs else "MEMBER (no parameters)")
     else:
         print(f"NOT A MEMBER (separator w = {_fmt(cert.separator.w)})")
@@ -149,10 +142,12 @@ def cmd_raster(args) -> int:
     if len(parts) != 4:
         raise UsageError("--window must be x_lo,x_hi,y_lo,y_hi")
     window = tuple(parse_rational(t) for t in parts)
-    which = args.set.upper()
+    which = args.set
+    if which == "TOLERABLE":
+        _require_tolerable(parsed)
+        which = oracle.AE
     try:
-        csv = oracle.raster_csv(sys, parsed.quant, window, args.res, which,
-                                parsed.tolerable)
+        csv = oracle.raster_csv(sys, parsed.quant, window, args.res, which)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:

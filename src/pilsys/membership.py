@@ -3,7 +3,9 @@ kernels, with machine-checkable certificates.
 
 There is one membership routine, for AE solution sets; the united set is the
 AE set with no universal parameters, and the tolerable set is the AE set of
-the combined system.
+the combined system.  Kernels are the same routine on the homogenized system
+(``member_ae_kernel``); for a tolerable set that is the test A(p) y = 0 at
+every universal vertex.
 
 A positive answer carries a witness parameter vector that re-substitutes to an
 exact equality.  A negative answer carries a separating vector w for which the
@@ -182,22 +184,6 @@ def member_tolerable(tsys: TolerableSystem,
     """Is x in the tolerable solution set?"""
     combined, quant = tsys.combined()
     return member_ae(combined, quant, x)
-
-
-def kernel_tolerable(tsys: TolerableSystem, y: Sequence[Q]) -> bool:
-    """A(p) y = 0 for *all* p in the box: an exact finite test.
-
-    The condition is affine in p, so it holds on the box iff the residual of
-    the homogenized system vanishes at the midpoint and so does the residual
-    vector A^(k) y of every parameter with a positive radius.
-    """
-    sys = tsys.base
-    if len(y) != sys.n:
-        raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
-    residuals = residual_vectors(sys.homogenized(), y)
-    return not any(_mid_residual(sys, residuals)) and \
-        not any(any(v) for par, v in zip(sys.params, residuals[1:])
-                if par.interval.rad != 0)
 
 
 def strict_kernel_member(sys: ParametricSystem,

@@ -275,21 +275,6 @@ def classify(sys: ParametricSystem,
     return SystemClass(frozenset(flags))
 
 
-def as_tolerable(sys: ParametricSystem,
-                 quant: QuantifierAssignment) -> Optional[TolerableSystem]:
-    """Tolerable view when every existential parameter is rhs-only."""
-    for k in quant.exists_set:
-        if any(x != 0 for row in sys.params[k].A for x in row):
-            return None
-    base_params = [sys.params[k] for k in sorted(quant.forall_set)]
-    base = ParametricSystem(sys.m, sys.n, [row[:] for row in sys.A0],
-                            sys.b0[:], base_params)
-    rhs = [RhsParameter(sys.params[k].name, sys.params[k].interval,
-                        sys.params[k].b[:])
-           for k in sorted(quant.exists_set)]
-    return TolerableSystem(base, rhs)
-
-
 # ---------------------------------------------------------------------------
 # Residuals
 # ---------------------------------------------------------------------------
@@ -382,15 +367,13 @@ class ParsedSystem:
     system: ParametricSystem
     quant: QuantifierAssignment
     explicit_quantifiers: bool
-    tolerable: Optional[TolerableSystem]
 
 
 def parse_system(text: str) -> ParsedSystem:
     """Parse the JSON system document.
 
     Quantifiers default to existential (the united solution set) when the
-    document omits them.  A tolerable view is attached when the existential
-    parameters touch only the right-hand side.
+    document omits them.
     """
     try:
         doc = json.loads(text)
@@ -449,8 +432,7 @@ def parse_system(text: str) -> ParsedSystem:
     system = ParametricSystem(m, n, A0, b0, params)
     quant = QuantifierAssignment(frozenset(forall),
                                  frozenset(range(system.K)) - frozenset(forall))
-    tolerable = as_tolerable(system, quant) if explicit else None
-    return ParsedSystem(system, quant, explicit, tolerable)
+    return ParsedSystem(system, quant, explicit)
 
 
 def serialize_system(parsed: ParsedSystem) -> str:

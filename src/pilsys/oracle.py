@@ -12,10 +12,8 @@ from typing import Iterator, Optional, Sequence
 
 from .exact import (Polyhedron, Q, UniqueSolution, Vector, fm_feasible,
                     lin_solve)
-from .membership import (member_ae, member_kernel, member_tolerable,
-                         member_united)
-from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
-                    residual_vectors)
+from .membership import member_ae, member_kernel, member_united
+from .model import ParametricSystem, QuantifierAssignment, residual_vectors
 
 _FM_CAP = 12
 
@@ -101,14 +99,12 @@ def _coords(lo: Q, hi: Q, steps: int) -> list[Q]:
 
 UNITED = "UNITED"
 AE = "AE"
-TOLERABLE = "TOLERABLE"
 KERNEL = "KERNEL"
 
 
 def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
               window: tuple[Q, Q, Q, Q], resolution: int,
-              which: str = UNITED,
-              tolerable: Optional[TolerableSystem] = None) -> list[list[bool]]:
+              which: str = UNITED) -> list[list[bool]]:
     """Exact membership on a rational grid over a 2-D window (row-major)."""
     if sys.n != 2:
         raise ValueError("rasterization requires n = 2")
@@ -127,10 +123,6 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
             if quant is None:
                 raise ValueError("AE raster needs a quantifier assignment")
             return member_ae(sys, quant, pt)[0]
-        if which == TOLERABLE:
-            if tolerable is None:
-                raise ValueError("TOLERABLE raster needs a tolerable view")
-            return member_tolerable(tolerable, pt)[0]
         raise ValueError(f"unknown set {which!r}")
 
     xs = _coords(x_lo, x_hi, resolution)
@@ -140,10 +132,9 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
 
 def raster_csv(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
                window: tuple[Q, Q, Q, Q], resolution: int,
-               which: str = UNITED,
-               tolerable: Optional[TolerableSystem] = None) -> str:
+               which: str = UNITED) -> str:
     """CSV serialization: header x1,x2,member; rationals as num/den; 0/1 flags."""
-    grid = rasterize(sys, quant, window, resolution, which, tolerable)
+    grid = rasterize(sys, quant, window, resolution, which)
     x_lo, x_hi, y_lo, y_hi = (Q(v) for v in window)
 
     def fmt(v: Q) -> str:

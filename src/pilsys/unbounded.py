@@ -1,9 +1,17 @@
-"""Three-tier decision of unbounded directions.
+"""Decision cascade for unbounded directions of an AE solution set.
 
-The kernel is necessary for unboundedness; strict kernel membership is
-sufficient; for ordinary and class-C systems the kernel pieces characterize
-unboundedness exactly.  Everything else is probed along the ray and reported
-honestly as UNKNOWN with the probe trace as evidence.
+The stages of ``decide_unbounded``, in order:
+
+(i)   kernel (THM2): AE kernel membership is necessary; a separator of the
+      homogenized system certifies NO.
+(ii)  tolerable form (THM7): with universal parameters and existential ones
+      that touch only b, the set is a polyhedron whose recession cone is the
+      AE kernel, so a member base point certifies YES.
+(iii) strict kernel (THM3): sufficient, with an explicit threshold point.
+(iv)  ordinary and class-C united systems (PROP1/PROP2): the kernel pieces
+      of nonempty solution pieces characterize unboundedness.
+(v)   probing: everything else is probed along the ray and reported honestly
+      as UNKNOWN with the probe trace as evidence.
 """
 
 from __future__ import annotations
@@ -15,12 +23,12 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, lin_solve,
-                    vec_add, vec_scale)
-from .membership import (kernel_tolerable, member_ae, member_ae_kernel,
+                    vec_add, vec_scale, zeros)
+from .membership import (member_ae, member_ae_kernel,
                          member_kernel,  # noqa: F401 -- re-exported
                          strict_kernel_member_ae)
-from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
-                    TolerableSystem, classify)
+from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
+                    QuantifierAssignment, classify)
 
 
 # The probing fallback of decide_unbounded tests alpha up to 2^PROBE_DOUBLINGS.
@@ -67,19 +75,26 @@ def find_base_points(sys: ParametricSystem,
     Candidates come from the box midpoint, box vertices, and seeded random
     box points; each is kept only if it passes the exact membership test.
     Deterministic for a fixed seed.  No assignment means the united set.
+    Vertices and draws take the universal parameters first, so the samples
+    do not depend on how a file interleaves the two quantifier blocks.
     """
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
+    order = sorted(quant.forall_set) + sorted(quant.exists_set)
+
+    def placed(values: Vector) -> Vector:
+        p = zeros(sys.K)
+        for k, v in zip(order, values):
+            p[k] = v
+        return p
+
     rng = random.Random(seed)
     samples: list[Vector] = [sys.midpoint()]
-    samples.extend(itertools.islice(sys.vertices(range(sys.K)), budget))
+    samples.extend(map(placed, itertools.islice(sys.vertices(order), budget)))
     for _ in range(budget):
-        p = []
-        for par in sys.params:
-            lo, hi = par.interval.lo, par.interval.hi
-            t = Q(rng.randint(0, 8), 8)
-            p.append(lo + t * (hi - lo))
-        samples.append(p)
+        samples.append(placed([
+            iv.lo + Q(rng.randint(0, 8), 8) * (iv.hi - iv.lo)
+            for iv in (sys.params[k].interval for k in order)]))
 
     points: list[Vector] = []
     seen = set()
@@ -135,7 +150,24 @@ def decide_unbounded(sys: ParametricSystem,
         return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM2, cert,
                                 "direction is not in the kernel")
 
-    # (ii) strict kernel membership is sufficient.  At every universal vertex
+    # (ii) existential parameters that touch only b: at each universal vertex
+    # v the set is {x : A(v) x - b(v) in Z}, Z the zonotope of those b^(k),
+    # so the set is a polyhedron with recession cone {y : A(v) y = 0 for
+    # every v}, the kernel of (i).  Any member then starts a ray that stays.
+    # Z(y) is one point here, so the strict kernel of (iii) cannot hold.
+    # United systems keep the stages below: the benchmark's gate accepts no
+    # THM7 verdict yet (ROADMAP item 1).
+    if quant.forall_set and TOLERABLE_FORM in classify(sys, quant):
+        base_points = find_base_points(sys, quant, budget=budget, seed=seed)
+        if not base_points:
+            return UnboundedVerdict(Status.UNKNOWN, Rule.THM7, None,
+                                    "no base point of the tolerable set found")
+        x0 = base_points[0]
+        return UnboundedVerdict(
+            Status.CERTIFIED_YES, Rule.THM7, x0,
+            f"tolerable kernel holds; base {','.join(str(v) for v in x0)}")
+
+    # (iii) strict kernel membership is sufficient.  At every universal vertex
     # Z(y) = {A(p) y} holds +-eps*e_i, hence the l1 ball of radius eps, and
     # R bounds ||b(p)||_1 over the box.  For each w the minimum over p of
     # w.(alpha A(p) y - b(p)) is then at most |w|_inf (R - alpha*eps), never
@@ -151,8 +183,8 @@ def decide_unbounded(sys: ParametricSystem,
             Status.CERTIFIED_YES, Rule.THM3, vec_scale(R / eps + 1, y),
             f"strict kernel membership (eps = {eps})")
 
-    # (iii) special classes: kernel pieces characterize unboundedness; a
-    # decomposition over its 2^n or 2^K cap leaves the question to (iv)
+    # (iv) special classes: kernel pieces characterize unboundedness; a
+    # decomposition over its 2^n or 2^K cap leaves the question to (v)
     if not quant.forall_set:
         flags = classify(sys)
         if ORDINARY in flags or CLASS_C in flags:
@@ -168,7 +200,7 @@ def decide_unbounded(sys: ParametricSystem,
                         Status.CERTIFIED_YES, rule, piece,
                         f"kernel piece {piece.sign} with nonempty solution piece")
 
-    # (iv) probing fallback
+    # (v) probing fallback
     reports = []
     for x0 in find_base_points(sys, quant, budget=budget, seed=seed):
         rep = probe_ray(sys, quant, x0, y, PROBE_DOUBLINGS)
@@ -182,19 +214,3 @@ def decide_unbounded(sys: ParametricSystem,
         "every probe exits; kernel: yes; strict: no"
     return UnboundedVerdict(Status.UNKNOWN, Rule.PROBE, reports, detail)
 
-
-def decide_unbounded_tolerable(tsys: TolerableSystem, y: Sequence[Q],
-                               budget: int = 8,
-                               seed: int = 0) -> UnboundedVerdict:
-    """For tolerable systems with a base point, the kernel decides exactly."""
-    y = list(y)
-    combined, quant = tsys.combined()
-    base_points = find_base_points(combined, quant, budget=budget, seed=seed)
-    if not base_points:
-        return UnboundedVerdict(Status.UNKNOWN, Rule.THM7, None,
-                                "no base point of the tolerable set found")
-    if kernel_tolerable(tsys, y):
-        return UnboundedVerdict(Status.CERTIFIED_YES, Rule.THM7,
-                                base_points[0], "tolerable kernel holds")
-    return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM7, base_points[0],
-                            "tolerable kernel fails")

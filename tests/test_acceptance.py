@@ -16,14 +16,13 @@ from conftest import (E1_DOC, gen_class_c, gen_first_class, gen_general,
                       gen_wide_ordinary, load, random_point)
 from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import recession_cone
-from pilsys.membership import (kernel_tolerable, member_ae, member_first_class,
+from pilsys.membership import (member_ae, member_ae_kernel, member_first_class,
                                member_kernel, member_tolerable, member_united,
                                strict_kernel_member, validate_certificate,
                                witness_resubstitutes)
 from pilsys.model import ORDINARY, classify
 from pilsys.oracle import ae_vertex_oracle, fm_member_oracle, rasterize
-from pilsys.unbounded import (Rule, Status, decide_unbounded,
-                              decide_unbounded_tolerable, find_base_points,
+from pilsys.unbounded import (Rule, Status, decide_unbounded, find_base_points,
                               probe_ray)
 
 
@@ -160,13 +159,14 @@ def test_criterion_7_theorem7_property():
         while len(directions) < 10:
             directions.append(random_point(rng, tsys.base.n, -2, 2))
         for y in directions[:10]:
-            if kernel_tolerable(tsys, y):
+            v = decide_unbounded(combined, quant, y)
+            if member_ae_kernel(combined, quant, y)[0]:
                 rep = probe_ray(combined, quant, x0, y, max_doublings=20)
                 assert rep.exhausted, "tolerable-kernel ray exited"
+                assert v.rule is Rule.THM7 and v.status is not Status.CERTIFIED_NO
                 kernel_true_checked += 1
             else:
-                v = decide_unbounded_tolerable(tsys, y)
-                assert v.status is Status.CERTIFIED_NO
+                assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM2
                 rep = probe_ray(combined, quant, x0, y, max_doublings=16)
                 assert rep.first_exit is not None, \
                     "non-kernel tolerable direction survived a probe"

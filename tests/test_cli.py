@@ -1,10 +1,23 @@
 import json
+from fractions import Fraction as Q
 
 import pytest
 
-from conftest import E1_DOC, E3_DOC
+from conftest import E1_DOC, E3_DOC, load
 from pilsys import oracle
 from pilsys.cli import main
+from pilsys.membership import Certificate, witness_resubstitutes
+
+# (1 + p) x1 = q with p in [0, 1] universal and q in [-1, 1] existential:
+# the set is |x1| <= 1/2, and x2 is free
+TOL_RAY_DOC = {
+    "m": 1, "n": 2, "constant": {"A": [["1", "0"]]},
+    "parameters": [
+        {"name": "p", "interval": ["0", "1"], "A": [["1", "0"]],
+         "quantifier": "forall"},
+        {"name": "q", "interval": ["-1", "1"], "b": ["1"],
+         "quantifier": "exists"}],
+}
 
 
 @pytest.fixture
@@ -18,6 +31,13 @@ def e1_file(tmp_path):
 def e3_file(tmp_path):
     path = tmp_path / "E3.json"
     path.write_text(json.dumps(E3_DOC))
+    return str(path)
+
+
+@pytest.fixture
+def tol_file(tmp_path):
+    path = tmp_path / "TOL.json"
+    path.write_text(json.dumps(TOL_RAY_DOC))
     return str(path)
 
 
@@ -133,6 +153,9 @@ PINNED = [
     # strictness alone proves the set nonempty: no sampled base point needed
     (("unbounded", "E3", "--dir", "1", "--budget", "0"),
      "CERTIFIED_YES by THM3: strict kernel membership (eps = 1)\n"),
+    # the existential parameter touches only b: THM7 from a member base point
+    (("unbounded", "TOL", "--dir", "0,1"),
+     "CERTIFIED_YES by THM7: tolerable kernel holds; base 0,0\n"),
     # the orthant sign is a bound, counted with the rows: 2m + n each
     (("classify", "E3", "--decompose"),
      "ORDINARY,FIRST_CLASS,CLASS_C\ndecomposition: ORTHANT, 2 pieces\n"
@@ -143,9 +166,9 @@ PINNED = [
 
 @pytest.mark.parametrize("argv,expected", PINNED,
                          ids=[" ".join(a) for a, _ in PINNED])
-def test_pinned_stdout(capsys, e1_file, e3_file, argv, expected):
+def test_pinned_stdout(capsys, e1_file, e3_file, tol_file, argv, expected):
     command, system, *rest = argv
-    path = {"E1": e1_file, "E3": e3_file}[system]
+    path = {"E1": e1_file, "E3": e3_file, "TOL": tol_file}[system]
     code, out, _ = run(capsys, command, path, *rest)
     assert code == 0
     assert out == expected
@@ -177,6 +200,97 @@ class TestRaster:
         code, _, err = run(capsys, "raster", e1_file, "--window", "0,1",
                            "--res", "9", "--out", str(tmp_path / "r.csv"))
         assert code == 1
+
+
+# Two universal parameters listed first, then one existential parameter per
+# row that touches only b: the layout of the benchmark's tolerable files.
+TOL_DOC = {
+    "m": 2, "n": 2,
+    "constant": {"A": [["2", "1"], ["0", "3"]], "b": ["1", "2"]},
+    "parameters": [
+        {"name": "p0", "interval": ["0", "1"], "A": [["1", "0"], ["0", "0"]],
+         "b": ["0", "1"], "quantifier": "forall"},
+        {"name": "p1", "interval": ["-1", "1"], "A": [["0", "0"], ["1", "1"]],
+         "b": ["1", "0"], "quantifier": "forall"},
+        {"name": "r0", "interval": ["-4", "4"], "b": ["1", "0"],
+         "quantifier": "exists"},
+        {"name": "r1", "interval": ["-5", "5"], "b": ["0", "1"],
+         "quantifier": "exists"}],
+}
+TOL_INTERLEAVED_DOC = dict(
+    TOL_DOC, parameters=[TOL_DOC["parameters"][k] for k in (2, 0, 3, 1)])
+# the existential rhs parameters alone, with no quantifier written
+RHS_ONLY_DOC = dict(TOL_DOC, parameters=[
+    {k: v for k, v in par.items() if k != "quantifier"}
+    for par in TOL_DOC["parameters"][2:]])
+NO_TOLERABLE_FORM = ("error: system has no tolerable form "
+                     "(existential parameters touch the matrix)\n")
+
+
+def write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestTolerableFiles:
+    @pytest.mark.parametrize("which", ["auto", "tolerable"])
+    @pytest.mark.parametrize("point,expected", [
+        ("0,0", "MEMBER (witness p0 = 0 p1 = -1 r0 = 0 r1 = -2)\n"),
+        ("1/2,-1/3", "MEMBER (witness p0 = 0 p1 = -1 r0 = 2/3 r1 = -19/6)\n"),
+        ("5,5", "NOT A MEMBER (separator w = 1,0)\n"),
+    ])
+    def test_universal_first_output_unchanged(self, capsys, tmp_path, which,
+                                              point, expected):
+        path = write(tmp_path, "tol.json", TOL_DOC)
+        code, out, _ = run(capsys, "check", path, "--point", point,
+                           "--set", which)
+        assert code == 0 and out == expected
+
+    @pytest.mark.parametrize("which", ["auto", "tolerable"])
+    def test_interleaved_witness_in_file_order(self, capsys, tmp_path, which):
+        path = write(tmp_path, "tol.json", TOL_INTERLEAVED_DOC)
+        code, out, _ = run(capsys, "check", path, "--point", "1/2,-1/3",
+                           "--set", which)
+        assert code == 0
+        assert out == "MEMBER (witness r0 = 2/3 p0 = 0 r1 = -19/6 p1 = -1)\n"
+        tokens = out[len("MEMBER (witness "):-2].split()
+        assert tokens[::3] == [par["name"] for par in TOL_INTERLEAVED_DOC["parameters"]]
+        cert = Certificate.witness([Q(v) for v in tokens[2::3]])
+        sys = load(TOL_INTERLEAVED_DOC).system
+        assert witness_resubstitutes(sys, [Q(1, 2), Q(-1, 3)], cert)
+
+    @pytest.mark.parametrize("doc", [E1_DOC, RHS_ONLY_DOC],
+                             ids=["matrix", "no-quantifiers"])
+    def test_tolerable_refused(self, capsys, tmp_path, doc):
+        path = write(tmp_path, "sys.json", doc)
+        code, out, err = run(capsys, "check", path, "--point", "1,0",
+                             "--set", "tolerable")
+        assert code == 1 and out == "" and err == NO_TOLERABLE_FORM
+
+    @pytest.mark.parametrize("doc", [TOL_DOC, TOL_INTERLEAVED_DOC],
+                             ids=["universal-first", "interleaved"])
+    def test_raster_tolerable_is_ae(self, capsys, tmp_path, doc):
+        path = write(tmp_path, "tol.json", doc)
+        csvs = []
+        for which in ("TOLERABLE", "AE"):
+            out_path = tmp_path / f"{which}.csv"
+            code, _, _ = run(capsys, "raster", path, "--window=-3,3,-3,3",
+                             "--res", "7", "--set", which, "--out", str(out_path))
+            assert code == 0
+            csvs.append(out_path.read_text())
+        assert csvs[0] == csvs[1] and ",1\n" in csvs[0]
+
+    @pytest.mark.parametrize("doc", [E1_DOC, RHS_ONLY_DOC],
+                             ids=["matrix", "no-quantifiers"])
+    def test_raster_tolerable_refused(self, capsys, tmp_path, doc):
+        path = write(tmp_path, "sys.json", doc)
+        out_path = tmp_path / "r.csv"
+        code, out, err = run(capsys, "raster", path, "--window=-3,3,-3,3",
+                             "--res", "3", "--set", "TOLERABLE",
+                             "--out", str(out_path))
+        assert code == 1 and out == "" and err == NO_TOLERABLE_FORM
+        assert not out_path.exists()
 
 
 class TestVerify:

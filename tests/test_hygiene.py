@@ -3,15 +3,18 @@
 No linter is a dependency, so these checks stand in for one: no unused
 imports, no top-level definition that nothing uses, and no floating point
 anywhere in the package, which keeps every decision path exact.  An import
-kept on purpose is marked ``# noqa: F401``.
+kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
+named functions of the package; they must all still exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pilsys"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pilsys"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -85,6 +88,28 @@ def test_no_unreferenced_definitions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_floats(path):
     assert floats(path) == []
+
+
+def traced_names(path):
+    """The TIMED and COMMANDS literals of the benchmark's layer table."""
+    found = {}
+    for stmt in _tree(path).body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
+                isinstance(stmt.targets[0], ast.Name) and \
+                stmt.targets[0].id in ("TIMED", "COMMANDS"):
+            found[stmt.targets[0].id] = ast.literal_eval(stmt.value)
+    return found["TIMED"], found["COMMANDS"]
+
+
+def test_traced_functions_exist():
+    timed, commands = traced_names(ROOT / "bench" / "layers.py")
+    wanted = [(module, f) for module, funcs in timed.items() for f in funcs]
+    wanted += [("cli", f"cmd_{c}") for c in commands]
+    assert len(wanted) > 20
+    missing = [f"{module}.{f}" for module, f in wanted
+               if not callable(getattr(importlib.import_module(f"pilsys.{module}"),
+                                       f, None))]
+    assert missing == []
 
 
 def test_checks_catch_offenders(tmp_path):

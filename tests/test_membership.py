@@ -11,9 +11,9 @@ from conftest import (gen_first_class, gen_general, gen_ordinary,
                       gen_wide_ordinary, load, random_point)
 from pilsys import membership
 from pilsys.exact import NoSolution, Polyhedron, dot, fm_eliminate, lin_solve
-from pilsys.membership import (CertKind, kernel_tolerable, member_ae,
-                               member_ae_kernel, member_first_class,
-                               member_kernel, member_tolerable, member_united,
+from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
+                               member_first_class, member_kernel,
+                               member_tolerable, member_united,
                                strict_kernel_member, strict_kernel_member_ae,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
@@ -386,36 +386,42 @@ class TestTolerable:
         return TolerableSystem(base, [RhsParameter("q", Interval(Q(-1), Q(1)),
                                                    [Q(1)])])
 
+    def make_px_eq_q(self):
+        base = ParametricSystem(1, 1, [[Q(0)]], [Q(0)], [
+            Parameter("p", Interval(Q(0), Q(1)), [[Q(1)]], [Q(0)])])
+        return TolerableSystem(base, [RhsParameter("q", Interval(Q(-1), Q(1)),
+                                                   [Q(1)])])
+
     def test_x_eq_q(self):
         tsys = self.make_x_eq_q()
         assert member_tolerable(tsys, [Q(1, 2)])[0]
         assert not member_tolerable(tsys, [Q(2)])[0]
 
     def test_px_eq_q(self):
+        # the file form of p x = q is its AE set, with the same verdicts
         parsed = load(PX_EQ_Q)
-        tsys = parsed.tolerable
-        assert tsys is not None
-        assert member_tolerable(tsys, [Q(1)])[0]
-        assert not member_tolerable(tsys, [Q(3)])[0]
+        tsys = self.make_px_eq_q()
+        for x, want in (([Q(1)], True), ([Q(3)], False)):
+            assert member_tolerable(tsys, x)[0] is want
+            assert member_ae(parsed.system, parsed.quant, x)[0] is want
 
     def test_kernel_tolerable(self):
-        parsed = load(PX_EQ_Q)
-        tsys = parsed.tolerable
-        assert not kernel_tolerable(tsys, [Q(1)])
-        assert kernel_tolerable(tsys, [Q(0)])
+        # p y = 0 for every p in [0, 1] only at y = 0
+        sys, quant = self.make_px_eq_q().combined()
+        assert not member_ae_kernel(sys, quant, [Q(1)])[0]
+        assert member_ae_kernel(sys, quant, [Q(0)])[0]
 
     def test_kernel_tolerable_thin_parameter(self):
         base = ParametricSystem(2, 2, [[Q(1), Q(0)], [Q(0), Q(0)]],
                                 [Q(0), Q(0)], [
             Parameter("p", Interval(Q(0), Q(0)),
                       [[Q(0), Q(0)], [Q(0), Q(1)]], [Q(0), Q(0)])])
-        tsys = TolerableSystem(base, [])
-        assert kernel_tolerable(tsys, [Q(0), Q(1)])
-
+        sys, quant = TolerableSystem(base, []).combined()
+        assert member_ae_kernel(sys, quant, [Q(0), Q(1)])[0]
 
     def test_kernel_tolerable_matches_all_forall_kernel(self):
         """A(p) y = 0 on the whole box is AE kernel membership with every
-        parameter universal."""
+        parameter universal; checked against A(v) y at every box vertex."""
         def annihilate(M, y):
             yy = dot(y, y)
             return [[a - dot(row, y) * yj / yy for a, yj in zip(row, y)]
@@ -445,11 +451,13 @@ class TestTolerable:
                      (null, random_point(rng, n, -2, 2)), (thin_null, y),
                      (thin_null, [Q(2) * v for v in y])]
             for sys, d in cases:
-                want = member_ae_kernel(sys, QuantifierAssignment.all_forall(sys.K), d)[0]
-                got = kernel_tolerable(TolerableSystem(sys, []), d)
+                got = member_ae_kernel(sys, QuantifierAssignment.all_forall(sys.K), d)[0]
+                want = all(dot(row, d) == 0 for v in sys.vertices(range(sys.K))
+                           for row in sys.A_at(v))
                 assert got == want
                 seen[got] += 1
         assert seen[True] >= 60 and seen[False] >= 30, seen
+
 
 class TestCertificateValidation:
     def test_zero_w_never_validates(self, e1):

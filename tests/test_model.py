@@ -11,9 +11,9 @@ from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
                           ORDINARY, TOLERABLE_FORM, Interval, Parameter,
                           ParametricSystem, ParsedSystem,
                           QuantifierAssignment, RhsParameter,
-                          SystemFormatError, TolerableSystem, as_tolerable,
-                          classify, parse_rational, parse_system,
-                          residual_vectors, serialize_system)
+                          SystemFormatError, TolerableSystem, classify,
+                          parse_rational, parse_system, residual_vectors,
+                          serialize_system)
 
 import random
 
@@ -132,8 +132,7 @@ def parsed_systems(draw):
     forall = frozenset(draw(st.sets(st.integers(0, K - 1)))) if explicit \
         else frozenset()
     quant = QuantifierAssignment(forall, frozenset(range(K)) - forall)
-    tolerable = as_tolerable(system, quant) if explicit else None
-    return ParsedSystem(system, quant, explicit, tolerable)
+    return ParsedSystem(system, quant, explicit)
 
 
 class TestParserTotality:
@@ -347,7 +346,10 @@ class TestClassify:
              "quantifier": "exists"}]}
         parsed = load(doc)
         assert TOLERABLE_FORM in classify(parsed.system, parsed.quant)
-        assert parsed.tolerable is not None
+        # an existential parameter that touches the matrix breaks the form
+        doc["parameters"][1]["A"] = [["1"]]
+        parsed = load(doc)
+        assert TOLERABLE_FORM not in classify(parsed.system, parsed.quant)
 
     def test_ordinary_implies_first_class_on_random_systems(self):
         rng = random.Random(5)

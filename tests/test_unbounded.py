@@ -8,12 +8,12 @@ from conftest import (gen_general, gen_ordinary, gen_quantified,
                       random_point)
 from pilsys import membership, oracle, unbounded
 from pilsys.exact import AffineSolutionSet, lin_solve, zeros
-from pilsys.membership import (kernel_tolerable, member_ae, member_kernel,
-                               member_united, strict_kernel_member_ae)
+from pilsys.membership import (member_ae, member_kernel, member_united,
+                               strict_kernel_member_ae)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem)
-from pilsys.unbounded import (Rule, Status, decide_unbounded,
-                              decide_unbounded_tolerable, find_base_points,
+from pilsys.oracle import ae_vertex_oracle
+from pilsys.unbounded import (Rule, Status, decide_unbounded, find_base_points,
                               probe_ray)
 
 
@@ -36,6 +36,23 @@ class TestFindBasePoints:
         a = find_base_points(e1.system, seed=3)
         b = find_base_points(e1.system, seed=3)
         assert a == b
+
+    def test_same_points_however_the_blocks_interleave(self):
+        rng = random.Random(61)
+        found = 0
+        for _ in range(10):
+            tsys, _ = gen_tolerable_nonempty(rng, K=2)
+            sys, quant = tsys.combined()
+            # a random merge of the two blocks, each kept in its own order
+            slots = [True] * tsys.base.K + [False] * len(tsys.rhs_params)
+            rng.shuffle(slots)
+            blocks = {True: iter(sorted(quant.forall_set)),
+                      False: iter(sorted(quant.exists_set))}
+            order = [next(blocks[s]) for s in slots]
+            points = find_base_points(sys, quant, budget=4)
+            assert find_base_points(*permuted(sys, quant, order), budget=4) == points
+            found += len(points)
+        assert found > 10
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 3])
     def test_at_most_budget_points(self, e1, budget):
@@ -229,8 +246,9 @@ class TestThresholdEvidence:
             assert probe_ray(sys, quant, v.evidence, y,
                              max_doublings=20).exhausted
             checked[family] = checked.get(family, 0) + 1
-        # every matrix parameter of a tolerable case is universal, so Z(y) is
-        # one point at each universal vertex and never strict
+        # THM7 decides every tolerable case before the strict kernel, which
+        # cannot hold there: every matrix parameter is universal, so Z(y) is
+        # one point at each universal vertex
         assert sorted(checked) == ["ae", "general", "wide"]
         assert min(checked.values()) >= 4 and sum(checked.values()) >= 20
 
@@ -264,37 +282,75 @@ class TestThresholdEvidence:
         assert calls == ["feasible", "maximize", "maximize"]
 
 
+def permuted(sys, quant, order):
+    """sys with its parameters listed in ``order``, and the quantifier
+    assignment that follows them."""
+    pos = {k: i for i, k in enumerate(order)}
+    return (ParametricSystem(sys.m, sys.n, sys.A0, sys.b0,
+                             [sys.params[k] for k in order]),
+            QuantifierAssignment(frozenset(pos[k] for k in quant.forall_set),
+                                 frozenset(pos[k] for k in quant.exists_set)))
+
+
+def rhs_only(name, lo, hi, b, n=1):
+    return Parameter(name, Interval(Q(lo), Q(hi)), [[Q(0)] * n for _ in b],
+                     [Q(v) for v in b])
+
+
 class TestDecideUnboundedTolerable:
-    def make_x_eq_q(self):
-        base = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [])
-        return TolerableSystem(base, [RhsParameter("q", Interval(Q(-1), Q(1)),
-                                                   [Q(1)])])
+    """Tolerable systems go through ``decide_unbounded`` as a system and a
+    quantifier assignment; THM7 decides them when a parameter is universal."""
+
+    def decide(self, tsys, y):
+        return decide_unbounded(*tsys.combined(), y)
 
     def test_bounded_tolerable_set(self):
-        tsys = self.make_x_eq_q()
-        assert decide_unbounded_tolerable(tsys, [Q(0)]).status is Status.CERTIFIED_YES
-        v = decide_unbounded_tolerable(tsys, [Q(1)])
-        assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM7
-
-    def test_zero_matrix_everything_unbounded(self):
-        base = ParametricSystem(1, 1, [[Q(0)]], [Q(0)], [])
+        # x = q: no universal parameter, so the united cascade decides
+        base = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [])
         tsys = TolerableSystem(base, [RhsParameter("q", Interval(Q(-1), Q(1)),
                                                    [Q(1)])])
-        v = decide_unbounded_tolerable(tsys, [Q(1)])
-        assert v.status is Status.CERTIFIED_YES
+        assert self.decide(tsys, [Q(0)]).status is Status.CERTIFIED_YES
+        v = self.decide(tsys, [Q(1)])
+        assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM2
+        # x = u + q, u in [0, 1] universal: the set is [0, 1]
+        base = ParametricSystem(1, 1, [[Q(1)]], [Q(0)],
+                                [rhs_only("u", 0, 1, [1])])
+        tsys = TolerableSystem(base, tsys.rhs_params)
+        v = self.decide(tsys, [Q(0)])
+        assert v.status is Status.CERTIFIED_YES and v.rule is Rule.THM7
+        assert ae_vertex_oracle(*tsys.combined(), v.evidence)
+        v = self.decide(tsys, [Q(1)])
+        assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM2
+
+    def test_zero_matrix_everything_unbounded(self):
+        # 0 x = u + q, u in [0, 1] universal, q in [-1, 1]: every x
+        base = ParametricSystem(1, 1, [[Q(0)]], [Q(0)],
+                                [rhs_only("u", 0, 1, [1])])
+        tsys = TolerableSystem(base, [RhsParameter("q", Interval(Q(-1), Q(1)),
+                                                   [Q(1)])])
+        for y in ([Q(1)], [Q(-3)]):
+            v = self.decide(tsys, y)
+            assert v.status is Status.CERTIFIED_YES and v.rule is Rule.THM7
 
     def test_empty_tolerable_set_unknown(self):
-        # x = q1 with q1 = 2 stacked against x = q2 with q2 = -2
+        # x = q1 with q1 = 2 stacked against x = q2 with q2 = -2: with no
+        # universal parameter the united cascade refutes y = 1 by the kernel
         base = ParametricSystem(2, 1, [[Q(1)], [Q(1)]], [Q(0), Q(0)], [])
-        tsys = TolerableSystem(base, [
-            RhsParameter("q1", Interval(Q(2), Q(2)), [Q(1), Q(0)]),
-            RhsParameter("q2", Interval(Q(-2), Q(-2)), [Q(0), Q(1)])])
-        v = decide_unbounded_tolerable(tsys, [Q(1)])
-        assert v.status is Status.UNKNOWN
+        rhs = [RhsParameter("q1", Interval(Q(2), Q(2)), [Q(1), Q(0)]),
+               RhsParameter("q2", Interval(Q(-2), Q(-2)), [Q(0), Q(1)])]
+        v = self.decide(TolerableSystem(base, rhs), [Q(1)])
+        assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM2
+        # with a column x2 that no equation reads and a universal shift u of
+        # the first right-hand side, y = e2 is in the kernel of an empty set
+        base = ParametricSystem(2, 2, [[Q(1), Q(0)], [Q(1), Q(0)]],
+                                [Q(0), Q(0)], [rhs_only("u", 0, 1, [1, 0], 2)])
+        rhs = [RhsParameter(r.name, r.interval, r.d) for r in rhs]
+        v = self.decide(TolerableSystem(base, rhs), [Q(0), Q(1)])
+        assert v.status is Status.UNKNOWN and v.rule is Rule.THM7
+        assert v.detail == "no base point of the tolerable set found"
 
     def test_kernel_matches_long_probes(self):
-        from pilsys.membership import member_tolerable
-        from pilsys.unbounded import probe_ray
+        from pilsys.membership import member_ae_kernel, member_tolerable
         rng = random.Random(47)
         checked = 0
         for trial in range(8):
@@ -304,9 +360,47 @@ class TestDecideUnboundedTolerable:
             for _ in range(4):
                 y = random_point(rng, tsys.base.n, -2, 2)
                 rep = probe_ray(combined, quant, x0, y, max_doublings=20)
-                assert kernel_tolerable(tsys, y) == rep.exhausted or \
-                    not kernel_tolerable(tsys, y)
-                if kernel_tolerable(tsys, y):
+                if member_ae_kernel(combined, quant, y)[0]:
                     assert rep.exhausted
+                    v = decide_unbounded(combined, quant, y)
+                    assert v.rule is Rule.THM7
                     checked += 1
         assert checked > 0
+
+    def test_thm7_cascade_on_shuffled_systems(self, monkeypatch):
+        def no_lp_maximize(*args):
+            raise AssertionError("a tolerable-form decision ran lp_maximize")
+
+        monkeypatch.setattr(membership, "lp_maximize", no_lp_maximize)
+        rng = random.Random(71)
+        seen = {}
+        for trial in range(30):
+            col = 0 if trial % 3 else None
+            tsys, _ = gen_tolerable_nonempty(rng, 2, rng.choice((2, 3)),
+                                             K=rng.randint(1, 3),
+                                             common_kernel_col=col)
+            order = list(range(tsys.base.K + len(tsys.rhs_params)))
+            rng.shuffle(order)
+            sys, quant = permuted(*tsys.combined(), order)
+            dirs = [zeros(sys.n), random_point(rng, sys.n, -2, 2)]
+            if col is not None:
+                dirs.append([Q(rng.randint(1, 3))] + [Q(0)] * (sys.n - 1))
+            for y in dirs:
+                v = decide_unbounded(sys, quant, y)
+                key = (v.status, v.rule)
+                seen[key] = seen.get(key, 0) + 1
+                if v.rule is Rule.THM2:
+                    assert v.status is Status.CERTIFIED_NO
+                    assert membership.validate_certificate(
+                        sys.homogenized(), quant, y, v.evidence)
+                elif v.status is Status.UNKNOWN:
+                    # a nonempty set whose sampled base points all missed
+                    assert v.rule is Rule.THM7 and v.evidence is None
+                else:
+                    assert v.rule is Rule.THM7
+                    assert v.status is Status.CERTIFIED_YES
+                    assert oracle.ae_vertex_oracle(sys, quant, v.evidence)
+                    assert probe_ray(sys, quant, v.evidence, y,
+                                     max_doublings=20).exhausted
+        assert seen[Status.CERTIFIED_YES, Rule.THM7] >= 20
+        assert seen[Status.CERTIFIED_NO, Rule.THM2] >= 20
