@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, dot, lp_feasible,
                     recession_cone, vec_add, zeros)
@@ -103,19 +103,22 @@ def oettli_prager_member(sys: ParametricSystem, x: Sequence[Q]) -> bool:
     return True
 
 
-def _linearization(mode: str, n: int, data, gens,
-                   region) -> PieceDecomposition:
+# Per sign vector: (s, solution piece, kernel piece)
+RawPieces = Iterator[tuple[SignVector, Polyhedron, Polyhedron]]
+
+
+def _linearization(n: int, data, gens, region) -> RawPieces:
     """One piece per sign vector s of the generators G_k, each given by its
     nonzero entries (i, j, value): the matrices A_c -+ sum_k s_k G_k, and the
     sign region region(s) as rows of C (each <= 0) plus lo/hi bounds.
 
     The solution piece has right-hand side (b_c + Delta_b; Delta_b - b_c; 0).
     The kernel piece is the same linearization with a zero right-hand side,
-    which is the kernel characterization of the homogenized system.
+    which is the kernel characterization of the homogenized system.  Pieces
+    are built as they are asked for, and no LP is run here.
     """
     Ac, _, bc, db = data
     rhs = vec_add(bc, db) + [r - c for c, r in zip(bc, db)]
-    pieces = []
     for sv in _sign_vectors(len(gens)):
         lower = [row[:] for row in Ac]
         upper = [row[:] for row in Ac]
@@ -128,15 +131,22 @@ def _linearization(mode: str, n: int, data, gens,
         solution = Polyhedron(C, rhs + zeros(len(rows)), [], [], n, lo, hi)
         kernel = Polyhedron([r[:] for r in C], zeros(len(C)), [], [], n,
                             lo[:], hi[:])
-        nonempty = isinstance(lp_feasible(solution), Feasible)
-        pieces.append(Piece(sv, solution, kernel, nonempty))
-    return PieceDecomposition(mode, pieces)
+        yield sv, solution, kernel
 
 
-def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
-    """Per-orthant linearization of an ordinary system and its kernel: the
-    generators are the columns of Delta_A, and the orthant s_j x_j >= 0 is
-    given as bounds."""
+def _nonempty(P: Polyhedron) -> bool:
+    return isinstance(lp_feasible(P), Feasible)
+
+
+def _decomposition(mode: str, pieces: RawPieces) -> PieceDecomposition:
+    return PieceDecomposition(mode, [Piece(sv, sol, ker, _nonempty(sol))
+                                     for sv, sol, ker in pieces])
+
+
+def _orthant_pieces(sys: ParametricSystem) -> RawPieces:
+    """The orthant linearization of an ordinary system: the generators are
+    the columns of Delta_A, and the orthant s_j x_j >= 0 is given as
+    bounds.  The cap is checked before any piece is built."""
     if ORDINARY not in classify(sys):
         raise ValueError("system is not ordinary")
     if sys.n > _DECOMPOSITION_CAP:
@@ -145,15 +155,16 @@ def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     data = interval_data(sys)
     gens = [[(i, j, row[j]) for i, row in enumerate(data[1]) if row[j] != 0]
             for j in range(sys.n)]
-    return _linearization(ORTHANT, sys.n, data, gens, lambda s: (
+    return _linearization(sys.n, data, gens, lambda s: (
         [], [Q(0) if sj > 0 else None for sj in s],
         [None if sj > 0 else Q(0) for sj in s]))
 
 
-def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
-    """Sign-cone linearization of a class-C system and its kernel: generators
+def _classC_pieces(sys: ParametricSystem) -> RawPieces:
+    """The sign-cone linearization of a class-C system: generators
     rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b is the shift
-    of the rhs parameters alone), and the sign cone as rows -s_k A^(k)_i."""
+    of the rhs parameters alone), and the sign cone as rows -s_k A^(k)_i.
+    The cap is checked before any piece is built."""
     if CLASS_C not in classify(sys):
         raise ValueError("system is not of class C")
     mats = [par for par in _fold_thin_params(sys).params
@@ -166,19 +177,47 @@ def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     cone = [(k, row) for k, par in enumerate(mats) for row in par.A
             if any(a != 0 for a in row)]
     return _linearization(
-        SIGNCONE, sys.n, interval_data(sys), gens,
+        sys.n, interval_data(sys), gens,
         lambda s: ([[-s[k] * a for a in row] for k, row in cone],
                    [None] * sys.n, [None] * sys.n))
 
 
-def decompose(sys: ParametricSystem) -> PieceDecomposition:
-    """Orthant decomposition for ordinary systems, sign-cone for class C."""
+def _pieces(sys: ParametricSystem) -> tuple[str, RawPieces]:
+    """Orthant pieces for ordinary systems, sign-cone pieces for class C."""
     flags = classify(sys)
     if ORDINARY in flags:
-        return orthant_decomposition(sys)
+        return ORTHANT, _orthant_pieces(sys)
     if CLASS_C in flags:
-        return classC_decomposition(sys)
+        return SIGNCONE, _classC_pieces(sys)
     raise ValueError("system is neither ordinary nor of class C")
+
+
+def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
+    """Per-orthant linearization of an ordinary system and its kernel."""
+    return _decomposition(ORTHANT, _orthant_pieces(sys))
+
+
+def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
+    """Sign-cone linearization of a class-C system and its kernel."""
+    return _decomposition(SIGNCONE, _classC_pieces(sys))
+
+
+def decompose(sys: ParametricSystem) -> PieceDecomposition:
+    """Orthant decomposition for ordinary systems, sign-cone for class C."""
+    return _decomposition(*_pieces(sys))
+
+
+def first_unbounded_piece(sys: ParametricSystem,
+                          y: Sequence[Q]) -> tuple[str, Optional[Piece]]:
+    """The mode of ``decompose(sys)`` and its first piece, in the same order,
+    whose kernel piece contains y and whose solution piece is nonempty, or
+    None.  The nonemptiness LP runs only on pieces whose kernel piece
+    contains y, and the search stops at the first nonempty one."""
+    mode, pieces = _pieces(sys)
+    for sv, solution, kernel in pieces:
+        if kernel.contains(y) and _nonempty(solution):
+            return mode, Piece(sv, solution, kernel, True)
+    return mode, None
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,15 @@ box plus equalities") has one tableau row per equation.  A bound on one
 variable is always stated as lo/hi; a row of C with one nonzero entry is an
 ordinary row.  Bland's rule makes it terminate, and an infeasible outcome
 carries exact Farkas multipliers, read from the reduced costs, that a
-validator can re-check.  A feasible outcome keeps its final basis:
-``basis_holds`` re-checks it under a new equality right-hand side with one
-integer dot per tableau row and no pivot, reading B^-1 off the artificial
-columns.  Fourier-Motzkin elimination writes the bounds out as rows first
-and never calls the simplex.
+validator can re-check.  Every outcome of ``lp_feasible`` keeps its final
+phase-1 tableau.  ``basis_holds`` re-checks a feasible one under a new
+equality right-hand side with one integer dot per tableau row and no pivot,
+reading B^-1 off the artificial columns.  ``max_row_shift`` resumes a copy
+of it: an equality row's artificial column is B^-1 times that row's unit
+vector, so freeing it turns the row into E_e x = f_e + t with t free, and
+phase 1 (usually a no-op) and then phase 2 maximize t on the same tableau.
+Fourier-Motzkin elimination writes the bounds out as rows first and never
+calls the simplex.
 """
 
 from __future__ import annotations
@@ -205,10 +209,11 @@ def recession_cone(P: Polyhedron) -> Polyhedron:
 # ---------------------------------------------------------------------------
 
 class _FinalBasis(NamedTuple):
-    """What ``basis_holds`` reads of a feasible phase-1 tableau: its rows,
-    basis, values and bounds, the columns (artificial column, equality row,
-    sign) of the equality rows' artificials, and the equality right-hand
-    side."""
+    """A final phase-1 tableau, as ``basis_holds`` and ``max_row_shift`` read
+    it: its rows, basis, values and bounds, the columns (artificial column,
+    equality row, sign) of the equality rows' artificials, and the equality
+    right-hand side.  An artificial still in phase 1 has no upper bound
+    exactly when it carries a phase-1 cost."""
 
     rows: list[list[int]]
     dens: list[int]
@@ -223,8 +228,9 @@ class _FinalBasis(NamedTuple):
 
 @dataclass(frozen=True)
 class Feasible:
-    """A feasible point.  ``basis`` is the final basis of the LP that found
-    it, kept for ``basis_holds``; it is not part of the result's value."""
+    """A feasible point.  ``basis`` is the final tableau of the LP that found
+    it, kept for ``basis_holds`` and ``max_row_shift``; it is not part of the
+    result's value."""
 
     point: Vector
     basis: Optional[_FinalBasis] = field(default=None, compare=False,
@@ -245,6 +251,8 @@ class Infeasible:
     ineq_mult: Vector
     eq_mult: Vector
     bound_mult: Vector
+    basis: Optional[_FinalBasis] = field(default=None, compare=False,
+                                         repr=False)
 
 
 LPResult = Union[Feasible, Infeasible]
@@ -348,6 +356,17 @@ class _BoundedSimplex:
         self._solve()
         self.feasible = all(v == 0 for v in self.val[width:])
 
+    @classmethod
+    def _resumed(cls, fb: _FinalBasis) -> "_BoundedSimplex":
+        """A copy of a kept tableau, ready for ``_set_cost`` and ``_solve``.
+        A pivot replaces rows rather than changing them, so the row lists
+        are shared."""
+        lp = cls.__new__(cls)
+        lp.width = fb.width
+        lp.rows, lp.dens, lp.basis = fb.rows[:], fb.dens[:], fb.basis[:]
+        lp.val, lp.lo, lp.hi = fb.val[:], fb.lo[:], fb.hi[:]
+        return lp
+
     def _set_cost(self, cost: Sequence[Q]) -> None:
         """Reduced costs d = cost - cost_B T for the current basis."""
         d, dden = scaled(cost)
@@ -446,8 +465,9 @@ class _BoundedSimplex:
     def point(self) -> Vector:
         return self.val[:self.n]
 
-    def farkas(self) -> Infeasible:
-        """Multipliers read from the phase-1 reduced costs.
+    def farkas(self, basis: _FinalBasis) -> Infeasible:
+        """Multipliers read from the phase-1 reduced costs, with the final
+        tableau kept as ``basis``.
 
         Row i of the tableau has dual y_i = -d(slack i), or sign * (cost - d)
         from its artificial; the multiplier of the original row is -y_i.  A
@@ -459,7 +479,7 @@ class _BoundedSimplex:
         mu = [Q(sign * (d[self.width + a] - cost * dden), dden)
               for a, (r, sign, cost) in enumerate(self.arts) if r >= g]
         return Infeasible([Q(x, dden) for x in d[n:self.width]], mu,
-                          [Q(-x, dden) for x in d[:n]])
+                          [Q(-x, dden) for x in d[:n]], basis)
 
     def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
@@ -473,15 +493,17 @@ class _BoundedSimplex:
 
 
 def lp_feasible(P: Polyhedron) -> LPResult:
-    """Exact feasibility of P, with a Farkas certificate on failure."""
+    """Exact feasibility of P, with a Farkas certificate on failure.  Either
+    result keeps the final tableau as its ``basis``."""
     lp = _BoundedSimplex(P)
-    if not lp.feasible:
-        return lp.farkas()
     g = len(P.C)
     arts = [(lp.width + a, r - g, sign)
             for a, (r, sign, _) in enumerate(lp.arts) if r >= g]
-    return Feasible(lp.point(), _FinalBasis(lp.rows, lp.dens, lp.basis, lp.val,
-                                            lp.lo, lp.hi, lp.width, arts, P.f))
+    fb = _FinalBasis(lp.rows, lp.dens, lp.basis, lp.val, lp.lo, lp.hi,
+                     lp.width, arts, P.f)
+    if not lp.feasible:
+        return lp.farkas(fb)
+    return Feasible(lp.point(), fb)
 
 
 def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
@@ -518,6 +540,43 @@ def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
                 (h is not None and vn * h.denominator > h.numerator * vd):
             return False
     return True
+
+
+def max_row_shift(res: LPResult, e: int, sign: int
+                  ) -> tuple[str, Optional[Q]]:
+    """Maximize t over the LP that gave ``res`` with its equality row e
+    relaxed to E_e x = f_e + sign * t (sign is 1 or -1), t free.
+
+    Row e of the start tableau reads S_e E_e x + a_e = S_e f_e, S_e the sign
+    the row was scaled by, so the relaxed row is that row with
+    a_e = -S_e * sign * t.  A copy of the kept tableau frees a_e: if another
+    artificial is still positive, phase 1 resumes without a_e's cost; then
+    the other artificials are fixed at 0 and phase 2 minimizes
+    S_e * sign * a_e.  The optimum is that of the cold LP with a free column
+    -sign * e_e, so t is the same exact value.  Returns ('infeasible', None),
+    ('unbounded', None) or ('optimal', t).
+    """
+    fb = res.basis
+    col, s = next((c, sg * sign) for c, r, sg in fb.arts if r == e)
+    lp = _BoundedSimplex._resumed(fb)
+    arts = range(lp.width, len(lp.val))
+    lp.lo[col] = lp.hi[col] = None
+    if any(lp.val[a] for a in arts if a != col):
+        # phase 1 again: each other artificial with no upper bound costs 1
+        lp._set_cost([0] * lp.width + [int(a != col and lp.hi[a] is None)
+                                       for a in arts])
+        lp._solve()
+        if any(lp.val[a] for a in arts if a != col):
+            return "infeasible", None
+    for a in arts:
+        if a != col:
+            lp.hi[a] = Q(0)
+    cost = [0] * len(lp.val)
+    cost[col] = Q(s)
+    lp._set_cost(cost)
+    if not lp._solve():
+        return "unbounded", None
+    return "optimal", -s * lp.val[col]
 
 
 def lp_maximize(P: Polyhedron, obj: Sequence[Q]):

@@ -20,8 +20,11 @@ fails strictly; validate_certificate re-checks that violation exactly.
 An AE query asks one LP per universal vertex; a later vertex first re-checks
 the last feasible basis and is solved cold only when that fails (see
 member_ae), so every certificate is that of a cold LP.  The strict kernel
-test shares those vertex rows over the existential box and adds one free
-eps column per LP (see strict_kernel_member_ae).
+test asks the same vertex LP over the existential box once per vertex and
+maximizes each axis reach eps on a copy of its final tableau, with one
+equation relaxed by eps (see strict_kernel_member_ae); ``decide_unbounded``
+builds the homogenized vertex LP once and starts the strict kernel from the
+kernel query's first vertex LP.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .exact import (FarkasCertificate, Feasible, Infeasible, Matrix,
+from .exact import (FarkasCertificate, Feasible, Infeasible, LPResult,
                     Polyhedron, Q, Vector, basis_holds, dot, lp_feasible,
-                    lp_maximize, vec_add, vec_scale, zeros)
+                    max_row_shift, vec_add, vec_scale, zeros)
 from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
                     TolerableSystem, classify, residual_vectors)
 
@@ -85,35 +88,94 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
                              [-t if t < 0 else zero for t in res.bound_mult])
 
 
-def _vertex_lp(sys: ParametricSystem, quant: QuantifierAssignment,
-               residuals: list[Vector]
-               ) -> tuple[list[int], list[int], Matrix, list[Q], list[Q],
-                          Iterator[tuple[Vector, Vector]]]:
+class _VertexLP:
     """The AE vertex LP over the residual vectors v^(k) of ``residuals``.
 
     Each vertex of the universal box asks for p_E in box_E with
     sum_{k in E} p_k v^(k) = rhs: the box is the bounds lo/hi, the m rows E
     are shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
-    changes.  Returns the sorted universal and existential indices, E, lo,
-    hi and an iterator of (vertex, rhs); above MAX_FORALL universal
-    parameters it refuses before any LP.
+    changes.  Above MAX_FORALL universal parameters it refuses before any
+    LP.  The first vertex's cold LP is kept, so that ``strict`` after
+    ``member`` starts from the LP that ``member`` solved there.
     """
-    quant.validate_for(sys.K)
-    if len(quant.forall_set) > MAX_FORALL:
-        raise ValueError(f"more than {MAX_FORALL} universal parameters")
-    forall, exists = sorted(quant.forall_set), sorted(quant.exists_set)
-    E = [[residuals[k + 1][i] for k in exists] for i in range(sys.m)]
-    lo = [sys.params[k].interval.lo for k in exists]
-    hi = [sys.params[k].interval.hi for k in exists]
-    cols = [[residuals[k][i] for k in (0, *(k + 1 for k in forall))]
-            for i in range(sys.m)]
 
-    def rhs_at_vertices():
-        for vertex in sys.vertices(forall):
+    def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
+                 residuals: list[Vector]):
+        quant.validate_for(sys.K)
+        if len(quant.forall_set) > MAX_FORALL:
+            raise ValueError(f"more than {MAX_FORALL} universal parameters")
+        self.sys = sys
+        self.forall = sorted(quant.forall_set)
+        self.exists = exists = sorted(quant.exists_set)
+        self.E = [[residuals[k + 1][i] for k in exists] for i in range(sys.m)]
+        self.lo = [sys.params[k].interval.lo for k in exists]
+        self.hi = [sys.params[k].interval.hi for k in exists]
+        self.cols = [[residuals[k][i] for k in (0, *(k + 1 for k in self.forall))]
+                     for i in range(sys.m)]
+        self.first: Optional[LPResult] = None
+
+    def vertices(self) -> Iterator[tuple[Vector, Vector]]:
+        """(universal vertex, rhs) in ``sys.vertices`` order."""
+        for vertex in self.sys.vertices(self.forall):
             coef = [Q(1), *vertex]
-            yield vertex, [-dot(coef, col) for col in cols]
+            yield vertex, [-dot(coef, col) for col in self.cols]
 
-    return forall, exists, E, lo, hi, rhs_at_vertices()
+    def solve(self, i: int, rhs: Vector) -> LPResult:
+        """The cold LP at vertex i with right-hand side rhs."""
+        if i == 0 and self.first is not None:
+            return self.first
+        res = lp_feasible(Polyhedron([], [], self.E, rhs, len(self.exists),
+                                     self.lo, self.hi))
+        if i == 0:
+            self.first = res
+        return res
+
+    def member(self) -> tuple[bool, Certificate]:
+        """Is the rhs reached at every vertex?  See ``member_ae``."""
+        witness: Optional[Vector] = None
+        last: Optional[Feasible] = None
+        for i, (vertex, rhs) in enumerate(self.vertices()):
+            if last is not None and basis_holds(last, rhs):
+                continue
+            res = self.solve(i, rhs)
+            if isinstance(res, Infeasible):
+                return False, Certificate.separator(_separator_from_farkas(res))
+            last = res
+            if witness is None:
+                p_full = zeros(self.sys.K)
+                for k, pk in zip(self.forall, vertex):
+                    p_full[k] = pk
+                for k, pk in zip(self.exists, res.point):
+                    p_full[k] = pk
+                witness = p_full
+        assert witness is not None
+        return True, Certificate.witness(witness)
+
+    def strict(self) -> tuple[bool, Q]:
+        """Is the rhs interior to the reach at every vertex?  See
+        ``strict_kernel_member_ae``."""
+        if not self.E:  # m == 0: no axis
+            return True, Q(1)
+        best: Optional[Q] = None
+        for i, (_, rhs) in enumerate(self.vertices()):
+            res = self.solve(i, rhs)
+            for e in range(len(self.E)):
+                for sign in (1, -1):
+                    status, val = max_row_shift(res, e, sign)
+                    # infeasible: the axis is out of reach; unbounded cannot occur
+                    if status != "optimal" or val <= 0:
+                        return False, val if status == "optimal" else Q(0)
+                    if best is None or val < best:
+                        best = val
+        return True, best
+
+
+def _kernel_lp(sys: ParametricSystem, quant: QuantifierAssignment,
+               y: Sequence[Q]) -> _VertexLP:
+    """The vertex LP of the homogenized system at y: the rows that both the
+    kernel query and the strict kernel ask, built once."""
+    hom = sys.homogenized()
+    return _VertexLP(hom, quant, residual_vectors(hom, y))
 
 
 def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:
@@ -150,33 +212,13 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     separator.  So the verdict and certificate are those of one cold LP per
     vertex.
     """
-    forall, exists, E, lo, hi, vertices = _vertex_lp(
-        sys, quant, residual_vectors(sys, x))
-    witness: Optional[Vector] = None
-    last: Optional[Feasible] = None
-    for vertex, rhs in vertices:
-        if last is not None and basis_holds(last, rhs):
-            continue
-        res = lp_feasible(Polyhedron([], [], E, rhs, len(exists), lo, hi))
-        if isinstance(res, Infeasible):
-            fc = _separator_from_farkas(res)
-            return False, Certificate.separator(fc)
-        last = res
-        if witness is None:
-            p_full = zeros(sys.K)
-            for k, pk in zip(forall, vertex):
-                p_full[k] = pk
-            for k, pk in zip(exists, res.point):
-                p_full[k] = pk
-            witness = p_full
-    assert witness is not None
-    return True, Certificate.witness(witness)
+    return _VertexLP(sys, quant, residual_vectors(sys, x)).member()
 
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
                      y: Sequence[Q]) -> tuple[bool, Certificate]:
     """AE membership of the homogenized system."""
-    return member_ae(sys.homogenized(), quant, y)
+    return _kernel_lp(sys, quant, y).member()
 
 
 def member_tolerable(tsys: TolerableSystem,
@@ -200,32 +242,16 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     which is equivalent to 0 lying at every universal vertex in the interior
     of {sum_{k in E} p_k v^(k) - rhs : p_E in box_E}, v^(k) = A^(k) y; the
     rows, box and rhs are those of ``member_ae`` on the homogenized system,
-    capped alike.  Each vertex takes 2m exact LPs: for each coordinate
-    direction +-e_i, those rows get one free column -+e_i, and eps is
-    maximized with eps*(+-e_i) reached.  The minimum of the maxima is
-    returned; it is positive exactly when 0 is interior.
+    capped alike.  Each vertex takes one phase 1 on those rows, and then
+    2m continuations of its final tableau: for each coordinate direction
+    +-e_i, equation i becomes E_i p = rhs_i +- eps with eps free, and eps is
+    maximized (``max_row_shift``), which is the cold LP with one more free
+    column -+e_i.  The minimum of the maxima is returned; it is positive
+    exactly when 0 is interior.
     """
     if len(y) != sys.n:
         raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
-    _, exists, E, lo, hi, vertices = _vertex_lp(
-        sys, quant, residual_vectors(sys.homogenized(), y))
-    dim = len(exists) + 1  # p_E, eps
-    lo, hi = lo + [None], hi + [None]
-    obj = zeros(dim)
-    obj[-1] = Q(1)
-    axes = [[row + [-sign if r == i else Q(0)] for r, row in enumerate(E)]
-            for i in range(sys.m) for sign in (Q(1), Q(-1))]
-    best: Optional[Q] = None
-    for _, rhs in vertices:
-        for rows in axes:
-            status, val, _ = lp_maximize(
-                Polyhedron([], [], rows, rhs, dim, lo, hi), obj)
-            # infeasible: the axis is out of reach; unbounded cannot occur
-            if status != "optimal" or val <= 0:
-                return False, val if status == "optimal" else Q(0)
-            if best is None or val < best:
-                best = val
-    return True, Q(1) if best is None else best  # m == 0: no axis
+    return _kernel_lp(sys, quant, y).strict()
 
 
 def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:

@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, lin_solve,
                     vec_add, vec_scale, zeros)
-from .membership import (member_ae, member_ae_kernel,
-                         member_kernel,  # noqa: F401 -- re-exported
-                         strict_kernel_member_ae)
+from .membership import (_kernel_lp, member_ae,
+                         member_kernel)  # noqa: F401 -- re-exported
 from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
                     QuantifierAssignment, classify)
 
@@ -144,8 +143,10 @@ def decide_unbounded(sys: ParametricSystem,
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
 
-    # (i) kernel membership is necessary
-    in_kernel, cert = member_ae_kernel(sys, quant, y)
+    # (i) kernel membership is necessary; its vertex LP, built once, serves
+    # the strict kernel of (iii) too
+    kernel = _kernel_lp(sys, quant, y)
+    in_kernel, cert = kernel.member()
     if not in_kernel:
         return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM2, cert,
                                 "direction is not in the kernel")
@@ -174,7 +175,7 @@ def decide_unbounded(sys: ParametricSystem,
     # positive once alpha >= R/eps, so alpha*y is in the set for all those
     # alpha: no sampled base point is needed, and the ray from
     # (R/eps + 1) y stays in the set.
-    strict, eps = strict_kernel_member_ae(sys, quant, y)
+    strict, eps = kernel.strict()
     if strict:
         R = sum(map(abs, sys.b_at(sys.midpoint())), Q(0)) + sum(
             (par.interval.rad * abs(v) for par in sys.params for v in par.b),
@@ -188,17 +189,17 @@ def decide_unbounded(sys: ParametricSystem,
     if not quant.forall_set:
         flags = classify(sys)
         if ORDINARY in flags or CLASS_C in flags:
-            from .cones import ORTHANT, DecompositionTooLarge, decompose
+            from .cones import (ORTHANT, DecompositionTooLarge,
+                                first_unbounded_piece)
             try:
-                dec = decompose(sys)
+                mode, piece = first_unbounded_piece(sys, y)
             except DecompositionTooLarge:
-                dec = None
-            for piece in dec.pieces if dec is not None else ():
-                if piece.nonempty and piece.kernel_piece.contains(y):
-                    rule = Rule.PROP1 if dec.mode == ORTHANT else Rule.PROP2
-                    return UnboundedVerdict(
-                        Status.CERTIFIED_YES, rule, piece,
-                        f"kernel piece {piece.sign} with nonempty solution piece")
+                piece = None
+            if piece is not None:
+                rule = Rule.PROP1 if mode == ORTHANT else Rule.PROP2
+                return UnboundedVerdict(
+                    Status.CERTIFIED_YES, rule, piece,
+                    f"kernel piece {piece.sign} with nonempty solution piece")
 
     # (v) probing fallback
     reports = []

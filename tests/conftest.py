@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction as Q
 
 import pytest

@@ -9,18 +9,15 @@ import random
 import time
 from fractions import Fraction as Q
 
-import pytest
-
 from conftest import (E1_DOC, gen_class_c, gen_first_class, gen_general,
                       gen_ordinary, gen_quantified, gen_tolerable_nonempty,
-                      gen_wide_ordinary, load, random_point)
+                      gen_wide_ordinary, random_point)
 from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import recession_cone
 from pilsys.membership import (member_ae, member_ae_kernel, member_first_class,
                                member_kernel, member_tolerable, member_united,
                                strict_kernel_member, validate_certificate,
                                witness_resubstitutes)
-from pilsys.model import ORDINARY, classify
 from pilsys.oracle import ae_vertex_oracle, fm_member_oracle, rasterize
 from pilsys.unbounded import (Rule, Status, decide_unbounded, find_base_points,
                               probe_ray)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import gen_class_c, gen_ordinary, load, random_point
+from conftest import gen_class_c, gen_ordinary, random_point
 from pilsys import cones
 from pilsys.cones import (Piece, PieceDecomposition, classC_decomposition,
                           decompose, interval_data, oettli_prager_member,

@@ -3,14 +3,14 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, NoSolution,
                           Polyhedron, UniqueSolution, _BoundedSimplex,
                           basis_holds, check_infeasibility_certificate, dot,
                           fm_eliminate, fm_feasible, lin_solve, lp_feasible,
-                          lp_maximize, recession_cone)
+                          lp_maximize, max_row_shift, recession_cone)
 
 
 def qvec(items):
@@ -207,6 +207,70 @@ class TestBasisHolds:
         res = lp_feasible(poly([], [], E=[[1]], f=[0], dim=1))
         with pytest.raises(ValueError):
             basis_holds(res, [Q(0), Q(0)])
+
+
+@st.composite
+def shift_cases(draw):
+    """A small polyhedron with some equality rows (a repeated one at times,
+    so an artificial can stay basic at 0), some rows of C, bounds that may
+    be missing, and one equality row and sign to relax."""
+    entry = st.integers(-2, 2).map(Q)
+    dim = draw(st.integers(1, 3))
+    E = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                      min_size=1, max_size=3))
+    f = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                      min_size=len(E), max_size=len(E)))
+    if draw(st.booleans()):
+        E, f = E + E[:1], f + f[:1]
+    C = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=2))
+    d = draw(st.lists(st.integers(-2, 2).map(Q), min_size=len(C),
+                      max_size=len(C)))
+    lo = draw(st.lists(st.one_of(st.none(), st.integers(-2, 0).map(Q)),
+                       min_size=dim, max_size=dim))
+    hi = draw(st.lists(st.one_of(st.none(), st.integers(0, 2).map(Q)),
+                       min_size=dim, max_size=dim))
+    return (Polyhedron(C, d, E, f, dim, lo, hi),
+            draw(st.integers(0, len(E) - 1)), draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_cases())
+def test_max_row_shift_is_the_cold_lp_with_a_free_column(case):
+    """Resuming the kept tableau gives the status and the exact optimum of
+    maximizing t over the same LP with row e relaxed to E_e x = f_e + sign*t,
+    solved cold; feasible and infeasible kept results alike."""
+    P, e, sign = case
+    cold = lp_maximize(Polyhedron(
+        [row + [Q(0)] for row in P.C], P.d,
+        [row + [Q(-sign if r == e else 0)] for r, row in enumerate(P.E)], P.f,
+        P.dim + 1, P.lo + [None], P.hi + [None]), [Q(0)] * P.dim + [Q(1)])
+    assert max_row_shift(lp_feasible(P), e, sign) == cold[:2]
+
+
+class TestMaxRowShift:
+    def test_resumes_an_infeasible_phase_1(self):
+        # x = 3 and x = 0 with x in [-1, 1]: infeasible, but relaxing the
+        # second row leaves x = 3 out of the box, relaxing the first gives
+        # t = x - 3 with x = 0
+        P = Polyhedron([], [], [[Q(1)], [Q(1)]], [Q(3), Q(0)], 1,
+                       [Q(-1)], [Q(1)])
+        res = lp_feasible(P)
+        assert isinstance(res, Infeasible) and res.basis is not None
+        assert max_row_shift(res, 0, 1) == ("optimal", Q(-3))
+        assert max_row_shift(res, 0, -1) == ("optimal", Q(3))
+        assert max_row_shift(res, 1, 1) == ("infeasible", None)
+
+    def test_keeps_the_result_unchanged(self):
+        P = Polyhedron([], [], [[Q(1), Q(1)]], [Q(1)], 2, [Q(0), Q(0)],
+                       [Q(1), Q(1)])
+        res = lp_feasible(P)
+        kept = (res.basis.val[:], res.basis.lo[:], res.basis.hi[:],
+                res.basis.basis[:], [r[:] for r in res.basis.rows])
+        assert max_row_shift(res, 0, 1) == ("optimal", Q(1))
+        assert max_row_shift(res, 0, -1) == ("optimal", Q(1))
+        assert (res.basis.val, res.basis.lo, res.basis.hi, res.basis.basis,
+                res.basis.rows) == kept
+        assert basis_holds(res, [Q(2)])
 
 
 class TestCertificates:

@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked on its syntax tree.
 
 No linter is a dependency, so these checks stand in for one: no unused
-imports, no top-level definition that nothing uses, and no floating point
-anywhere in the package, which keeps every decision path exact.  An import
+imports in the package or its tests, no top-level definition that nothing
+uses, and no floating point anywhere in the package, which keeps every
+decision path exact.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
 named functions of the package; they must all still exist.
 """
@@ -16,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pilsys"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path):
@@ -75,8 +77,8 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"]
+                         + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -10,7 +9,8 @@ from conftest import (gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, load, random_point)
 from pilsys import membership
-from pilsys.exact import NoSolution, Polyhedron, dot, fm_eliminate, lin_solve
+from pilsys.exact import (Feasible, NoSolution, Polyhedron, dot, fm_eliminate,
+                          lin_solve, lp_maximize)
 from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
                                member_first_class, member_kernel,
                                member_tolerable, member_united,
@@ -289,13 +289,18 @@ class TestStrictKernelAE:
         qa = QuantifierAssignment(frozenset(range(1, K)), frozenset({0}))
         calls = []
 
-        def reach(*args):
-            calls.append(args)
-            if len(calls) > 3:
-                raise RuntimeError("the universal vertices are not capped")
-            return "optimal", Q(1), None
+        def counted(real):
+            def lp(*args):
+                calls.append(args)
+                if len(calls) > 3:
+                    raise RuntimeError("the universal vertices are not capped")
+                return real(*args)
+            return lp
 
-        monkeypatch.setattr(membership, "lp_maximize", reach)
+        # no LP of any kind: neither a vertex phase 1 nor an axis reach
+        for name in ("lp_feasible", "max_row_shift"):
+            monkeypatch.setattr(membership, name,
+                                counted(getattr(membership, name)))
         with pytest.raises(ValueError, match="universal parameters"):
             strict_kernel_member_ae(sys, qa, [Q(1)])
         with pytest.raises(ValueError, match="universal parameters"):
@@ -346,6 +351,119 @@ def _through_kernel(rng, sys, y):
     yy = dot(y, y)
     A0 = [[a - ri * yj / yy for a, yj in zip(row, y)] for row, ri in zip(sys.A0, r)]
     return ParametricSystem(sys.m, sys.n, A0, sys.b0, sys.params)
+
+
+def _cold_strict(sys, quant, y):
+    """The strict kernel as 2m cold ``lp_maximize`` calls per universal
+    vertex: at each vertex and each +-e_i, the vertex rows of the
+    homogenized system with one more free column -+e_i, and eps maximized.
+    Returns the verdict and eps as ``strict_kernel_member_ae`` defines them,
+    and the reach of the first axis (None when it is out of reach)."""
+    forall, exists = sorted(quant.forall_set), sorted(quant.exists_set)
+    gens = [[dot(row, y) for row in par.A] for par in sys.params]
+    c = [dot(row, y) for row in sys.A0]
+    lo = [sys.params[k].interval.lo for k in exists] + [None]
+    hi = [sys.params[k].interval.hi for k in exists] + [None]
+    obj = [Q(0)] * len(exists) + [Q(1)]
+    best, first = None, ()
+    for vertex in sys.vertices(forall):
+        rhs = [-c[i] - sum((pk * gens[k][i] for k, pk in zip(forall, vertex)), Q(0))
+               for i in range(sys.m)]
+        for i in range(sys.m):
+            for sign in (1, -1):
+                E = [[gens[k][r] for k in exists] + [Q(-sign if r == i else 0)]
+                     for r in range(sys.m)]
+                status, val, _ = lp_maximize(
+                    Polyhedron([], [], E, rhs, len(exists) + 1, lo, hi), obj)
+                assert status != "unbounded"  # the box bounds eps
+                if first == ():
+                    first = val
+                if status != "optimal" or val <= 0:
+                    return (False, val if status == "optimal" else Q(0)), first
+                best = val if best is None else min(best, val)
+    return (True, Q(1) if best is None else best), first
+
+
+def _repeat_row(sys):
+    """sys with its last equation replaced by a copy of its first."""
+    def rep(rows):
+        return rows[:-1] + [rows[0][:] if isinstance(rows[0], list) else rows[0]]
+    return ParametricSystem(sys.m, sys.n, rep(sys.A0), rep(sys.b0), [
+        Parameter(par.name, par.interval, rep(par.A), rep(par.b))
+        for par in sys.params])
+
+
+def _thin_forall(sys, quant):
+    """sys with each universal interval shrunk to its lower end."""
+    return ParametricSystem(sys.m, sys.n, sys.A0, sys.b0, [
+        Parameter(par.name, Interval(par.interval.lo, par.interval.lo), par.A, par.b)
+        if k in quant.forall_set else par for k, par in enumerate(sys.params)])
+
+
+def _artificial_stays_basic(sys, quant, y):
+    """Whether the kernel LP at the first universal vertex is feasible and
+    ends phase 1 with an artificial (at 0) in its basis."""
+    lp = membership._kernel_lp(sys, quant, y)
+    _, rhs = next(lp.vertices())
+    res = lp.solve(0, rhs)
+    return isinstance(res, Feasible) and \
+        any(b >= res.basis.width for b in res.basis.basis)
+
+
+def test_strict_kernel_matches_cold_reference():
+    """``strict_kernel_member_ae`` resumes one phase 1 per universal vertex;
+    its verdict and eps must be those of 2m cold LPs per vertex, bit for bit,
+    on kernel and non-kernel directions alike."""
+    rng = random.Random(1313)
+    seen = Counter()
+    for trial in range(160):
+        kind = trial % 4
+        if kind == 0:
+            sys = gen_general(rng, rng.choice((1, 2, 3)), 2, K=rng.randint(1, 3))
+            quant = QuantifierAssignment.all_exists(sys.K)
+        else:
+            sys, quant = gen_quantified(rng, rng.choice((1, 2)), 2,
+                                        n_forall=rng.randint(1, 2),
+                                        n_exists=rng.randint(1, 3))
+            if kind == 2:
+                sys = _thin_forall(sys, quant)
+        repeated = sys.m > 1 and trial % 5 in (0, 3)
+        if repeated:
+            sys = _repeat_row(sys)
+        y = random_point(rng, sys.n, -1, 1) if trial % 7 else [Q(0)] * sys.n
+        if trial % 3 == 0 and any(y):
+            sys = _through_kernel(rng, sys, y)
+        got = strict_kernel_member_ae(sys, quant, y)
+        want, first = _cold_strict(sys, quant, y)
+        assert got == want, (trial, got, want)
+        in_kernel = member_ae_kernel(sys, quant, y)[0]
+        seen["ae" if quant.forall_set else "united", in_kernel, got[0]] += 1
+        seen["m", sys.m] += 1
+        seen["zero"] += not any(y)
+        seen["thin"] += kind == 2
+        seen["positive first axis, not kernel"] += \
+            not in_kernel and first is not None and first > 0
+        seen["repeated row, artificial basic at 0"] += \
+            repeated and any(y) and _artificial_stays_basic(sys, quant, y)
+    for ae in ("united", "ae"):
+        assert seen[ae, True, True] >= 3 and seen[ae, True, False] >= 3, seen
+        assert seen[ae, False, False] >= 3, seen
+    for key in (("m", 1), ("m", 2), ("m", 3), "zero", "thin",
+                "positive first axis, not kernel",
+                "repeated row, artificial basic at 0"):
+        assert seen[key] >= 2, (key, seen)
+
+
+def test_strict_kernel_resumes_an_infeasible_vertex():
+    # (3 + a, a) y with a in [-1, 1] and y = 1: 0 is not in the kernel, and
+    # the first axis still reaches +e_1 at a = 0 with eps = 3, so the phase 1
+    # left infeasible resumes; -e_1 is where it fails, at eps = -3
+    sys = ParametricSystem(2, 1, [[Q(3)], [Q(0)]], [Q(0), Q(0)], [
+        Parameter("a", Interval(Q(-1), Q(1)), [[Q(1)], [Q(1)]], [Q(0), Q(0)])])
+    quant = QuantifierAssignment.all_exists(1)
+    assert not member_ae_kernel(sys, quant, [Q(1)])[0]
+    assert _cold_strict(sys, quant, [Q(1)]) == ((False, Q(-3)), Q(3))
+    assert strict_kernel_member_ae(sys, quant, [Q(1)]) == (False, Q(-3))
 
 
 def test_strict_kernel_eps_matches_fm():
@@ -563,28 +681,35 @@ class TestLPShape:
                 assert P.hi == [iv.hi for iv in box]
 
     def test_strict_kernel_lps(self, monkeypatch):
-        """Each strict-kernel LP is the kernel query's vertex LP over the
-        existential box plus one free eps column."""
-        seen = self.spy(monkeypatch, "lp_maximize")
-        kernel_lps = self.spy(monkeypatch, "lp_feasible")
+        """The strict kernel solves the kernel query's vertex LP over the
+        existential box once per universal vertex, and each axis reach
+        resumes that LP's result with one equation relaxed."""
+        lps = self.spy(monkeypatch, "lp_feasible")
+        shifts = self.spy(monkeypatch, "max_row_shift")
         rng = random.Random(72)
         for _ in range(20):
             sys, quant = gen_quantified(rng, 2, 2, n_forall=1)
             y = random_point(rng, sys.n, -2, 2)
-            kernel_lps.clear()
+            lps.clear()
             member_ae_kernel(sys, quant, y)
-            kernel_rows = kernel_lps[0][0].E
-            seen.clear()
+            kernel = lps[0][0]
+            lps.clear()
+            shifts.clear()
             strict_kernel_member_ae(sys, quant, y)
             box = [sys.params[k].interval for k in sorted(quant.exists_set)]
-            K = len(box)
-            assert seen
-            for P, obj in seen:
-                assert P.C == [] and len(P.E) == sys.m and P.dim == K + 1
-                assert [row[:K] for row in P.E] == kernel_rows
-                assert P.lo == [iv.lo for iv in box] + [None]
-                assert P.hi == [iv.hi for iv in box] + [None]
-                assert obj == [Q(0)] * K + [Q(1)]
+            assert lps and len(lps) <= 2  # one per universal vertex
+            assert lps[0][0] == kernel
+            for (P,) in lps:
+                assert P.C == [] and len(P.E) == sys.m and P.dim == len(box)
+                assert P.E == kernel.E
+                assert P.lo == [iv.lo for iv in box]
+                assert P.hi == [iv.hi for iv in box]
+            # each axis resumes its own vertex's result, +e_i before -e_i
+            assert shifts
+            axes = [(e, sign) for e in range(sys.m) for sign in (1, -1)]
+            for k, (res, e, sign) in enumerate(shifts):
+                assert (e, sign) == axes[k % len(axes)]
+                assert res.basis is not None
 
 
 def _solved_point(rng, sys):

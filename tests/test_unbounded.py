@@ -3,9 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import (gen_general, gen_ordinary, gen_quantified,
-                      gen_tolerable_nonempty, gen_wide_ordinary, load,
-                      random_point)
+from conftest import (gen_general, gen_quantified, gen_tolerable_nonempty,
+                      gen_wide_ordinary, random_point)
 from pilsys import membership, oracle, unbounded
 from pilsys.exact import AffineSolutionSet, lin_solve, zeros
 from pilsys.membership import (member_ae, member_kernel, member_united,
@@ -274,12 +273,13 @@ class TestThresholdEvidence:
         monkeypatch.setattr(unbounded, "lin_solve", forbidden)
         monkeypatch.setattr(membership, "lp_feasible",
                             counting("feasible", membership.lp_feasible))
-        monkeypatch.setattr(membership, "lp_maximize",
-                            counting("maximize", membership.lp_maximize))
+        monkeypatch.setattr(membership, "max_row_shift",
+                            counting("shift", membership.max_row_shift))
         v = decide_unbounded(sys, None, y)
         assert v.rule is Rule.THM3 and v.evidence == [Q(0), Q(2)]
-        # one kernel LP, then 2m strict-kernel LPs at the one vertex
-        assert calls == ["feasible", "maximize", "maximize"]
+        # one kernel LP, which is also the strict kernel's phase 1 at the one
+        # vertex, then 2m axis reaches resumed from it
+        assert calls == ["feasible", "shift", "shift"]
 
 
 def permuted(sys, quant, order):
@@ -368,10 +368,16 @@ class TestDecideUnboundedTolerable:
         assert checked > 0
 
     def test_thm7_cascade_on_shuffled_systems(self, monkeypatch):
-        def no_lp_maximize(*args):
-            raise AssertionError("a tolerable-form decision ran lp_maximize")
+        def no_strict_stage(*args):
+            raise AssertionError("a tolerable-form decision ran the strict kernel")
 
-        monkeypatch.setattr(membership, "lp_maximize", no_lp_maximize)
+        monkeypatch.setattr(membership._VertexLP, "strict", no_strict_stage)
+        # the spy is live: a strict-kernel decision trips it
+        sys = ParametricSystem(
+            1, 2, [[Q(1), Q(0)]], [Q(1)],
+            [Parameter("a", Interval(Q(-1), Q(1)), [[Q(0), Q(1)]], [Q(0)])])
+        with pytest.raises(AssertionError, match="strict kernel"):
+            decide_unbounded(sys, None, [Q(0), Q(1)])
         rng = random.Random(71)
         seen = {}
         for trial in range(30):
