@@ -16,7 +16,11 @@ box plus equalities") has one tableau row per equation.  A bound on one
 variable is always stated as lo/hi; a row of C with one nonzero entry is an
 ordinary row.  Bland's rule makes it terminate, and an infeasible outcome
 carries exact Farkas multipliers, read from the reduced costs, that a
-validator can re-check.  Every outcome of ``lp_feasible`` keeps its final
+validator can re-check.  The simplex also takes an :class:`IntRowPolyhedron`,
+the membership form (bounds plus equations) with each equation already
+integers over a positive denominator, which is the form a tableau row keeps;
+its result is the one the rational rows give.  Every outcome of
+``lp_feasible`` keeps its final
 phase-1 tableau.  ``basis_holds`` re-checks a feasible one under a new
 equality right-hand side with one integer dot per tableau row and no pivot,
 reading B^-1 off the artificial columns.  ``max_row_shift`` resumes a copy
@@ -196,6 +200,50 @@ class Polyhedron:
             all(dot(row, x) == fi for row, fi in zip(self.E, self.f))
 
 
+@dataclass
+class IntRowPolyhedron:
+    """{x : lo <= x <= hi, E x = f} with equality row i given as the
+    integers E[i] over the positive integer dens[i], and no inequality rows.
+
+    This is the form a simplex tableau row keeps, so a caller that computes
+    its rows as integers hands them to ``lp_feasible`` with no Fraction in
+    between; the result is the one ``lp_feasible`` gives for the
+    ``Polyhedron`` with rows E[i] / dens[i].  Only the LP routines take it.
+    The shapes and bounds are checked as a ``Polyhedron`` checks them.
+    """
+
+    E: list[list[int]]
+    dens: list[int]
+    f: Vector
+    lo: list[Optional[Q]]
+    hi: list[Optional[Q]]
+
+    def __post_init__(self) -> None:
+        if not len(self.E) == len(self.dens) == len(self.f):
+            raise ValueError("row counts do not match right-hand sides")
+        if len(self.lo) != len(self.hi):
+            raise ValueError("bounds have wrong length")
+        if any(len(row) != len(self.lo) for row in self.E):
+            raise ValueError("equality row has wrong width")
+        if any(den <= 0 for den in self.dens):
+            raise ValueError("a row denominator is not positive")
+        if any(l is not None and h is not None and l > h
+               for l, h in zip(self.lo, self.hi)):
+            raise ValueError("a lower bound exceeds its upper bound")
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
+
+    @property
+    def C(self) -> Matrix:
+        return []
+
+    @property
+    def d(self) -> Vector:
+        return []
+
+
 def recession_cone(P: Polyhedron) -> Polyhedron:
     """{y : C y <= 0, E y = 0} with every finite bound of P made 0."""
     return Polyhedron([row[:] for row in P.C], zeros(len(P.C)),
@@ -295,9 +343,15 @@ class _BoundedSimplex:
     phase 2 runs on the same tableau.
     """
 
-    def __init__(self, P: Polyhedron):
+    def __init__(self, P: Union[Polyhedron, IntRowPolyhedron]):
         n = self.n = P.dim
         self.P = P
+        # each row as (integer numerators, positive denominator), made
+        # primitive, so equal rational rows start equal tableaus
+        if isinstance(P, IntRowPolyhedron):
+            E = [_primitive(row, den) for row, den in zip(P.E, P.dens)]
+        else:
+            E = [scaled(row) for row in P.E]
         x = [l if l is not None else h if h is not None else Q(0)
              for l, h in zip(P.lo, P.hi)]
         xn, xd = scaled(x)
@@ -328,8 +382,7 @@ class _BoundedSimplex:
             else:
                 basis.append(None)
                 pending.append((r, res))
-        for row, fk in zip(P.E, P.f):
-            row, den = scaled(row)
+        for (row, den), fk in zip(E, P.f):
             pending.append((len(self.rows), residual(fk, row, den)))
             basis.append(None)
             self.rows.append(row + [0] * g)
@@ -492,7 +545,7 @@ class _BoundedSimplex:
         return "optimal", dot(obj, x), x
 
 
-def lp_feasible(P: Polyhedron) -> LPResult:
+def lp_feasible(P: Union[Polyhedron, IntRowPolyhedron]) -> LPResult:
     """Exact feasibility of P, with a Farkas certificate on failure.  Either
     result keeps the final tableau as its ``basis``."""
     lp = _BoundedSimplex(P)
@@ -579,7 +632,7 @@ def max_row_shift(res: LPResult, e: int, sign: int
     return "optimal", -s * lp.val[col]
 
 
-def lp_maximize(P: Polyhedron, obj: Sequence[Q]):
+def lp_maximize(P: Union[Polyhedron, IntRowPolyhedron], obj: Sequence[Q]):
     """Maximize obj.x over P.
 
     Returns ('infeasible', None, None), ('unbounded', None, None), or

@@ -17,6 +17,11 @@ characterization inequality
 
 fails strictly; validate_certificate re-checks that violation exactly.
 
+The vertex LPs are built from integer residual rows (``residual_rows``):
+equation i is the numerators of v^(0)_i, ..., v^(K)_i over one positive
+denominator, and that denominator goes with its row into the simplex tableau
+(``IntRowPolyhedron``), so no residual is built as a Fraction on the way.
+
 An AE query asks one LP per universal vertex; a later vertex first re-checks
 the last feasible basis and is solved cold only when that fails (see
 member_ae), so every certificate is that of a cold LP.  The strict kernel
@@ -31,13 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .exact import (FarkasCertificate, Feasible, Infeasible, LPResult,
-                    Polyhedron, Q, Vector, basis_holds, dot, lp_feasible,
-                    max_row_shift, vec_add, vec_scale, zeros)
+from .exact import (FarkasCertificate, Feasible, Infeasible, IntRowPolyhedron,
+                    LPResult, Q, Vector, basis_holds, dot, lp_feasible,
+                    max_row_shift, scaled, vec_add, vec_scale, zeros)
 from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
-                    TolerableSystem, classify, residual_vectors)
+                    TolerableSystem, classify, residual_rows,
+                    residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -89,43 +96,49 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
 
 
 class _VertexLP:
-    """The AE vertex LP over the residual vectors v^(k) of ``residuals``.
+    """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``).
 
     Each vertex of the universal box asks for p_E in box_E with
     sum_{k in E} p_k v^(k) = rhs: the box is the bounds lo/hi, the m rows E
     are shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
-    changes.  Above MAX_FORALL universal parameters it refuses before any
-    LP.  The first vertex's cold LP is kept, so that ``strict`` after
-    ``member`` starts from the LP that ``member`` solved there.
+    changes.  Row i stays integers over its residual denominator dens[i],
+    which the simplex takes as they are (``IntRowPolyhedron``); a vertex is
+    scaled to integers once, so each rhs entry is one integer dot.  Above
+    MAX_FORALL universal parameters it refuses before any LP.  The first
+    vertex's cold LP is kept, so that ``strict`` after ``member`` starts
+    from the LP that ``member`` solved there.
     """
 
     def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
-                 residuals: list[Vector]):
+                 rows: list[tuple[list[int], int]]):
         quant.validate_for(sys.K)
         if len(quant.forall_set) > MAX_FORALL:
             raise ValueError(f"more than {MAX_FORALL} universal parameters")
         self.sys = sys
         self.forall = sorted(quant.forall_set)
         self.exists = exists = sorted(quant.exists_set)
-        self.E = [[residuals[k + 1][i] for k in exists] for i in range(sys.m)]
+        self.E = [[nums[k + 1] for k in exists] for nums, _ in rows]
+        self.dens = [den for _, den in rows]
         self.lo = [sys.params[k].interval.lo for k in exists]
         self.hi = [sys.params[k].interval.hi for k in exists]
-        self.cols = [[residuals[k][i] for k in (0, *(k + 1 for k in self.forall))]
-                     for i in range(sys.m)]
+        self.cols = [[nums[k] for k in (0, *(k + 1 for k in self.forall))]
+                     for nums, _ in rows]
         self.first: Optional[LPResult] = None
 
     def vertices(self) -> Iterator[tuple[Vector, Vector]]:
         """(universal vertex, rhs) in ``sys.vertices`` order."""
         for vertex in self.sys.vertices(self.forall):
-            coef = [Q(1), *vertex]
-            yield vertex, [-dot(coef, col) for col in self.cols]
+            pn, pd = scaled(vertex)
+            coef = [pd, *pn]
+            yield vertex, [Q(-sum(map(mul, coef, col)), pd * den)
+                           for col, den in zip(self.cols, self.dens)]
 
     def solve(self, i: int, rhs: Vector) -> LPResult:
         """The cold LP at vertex i with right-hand side rhs."""
         if i == 0 and self.first is not None:
             return self.first
-        res = lp_feasible(Polyhedron([], [], self.E, rhs, len(self.exists),
-                                     self.lo, self.hi))
+        res = lp_feasible(IntRowPolyhedron(self.E, self.dens, rhs, self.lo,
+                                           self.hi))
         if i == 0:
             self.first = res
         return res
@@ -175,7 +188,7 @@ def _kernel_lp(sys: ParametricSystem, quant: QuantifierAssignment,
     """The vertex LP of the homogenized system at y: the rows that both the
     kernel query and the strict kernel ask, built once."""
     hom = sys.homogenized()
-    return _VertexLP(hom, quant, residual_vectors(hom, y))
+    return _VertexLP(hom, quant, residual_rows(hom, y))
 
 
 def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:
@@ -212,7 +225,7 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     separator.  So the verdict and certificate are those of one cold LP per
     vertex.
     """
-    return _VertexLP(sys, quant, residual_vectors(sys, x)).member()
+    return _VertexLP(sys, quant, residual_rows(sys, x)).member()
 
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,

@@ -279,33 +279,49 @@ def classify(sys: ParametricSystem,
 # Residuals
 # ---------------------------------------------------------------------------
 
-def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
-    """v^(k) = A^(k) x - b^(k) for k = 0..K; index 0 is the constant term.
+def residual_rows(sys: ParametricSystem,
+                  x: Sequence[Q]) -> list[tuple[list[int], int]]:
+    """Row i of the residuals v^(k) = A^(k) x - b^(k), k = 0..K (index 0 is
+    the constant term), as the integer numerators of v^(0)_i, ..., v^(K)_i
+    over one positive denominator D_i: the form a simplex tableau row keeps.
 
     x is scaled once to integers xn over xd, so each entry is
     (A^(k)_i, b^(k)_i).(xn, -xd) / xd: the nonzero products are summed as
-    one integer over the lcm of the row's denominators, as in ``dot``.
+    one integer over the lcm of their denominators, as in ``dot``, and D_i
+    is xd times the lcm of those over k.  No Fraction is built.
     """
     if len(x) != sys.n:
         raise ValueError(f"point has length {len(x)}, expected {sys.n}")
     xn, xd = scaled(x)
     xn.append(-xd)
+    mats = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
     out = []
-    for A, b in [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]:
-        vk = []
-        for row, bi in zip(A, b):
+    for i in range(sys.m):
+        nums, dens = [], []
+        for A, b in mats:
             num, den = 0, 1
-            for a, xj in zip((*row, bi), xn):
-                if a and xj:
-                    an, ad = a.as_integer_ratio()
+            for a, xj in zip((*A[i], b[i]), xn):
+                an, ad = a.as_integer_ratio()
+                if an and xj:
                     if den % ad:
                         m = lcm(den, ad)
                         num *= m // den
                         den = m
                     num += an * xj * (den // ad)
-            vk.append(Q(num, den * xd))
-        out.append(vk)
+            nums.append(num)
+            dens.append(den)
+        D = lcm(*dens)
+        if D > 1:
+            nums = [num * (D // den) for num, den in zip(nums, dens)]
+        out.append((nums, D * xd))
     return out
+
+
+def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
+    """v^(k) = A^(k) x - b^(k) for k = 0..K as Fractions; index 0 is the
+    constant term.  The rational view of ``residual_rows``."""
+    rows = residual_rows(sys, x)
+    return [[Q(nums[k], den) for nums, den in rows] for k in range(sys.K + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +351,11 @@ def parse_rational(text: str) -> Q:
     if len(text) > MAX_LITERAL_LENGTH:
         raise SystemFormatError(f"number literal of {len(text)} characters is "
                                 f"longer than {MAX_LITERAL_LENGTH}")
+    # Fraction takes digit-grouping underscores from Python 3.11 on, and
+    # _EXPONENT would not see an exponent written "1e1_0000"
+    if "_" in text:
+        raise SystemFormatError(f"bad number literal {text!r}: underscores "
+                                f"are not allowed")
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
         raise SystemFormatError(f"exponent of {text!r} is beyond "

@@ -138,8 +138,11 @@ def decide_unbounded(sys: ParametricSystem,
                      quant: Optional[QuantifierAssignment],
                      y: Sequence[Q], budget: int = 8,
                      seed: int = 0) -> UnboundedVerdict:
-    """Decision cascade for 'is y an unbounded direction of the solution set'."""
+    """Decision cascade for 'is y an unbounded direction of the solution set'.
+    y must be nonzero."""
     y = list(y)
+    if not any(y):
+        raise ValueError("the zero vector is not a direction")
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
 

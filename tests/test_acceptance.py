@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction as Q
 
+import pytest
+
 from conftest import (E1_DOC, gen_class_c, gen_first_class, gen_general,
                       gen_ordinary, gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, random_point)
@@ -156,6 +158,10 @@ def test_criterion_7_theorem7_property():
         while len(directions) < 10:
             directions.append(random_point(rng, tsys.base.n, -2, 2))
         for y in directions[:10]:
+            if not any(y):
+                with pytest.raises(ValueError, match="not a direction"):
+                    decide_unbounded(combined, quant, y)
+                continue
             v = decide_unbounded(combined, quant, y)
             if member_ae_kernel(combined, quant, y)[0]:
                 rep = probe_ray(combined, quant, x0, y, max_doublings=20)

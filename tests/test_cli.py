@@ -69,6 +69,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent.json", "--point", "1")
         assert code == 1
 
+    def test_grouped_exponent_is_an_error(self, capsys, tmp_path):
+        # "1e1_0000" would be a 33,220-bit integer, beyond the exponent cap
+        path = tmp_path / "grouped.json"
+        path.write_text(json.dumps({"m": 1, "n": 1,
+                                    "constant": {"A": [["1"]], "b": ["1e1_0000"]}}))
+        code, out, err = run(capsys, "check", str(path), "--point", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "underscore" in err
+
     def test_malformed_system(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"m": 1, "n": 1, "constant": 5}))
@@ -105,6 +114,11 @@ class TestUnbounded:
     def test_e1_no(self, capsys, e1_file):
         code, out, _ = run(capsys, "unbounded", e1_file, "--dir", "1,0")
         assert code == 0 and out.startswith("CERTIFIED_NO by THM2")
+
+    def test_zero_direction_is_an_error(self, capsys, e1_file):
+        code, out, err = run(capsys, "unbounded", e1_file, "--dir", "0,0")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not a direction" in err
 
     def test_zero_budget_finds_no_base_point(self, capsys, e1_file):
         code, out, _ = run(capsys, "unbounded", e1_file, "--dir", "0,-1",

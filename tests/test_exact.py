@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, NoSolution,
-                          Polyhedron, UniqueSolution, _BoundedSimplex,
-                          basis_holds, check_infeasibility_certificate, dot,
-                          fm_eliminate, fm_feasible, lin_solve, lp_feasible,
-                          lp_maximize, max_row_shift, recession_cone)
+from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible,
+                          IntRowPolyhedron, NoSolution, Polyhedron,
+                          UniqueSolution, _BoundedSimplex, basis_holds,
+                          check_infeasibility_certificate, dot, fm_eliminate,
+                          fm_feasible, lin_solve, lp_feasible, lp_maximize,
+                          max_row_shift, recession_cone)
 
 
 def qvec(items):
@@ -85,6 +86,48 @@ class TestLpFeasible:
         res = lp_feasible(P)
         assert isinstance(res, Feasible)
         assert P.contains(res.point)
+
+
+class TestIntRowPolyhedron:
+    """Equality rows as integers over one positive denominator each."""
+
+    def test_same_result_as_the_rational_rows(self):
+        # p1/2 + p2/3 = f over the box [0, 1]^2, given as 6 p1 + 4 p2 over
+        # 12: not reduced, so the simplex makes the row primitive first
+        lo, hi = qvec([0, 0]), qvec([1, 1])
+        rational = [qvec([Q(1, 2), Q(1, 3)])]
+        for f in (Q(1, 2), Q(5, 6), Q(1)):
+            P = Polyhedron([], [], rational, [f], 2, lo, hi)
+            got = lp_feasible(IntRowPolyhedron([[6, 4]], [12], [f], lo, hi))
+            want = lp_feasible(P)
+            assert type(got) is type(want) and got == want
+            assert got.basis == want.basis
+            assert lp_maximize(IntRowPolyhedron([[6, 4]], [12], [f], lo, hi),
+                               qvec([1, -1])) == lp_maximize(P, qvec([1, -1]))
+        assert isinstance(got, Infeasible)
+        assert check_infeasibility_certificate(P, got)
+
+    def test_no_rows(self):
+        P = IntRowPolyhedron([], [], [], [Q(1)], [None])
+        assert (P.C, P.d, P.dim) == ([], [], 1)
+        assert lp_feasible(P) == Feasible([Q(1)])
+
+    @pytest.mark.parametrize("args,match", [
+        (([[1]], [1, 2], [Q(0)]), "row counts"),
+        (([[1]], [1], [Q(0), Q(1)]), "row counts"),
+        (([[1, 2]], [1], [Q(0)]), "wrong width"),
+        (([[1]], [0], [Q(0)]), "denominator"),
+        (([[1]], [-2], [Q(0)]), "denominator"),
+    ], ids=["dens", "rhs", "width", "zero-den", "negative-den"])
+    def test_shapes_checked(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            IntRowPolyhedron(*args, [Q(0)], [Q(1)])
+
+    def test_bounds_checked(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            IntRowPolyhedron([[1]], [1], [Q(0)], [Q(0)], [Q(1), Q(1)])
+        with pytest.raises(ValueError, match="exceeds"):
+            IntRowPolyhedron([[1]], [1], [Q(0)], [Q(1)], [Q(0)])
 
 
 class TestLpMaximize:

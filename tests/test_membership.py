@@ -9,15 +9,17 @@ from conftest import (gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, load, random_point)
 from pilsys import membership
-from pilsys.exact import (Feasible, NoSolution, Polyhedron, dot, fm_eliminate,
-                          lin_solve, lp_maximize)
+from pilsys.exact import (Feasible, IntRowPolyhedron, NoSolution, Polyhedron,
+                          dot, fm_eliminate, lin_solve, lp_feasible,
+                          lp_maximize)
 from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
                                member_first_class, member_kernel,
                                member_tolerable, member_united,
                                strict_kernel_member, strict_kernel_member_ae,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
-                          QuantifierAssignment, RhsParameter, TolerableSystem)
+                          QuantifierAssignment, RhsParameter, TolerableSystem,
+                          residual_rows, residual_vectors)
 from pilsys.oracle import ae_vertex_oracle, fm_member_oracle
 
 PINNED_CERTIFICATES = \
@@ -710,6 +712,50 @@ class TestLPShape:
             for k, (res, e, sign) in enumerate(shifts):
                 assert (e, sign) == axes[k % len(axes)]
                 assert res.basis is not None
+
+
+def test_integer_row_lps_match_the_rational_reference():
+    """Each vertex LP reaches the simplex as integer residual rows over one
+    denominator per row.  On united, AE and kernel queries its right-hand
+    sides must be those of the Fraction residuals, and its result (type,
+    point, multipliers and final tableau) that of ``lp_feasible`` on the
+    rational rows."""
+    rng = random.Random(1414)
+    seen = Counter()
+    for trial in range(150):
+        kind = trial % 3
+        if kind == 0:
+            sys = gen_general(rng, rng.randint(1, 3), rng.randint(1, 3))
+            quant = QuantifierAssignment.all_exists(sys.K)
+        elif trial % 2:
+            sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
+        else:
+            tsys, _ = gen_tolerable_nonempty(rng, 2, 2, K=rng.randint(1, 2))
+            sys, quant = tsys.combined()
+        x = [Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+             for _ in range(sys.n)]
+        if kind == 0 and trial % 2:
+            x = _solved_point(rng, sys) or x
+        if kind == 2:
+            sys = sys.homogenized()
+            lp = membership._kernel_lp(sys, quant, x)
+        else:
+            lp = membership._VertexLP(sys, quant, residual_rows(sys, x))
+        v = residual_vectors(sys, x)
+        E = [[Q(a, den) for a in row] for row, den in zip(lp.E, lp.dens)]
+        assert E == [[v[k + 1][i] for k in lp.exists] for i in range(sys.m)]
+        for vertex, rhs in lp.vertices():
+            coef = [Q(1), *vertex]
+            assert rhs == [-dot(coef, [v[k][i] for k in (0, *(k + 1 for k in lp.forall))])
+                           for i in range(sys.m)]
+            got = lp_feasible(IntRowPolyhedron(lp.E, lp.dens, rhs, lp.lo, lp.hi))
+            want = lp_feasible(Polyhedron([], [], E, rhs, len(lp.exists),
+                                          lp.lo, lp.hi))
+            assert type(got) is type(want) and got == want
+            assert got.basis == want.basis
+            seen[kind, type(got).__name__] += 1
+    assert all(seen[kind, outcome] >= 5 for kind in range(3)
+               for outcome in ("Feasible", "Infeasible")), seen
 
 
 def _solved_point(rng, sys):

@@ -12,7 +12,8 @@ from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
                           ParametricSystem, ParsedSystem,
                           QuantifierAssignment, RhsParameter,
                           SystemFormatError, TolerableSystem, classify,
-                          parse_rational, parse_system, residual_vectors,
+                          parse_rational, parse_system, residual_rows,
+                          residual_vectors,
                           serialize_system)
 
 import random
@@ -151,8 +152,11 @@ class TestParserTotality:
             load(doc)
 
     @pytest.mark.parametrize("literal", ["1e999999999", " -2.5E-999999999 ",
-                                         "1" * 1001],
-                             ids=["huge-exponent", "tiny-exponent", "long-literal"])
+                                         "1" * 1001, "1e1_0000", "1e99_999_999",
+                                         "1_000"],
+                             ids=["huge-exponent", "tiny-exponent", "long-literal",
+                                  "grouped-exponent", "grouped-huge-exponent",
+                                  "grouped-digits"])
     def test_oversized_literal_rejected(self, literal):
         with pytest.raises(SystemFormatError):
             parse_rational(literal)
@@ -305,6 +309,11 @@ def test_residual_vectors_are_the_plain_sums(case, data):
         got = residual_vectors(s, x)
         assert got == want
         assert all(type(v) is Q for vk in got for v in vk)
+        rows = residual_rows(s, x)
+        assert len(rows) == s.m
+        for i, (nums, den) in enumerate(rows):
+            assert type(den) is int and den > 0
+            assert [Q(v, den) for v in nums] == [vk[i] for vk in want]
 
 
 class TestClassify:

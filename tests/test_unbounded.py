@@ -11,7 +11,6 @@ from pilsys.membership import (member_ae, member_kernel, member_united,
                                strict_kernel_member_ae)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem)
-from pilsys.oracle import ae_vertex_oracle
 from pilsys.unbounded import (Rule, Status, decide_unbounded, find_base_points,
                               probe_ray)
 
@@ -94,6 +93,14 @@ class TestDecideUnbounded:
     def test_e3_certified_yes_by_strict(self, e3):
         v = decide_unbounded(e3.system, None, [Q(1)])
         assert v.status is Status.CERTIFIED_YES and v.rule is Rule.THM3
+
+    def test_zero_direction_rejected(self, e1, e3):
+        for parsed in (e1, e3):
+            y = [Q(0)] * parsed.system.n
+            with pytest.raises(ValueError, match="not a direction"):
+                decide_unbounded(parsed.system, None, y)
+        with pytest.raises(ValueError, match="length"):
+            decide_unbounded(e1.system, None, [Q(1)])
 
     def test_e1_downward_unknown_no_exit(self, e1):
         v = decide_unbounded(e1.system, None, [Q(0), Q(-1)])
@@ -305,20 +312,21 @@ class TestDecideUnboundedTolerable:
         return decide_unbounded(*tsys.combined(), y)
 
     def test_bounded_tolerable_set(self):
-        # x = q: no universal parameter, so the united cascade decides
+        # x = q: no universal parameter, so the united cascade decides; the
+        # zero vector is no direction, so no verdict holds for it
         base = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [])
         tsys = TolerableSystem(base, [RhsParameter("q", Interval(Q(-1), Q(1)),
                                                    [Q(1)])])
-        assert self.decide(tsys, [Q(0)]).status is Status.CERTIFIED_YES
+        with pytest.raises(ValueError, match="not a direction"):
+            self.decide(tsys, [Q(0)])
         v = self.decide(tsys, [Q(1)])
         assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM2
         # x = u + q, u in [0, 1] universal: the set is [0, 1]
         base = ParametricSystem(1, 1, [[Q(1)]], [Q(0)],
                                 [rhs_only("u", 0, 1, [1])])
         tsys = TolerableSystem(base, tsys.rhs_params)
-        v = self.decide(tsys, [Q(0)])
-        assert v.status is Status.CERTIFIED_YES and v.rule is Rule.THM7
-        assert ae_vertex_oracle(*tsys.combined(), v.evidence)
+        with pytest.raises(ValueError, match="not a direction"):
+            self.decide(tsys, [Q(0)])
         v = self.decide(tsys, [Q(1)])
         assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM2
 
@@ -359,6 +367,10 @@ class TestDecideUnboundedTolerable:
             combined, quant = tsys.combined()
             for _ in range(4):
                 y = random_point(rng, tsys.base.n, -2, 2)
+                if not any(y):
+                    with pytest.raises(ValueError, match="not a direction"):
+                        decide_unbounded(combined, quant, y)
+                    continue
                 rep = probe_ray(combined, quant, x0, y, max_doublings=20)
                 if member_ae_kernel(combined, quant, y)[0]:
                     assert rep.exhausted
@@ -392,6 +404,10 @@ class TestDecideUnboundedTolerable:
             if col is not None:
                 dirs.append([Q(rng.randint(1, 3))] + [Q(0)] * (sys.n - 1))
             for y in dirs:
+                if not any(y):
+                    with pytest.raises(ValueError, match="not a direction"):
+                        decide_unbounded(sys, quant, y)
+                    continue
                 v = decide_unbounded(sys, quant, y)
                 key = (v.status, v.rule)
                 seen[key] = seen.get(key, 0) + 1
