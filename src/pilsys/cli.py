@@ -3,17 +3,20 @@
 Exit status: 0 = completed, 1 = usage or input error, 2 = an oracle
 cross-check disagreed.  All output has a stable line format and identical
 invocations (including seeds) produce byte-identical output.
+
+Each process runs one subcommand, so start-up is most of its cost: a
+command imports ``unbounded``, ``oracle`` and ``cones`` only when it runs
+them, and ``check`` and ``kernel`` load no more than ``exact``, ``model``
+and ``membership``.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
-import random
 import sys as _sys
 from typing import Optional
 
-from . import membership, model, oracle, unbounded
+from . import membership, model
 from .exact import Polyhedron, Q, Vector
 from .model import (FIRST_CLASS, ORDINARY, TOLERABLE_FORM, ParsedSystem,
                     QuantifierAssignment, SystemFormatError, parse_rational,
@@ -30,7 +33,7 @@ def _load(path: str) -> ParsedSystem:
             return parse_system(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except SystemFormatError as exc:
+    except (SystemFormatError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -91,6 +94,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_unbounded(args) -> int:
+    from . import unbounded
     parsed = _load(args.file)
     sys = parsed.system
     y = _vector(args.dir, sys.n, "direction")
@@ -136,6 +140,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_raster(args) -> int:
+    from . import oracle
     parsed = _load(args.file)
     sys = parsed.system
     parts = args.window.split(",")
@@ -160,6 +165,10 @@ def cmd_raster(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import itertools
+    import random
+
+    from . import oracle
     parsed = _load(args.file)
     sys = parsed.system
     if args.samples < 0:

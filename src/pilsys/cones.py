@@ -12,11 +12,10 @@ the kernel piece is that linearization with a zero right-hand side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, dot, lp_feasible,
-                    recession_cone, vec_add, zeros)
+from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, _Record, dot,
+                    lp_feasible, recession_cone, vec_add, zeros)
 from .model import (CLASS_C, ORDINARY, ParametricSystem, _fold_thin_params,
                     classify)
 
@@ -30,30 +29,35 @@ class DecompositionTooLarge(ValueError):
     """The 2^n orthants or 2^K sign cones exceed the decomposition cap."""
 
 
-@dataclass(frozen=True)
-class SignVector:
-    s: tuple[int, ...]
+class SignVector(_Record):
+    __slots__ = _fields = ("s",)
 
-    def __post_init__(self) -> None:
-        if any(x not in (1, -1) for x in self.s):
+    def __init__(self, s: tuple[int, ...]):
+        if any(x not in (1, -1) for x in s):
             raise ValueError("sign entries must be +1 or -1")
+        self.s = s
 
     def __str__(self) -> str:
         return "".join("+" if x == 1 else "-" for x in self.s)
 
 
-@dataclass
-class Piece:
-    sign: SignVector
-    solution_piece: Polyhedron
-    kernel_piece: Polyhedron
-    nonempty: bool
+class Piece(_Record):
+    __slots__ = _fields = ("sign", "solution_piece", "kernel_piece", "nonempty")
+
+    def __init__(self, sign: SignVector, solution_piece: Polyhedron,
+                 kernel_piece: Polyhedron, nonempty: bool):
+        self.sign = sign
+        self.solution_piece = solution_piece
+        self.kernel_piece = kernel_piece
+        self.nonempty = nonempty
 
 
-@dataclass
-class PieceDecomposition:
-    mode: str  # ORTHANT | SIGNCONE
-    pieces: list[Piece]
+class PieceDecomposition(_Record):
+    __slots__ = _fields = ("mode", "pieces")
+
+    def __init__(self, mode: str, pieces: list[Piece]):
+        self.mode = mode  # ORTHANT | SIGNCONE
+        self.pieces = pieces
 
 
 def _sign_vectors(n: int):
@@ -224,18 +228,25 @@ def first_unbounded_piece(sys: ParametricSystem,
 # Recession-cone equality (Propositions on the special classes)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PieceEqualityReport:
-    sign: SignVector
-    nonempty: bool
-    recession_equals_kernel: Optional[bool]  # None when the piece is empty
+class PieceEqualityReport(_Record):
+    __slots__ = _fields = ("sign", "nonempty", "recession_equals_kernel")
+
+    def __init__(self, sign: SignVector, nonempty: bool,
+                 recession_equals_kernel: Optional[bool]):
+        self.sign = sign
+        self.nonempty = nonempty
+        # None when the piece is empty
+        self.recession_equals_kernel = recession_equals_kernel
 
 
-@dataclass
-class EqualityReport:
-    mode: str
-    sigma_empty: bool
-    pieces: list[PieceEqualityReport]
+class EqualityReport(_Record):
+    __slots__ = _fields = ("mode", "sigma_empty", "pieces")
+
+    def __init__(self, mode: str, sigma_empty: bool,
+                 pieces: list[PieceEqualityReport]):
+        self.mode = mode
+        self.sigma_empty = sigma_empty
+        self.pieces = pieces
 
     @property
     def verified(self) -> bool:

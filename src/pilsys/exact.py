@@ -33,7 +33,6 @@ calls the simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -43,6 +42,29 @@ Q = Fraction
 
 Vector = list[Q]
 Matrix = list[list[Q]]
+
+
+class _Record:
+    """Base of the package's plain value classes: repr and equality over the
+    fields named in ``_fields``, written as a dataclass writes them.  A
+    subclass stores its fields in ``__slots__`` (a field that shares its
+    name with a method lives in the instance dict instead) and checks them
+    in its own ``__init__``; ``_fields`` leaves out what is not part of the
+    value."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(getattr(self, name) for name in self._fields) == \
+            tuple(getattr(other, name) for name in self._fields)
 
 
 def zeros(n: int) -> Vector:
@@ -82,20 +104,23 @@ def vec_scale(c: Q, u: Sequence[Q]) -> Vector:
 # Linear equation systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniqueSolution:
-    point: Vector
+class UniqueSolution(_Record):
+    __slots__ = _fields = ("point",)
+
+    def __init__(self, point: Vector):
+        self.point = point
 
 
-@dataclass(frozen=True)
-class AffineSolutionSet:
-    point: Vector
-    basis: list[Vector]  # spans the null space exactly
+class AffineSolutionSet(_Record):
+    __slots__ = _fields = ("point", "basis")
+
+    def __init__(self, point: Vector, basis: list[Vector]):
+        self.point = point
+        self.basis = basis  # spans the null space exactly
 
 
-@dataclass(frozen=True)
-class NoSolution:
-    pass
+class NoSolution(_Record):
+    __slots__ = ()
 
 
 LinSolveResult = Union[UniqueSolution, AffineSolutionSet, NoSolution]
@@ -155,8 +180,7 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
 # Polyhedra
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Polyhedron:
+class Polyhedron(_Record):
     """{x : lo <= x <= hi, C x <= d, E x = f} in dimension ``dim``.
 
     ``lo`` and ``hi`` hold one entry per variable, and None means no bound
@@ -164,32 +188,30 @@ class Polyhedron:
     on one variable must not cross (lo_j <= hi_j), as for an interval.
     """
 
-    C: Matrix
-    d: Vector
-    E: Matrix
-    f: Vector
-    dim: int
-    lo: Optional[list[Optional[Q]]] = None
-    hi: Optional[list[Optional[Q]]] = None
+    __slots__ = _fields = ("C", "d", "E", "f", "dim", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        if len(self.C) != len(self.d) or len(self.E) != len(self.f):
+    def __init__(self, C: Matrix, d: Vector, E: Matrix, f: Vector, dim: int,
+                 lo: Optional[list[Optional[Q]]] = None,
+                 hi: Optional[list[Optional[Q]]] = None):
+        if len(C) != len(d) or len(E) != len(f):
             raise ValueError("row counts do not match right-hand sides")
-        for row in self.C:
-            if len(row) != self.dim:
+        for row in C:
+            if len(row) != dim:
                 raise ValueError("inequality row has wrong width")
-        for row in self.E:
-            if len(row) != self.dim:
+        for row in E:
+            if len(row) != dim:
                 raise ValueError("equality row has wrong width")
-        if self.lo is None:
-            self.lo = [None] * self.dim
-        if self.hi is None:
-            self.hi = [None] * self.dim
-        if len(self.lo) != self.dim or len(self.hi) != self.dim:
+        if lo is None:
+            lo = [None] * dim
+        if hi is None:
+            hi = [None] * dim
+        if len(lo) != dim or len(hi) != dim:
             raise ValueError("bounds have wrong length")
         if any(l is not None and h is not None and l > h
-               for l, h in zip(self.lo, self.hi)):
+               for l, h in zip(lo, hi)):
             raise ValueError("a lower bound exceeds its upper bound")
+        self.C, self.d, self.E, self.f, self.dim = C, d, E, f, dim
+        self.lo, self.hi = lo, hi
 
     def contains(self, x: Sequence[Q]) -> bool:
         if len(x) != self.dim:
@@ -200,8 +222,7 @@ class Polyhedron:
             all(dot(row, x) == fi for row, fi in zip(self.E, self.f))
 
 
-@dataclass
-class IntRowPolyhedron:
+class IntRowPolyhedron(_Record):
     """{x : lo <= x <= hi, E x = f} with equality row i given as the
     integers E[i] over the positive integer dens[i], and no inequality rows.
 
@@ -212,24 +233,22 @@ class IntRowPolyhedron:
     The shapes and bounds are checked as a ``Polyhedron`` checks them.
     """
 
-    E: list[list[int]]
-    dens: list[int]
-    f: Vector
-    lo: list[Optional[Q]]
-    hi: list[Optional[Q]]
+    __slots__ = _fields = ("E", "dens", "f", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not len(self.E) == len(self.dens) == len(self.f):
+    def __init__(self, E: list[list[int]], dens: list[int], f: Vector,
+                 lo: list[Optional[Q]], hi: list[Optional[Q]]):
+        if not len(E) == len(dens) == len(f):
             raise ValueError("row counts do not match right-hand sides")
-        if len(self.lo) != len(self.hi):
+        if len(lo) != len(hi):
             raise ValueError("bounds have wrong length")
-        if any(len(row) != len(self.lo) for row in self.E):
+        if any(len(row) != len(lo) for row in E):
             raise ValueError("equality row has wrong width")
-        if any(den <= 0 for den in self.dens):
+        if any(den <= 0 for den in dens):
             raise ValueError("a row denominator is not positive")
         if any(l is not None and h is not None and l > h
-               for l, h in zip(self.lo, self.hi)):
+               for l, h in zip(lo, hi)):
             raise ValueError("a lower bound exceeds its upper bound")
+        self.E, self.dens, self.f, self.lo, self.hi = E, dens, f, lo, hi
 
     @property
     def dim(self) -> int:
@@ -274,19 +293,20 @@ class _FinalBasis(NamedTuple):
     f: Vector
 
 
-@dataclass(frozen=True)
-class Feasible:
+class Feasible(_Record):
     """A feasible point.  ``basis`` is the final tableau of the LP that found
     it, kept for ``basis_holds`` and ``max_row_shift``; it is not part of the
     result's value."""
 
-    point: Vector
-    basis: Optional[_FinalBasis] = field(default=None, compare=False,
-                                         repr=False)
+    __slots__ = ("point", "basis")
+    _fields = ("point",)
+
+    def __init__(self, point: Vector, basis: Optional[_FinalBasis] = None):
+        self.point = point
+        self.basis = basis
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(_Record):
     """Farkas refutation: ineq_mult >= 0, one signed bound_mult entry t_j per
     variable (t_j > 0 multiplies x_j <= hi_j, t_j < 0 multiplies x_j >= lo_j,
     and only a finite bound may carry one), and the combination
@@ -296,11 +316,15 @@ class Infeasible:
             + sum_{t_j > 0} t_j hi_j + sum_{t_j < 0} t_j lo_j < 0
     """
 
-    ineq_mult: Vector
-    eq_mult: Vector
-    bound_mult: Vector
-    basis: Optional[_FinalBasis] = field(default=None, compare=False,
-                                         repr=False)
+    __slots__ = ("ineq_mult", "eq_mult", "bound_mult", "basis")
+    _fields = ("ineq_mult", "eq_mult", "bound_mult")
+
+    def __init__(self, ineq_mult: Vector, eq_mult: Vector, bound_mult: Vector,
+                 basis: Optional[_FinalBasis] = None):
+        self.ineq_mult = ineq_mult
+        self.eq_mult = eq_mult
+        self.bound_mult = bound_mult
+        self.basis = basis
 
 
 LPResult = Union[Feasible, Infeasible]
@@ -773,21 +797,19 @@ def fm_feasible(P: Polyhedron) -> bool:
 # Farkas certificate for the membership characterizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(_Record):
     """Separating vector w plus complementary box multipliers u, v.
 
     u and v are indexed by the existential parameters; u_k * v_k = 0.
     """
 
-    w: Vector
-    u: Vector
-    v: Vector
+    __slots__ = _fields = ("w", "u", "v")
 
-    def __post_init__(self) -> None:
-        if any(a < 0 for a in self.u) or any(a < 0 for a in self.v):
+    def __init__(self, w: Vector, u: Vector, v: Vector):
+        if any(a < 0 for a in u) or any(a < 0 for a in v):
             raise ValueError("box multipliers must be nonnegative")
-        if any(a and b for a, b in zip(self.u, self.v)):
+        if any(a and b for a, b in zip(u, v)):
             raise ValueError("u and v must be complementary")
-        if all(a == 0 for a in self.w):
+        if all(a == 0 for a in w):
             raise ValueError("separating vector must be nonzero")
+        self.w, self.u, self.v = w, u, v

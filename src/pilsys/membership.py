@@ -34,14 +34,14 @@ kernel query's first vertex LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (FarkasCertificate, Feasible, Infeasible, IntRowPolyhedron,
-                    LPResult, Q, Vector, basis_holds, dot, lp_feasible,
-                    max_row_shift, scaled, vec_add, vec_scale, zeros)
+                    LPResult, Q, Vector, _Record, basis_holds, dot,
+                    lp_feasible, max_row_shift, scaled, vec_add, vec_scale,
+                    zeros)
 from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
                     TolerableSystem, classify, residual_rows,
                     residual_vectors)
@@ -57,28 +57,26 @@ class CertKind(Enum):
     SEPARATOR = "SEPARATOR"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """A verdict's certificate; build one with ``Certificate.witness(p)`` or
-    ``Certificate.separator(fc)``."""
+    ``Certificate.separator(fc)``.  The fields live in the instance dict,
+    where ``separator`` shadows the constructor of the same name."""
 
-    kind: CertKind
-    witness_p: Optional[Vector] = None
-    separator: Optional[FarkasCertificate] = None
+    _fields = ("kind", "witness_p", "separator")
 
+    def __init__(self, kind: CertKind, witness_p: Optional[Vector] = None,
+                 separator: Optional[FarkasCertificate] = None):
+        self.kind = kind
+        self.witness_p = witness_p
+        self.separator = separator
 
-def _witness(p: Vector) -> Certificate:
-    return Certificate(CertKind.WITNESS, witness_p=p)
+    @staticmethod
+    def witness(p: Vector) -> "Certificate":
+        return Certificate(CertKind.WITNESS, witness_p=p)
 
-
-def _separator(fc: FarkasCertificate) -> Certificate:
-    return Certificate(CertKind.SEPARATOR, separator=fc)
-
-
-# The constructors share their names with the fields they fill.  Attached
-# after the class is built, they cannot become the fields' defaults.
-Certificate.witness = staticmethod(_witness)
-Certificate.separator = staticmethod(_separator)
+    @staticmethod
+    def separator(fc: FarkasCertificate) -> "Certificate":
+        return Certificate(CertKind.SEPARATOR, separator=fc)
 
 
 def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:

@@ -14,25 +14,24 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .exact import Matrix, Q, Vector, dot, scaled, vec_add, vec_scale, zeros
+from .exact import (Matrix, Q, Vector, _Record, dot, scaled, vec_add,
+                    vec_scale, zeros)
 
 
 class SystemFormatError(ValueError):
     """Raised for malformed system documents, with a location hint."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Q
-    hi: Q
+class Interval(_Record):
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise SystemFormatError(f"interval [{self.lo}, {self.hi}] has lo > hi")
+    def __init__(self, lo: Q, hi: Q):
+        if lo > hi:
+            raise SystemFormatError(f"interval [{lo}, {hi}] has lo > hi")
+        self.lo, self.hi = lo, hi
 
     @property
     def mid(self) -> Q:
@@ -49,40 +48,39 @@ class Interval:
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
-class Parameter:
-    name: str
-    interval: Interval
-    A: Matrix  # m x n generator
-    b: Vector  # length-m generator
+class Parameter(_Record):
+    __slots__ = _fields = ("name", "interval", "A", "b")
+
+    def __init__(self, name: str, interval: Interval, A: Matrix, b: Vector):
+        self.name = name
+        self.interval = interval
+        self.A = A  # m x n generator
+        self.b = b  # length-m generator
 
 
-@dataclass
-class ParametricSystem:
-    m: int
-    n: int
-    A0: Matrix
-    b0: Vector
-    params: list[Parameter]
+class ParametricSystem(_Record):
+    __slots__ = _fields = ("m", "n", "A0", "b0", "params")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, n: int, A0: Matrix, b0: Vector,
+                 params: list[Parameter]):
         def check_mat(M: Matrix, what: str) -> None:
-            if len(M) != self.m or any(len(row) != self.n for row in M):
-                raise SystemFormatError(f"{what} is not {self.m}x{self.n}")
+            if len(M) != m or any(len(row) != n for row in M):
+                raise SystemFormatError(f"{what} is not {m}x{n}")
 
         def check_vec(v: Vector, what: str) -> None:
-            if len(v) != self.m:
-                raise SystemFormatError(f"{what} does not have length {self.m}")
+            if len(v) != m:
+                raise SystemFormatError(f"{what} does not have length {m}")
 
-        check_mat(self.A0, "constant matrix")
-        check_vec(self.b0, "constant rhs")
+        check_mat(A0, "constant matrix")
+        check_vec(b0, "constant rhs")
         names = set()
-        for par in self.params:
+        for par in params:
             if par.name in names:
                 raise SystemFormatError(f"duplicate parameter name {par.name!r}")
             names.add(par.name)
             check_mat(par.A, f"matrix of parameter {par.name!r}")
             check_vec(par.b, f"rhs of parameter {par.name!r}")
+        self.m, self.n, self.A0, self.b0, self.params = m, n, A0, b0, params
 
     @property
     def K(self) -> int:
@@ -126,14 +124,14 @@ class ParametricSystem:
              for par in self.params])
 
 
-@dataclass(frozen=True)
-class QuantifierAssignment:
-    forall_set: frozenset[int]
-    exists_set: frozenset[int]
+class QuantifierAssignment(_Record):
+    __slots__ = _fields = ("forall_set", "exists_set")
 
-    def __post_init__(self) -> None:
-        if self.forall_set & self.exists_set:
+    def __init__(self, forall_set: frozenset[int], exists_set: frozenset[int]):
+        if forall_set & exists_set:
             raise SystemFormatError("quantifier sets overlap")
+        self.forall_set = forall_set
+        self.exists_set = exists_set
 
     @staticmethod
     def all_exists(K: int) -> "QuantifierAssignment":
@@ -148,19 +146,21 @@ class QuantifierAssignment:
             raise SystemFormatError("quantifier sets do not partition the parameters")
 
 
-@dataclass(frozen=True)
-class RhsParameter:
-    name: str
-    interval: Interval
-    d: Vector
+class RhsParameter(_Record):
+    __slots__ = _fields = ("name", "interval", "d")
+
+    def __init__(self, name: str, interval: Interval, d: Vector):
+        self.name, self.interval, self.d = name, interval, d
 
 
-@dataclass
-class TolerableSystem:
+class TolerableSystem(_Record):
     """A(p) x = b(p) + sum_l q_l d^(l) with p universal and q existential."""
 
-    base: ParametricSystem
-    rhs_params: list[RhsParameter]
+    __slots__ = _fields = ("base", "rhs_params")
+
+    def __init__(self, base: ParametricSystem, rhs_params: list[RhsParameter]):
+        self.base = base
+        self.rhs_params = rhs_params
 
     def combined(self) -> tuple[ParametricSystem, QuantifierAssignment]:
         """One parametric system: base parameters forall, rhs parameters exists."""
@@ -189,9 +189,11 @@ TOLERABLE_FORM = "TOLERABLE_FORM"
 GENERAL = "GENERAL"
 
 
-@dataclass(frozen=True)
-class SystemClass:
-    flags: frozenset[str]
+class SystemClass(_Record):
+    __slots__ = _fields = ("flags",)
+
+    def __init__(self, flags: frozenset[str]):
+        self.flags = flags
 
     def __contains__(self, flag: str) -> bool:
         return flag in self.flags
@@ -383,11 +385,14 @@ def _parse_vector(obj, m: int, where: str) -> Vector:
     return [parse_rational(x) for x in obj]
 
 
-@dataclass
-class ParsedSystem:
-    system: ParametricSystem
-    quant: QuantifierAssignment
-    explicit_quantifiers: bool
+class ParsedSystem(_Record):
+    __slots__ = _fields = ("system", "quant", "explicit_quantifiers")
+
+    def __init__(self, system: ParametricSystem, quant: QuantifierAssignment,
+                 explicit_quantifiers: bool):
+        self.system = system
+        self.quant = quant
+        self.explicit_quantifiers = explicit_quantifiers
 
 
 def parse_system(text: str) -> ParsedSystem:

@@ -17,13 +17,11 @@ The stages of ``decide_unbounded``, in order:
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, lin_solve,
-                    vec_add, vec_scale, zeros)
+from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
+                    lin_solve, vec_add, vec_scale, zeros)
 from .membership import (_kernel_lp, member_ae,
                          member_kernel)  # noqa: F401 -- re-exported
 from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
@@ -49,21 +47,30 @@ class Rule(Enum):
     PROBE = "PROBE"
 
 
-@dataclass
-class ProbeReport:
-    base_point: Vector
-    direction: Vector
-    alphas_tested: list[Q]
-    first_exit: Optional[Q]
-    exhausted: bool
+class ProbeReport(_Record):
+    __slots__ = _fields = ("base_point", "direction", "alphas_tested",
+                           "first_exit", "exhausted")
+
+    def __init__(self, base_point: Vector, direction: Vector,
+                 alphas_tested: list[Q], first_exit: Optional[Q],
+                 exhausted: bool):
+        self.base_point = base_point
+        self.direction = direction
+        self.alphas_tested = alphas_tested
+        self.first_exit = first_exit
+        self.exhausted = exhausted
 
 
-@dataclass
-class UnboundedVerdict:
-    status: Status
-    rule: Rule
-    evidence: object  # Certificate | ProbeReport | list[ProbeReport] | piece ref
-    detail: str = ""
+class UnboundedVerdict(_Record):
+    __slots__ = _fields = ("status", "rule", "evidence", "detail")
+
+    def __init__(self, status: Status, rule: Rule, evidence: object,
+                 detail: str = ""):
+        self.status = status
+        self.rule = rule
+        # Certificate | ProbeReport | list[ProbeReport] | piece ref
+        self.evidence = evidence
+        self.detail = detail
 
 
 def find_base_points(sys: ParametricSystem,
@@ -77,6 +84,13 @@ def find_base_points(sys: ParametricSystem,
     Vertices and draws take the universal parameters first, so the samples
     do not depend on how a file interleaves the two quantifier blocks.
     """
+    return list(_base_points(sys, quant, budget, seed))
+
+
+def _base_points(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
+                 budget: int, seed: int) -> Iterator[Vector]:
+    """The points of ``find_base_points``, in order, each found only when
+    the caller asks for it: a candidate is drawn and solved on demand."""
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
     order = sorted(quant.forall_set) + sorted(quant.exists_set)
@@ -87,19 +101,20 @@ def find_base_points(sys: ParametricSystem,
             p[k] = v
         return p
 
-    rng = random.Random(seed)
-    samples: list[Vector] = [sys.midpoint()]
-    samples.extend(map(placed, itertools.islice(sys.vertices(order), budget)))
-    for _ in range(budget):
-        samples.append(placed([
-            iv.lo + Q(rng.randint(0, 8), 8) * (iv.hi - iv.lo)
-            for iv in (sys.params[k].interval for k in order)]))
+    def draws() -> Iterator[Vector]:
+        import random
+        rng = random.Random(seed)
+        for _ in range(budget):
+            yield placed([iv.lo + Q(rng.randint(0, 8), 8) * (iv.hi - iv.lo)
+                          for iv in (sys.params[k].interval for k in order)])
 
-    points: list[Vector] = []
+    samples = itertools.chain(
+        [sys.midpoint()],
+        map(placed, itertools.islice(sys.vertices(order), budget)), draws())
     seen = set()
     for p in samples:
-        if len(points) >= budget:
-            break
+        if len(seen) >= budget:
+            return
         res = lin_solve(sys.A_at(p), sys.b_at(p))
         if isinstance(res, (UniqueSolution, AffineSolutionSet)):
             x = res.point
@@ -109,8 +124,7 @@ def find_base_points(sys: ParametricSystem,
             if key not in seen and (not quant.forall_set
                                     or member_ae(sys, quant, x)[0]):
                 seen.add(key)
-                points.append(x)
-    return points
+                yield x
 
 
 def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
@@ -162,11 +176,10 @@ def decide_unbounded(sys: ParametricSystem,
     # United systems keep the stages below: the benchmark's gate accepts no
     # THM7 verdict yet (ROADMAP item 1).
     if quant.forall_set and TOLERABLE_FORM in classify(sys, quant):
-        base_points = find_base_points(sys, quant, budget=budget, seed=seed)
-        if not base_points:
+        x0 = next(_base_points(sys, quant, budget, seed), None)
+        if x0 is None:
             return UnboundedVerdict(Status.UNKNOWN, Rule.THM7, None,
                                     "no base point of the tolerable set found")
-        x0 = base_points[0]
         return UnboundedVerdict(
             Status.CERTIFIED_YES, Rule.THM7, x0,
             f"tolerable kernel holds; base {','.join(str(v) for v in x0)}")
@@ -204,9 +217,10 @@ def decide_unbounded(sys: ParametricSystem,
                     Status.CERTIFIED_YES, rule, piece,
                     f"kernel piece {piece.sign} with nonempty solution piece")
 
-    # (v) probing fallback
+    # (v) probing fallback; each base point is found only when the probes
+    # before it have all exited
     reports = []
-    for x0 in find_base_points(sys, quant, budget=budget, seed=seed):
+    for x0 in _base_points(sys, quant, budget, seed):
         rep = probe_ray(sys, quant, x0, y, PROBE_DOUBLINGS)
         reports.append(rep)
         if rep.exhausted:

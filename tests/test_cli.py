@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,13 @@ class TestCheck:
         path.write_text(json.dumps({"m": 1, "n": 1, "constant": 5}))
         code, _, err = run(capsys, "check", str(path), "--point", "1")
         assert code == 1 and err.startswith("error:")
+
+    def test_undecodable_file_names_its_path(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "check", str(path), "--point", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and "utf-8" in err
 
 
 class TestKernel:
@@ -403,3 +414,51 @@ class TestUsage:
         code, out, err = run(capsys, "verify", e1_file, "--samples", "-1")
         assert code == 1 and out == ""
         assert err.startswith("error: --samples")
+
+
+class TestEntryPoint:
+    """``python -m pilsys.cli`` in a fresh interpreter, as a user runs it."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def fresh(self, *args):
+        """A fresh interpreter that lists every import on stderr."""
+        path = os.pathsep.join(filter(None, [str(self.SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=120)
+
+    @staticmethod
+    def imported(stderr):
+        return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+                if line.startswith("import time:")}
+
+    def test_fresh_process_matches_main(self, capsys, tmp_path, e1_file,
+                                        e3_file):
+        # what the interpreter loads before any of the package is not ours
+        startup = self.imported(self.fresh("-c", "pass").stderr)
+        csv = str(tmp_path / "e1.csv")
+        for argv in (["check", e1_file, "--point", "1,-5"],
+                     ["check", e1_file, "--point", "1,1", "--set", "united"],
+                     ["kernel", e3_file, "--dir", "1", "--strict"],
+                     ["kernel", e1_file, "--dir", "1,0"],
+                     ["unbounded", e1_file, "--dir", "0,-1"],
+                     ["unbounded", e3_file, "--dir", "0"],
+                     ["classify", e1_file, "--decompose"],
+                     ["raster", e1_file, "--window=-2,2,-2,2", "--res", "3",
+                      "--out", csv],
+                     ["verify", e3_file, "--samples", "4", "--seed", "2"]):
+            proc = self.fresh("-m", "pilsys.cli", *argv)
+            code, out, err = run(capsys, *argv)
+            assert (proc.returncode, proc.stdout) == (code, out), argv
+            assert [line for line in proc.stderr.splitlines()
+                    if not line.startswith("import time:")] == \
+                err.splitlines(), argv
+            loaded = self.imported(proc.stderr) - startup
+            assert "pilsys.exact" in loaded
+            if argv[0] in ("check", "kernel"):
+                assert {"pilsys.model", "pilsys.membership"} <= loaded
+                assert not loaded & {"pilsys.cones", "pilsys.unbounded",
+                                     "pilsys.oracle", "dataclasses"}, argv

@@ -303,6 +303,21 @@ class TestMaxRowShift:
         assert max_row_shift(res, 0, -1) == ("optimal", Q(3))
         assert max_row_shift(res, 1, 1) == ("infeasible", None)
 
+    def test_results_print_and_compare_without_basis(self):
+        # the kept tableau is not part of a result's value
+        P = Polyhedron([], [], [[Q(1)], [Q(1)]], [Q(3), Q(0)], 1,
+                       [Q(-1)], [Q(1)])
+        res = lp_feasible(P)
+        assert res.basis is not None
+        assert res == Infeasible(res.ineq_mult, res.eq_mult, res.bound_mult)
+        assert repr(res) == (f"Infeasible(ineq_mult=[], "
+                             f"eq_mult={res.eq_mult!r}, "
+                             f"bound_mult={res.bound_mult!r})")
+        ok = lp_feasible(Polyhedron([], [], [[Q(1)]], [Q(1)], 1))
+        assert ok.basis is not None
+        assert ok == Feasible([Q(1)])
+        assert repr(ok) == "Feasible(point=[Fraction(1, 1)])"
+
     def test_keeps_the_result_unchanged(self):
         P = Polyhedron([], [], [[Q(1), Q(1)]], [Q(1)], 2, [Q(0), Q(0)],
                        [Q(1), Q(1)])

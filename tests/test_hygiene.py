@@ -2,8 +2,9 @@
 
 No linter is a dependency, so these checks stand in for one: no unused
 imports in the package or its tests, no top-level definition that nothing
-uses, and no floating point anywhere in the package, which keeps every
-decision path exact.  An import
+uses, no floating point anywhere in the package, which keeps every
+decision path exact, and no ``dataclasses`` in the package, which every
+command line would pay for at start-up.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
 named functions of the package; they must all still exist.
 """
@@ -18,6 +19,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pilsys"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+# The interpreter calls a module's __getattr__ and __dir__ (PEP 562), so no
+# statement needs to read them.
+MODULE_HOOKS = ("__getattr__", "__dir__")
 
 
 def _tree(path):
@@ -44,7 +48,7 @@ def unused_imports(path):
 
 def unreferenced(paths):
     """Top-level defs and classes that no other statement of the package
-    reads and ``__init__.py`` does not export."""
+    reads and ``__init__.py`` does not export, the PEP 562 hooks aside."""
     defined, reads = [], []
     for path in paths:
         tree = _tree(path)
@@ -59,7 +63,8 @@ def unreferenced(paths):
                         isinstance(node, ast.ImportFrom):
                     names.update(a.asname or a.name for a in node.names)
             reads.append((stmt, names))
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    stmt.name not in MODULE_HOOKS:
                 defined.append((path.name, stmt))
     return [f"{name}: {stmt.name}" for name, stmt in defined
             if not any(stmt.name in names for other, names in reads
@@ -71,6 +76,15 @@ def floats(path):
     return [f"line {node.lineno}" for node in ast.walk(_tree(path))
             if isinstance(node, ast.Constant) and isinstance(node.value, float)
             or isinstance(node, ast.Name) and node.id == "float"]
+
+
+def dataclass_imports(path):
+    """Imports of the dataclasses module: it pulls in inspect, and each
+    class it builds costs about a millisecond of start-up."""
+    return [f"line {node.lineno}" for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
 
 
 def test_modules_found():
@@ -90,6 +104,11 @@ def test_no_unreferenced_definitions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_floats(path):
     assert floats(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert dataclass_imports(path) == []
 
 
 def traced_names(path):
@@ -117,9 +136,12 @@ def test_traced_functions_exist():
 def test_checks_catch_offenders(tmp_path):
     path = tmp_path / "bad.py"
     path.write_text("import os\nfrom fractions import Fraction\n"
-                    "import sys  # noqa: F401\nx = 0.5\ny = float(Fraction(1))\n")
+                    "import sys  # noqa: F401\nx = 0.5\ny = float(Fraction(1))\n"
+                    "import dataclasses as dc\nfrom dataclasses import field\n"
+                    "print(dc, field)\n")
     assert unused_imports(path) == ["os (line 1)"]
     assert floats(path) == ["line 4", "line 5"]
+    assert dataclass_imports(path) == ["line 6", "line 7"]
 
     init = tmp_path / "__init__.py"
     init.write_text("from .mod import public\n")
@@ -127,5 +149,9 @@ def test_checks_catch_offenders(tmp_path):
     mod.write_text("def public():\n    return _helper()\n\n\n"
                    "def _helper():\n    return 1\n\n\n"
                    "def orphan():\n    return orphan\n\n\n"
-                   "class Unused:\n    pass\n")
-    assert unreferenced([init, mod]) == ["mod.py: orphan", "mod.py: Unused"]
+                   "class Unused:\n    pass\n\n\n"
+                   "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
+                   "def __dir__():\n    return []\n\n\n"
+                   "def __len__():\n    return 0\n")
+    assert unreferenced([init, mod]) == ["mod.py: orphan", "mod.py: Unused",
+                                         "mod.py: __len__"]

@@ -607,12 +607,16 @@ class TestCertificateValidation:
             assert not validate_certificate(e1.system, None, [Q(1), Q(1)], sep)
 
     def test_witness_carries_no_separator(self):
+        import inspect
+
         from pilsys.membership import Certificate
         cert = Certificate.witness([Q(1)])
         assert cert.separator is None
         assert "function" not in repr(cert)
-        assert Certificate.__dataclass_fields__["separator"].default is None
-        assert Certificate.__dataclass_fields__["witness_p"].default is None
+        fields = inspect.signature(Certificate).parameters
+        assert fields["separator"].default is None
+        assert fields["witness_p"].default is None
+        assert Certificate(CertKind.WITNESS).separator is None
 
     def test_quantifiers_must_partition(self, e1):
         from pilsys.exact import FarkasCertificate

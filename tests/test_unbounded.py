@@ -107,6 +107,32 @@ class TestDecideUnbounded:
         assert v.status is Status.UNKNOWN and v.rule is Rule.PROBE
         assert v.evidence.exhausted
 
+    def test_base_points_found_on_demand(self, e1, monkeypatch):
+        # E1 has few distinct base points, so a large budget used to draw and
+        # solve every candidate; each verdict below rests on the first point
+        # (the midpoint's ray never exits, and THM7 takes one member)
+        tol = ParametricSystem(
+            1, 2, [[Q(1), Q(0)]], [Q(0)],
+            [Parameter("p", Interval(Q(0), Q(1)), [[Q(1), Q(0)]], [Q(0)]),
+             Parameter("q", Interval(Q(-1), Q(1)), [[Q(0), Q(0)]], [Q(1)])])
+        cases = [(e1.system, None, [Q(0), Q(-1)], Rule.PROBE),
+                 (tol, QuantifierAssignment(frozenset({0}), frozenset({1})),
+                  [Q(0), Q(1)], Rule.THM7)]
+        for sys, quant, y, rule in cases:
+            want = decide_unbounded(sys, quant, y, budget=8)
+            solves = []
+
+            def counting(A, b):
+                solves.append(A)
+                return lin_solve(A, b)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(unbounded, "lin_solve", counting)
+                got = decide_unbounded(sys, quant, y, budget=10 ** 6)
+            assert got.rule is rule
+            assert repr(got) == repr(want)
+            assert len(solves) == 1
+
     def test_certified_no_probes_always_exit(self):
         rng = random.Random(41)
         checked = 0
