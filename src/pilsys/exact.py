@@ -127,7 +127,16 @@ LinSolveResult = Union[UniqueSolution, AffineSolutionSet, NoSolution]
 
 
 def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
-    """Solve A x = b by exact Gauss-Jordan elimination."""
+    """Solve A x = b by exact Gauss-Jordan elimination.
+
+    Each row of [A | b] is kept as primitive integers (gcd 1), as a simplex
+    tableau row is: a nonzero factor does not change an equation, so the
+    elimination row_i <- pv * row_i - f * row_r needs no division, and only
+    the read-out builds Fractions.  A pivot is the first row at or below r
+    with a nonzero entry in column c; a factor keeps an entry nonzero, so
+    the pivot columns, and the reduced echelon form read out at the end,
+    are those of the rational elimination.
+    """
     m = len(A)
     if len(b) != m:
         raise ValueError(f"dimension mismatch: {m} rows, {len(b)} rhs entries")
@@ -136,20 +145,21 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
         if len(row) != n:
             raise ValueError("ragged matrix")
 
-    aug = [[Q(x) for x in row] + [Q(b[i])] for i, row in enumerate(A)]
+    aug = [_primitive_ints(scaled([*row, bi])[0]) for row, bi in zip(A, b)]
     pivots: list[int] = []  # pivot column per reduced row
     r = 0
     for c in range(n):
-        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, m) if aug[i][c]), None)
         if pivot_row is None:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        prow = aug[r]
+        pv = prow[c]
+        for i, row in enumerate(aug):
+            f = row[c]
+            if i != r and f:
+                aug[i] = _primitive_ints([x * pv - f * y if y else x * pv
+                                          for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == m:
@@ -159,9 +169,10 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
         if aug[i][n] != 0:
             return NoSolution()
 
+    # row i reads aug[i][c] x_c + sum over free columns = aug[i][n]
     point = zeros(n)
-    for i, c in enumerate(pivots):
-        point[c] = aug[i][n]
+    for row, c in zip(aug, pivots):
+        point[c] = Q(row[n], row[c])
     if len(pivots) == n:
         return UniqueSolution(point)
 
@@ -170,10 +181,16 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
     for fc in free_cols:
         v = zeros(n)
         v[fc] = Q(1)
-        for i, c in enumerate(pivots):
-            v[c] = -aug[i][fc]
+        for row, c in zip(aug, pivots):
+            v[c] = Q(-row[fc], row[c])
         basis.append(v)
     return AffineSolutionSet(point, basis)
+
+
+def _primitive_ints(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries (a zero row stays)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,73 @@ class TestLinSolve:
         with pytest.raises(ValueError):
             lin_solve(qmat([[1, 0]]), qvec([1, 2]))
 
+    @staticmethod
+    def reference(A, b):
+        """Gauss-Jordan on Fraction rows: each pivot row is divided by its
+        pivot, the first row at or below r with a nonzero entry."""
+        m, n = len(A), len(A[0]) if A else 0
+        aug = [list(row) + [bi] for row, bi in zip(A, b)]
+        pivots, r = [], 0
+        for c in range(n):
+            pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
+            if pr is None:
+                continue
+            aug[r], aug[pr] = aug[pr], aug[r]
+            aug[r] = [x / aug[r][c] for x in aug[r]]
+            for i in range(m):
+                if i != r and aug[i][c] != 0:
+                    f = aug[i][c]
+                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+        if any(aug[i][n] != 0 for i in range(r, m)):
+            return NoSolution()
+        point = [Q(0)] * n
+        for i, c in enumerate(pivots):
+            point[c] = aug[i][n]
+        if len(pivots) == n:
+            return UniqueSolution(point)
+        basis = []
+        for fc in (c for c in range(n) if c not in pivots):
+            v = [Q(0)] * n
+            v[fc] = Q(1)
+            for i, c in enumerate(pivots):
+                v[c] = -aug[i][fc]
+            basis.append(v)
+        return AffineSolutionSet(point, basis)
+
+    def test_matches_fraction_gauss_jordan(self):
+        rng = random.Random(29)
+        kinds = {}
+
+        def entry():
+            return Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) \
+                if rng.random() < 0.7 else Q(0)
+
+        for t in range(600):
+            m = t % 5  # m = 0 included
+            n = rng.randint(1, 5)
+            A = [[entry() for _ in range(n)] for _ in range(m)]
+            b = [entry() for _ in range(m)]
+            if m >= 2 and t % 3 == 0:  # a dependent row, consistent or not
+                c = Q(rng.randint(-2, 2), rng.choice((1, 2)))
+                A[-1] = [c * a for a in A[0]]
+                b[-1] = c * b[0] + rng.choice((0, 0, 1))
+            if m and t % 7 == 0:  # a zero row
+                A[t % m] = [Q(0)] * n
+            got, want = lin_solve(A, b), self.reference(A, b)
+            assert got == want and type(got) is type(want)
+            shape = "square" if m == n else "wide" if m < n else "tall"
+            kinds[shape, type(want).__name__] = kinds.get(
+                (shape, type(want).__name__), 0) + 1
+        assert lin_solve([], []) == UniqueSolution([])
+        for shape in ("square", "wide", "tall"):
+            assert kinds.get((shape, "NoSolution"), 0) >= 5
+            assert kinds.get((shape, "AffineSolutionSet"), 0) >= 3
+        assert kinds["square", "UniqueSolution"] >= 20
+
 
 class TestLpFeasible:
     def test_box(self):

@@ -1,18 +1,20 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from conftest import (gen_general, gen_quantified, gen_tolerable_nonempty,
+from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
+                      gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, random_point)
 from pilsys import membership, oracle, unbounded
-from pilsys.exact import AffineSolutionSet, lin_solve, zeros
+from pilsys.exact import AffineSolutionSet, lin_solve, lp_feasible, zeros
 from pilsys.membership import (member_ae, member_kernel, member_united,
                                strict_kernel_member_ae)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem)
-from pilsys.unbounded import (Rule, Status, decide_unbounded, find_base_points,
-                              probe_ray)
+from pilsys.unbounded import (ProbeReport, Rule, Status, decide_unbounded,
+                              find_base_points, probe_ray)
 
 
 class TestFindBasePoints:
@@ -57,6 +59,21 @@ class TestFindBasePoints:
         # every p1 > 0 gives E1 a distinct base point, so the budget binds
         assert len(find_base_points(e1.system, budget=budget)) == budget
 
+    def test_negative_budget_refused(self, e1, e3):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            find_base_points(e1.system, budget=-1)
+        # refused before any stage, also where no base point is drawn
+        for parsed, y in ((e1, [Q(0), Q(-1)]), (e3, [Q(1)])):
+            with pytest.raises(ValueError, match="budget must be nonnegative"):
+                decide_unbounded(parsed.system, None, y, budget=-1)
+
+    def test_points_come_with_the_box_point_they_solve(self, e1):
+        pairs = list(unbounded._base_points(e1.system, None, 8, 0))
+        assert [x for x, _ in pairs] == find_base_points(e1.system, budget=8)
+        for x, p in pairs:
+            assert membership.witness_resubstitutes(
+                e1.system, x, membership.Certificate.witness(p))
+
 
 class TestProbeRay:
     def test_e1_downward_ray_never_exits(self, e1):
@@ -78,6 +95,232 @@ class TestProbeRay:
     def test_nonmember_base_rejected(self, e1):
         with pytest.raises(ValueError):
             probe_ray(e1.system, None, [Q(0), Q(0)], [Q(0), Q(1)])
+
+    def test_input_checks(self, e1):
+        x0, y = [Q(1), Q(0)], [Q(0), Q(1)]
+        with pytest.raises(ValueError, match="max_doublings must be nonnegative"):
+            probe_ray(e1.system, None, x0, y, max_doublings=-1)
+        with pytest.raises(ValueError,
+                           match="direction has length 3, expected 2"):
+            probe_ray(e1.system, None, x0, y + [Q(1)])
+        with pytest.raises(ValueError,
+                           match="direction has length 1, expected 2"):
+            probe_ray(e1.system, None, x0, y[:1])
+        with pytest.raises(ValueError,
+                           match="base point has length 1, expected 2"):
+            probe_ray(e1.system, None, x0[:1], y)
+
+    def test_common_witness_ray_takes_two_lps(self, monkeypatch):
+        # x1 + a*x2 = 1, a in [-1, 1]: x0 = (1/2, 1/2) solves it at a = 1
+        # only, and y = (1, -1) has A(1) y = 0, so a = 1 is a common witness
+        sys = ParametricSystem(
+            1, 2, [[Q(1), Q(0)]], [Q(1)],
+            [Parameter("a", Interval(Q(-1), Q(1)), [[Q(0), Q(1)]], [Q(0)])])
+        x0, y = [Q(1, 2), Q(1, 2)], [Q(1), Q(-1)]
+        lps = []
+
+        def counting(P):
+            lps.append(len(P.E))
+            return lp_feasible(P)
+
+        monkeypatch.setattr(membership, "lp_feasible", counting)
+        want = reference_probe(sys, None, x0, y, 20)
+        assert want.exhausted
+        lps.clear()
+        assert probe_ray(sys, None, x0, y, 20, witness=[Q(1)]) == want
+        # alpha = 1 (one row), then the common witness (r0 stacked on r1);
+        # alpha = 0 is the witness resubstituted
+        assert lps == [1, 2]
+        lps.clear()
+        assert probe_ray(sys, None, x0, y, 20) == want
+        assert lps == [1, 1, 2]
+        # a witness that does not solve the row, one off the box and one of
+        # the wrong length are checked and fall back to the alpha = 0 LP
+        for wrong in ([Q(1, 2)], [Q(3)], [Q(1), Q(0)]):
+            lps.clear()
+            assert probe_ray(sys, None, x0, y, 20, witness=wrong) == want
+            assert lps == [1, 1, 2]
+
+    def test_wrong_witness_still_refuses_a_nonmember(self, e1, monkeypatch):
+        lps = []
+
+        def counting(P):
+            lps.append(P)
+            return lp_feasible(P)
+
+        monkeypatch.setattr(membership, "lp_feasible", counting)
+        # (0, 0) is no member of E1; p1 = 1/2 is in the box but does not
+        # solve x1 = 1, and p1 = 1 solves neither row at x0
+        for wrong in ([Q(1, 2)], [Q(1)]):
+            lps.clear()
+            with pytest.raises(ValueError, match="not a member"):
+                probe_ray(e1.system, None, [Q(0), Q(0)], [Q(0), Q(1)],
+                          witness=wrong)
+            assert len(lps) == 1
+
+    def test_witness_ignored_with_universal_parameters(self, monkeypatch):
+        # x = u + q, u in [0, 1] universal, q in [-1, 1]: x0 = 0 solves the
+        # row at (u, q) = (0, 0) but is a member only because every u has a q
+        sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)],
+                               [rhs_only("u", 0, 1, [1]),
+                                rhs_only("q", -1, 1, [1])])
+        quant = QuantifierAssignment(frozenset({0}), frozenset({1}))
+        want = reference_probe(sys, quant, [Q(0)], [Q(1)], 4)
+        calls = []
+        real = membership._VertexLP.member
+
+        def member(lp):
+            calls.append(len(lp.E))
+            return real(lp)
+
+        monkeypatch.setattr(membership._VertexLP, "member", member)
+        rep = probe_ray(sys, quant, [Q(0)], [Q(1)], 4, witness=[Q(0), Q(0)])
+        assert rep == want
+        # the set is [0, 1]; alpha = 0 takes its LP, and no p has
+        # A(p) y = 1 = 0, so the common-witness LP (two rows) fails
+        assert rep.first_exit == Q(2) and calls == [1, 1, 2, 1]
+
+
+def reference_probe(sys, quant, x0, y, max_doublings):
+    """``probe_ray`` as cold membership queries: ``member_ae`` at each
+    alpha = 0, 1, 2, ..., 2^max_doublings, up to the first exit."""
+    q = quant or QuantifierAssignment.all_exists(sys.K)
+    tested, first_exit = [], None
+    for a in [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]:
+        tested.append(a)
+        if not member_ae(sys, q, [xj + a * yj for xj, yj in zip(x0, y)])[0]:
+            first_exit = a
+            break
+    assert first_exit != 0
+    return ProbeReport(list(x0), list(y), tested, first_exit,
+                       first_exit is None)
+
+
+def ray_system(sys):
+    """The rows (A(p) x - b(p); A(p) y) over the point (x, y): (x0, y) is a
+    member exactly when one p (per universal vertex) solves the whole ray."""
+    zero = [Q(0)] * sys.n
+
+    def block(A, b):
+        return ([row + zero for row in A] + [zero + row for row in A],
+                list(b) + [Q(0)] * sys.m)
+
+    return ParametricSystem(
+        2 * sys.m, 2 * sys.n, *block(sys.A0, sys.b0),
+        [Parameter(par.name, par.interval, *block(par.A, par.b))
+         for par in sys.params])
+
+
+class TestProbeMatchesColdQueries:
+    """The probe, from rows computed once per ray, a common-witness LP and
+    alpha = 0 by resubstitution, reports what cold ``member_ae`` queries at
+    each alpha report, with and without the base point's witness."""
+
+    def cases(self):
+        rng = random.Random(67)
+        for _ in range(8):
+            sys = gen_general(rng, 2, 3)
+            yield sys, None, null_direction(rng, sys, sys.midpoint())
+            yield sys, None, null_direction(rng, sys)
+            yield sys, None, random_point(rng, sys.n)
+        for _ in range(8):
+            sys = gen_first_class(rng, 2, 3)
+            yield sys, None, null_direction(rng, sys, sys.midpoint())
+            yield sys, None, random_point(rng, sys.n)
+            yield sys, None, zeros(sys.n)
+        for _ in range(8):
+            sys, quant = gen_quantified(rng, 1, 3, n_forall=1, n_exists=2)
+            yield sys, quant, null_direction(rng, sys, sys.midpoint())
+            yield sys, quant, random_point(rng, sys.n)
+
+    def test_same_reports_as_cold_membership(self, e1):
+        kinds = {}
+        cases = list(self.cases())
+        cases.append((e1.system, None, [Q(0), Q(-1)]))  # p1 = 1/(1 + alpha)
+        for sys, quant, y in cases:
+            if y is None:
+                continue
+            q = quant or QuantifierAssignment.all_exists(sys.K)
+            for x0, p in list(unbounded._base_points(sys, quant, 4, 0))[:2]:
+                want = reference_probe(sys, quant, x0, y, 8)
+                assert probe_ray(sys, quant, x0, y, 8) == want
+                assert probe_ray(sys, quant, x0, y, 8, witness=p) == want
+                common = member_ae(ray_system(sys), q, x0 + y)[0]
+                if common:
+                    assert want.exhausted
+                kind = ("ae" if quant else "united",
+                        "exit at 1" if want.first_exit == 1 else
+                        "exit later" if want.first_exit else
+                        "common witness" if common else "no common witness")
+                kinds[kind] = kinds.get(kind, 0) + 1
+        for quantifiers in ("united", "ae"):
+            assert kinds[quantifiers, "exit at 1"] >= 3
+            assert kinds[quantifiers, "common witness"] >= 3
+        assert kinds["united", "no common witness"] >= 1
+
+    def test_e1_downward_ray_has_no_common_witness(self, e1):
+        x0, y = [Q(1), Q(0)], [Q(0), Q(-1)]
+        assert not member_united(ray_system(e1.system), x0 + y)[0]
+        want = reference_probe(e1.system, None, x0, y, 20)
+        assert want.exhausted
+        assert probe_ray(e1.system, None, x0, y, 20, witness=[Q(1)]) == want
+
+    def test_zero_direction(self, e1):
+        x0 = [Q(1), Q(0)]
+        for doublings in (0, 1, 5):
+            want = reference_probe(e1.system, None, x0, [Q(0), Q(0)], doublings)
+            assert want.exhausted
+            assert probe_ray(e1.system, None, x0, [Q(0), Q(0)], doublings,
+                             witness=[Q(0)]) == want
+
+
+class TestVerdictDigest:
+    """A guard on the cascade's output: the repr of every verdict (status,
+    rule, detail and evidence) over a fixed seeded set of systems and
+    directions, hashed.  A change that keeps every verdict keeps DIGEST; a
+    change that moves one must update it on purpose."""
+
+    DIGEST = "df411feac2eb35929954bb7d606a10a59c47175ae9ec8da023fffc9916dc60cf"
+
+    def cases(self):
+        rng = random.Random(97)
+        for _ in range(24):
+            m = rng.choice((2, 3))
+            sys = gen_general(rng, m, m + rng.randint(0, 1))
+            yield sys, None, null_direction(rng, sys)
+            yield sys, None, null_direction(rng, sys, sys.midpoint())
+            yield sys, None, random_point(rng, sys.n)
+        for _ in range(8):
+            sys = gen_first_class(rng)
+            yield sys, None, null_direction(rng, sys)
+            yield sys, None, random_point(rng, sys.n)
+        for _ in range(8):
+            for make in (gen_ordinary, gen_wide_ordinary, gen_class_c):
+                sys = make(rng)
+                yield sys, None, null_direction(rng, sys)
+                yield sys, None, random_point(rng, sys.n)
+        for _ in range(8):
+            sys, quant = gen_quantified(rng, 2, 3)
+            yield sys, quant, null_direction(rng, sys)
+            yield sys, quant, null_direction(rng, sys, sys.midpoint())
+        for _ in range(4):
+            tsys, _ = gen_tolerable_nonempty(rng, common_kernel_col=0)
+            sys, quant = tsys.combined()
+            yield sys, quant, unit(sys.n, 0)
+
+    def test_verdicts_unchanged(self):
+        h = hashlib.sha256()
+        rules = set()
+        for sys, quant, y in self.cases():
+            if y is None or not any(y):
+                continue
+            v = decide_unbounded(sys, quant, y)
+            rules.add(v.rule)
+            h.update(repr((v.status, v.rule, v.detail, v.evidence)).encode())
+            h.update(b"\n")
+        assert rules == {Rule.THM2, Rule.THM3, Rule.PROP1, Rule.THM7,
+                         Rule.PROBE}
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestDecideUnbounded:
