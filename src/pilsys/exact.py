@@ -4,8 +4,10 @@ and Fourier-Motzkin elimination.
 Every input and output is a :class:`fractions.Fraction`, and the arithmetic
 is exact throughout; there is no floating point anywhere in a decision path.
 Inside, the hot loops are fraction-free: ``dot`` sums integer products over
-one common denominator, and each simplex tableau row is a list of integers
-over one positive integer denominator.
+one common denominator, and the simplex holds only integers.  Each tableau
+row is a list of integers over one positive integer denominator, with the
+basic value carried as one more column, and the bounds, nonbasic values and
+step lengths are integers times the lcm of the bound denominators.
 
 A :class:`Polyhedron` is {x : lo <= x <= hi, C x <= d, E x = f}: explicit
 per-variable bounds (None is no bound) plus inequality and equality rows.
@@ -294,17 +296,19 @@ def recession_cone(P: Polyhedron) -> Polyhedron:
 
 class _FinalBasis(NamedTuple):
     """A final phase-1 tableau, as ``basis_holds`` and ``max_row_shift`` read
-    it: its rows, basis, values and bounds, the columns (artificial column,
-    equality row, sign) of the equality rows' artificials, and the equality
-    right-hand side.  An artificial still in phase 1 has no upper bound
-    exactly when it carries a phase-1 cost."""
+    it: its integer rows (each with its trailing u), basis, nonbasic values
+    and bounds, all times ``scale`` as in ``_BoundedSimplex``, the columns
+    (artificial column, equality row, sign) of the equality rows'
+    artificials, and the equality right-hand side.  An artificial still in
+    phase 1 has no upper bound exactly when it carries a phase-1 cost."""
 
     rows: list[list[int]]
     dens: list[int]
     basis: list[int]
-    val: Vector
-    lo: list[Optional[Q]]
-    hi: list[Optional[Q]]
+    val: list[int]
+    lo: list[Optional[int]]
+    hi: list[Optional[int]]
+    scale: int
     width: int
     arts: list[tuple[int, int, int]]
     f: Vector
@@ -370,13 +374,19 @@ class _BoundedSimplex:
     gets one slack s_i >= 0, and the rows of E stay equalities.  The columns
     are x, then the slacks, then one artificial per row that the start point
     violates and per equality row.  A nonbasic variable sits at a finite
-    bound, or at 0 if it has none; ``val`` holds the value of every variable
-    and ``lo``/``hi`` its bounds (None is infinite).
+    bound, or at 0 if it has none.
 
-    The tableau is fraction-free: row r is the list of integers ``rows[r]``
-    over the positive integer ``dens[r]``, and the reduced costs are ``d``
-    over ``dden``; each is kept primitive (gcd 1) after every row operation.
-    The values, the bounds and the step lengths are Fractions.
+    Every quantity is an integer.  ``scale`` is the lcm of the denominators
+    of P's finite bounds; ``lo``/``hi`` hold each bound times ``scale`` (None
+    is infinite), and ``val`` each nonbasic value times ``scale`` (a basic
+    variable's entry is stale).  The tableau is fraction-free: row r is the
+    list of integers ``rows[r]`` over the positive integer ``dens[r]``, and
+    its trailing entry u_r is the right-hand-side column plus the sum of
+    column_k * val[k] over the nonbasic k, so the basic value of row r is
+    -u_r / (dens[r] * scale).  The reduced costs are ``d`` over ``dden``.
+    Each row, u_r included, is kept primitive (gcd 1) after every row
+    operation.  A step length is an integer ratio in units of 1 / scale;
+    only the readers of the result build Fractions.
 
     Bland's rule picks the entering variable and, among tied ratios, the
     leaving one, so the method terminates.  A variable with lo = hi never
@@ -387,78 +397,71 @@ class _BoundedSimplex:
     def __init__(self, P: Union[Polyhedron, IntRowPolyhedron]):
         n = self.n = P.dim
         self.P = P
-        # each row as (integer numerators, positive denominator), made
-        # primitive, so equal rational rows start equal tableaus
-        if isinstance(P, IntRowPolyhedron):
-            E = [_primitive(row, den) for row, den in zip(P.E, P.dens)]
-        else:
-            E = [scaled(row) for row in P.E]
-        x = [l if l is not None else h if h is not None else Q(0)
-             for l, h in zip(P.lo, P.hi)]
-        xn, xd = scaled(x)
-
-        def residual(rhs: Q, row: list[int], den: int) -> Q:
-            """rhs - (row / den).x, from one integer dot product with xn."""
-            rn, rd = rhs.as_integer_ratio()
-            e = den * xd
-            return Q(rn * e - rd * sum(map(mul, row, xn)), rd * e)
-
+        E = zip(P.E, P.dens) if isinstance(P, IntRowPolyhedron) else \
+            map(scaled, P.E)
+        L = self.scale = lcm(*[b.denominator for b in P.lo + P.hi
+                               if b is not None])
+        self.lo, self.hi = ([None if b is None else b.numerator * (L // b.denominator)
+                             for b in ends] for ends in (P.lo, P.hi))
+        x = [l if l is not None else h if h is not None else 0
+             for l, h in zip(self.lo, self.hi)]
         g = len(P.C)
         self.width = width = n + g
-        self.rows: list[list[int]] = []
-        self.dens: list[int] = []
-        self.val = x + zeros(g)
-        basis: list[Optional[int]] = []
-        pending: list[tuple[int, Q]] = []  # (tableau row, residual at x)
-        for r, (row, di) in enumerate(zip(P.C, P.d)):
-            row, den = scaled(row)
-            res = residual(di, row, den)
-            row += [0] * g
-            row[n + r] = den
-            self.rows.append(row)
-            self.dens.append(den)
-            if res >= 0:
-                basis.append(n + r)
-                self.val[n + r] = res
-            else:
-                basis.append(None)
-                pending.append((r, res))
-        for (row, den), fk in zip(E, P.f):
-            pending.append((len(self.rows), residual(fk, row, den)))
-            basis.append(None)
-            self.rows.append(row + [0] * g)
-            self.dens.append(den)
-        for row in self.rows:
-            row.extend([0] * len(pending))
-        self.lo = P.lo + zeros(g + len(pending))
-        self.hi = P.hi + [None] * g
+
+        def start_row(row: list[int], den: int, rhs: Q, slack: int = -1
+                      ) -> tuple[list[int], int, int]:
+            """(row / den) x (+ the slack of row ``slack``) = rhs over x and
+            the slacks, scaled by rhs's denominator, and its u at the start
+            point x: row.x - den * rhs * scale."""
+            rn, rd = rhs.as_integer_ratio()
+            out = [a * rd for a in row] + [0] * g
+            if slack >= 0:
+                out[n + slack] = den * rd
+            return out, den * rd, rd * sum(map(mul, row, x)) - den * rn * L
+
+        start = [start_row(*scaled(row), di, r)
+                 for r, (row, di) in enumerate(zip(P.C, P.d))]
+        start += [start_row(row, den, fk) for (row, den), fk in zip(E, P.f)]
+        # a slack whose start value -u / (den * scale) is >= 0 starts basic;
+        # every other row of C, and every equality row, gets an artificial
+        narts = len(P.f) + sum(u > 0 for _, _, u in start[:g])
+        self.basis: list[int] = list(range(n, width)) + [0] * len(P.f)
+        self.val = x + [0] * (g + narts)
+        self.lo += [0] * (g + narts)
+        self.hi += [None] * g
         # per artificial: (tableau row, sign of its column, phase-1 cost)
         self.arts: list[tuple[int, int, int]] = []
-        for a, (r, res) in enumerate(pending):
-            sign = 1 if res >= 0 else -1
-            self.rows[r][width + a] = sign * self.dens[r]
-            if sign < 0:
-                self.rows[r] = [-v for v in self.rows[r]]
-            basis[r] = width + a
-            self.val.append(abs(res))
-            # an artificial whose row holds at the start stays at 0
-            cost = 1 if res != 0 else 0
-            self.hi.append(None if cost else Q(0))
-            self.arts.append((r, sign, cost))
-        self.basis: list[int] = basis
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
+        for r, (row, den, u) in enumerate(start):
+            row += [0] * narts + [u]
+            if r >= g or u > 0:
+                sign = 1 if u <= 0 else -1
+                self.basis[r] = a = width + len(self.arts)
+                row[a] = sign * den
+                if sign < 0:
+                    row = [-v for v in row]
+                # an artificial whose row holds at the start stays at 0
+                cost = 1 if u else 0
+                self.hi.append(None if cost else 0)
+                self.arts.append((r, sign, cost))
+            row, den = _primitive(row, den)
+            self.rows.append(row)
+            self.dens.append(den)
         self._set_cost([0] * width + [c for _, _, c in self.arts])
         self._solve()
-        self.feasible = all(v == 0 for v in self.val[width:])
+        self.feasible = not any(self._value(a)[0]
+                                for a in range(width, len(self.val)))
 
     @classmethod
     def _resumed(cls, fb: _FinalBasis) -> "_BoundedSimplex":
         """A copy of a kept tableau, ready for ``_set_cost`` and ``_solve``.
-        A pivot replaces rows rather than changing them, so the row lists
-        are shared."""
+        A bound flip changes the u entries in place, so the rows are
+        copied."""
         lp = cls.__new__(cls)
-        lp.width = fb.width
-        lp.rows, lp.dens, lp.basis = fb.rows[:], fb.dens[:], fb.basis[:]
-        lp.val, lp.lo, lp.hi = fb.val[:], fb.lo[:], fb.hi[:]
+        lp.width, lp.scale = fb.width, fb.scale
+        lp.rows, lp.dens = [row[:] for row in fb.rows], fb.dens[:]
+        lp.basis, lp.val, lp.lo, lp.hi = fb.basis[:], fb.val[:], fb.lo[:], fb.hi[:]
         return lp
 
     def _set_cost(self, cost: Sequence[Q]) -> None:
@@ -473,27 +476,37 @@ class _BoundedSimplex:
                                       for x, y in zip(d, self.rows[r])], dden * s)
         self.d, self.dden = d, dden
 
-    def _pivot(self, r: int, j: int) -> None:
-        rows, dens = self.rows, self.dens
+    def _pivot(self, r: int, j: int, limit: int) -> None:
+        """Variable j enters the basis in row r, whose basic variable leaves
+        at ``limit``.  First j leaves the nonbasic sum of every u and the
+        leaving variable joins the one of row r, then the row operations
+        carry u along with the other columns.  The rows are changed in
+        place or replaced; a kept tableau is copied before it resumes."""
+        rows, dens, xj = self.rows, self.dens, self.val[j]
         prow = rows[r]
         pden = prow[j]  # row r divided by its entry in column j
+        prow[-1] += dens[r] * limit - pden * xj
         if pden < 0:
             prow, pden = [-x for x in prow], -pden
         prow, pden = _primitive(prow, pden)
         rows[r], dens[r] = prow, pden
         # row_i <- (row_i * pden - f * prow) / (den_i * pden), where f is the
-        # numerator in column j; most pivot-row entries are 0, so skip them
+        # numerator in column j and row_i's u first drops f * xj; most
+        # pivot-row entries are 0, so skip them
+        pxj = pden * xj
         for i, row in enumerate(rows):
             f = row[j]
             if i != r and f:
-                rows[i], dens[i] = _primitive(
-                    [x * pden - f * y if y else x * pden for x, y in zip(row, prow)],
-                    dens[i] * pden)
+                new = [x * pden - f * y if y else x * pden
+                       for x, y in zip(row, prow)]
+                new[-1] -= f * pxj
+                rows[i], dens[i] = _primitive(new, dens[i] * pden)
         f = self.d[j]
         if f:
             self.d, self.dden = _primitive(
                 [x * pden - f * y if y else x * pden for x, y in zip(self.d, prow)],
                 self.dden * pden)
+        self.val[self.basis[r]] = limit
         self.basis[r] = j
 
     def _entering(self) -> Optional[tuple[int, int]]:
@@ -516,48 +529,50 @@ class _BoundedSimplex:
                 return True
             j, step = move
             # the entering variable's own bound flip, then each basic
-            # variable; the step length so far is tn / td with td > 0
+            # variable; the step length so far is tn / td times 1 / scale,
+            # with td > 0
             bound = hi[j] if step > 0 else lo[j]
-            tn = td = None
+            tn = td = leave = limit = None
             if bound is not None:
-                gap = abs(bound - val[j])
-                tn, td = gap.numerator, gap.denominator
-            leave = None
+                tn, td = abs(bound - val[j]), 1
             for r, row in enumerate(rows):
                 a = row[j]
                 if not a:
                     continue
                 rate = -step * a  # change of basic r per unit of t, times dens[r]
                 b = basis[r]
-                limit = hi[b] if rate > 0 else lo[b]
-                if limit is None:
+                lim = hi[b] if rate > 0 else lo[b]
+                if lim is None:
                     continue
-                # ratio = (limit - val[b]) * dens[r] / rate, compared with
-                # tn / td by cross-multiplying
-                ln, ld = limit.as_integer_ratio()
-                vn, vd = val[b].as_integer_ratio()
-                rn, rd = (ln * vd - vn * ld) * dens[r], ld * vd * rate
+                # basic r is -u / (dens[r] * scale) and reaches lim at
+                # t = (lim * dens[r] + u) / rate
+                rn, rd = lim * dens[r] + row[-1], rate
                 if rd < 0:
                     rn, rd = -rn, -rd
                 if tn is None or rn * td < tn * rd or \
                         (rn * td == tn * rd and leave is not None and b < basis[leave]):
-                    tn, td, leave = rn, rd, r
+                    tn, td, leave, limit = rn, rd, r, lim
             if tn is None:
                 return False
-            if tn:
-                val[j] += Q(step * tn, td)
-                # basic r moves by -step * t * a / dens[r], t = tn / td
-                for r, row in enumerate(rows):
-                    a = row[j]
-                    if a:
-                        vn, vd = val[basis[r]].as_integer_ratio()
-                        e = td * dens[r]
-                        val[basis[r]] = Q(vn * e - step * a * tn * vd, vd * e)
             if leave is not None:
-                self._pivot(leave, j)
+                self._pivot(leave, j, limit)
+            elif tn:
+                # a bound flip: u_r moves by row[j] times the change of x_j
+                dx = step * tn
+                val[j] += dx
+                for row in rows:
+                    if row[j]:
+                        row[-1] += row[j] * dx
+
+    def _value(self, k: int) -> tuple[int, int]:
+        """x_k as an integer over a positive one."""
+        if k in self.basis:
+            r = self.basis.index(k)
+            return -self.rows[r][-1], self.dens[r] * self.scale
+        return self.val[k], self.scale
 
     def point(self) -> Vector:
-        return self.val[:self.n]
+        return [Q(*self._value(k)) for k in range(self.n)]
 
     def farkas(self, basis: _FinalBasis) -> Infeasible:
         """Multipliers read from the phase-1 reduced costs, with the final
@@ -578,7 +593,7 @@ class _BoundedSimplex:
     def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
         for a in range(self.width, len(self.val)):
-            self.hi[a] = Q(0)
+            self.hi[a] = 0
         self._set_cost([-Q(c) for c in obj] + [0] * (len(self.val) - self.n))
         if not self._solve():
             return "unbounded", None, None
@@ -594,7 +609,7 @@ def lp_feasible(P: Union[Polyhedron, IntRowPolyhedron]) -> LPResult:
     arts = [(lp.width + a, r - g, sign)
             for a, (r, sign, _) in enumerate(lp.arts) if r >= g]
     fb = _FinalBasis(lp.rows, lp.dens, lp.basis, lp.val, lp.lo, lp.hi,
-                     lp.width, arts, P.f)
+                     lp.scale, lp.width, arts, P.f)
     if not lp.feasible:
         return lp.farkas(fb)
     return Feasible(lp.point(), fb)
@@ -607,11 +622,14 @@ def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
     The nonbasic variables keep their values and the basic ones move by
     B^-1 S (f - f0), where f0 is the old right-hand side and S holds the
     sign each equality row was scaled by at the start; B^-1 is read off the
-    artificial columns, since every equality row has one.  The step is one
-    integer dot per row, and a basic artificial must stay at 0.  True means
-    that the basis solution for f satisfies every bound, so the LP with
-    right-hand side f is feasible too; False means only that this basis does
-    not show it, and the caller solves that LP cold.
+    artificial columns, since every equality row has one.  With f - f0 as
+    integers over dd, the step of row r is num / (den * dd) for one integer
+    dot num, so the new basic value is (num * scale - u * dd) over
+    den * dd * scale, compared with the integer bounds times den * dd; a
+    basic artificial must stay at 0.  True means that the basis solution
+    for f satisfies every bound, so the LP with right-hand side f is
+    feasible too; False means only that this basis does not show it, and
+    the caller solves that LP cold.
     """
     fb = res.basis
     if len(f) != len(fb.f):
@@ -624,14 +642,9 @@ def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
             continue
         if b >= fb.width:
             return False
-        # the new value val[b] + num / (den * dd) is vn / vd; compare it
-        # with the bounds by cross-multiplying (vd > 0)
-        vn, vd = fb.val[b].as_integer_ratio()
-        e = den * dd
-        vn, vd = vn * e + num * vd, vd * e
+        v, e = num * fb.scale - row[-1] * dd, den * dd
         l, h = fb.lo[b], fb.hi[b]
-        if (l is not None and vn * l.denominator < l.numerator * vd) or \
-                (h is not None and vn * h.denominator > h.numerator * vd):
+        if (l is not None and v < l * e) or (h is not None and v > h * e):
             return False
     return True
 
@@ -648,29 +661,36 @@ def max_row_shift(res: LPResult, e: int, sign: int
     the other artificials are fixed at 0 and phase 2 minimizes
     S_e * sign * a_e.  The optimum is that of the cold LP with a free column
     -sign * e_e, so t is the same exact value.  Returns ('infeasible', None),
-    ('unbounded', None) or ('optimal', t).
+    ('unbounded', None) or ('optimal', t); an e that is not an equality row
+    of the LP, or a sign other than 1 and -1, is a ValueError.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
     fb = res.basis
-    col, s = next((c, sg * sign) for c, r, sg in fb.arts if r == e)
+    col, s = next(((c, sg * sign) for c, r, sg in fb.arts if r == e),
+                  (None, None))
+    if col is None:
+        raise ValueError(f"{e!r} is not an equality row of the LP")
     lp = _BoundedSimplex._resumed(fb)
     arts = range(lp.width, len(lp.val))
     lp.lo[col] = lp.hi[col] = None
-    if any(lp.val[a] for a in arts if a != col):
+    if any(lp._value(a)[0] for a in arts if a != col):
         # phase 1 again: each other artificial with no upper bound costs 1
         lp._set_cost([0] * lp.width + [int(a != col and lp.hi[a] is None)
                                        for a in arts])
         lp._solve()
-        if any(lp.val[a] for a in arts if a != col):
+        if any(lp._value(a)[0] for a in arts if a != col):
             return "infeasible", None
     for a in arts:
         if a != col:
-            lp.hi[a] = Q(0)
+            lp.hi[a] = 0
     cost = [0] * len(lp.val)
-    cost[col] = Q(s)
+    cost[col] = s
     lp._set_cost(cost)
     if not lp._solve():
         return "unbounded", None
-    return "optimal", -s * lp.val[col]
+    num, den = lp._value(col)
+    return "optimal", Q(-s * num, den)
 
 
 def lp_maximize(P: Union[Polyhedron, IntRowPolyhedron], obj: Sequence[Q]):

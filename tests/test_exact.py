@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 from math import gcd
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gen_quantified, random_point
 from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible,
                           IntRowPolyhedron, NoSolution, Polyhedron,
                           UniqueSolution, _BoundedSimplex, basis_holds,
                           check_infeasibility_certificate, dot, fm_eliminate,
                           fm_feasible, lin_solve, lp_feasible, lp_maximize,
                           max_row_shift, recession_cone)
+from pilsys.membership import (member_ae, member_united,
+                               strict_kernel_member_ae)
 
 
 def qvec(items):
@@ -389,13 +393,30 @@ class TestMaxRowShift:
         P = Polyhedron([], [], [[Q(1), Q(1)]], [Q(1)], 2, [Q(0), Q(0)],
                        [Q(1), Q(1)])
         res = lp_feasible(P)
-        kept = (res.basis.val[:], res.basis.lo[:], res.basis.hi[:],
-                res.basis.basis[:], [r[:] for r in res.basis.rows])
+        fb = res.basis
+        kept = (fb.val[:], fb.lo[:], fb.hi[:], fb.scale, fb.basis[:],
+                fb.dens[:], [r[:] for r in fb.rows])
         assert max_row_shift(res, 0, 1) == ("optimal", Q(1))
         assert max_row_shift(res, 0, -1) == ("optimal", Q(1))
-        assert (res.basis.val, res.basis.lo, res.basis.hi, res.basis.basis,
-                res.basis.rows) == kept
+        assert (fb.val, fb.lo, fb.hi, fb.scale, fb.basis, fb.dens,
+                fb.rows) == kept
         assert basis_holds(res, [Q(2)])
+
+    def test_refuses_a_row_or_sign_it_does_not_have(self):
+        # x1 + x2 = 1 + sign * t over the unit box
+        P = Polyhedron([], [], [[Q(1), Q(1)]], [Q(1)], 2, [Q(0), Q(0)],
+                       [Q(1), Q(1)])
+        res = lp_feasible(P)
+        for e in (1, 5, -1):
+            with pytest.raises(ValueError, match="not an equality row"):
+                max_row_shift(res, e, 1)
+        for sign in (2, 0, -2):
+            with pytest.raises(ValueError, match="sign must be 1 or -1"):
+                max_row_shift(res, 0, sign)
+        # rows of C have no artificial to free
+        C = Polyhedron([[Q(1)]], [Q(1)], [], [], 1, [Q(0)], [Q(2)])
+        with pytest.raises(ValueError, match="not an equality row"):
+            max_row_shift(lp_feasible(C), 0, 1)
 
 
 class TestCertificates:
@@ -543,11 +564,15 @@ def random_bounded(rng, entry=small_int):
 
 
 def assert_integer_tableau(lp):
-    """Every tableau row and the reduced-cost row: int numerators over a
-    positive int denominator, with no common factor."""
+    """Every tableau row (with its trailing u) and the reduced-cost row: int
+    numerators over a positive int denominator, with no common factor; and
+    every value and finite bound an int, over a positive int scale."""
     for row, den in list(zip(lp.rows, lp.dens)) + [(lp.d, lp.dden)]:
         assert all(type(a) is int for a in row) and type(den) is int
         assert den > 0 and gcd(den, *row) == 1
+    assert type(lp.scale) is int and lp.scale > 0
+    assert all(type(v) is int for v in lp.val)
+    assert all(type(b) is int for b in lp.lo + lp.hi if b is not None)
 
 
 def test_bounded_polyhedra_agree_with_fm():
@@ -730,3 +755,145 @@ def test_bounds_agree_with_unit_rows(seed, entry):
             assert P.contains(y) == R.contains(y)
             assert recession_cone(P).contains(y) == recession_cone(R).contains(y)
     assert min(seen.values()) > 10, seen
+
+
+# large coprime denominators, so that the lcm of an LP's bound denominators
+# is far from 1
+BIG_DENS = (2 ** 61 - 1, 3 ** 40, 10 ** 19 + 1, 7, 9)
+
+
+def rational_box(rng, dim):
+    """Bounds over BIG_DENS: mostly finite, sometimes thin or one-sided."""
+    lo, hi = [], []
+    for _ in range(dim):
+        dl, dh = rng.choice(BIG_DENS), rng.choice(BIG_DENS)
+        l = Q(rng.randint(-3 * dl, 3 * dl), dl)
+        h = l if rng.random() < 0.1 else l + Q(rng.randint(1, 4 * dh), dh)
+        lo.append(None if rng.random() < 0.1 else l)
+        hi.append(None if rng.random() < 0.1 else h)
+    return lo, hi
+
+
+def box_point(rng, lo, hi):
+    """A point of the box, with big denominators where both ends are finite."""
+    return [l + Q(rng.randint(0, 8), 8) * (h - l) if l is not None and h is not None
+            else l if l is not None else h if h is not None else Q(rng.randint(-2, 2))
+            for l, h in zip(lo, hi)]
+
+
+def rational_box_lp(rng):
+    """A Polyhedron over a rational_box, with rows of C and equalities that
+    most often hold at a point of the box."""
+    dim = rng.randint(1, 4)
+    lo, hi = rational_box(rng, dim)
+    x = box_point(rng, lo, hi)
+    C = [[mixed_rational(rng, 3) for _ in range(dim)]
+         for _ in range(rng.randint(0, 2))]
+    d = [dot(row, x) + Q(rng.randint(-1, 4), 3) for row in C]
+    E = [[mixed_rational(rng, 2) for _ in range(dim)]
+         for _ in range(rng.randint(1, 3))]
+    f = [dot(row, x) + Q(rng.choice((0, 0, 0, 1, -1)), 5) for row in E]
+    return Polyhedron(C, d, E, f, dim, lo, hi)
+
+
+def int_row_lp(rng):
+    """An IntRowPolyhedron over a rational_box, as a membership vertex LP
+    has: integer rows over positive denominators, and a rhs that most often
+    is reached at a point of the box."""
+    dim = rng.randint(1, 5)
+    lo, hi = rational_box(rng, dim)
+    x = box_point(rng, lo, hi)
+    m = rng.randint(1, 3)
+    E = [[rng.randint(-20, 20) for _ in range(dim)] for _ in range(m)]
+    dens = [rng.randint(1, 12) for _ in range(m)]
+    f = [dot(qvec(row), x) / den + Q(rng.choice((0, 0, 0, 1, -1)), 7)
+         for row, den in zip(E, dens)]
+    return IntRowPolyhedron(E, dens, f, lo, hi)
+
+
+class TestLPDigest:
+    """A guard on the simplex's pivot sequence: the repr of lp_feasible with
+    its final basis, lp_maximize, max_row_shift on every equality row and
+    sign, and basis_holds under a perturbed right-hand side, over seeded
+    Polyhedron and IntRowPolyhedron LPs, hashed.  A change that keeps every
+    pivot keeps DIGEST."""
+
+    DIGEST = "00f0909f326f1a35b10bb9deb8319c53df0bc73f11835f855ae3067bce1c9783"
+
+    def lps(self):
+        rng = random.Random(1717)
+        for _ in range(60):
+            yield rng, random_bounded(rng, mixed_rational)
+            yield rng, random_with_bounds(rng, mixed_rational)[0]
+            yield rng, rational_box_lp(rng)
+            yield rng, int_row_lp(rng)
+
+    def test_results_unchanged(self):
+        h = hashlib.sha256()
+        seen = {"feasible": 0, "infeasible": 0, "held": 0, "moved": 0}
+        for rng, P in self.lps():
+            res = lp_feasible(P)
+            out = [res, res.basis.basis]
+            obj = [Q(rng.randint(-3, 3)) for _ in range(P.dim)]
+            out.append(lp_maximize(P, obj))
+            out += [max_row_shift(res, e, sign)
+                    for e in range(len(P.E)) for sign in (1, -1)]
+            if isinstance(res, Feasible):
+                seen["feasible"] += 1
+                for _ in range(3):
+                    f = [fi + Q(rng.randint(-4, 4), rng.choice((1, 3) + BIG_DENS))
+                         for fi in P.f]
+                    held = basis_holds(res, f)
+                    seen["held" if held else "moved"] += 1
+                    out.append(held)
+            else:
+                seen["infeasible"] += 1
+            h.update(repr(out).encode())
+            h.update(b"\n")
+        assert min(seen.values()) > 20, seen
+        assert h.hexdigest() == self.DIGEST
+
+
+def test_solve_builds_no_fraction(monkeypatch):
+    """Every value, bound and step length in the pivot loop is an integer:
+    no Fraction is built inside ``_BoundedSimplex._solve``, on membership
+    vertex LPs (cold, re-checked and resumed by ``max_row_shift``) and on
+    Polyhedron LPs with rational bounds over large denominators."""
+    built = {"in_solve": 0, "solves": 0}
+    active = False
+    new, solve = Q.__new__, _BoundedSimplex._solve
+
+    def counting_new(cls, *args, **kwargs):
+        built["in_solve"] += active
+        return new(cls, *args, **kwargs)
+
+    def counted_solve(self):
+        nonlocal active
+        built["solves"] += 1
+        active = True
+        try:
+            return solve(self)
+        finally:
+            active = False
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(_BoundedSimplex, "_solve", counted_solve)
+    active = True
+    Q(1, 3)  # the counter sees a Fraction built while it is active
+    active = False
+    assert built["in_solve"] == 1
+    built["in_solve"] = 0
+
+    rng = random.Random(4242)
+    for _ in range(12):
+        sys, quant = gen_quantified(rng, rng.choice((2, 3)), 2)
+        member_ae(sys, quant, random_point(rng, sys.n))
+        member_united(sys, random_point(rng, sys.n))
+        strict_kernel_member_ae(sys, quant, random_point(rng, sys.n))
+    for _ in range(20):
+        P = rational_box_lp(rng)
+        res = lp_feasible(P)
+        lp_maximize(P, [Q(rng.randint(-3, 3)) for _ in range(P.dim)])
+        max_row_shift(res, 0, 1)
+    assert built["solves"] > 100
+    assert built["in_solve"] == 0
