@@ -22,13 +22,13 @@ validator can re-check.  The simplex also takes an :class:`IntRowPolyhedron`,
 the membership form (bounds plus equations) with each equation already
 integers over a positive denominator, which is the form a tableau row keeps;
 its result is the one the rational rows give.  Every outcome of
-``lp_feasible`` keeps its final
-phase-1 tableau.  ``basis_holds`` re-checks a feasible one under a new
-equality right-hand side with one integer dot per tableau row and no pivot,
-reading B^-1 off the artificial columns.  ``max_row_shift`` resumes a copy
-of it: an equality row's artificial column is B^-1 times that row's unit
-vector, so freeing it turns the row into E_e x = f_e + t with t free, and
-phase 1 (usually a no-op) and then phase 2 maximize t on the same tableau.
+``lp_feasible`` keeps the simplex that solved it, at its final phase-1
+tableau.  ``basis_holds`` re-checks a feasible one under a new equality
+right-hand side with one integer dot per tableau row and no pivot, reading
+B^-1 off the artificial columns.  ``max_row_shift`` resumes a copy of it:
+an equality row's artificial column is B^-1 times that row's unit vector,
+so freeing it turns the row into E_e x = f_e + t with t free, and phase 1
+(usually a no-op) and then phase 2 maximize t on the same tableau.
 Fourier-Motzkin elimination writes the bounds out as rows first and never
 calls the simplex.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Q = Fraction
 
@@ -294,35 +294,16 @@ def recession_cone(P: Polyhedron) -> Polyhedron:
 # LP feasibility / optimization (bounded-variable simplex, Bland's rule)
 # ---------------------------------------------------------------------------
 
-class _FinalBasis(NamedTuple):
-    """A final phase-1 tableau, as ``basis_holds`` and ``max_row_shift`` read
-    it: its integer rows (each with its trailing u), basis, nonbasic values
-    and bounds, all times ``scale`` as in ``_BoundedSimplex``, the columns
-    (artificial column, equality row, sign) of the equality rows'
-    artificials, and the equality right-hand side.  An artificial still in
-    phase 1 has no upper bound exactly when it carries a phase-1 cost."""
-
-    rows: list[list[int]]
-    dens: list[int]
-    basis: list[int]
-    val: list[int]
-    lo: list[Optional[int]]
-    hi: list[Optional[int]]
-    scale: int
-    width: int
-    arts: list[tuple[int, int, int]]
-    f: Vector
-
-
 class Feasible(_Record):
-    """A feasible point.  ``basis`` is the final tableau of the LP that found
-    it, kept for ``basis_holds`` and ``max_row_shift``; it is not part of the
-    result's value."""
+    """A feasible point.  ``basis`` is the simplex that found it, at its final
+    tableau, kept for ``basis_holds`` and ``max_row_shift``; it is not part
+    of the result's value."""
 
     __slots__ = ("point", "basis")
     _fields = ("point",)
 
-    def __init__(self, point: Vector, basis: Optional[_FinalBasis] = None):
+    def __init__(self, point: Vector,
+                 basis: Optional[_BoundedSimplex] = None):
         self.point = point
         self.basis = basis
 
@@ -341,7 +322,7 @@ class Infeasible(_Record):
     _fields = ("ineq_mult", "eq_mult", "bound_mult")
 
     def __init__(self, ineq_mult: Vector, eq_mult: Vector, bound_mult: Vector,
-                 basis: Optional[_FinalBasis] = None):
+                 basis: Optional[_BoundedSimplex] = None):
         self.ineq_mult = ineq_mult
         self.eq_mult = eq_mult
         self.bound_mult = bound_mult
@@ -388,6 +369,10 @@ class _BoundedSimplex:
     operation.  A step length is an integer ratio in units of 1 / scale;
     only the readers of the result build Fractions.
 
+    ``arts`` holds (artificial column, row of E, sign of the column) for
+    each equality row.  In phase 1 an artificial carries a cost exactly when
+    it has no upper bound.
+
     Bland's rule picks the entering variable and, among tied ratios, the
     leaving one, so the method terminates.  A variable with lo = hi never
     enters.  After a feasible phase 1 the artificials are fixed at 0 and
@@ -429,7 +414,6 @@ class _BoundedSimplex:
         self.val = x + [0] * (g + narts)
         self.lo += [0] * (g + narts)
         self.hi += [None] * g
-        # per artificial: (tableau row, sign of its column, phase-1 cost)
         self.arts: list[tuple[int, int, int]] = []
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
@@ -437,31 +421,30 @@ class _BoundedSimplex:
             row += [0] * narts + [u]
             if r >= g or u > 0:
                 sign = 1 if u <= 0 else -1
-                self.basis[r] = a = width + len(self.arts)
+                self.basis[r] = a = len(self.hi)
                 row[a] = sign * den
                 if sign < 0:
                     row = [-v for v in row]
                 # an artificial whose row holds at the start stays at 0
-                cost = 1 if u else 0
-                self.hi.append(None if cost else 0)
-                self.arts.append((r, sign, cost))
+                self.hi.append(None if u else 0)
+                if r >= g:
+                    self.arts.append((a, r - g, sign))
             row, den = _primitive(row, den)
             self.rows.append(row)
             self.dens.append(den)
-        self._set_cost([0] * width + [c for _, _, c in self.arts])
+        self._set_cost([0] * width + [int(h is None) for h in self.hi[width:]])
         self._solve()
         self.feasible = not any(self._value(a)[0]
                                 for a in range(width, len(self.val)))
 
-    @classmethod
-    def _resumed(cls, fb: _FinalBasis) -> "_BoundedSimplex":
-        """A copy of a kept tableau, ready for ``_set_cost`` and ``_solve``.
-        A bound flip changes the u entries in place, so the rows are
-        copied."""
-        lp = cls.__new__(cls)
-        lp.width, lp.scale = fb.width, fb.scale
-        lp.rows, lp.dens = [row[:] for row in fb.rows], fb.dens[:]
-        lp.basis, lp.val, lp.lo, lp.hi = fb.basis[:], fb.val[:], fb.lo[:], fb.hi[:]
+    def copy(self) -> "_BoundedSimplex":
+        """A copy to resume: a pivot or bound flip changes the tableau and
+        the values in place, so those are copied and the rest is shared."""
+        lp = object.__new__(_BoundedSimplex)
+        lp.__dict__.update(self.__dict__)
+        lp.rows = [row[:] for row in self.rows]
+        lp.dens, lp.basis, lp.val = self.dens[:], self.basis[:], self.val[:]
+        lp.lo, lp.hi = self.lo[:], self.hi[:]
         return lp
 
     def _set_cost(self, cost: Sequence[Q]) -> None:
@@ -574,9 +557,9 @@ class _BoundedSimplex:
     def point(self) -> Vector:
         return [Q(*self._value(k)) for k in range(self.n)]
 
-    def farkas(self, basis: _FinalBasis) -> Infeasible:
-        """Multipliers read from the phase-1 reduced costs, with the final
-        tableau kept as ``basis``.
+    def farkas(self) -> Infeasible:
+        """Multipliers read from the phase-1 reduced costs, with this simplex
+        kept as the result's ``basis``.
 
         Row i of the tableau has dual y_i = -d(slack i), or sign * (cost - d)
         from its artificial; the multiplier of the original row is -y_i.  A
@@ -584,11 +567,11 @@ class _BoundedSimplex:
         whose multiplier is -d_j.  Each multiplier is one Fraction built from
         the integer reduced costs over ``dden``.
         """
-        n, g, d, dden = self.n, len(self.P.C), self.d, self.dden
-        mu = [Q(sign * (d[self.width + a] - cost * dden), dden)
-              for a, (r, sign, cost) in enumerate(self.arts) if r >= g]
+        n, d, dden = self.n, self.d, self.dden
+        mu = [Q(sign * (d[a] - (self.hi[a] is None) * dden), dden)
+              for a, _, sign in self.arts]
         return Infeasible([Q(x, dden) for x in d[n:self.width]], mu,
-                          [Q(-x, dden) for x in d[:n]], basis)
+                          [Q(-x, dden) for x in d[:n]], self)
 
     def maximize(self, obj: Sequence[Q]) -> tuple[str, Optional[Q], Optional[Vector]]:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
@@ -603,16 +586,9 @@ class _BoundedSimplex:
 
 def lp_feasible(P: Union[Polyhedron, IntRowPolyhedron]) -> LPResult:
     """Exact feasibility of P, with a Farkas certificate on failure.  Either
-    result keeps the final tableau as its ``basis``."""
+    result keeps the simplex that solved it as its ``basis``."""
     lp = _BoundedSimplex(P)
-    g = len(P.C)
-    arts = [(lp.width + a, r - g, sign)
-            for a, (r, sign, _) in enumerate(lp.arts) if r >= g]
-    fb = _FinalBasis(lp.rows, lp.dens, lp.basis, lp.val, lp.lo, lp.hi,
-                     lp.scale, lp.width, arts, P.f)
-    if not lp.feasible:
-        return lp.farkas(fb)
-    return Feasible(lp.point(), fb)
+    return Feasible(lp.point(), lp) if lp.feasible else lp.farkas()
 
 
 def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
@@ -631,19 +607,19 @@ def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
     feasible too; False means only that this basis does not show it, and
     the caller solves that LP cold.
     """
-    fb = res.basis
-    if len(f) != len(fb.f):
+    lp = res.basis
+    if len(f) != len(lp.P.f):
         raise ValueError("right-hand side has wrong length")
-    dn, dd = scaled([fi - f0 for fi, f0 in zip(f, fb.f)])
-    cols = [(c, sign * dn[e]) for c, e, sign in fb.arts if dn[e]]
-    for row, den, b in zip(fb.rows, fb.dens, fb.basis):
+    dn, dd = scaled([fi - f0 for fi, f0 in zip(f, lp.P.f)])
+    cols = [(c, sign * dn[e]) for c, e, sign in lp.arts if dn[e]]
+    for row, den, b in zip(lp.rows, lp.dens, lp.basis):
         num = sum(row[c] * s for c, s in cols)
         if not num:
             continue
-        if b >= fb.width:
+        if b >= lp.width:
             return False
-        v, e = num * fb.scale - row[-1] * dd, den * dd
-        l, h = fb.lo[b], fb.hi[b]
+        v, e = num * lp.scale - row[-1] * dd, den * dd
+        l, h = lp.lo[b], lp.hi[b]
         if (l is not None and v < l * e) or (h is not None and v > h * e):
             return False
     return True
@@ -666,12 +642,11 @@ def max_row_shift(res: LPResult, e: int, sign: int
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
-    fb = res.basis
-    col, s = next(((c, sg * sign) for c, r, sg in fb.arts if r == e),
+    col, s = next(((c, sg * sign) for c, r, sg in res.basis.arts if r == e),
                   (None, None))
     if col is None:
         raise ValueError(f"{e!r} is not an equality row of the LP")
-    lp = _BoundedSimplex._resumed(fb)
+    lp = res.basis.copy()
     arts = range(lp.width, len(lp.val))
     lp.lo[col] = lp.hi[col] = None
     if any(lp._value(a)[0] for a in arts if a != col):

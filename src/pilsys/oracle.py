@@ -12,7 +12,7 @@ from typing import Iterator, Optional, Sequence
 
 from .exact import (Polyhedron, Q, UniqueSolution, Vector, fm_feasible,
                     lin_solve)
-from .membership import member_ae, member_kernel, member_united
+from .membership import member_ae, member_ae_kernel, member_united
 from .model import ParametricSystem, QuantifierAssignment, residual_vectors
 
 _FM_CAP = 12
@@ -105,7 +105,9 @@ KERNEL = "KERNEL"
 def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
               window: tuple[Q, Q, Q, Q], resolution: int,
               which: str = UNITED) -> list[list[bool]]:
-    """Exact membership on a rational grid over a 2-D window (row-major)."""
+    """Exact membership on a rational grid over a 2-D window (row-major).
+    The kernel is that of the AE set under ``quant`` (the united kernel when
+    it is None), as ``pilsys kernel`` asks it."""
     if sys.n != 2:
         raise ValueError("rasterization requires n = 2")
     if not 2 <= resolution <= 512:
@@ -118,7 +120,8 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
         if which == UNITED:
             return member_united(sys, pt)[0]
         if which == KERNEL:
-            return member_kernel(sys, pt)[0]
+            return member_ae_kernel(
+                sys, quant or QuantifierAssignment.all_exists(sys.K), pt)[0]
         if which == AE:
             if quant is None:
                 raise ValueError("AE raster needs a quantifier assignment")

@@ -11,7 +11,9 @@ The stages of ``decide_unbounded``, in order:
 (iv)  ordinary and class-C united systems (PROP1/PROP2): the kernel pieces
       of nonempty solution pieces characterize unboundedness.
 (v)   probing: everything else is probed along the ray and reported honestly
-      as UNKNOWN with the probe trace as evidence.
+      as UNKNOWN with the probe trace as evidence.  A base point is a member
+      when it is drawn (solved at a box point, or passed ``member_ae`` with
+      universal parameters), so the walk does not ask alpha = 0 again.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from math import gcd
-from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
-                    lin_solve, scaled, vec_add, vec_scale, zeros)
+                    lin_solve, vec_add, vec_scale, zeros)
 from .membership import (_kernel_lp, _VertexLP, member_ae,
                          member_kernel)  # noqa: F401 -- re-exported
 from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
@@ -88,14 +89,13 @@ def find_base_points(sys: ParametricSystem,
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    return [x for x, _ in _base_points(sys, quant, budget, seed)]
+    return list(_base_points(sys, quant, budget, seed))
 
 
 def _base_points(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
-                 budget: int, seed: int) -> Iterator[tuple[Vector, Vector]]:
-    """The points of ``find_base_points``, in order, each with the box point
-    p it was solved at (A(p) x = b(p)), and each found only when the caller
-    asks for it: a candidate is drawn and solved on demand."""
+                 budget: int, seed: int) -> Iterator[Vector]:
+    """The points of ``find_base_points``, in order, each found only when
+    the caller asks for it: a candidate is drawn and solved on demand."""
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
     order = sorted(quant.forall_set) + sorted(quant.exists_set)
@@ -129,29 +129,17 @@ def _base_points(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
             if key not in seen and (not quant.forall_set
                                     or member_ae(sys, quant, x)[0]):
                 seen.add(key)
-                yield x, p
+                yield x
 
 
 def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
-              x0: Sequence[Q], y: Sequence[Q], max_doublings: int = 20,
-              witness: Optional[Sequence[Q]] = None) -> ProbeReport:
+              x0: Sequence[Q], y: Sequence[Q],
+              max_doublings: int = PROBE_DOUBLINGS) -> ProbeReport:
     """Test membership of x0 + alpha*y at alpha = 0, 1, 2, 4, ..., 2^max_doublings.
 
-    The residuals are affine in the point, so the rows at x0 + alpha*y are
-    (1 - alpha) r0 + alpha r1, with r0 and r1 the integer residual rows at
-    x0 and at x0 + y (``residual_rows``): they are computed once per ray,
-    and each alpha's vertex LP is built from their integer combination.
-    Once alpha = 1 holds, one vertex LP over r0 stacked on r1 asks for a
-    common witness, a p in the box (one per universal vertex) with
-    A(p) x0 = b(p) and A(p) y = 0.  That p solves every combination, so if
-    it exists every alpha is a member and no other LP is asked.
-
-    ``witness`` is evidence for alpha = 0: a box point p with
-    A(p) x0 = b(p), as ``_base_points`` gives with each point.  With no
-    universal parameter it is checked on r0, one integer dot per row, in
-    place of the alpha = 0 LP; with universal parameters, or when it is
-    absent or fails, that LP is asked.  The report is the same either way,
-    and a base point that is not a member raises ValueError.
+    alpha = 0 is one membership query, and a base point that is not a member
+    raises ValueError; the rest is ``_walk_ray``.  The report is the same as
+    from one cold membership query per alpha, up to the first exit.
     """
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
@@ -161,6 +149,25 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
         if len(v) != sys.n:
             raise ValueError(f"{name} has length {len(v)}, expected {sys.n}")
     x0, y = list(x0), list(y)
+    if not member_ae(sys, quant, x0)[0]:
+        raise ValueError("probe base point is not a member")
+    return _walk_ray(sys, quant, x0, y, max_doublings)
+
+
+def _walk_ray(sys: ParametricSystem, quant: QuantifierAssignment,
+              x0: Vector, y: Vector, max_doublings: int) -> ProbeReport:
+    """The probe from a base point x0 that is a member: alpha = 0 is
+    reported as tested and not asked.
+
+    The residuals are affine in the point, so the rows at x0 + alpha*y are
+    (1 - alpha) r0 + alpha r1, with r0 and r1 the integer residual rows at
+    x0 and at x0 + y (``residual_rows``): they are computed once per ray,
+    and each alpha's vertex LP is built from their integer combination.
+    Once alpha = 1 holds, one vertex LP over r0 stacked on r1 asks for a
+    common witness, a p in the box (one per universal vertex) with
+    A(p) x0 = b(p) and A(p) y = 0.  That p solves every combination, so if
+    it exists every alpha is a member and no other LP is asked.
+    """
     # row i at alpha is (u + alpha*w) / den, with u / den = r0_i and
     # (u + w) / den = r1_i over the lcm den of their denominators
     rays = []
@@ -169,43 +176,25 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
         g = gcd(d0, d1)
         s0, s1 = d1 // g, d0 // g
         u = [a * s0 for a in n0]
-        rays.append((u, [b * s1 - a for a, b in zip(u, n1)], d0 * s1))
+        rays.append((u, [b * s1 - a for a, b in zip(u, n1)], d0 * s0))
 
-    def rows_at(alpha: int) -> list[tuple[list[int], int]]:
-        return [([a + alpha * b for a, b in zip(u, w)], den)
-                for u, w, den in rays]
+    def holds(*alphas: int) -> bool:
+        """Do the rows at every alpha given, stacked, have a solution?"""
+        return _VertexLP(sys, quant, [
+            ([a + alpha * b for a, b in zip(u, w)], den)
+            for alpha in alphas for u, w, den in rays]).member()[0]
 
-    def holds(rows: list[tuple[list[int], int]]) -> bool:
-        return _VertexLP(sys, quant, rows).member()[0]
-
-    r0 = rows_at(0)
-    if not (witness is not None and not quant.forall_set
-            and _solves(sys, witness, r0)) and not holds(r0):
-        raise ValueError("probe base point is not a member")
     tested = [Q(0)]
     first_exit: Optional[Q] = None
     for i in range(max_doublings + 1):
         tested.append(Q(2) ** i)
-        rows = rows_at(2 ** i)
-        if not holds(rows):
+        if not holds(2 ** i):
             first_exit = tested[-1]
             break
-        if i == 0 and max_doublings > 0 and holds(r0 + rows):
+        if i == 0 and max_doublings > 0 and holds(0, 1):
             tested += [Q(2) ** j for j in range(1, max_doublings + 1)]
             break
     return ProbeReport(x0, y, tested, first_exit, exhausted=first_exit is None)
-
-
-def _solves(sys: ParametricSystem, p: Sequence[Q],
-            rows: list[tuple[list[int], int]]) -> bool:
-    """Is p a box point with v^(0)_i + sum_k p_k v^(k)_i = 0 on every
-    residual row (``residual_rows``), that is A(p) x = b(p)?"""
-    if len(p) != sys.K or not all(par.interval.contains(pk)
-                                  for pk, par in zip(p, sys.params)):
-        return False
-    pn, pd = scaled(p)
-    coef = [pd, *pn]
-    return not any(sum(map(mul, coef, nums)) for nums, _ in rows)
 
 
 def decide_unbounded(sys: ParametricSystem,
@@ -238,7 +227,7 @@ def decide_unbounded(sys: ParametricSystem,
     # United systems keep the stages below: the benchmark's gate accepts no
     # THM7 verdict yet (ROADMAP item 1).
     if quant.forall_set and TOLERABLE_FORM in classify(sys, quant):
-        x0, _ = next(_base_points(sys, quant, budget, seed), (None, None))
+        x0 = next(_base_points(sys, quant, budget, seed), None)
         if x0 is None:
             return UnboundedVerdict(Status.UNKNOWN, Rule.THM7, None,
                                     "no base point of the tolerable set found")
@@ -280,10 +269,10 @@ def decide_unbounded(sys: ParametricSystem,
                     f"kernel piece {piece.sign} with nonempty solution piece")
 
     # (v) probing fallback; each base point is found only when the probes
-    # before it have all exited
+    # before it have all exited, and is a member already
     reports = []
-    for x0, p in _base_points(sys, quant, budget, seed):
-        rep = probe_ray(sys, quant, x0, y, PROBE_DOUBLINGS, witness=p)
+    for x0 in _base_points(sys, quant, budget, seed):
+        rep = _walk_ray(sys, quant, x0, y, PROBE_DOUBLINGS)
         reports.append(rep)
         if rep.exhausted:
             return UnboundedVerdict(

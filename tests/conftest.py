@@ -52,6 +52,15 @@ def e3():
     return load(E3_DOC)
 
 
+def tableau_state(res):
+    """The final tableau an ``lp_feasible`` result keeps, as plain values:
+    its integer rows and denominators, basis, nonbasic values, bounds,
+    scale, width, equality-row artificials and equality right-hand side."""
+    lp = res.basis
+    return (lp.rows, lp.dens, lp.basis, lp.val, lp.lo, lp.hi, lp.scale,
+            lp.width, lp.arts, lp.P.f)
+
+
 def qrand(rng, lo=-3, hi=3, dens=(1, 2)):
     return Q(rng.randint(lo, hi), rng.choice(dens))
 

@@ -221,6 +221,27 @@ class TestRaster:
         assert lines[0] == "x1,x2,member"
         assert len(lines) == 1 + 81
 
+    def test_kernel_raster_keeps_the_file_quantifiers(self, capsys, tmp_path):
+        # x1 + p x2 = 0 for every p in [0, 1]: the AE kernel is y = 0 alone,
+        # though p = 1 would put (-1, 1) in the united kernel
+        path = write(tmp_path, "forall.json", {
+            "m": 1, "n": 2, "constant": {"A": [["1", "0"]], "b": ["0"]},
+            "parameters": [{"name": "p", "interval": ["0", "1"],
+                            "A": [["0", "1"]], "quantifier": "forall"}]})
+        code, out, _ = run(capsys, "kernel", path, "--dir=-1,1")
+        assert (code, out) == (0, "NOT IN KERNEL (separator w = -1)\n")
+        out_path = tmp_path / "r.csv"
+        code, _, _ = run(capsys, "raster", path, "--window=-1,1,-1,1",
+                         "--res", "3", "--set", "KERNEL", "--out", str(out_path))
+        assert code == 0
+        cells = out_path.read_text().splitlines()[1:]
+        assert "-1/1,1/1,0" in cells
+        for cell in cells:
+            x1, x2, flag = cell.split(",")
+            code, out, _ = run(capsys, "kernel", path, f"--dir={x1},{x2}")
+            assert out.startswith("IN KERNEL") == (flag == "1")
+        assert [c for c in cells if c.endswith(",1")] == ["0/1,0/1,1"]
+
     def test_bad_window(self, capsys, e1_file, tmp_path):
         code, _, err = run(capsys, "raster", e1_file, "--window", "0,1",
                            "--res", "9", "--out", str(tmp_path / "r.csv"))

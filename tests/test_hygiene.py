@@ -6,7 +6,8 @@ uses, no floating point anywhere in the package, which keeps every
 decision path exact, and no ``dataclasses`` in the package, which every
 command line would pay for at start-up.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
-named functions of the package; they must all still exist.
+named functions of the package, and its files read attributes of the
+package's modules; they must all still exist.
 """
 
 import ast
@@ -133,6 +134,39 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+def package_reads(paths):
+    """(file, module, attribute) for each ``module.attribute`` a file reads
+    from a ``pilsys`` module it imports as ``from pilsys import module``."""
+    out = []
+    for path in paths:
+        tree = _tree(path)
+        modules = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "pilsys"
+                   for alias in node.names}
+        out += [(path.name, modules[node.value.id], node.attr)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules]
+    return out
+
+
+def missing_reads(reads):
+    return sorted({f"{name}: {module}.{attr}" for name, module, attr in reads
+                   if not hasattr(importlib.import_module(f"pilsys.{module}"),
+                                  attr)})
+
+
+def test_benchmark_reads_exist():
+    reads = package_reads(sorted((ROOT / "bench").glob("*.py")))
+    assert {("workloads.py", "exact", "fm_feasible"),
+            ("workloads.py", "model", "RhsParameter"),
+            ("workloads.py", "cones", "special_class_unbounded_equality")} \
+        <= set(reads)
+    assert missing_reads(reads) == []
+
+
 def test_checks_catch_offenders(tmp_path):
     path = tmp_path / "bad.py"
     path.write_text("import os\nfrom fractions import Fraction\n"
@@ -142,6 +176,12 @@ def test_checks_catch_offenders(tmp_path):
     assert unused_imports(path) == ["os (line 1)"]
     assert floats(path) == ["line 4", "line 5"]
     assert dataclass_imports(path) == ["line 6", "line 7"]
+
+    bench = tmp_path / "bench.py"
+    bench.write_text("from pilsys import exact as ex, model\n"
+                     "ex.lp_feasible(model.gone)\nex.Gone.attr\n")
+    assert missing_reads(package_reads([bench])) == [
+        "bench.py: exact.Gone", "bench.py: model.gone"]
 
     init = tmp_path / "__init__.py"
     init.write_text("from .mod import public\n")

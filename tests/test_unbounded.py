@@ -12,9 +12,10 @@ from pilsys.exact import AffineSolutionSet, lin_solve, lp_feasible, zeros
 from pilsys.membership import (member_ae, member_kernel, member_united,
                                strict_kernel_member_ae)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
-                          QuantifierAssignment, RhsParameter, TolerableSystem)
-from pilsys.unbounded import (ProbeReport, Rule, Status, decide_unbounded,
-                              find_base_points, probe_ray)
+                          QuantifierAssignment, RhsParameter, TolerableSystem,
+                          residual_rows)
+from pilsys.unbounded import (PROBE_DOUBLINGS, ProbeReport, Rule, Status,
+                              decide_unbounded, find_base_points, probe_ray)
 
 
 class TestFindBasePoints:
@@ -67,13 +68,6 @@ class TestFindBasePoints:
             with pytest.raises(ValueError, match="budget must be nonnegative"):
                 decide_unbounded(parsed.system, None, y, budget=-1)
 
-    def test_points_come_with_the_box_point_they_solve(self, e1):
-        pairs = list(unbounded._base_points(e1.system, None, 8, 0))
-        assert [x for x, _ in pairs] == find_base_points(e1.system, budget=8)
-        for x, p in pairs:
-            assert membership.witness_resubstitutes(
-                e1.system, x, membership.Certificate.witness(p))
-
 
 class TestProbeRay:
     def test_e1_downward_ray_never_exits(self, e1):
@@ -95,6 +89,23 @@ class TestProbeRay:
     def test_nonmember_base_rejected(self, e1):
         with pytest.raises(ValueError):
             probe_ray(e1.system, None, [Q(0), Q(0)], [Q(0), Q(1)])
+
+    def test_wrong_witness_still_refuses_a_nonmember(self, e1, monkeypatch):
+        lps = []
+
+        def counting(P):
+            lps.append(P)
+            return lp_feasible(P)
+
+        monkeypatch.setattr(membership, "lp_feasible", counting)
+        # (0, 0) is no member of E1: no box point solves it, so the probe
+        # takes no witness from the caller and its alpha = 0 LP refuses the
+        # base point before any ray row is built, whatever the direction
+        for y in ([Q(0), Q(1)], [Q(0), Q(0)]):
+            lps.clear()
+            with pytest.raises(ValueError, match="not a member"):
+                probe_ray(e1.system, None, [Q(0), Q(0)], y)
+            assert len(lps) == 1
 
     def test_input_checks(self, e1):
         x0, y = [Q(1), Q(0)], [Q(0), Q(1)]
@@ -127,40 +138,14 @@ class TestProbeRay:
         want = reference_probe(sys, None, x0, y, 20)
         assert want.exhausted
         lps.clear()
-        assert probe_ray(sys, None, x0, y, 20, witness=[Q(1)]) == want
-        # alpha = 1 (one row), then the common witness (r0 stacked on r1);
-        # alpha = 0 is the witness resubstituted
-        assert lps == [1, 2]
-        lps.clear()
         assert probe_ray(sys, None, x0, y, 20) == want
+        # alpha = 0 and alpha = 1 (one row each), then the common witness
+        # (r0 stacked on r1)
         assert lps == [1, 1, 2]
-        # a witness that does not solve the row, one off the box and one of
-        # the wrong length are checked and fall back to the alpha = 0 LP
-        for wrong in ([Q(1, 2)], [Q(3)], [Q(1), Q(0)]):
-            lps.clear()
-            assert probe_ray(sys, None, x0, y, 20, witness=wrong) == want
-            assert lps == [1, 1, 2]
 
-    def test_wrong_witness_still_refuses_a_nonmember(self, e1, monkeypatch):
-        lps = []
-
-        def counting(P):
-            lps.append(P)
-            return lp_feasible(P)
-
-        monkeypatch.setattr(membership, "lp_feasible", counting)
-        # (0, 0) is no member of E1; p1 = 1/2 is in the box but does not
-        # solve x1 = 1, and p1 = 1 solves neither row at x0
-        for wrong in ([Q(1, 2)], [Q(1)]):
-            lps.clear()
-            with pytest.raises(ValueError, match="not a member"):
-                probe_ray(e1.system, None, [Q(0), Q(0)], [Q(0), Q(1)],
-                          witness=wrong)
-            assert len(lps) == 1
-
-    def test_witness_ignored_with_universal_parameters(self, monkeypatch):
-        # x = u + q, u in [0, 1] universal, q in [-1, 1]: x0 = 0 solves the
-        # row at (u, q) = (0, 0) but is a member only because every u has a q
+    def test_alpha_0_asked_with_universal_parameters(self, monkeypatch):
+        # x = u + q, u in [0, 1] universal, q in [-1, 1]: x0 = 0 is a member
+        # because every u has a q
         sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)],
                                [rhs_only("u", 0, 1, [1]),
                                 rhs_only("q", -1, 1, [1])])
@@ -174,10 +159,10 @@ class TestProbeRay:
             return real(lp)
 
         monkeypatch.setattr(membership._VertexLP, "member", member)
-        rep = probe_ray(sys, quant, [Q(0)], [Q(1)], 4, witness=[Q(0), Q(0)])
+        rep = probe_ray(sys, quant, [Q(0)], [Q(1)], 4)
         assert rep == want
-        # the set is [0, 1]; alpha = 0 takes its LP, and no p has
-        # A(p) y = 1 = 0, so the common-witness LP (two rows) fails
+        # the set is [0, 1]; alpha = 0 takes its query, and no p has
+        # A(p) y = 1 = 0, so the common-witness query (two rows) fails
         assert rep.first_exit == Q(2) and calls == [1, 1, 2, 1]
 
 
@@ -212,9 +197,8 @@ def ray_system(sys):
 
 
 class TestProbeMatchesColdQueries:
-    """The probe, from rows computed once per ray, a common-witness LP and
-    alpha = 0 by resubstitution, reports what cold ``member_ae`` queries at
-    each alpha report, with and without the base point's witness."""
+    """The probe, from rows computed once per ray and a common-witness LP,
+    reports what cold ``member_ae`` queries at each alpha report."""
 
     def cases(self):
         rng = random.Random(67)
@@ -241,10 +225,9 @@ class TestProbeMatchesColdQueries:
             if y is None:
                 continue
             q = quant or QuantifierAssignment.all_exists(sys.K)
-            for x0, p in list(unbounded._base_points(sys, quant, 4, 0))[:2]:
+            for x0 in find_base_points(sys, quant, 4)[:2]:
                 want = reference_probe(sys, quant, x0, y, 8)
                 assert probe_ray(sys, quant, x0, y, 8) == want
-                assert probe_ray(sys, quant, x0, y, 8, witness=p) == want
                 common = member_ae(ray_system(sys), q, x0 + y)[0]
                 if common:
                     assert want.exhausted
@@ -263,15 +246,94 @@ class TestProbeMatchesColdQueries:
         assert not member_united(ray_system(e1.system), x0 + y)[0]
         want = reference_probe(e1.system, None, x0, y, 20)
         assert want.exhausted
-        assert probe_ray(e1.system, None, x0, y, 20, witness=[Q(1)]) == want
+        assert probe_ray(e1.system, None, x0, y, 20) == want
 
     def test_zero_direction(self, e1):
         x0 = [Q(1), Q(0)]
         for doublings in (0, 1, 5):
             want = reference_probe(e1.system, None, x0, [Q(0), Q(0)], doublings)
             assert want.exhausted
-            assert probe_ray(e1.system, None, x0, [Q(0), Q(0)], doublings,
-                             witness=[Q(0)]) == want
+            assert probe_ray(e1.system, None, x0, [Q(0), Q(0)],
+                             doublings) == want
+
+
+def rows_key(lp):
+    """The equations of a ``membership._VertexLP`` as rationals, each row
+    divided by the size of its first nonzero entry: the same equations give
+    the same key whatever integers carry them."""
+    key = []
+    for col, e, den in zip(lp.cols, lp.E, lp.dens):
+        row = [Q(v, den) for v in col + e]
+        lead = abs(next((v for v in row if v), Q(1)))
+        key.append(tuple(v / lead for v in row))
+    return tuple(key)
+
+
+def probe_reports(verdict):
+    ev = verdict.evidence
+    return ev if isinstance(ev, list) else [ev]
+
+
+class TestCascadeWalk:
+    """``decide_unbounded`` walks each ray from a base point that
+    ``_base_points`` has already found to be a member, so it asks no alpha = 0
+    query of its own, and each report is that of cold membership queries."""
+
+    def cases(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            sys, quant = gen_quantified(rng, 2, 3)
+            yield sys, quant, null_direction(rng, sys, sys.midpoint())
+            yield sys, quant, null_direction(rng, sys)
+            sys = gen_general(rng, 2, 3)
+            yield sys, None, null_direction(rng, sys, sys.midpoint())
+            yield sys, None, null_direction(rng, sys)
+
+    def test_ae_base_point_takes_no_second_alpha_0_lp(self, monkeypatch):
+        queries = []  # [rows key, LPs solved] per vertex-LP query
+        member, solve = membership._VertexLP.member, membership.lp_feasible
+
+        def counting_member(lp):
+            queries.append([rows_key(lp), 0])
+            return member(lp)
+
+        def counting_solve(P):
+            queries[-1][1] += 1
+            return solve(P)
+
+        monkeypatch.setattr(membership._VertexLP, "member", counting_member)
+        monkeypatch.setattr(membership, "lp_feasible", counting_solve)
+        probed = 0
+        for sys, quant, y in self.cases(71, 20):
+            if quant is None or y is None or not any(y):
+                continue
+            queries.clear()
+            v = decide_unbounded(sys, quant, y)
+            if v.rule is not Rule.PROBE:
+                continue
+            for rep in probe_reports(v):
+                base = rows_key(membership._VertexLP(
+                    sys, quant, residual_rows(sys, rep.base_point)))
+                lps = [n for key, n in queries if key == base]
+                # the one query is the one that accepted the base point
+                assert len(lps) == 1 and lps[0] >= 1
+                probed += 1
+        assert probed >= 5, probed
+
+    def test_reports_match_cold_membership(self):
+        kinds = {}
+        for sys, quant, y in self.cases(73, 40):
+            if y is None or not any(y):
+                continue
+            v = decide_unbounded(sys, quant, y)
+            if v.rule is not Rule.PROBE:
+                continue
+            for rep in probe_reports(v):
+                assert rep == reference_probe(sys, quant, rep.base_point, y,
+                                              PROBE_DOUBLINGS)
+                kind = "ae" if quant else "united"
+                kinds[kind] = kinds.get(kind, 0) + 1
+        assert min(kinds.get("ae", 0), kinds.get("united", 0)) >= 5, kinds
 
 
 class TestVerdictDigest:
