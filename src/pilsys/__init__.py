@@ -21,17 +21,17 @@ if TYPE_CHECKING:
                         SystemFormatError, TolerableSystem, classify,
                         parse_system, residual_vectors, serialize_system)
     from .membership import (Certificate, CertKind, member_ae,
-                             member_ae_kernel, member_first_class,
-                             member_kernel, member_tolerable, member_united,
+                             member_ae_kernel, member_kernel,
+                             member_tolerable, member_united,
                              strict_kernel_member, strict_kernel_member_ae,
                              validate_certificate, witness_resubstitutes)
-    from .cones import (classC_decomposition, oettli_prager_member,
-                        orthant_decomposition,
+    from .cones import (classC_decomposition, orthant_decomposition,
                         special_class_unbounded_equality)
     from .unbounded import (ProbeReport, Rule, Status, UnboundedVerdict,
                             decide_unbounded, find_base_points, probe_ray)
-    from .oracle import (ae_vertex_oracle, fm_member_oracle, raster_csv,
-                         rasterize, sample_solution_cloud)
+    from .oracle import (ae_vertex_oracle, fm_member_oracle,
+                         member_first_class, oettli_prager_member,
+                         raster_csv, rasterize, sample_solution_cloud)
 
 __version__ = "0.1.0"
 
@@ -45,15 +45,15 @@ _EXPORTS = {name: module for module, names in (
               "SystemFormatError TolerableSystem classify parse_system "
               "residual_vectors serialize_system"),
     ("membership", "Certificate CertKind member_ae member_ae_kernel "
-                   "member_first_class member_kernel member_tolerable "
-                   "member_united strict_kernel_member "
-                   "strict_kernel_member_ae validate_certificate "
-                   "witness_resubstitutes"),
-    ("cones", "classC_decomposition oettli_prager_member "
-              "orthant_decomposition special_class_unbounded_equality"),
+                   "member_kernel member_tolerable member_united "
+                   "strict_kernel_member strict_kernel_member_ae "
+                   "validate_certificate witness_resubstitutes"),
+    ("cones", "classC_decomposition orthant_decomposition "
+              "special_class_unbounded_equality"),
     ("unbounded", "ProbeReport Rule Status UnboundedVerdict decide_unbounded "
                   "find_base_points probe_ray"),
-    ("oracle", "ae_vertex_oracle fm_member_oracle raster_csv rasterize "
+    ("oracle", "ae_vertex_oracle fm_member_oracle member_first_class "
+               "oettli_prager_member raster_csv rasterize "
                "sample_solution_cloud"),
 ) for name in names.split()}
 

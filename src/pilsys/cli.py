@@ -195,10 +195,9 @@ def cmd_verify(args) -> int:
         want = oracle.fm_member_oracle(sys, x)
         checks = [("fm", want)]
         if ORDINARY in flags:
-            from .cones import oettli_prager_member
-            checks.append(("oettli-prager", oettli_prager_member(sys, x)))
+            checks.append(("oettli-prager", oracle.oettli_prager_member(sys, x)))
         if FIRST_CLASS in flags:
-            checks.append(("first-class", membership.member_first_class(sys, x)))
+            checks.append(("first-class", oracle.member_first_class(sys, x)))
         bad = [name for name, val in checks if val != got]
         if parsed.quant.forall_set:
             ae = membership.member_ae(sys, parsed.quant, x)[0]

@@ -6,7 +6,12 @@ Inside a fixed sign region the absolute values in the membership
 characterizations become linear, so each piece of the solution set and of the
 kernel is an ordinary polyhedron in exact rationals.  One linearization,
 A_c -+ sum_k s_k G_k on the region of the sign vector s, builds both pieces;
-the kernel piece is that linearization with a zero right-hand side.
+the kernel piece is that linearization with a zero right-hand side.  A_c and
+the radii come from ``model.interval_data``.
+
+The piece builders take a system of their class as given: ``_pieces``
+classifies once and picks one, and ``orthant_decomposition`` and
+``classC_decomposition`` refuse a system of the other class first.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .exact import (Feasible, Matrix, Polyhedron, Q, Vector, _Record, dot,
-                    lp_feasible, recession_cone, vec_add, zeros)
-from .model import (CLASS_C, ORDINARY, ParametricSystem, _fold_thin_params,
-                    classify)
+from .exact import (Feasible, Polyhedron, Q, _Record, lp_feasible,
+                    recession_cone, vec_add, zeros)
+from .model import (CLASS_C, ORDINARY, ParametricSystem, classify,
+                    interval_data)
 
 ORTHANT = "ORTHANT"
 SIGNCONE = "SIGNCONE"
@@ -69,44 +74,6 @@ def _sign_vectors(n: int):
 # Linearization on sign regions
 # ---------------------------------------------------------------------------
 
-def interval_data(sys: ParametricSystem) -> tuple[Matrix, Matrix, Vector, Vector]:
-    """Reassemble a system into (A_c, Delta_A, b_c, Delta_b): A(mid p) and
-    b(mid p), and the sums of rad(p_k) |A^(k)| and rad(p_k) |b^(k)|."""
-    folded = _fold_thin_params(sys)
-    m, n = folded.m, folded.n
-    Ac = [row[:] for row in folded.A0]
-    dA = [[Q(0)] * n for _ in range(m)]
-    bc = folded.b0[:]
-    db = zeros(m)
-    for par in folded.params:
-        mid, rad = par.interval.mid, par.interval.rad
-        for i in range(m):
-            for j in range(n):
-                if par.A[i][j] != 0:
-                    Ac[i][j] += mid * par.A[i][j]
-                    dA[i][j] += rad * abs(par.A[i][j])
-            if par.b[i] != 0:
-                bc[i] += mid * par.b[i]
-                db[i] += rad * abs(par.b[i])
-    return Ac, dA, bc, db
-
-
-def oettli_prager_member(sys: ParametricSystem, x: Sequence[Q]) -> bool:
-    """Oettli-Prager test |A_c x - b_c| <= Delta_A |x| + Delta_b (exact)."""
-    if ORDINARY not in classify(sys):
-        raise ValueError("system is not ordinary")
-    if len(x) != sys.n:
-        raise ValueError(f"point has length {len(x)}, expected {sys.n}")
-    Ac, dA, bc, db = interval_data(sys)
-    absx = [abs(v) for v in x]
-    for i in range(sys.m):
-        lhs = abs(dot(Ac[i], x) - bc[i])
-        rhs = dot(dA[i], absx) + db[i]
-        if lhs > rhs:
-            return False
-    return True
-
-
 # Per sign vector: (s, solution piece, kernel piece)
 RawPieces = Iterator[tuple[SignVector, Polyhedron, Polyhedron]]
 
@@ -151,8 +118,6 @@ def _orthant_pieces(sys: ParametricSystem) -> RawPieces:
     """The orthant linearization of an ordinary system: the generators are
     the columns of Delta_A, and the orthant s_j x_j >= 0 is given as
     bounds.  The cap is checked before any piece is built."""
-    if ORDINARY not in classify(sys):
-        raise ValueError("system is not ordinary")
     if sys.n > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"dimension {sys.n} exceeds the 2^n cap "
                                     f"of {_DECOMPOSITION_CAP}")
@@ -168,11 +133,10 @@ def _classC_pieces(sys: ParametricSystem) -> RawPieces:
     """The sign-cone linearization of a class-C system: generators
     rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b is the shift
     of the rhs parameters alone), and the sign cone as rows -s_k A^(k)_i.
-    The cap is checked before any piece is built."""
-    if CLASS_C not in classify(sys):
-        raise ValueError("system is not of class C")
-    mats = [par for par in _fold_thin_params(sys).params
-            if all(v == 0 for v in par.b)]
+    A thin parameter has no radius, and interval_data puts it in A_c and
+    b_c.  The cap is checked before any piece is built."""
+    mats = [par for par in sys.params
+            if not par.interval.is_thin() and all(v == 0 for v in par.b)]
     if len(mats) > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"{len(mats)} matrix parameters exceed "
                                     f"the 2^K cap of {_DECOMPOSITION_CAP}")
@@ -198,11 +162,15 @@ def _pieces(sys: ParametricSystem) -> tuple[str, RawPieces]:
 
 def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     """Per-orthant linearization of an ordinary system and its kernel."""
+    if ORDINARY not in classify(sys):
+        raise ValueError("system is not ordinary")
     return _decomposition(ORTHANT, _orthant_pieces(sys))
 
 
 def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     """Sign-cone linearization of a class-C system and its kernel."""
+    if CLASS_C not in classify(sys):
+        raise ValueError("system is not of class C")
     return _decomposition(SIGNCONE, _classC_pieces(sys))
 
 

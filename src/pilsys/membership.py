@@ -42,9 +42,8 @@ from .exact import (FarkasCertificate, Feasible, Infeasible, IntRowPolyhedron,
                     LPResult, Q, Vector, _Record, basis_holds, dot,
                     lp_feasible, max_row_shift, scaled, vec_add, vec_scale,
                     zeros)
-from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
-                    TolerableSystem, classify, residual_rows,
-                    residual_vectors)
+from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
+                    residual_rows, residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -263,20 +262,6 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     if len(y) != sys.n:
         raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
     return _kernel_lp(sys, quant, y).strict()
-
-
-def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
-    """First-class characterization: |A(mid)x - b(mid)| <= sum rad |A^(k)x - b^(k)|."""
-    if FIRST_CLASS not in classify(sys):
-        raise ValueError("system is not of the first class")
-    residuals = residual_vectors(sys, x)
-    mid = _mid_residual(sys, residuals)
-    for i in range(sys.m):
-        rhs_i = sum((par.interval.rad * abs(residuals[k + 1][i])
-                     for k, par in enumerate(sys.params)), Q(0))
-        if abs(mid[i]) > rhs_i:
-            return False
-    return True
 
 
 def validate_certificate(sys: ParametricSystem,

@@ -17,8 +17,7 @@ import re
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .exact import (Matrix, Q, Vector, _Record, dot, scaled, vec_add,
-                    vec_scale, zeros)
+from .exact import Matrix, Q, Vector, _Record, dot, scaled, zeros
 
 
 class SystemFormatError(ValueError):
@@ -203,68 +202,35 @@ class SystemClass(_Record):
         return ",".join(f for f in order if f in self.flags)
 
 
-def _fold_thin_params(sys: ParametricSystem) -> ParametricSystem:
-    """Fold radius-0 parameters into the constant term."""
-    if not any(par.interval.is_thin() for par in sys.params):
-        return sys
-    A0 = [row[:] for row in sys.A0]
-    b0 = sys.b0[:]
-    kept = []
-    for par in sys.params:
-        if par.interval.is_thin():
-            c = par.interval.lo
-            for i in range(sys.m):
-                for j in range(sys.n):
-                    A0[i][j] += c * par.A[i][j]
-            b0 = vec_add(b0, vec_scale(c, par.b))
-        else:
-            kept.append(par)
-    return ParametricSystem(sys.m, sys.n, A0, b0, kept)
-
-
-def _nonzero_positions(par: Parameter, m: int, n: int) -> list[tuple[int, int]]:
-    """Nonzero coefficient positions in the augmented generator (A^(k) | b^(k))."""
-    pos = [(i, j) for i in range(m) for j in range(n) if par.A[i][j] != 0]
-    pos += [(i, n) for i in range(m) if par.b[i] != 0]
-    return pos
-
-
-def _nonzero_rows(par: Parameter, m: int, n: int) -> set[int]:
-    return {i for i, j in _nonzero_positions(par, m, n)}
-
-
 def classify(sys: ParametricSystem,
              quant: Optional[QuantifierAssignment] = None) -> SystemClass:
     """Structural class flags of a parametric system.
 
-    Thin parameters are folded into the constant term first, so a degenerate
-    [c, c] parameter cannot spoil the special-class structure.
+    Thin parameters are left out: a [c, c] parameter only shifts the
+    constant term, which no flag reads, so it cannot spoil the special-class
+    structure.  Each other parameter's nonzero positions in its augmented
+    generator (A^(k) | b^(k)) are read once.
     """
-    folded = _fold_thin_params(sys)
-    m, n = folded.m, folded.n
-    flags: set[str] = set()
-
-    first_class = all(len(_nonzero_rows(par, m, n)) <= 1 for par in folded.params)
-    if first_class:
-        flags.add(FIRST_CLASS)
-
-    positions = [_nonzero_positions(par, m, n) for par in folded.params]
-    ordinary = all(len(pos) == 1 for pos in positions)
-    if ordinary:
-        flat = [pos[0] for pos in positions]
-        ordinary = len(flat) == len(set(flat))
-    if ordinary:
-        flags.add(ORDINARY)
-
-    def matrix_only(par: Parameter) -> bool:
-        return all(x == 0 for x in par.b) and len(_nonzero_rows(par, m, n)) <= 1
-
-    def rhs_only(par: Parameter) -> bool:
-        return all(x == 0 for row in par.A for x in row) and \
-            sum(1 for x in par.b if x != 0) <= 1
-
-    if all(matrix_only(par) or rhs_only(par) for par in folded.params):
-        flags.add(CLASS_C)
+    n = sys.n
+    first_class = ordinary = class_c = True
+    taken: set[tuple[int, int]] = set()
+    for par in sys.params:
+        if par.interval.is_thin():
+            continue
+        pos = [(i, j) for i, row in enumerate(par.A)
+               for j, a in enumerate(row) if a != 0]
+        pos += [(i, n) for i, v in enumerate(par.b) if v != 0]
+        one_row = len({i for i, _ in pos}) <= 1
+        in_b = sum(j == n for _, j in pos)
+        first_class = first_class and one_row
+        # one coefficient each, no two parameters on the same one
+        ordinary = ordinary and len(pos) == 1 and pos[0] not in taken
+        taken.update(pos)
+        # a matrix parameter on one row, or a parameter on one entry of b
+        class_c = class_c and (one_row and not in_b or in_b == len(pos) <= 1)
+    flags = {flag for flag, holds in ((FIRST_CLASS, first_class),
+                                      (ORDINARY, ordinary),
+                                      (CLASS_C, class_c)) if holds}
 
     if quant is not None:
         quant.validate_for(sys.K)
@@ -275,6 +241,28 @@ def classify(sys: ParametricSystem,
     if not flags:
         flags.add(GENERAL)
     return SystemClass(frozenset(flags))
+
+
+def interval_data(sys: ParametricSystem) -> tuple[Matrix, Matrix, Vector, Vector]:
+    """The midpoint/radius view (A_c, Delta_A, b_c, Delta_b): A(mid p) and
+    b(mid p), and the sums of rad(p_k) |A^(k)| and rad(p_k) |b^(k)|.  A thin
+    parameter has radius 0, so it adds to A_c and b_c only."""
+    m, n = sys.m, sys.n
+    Ac = [row[:] for row in sys.A0]
+    dA = [[Q(0)] * n for _ in range(m)]
+    bc = sys.b0[:]
+    db = zeros(m)
+    for par in sys.params:
+        mid, rad = par.interval.mid, par.interval.rad
+        for i in range(m):
+            for j in range(n):
+                if par.A[i][j] != 0:
+                    Ac[i][j] += mid * par.A[i][j]
+                    dA[i][j] += rad * abs(par.A[i][j])
+            if par.b[i] != 0:
+                bc[i] += mid * par.b[i]
+                db[i] += rad * abs(par.b[i])
+    return Ac, dA, bc, db
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Independent brute-force verification paths.
+"""Independent verification paths, for ``pilsys verify`` and the tests.
 
-The membership oracles here deliberately avoid the simplex solver: they
-decide feasibility by Fourier-Motzkin elimination only, so agreement with the
-LP-based membership tests is a meaningful cross-check.
+The membership oracles here deliberately avoid the simplex solver: the FM
+oracles decide feasibility by Fourier-Motzkin elimination only, and the
+Oettli-Prager and first-class checks evaluate their inequality
+characterizations directly, so agreement with the LP-based membership
+tests is a meaningful cross-check.  No decision module imports this one.
 """
 
 from __future__ import annotations
@@ -10,10 +12,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .exact import (Polyhedron, Q, UniqueSolution, Vector, fm_feasible,
+from .exact import (Polyhedron, Q, UniqueSolution, Vector, dot, fm_feasible,
                     lin_solve)
-from .membership import member_ae, member_ae_kernel, member_united
-from .model import ParametricSystem, QuantifierAssignment, residual_vectors
+from .membership import (_mid_residual, member_ae, member_ae_kernel,
+                         member_united)
+from .model import (FIRST_CLASS, ORDINARY, ParametricSystem,
+                    QuantifierAssignment, classify, interval_data,
+                    residual_vectors)
 
 _FM_CAP = 12
 
@@ -60,6 +65,36 @@ def ae_vertex_oracle(sys: ParametricSystem, quant: QuantifierAssignment,
             rhs = [r - pk * residuals[k + 1][i] for i, r in enumerate(rhs)]
         P = _p_polyhedron(sys, residuals, exists, rhs)
         if not fm_feasible(P):
+            return False
+    return True
+
+
+def oettli_prager_member(sys: ParametricSystem, x: Sequence[Q]) -> bool:
+    """Oettli-Prager test |A_c x - b_c| <= Delta_A |x| + Delta_b (exact)."""
+    if ORDINARY not in classify(sys):
+        raise ValueError("system is not ordinary")
+    if len(x) != sys.n:
+        raise ValueError(f"point has length {len(x)}, expected {sys.n}")
+    Ac, dA, bc, db = interval_data(sys)
+    absx = [abs(v) for v in x]
+    for i in range(sys.m):
+        lhs = abs(dot(Ac[i], x) - bc[i])
+        rhs = dot(dA[i], absx) + db[i]
+        if lhs > rhs:
+            return False
+    return True
+
+
+def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
+    """First-class characterization: |A(mid)x - b(mid)| <= sum rad |A^(k)x - b^(k)|."""
+    if FIRST_CLASS not in classify(sys):
+        raise ValueError("system is not of the first class")
+    residuals = residual_vectors(sys, x)
+    mid = _mid_residual(sys, residuals)
+    for i in range(sys.m):
+        rhs_i = sum((par.interval.rad * abs(residuals[k + 1][i])
+                     for k, par in enumerate(sys.params)), Q(0))
+        if abs(mid[i]) > rhs_i:
             return False
     return True
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
@@ -95,7 +95,11 @@ def find_base_points(sys: ParametricSystem,
 def _base_points(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
                  budget: int, seed: int) -> Iterator[Vector]:
     """The points of ``find_base_points``, in order, each found only when
-    the caller asks for it: a candidate is drawn and solved on demand."""
+    the caller asks for it: a candidate is drawn and solved on demand.
+
+    Every candidate lies on the grid lo + i/8 (hi - lo), i = 0..8, of each
+    parameter (one point on a thin one), so a p already tried is skipped,
+    and the search ends once every grid point has been tried."""
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
     order = sorted(quant.forall_set) + sorted(quant.exists_set)
@@ -116,10 +120,14 @@ def _base_points(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     samples = itertools.chain(
         [sys.midpoint()],
         map(placed, itertools.islice(sys.vertices(order), budget)), draws())
-    seen = set()
+    grid = prod(1 if iv.is_thin() else 9 for iv in sys.box)
+    tried, seen = set(), set()
     for p in samples:
-        if len(seen) >= budget:
+        if len(seen) >= budget or len(tried) == grid:
             return
+        if tuple(p) in tried:
+            continue
+        tried.add(tuple(p))
         res = lin_solve(sys.A_at(p), sys.b_at(p))
         if isinstance(res, (UniqueSolution, AffineSolutionSet)):
             x = res.point
@@ -245,7 +253,7 @@ def decide_unbounded(sys: ParametricSystem,
     strict, eps = kernel.strict()
     if strict:
         R = sum(map(abs, sys.b_at(sys.midpoint())), Q(0)) + sum(
-            (par.interval.rad * abs(v) for par in sys.params for v in par.b),
+            (par.interval.rad * sum(map(abs, par.b)) for par in sys.params),
             Q(0))
         return UnboundedVerdict(
             Status.CERTIFIED_YES, Rule.THM3, vec_scale(R / eps + 1, y),

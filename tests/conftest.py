@@ -219,3 +219,39 @@ def gen_tolerable_nonempty(rng, m=2, n=2, K=2, common_kernel_col=None):
         rhs.append(RhsParameter(
             f"q{i}", Interval(center[i] - spread[i] - 1, center[i] + spread[i] + 1), d))
     return TolerableSystem(base, rhs), x0
+
+
+def fold_thin_params(sys):
+    """Reference: the same system with each radius-0 parameter folded into
+    the constant term, the copy the package once built to classify."""
+    A0 = [row[:] for row in sys.A0]
+    b0 = sys.b0[:]
+    kept = []
+    for par in sys.params:
+        if par.interval.is_thin():
+            c = par.interval.lo
+            for i in range(sys.m):
+                for j in range(sys.n):
+                    A0[i][j] += c * par.A[i][j]
+                b0[i] += c * par.b[i]
+        else:
+            kept.append(par)
+    return ParametricSystem(sys.m, sys.n, A0, b0, kept)
+
+
+def with_thin_params(rng, sys, count=2):
+    """sys with count thin parameters put in at random places; each touches
+    one to m rows of A, and every other one b as well."""
+    params = list(sys.params)
+    for t in range(count):
+        A = [[Q(0)] * sys.n for _ in range(sys.m)]
+        b = [Q(0)] * sys.m
+        for i in rng.sample(range(sys.m), rng.randint(1, sys.m)):
+            A[i][rng.randrange(sys.n)] = qrand(rng, -2, 2)
+            if t % 2:
+                b[i] = qrand(rng, -2, 2)
+        c = qrand(rng, -2, 2)
+        params.insert(rng.randint(0, len(params)),
+                      Parameter(f"t{t}", Interval(c, c), A, b))
+    return ParametricSystem(sys.m, sys.n, [row[:] for row in sys.A0],
+                            sys.b0[:], params)

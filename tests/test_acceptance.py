@@ -16,11 +16,12 @@ from conftest import (E1_DOC, gen_class_c, gen_first_class, gen_general,
                       gen_wide_ordinary, random_point)
 from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import recession_cone
-from pilsys.membership import (member_ae, member_ae_kernel, member_first_class,
-                               member_kernel, member_tolerable, member_united,
+from pilsys.membership import (member_ae, member_ae_kernel, member_kernel,
+                               member_tolerable, member_united,
                                strict_kernel_member, validate_certificate,
                                witness_resubstitutes)
-from pilsys.oracle import ae_vertex_oracle, fm_member_oracle, rasterize
+from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
+                           member_first_class, rasterize)
 from pilsys.unbounded import (Rule, Status, decide_unbounded, find_base_points,
                               probe_ray)
 
@@ -68,7 +69,7 @@ def test_criterion_2_oettli_prager_equivalence():
 
 
 def oettli(sys, x):
-    from pilsys.cones import oettli_prager_member
+    from pilsys.oracle import oettli_prager_member
     return oettli_prager_member(sys, x)
 
 

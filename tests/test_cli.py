@@ -456,6 +456,16 @@ class TestEntryPoint:
         return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
                 if line.startswith("import time:")}
 
+    def test_verify_builds_no_pieces(self, e3_file):
+        # E3 is ordinary, and its Oettli-Prager check lives in oracle
+        proc = self.fresh("-m", "pilsys.cli", "verify", e3_file,
+                          "--samples", "4")
+        assert proc.returncode == 0
+        assert "all oracles agree" in proc.stdout
+        loaded = self.imported(proc.stderr)
+        assert "pilsys.oracle" in loaded
+        assert not loaded & {"pilsys.cones", "pilsys.unbounded"}
+
     def test_fresh_process_matches_main(self, capsys, tmp_path, e1_file,
                                         e3_file):
         # what the interpreter loads before any of the package is not ours

@@ -1,17 +1,21 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from conftest import gen_class_c, gen_ordinary, random_point
+from conftest import (fold_thin_params, gen_class_c, gen_first_class,
+                      gen_general, gen_ordinary, random_point,
+                      with_thin_params)
 from pilsys import cones
 from pilsys.cones import (Piece, PieceDecomposition, classC_decomposition,
-                          decompose, interval_data, oettli_prager_member,
-                          orthant_decomposition,
+                          decompose, interval_data, orthant_decomposition,
                           special_class_unbounded_equality)
 from pilsys.exact import Polyhedron, fm_feasible, recession_cone
 from pilsys.membership import member_kernel, member_united
-from pilsys.model import (Interval, Parameter, ParametricSystem, classify)
+from pilsys.model import (CLASS_C, ORDINARY, Interval, Parameter,
+                          ParametricSystem, classify)
+from pilsys.oracle import oettli_prager_member
 
 
 class TestOettliPrager:
@@ -210,3 +214,39 @@ class TestPieceNonempty:
                 assert piece.nonempty == fm_feasible(piece.solution_piece)
                 kinds.add(piece.nonempty)
         assert kinds == {True, False}
+
+
+class TestThinParameters:
+    """A thin parameter only shifts the constant term: classification, the
+    midpoint/radius view and the decomposition read a system with thin
+    parameters as they read its folded copy (conftest.fold_thin_params),
+    and every decomposition's repr is the one recorded when the package
+    still folded them (DIGEST)."""
+
+    DIGEST = "67c58ca017cc8bba1efb69e98cdd95f2dad3677dfe82c8a3faedd614ef40faed"
+
+    def cases(self):
+        rng = random.Random(23)
+        for make in (gen_ordinary, gen_class_c, gen_first_class, gen_general):
+            for _ in range(10):
+                yield make, with_thin_params(rng, make(rng), rng.randint(1, 2))
+
+    def test_read_as_the_folded_system(self):
+        h = hashlib.sha256()
+        for make, sys in self.cases():
+            folded = fold_thin_params(sys)
+            assert folded.K < sys.K
+            flags = classify(sys)
+            assert flags == classify(folded)
+            if make is gen_ordinary:
+                assert ORDINARY in flags
+            if make is gen_class_c:
+                assert CLASS_C in flags
+            assert interval_data(sys) == interval_data(folded)
+            try:
+                got = repr(decompose(sys))
+            except ValueError as exc:
+                got = f"error: {exc}"
+            h.update(got.encode())
+            h.update(b"\n")
+        assert h.hexdigest() == self.DIGEST

@@ -20,15 +20,15 @@ EXPORTS = {
              "TolerableSystem classify parse_system residual_vectors "
              "serialize_system",
     "membership": "Certificate CertKind member_ae member_ae_kernel "
-                  "member_first_class member_kernel member_tolerable "
-                  "member_united strict_kernel_member strict_kernel_member_ae "
+                  "member_kernel member_tolerable member_united "
+                  "strict_kernel_member strict_kernel_member_ae "
                   "validate_certificate witness_resubstitutes",
-    "cones": "classC_decomposition oettli_prager_member orthant_decomposition "
+    "cones": "classC_decomposition orthant_decomposition "
              "special_class_unbounded_equality",
     "unbounded": "ProbeReport Rule Status UnboundedVerdict decide_unbounded "
                  "find_base_points probe_ray",
-    "oracle": "ae_vertex_oracle fm_member_oracle raster_csv rasterize "
-              "sample_solution_cloud",
+    "oracle": "ae_vertex_oracle fm_member_oracle member_first_class "
+              "oettli_prager_member raster_csv rasterize sample_solution_cloud",
 }
 PAIRS = sorted((module, name) for module, names in EXPORTS.items()
                for name in names.split())

@@ -3,8 +3,9 @@
 No linter is a dependency, so these checks stand in for one: no unused
 imports in the package or its tests, no top-level definition that nothing
 uses, no floating point anywhere in the package, which keeps every
-decision path exact, and no ``dataclasses`` in the package, which every
-command line would pay for at start-up.  An import
+decision path exact, no ``dataclasses`` in the package, which every
+command line would pay for at start-up, and no import of ``oracle`` outside
+``cli.py``, which keeps the cross-checks out of the decisions.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
 named functions of the package, and its files read attributes of the
 package's modules; they must all still exist.
@@ -88,6 +89,25 @@ def dataclass_imports(path):
             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
 
 
+def oracle_imports(path):
+    """Imports of the package's ``oracle`` module; one under
+    ``if TYPE_CHECKING:`` never runs and is left out."""
+    def nodes(node):
+        for child in ast.iter_child_nodes(node):
+            if not (isinstance(child, ast.If) and
+                    isinstance(child.test, ast.Name) and
+                    child.test.id == "TYPE_CHECKING"):
+                yield child
+                yield from nodes(child)
+
+    return [f"line {node.lineno}" for node in nodes(_tree(path))
+            if isinstance(node, ast.ImportFrom)
+            and ((node.module or "").split(".")[-1] == "oracle"
+                 or any(a.name == "oracle" for a in node.names))
+            or isinstance(node, ast.Import)
+            and any(a.name.split(".")[-1] == "oracle" for a in node.names)]
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -110,6 +130,12 @@ def test_no_floats(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
     assert dataclass_imports(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_imports_the_oracles(path):
+    assert oracle_imports(path) == []
 
 
 def traced_names(path):
@@ -195,3 +221,19 @@ def test_checks_catch_offenders(tmp_path):
                    "def __len__():\n    return 0\n")
     assert unreferenced([init, mod]) == ["mod.py: orphan", "mod.py: Unused",
                                          "mod.py: __len__"]
+
+
+def test_oracle_check_catches_offenders(tmp_path):
+    path = tmp_path / "decision.py"
+    path.write_text("from typing import TYPE_CHECKING\n"
+                    "from .oracle import fm_member_oracle\n"
+                    "from . import oracle\n"
+                    "import pilsys.oracle\n"
+                    "from pilsys import membership, oracle as o\n"
+                    "from .oracles import x\n"
+                    "if TYPE_CHECKING:\n"
+                    "    from .oracle import rasterize\n"
+                    "def f():\n"
+                    "    from .oracle import raster_csv\n")
+    assert oracle_imports(path) == ["line 2", "line 3", "line 4", "line 5",
+                                    "line 10"]

@@ -13,14 +13,14 @@ from pilsys.exact import (Feasible, IntRowPolyhedron, NoSolution, Polyhedron,
                           dot, fm_eliminate, lin_solve, lp_feasible,
                           lp_maximize)
 from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
-                               member_first_class, member_kernel,
-                               member_tolerable, member_united,
+                               member_kernel, member_tolerable, member_united,
                                strict_kernel_member, strict_kernel_member_ae,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
                           residual_rows, residual_vectors)
-from pilsys.oracle import ae_vertex_oracle, fm_member_oracle
+from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
+                           member_first_class)
 
 PINNED_CERTIFICATES = \
     "46cca54ed1c13f72c869237f511eb380c0d9f1647704750c9e131147af74d4ff"

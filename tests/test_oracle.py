@@ -3,12 +3,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import gen_general, gen_quantified, load, random_point
+from conftest import (gen_first_class, gen_general, gen_ordinary,
+                      gen_quantified, load, random_point)
+from pilsys import exact
 from pilsys.membership import member_ae, member_kernel, member_united
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment)
-from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle, raster_csv,
-                           rasterize, sample_solution_cloud)
+from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
+                           member_first_class, oettli_prager_member,
+                           raster_csv, rasterize, sample_solution_cloud)
 
 PX_EQ_Q = {"m": 1, "n": 1, "parameters": [
     {"name": "p", "interval": ["0", "1"], "A": [["1"]], "quantifier": "forall"},
@@ -52,6 +55,27 @@ class TestAeVertexOracle:
             sys, qa = gen_quantified(rng)
             x = random_point(rng, sys.n)
             assert ae_vertex_oracle(sys, qa, x) == member_ae(sys, qa, x)[0]
+
+
+class TestCharacterizationChecks:
+    """The Oettli-Prager and first-class checks evaluate their inequalities
+    exactly and never reach the simplex, so ``verify`` compares the LP with
+    something other than itself."""
+
+    def test_no_simplex(self, monkeypatch):
+        rng = random.Random(8)
+        cases = [(oettli_prager_member, gen_ordinary(rng)) for _ in range(10)]
+        cases += [(member_first_class, gen_first_class(rng))
+                  for _ in range(10)]
+        points = [random_point(rng, sys.n) for _, sys in cases]
+        want = [member_united(sys, x)[0] for (_, sys), x in zip(cases, points)]
+
+        def forbidden(*args):
+            raise AssertionError("the simplex was called")
+
+        monkeypatch.setattr(exact._BoundedSimplex, "__init__", forbidden)
+        assert [check(sys, x) for (check, sys), x in
+                zip(cases, points)] == want
 
 
 class TestSolutionCloud:

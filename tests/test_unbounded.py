@@ -7,13 +7,14 @@ import pytest
 from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, random_point)
-from pilsys import membership, oracle, unbounded
+from pilsys import cones, membership, oracle, unbounded
+from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import AffineSolutionSet, lin_solve, lp_feasible, zeros
 from pilsys.membership import (member_ae, member_kernel, member_united,
                                strict_kernel_member_ae)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
-                          residual_rows)
+                          classify, residual_rows)
 from pilsys.unbounded import (PROBE_DOUBLINGS, ProbeReport, Rule, Status,
                               decide_unbounded, find_base_points, probe_ray)
 
@@ -54,6 +55,37 @@ class TestFindBasePoints:
             assert find_base_points(*permuted(sys, quant, order), budget=4) == points
             found += len(points)
         assert found > 10
+
+    @staticmethod
+    def counted_solves(monkeypatch):
+        """The A(p) of each ``lin_solve`` the search asks; past 100 the
+        search is taken to keep solving, and fails at once."""
+        solves = []
+
+        def counting(A, b):
+            solves.append(A)
+            if len(solves) > 100:
+                raise AssertionError("the search kept solving")
+            return lin_solve(A, b)
+
+        monkeypatch.setattr(unbounded, "lin_solve", counting)
+        return solves
+
+    def test_search_ends_once_the_grid_is_tried(self, e1, monkeypatch):
+        # every candidate of E1's one parameter lies on its 9-point grid
+        # lo + i/8 (hi - lo), so no budget solves more than 9 of them
+        want = find_base_points(e1.system, budget=1000)
+        solves = self.counted_solves(monkeypatch)
+        assert find_base_points(e1.system, budget=10 ** 5) == want
+        assert len(want) == 8 and len(solves) <= 9
+
+    def test_thin_parameters_have_one_grid_point(self, monkeypatch):
+        # 2 x = 1 + p with p thin: one p to try, whatever the budget
+        sys = ParametricSystem(1, 1, [[Q(2)]], [Q(1)], [
+            Parameter("p", Interval(Q(1), Q(1)), [[Q(0)]], [Q(1)])])
+        solves = self.counted_solves(monkeypatch)
+        assert find_base_points(sys, budget=10 ** 5) == [[Q(1)]]
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 3])
     def test_at_most_budget_points(self, e1, budget):
@@ -383,6 +415,42 @@ class TestVerdictDigest:
         assert rules == {Rule.THM2, Rule.THM3, Rule.PROP1, Rule.THM7,
                          Rule.PROBE}
         assert h.hexdigest() == self.DIGEST
+
+
+class TestClassifyCalls:
+    """Each question classifies its system as often as it must: a
+    PROP1/PROP2 decision in the cascade's stage (iv) and in
+    ``cones._pieces``, an equality report in ``_pieces`` alone, and a united
+    THM2 or THM3 decision not at all."""
+
+    WANT = {Rule.THM2: 0, Rule.THM3: 0, Rule.PROP1: 2, Rule.PROP2: 2}
+
+    def test_classifications_per_question(self, monkeypatch):
+        calls = []
+
+        def counting(sys, quant=None):
+            calls.append(sys)
+            return classify(sys, quant)
+
+        for module in (unbounded, cones):
+            monkeypatch.setattr(module, "classify", counting)
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(8):
+            for make in (gen_ordinary, gen_class_c):
+                sys = make(rng, 2, 3)
+                for y in (null_direction(rng, sys), random_point(rng, sys.n)):
+                    if y is None or not any(y):
+                        continue
+                    calls.clear()
+                    v = decide_unbounded(sys, None, y)
+                    if v.rule in self.WANT:
+                        seen.add(v.rule)
+                        assert len(calls) == self.WANT[v.rule], v.rule
+                calls.clear()
+                special_class_unbounded_equality(sys)
+                assert len(calls) == 1
+        assert seen == set(self.WANT)
 
 
 class TestDecideUnbounded:
