@@ -18,9 +18,8 @@ from typing import Optional
 
 from . import membership, model
 from .exact import Polyhedron, Q, Vector
-from .model import (FIRST_CLASS, ORDINARY, TOLERABLE_FORM, ParsedSystem,
-                    QuantifierAssignment, SystemFormatError, parse_rational,
-                    parse_system)
+from .model import (TOLERABLE_FORM, ParsedSystem, QuantifierAssignment,
+                    SystemFormatError, parse_rational, parse_system)
 
 
 class UsageError(Exception):
@@ -178,7 +177,9 @@ def cmd_verify(args) -> int:
         # before the cloud, which may scan all 3^K grid points
         oracle.check_fm_cap(sys)
     rng = random.Random(args.seed)
-    flags = model.classify(sys, parsed.quant)
+    # the class and the interval data are read once, not once per point
+    characterizations = oracle.characterization_checks(
+        sys, model.classify(sys, parsed.quant))
 
     points: list[Vector] = []
     if sys.m == sys.n:
@@ -193,11 +194,8 @@ def cmd_verify(args) -> int:
     for x in points:
         got = membership.member_united(sys, x)[0]
         want = oracle.fm_member_oracle(sys, x)
-        checks = [("fm", want)]
-        if ORDINARY in flags:
-            checks.append(("oettli-prager", oracle.oettli_prager_member(sys, x)))
-        if FIRST_CLASS in flags:
-            checks.append(("first-class", oracle.member_first_class(sys, x)))
+        checks = [("fm", want)] + [(name, check(x))
+                                   for name, check in characterizations]
         bad = [name for name, val in checks if val != got]
         if parsed.quant.forall_set:
             ae = membership.member_ae(sys, parsed.quant, x)[0]

@@ -20,8 +20,13 @@ ordinary row.  Bland's rule makes it terminate, and an infeasible outcome
 carries exact Farkas multipliers, read from the reduced costs, that a
 validator can re-check.  The simplex also takes an :class:`IntRowPolyhedron`,
 the membership form (bounds plus equations) with each equation already
-integers over a positive denominator, which is the form a tableau row keeps;
-its result is the one the rational rows give.  Every outcome of
+integers over a positive denominator, which is the form a tableau row keeps,
+its right-hand sides as an :class:`IntRhs` and its bounds as integers over
+one scale; its result is the one the rational rows give.  Both kinds of
+polyhedron reach the one start routine in that integer form: a
+``Polyhedron`` is scaled to it first.  The phase-1 reduced costs are summed
+in one pass over a common denominator and made primitive once.  Every
+outcome of
 ``lp_feasible`` keeps the simplex that solved it, at its final phase-1
 tableau.  ``basis_holds`` re-checks a feasible one under a new equality
 right-hand side with one integer dot per tableau row and no pivot, reading
@@ -134,10 +139,11 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
     Each row of [A | b] is kept as primitive integers (gcd 1), as a simplex
     tableau row is: a nonzero factor does not change an equation, so the
     elimination row_i <- pv * row_i - f * row_r needs no division, and only
-    the read-out builds Fractions.  A pivot is the first row at or below r
-    with a nonzero entry in column c; a factor keeps an entry nonzero, so
-    the pivot columns, and the reduced echelon form read out at the end,
-    are those of the rational elimination.
+    the read-out builds Fractions.  Integer entries (``int_system_at``)
+    are taken as they are, with no Fraction built.  A pivot is the first
+    row at or below r with a nonzero entry in column c; a factor keeps an
+    entry nonzero, so the pivot columns, and the reduced echelon form read
+    out at the end, are those of the rational elimination.
     """
     m = len(A)
     if len(b) != m:
@@ -241,37 +247,107 @@ class Polyhedron(_Record):
             all(dot(row, x) == fi for row, fi in zip(self.E, self.f))
 
 
+class IntRhs(_Record):
+    """Right-hand sides of equations given as integer rows: equation i,
+    (E[i] / dens[i]) x = f_i in rational form, reads E[i] x = nums[i] / den,
+    so f_i = nums[i] / (den * dens[i]).  ``of`` builds it from rationals."""
+
+    __slots__ = _fields = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int):
+        self.nums, self.den = nums, den
+
+    @staticmethod
+    def of(f: Sequence[Q], dens: Sequence[int]) -> "IntRhs":
+        ratios = [fi.as_integer_ratio() for fi in f]
+        den = lcm(*[d for _, d in ratios])
+        return IntRhs([n * dr * (den // d) for (n, d), dr in zip(ratios, dens)],
+                      den)
+
+
+# lo and hi times a common scale, and that scale (see scaled_box)
+IntBox = tuple[list[Optional[int]], list[Optional[int]], int]
+
+
+def scaled_box(lo: Sequence[Optional[Q]], hi: Sequence[Optional[Q]]) -> IntBox:
+    """Bounds (None is none) as integers over the lcm of their denominators:
+    (lo times it, hi times it, the lcm)."""
+    L = lcm(*[b.denominator for b in (*lo, *hi) if b is not None])
+    return ([None if b is None else b.numerator * (L // b.denominator) for b in lo],
+            [None if b is None else b.numerator * (L // b.denominator) for b in hi],
+            L)
+
+
 class IntRowPolyhedron(_Record):
     """{x : lo <= x <= hi, E x = f} with equality row i given as the
     integers E[i] over the positive integer dens[i], and no inequality rows.
 
-    This is the form a simplex tableau row keeps, so a caller that computes
-    its rows as integers hands them to ``lp_feasible`` with no Fraction in
-    between; the result is the one ``lp_feasible`` gives for the
-    ``Polyhedron`` with rows E[i] / dens[i].  Only the LP routines take it.
-    The shapes and bounds are checked as a ``Polyhedron`` checks them.
+    This is the form a simplex tableau starts from: the right-hand sides
+    are kept as an ``IntRhs`` and the bounds as integers over one scale
+    (``scaled_box``), so a caller that computes its rows, right-hand sides
+    and box as integers (``IntRowPolyhedron.from_ints``) hands them to
+    ``lp_feasible`` with no Fraction in between.  The constructor takes f,
+    lo and hi as rationals and scales them; the result is the one
+    ``lp_feasible`` gives for the ``Polyhedron`` with rows E[i] / dens[i].
+    Only the LP routines take it.  The shapes and bounds are checked as a
+    ``Polyhedron`` checks them, the bounds on the scaled integers.
     """
 
-    __slots__ = _fields = ("E", "dens", "f", "lo", "hi")
+    __slots__ = ("E", "dens", "rhs", "box")
+    _fields = ("E", "dens", "f", "lo", "hi")
 
     def __init__(self, E: list[list[int]], dens: list[int], f: Vector,
                  lo: list[Optional[Q]], hi: list[Optional[Q]]):
-        if not len(E) == len(dens) == len(f):
+        if len(E) != len(f):
+            raise ValueError("row counts do not match right-hand sides")
+        if len(lo) != len(hi):
+            raise ValueError("bounds have wrong length")
+        self._set(E, dens, IntRhs.of(f, dens), scaled_box(lo, hi))
+
+    @classmethod
+    def from_ints(cls, E: list[list[int]], dens: list[int], rhs: IntRhs,
+                  box: IntBox) -> "IntRowPolyhedron":
+        """The polyhedron from its integer form: rhs over the rows E / dens,
+        and a box as ``scaled_box`` returns it."""
+        P = object.__new__(cls)
+        P._set(E, dens, rhs, box)
+        return P
+
+    def _set(self, E: list[list[int]], dens: list[int], rhs: IntRhs,
+             box: IntBox) -> None:
+        lo, hi, _ = box
+        if not len(E) == len(dens) == len(rhs.nums):
             raise ValueError("row counts do not match right-hand sides")
         if len(lo) != len(hi):
             raise ValueError("bounds have wrong length")
         if any(len(row) != len(lo) for row in E):
             raise ValueError("equality row has wrong width")
-        if any(den <= 0 for den in dens):
+        if rhs.den <= 0 or any(den <= 0 for den in dens):
             raise ValueError("a row denominator is not positive")
         if any(l is not None and h is not None and l > h
                for l, h in zip(lo, hi)):
             raise ValueError("a lower bound exceeds its upper bound")
-        self.E, self.dens, self.f, self.lo, self.hi = E, dens, f, lo, hi
+        self.E, self.dens, self.rhs, self.box = E, dens, rhs, box
+
+    @property
+    def f(self) -> Vector:
+        return [Q(n, self.rhs.den * den) for n, den in zip(self.rhs.nums, self.dens)]
+
+    @property
+    def lo(self) -> list[Optional[Q]]:
+        return self._bounds(0)
+
+    @property
+    def hi(self) -> list[Optional[Q]]:
+        return self._bounds(1)
+
+    def _bounds(self, side: int) -> list[Optional[Q]]:
+        L = self.box[2]
+        return [None if b is None else Q(b, L) for b in self.box[side]]
 
     @property
     def dim(self) -> int:
-        return len(self.lo)
+        return len(self.box[0])
 
     @property
     def C(self) -> Matrix:
@@ -339,6 +415,13 @@ def scaled(row: Sequence[Q]) -> tuple[list[int], int]:
     return [a.numerator * (den // a.denominator) for a in row], den
 
 
+def _int_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Each row of M as ``scaled`` gives it: (the integer rows, their
+    denominators)."""
+    pairs = [scaled(row) for row in M]
+    return [row for row, _ in pairs], [den for _, den in pairs]
+
+
 def _primitive(row: list[int], den: int) -> tuple[list[int], int]:
     """Divide an integer row and its positive denominator by their gcd."""
     g = gcd(den, *row)
@@ -382,38 +465,44 @@ class _BoundedSimplex:
     def __init__(self, P: Union[Polyhedron, IntRowPolyhedron]):
         n = self.n = P.dim
         self.P = P
-        E = zip(P.E, P.dens) if isinstance(P, IntRowPolyhedron) else \
-            map(scaled, P.E)
-        L = self.scale = lcm(*[b.denominator for b in P.lo + P.hi
-                               if b is not None])
-        self.lo, self.hi = ([None if b is None else b.numerator * (L // b.denominator)
-                             for b in ends] for ends in (P.lo, P.hi))
+        if isinstance(P, IntRowPolyhedron):
+            C, cdens, crhs = [], [], IntRhs([], 1)
+            E, self.edens, self.erhs = P.E, P.dens, P.rhs
+            lo, hi, L = P.box
+        else:
+            C, cdens = _int_rows(P.C)
+            E, self.edens = _int_rows(P.E)
+            crhs, self.erhs = IntRhs.of(P.d, cdens), IntRhs.of(P.f, self.edens)
+            lo, hi, L = scaled_box(P.lo, P.hi)
+        self.scale = L
         x = [l if l is not None else h if h is not None else 0
-             for l, h in zip(self.lo, self.hi)]
-        g = len(P.C)
+             for l, h in zip(lo, hi)]
+        g = len(C)
         self.width = width = n + g
 
-        def start_row(row: list[int], den: int, rhs: Q, slack: int = -1
-                      ) -> tuple[list[int], int, int]:
-            """(row / den) x (+ the slack of row ``slack``) = rhs over x and
-            the slacks, scaled by rhs's denominator, and its u at the start
-            point x: row.x - den * rhs * scale."""
-            rn, rd = rhs.as_integer_ratio()
-            out = [a * rd for a in row] + [0] * g
-            if slack >= 0:
-                out[n + slack] = den * rd
-            return out, den * rd, rd * sum(map(mul, row, x)) - den * rn * L
+        def start_rows(rows: list[list[int]], dens: list[int], rhs: IntRhs,
+                       slacks: bool) -> list[tuple[list[int], int, int]]:
+            """(row / den) x (+ the row's slack) = num / (rd * den), which is
+            row.x = num / rd, over x and the slacks, scaled by rd, and its
+            u at the start point x: rd * row.x - num * scale."""
+            rd = rhs.den
+            out = []
+            for r, (row, den, num) in enumerate(zip(rows, dens, rhs.nums)):
+                cells = [a * rd for a in row] + [0] * g
+                if slacks:
+                    cells[n + r] = den * rd
+                out.append((cells, den * rd, rd * sum(map(mul, row, x)) - num * L))
+            return out
 
-        start = [start_row(*scaled(row), di, r)
-                 for r, (row, di) in enumerate(zip(P.C, P.d))]
-        start += [start_row(row, den, fk) for (row, den), fk in zip(E, P.f)]
+        start = start_rows(C, cdens, crhs, True) + \
+            start_rows(E, self.edens, self.erhs, False)
         # a slack whose start value -u / (den * scale) is >= 0 starts basic;
         # every other row of C, and every equality row, gets an artificial
-        narts = len(P.f) + sum(u > 0 for _, _, u in start[:g])
-        self.basis: list[int] = list(range(n, width)) + [0] * len(P.f)
+        narts = len(E) + sum(u > 0 for _, _, u in start[:g])
+        self.basis: list[int] = list(range(n, width)) + [0] * len(E)
         self.val = x + [0] * (g + narts)
-        self.lo += [0] * (g + narts)
-        self.hi += [None] * g
+        self.lo = lo + [0] * (g + narts)
+        self.hi = hi + [None] * g
         self.arts: list[tuple[int, int, int]] = []
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
@@ -447,17 +536,17 @@ class _BoundedSimplex:
         lp.lo, lp.hi = self.lo[:], self.hi[:]
         return lp
 
-    def _set_cost(self, cost: Sequence[Q]) -> None:
-        """Reduced costs d = cost - cost_B T for the current basis."""
-        d, dden = scaled(cost)
-        for r, b in enumerate(self.basis):
-            c = cost[b]
-            if c:
-                # d - (cn / cd) * row / den over dden * cd * den
-                s, f = c.denominator * self.dens[r], c.numerator * dden
-                d, dden = _primitive([x * s - f * y if y else x * s
-                                      for x, y in zip(d, self.rows[r])], dden * s)
-        self.d, self.dden = d, dden
+    def _set_cost(self, cost: list[int], cden: int = 1) -> None:
+        """Reduced costs d = cost - cost_B T for the current basis, the cost
+        given as integers over cden: one pass over the lcm D of the
+        denominators of the rows with a basic cost, then made primitive."""
+        basic = [(cost[b], r) for r, b in enumerate(self.basis) if cost[b]]
+        D = lcm(*[self.dens[r] for _, r in basic])
+        d = [c * D for c in cost]
+        for c, r in basic:
+            f = c * (D // self.dens[r])
+            d = [x - f * y if y else x for x, y in zip(d, self.rows[r])]
+        self.d, self.dden = _primitive(d, D * cden)
 
     def _pivot(self, r: int, j: int, limit: int) -> None:
         """Variable j enters the basis in row r, whose basic variable leaves
@@ -577,7 +666,8 @@ class _BoundedSimplex:
         """Phase 2: maximize obj.x with the artificials fixed at 0."""
         for a in range(self.width, len(self.val)):
             self.hi[a] = 0
-        self._set_cost([-Q(c) for c in obj] + [0] * (len(self.val) - self.n))
+        on, od = scaled(obj)
+        self._set_cost([-c for c in on] + [0] * (len(self.val) - self.n), od)
         if not self._solve():
             return "unbounded", None, None
         x = self.point()
@@ -591,9 +681,11 @@ def lp_feasible(P: Union[Polyhedron, IntRowPolyhedron]) -> LPResult:
     return Feasible(lp.point(), lp) if lp.feasible else lp.farkas()
 
 
-def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
+def basis_holds(res: Feasible, f: Union[Sequence[Q], IntRhs]) -> bool:
     """Re-check, with no pivot, the final basis of the LP that gave ``res``
-    when the right-hand side of its equality rows becomes f.
+    when the right-hand side of its equality rows becomes f: rationals, or
+    an ``IntRhs`` over the LP's own row denominators, as a vertex LP of
+    ``IntRowPolyhedron.from_ints`` gives it.
 
     The nonbasic variables keep their values and the basic ones move by
     B^-1 S (f - f0), where f0 is the old right-hand side and S holds the
@@ -608,9 +700,17 @@ def basis_holds(res: Feasible, f: Sequence[Q]) -> bool:
     the caller solves that LP cold.
     """
     lp = res.basis
-    if len(f) != len(lp.P.f):
+    if len(f.nums if isinstance(f, IntRhs) else f) != len(lp.edens):
         raise ValueError("right-hand side has wrong length")
-    dn, dd = scaled([fi - f0 for fi, f0 in zip(f, lp.P.f)])
+    new = f if isinstance(f, IntRhs) else IntRhs.of(f, lp.edens)
+    old = lp.erhs
+    # f_e - f0_e = (n_e / a - o_e / b) / (g * dens_e) with a, b coprime
+    g = gcd(new.den, old.den)
+    a, b = new.den // g, old.den // g
+    L = lcm(*lp.edens)
+    dn = [(x * b - y * a) * (L // den)
+          for x, y, den in zip(new.nums, old.nums, lp.edens)]
+    dd = a * b * g * L
     cols = [(c, sign * dn[e]) for c, e, sign in lp.arts if dn[e]]
     for row, den, b in zip(lp.rows, lp.dens, lp.basis):
         num = sum(row[c] * s for c, s in cols)

@@ -19,8 +19,14 @@ fails strictly; validate_certificate re-checks that violation exactly.
 
 The vertex LPs are built from integer residual rows (``residual_rows``):
 equation i is the numerators of v^(0)_i, ..., v^(K)_i over one positive
-denominator, and that denominator goes with its row into the simplex tableau
-(``IntRowPolyhedron``), so no residual is built as a Fraction on the way.
+denominator, and that denominator goes with its row into the simplex
+tableau (``IntRowPolyhedron``).  The
+existential box is scaled to integers once per query and each vertex's
+right-hand side is integer numerators over the row denominators
+(``IntRhs``), so no residual, bound or right-hand side is built as a
+Fraction on the way; only returned points and certificates are.  A kernel
+query reads its rows as the same sums with the rhs column weighted 0
+(``kernel_rows``), with no homogenized copy of the system.
 
 An AE query asks one LP per universal vertex; a later vertex first re-checks
 the last feasible basis and is solved cold only when that fails (see
@@ -38,12 +44,12 @@ from enum import Enum
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .exact import (FarkasCertificate, Feasible, Infeasible, IntRowPolyhedron,
-                    LPResult, Q, Vector, _Record, basis_holds, dot,
-                    lp_feasible, max_row_shift, scaled, vec_add, vec_scale,
-                    zeros)
+from .exact import (FarkasCertificate, Feasible, Infeasible, IntRhs,
+                    IntRowPolyhedron, LPResult, Q, Vector, _Record,
+                    basis_holds, dot, lp_feasible, max_row_shift, scaled,
+                    scaled_box, vec_add, vec_scale, zeros)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
-                    residual_rows, residual_vectors)
+                    kernel_rows, residual_rows, residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -84,26 +90,30 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
     w is the equality multipliers, and t_k = w.v^(k) splits into
     u_k = max(-t_k, 0) and v_k = max(t_k, 0).  The column of existential
     parameter k in the LP is v^(k), so the Farkas identity w.E + t = 0 gives
-    t_k = -bound_mult_k exactly, and no residual is read again.
+    t_k = -bound_mult_k exactly, and no residual is read again.  The sign
+    of bound_mult_k is the sign of its numerator, an integer.
     """
     zero = Q(0)
+    t = res.bound_mult
     return FarkasCertificate(res.eq_mult[:],
-                             [t if t > 0 else zero for t in res.bound_mult],
-                             [-t if t < 0 else zero for t in res.bound_mult])
+                             [tk if tk.numerator > 0 else zero for tk in t],
+                             [-tk if tk.numerator < 0 else zero for tk in t])
 
 
 class _VertexLP:
     """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``).
 
     Each vertex of the universal box asks for p_E in box_E with
-    sum_{k in E} p_k v^(k) = rhs: the box is the bounds lo/hi, the m rows E
-    are shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
-    changes.  Row i stays integers over its residual denominator dens[i],
-    which the simplex takes as they are (``IntRowPolyhedron``); a vertex is
-    scaled to integers once, so each rhs entry is one integer dot.  Above
-    MAX_FORALL universal parameters it refuses before any LP.  The first
-    vertex's cold LP is kept, so that ``strict`` after ``member`` starts
-    from the LP that ``member`` solved there.
+    sum_{k in E} p_k v^(k) = rhs: the box is the bounds, the m rows E are
+    shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
+    changes.  Everything stays integers: row i over its residual
+    denominator dens[i], and the box scaled once (``scaled_box``), both as
+    the simplex takes them (``IntRowPolyhedron.from_ints``).  A vertex is
+    scaled to integers once, so each rhs entry is one integer dot, handed
+    on as an ``IntRhs`` over the row denominators, which ``basis_holds``
+    reads too.  Above MAX_FORALL universal parameters it refuses before any
+    LP.  The first vertex's cold LP is kept, so that ``strict`` after
+    ``member`` starts from the LP that ``member`` solved there.
     """
 
     def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
@@ -116,26 +126,27 @@ class _VertexLP:
         self.exists = exists = sorted(quant.exists_set)
         self.E = [[nums[k + 1] for k in exists] for nums, _ in rows]
         self.dens = [den for _, den in rows]
-        self.lo = [sys.params[k].interval.lo for k in exists]
-        self.hi = [sys.params[k].interval.hi for k in exists]
+        box = [sys.params[k].interval for k in exists]
+        self.box = scaled_box([iv.lo for iv in box], [iv.hi for iv in box])
         self.cols = [[nums[k] for k in (0, *(k + 1 for k in self.forall))]
                      for nums, _ in rows]
         self.first: Optional[LPResult] = None
 
-    def vertices(self) -> Iterator[tuple[Vector, Vector]]:
-        """(universal vertex, rhs) in ``sys.vertices`` order."""
+    def vertices(self) -> Iterator[tuple[Vector, IntRhs]]:
+        """(universal vertex, rhs) in ``sys.vertices`` order; rhs_i is
+        rhs.nums[i] / (rhs.den * dens[i])."""
         for vertex in self.sys.vertices(self.forall):
             pn, pd = scaled(vertex)
             coef = [pd, *pn]
-            yield vertex, [Q(-sum(map(mul, coef, col)), pd * den)
-                           for col, den in zip(self.cols, self.dens)]
+            yield vertex, IntRhs([-sum(map(mul, coef, col)) for col in self.cols],
+                                 pd)
 
-    def solve(self, i: int, rhs: Vector) -> LPResult:
+    def solve(self, i: int, rhs: IntRhs) -> LPResult:
         """The cold LP at vertex i with right-hand side rhs."""
         if i == 0 and self.first is not None:
             return self.first
-        res = lp_feasible(IntRowPolyhedron(self.E, self.dens, rhs, self.lo,
-                                           self.hi))
+        res = lp_feasible(IntRowPolyhedron.from_ints(self.E, self.dens, rhs,
+                                                  self.box))
         if i == 0:
             self.first = res
         return res
@@ -183,9 +194,9 @@ class _VertexLP:
 def _kernel_lp(sys: ParametricSystem, quant: QuantifierAssignment,
                y: Sequence[Q]) -> _VertexLP:
     """The vertex LP of the homogenized system at y: the rows that both the
-    kernel query and the strict kernel ask, built once."""
-    hom = sys.homogenized()
-    return _VertexLP(hom, quant, residual_rows(hom, y))
+    kernel query and the strict kernel ask, built once from ``kernel_rows``,
+    with no homogenized copy of the system."""
+    return _VertexLP(sys, quant, kernel_rows(sys, y))
 
 
 def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:

@@ -7,6 +7,10 @@ A system is the family A(p) x = b(p) with
 
 p ranging over a box of intervals.  The constant term (A0, b0) is explicit;
 every formula treats it as a parameter fixed at 1 with radius 0.
+
+Nothing is kept on a system between queries: ``residual_rows``,
+``kernel_rows`` and ``ParametricSystem.int_system_at`` scale the
+coefficients they read to integers on each call and build no Fraction.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 import json
 import re
 from math import lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import Matrix, Q, Vector, _Record, dot, scaled, zeros
@@ -88,6 +93,24 @@ class ParametricSystem(_Record):
     @property
     def box(self) -> list[Interval]:
         return [par.interval for par in self.params]
+
+    def int_system_at(self, p: Sequence[Q]) -> tuple[list[list[int]], list[int]]:
+        """A(p) and b(p) as integers: row i of [A(p) | b(p)] times D_i and
+        the common denominator of p, where D_i is the lcm of the
+        denominators of row i over every term; the same equations, with no
+        Fraction built."""
+        pn, pd = scaled(p)
+        coef = [pd, *pn]
+        terms = [(self.A0, self.b0), *((par.A, par.b) for par in self.params)]
+        w = self.n + 1
+        rows = []
+        for i in range(self.m):
+            ratios = [a.as_integer_ratio() for A, b in terms
+                      for a in (*A[i], b[i])]
+            D = lcm(*[d for _, d in ratios])
+            ints = [n * (D // d) for n, d in ratios]
+            rows.append([sum(map(mul, coef, ints[j::w])) for j in range(w)])
+        return [row[:-1] for row in rows], [row[-1] for row in rows]
 
     def A_at(self, p: Sequence[Q]) -> Matrix:
         # each entry is (1, p).(A0[i][j], A^(1)[i][j], ...), summed by dot
@@ -280,10 +303,23 @@ def residual_rows(sys: ParametricSystem,
     one integer over the lcm of their denominators, as in ``dot``, and D_i
     is xd times the lcm of those over k.  No Fraction is built.
     """
+    return _rows_at(sys, x, -1)
+
+
+def kernel_rows(sys: ParametricSystem,
+                y: Sequence[Q]) -> list[tuple[list[int], int]]:
+    """``residual_rows`` of the homogenized system at y, the entries
+    A^(k)_i y: the same sums with the rhs column weighted 0, so no copy of
+    the system is made."""
+    return _rows_at(sys, y, 0)
+
+
+def _rows_at(sys: ParametricSystem, x: Sequence[Q],
+             rhs_sign: int) -> list[tuple[list[int], int]]:
     if len(x) != sys.n:
         raise ValueError(f"point has length {len(x)}, expected {sys.n}")
     xn, xd = scaled(x)
-    xn.append(-xd)
+    xn.append(rhs_sign * xd)
     mats = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
     out = []
     for i in range(sys.m):
@@ -291,13 +327,14 @@ def residual_rows(sys: ParametricSystem,
         for A, b in mats:
             num, den = 0, 1
             for a, xj in zip((*A[i], b[i]), xn):
-                an, ad = a.as_integer_ratio()
-                if an and xj:
-                    if den % ad:
-                        m = lcm(den, ad)
-                        num *= m // den
-                        den = m
-                    num += an * xj * (den // ad)
+                if xj:
+                    an, ad = a.as_integer_ratio()
+                    if an:
+                        if den % ad:
+                            m = lcm(den, ad)
+                            num *= m // den
+                            den = m
+                        num += an * xj * (den // ad)
             nums.append(num)
             dens.append(den)
         D = lcm(*dens)

@@ -10,15 +10,15 @@ tests is a meaningful cross-check.  No decision module imports this one.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .exact import (Polyhedron, Q, UniqueSolution, Vector, dot, fm_feasible,
-                    lin_solve)
+from .exact import (Matrix, Polyhedron, Q, UniqueSolution, Vector, dot,
+                    fm_feasible, lin_solve)
 from .membership import (_mid_residual, member_ae, member_ae_kernel,
                          member_united)
 from .model import (FIRST_CLASS, ORDINARY, ParametricSystem,
-                    QuantifierAssignment, classify, interval_data,
-                    residual_vectors)
+                    QuantifierAssignment, SystemClass, classify,
+                    interval_data, residual_vectors)
 
 _FM_CAP = 12
 
@@ -73,9 +73,15 @@ def oettli_prager_member(sys: ParametricSystem, x: Sequence[Q]) -> bool:
     """Oettli-Prager test |A_c x - b_c| <= Delta_A |x| + Delta_b (exact)."""
     if ORDINARY not in classify(sys):
         raise ValueError("system is not ordinary")
+    return _oettli_prager(sys, interval_data(sys), x)
+
+
+def _oettli_prager(sys: ParametricSystem,
+                   data: tuple[Matrix, Matrix, Vector, Vector],
+                   x: Sequence[Q]) -> bool:
     if len(x) != sys.n:
         raise ValueError(f"point has length {len(x)}, expected {sys.n}")
-    Ac, dA, bc, db = interval_data(sys)
+    Ac, dA, bc, db = data
     absx = [abs(v) for v in x]
     for i in range(sys.m):
         lhs = abs(dot(Ac[i], x) - bc[i])
@@ -89,6 +95,10 @@ def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
     """First-class characterization: |A(mid)x - b(mid)| <= sum rad |A^(k)x - b^(k)|."""
     if FIRST_CLASS not in classify(sys):
         raise ValueError("system is not of the first class")
+    return _first_class(sys, x)
+
+
+def _first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
     residuals = residual_vectors(sys, x)
     mid = _mid_residual(sys, residuals)
     for i in range(sys.m):
@@ -97,6 +107,22 @@ def member_first_class(sys: ParametricSystem, x: Sequence[Q]) -> bool:
         if abs(mid[i]) > rhs_i:
             return False
     return True
+
+
+def characterization_checks(sys: ParametricSystem, flags: SystemClass
+                            ) -> list[tuple[str, Callable[[Vector], bool]]]:
+    """The characterization checks that apply to a system of class
+    ``flags`` (``classify``), as (name, test of a point): Oettli-Prager for
+    an ordinary system and the first-class test for a first-class one.  The
+    class is read once from ``flags`` and the interval data built once, so
+    a caller that tests many points pays for neither per point."""
+    checks: list[tuple[str, Callable[[Vector], bool]]] = []
+    if ORDINARY in flags:
+        data = interval_data(sys)
+        checks.append(("oettli-prager", lambda x: _oettli_prager(sys, data, x)))
+    if FIRST_CLASS in flags:
+        checks.append(("first-class", lambda x: _first_class(sys, x)))
+    return checks
 
 
 def solution_cloud(sys: ParametricSystem,
@@ -113,7 +139,7 @@ def solution_cloud(sys: ParametricSystem,
     axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)
             for iv in sys.box]
     for p in itertools.product(*axes):
-        res = lin_solve(sys.A_at(p), sys.b_at(p))
+        res = lin_solve(*sys.int_system_at(p))
         if isinstance(res, UniqueSolution):
             key = tuple(res.point)
             if key not in seen:

@@ -99,7 +99,8 @@ def _base_points(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
 
     Every candidate lies on the grid lo + i/8 (hi - lo), i = 0..8, of each
     parameter (one point on a thin one), so a p already tried is skipped,
-    and the search ends once every grid point has been tried."""
+    and the search ends once every grid point has been tried.  A candidate
+    is solved from the integer rows of [A(p) | b(p)] (``int_system_at``)."""
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
     order = sorted(quant.forall_set) + sorted(quant.exists_set)
@@ -128,7 +129,7 @@ def _base_points(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
         if tuple(p) in tried:
             continue
         tried.add(tuple(p))
-        res = lin_solve(sys.A_at(p), sys.b_at(p))
+        res = lin_solve(*sys.int_system_at(p))
         if isinstance(res, (UniqueSolution, AffineSolutionSet)):
             x = res.point
             key = tuple(x)

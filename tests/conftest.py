@@ -255,3 +255,35 @@ def with_thin_params(rng, sys, count=2):
                       Parameter(f"t{t}", Interval(c, c), A, b))
     return ParametricSystem(sys.m, sys.n, [row[:] for row in sys.A0],
                             sys.b0[:], params)
+
+
+def residual_rows_reference(sys, x):
+    """Reference: ``residual_rows`` term by term, one ``as_integer_ratio``
+    per coefficient of every term, with no product skipped."""
+    from math import lcm
+
+    from pilsys.exact import scaled
+
+    xn, xd = scaled(x)
+    xn.append(-xd)
+    mats = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
+    out = []
+    for i in range(sys.m):
+        nums, dens = [], []
+        for A, b in mats:
+            num, den = 0, 1
+            for a, xj in zip((*A[i], b[i]), xn):
+                an, ad = a.as_integer_ratio()
+                if an and xj:
+                    if den % ad:
+                        m = lcm(den, ad)
+                        num *= m // den
+                        den = m
+                    num += an * xj * (den // ad)
+            nums.append(num)
+            dens.append(den)
+        D = lcm(*dens)
+        if D > 1:
+            nums = [num * (D // den) for num, den in zip(nums, dens)]
+        out.append((nums, D * xd))
+    return out

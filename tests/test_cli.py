@@ -1,14 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
-from conftest import E1_DOC, E3_DOC, load
-from pilsys import oracle
+from conftest import E1_DOC, E2_DOC, E3_DOC, load
+from pilsys import model, oracle
 from pilsys.cli import main
 from pilsys.membership import Certificate, witness_resubstitutes
 
@@ -399,6 +401,46 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "--samples", "3")
         assert code == 0 and out.endswith("verify: 3 points, 0 disagreements\n")
         assert len(solves) == 3
+
+
+    # sha256 of the stdout of `verify E2.json --samples 20`, from before the
+    # class and the interval data were read once per command
+    E2_VERIFY = "b8e79fc8773a43023484fa4135ec55d4f22a91ced17155f50317f5e978f21238"
+
+    def test_class_read_once_per_command(self, capsys, tmp_path, monkeypatch):
+        # E2 is ordinary and first class, so every point takes both
+        # characterization checks; each used to classify the system again
+        path = tmp_path / "E2.json"
+        path.write_text(json.dumps(E2_DOC))
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("classify", "interval_data"):
+            wrapped = counted(name, getattr(model, name))
+            for module in (model, oracle):
+                monkeypatch.setattr(module, name, wrapped)
+        code, out, _ = run(capsys, "verify", str(path), "--samples", "20")
+        assert code == 0 and out.endswith("verify: 20 points, 0 disagreements\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.E2_VERIFY
+        assert calls["classify"] <= 2 and calls["interval_data"] <= 1, calls
+
+    def test_oracles_still_refuse_the_wrong_class(self, e1):
+        with pytest.raises(ValueError, match="not ordinary"):
+            oracle.oettli_prager_member(e1.system, [Q(1), Q(0)])
+        general = load({"m": 1, "n": 1, "parameters": [
+            {"interval": ["0", "1"], "A": [["1"]]},
+            {"interval": ["0", "1"], "A": [["1"]]}]}).system
+        with pytest.raises(ValueError, match="not ordinary"):
+            oracle.oettli_prager_member(general, [Q(1)])
+        two_rows = load({"m": 2, "n": 1, "parameters": [
+            {"interval": ["0", "1"], "A": [["1"], ["1"]]}]}).system
+        with pytest.raises(ValueError, match="not of the first class"):
+            oracle.member_first_class(two_rows, [Q(1)])
 
 
 class TestUsage:

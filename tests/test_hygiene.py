@@ -4,8 +4,10 @@ No linter is a dependency, so these checks stand in for one: no unused
 imports in the package or its tests, no top-level definition that nothing
 uses, no floating point anywhere in the package, which keeps every
 decision path exact, no ``dataclasses`` in the package, which every
-command line would pay for at start-up, and no import of ``oracle`` outside
-``cli.py``, which keeps the cross-checks out of the decisions.  An import
+command line would pay for at start-up, no import of ``oracle`` outside
+``cli.py``, which keeps the cross-checks out of the decisions, and no
+change in place to a system's coefficients, parameters or intervals, which
+systems share by reference.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
 named functions of the package, and its files read attributes of the
 package's modules; they must all still exist.
@@ -108,6 +110,72 @@ def oracle_imports(path):
             and any(a.name.split(".")[-1] == "oracle" for a in node.names)]
 
 
+# The fields of a system and of its parameters.  Systems share them by
+# reference (``TolerableSystem.combined`` reuses the base system's
+# parameters, and a query keeps the system it was asked on), so none of
+# them may change in place after construction.
+SYSTEM_FIELDS = {"A0", "b0", "A", "b", "params", "interval"}
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
+            "reverse"}
+
+
+def _touches_field(node):
+    """Whether a chain of attribute reads and subscripts, such as
+    ``sys.params[k].A[i]``, passes through a system field."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
+        if isinstance(node, ast.Attribute) and node.attr in SYSTEM_FIELDS:
+            return True
+        node = node.value
+    return False
+
+
+def system_mutations(path):
+    """Statements that assign into, append to or augment a system field:
+    an item assignment, augmented assignment or ``del`` through one, an
+    assignment to one other than ``self.<field> = ...`` in an ``__init__``,
+    and a list-mutating method called on one."""
+    found = []
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for elt in node.elts:
+                yield from targets(elt)
+        elif isinstance(node, ast.Starred):
+            yield from targets(node.value)
+        else:
+            yield node
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        bad = False
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign,
+                             ast.Delete)):
+            raw = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                else [node.target]
+            for target in (t for r in raw for t in targets(r)):
+                if isinstance(target, ast.Attribute) and \
+                        target.attr in SYSTEM_FIELDS:
+                    init = isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                        func == "__init__" and \
+                        isinstance(target.value, ast.Name) and \
+                        target.value.id == "self"
+                    bad = bad or not init
+                elif isinstance(target, ast.Subscript):
+                    bad = bad or _touches_field(target.value)
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr in MUTATORS:
+            bad = _touches_field(node.func.value)
+        if bad:
+            found.append(f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(_tree(path), None)
+    return found
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -136,6 +204,33 @@ def test_no_dataclasses(path):
                          ids=lambda p: p.name)
 def test_only_the_cli_imports_the_oracles(path):
     assert oracle_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_system_changed_in_place(path):
+    assert system_mutations(path) == []
+
+
+def test_mutation_check_catches_offenders(tmp_path):
+    path = tmp_path / "mutating.py"
+    path.write_text("class Par:\n"
+                    "    def __init__(self, A, b):\n"
+                    "        self.A, self.b = A, b\n"
+                    "def f(sys, par, rows):\n"
+                    "    sys.A0[0][1] = 1\n"
+                    "    par.b[0] += 1\n"
+                    "    sys.params.append(par)\n"
+                    "    par.interval = None\n"
+                    "    sys.params[0].A[1].extend([0])\n"
+                    "    del sys.b0[0]\n"
+                    "    sys.params += [par]\n"
+                    "    self.A = rows\n"
+                    "    copy = [row[:] for row in sys.A0]\n"
+                    "    copy[0][0] = rows[0][0] = 2\n"
+                    "    params = list(sys.params)\n"
+                    "    params.append(par)\n"
+                    "    sys.m = len(sys.A0)\n")
+    assert system_mutations(path) == [f"line {n}" for n in range(5, 13)]
 
 
 def traced_names(path):

@@ -748,13 +748,16 @@ def test_integer_row_lps_match_the_rational_reference():
         v = residual_vectors(sys, x)
         E = [[Q(a, den) for a in row] for row, den in zip(lp.E, lp.dens)]
         assert E == [[v[k + 1][i] for k in lp.exists] for i in range(sys.m)]
+        box = [sys.params[k].interval for k in lp.exists]
         for vertex, rhs in lp.vertices():
             coef = [Q(1), *vertex]
-            assert rhs == [-dot(coef, [v[k][i] for k in (0, *(k + 1 for k in lp.forall))])
-                           for i in range(sys.m)]
-            got = lp_feasible(IntRowPolyhedron(lp.E, lp.dens, rhs, lp.lo, lp.hi))
-            want = lp_feasible(Polyhedron([], [], E, rhs, len(lp.exists),
-                                          lp.lo, lp.hi))
+            f = [Q(n, rhs.den * den) for n, den in zip(rhs.nums, lp.dens)]
+            assert f == [-dot(coef, [v[k][i] for k in (0, *(k + 1 for k in lp.forall))])
+                         for i in range(sys.m)]
+            got = lp_feasible(IntRowPolyhedron.from_ints(lp.E, lp.dens, rhs, lp.box))
+            want = lp_feasible(Polyhedron([], [], E, f, len(lp.exists),
+                                          [iv.lo for iv in box],
+                                          [iv.hi for iv in box]))
             assert type(got) is type(want) and got == want
             assert tableau_state(got) == tableau_state(want)
             seen[kind, type(got).__name__] += 1
@@ -797,3 +800,59 @@ def test_certificates_pinned():
     assert 20 < sum(ok for ok, _ in calls) < len(calls) - 20
     digest = hashlib.sha256(repr(calls).encode()).hexdigest()
     assert digest == PINNED_CERTIFICATES
+
+
+def test_vertex_lp_builds_fractions_only_for_its_results(monkeypatch):
+    """A whole ``_VertexLP.member`` builds Fractions only for what it
+    returns: the point or Farkas multipliers of each cold LP it solves, and
+    the witness or separator made from them.  Its rows, box, right-hand
+    sides, warm re-checks and the sign tests of a separator are integers."""
+    built = [0]
+    active = False
+    new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += active
+        return new(cls, *args, **kwargs)
+
+    results = []
+    real = membership.lp_feasible
+
+    def solving(P):
+        res = real(P)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(membership, "lp_feasible", solving)
+    rng = random.Random(5151)
+    seen = Counter()
+    for trial in range(60):
+        if trial % 3 == 0:
+            sys, quant = gen_quantified(rng, rng.choice((2, 3)), 2,
+                                        n_forall=rng.randint(1, 2))
+            x = random_point(rng, sys.n, -2, 2)
+        elif trial % 3 == 1:
+            tsys, x = gen_tolerable_nonempty(rng, 2, 2, K=rng.randint(1, 2))
+            sys, quant = tsys.combined()
+        else:
+            sys = gen_general(rng, 3, 3, K=rng.randint(1, 4))
+            quant = QuantifierAssignment.all_exists(sys.K)
+            x = _solved_point(rng, sys) or random_point(rng, sys.n)
+        lp = membership._VertexLP(sys, quant, residual_rows(sys, x))
+        results.clear()
+        built[0] = 0
+        active = True
+        try:
+            ok, cert = lp.member()
+        finally:
+            active = False
+        entries = sum(len(r.point) if isinstance(r, Feasible)
+                      else len(r.eq_mult) + len(r.bound_mult) for r in results)
+        # the witness starts as zeros(K), one Fraction, at the first
+        # feasible vertex; a separator copies w and builds a zero and the
+        # negated entries of v
+        extra = 1 if ok else 2 + len(cert.separator.v)
+        assert built[0] <= entries + extra, (trial, built[0], entries, extra)
+        seen[ok] += 1
+    assert seen[True] > 10 and seen[False] > 10, seen

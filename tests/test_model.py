@@ -1,19 +1,23 @@
 import copy
 import json
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E1_DOC, E2_DOC, E3_DOC, gen_general, load
+from conftest import (E1_DOC, E2_DOC, E3_DOC, gen_general, load,
+                      residual_rows_reference)
+from pilsys.exact import lin_solve, scaled
+from pilsys.membership import member_kernel, member_united
 from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
                           ORDINARY, TOLERABLE_FORM, Interval, Parameter,
                           ParametricSystem, ParsedSystem,
                           QuantifierAssignment, RhsParameter,
                           SystemFormatError, TolerableSystem, classify,
-                          parse_rational, parse_system, residual_rows,
-                          residual_vectors,
+                          kernel_rows, parse_rational, parse_system,
+                          residual_rows, residual_vectors,
                           serialize_system)
 
 import random
@@ -314,6 +318,88 @@ def test_residual_vectors_are_the_plain_sums(case, data):
         for i, (nums, den) in enumerate(rows):
             assert type(den) is int and den > 0
             assert [Q(v, den) for v in nums] == [vk[i] for vk in want]
+
+
+# pairwise coprime, so that a row's common denominator is their product
+BIG_PRIMES = (10007, 65537, 999983, 2 ** 31 - 1)
+BIG_ENTRIES = st.one_of(
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-10 ** 6, 10 ** 6), st.sampled_from(BIG_PRIMES)),
+    RATIONALS)
+
+
+@st.composite
+def big_denominator_systems(draw):
+    """A system whose entries have large coprime denominators, with thin
+    parameters, rows that are zero in every term, and a point x with zero
+    entries."""
+    m, n, K = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
+
+    def entry(i):
+        return Q(0) if i in zero_rows else draw(BIG_ENTRIES)
+
+    def matrix():
+        return [[entry(i) for _ in range(n)] for i in range(m)]
+
+    def vector():
+        return [entry(i) for i in range(m)]
+
+    params = []
+    for k in range(K):
+        lo, hi = sorted((draw(BIG_ENTRIES), draw(BIG_ENTRIES)))
+        if draw(st.booleans()):
+            hi = lo
+        params.append(Parameter(f"p{k}", Interval(lo, hi), matrix(), vector()))
+    sys = ParametricSystem(m, n, matrix(), vector(), params)
+    x = [draw(BIG_ENTRIES) for _ in range(n)]
+    p = [draw(st.one_of(st.sampled_from([par.interval.lo, par.interval.hi]),
+                        BIG_ENTRIES)) for par in params]
+    return sys, x, p
+
+
+def _values(rows):
+    return [[Q(num, den) for num in nums] for nums, den in rows]
+
+
+@settings(deadline=None)
+@given(big_denominator_systems())
+def test_integer_form_rows_match_the_reference(case):
+    """``residual_rows`` gives the rational values of the per-coefficient
+    reference; ``kernel_rows`` those of the homogenized system;
+    ``int_system_at`` each row of [A(p) | b(p)] times D_i (the lcm of the
+    row's denominators over every term) and the denominator of p, which
+    ``lin_solve`` solves alike."""
+    sys, x, p = case
+    rows = residual_rows(sys, x)
+    assert all(type(v) is int for nums, den in rows for v in (*nums, den))
+    assert _values(rows) == _values(residual_rows_reference(sys, x))
+    assert _values(kernel_rows(sys, x)) == \
+        _values(residual_rows(sys.homogenized(), x))
+    A, b = sys.int_system_at(p)
+    pd = scaled(p)[1]
+    terms = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
+    for i, (row, bi, want, want_b) in enumerate(zip(A, b, sys.A_at(p),
+                                                    sys.b_at(p))):
+        D = lcm(*[a.denominator for M, v in terms for a in (*M[i], v[i])])
+        assert all(type(v) is int for v in (*row, bi))
+        assert [Q(v, D * pd) for v in (*row, bi)] == [*want, want_b]
+    assert lin_solve(A, b) == lin_solve(sys.A_at(p), sys.b_at(p))
+
+
+def test_a_queried_system_keeps_its_value():
+    """A query leaves its system as it was: the same repr, and equal to a
+    copy taken before it."""
+    rng = random.Random(2020)
+    for _ in range(20):
+        sys = gen_general(rng, rng.randint(1, 3), rng.randint(1, 3))
+        fresh = copy.deepcopy(sys)
+        before = repr(sys)
+        x = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(sys.n)]
+        member_united(sys, x)
+        member_kernel(sys, x)
+        sys.int_system_at(sys.midpoint())
+        assert repr(sys) == before and sys == fresh and fresh == sys
 
 
 class TestClassify:
