@@ -285,36 +285,21 @@ class IntRowPolyhedron(_Record):
     This is the form a simplex tableau starts from: the right-hand sides
     are kept as an ``IntRhs`` and the bounds as integers over one scale
     (``scaled_box``), so a caller that computes its rows, right-hand sides
-    and box as integers (``IntRowPolyhedron.from_ints``) hands them to
-    ``lp_feasible`` with no Fraction in between.  The constructor takes f,
-    lo and hi as rationals and scales them; the result is the one
+    and box as integers hands them to ``lp_feasible`` with no Fraction in
+    between (``IntRowPolyhedron.from_ints``); the result is the one
     ``lp_feasible`` gives for the ``Polyhedron`` with rows E[i] / dens[i].
-    Only the LP routines take it.  The shapes and bounds are checked as a
-    ``Polyhedron`` checks them, the bounds on the scaled integers.
+    Only the LP routines take it, and ``f`` is its one Fraction view.  The
+    shapes and bounds are checked as a ``Polyhedron`` checks them, the
+    bounds on the scaled integers.
     """
 
-    __slots__ = ("E", "dens", "rhs", "box")
-    _fields = ("E", "dens", "f", "lo", "hi")
-
-    def __init__(self, E: list[list[int]], dens: list[int], f: Vector,
-                 lo: list[Optional[Q]], hi: list[Optional[Q]]):
-        if len(E) != len(f):
-            raise ValueError("row counts do not match right-hand sides")
-        if len(lo) != len(hi):
-            raise ValueError("bounds have wrong length")
-        self._set(E, dens, IntRhs.of(f, dens), scaled_box(lo, hi))
+    __slots__ = _fields = ("E", "dens", "rhs", "box")
 
     @classmethod
     def from_ints(cls, E: list[list[int]], dens: list[int], rhs: IntRhs,
                   box: IntBox) -> "IntRowPolyhedron":
         """The polyhedron from its integer form: rhs over the rows E / dens,
         and a box as ``scaled_box`` returns it."""
-        P = object.__new__(cls)
-        P._set(E, dens, rhs, box)
-        return P
-
-    def _set(self, E: list[list[int]], dens: list[int], rhs: IntRhs,
-             box: IntBox) -> None:
         lo, hi, _ = box
         if not len(E) == len(dens) == len(rhs.nums):
             raise ValueError("row counts do not match right-hand sides")
@@ -327,23 +312,13 @@ class IntRowPolyhedron(_Record):
         if any(l is not None and h is not None and l > h
                for l, h in zip(lo, hi)):
             raise ValueError("a lower bound exceeds its upper bound")
-        self.E, self.dens, self.rhs, self.box = E, dens, rhs, box
+        P = object.__new__(cls)
+        P.E, P.dens, P.rhs, P.box = E, dens, rhs, box
+        return P
 
     @property
     def f(self) -> Vector:
         return [Q(n, self.rhs.den * den) for n, den in zip(self.rhs.nums, self.dens)]
-
-    @property
-    def lo(self) -> list[Optional[Q]]:
-        return self._bounds(0)
-
-    @property
-    def hi(self) -> list[Optional[Q]]:
-        return self._bounds(1)
-
-    def _bounds(self, side: int) -> list[Optional[Q]]:
-        L = self.box[2]
-        return [None if b is None else Q(b, L) for b in self.box[side]]
 
     @property
     def dim(self) -> int:
@@ -523,8 +498,10 @@ class _BoundedSimplex:
             self.dens.append(den)
         self._set_cost([0] * width + [int(h is None) for h in self.hi[width:]])
         self._solve()
-        self.feasible = not any(self._value(a)[0]
-                                for a in range(width, len(self.val)))
+        # a nonbasic artificial sits at its lower bound 0 (its upper bound is
+        # 0 or none), so only a basic one can be nonzero
+        self.feasible = not any(row[-1] for row, b in zip(self.rows, self.basis)
+                                if b >= width)
 
     def copy(self) -> "_BoundedSimplex":
         """A copy to resume: a pivot or bound flip changes the tableau and
@@ -681,10 +658,10 @@ def lp_feasible(P: Union[Polyhedron, IntRowPolyhedron]) -> LPResult:
     return Feasible(lp.point(), lp) if lp.feasible else lp.farkas()
 
 
-def basis_holds(res: Feasible, f: Union[Sequence[Q], IntRhs]) -> bool:
+def basis_holds(res: Feasible, f: IntRhs) -> bool:
     """Re-check, with no pivot, the final basis of the LP that gave ``res``
-    when the right-hand side of its equality rows becomes f: rationals, or
-    an ``IntRhs`` over the LP's own row denominators, as a vertex LP of
+    when the right-hand side of its equality rows becomes f, an ``IntRhs``
+    over the LP's own row denominators (``edens``), as a vertex LP of
     ``IntRowPolyhedron.from_ints`` gives it.
 
     The nonbasic variables keep their values and the basic ones move by
@@ -700,16 +677,15 @@ def basis_holds(res: Feasible, f: Union[Sequence[Q], IntRhs]) -> bool:
     the caller solves that LP cold.
     """
     lp = res.basis
-    if len(f.nums if isinstance(f, IntRhs) else f) != len(lp.edens):
+    if len(f.nums) != len(lp.edens):
         raise ValueError("right-hand side has wrong length")
-    new = f if isinstance(f, IntRhs) else IntRhs.of(f, lp.edens)
     old = lp.erhs
     # f_e - f0_e = (n_e / a - o_e / b) / (g * dens_e) with a, b coprime
-    g = gcd(new.den, old.den)
-    a, b = new.den // g, old.den // g
+    g = gcd(f.den, old.den)
+    a, b = f.den // g, old.den // g
     L = lcm(*lp.edens)
     dn = [(x * b - y * a) * (L // den)
-          for x, y, den in zip(new.nums, old.nums, lp.edens)]
+          for x, y, den in zip(f.nums, old.nums, lp.edens)]
     dd = a * b * g * L
     cols = [(c, sign * dn[e]) for c, e, sign in lp.arts if dn[e]]
     for row, den, b in zip(lp.rows, lp.dens, lp.basis):

@@ -17,6 +17,13 @@ characterization inequality
 
 fails strictly; validate_certificate re-checks that violation exactly.
 
+A point query (``member_ae``) first tries each equation alone: with
+w = +-e_i the inequality needs no LP, only integer sums over the residual
+rows and the box scaled once, and the first equation that fails is the
+separator.  On a first-class system that test decides the query; what it
+leaves goes to the vertex LPs.  Kernel and strict kernel queries go to the
+vertex LPs directly.
+
 The vertex LPs are built from integer residual rows (``residual_rows``):
 equation i is the numerators of v^(0)_i, ..., v^(K)_i over one positive
 denominator, and that denominator goes with its row into the simplex
@@ -41,7 +48,7 @@ kernel query's first vertex LP.
 from __future__ import annotations
 
 from enum import Enum
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (FarkasCertificate, Feasible, Infeasible, IntRhs,
@@ -100,6 +107,15 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
                              [-tk if tk.numerator < 0 else zero for tk in t])
 
 
+def _check_quantifiers(sys: ParametricSystem,
+                       quant: QuantifierAssignment) -> None:
+    """Refuse quantifiers that do not partition the parameters, and more
+    than MAX_FORALL universal ones, before any vertex is enumerated."""
+    quant.validate_for(sys.K)
+    if len(quant.forall_set) > MAX_FORALL:
+        raise ValueError(f"more than {MAX_FORALL} universal parameters")
+
+
 class _VertexLP:
     """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``).
 
@@ -118,9 +134,7 @@ class _VertexLP:
 
     def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
                  rows: list[tuple[list[int], int]]):
-        quant.validate_for(sys.K)
-        if len(quant.forall_set) > MAX_FORALL:
-            raise ValueError(f"more than {MAX_FORALL} universal parameters")
+        _check_quantifiers(sys, quant)
         self.sys = sys
         self.forall = sorted(quant.forall_set)
         self.exists = exists = sorted(quant.exists_set)
@@ -217,23 +231,73 @@ def member_kernel(sys: ParametricSystem, y: Sequence[Q]) -> tuple[bool, Certific
     return member_ae_kernel(sys, QuantifierAssignment.all_exists(sys.K), y)
 
 
+def _row_separator(sys: ParametricSystem, quant: QuantifierAssignment,
+                   rows: list[tuple[list[int], int]]
+                   ) -> Optional[FarkasCertificate]:
+    """The first equation i that cannot hold alone, as the separator
+    w = sign(c_i) e_i (+1 when c_i = 0), or None when every one can.
+
+    With w = +-e_i the characterization inequality reads, for equation i,
+    |c_i| <= sum_{k existential} rad_k |v^(k)_i| - sum_{k universal}
+    rad_k |v^(k)_i|, c the residual at the box midpoint.  Row i of
+    ``residual_rows`` is v^(0)_i, ..., v^(K)_i over D_i, and the box is
+    scaled once (``scaled_box``), so 2 L mid_k = lo_k + hi_k and
+    2 L rad_k = hi_k - lo_k; both sides times 2 L D_i are integer dots.
+    u and v split t_k = w.v^(k) over the existential k as
+    ``_separator_from_farkas`` does; only they and w are Fractions.
+    """
+    lo, hi, L = scaled_box([par.interval.lo for par in sys.params],
+                           [par.interval.hi for par in sys.params])
+    exists = quant.exists_set
+    mids = [2 * L, *map(add, lo, hi)]
+    # rad_k for an existential parameter, -rad_k for a universal one
+    rads = [0, *(h - l if k in exists else l - h
+                 for k, (l, h) in enumerate(zip(lo, hi)))]
+    for i, (nums, den) in enumerate(rows):
+        c = sum(map(mul, mids, nums))
+        if abs(c) <= sum(map(mul, rads, map(abs, nums))):
+            continue
+        sign = -1 if c < 0 else 1
+        zero = Q(0)
+        w = [zero] * sys.m
+        w[i] = Q(sign)
+        u, v = [], []
+        for k in sorted(exists):
+            t = sign * nums[k + 1]
+            u.append(Q(-t, den) if t < 0 else zero)
+            v.append(Q(t, den) if t > 0 else zero)
+        return FarkasCertificate(w, u, v)
+    return None
+
+
 def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
               x: Sequence[Q]) -> tuple[bool, Certificate]:
     """Is x in the AE solution set for the given quantifier assignment?
 
+    Each equation is tried alone first (``_row_separator``): an equation
+    whose residual at the box midpoint exceeds its existential spread less
+    its universal one cannot hold, and refutes x with w = +-e_i and no LP.
+    On a first-class system, whose equations share no parameter, that test
+    is exact; otherwise the vertex LPs decide what it leaves.
+
     The admissible universal parameters form a convex set (projection of a
     polyhedron), so containment of the whole universal box is decided at its
     vertices.  The vertex enumeration is capped at MAX_FORALL universal
-    parameters.
+    parameters, and that refusal comes before the row test.
 
     The first vertex is solved cold and gives the witness.  A later vertex
     changes only the right-hand side, so the last feasible basis is
     re-checked there first (``basis_holds``); only when a basic value leaves
     its bounds is that vertex solved cold, and only a cold LP gives a
-    separator.  So the verdict and certificate are those of one cold LP per
-    vertex.
+    separator.  So a verdict the row test leaves, and its certificate, are
+    those of one cold LP per vertex.
     """
-    return _VertexLP(sys, quant, residual_rows(sys, x)).member()
+    rows = residual_rows(sys, x)
+    _check_quantifiers(sys, quant)
+    sep = _row_separator(sys, quant, rows)
+    if sep is not None:
+        return False, Certificate.separator(sep)
+    return _VertexLP(sys, quant, rows).member()
 
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,

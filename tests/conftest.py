@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from pilsys.exact import IntRhs, IntRowPolyhedron, scaled_box
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
                           parse_system)
@@ -50,6 +51,14 @@ def e2():
 @pytest.fixture
 def e3():
     return load(E3_DOC)
+
+
+def int_row_polyhedron(E, dens, f, lo, hi):
+    """An ``IntRowPolyhedron`` from rational right-hand sides f and bounds
+    lo, hi: f over the row denominators (``IntRhs.of``) and the box scaled
+    once (``scaled_box``), as a membership vertex LP gives them."""
+    return IntRowPolyhedron.from_ints(E, dens, IntRhs.of(f, dens),
+                                      scaled_box(lo, hi))
 
 
 def tableau_state(res):

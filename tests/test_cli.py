@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import E1_DOC, E2_DOC, E3_DOC, load
-from pilsys import model, oracle
+from conftest import E1_DOC, E2_DOC, E3_DOC, gen_quantified, load
+from pilsys import membership, model, oracle
 from pilsys.cli import main
 from pilsys.membership import Certificate, witness_resubstitutes
 
@@ -402,6 +403,29 @@ class TestVerify:
         assert code == 0 and out.endswith("verify: 3 points, 0 disagreements\n")
         assert len(solves) == 3
 
+
+    def test_row_refuted_points_agree_with_fm(self, capsys, tmp_path,
+                                              monkeypatch):
+        # a seeded 2x3 system with one universal parameter: verify samples
+        # random points, several of which one equation refutes alone, with
+        # no LP, and the FM oracles agree with every verdict, united and AE
+        sys, quant = gen_quantified(random.Random(31), 2, 3)
+        path = tmp_path / "Q.json"
+        path.write_text(model.serialize_system(
+            model.ParsedSystem(sys, quant, True)))
+        refuted = Counter()
+        real = membership._row_separator
+
+        def spy(*args):
+            sep = real(*args)
+            refuted[sep is not None] += 1
+            return sep
+
+        monkeypatch.setattr(membership, "_row_separator", spy)
+        code, out, _ = run(capsys, "verify", str(path), "--samples", "12",
+                           "--seed", "3")
+        assert code == 0 and out.endswith("verify: 12 points, 0 disagreements\n")
+        assert refuted[True] >= 3 and refuted[False] >= 3, refuted
 
     # sha256 of the stdout of `verify E2.json --samples 20`, from before the
     # class and the interval data were read once per command

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_quantified, random_point, tableau_state
-from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible,
+from conftest import (gen_quantified, int_row_polyhedron, random_point,
+                      tableau_state)
+from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, IntRhs,
                           IntRowPolyhedron, NoSolution, Polyhedron,
                           UniqueSolution, _BoundedSimplex, basis_holds,
                           check_infeasibility_certificate, dot, fm_eliminate,
                           fm_feasible, lin_solve, lp_feasible, lp_maximize,
-                          max_row_shift, recession_cone)
+                          max_row_shift, recession_cone, scaled_box)
 from pilsys.membership import (member_ae, member_united,
                                strict_kernel_member_ae)
 
@@ -169,36 +170,40 @@ class TestIntRowPolyhedron:
         rational = [qvec([Q(1, 2), Q(1, 3)])]
         for f in (Q(1, 2), Q(5, 6), Q(1)):
             P = Polyhedron([], [], rational, [f], 2, lo, hi)
-            got = lp_feasible(IntRowPolyhedron([[6, 4]], [12], [f], lo, hi))
+            got = lp_feasible(int_row_polyhedron([[6, 4]], [12], [f], lo, hi))
             want = lp_feasible(P)
             assert type(got) is type(want) and got == want
             assert tableau_state(got) == tableau_state(want)
-            assert lp_maximize(IntRowPolyhedron([[6, 4]], [12], [f], lo, hi),
+            assert lp_maximize(int_row_polyhedron([[6, 4]], [12], [f], lo, hi),
                                qvec([1, -1])) == lp_maximize(P, qvec([1, -1]))
         assert isinstance(got, Infeasible)
         assert check_infeasibility_certificate(P, got)
 
     def test_no_rows(self):
-        P = IntRowPolyhedron([], [], [], [Q(1)], [None])
+        P = int_row_polyhedron([], [], [], [Q(1)], [None])
         assert (P.C, P.d, P.dim) == ([], [], 1)
         assert lp_feasible(P) == Feasible([Q(1)])
 
     @pytest.mark.parametrize("args,match", [
-        (([[1]], [1, 2], [Q(0)]), "row counts"),
-        (([[1]], [1], [Q(0), Q(1)]), "row counts"),
-        (([[1, 2]], [1], [Q(0)]), "wrong width"),
-        (([[1]], [0], [Q(0)]), "denominator"),
-        (([[1]], [-2], [Q(0)]), "denominator"),
-    ], ids=["dens", "rhs", "width", "zero-den", "negative-den"])
+        (([[1]], [1, 2], IntRhs([0], 1)), "row counts"),
+        (([[1]], [1], IntRhs([0, 1], 1)), "row counts"),
+        (([[1, 2]], [1], IntRhs([0], 1)), "wrong width"),
+        (([[1]], [0], IntRhs([0], 1)), "denominator"),
+        (([[1]], [-2], IntRhs([0], 1)), "denominator"),
+        (([[1]], [1], IntRhs([0], 0)), "denominator"),
+    ], ids=["dens", "rhs", "width", "zero-den", "negative-den", "rhs-den"])
     def test_shapes_checked(self, args, match):
         with pytest.raises(ValueError, match=match):
-            IntRowPolyhedron(*args, [Q(0)], [Q(1)])
+            IntRowPolyhedron.from_ints(*args, scaled_box([Q(0)], [Q(1)]))
 
     def test_bounds_checked(self):
+        rhs = IntRhs([0], 1)
         with pytest.raises(ValueError, match="wrong length"):
-            IntRowPolyhedron([[1]], [1], [Q(0)], [Q(0)], [Q(1), Q(1)])
+            IntRowPolyhedron.from_ints([[1]], [1], rhs,
+                                       scaled_box([Q(0)], [Q(1), Q(1)]))
         with pytest.raises(ValueError, match="exceeds"):
-            IntRowPolyhedron([[1]], [1], [Q(0)], [Q(1)], [Q(0)])
+            IntRowPolyhedron.from_ints([[1]], [1], rhs,
+                                       scaled_box([Q(1)], [Q(0)]))
 
 
 class TestLpMaximize:
@@ -307,11 +312,11 @@ class TestBasisHolds:
             res = lp_feasible(Polyhedron(C, d, E, f, dim, lo, hi))
             if not isinstance(res, Feasible):
                 continue
-            assert basis_holds(res, f)
+            assert basis_holds(res, IntRhs.of(f, res.basis.edens))
             for _ in range(4):
                 g = [fi + Q(rng.randint(-1, 1), rng.randint(2, 6)) for fi in f]
                 g[-1] = g[0] if repeat else g[-1]
-                held = basis_holds(res, g)
+                held = basis_holds(res, IntRhs.of(g, res.basis.edens))
                 verdicts[held] += 1
                 if held:
                     assert fm_feasible(Polyhedron(C, d, E, g, dim, lo, hi))
@@ -320,7 +325,7 @@ class TestBasisHolds:
     def test_wrong_length_rejected(self):
         res = lp_feasible(poly([], [], E=[[1]], f=[0], dim=1))
         with pytest.raises(ValueError):
-            basis_holds(res, [Q(0), Q(0)])
+            basis_holds(res, IntRhs([0, 0], 1))
 
 
 @st.composite
@@ -400,7 +405,7 @@ class TestMaxRowShift:
         assert max_row_shift(res, 0, -1) == ("optimal", Q(1))
         assert (fb.val, fb.lo, fb.hi, fb.scale, fb.basis, fb.dens,
                 fb.rows) == kept
-        assert basis_holds(res, [Q(2)])
+        assert basis_holds(res, IntRhs.of([Q(2)], fb.edens))
 
     def test_refuses_a_row_or_sign_it_does_not_have(self):
         # x1 + x2 = 1 + sign * t over the unit box
@@ -808,7 +813,7 @@ def int_row_lp(rng):
     dens = [rng.randint(1, 12) for _ in range(m)]
     f = [dot(qvec(row), x) / den + Q(rng.choice((0, 0, 0, 1, -1)), 7)
          for row, den in zip(E, dens)]
-    return IntRowPolyhedron(E, dens, f, lo, hi)
+    return int_row_polyhedron(E, dens, f, lo, hi)
 
 
 class TestLPDigest:
@@ -843,7 +848,7 @@ class TestLPDigest:
                 for _ in range(3):
                     f = [fi + Q(rng.randint(-4, 4), rng.choice((1, 3) + BIG_DENS))
                          for fi in P.f]
-                    held = basis_holds(res, f)
+                    held = basis_holds(res, IntRhs.of(f, res.basis.edens))
                     seen["held" if held else "moved"] += 1
                     out.append(held)
             else:

@@ -9,16 +9,16 @@ from conftest import (gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, load, random_point, tableau_state)
 from pilsys import membership
-from pilsys.exact import (Feasible, IntRowPolyhedron, NoSolution, Polyhedron,
-                          dot, fm_eliminate, lin_solve, lp_feasible,
-                          lp_maximize)
+from pilsys.exact import (FarkasCertificate, Feasible, IntRowPolyhedron,
+                          NoSolution, Polyhedron, dot, fm_eliminate, lin_solve,
+                          lp_feasible, lp_maximize, scaled_box)
 from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
                                member_kernel, member_tolerable, member_united,
                                strict_kernel_member, strict_kernel_member_ae,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
-                          QuantifierAssignment, RhsParameter, TolerableSystem,
-                          residual_rows, residual_vectors)
+                          QuantifierAssignment, RhsParameter, SystemFormatError,
+                          TolerableSystem, residual_rows, residual_vectors)
 from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
                            member_first_class)
 
@@ -28,6 +28,12 @@ PINNED_CERTIFICATES = \
 PX_EQ_Q = {"m": 1, "n": 1, "parameters": [
     {"name": "p", "interval": ["0", "1"], "A": [["1"]], "quantifier": "forall"},
     {"name": "q", "interval": ["-1", "1"], "b": ["1"], "quantifier": "exists"}]}
+
+
+def lp_member(sys, quant, x):
+    """``member_ae`` on its vertex LPs alone, with no row test first: the
+    path whose LP counts and certificates the tests below pin."""
+    return membership._VertexLP(sys, quant, residual_rows(sys, x)).member()
 
 
 class TestMemberUnited:
@@ -225,10 +231,10 @@ class TestWarmStart:
         for sys, quant, x in _warm_start_cases(rng):
             with monkeypatch.context() as mp:
                 mp.setattr(membership, "basis_holds", spy)
-                warm = member_ae(sys, quant, x)
+                warm = lp_member(sys, quant, x)
             with monkeypatch.context() as mp:
                 mp.setattr(membership, "basis_holds", lambda res, f: False)
-                cold = member_ae(sys, quant, x)
+                cold = lp_member(sys, quant, x)
             assert repr(warm) == repr(cold)
             assert warm[0] == ae_vertex_oracle(sys, quant, x)
             seen[warm[0]] += 1
@@ -252,12 +258,12 @@ class TestWarmStart:
             return real(P)
 
         monkeypatch.setattr(membership, "lp_feasible", counting)
-        ok, cert = member_ae(sys, quant, [Q(0)])
+        ok, cert = lp_member(sys, quant, [Q(0)])
         assert ok and cert.witness_p == [Q(0), Q(0), Q(0)]
         assert calls == [[Q(0)]]  # q = -(p1 + p2) stays in [-3, 3]
         calls.clear()
         # x = -2: q = -2 - p1 - p2 leaves [-3, 3] only at the last vertex
-        ok, cert = member_ae(sys, quant, [Q(-2)])
+        ok, cert = lp_member(sys, quant, [Q(-2)])
         assert not ok and validate_certificate(sys, quant, [Q(-2)], cert)
         assert calls == [[Q(2)], [Q(4)]]
 
@@ -677,14 +683,14 @@ class TestLPShape:
             else:
                 sys, quant = gen_quantified(rng, 2, 3, n_forall=rng.randint(1, 2))
             seen.clear()
-            member_ae(sys, quant, random_point(rng, sys.n))
+            lp_member(sys, quant, random_point(rng, sys.n))
             box = [sys.params[k].interval for k in sorted(quant.exists_set)]
             assert seen
             for (P,) in seen:
                 assert P.C == [] and P.d == []
                 assert len(P.E) == len(P.f) == sys.m and P.dim == len(box)
-                assert P.lo == [iv.lo for iv in box]
-                assert P.hi == [iv.hi for iv in box]
+                assert P.box == scaled_box([iv.lo for iv in box],
+                                           [iv.hi for iv in box])
 
     def test_strict_kernel_lps(self, monkeypatch):
         """The strict kernel solves the kernel query's vertex LP over the
@@ -708,8 +714,8 @@ class TestLPShape:
             for (P,) in lps:
                 assert P.C == [] and len(P.E) == sys.m and P.dim == len(box)
                 assert P.E == kernel.E
-                assert P.lo == [iv.lo for iv in box]
-                assert P.hi == [iv.hi for iv in box]
+                assert P.box == scaled_box([iv.lo for iv in box],
+                                           [iv.hi for iv in box])
             # each axis resumes its own vertex's result, +e_i before -e_i
             assert shifts
             axes = [(e, sign) for e in range(sys.m) for sign in (1, -1)]
@@ -784,17 +790,18 @@ def test_certificates_pinned():
     for i in range(40):
         sys = gen_general(rng, 3, 3, K=rng.randint(1, 4))
         x = _solved_point(rng, sys) if rng.random() < 0.5 else None
-        calls.append(member_united(sys, x or random_point(rng, sys.n)))
+        calls.append(lp_member(sys, QuantifierAssignment.all_exists(sys.K),
+                               x or random_point(rng, sys.n)))
         if i % 2:  # an AE member by construction, found with a forall set
             tsys, x = gen_tolerable_nonempty(rng, 2, 2, K=2)
             sys, quant = tsys.combined()
         else:
             sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
             x = random_point(rng, sys.n, -1, 1)
-        calls.append(member_ae(sys, quant, x))
+        calls.append(lp_member(sys, quant, x))
         tsys, x0 = gen_tolerable_nonempty(rng, 2, 2, K=rng.randint(1, 2))
-        calls.append(member_tolerable(tsys, x0 if rng.random() < 0.5
-                                      else random_point(rng, 2, -2, 2)))
+        calls.append(lp_member(*tsys.combined(), x0 if rng.random() < 0.5
+                               else random_point(rng, 2, -2, 2)))
         sys = gen_wide_ordinary(rng, 2, 2) if i % 2 else gen_general(rng, 2, 2, K=3)
         calls.append(strict_kernel_member(sys, random_point(rng, sys.n, -2, 2)))
     assert 20 < sum(ok for ok, _ in calls) < len(calls) - 20
@@ -856,3 +863,133 @@ def test_vertex_lp_builds_fractions_only_for_its_results(monkeypatch):
         assert built[0] <= entries + extra, (trial, built[0], entries, extra)
         seen[ok] += 1
     assert seen[True] > 10 and seen[False] > 10, seen
+
+
+def _point_queries(rng, trials):
+    """(system, quantifiers, point, first class) for united, AE, tolerable
+    and first-class queries; some points are solved at a box point or are
+    a tolerable system's anchor, so members occur too."""
+    for trial in range(trials):
+        kind = trial % 4
+        if kind == 0:
+            sys = gen_general(rng, rng.randint(1, 3), rng.randint(1, 3))
+            quant = QuantifierAssignment.all_exists(sys.K)
+            x = (_solved_point(rng, sys) if trial % 8 == 0 else None) \
+                or random_point(rng, sys.n, -2, 2)
+        elif kind == 1:
+            sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
+            x = random_point(rng, sys.n, -1, 1)
+        elif kind == 2:
+            tsys, x = gen_tolerable_nonempty(rng, 2, 2, K=rng.randint(1, 2))
+            sys, quant = tsys.combined()
+            if trial % 8 == 6:
+                x = random_point(rng, sys.n, -2, 2)
+        else:
+            sys = gen_first_class(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                  K=rng.randint(1, 4))
+            forall = frozenset(k for k in range(sys.K) if rng.random() < 0.3)
+            quant = QuantifierAssignment(forall, frozenset(range(sys.K)) - forall)
+            x = (_solved_point(rng, sys) if trial % 8 == 3 else None) \
+                or random_point(rng, sys.n, -2, 2)
+        yield sys, quant, x, kind == 3
+
+
+class TestRowSeparator:
+    """A point query first tries each equation alone."""
+
+    def test_verdicts_are_those_of_the_vertex_lps(self):
+        rng = random.Random(2121)
+        seen = Counter()
+        for sys, quant, x, _ in _point_queries(rng, 240):
+            ok, cert = member_ae(sys, quant, x)
+            assert ok == lp_member(sys, quant, x)[0]
+            assert ok == ae_vertex_oracle(sys, quant, x)
+            sep = membership._row_separator(sys, quant, residual_rows(sys, x))
+            if sep is None:
+                seen["lp", ok] += 1
+                continue
+            seen["row"] += 1
+            assert not ok and cert.separator == sep
+            w = sep.w
+            assert sorted(map(abs, w)) == [0] * (sys.m - 1) + [1]
+            i = [abs(a) for a in w].index(1)
+            # the lowest equation that fails is the one returned
+            for e in range(i):
+                w_e = [Q(int(r == e)) for r in range(sys.m)]
+                for sign in (1, -1):
+                    assert not validate_certificate(
+                        sys, quant, x, membership.Certificate.separator(
+                            FarkasCertificate([sign * a for a in w_e], [], [])))
+            assert validate_certificate(sys, quant, x, cert)
+            # u and v split t_k = w.v^(k) over the existential k
+            v = residual_vectors(sys, x)
+            t = [dot(w, v[k + 1]) for k in sorted(quant.exists_set)]
+            assert sep.u == [max(-tk, 0) for tk in t]
+            assert sep.v == [max(tk, 0) for tk in t]
+        assert seen["row"] > 60 and seen["lp", True] > 30 and \
+            seen["lp", False] > 2, seen
+
+    def test_exact_on_first_class_systems(self):
+        # equations that share no parameter decouple: x is a member exactly
+        # when no equation fails alone
+        rng = random.Random(2222)
+        seen = Counter()
+        for sys, quant, x, first_class in _point_queries(rng, 600):
+            if not first_class:
+                continue
+            refuted = membership._row_separator(
+                sys, quant, residual_rows(sys, x)) is not None
+            assert refuted != lp_member(sys, quant, x)[0]
+            seen[refuted, bool(quant.forall_set)] += 1
+        assert min(seen.values()) > 10, seen
+
+    def test_a_refuted_point_solves_no_lp(self, monkeypatch):
+        """A row-refuted query builds Fractions only for w, u and v."""
+        built = [0]
+        active = False
+        new = Q.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += active
+            return new(cls, *args, **kwargs)
+
+        def no_lp(P):
+            raise AssertionError("a row-refuted query solved an LP")
+
+        rng = random.Random(2323)
+        refuted = 0
+        for sys, quant, x, _ in _point_queries(rng, 200):
+            if membership._row_separator(sys, quant,
+                                         residual_rows(sys, x)) is None:
+                continue
+            refuted += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(Q, "__new__", staticmethod(counting_new))
+                mp.setattr(membership, "lp_feasible", no_lp)
+                built[0] = 0
+                active = True
+                try:
+                    ok, cert = member_ae(sys, quant, x)
+                finally:
+                    active = False
+            # w is one zero and one +-1; each existential k puts at most
+            # one nonzero entry in u or v
+            assert not ok and built[0] <= 2 + len(cert.separator.u)
+        assert refuted > 50
+
+    def test_refusals_come_before_the_row_test(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the row test ran before a refusal")
+
+        monkeypatch.setattr(membership, "_row_separator", never)
+        # x = c_1 + ... + c_21 + a: 2^21 universal vertices, and x = 99
+        # fails its one equation alone
+        K = membership.MAX_FORALL + 2
+        sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [
+            Parameter(f"c{k}", Interval(Q(0), Q(1)), [[Q(0)]], [Q(1)])
+            for k in range(K)])
+        qa = QuantifierAssignment(frozenset(range(1, K)), frozenset({0}))
+        with pytest.raises(ValueError, match="universal parameters"):
+            member_ae(sys, qa, [Q(99)])
+        with pytest.raises(SystemFormatError, match="partition"):
+            member_ae(sys, QuantifierAssignment.all_exists(K - 1), [Q(99)])

@@ -131,13 +131,14 @@ class TestProbeRay:
 
         monkeypatch.setattr(membership, "lp_feasible", counting)
         # (0, 0) is no member of E1: no box point solves it, so the probe
-        # takes no witness from the caller and its alpha = 0 LP refuses the
-        # base point before any ray row is built, whatever the direction
+        # takes no witness from the caller, and its first equation x1 = 1,
+        # tried alone, refuses the base point before any LP or ray row is
+        # built, whatever the direction
         for y in ([Q(0), Q(1)], [Q(0), Q(0)]):
             lps.clear()
             with pytest.raises(ValueError, match="not a member"):
                 probe_ray(e1.system, None, [Q(0), Q(0)], y)
-            assert len(lps) == 1
+            assert len(lps) == 0
 
     def test_input_checks(self, e1):
         x0, y = [Q(1), Q(0)], [Q(0), Q(1)]
