@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Optional, Sequence, Union
 
 Q = Fraction
@@ -781,6 +781,11 @@ def check_infeasibility_certificate(P: Polyhedron, cert: Infeasible) -> bool:
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
 
+# The most candidate rows one FM projection may build, so that FM growth
+# fails instead of exhausting time and memory: 8 rows in 4 variables reach it
+FM_MAX_ROWS = 2 ** 18
+
+
 def _normalize_row(row: Vector, rhs: Q) -> tuple[tuple[Q, ...], Q]:
     lead = next((a for a in row if a != 0), None)
     if lead is None:
@@ -817,8 +822,8 @@ def _bounds_as_rows(P: Polyhedron) -> Polyhedron:
 
 
 def fm_eliminate(P: Polyhedron, var: int) -> Polyhedron:
-    """Project P onto the coordinates other than ``var`` (exact); the
-    result has no bounds, since P's bounds become rows first."""
+    """Project P onto the coordinates other than ``var`` (exact); P's
+    bounds become rows first.  Over FM_MAX_ROWS rows it raises ValueError."""
     if not 0 <= var < P.dim:
         raise ValueError(f"variable index {var} out of range for dim {P.dim}")
     P = _bounds_as_rows(P)
@@ -860,6 +865,8 @@ def fm_eliminate(P: Polyhedron, var: int) -> Polyhedron:
             neg.append((row, di))
         else:
             zero.append((row, di))
+    if len(zero) + len(pos) * len(neg) > FM_MAX_ROWS:
+        raise ValueError(f"Fourier-Motzkin projection exceeds {FM_MAX_ROWS} rows")
     C2 = [drop(row) for row, _ in zero]
     d2 = [di for _, di in zero]
     for prow, pd in pos:
@@ -894,10 +901,11 @@ class FarkasCertificate(_Record):
     __slots__ = _fields = ("w", "u", "v")
 
     def __init__(self, w: Vector, u: Vector, v: Vector):
-        if any(a < 0 for a in u) or any(a < 0 for a in v):
+        num = attrgetter("numerator")
+        if min(map(num, (*u, *v)), default=0) < 0:
             raise ValueError("box multipliers must be nonnegative")
-        if any(a and b for a, b in zip(u, v)):
+        if any(map(mul, map(num, u), map(num, v))):
             raise ValueError("u and v must be complementary")
-        if all(a == 0 for a in w):
+        if not any(map(num, w)):
             raise ValueError("separating vector must be nonzero")
         self.w, self.u, self.v = w, u, v

@@ -17,23 +17,23 @@ characterization inequality
 
 fails strictly; validate_certificate re-checks that violation exactly.
 
-A point query (``member_ae``) first tries each equation alone: with
-w = +-e_i the inequality needs no LP, only integer sums over the residual
-rows and the box scaled once, and the first equation that fails is the
-separator.  On a first-class system that test decides the query; what it
-leaves goes to the vertex LPs.  Kernel and strict kernel queries go to the
-vertex LPs directly.
+Every query builds one vertex LP (``_VertexLP``), which refuses bad
+quantifiers and scales the whole parameter box to integers once; every
+test reads those integers.  A point query (``member_ae``) first tries each
+equation alone: with w = +-e_i the inequality needs no LP, only integer
+sums, and the first equation that fails is the separator.  On a
+first-class system that test decides the query; what it leaves goes to the
+vertex LPs.  Kernel and strict kernel queries go to the vertex LPs directly.
 
 The vertex LPs are built from integer residual rows (``residual_rows``):
 equation i is the numerators of v^(0)_i, ..., v^(K)_i over one positive
 denominator, and that denominator goes with its row into the simplex
-tableau (``IntRowPolyhedron``).  The
-existential box is scaled to integers once per query and each vertex's
-right-hand side is integer numerators over the row denominators
-(``IntRhs``), so no residual, bound or right-hand side is built as a
-Fraction on the way; only returned points and certificates are.  A kernel
-query reads its rows as the same sums with the rhs column weighted 0
-(``kernel_rows``), with no homogenized copy of the system.
+tableau (``IntRowPolyhedron``).  Each vertex's right-hand side is one
+integer dot of its scaled ends with the rows (``IntRhs``), so no residual,
+bound or right-hand side is built as a Fraction on the way; only returned
+points and certificates are.  A kernel query reads its rows as the same
+sums with the rhs column weighted 0 (``kernel_rows``), with no homogenized
+copy of the system.
 
 An AE query asks one LP per universal vertex; a later vertex first re-checks
 the last feasible basis and is solved cold only when that fails (see
@@ -48,12 +48,14 @@ kernel query's first vertex LP.
 from __future__ import annotations
 
 from enum import Enum
-from operator import add, mul
+from itertools import product
+from math import gcd
+from operator import add, mul, sub
 from typing import Iterator, Optional, Sequence
 
 from .exact import (FarkasCertificate, Feasible, Infeasible, IntRhs,
                     IntRowPolyhedron, LPResult, Q, Vector, _Record,
-                    basis_holds, dot, lp_feasible, max_row_shift, scaled,
+                    basis_holds, dot, lp_feasible, max_row_shift,
                     scaled_box, vec_add, vec_scale, zeros)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
                     kernel_rows, residual_rows, residual_vectors)
@@ -107,53 +109,88 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
                              [-tk if tk.numerator < 0 else zero for tk in t])
 
 
-def _check_quantifiers(sys: ParametricSystem,
-                       quant: QuantifierAssignment) -> None:
-    """Refuse quantifiers that do not partition the parameters, and more
-    than MAX_FORALL universal ones, before any vertex is enumerated."""
-    quant.validate_for(sys.K)
-    if len(quant.forall_set) > MAX_FORALL:
-        raise ValueError(f"more than {MAX_FORALL} universal parameters")
-
-
 class _VertexLP:
-    """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``).
+    """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``),
+    the one reader of its query's box.  It refuses bad quantifiers and more
+    than MAX_FORALL universal parameters first, then scales the whole box
+    to integers once (``scaled_box``): lo_k and hi_k over one scale L.
 
     Each vertex of the universal box asks for p_E in box_E with
     sum_{k in E} p_k v^(k) = rhs: the box is the bounds, the m rows E are
     shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
-    changes.  Everything stays integers: row i over its residual
-    denominator dens[i], and the box scaled once (``scaled_box``), both as
-    the simplex takes them (``IntRowPolyhedron.from_ints``).  A vertex is
-    scaled to integers once, so each rhs entry is one integer dot, handed
-    on as an ``IntRhs`` over the row denominators, which ``basis_holds``
-    reads too.  Above MAX_FORALL universal parameters it refuses before any
-    LP.  The first vertex's cold LP is kept, so that ``strict`` after
-    ``member`` starts from the LP that ``member`` solved there.
+    changes.  Everything stays integers, as the simplex takes them
+    (``IntRowPolyhedron.from_ints``): row i over its denominator dens[i],
+    and the existential bounds read off the scaled box.  A vertex's ends
+    are integers over L, so each rhs entry is one integer dot, handed on as
+    an ``IntRhs`` over L, which ``basis_holds`` reads too.  The first
+    vertex's cold LP is kept, so that ``strict`` after ``member`` starts
+    from the LP that ``member`` solved there.
     """
 
     def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
                  rows: list[tuple[list[int], int]]):
-        _check_quantifiers(sys, quant)
-        self.sys = sys
+        quant.validate_for(sys.K)
+        if len(quant.forall_set) > MAX_FORALL:
+            raise ValueError(f"more than {MAX_FORALL} universal parameters")
+        self.sys, self.rows = sys, rows
         self.forall = sorted(quant.forall_set)
         self.exists = exists = sorted(quant.exists_set)
         self.E = [[nums[k + 1] for k in exists] for nums, _ in rows]
         self.dens = [den for _, den in rows]
-        box = [sys.params[k].interval for k in exists]
-        self.box = scaled_box([iv.lo for iv in box], [iv.hi for iv in box])
+        self.lo, self.hi, self.L = scaled_box(
+            [par.interval.lo for par in sys.params],
+            [par.interval.hi for par in sys.params])
+        # the existential bounds over the lcm of their own denominators,
+        # L / g, which is the scale scaled_box gives them alone
+        lo, hi = [self.lo[k] for k in exists], [self.hi[k] for k in exists]
+        g = gcd(self.L, *lo, *hi)
+        self.box = ([b // g for b in lo], [b // g for b in hi], self.L // g)
         self.cols = [[nums[k] for k in (0, *(k + 1 for k in self.forall))]
                      for nums, _ in rows]
         self.first: Optional[LPResult] = None
 
+    def refute(self) -> Optional[FarkasCertificate]:
+        """The first equation i that cannot hold alone, as the separator
+        w = sign(c_i) e_i (+1 when c_i = 0), or None when every one can.
+
+        With w = +-e_i the characterization inequality reads, for equation
+        i, |c_i| <= sum_{k existential} rad_k |v^(k)_i| - sum_{k universal}
+        rad_k |v^(k)_i|, c the residual at the box midpoint.  Row i is
+        v^(0)_i, ..., v^(K)_i over D_i, and 2 L mid_k = lo_k + hi_k and
+        2 L rad_k = hi_k - lo_k, so both sides times 2 L D_i are integer
+        dots.  u and v split t_k = w.v^(k) over the existential k as
+        ``_separator_from_farkas`` does; only they and w are Fractions.
+        """
+        mids = [2 * self.L, *map(add, self.lo, self.hi)]
+        # rad_k for an existential parameter, -rad_k for a universal one
+        rads = [0, *map(sub, self.hi, self.lo)]
+        for k in self.forall:
+            rads[k + 1] = -rads[k + 1]
+        for i, (nums, den) in enumerate(self.rows):
+            c = sum(map(mul, mids, nums))
+            if abs(c) <= sum(map(mul, rads, map(abs, nums))):
+                continue
+            sign = -1 if c < 0 else 1
+            zero = Q(0)
+            w = [zero] * self.sys.m
+            w[i] = Q(sign)
+            u, v = [], []
+            for k in self.exists:
+                t = sign * nums[k + 1]
+                u.append(Q(-t, den) if t < 0 else zero)
+                v.append(Q(t, den) if t > 0 else zero)
+            return FarkasCertificate(w, u, v)
+        return None
+
     def vertices(self) -> Iterator[tuple[Vector, IntRhs]]:
         """(universal vertex, rhs) in ``sys.vertices`` order; rhs_i is
         rhs.nums[i] / (rhs.den * dens[i])."""
-        for vertex in self.sys.vertices(self.forall):
-            pn, pd = scaled(vertex)
-            coef = [pd, *pn]
+        ends = [(l,) if l == h else (l, h)
+                for l, h in ((self.lo[k], self.hi[k]) for k in self.forall)]
+        for vertex, ints in zip(self.sys.vertices(self.forall), product(*ends)):
+            coef = [self.L, *ints]
             yield vertex, IntRhs([-sum(map(mul, coef, col)) for col in self.cols],
-                                 pd)
+                                 self.L)
 
     def solve(self, i: int, rhs: IntRhs) -> LPResult:
         """The cold LP at vertex i with right-hand side rhs."""
@@ -205,14 +242,6 @@ class _VertexLP:
         return True, best
 
 
-def _kernel_lp(sys: ParametricSystem, quant: QuantifierAssignment,
-               y: Sequence[Q]) -> _VertexLP:
-    """The vertex LP of the homogenized system at y: the rows that both the
-    kernel query and the strict kernel ask, built once from ``kernel_rows``,
-    with no homogenized copy of the system."""
-    return _VertexLP(sys, quant, kernel_rows(sys, y))
-
-
 def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:
     """v^(0) + sum_k mid(p_k) v^(k): the residual at the box midpoint."""
     mid = residuals[0]
@@ -231,54 +260,16 @@ def member_kernel(sys: ParametricSystem, y: Sequence[Q]) -> tuple[bool, Certific
     return member_ae_kernel(sys, QuantifierAssignment.all_exists(sys.K), y)
 
 
-def _row_separator(sys: ParametricSystem, quant: QuantifierAssignment,
-                   rows: list[tuple[list[int], int]]
-                   ) -> Optional[FarkasCertificate]:
-    """The first equation i that cannot hold alone, as the separator
-    w = sign(c_i) e_i (+1 when c_i = 0), or None when every one can.
-
-    With w = +-e_i the characterization inequality reads, for equation i,
-    |c_i| <= sum_{k existential} rad_k |v^(k)_i| - sum_{k universal}
-    rad_k |v^(k)_i|, c the residual at the box midpoint.  Row i of
-    ``residual_rows`` is v^(0)_i, ..., v^(K)_i over D_i, and the box is
-    scaled once (``scaled_box``), so 2 L mid_k = lo_k + hi_k and
-    2 L rad_k = hi_k - lo_k; both sides times 2 L D_i are integer dots.
-    u and v split t_k = w.v^(k) over the existential k as
-    ``_separator_from_farkas`` does; only they and w are Fractions.
-    """
-    lo, hi, L = scaled_box([par.interval.lo for par in sys.params],
-                           [par.interval.hi for par in sys.params])
-    exists = quant.exists_set
-    mids = [2 * L, *map(add, lo, hi)]
-    # rad_k for an existential parameter, -rad_k for a universal one
-    rads = [0, *(h - l if k in exists else l - h
-                 for k, (l, h) in enumerate(zip(lo, hi)))]
-    for i, (nums, den) in enumerate(rows):
-        c = sum(map(mul, mids, nums))
-        if abs(c) <= sum(map(mul, rads, map(abs, nums))):
-            continue
-        sign = -1 if c < 0 else 1
-        zero = Q(0)
-        w = [zero] * sys.m
-        w[i] = Q(sign)
-        u, v = [], []
-        for k in sorted(exists):
-            t = sign * nums[k + 1]
-            u.append(Q(-t, den) if t < 0 else zero)
-            v.append(Q(t, den) if t > 0 else zero)
-        return FarkasCertificate(w, u, v)
-    return None
-
-
 def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
               x: Sequence[Q]) -> tuple[bool, Certificate]:
     """Is x in the AE solution set for the given quantifier assignment?
 
-    Each equation is tried alone first (``_row_separator``): an equation
-    whose residual at the box midpoint exceeds its existential spread less
-    its universal one cannot hold, and refutes x with w = +-e_i and no LP.
-    On a first-class system, whose equations share no parameter, that test
-    is exact; otherwise the vertex LPs decide what it leaves.
+    One vertex LP reads the box (``_VertexLP``), and each equation is
+    tried alone first (``_VertexLP.refute``): an equation whose residual at
+    the box midpoint exceeds its existential spread less its universal one
+    cannot hold, and refutes x with w = +-e_i and no LP.  On a first-class
+    system, whose equations share no parameter, that test is exact;
+    otherwise the vertex LPs decide what it leaves.
 
     The admissible universal parameters form a convex set (projection of a
     polyhedron), so containment of the whole universal box is decided at its
@@ -292,18 +283,17 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     separator.  So a verdict the row test leaves, and its certificate, are
     those of one cold LP per vertex.
     """
-    rows = residual_rows(sys, x)
-    _check_quantifiers(sys, quant)
-    sep = _row_separator(sys, quant, rows)
+    lp = _VertexLP(sys, quant, residual_rows(sys, x))
+    sep = lp.refute()
     if sep is not None:
         return False, Certificate.separator(sep)
-    return _VertexLP(sys, quant, rows).member()
+    return lp.member()
 
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
                      y: Sequence[Q]) -> tuple[bool, Certificate]:
     """AE membership of the homogenized system."""
-    return _kernel_lp(sys, quant, y).member()
+    return _VertexLP(sys, quant, kernel_rows(sys, y)).member()
 
 
 def member_tolerable(tsys: TolerableSystem,
@@ -336,7 +326,7 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     """
     if len(y) != sys.n:
         raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
-    return _kernel_lp(sys, quant, y).strict()
+    return _VertexLP(sys, quant, kernel_rows(sys, y)).strict()
 
 
 def validate_certificate(sys: ParametricSystem,

@@ -21,6 +21,7 @@ from .model import (FIRST_CLASS, ORDINARY, ParametricSystem,
                     interval_data, residual_vectors)
 
 _FM_CAP = 12
+_CLOUD_CAP = 3 ** 8  # grid points solution_cloud tries: all of K = 8 at 3
 
 
 def _p_polyhedron(sys: ParametricSystem, residuals: list[Vector],
@@ -131,14 +132,14 @@ def solution_cloud(sys: ParametricSystem,
 
     Parameter values where the system is singular or inconsistent are skipped.
     Deterministic, and lazy: a caller that takes the first few points solves
-    only the grid points up to them, not all grid_per_param^K.
+    only the grid points up to them, and never more than _CLOUD_CAP.
     """
     if grid_per_param < 2:
         raise ValueError("grid_per_param must be at least 2")
     seen = set()
     axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)
             for iv in sys.box]
-    for p in itertools.product(*axes):
+    for p in itertools.islice(itertools.product(*axes), _CLOUD_CAP):
         res = lin_solve(*sys.int_system_at(p))
         if isinstance(res, UniqueSolution):
             key = tuple(res.point)

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from math import gcd, prod
+from math import prod
 from typing import Iterator, Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
-                    lin_solve, vec_add, vec_scale, zeros)
-from .membership import (_kernel_lp, _VertexLP, member_ae,
+                    lin_solve, vec_scale, zeros)
+from .membership import (_VertexLP, member_ae,
                          member_kernel)  # noqa: F401 -- re-exported
 from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
-                    QuantifierAssignment, classify, residual_rows)
+                    QuantifierAssignment, classify, kernel_rows, residual_rows)
 
 
 # The probing fallback of decide_unbounded tests alpha up to 2^PROBE_DOUBLINGS.
@@ -160,32 +160,28 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     x0, y = list(x0), list(y)
     if not member_ae(sys, quant, x0)[0]:
         raise ValueError("probe base point is not a member")
-    return _walk_ray(sys, quant, x0, y, max_doublings)
+    return _walk_ray(sys, quant, x0, y, kernel_rows(sys, y), max_doublings)
 
 
 def _walk_ray(sys: ParametricSystem, quant: QuantifierAssignment,
-              x0: Vector, y: Vector, max_doublings: int) -> ProbeReport:
-    """The probe from a base point x0 that is a member: alpha = 0 is
-    reported as tested and not asked.
+              x0: Vector, y: Vector, ky: list[tuple[list[int], int]],
+              max_doublings: int) -> ProbeReport:
+    """The probe from a base point x0 that is a member, along y with kernel
+    rows ky (``kernel_rows``): alpha = 0 is reported as tested and not asked.
 
     The residuals are affine in the point, so the rows at x0 + alpha*y are
-    (1 - alpha) r0 + alpha r1, with r0 and r1 the integer residual rows at
-    x0 and at x0 + y (``residual_rows``): they are computed once per ray,
-    and each alpha's vertex LP is built from their integer combination.
-    Once alpha = 1 holds, one vertex LP over r0 stacked on r1 asks for a
+    r0 + alpha ky, with r0 the integer residual rows at x0
+    (``residual_rows``): one call per ray, and each alpha's vertex LP is
+    built from their integer combination.  Once alpha = 1 holds, one vertex
+    LP over the rows at alpha = 0 stacked on those at alpha = 1 asks for a
     common witness, a p in the box (one per universal vertex) with
     A(p) x0 = b(p) and A(p) y = 0.  That p solves every combination, so if
     it exists every alpha is a member and no other LP is asked.
     """
     # row i at alpha is (u + alpha*w) / den, with u / den = r0_i and
-    # (u + w) / den = r1_i over the lcm den of their denominators
-    rays = []
-    for (n0, d0), (n1, d1) in zip(residual_rows(sys, x0),
-                                  residual_rows(sys, vec_add(x0, y))):
-        g = gcd(d0, d1)
-        s0, s1 = d1 // g, d0 // g
-        u = [a * s0 for a in n0]
-        rays.append((u, [b * s1 - a for a, b in zip(u, n1)], d0 * s0))
+    # w / den = ky_i over the product den of their denominators
+    rays = [([a * dk for a in n0], [b * d0 for b in nk], d0 * dk)
+            for (n0, d0), (nk, dk) in zip(residual_rows(sys, x0), ky)]
 
     def holds(*alphas: int) -> bool:
         """Do the rows at every alpha given, stacked, have a solution?"""
@@ -221,8 +217,8 @@ def decide_unbounded(sys: ParametricSystem,
         quant = QuantifierAssignment.all_exists(sys.K)
 
     # (i) kernel membership is necessary; its vertex LP, built once, serves
-    # the strict kernel of (iii) too
-    kernel = _kernel_lp(sys, quant, y)
+    # the strict kernel of (iii) too, and its rows every ray walk of (v)
+    kernel = _VertexLP(sys, quant, kernel_rows(sys, y))
     in_kernel, cert = kernel.member()
     if not in_kernel:
         return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM2, cert,
@@ -281,7 +277,7 @@ def decide_unbounded(sys: ParametricSystem,
     # before it have all exited, and is a member already
     reports = []
     for x0 in _base_points(sys, quant, budget, seed):
-        rep = _walk_ray(sys, quant, x0, y, PROBE_DOUBLINGS)
+        rep = _walk_ray(sys, quant, x0, y, kernel.rows, PROBE_DOUBLINGS)
         reports.append(rep)
         if rep.exhausted:
             return UnboundedVerdict(

@@ -382,6 +382,55 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "--samples", "0")
         assert code == 0 and out == "verify: 0 points, 0 disagreements\n"
 
+    def test_fm_growth_ends_in_an_error(self, capsys, tmp_path):
+        # a dense 2x2 system with K = 8: the FM oracle's last projection
+        # would pair millions of rows, far over its budget
+        rng = random.Random(1)
+
+        def mat():
+            return [[str(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+
+        def vec():
+            return [str(rng.randint(-3, 3)) for _ in range(2)]
+
+        doc = {"m": 2, "n": 2, "constant": {"A": mat(), "b": vec()},
+               "parameters": [{"interval": ["0", "1"], "A": mat(), "b": vec()}
+                              for _ in range(8)]}
+        path = tmp_path / "dense8.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), "--samples", "2")
+        assert code == 1 and out == ""
+        assert err == "error: Fourier-Motzkin projection exceeds 262144 rows\n"
+
+    def test_cloud_tries_a_bounded_number_of_grid_points(self, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # A(p) has two equal rows at every p, so no grid point of the 3^12
+        # gives a solution; the cloud gives up after oracle._CLOUD_CAP of
+        # them, and the points are the seeded random ones they always were
+        doc = {"m": 2, "n": 2,
+               "constant": {"A": [["1", "2"], ["1", "2"]], "b": ["1", "2"]},
+               "parameters": [{"interval": ["0", "1"],
+                               "A": [["1", "0"], ["1", "0"]],
+                               "b": ["1", "0"]}] * 12}
+        path = tmp_path / "singular12.json"
+        path.write_text(json.dumps(doc))
+        solves = []
+        real = oracle.lin_solve
+
+        def counting(A, b):
+            solves.append(1)
+            return real(A, b)
+
+        monkeypatch.setattr(oracle, "lin_solve", counting)
+        code, out, _ = run(capsys, "verify", str(path), "--samples", "3")
+        assert code == 0 and out == (
+            "point 0,-3: member_united = False, all oracles agree\n"
+            "point 1,0: member_united = True, all oracles agree\n"
+            "point 1/2,3: member_united = False, all oracles agree\n"
+            "verify: 3 points, 0 disagreements\n")
+        assert len(solves) == oracle._CLOUD_CAP < 3 ** 12
+
     def test_cloud_stops_at_the_sample_count(self, capsys, tmp_path,
                                              monkeypatch):
         # x = p1 + ... + p9: its whole cloud is 3^9 grid points
@@ -414,14 +463,14 @@ class TestVerify:
         path.write_text(model.serialize_system(
             model.ParsedSystem(sys, quant, True)))
         refuted = Counter()
-        real = membership._row_separator
+        real = membership._VertexLP.refute
 
-        def spy(*args):
-            sep = real(*args)
+        def spy(lp):
+            sep = real(lp)
             refuted[sep is not None] += 1
             return sep
 
-        monkeypatch.setattr(membership, "_row_separator", spy)
+        monkeypatch.setattr(membership._VertexLP, "refute", spy)
         code, out, _ = run(capsys, "verify", str(path), "--samples", "12",
                            "--seed", "3")
         assert code == 0 and out.endswith("verify: 12 points, 0 disagreements\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (gen_quantified, int_row_polyhedron, random_point,
                       tableau_state)
+from pilsys import exact
 from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, IntRhs,
                           IntRowPolyhedron, NoSolution, Polyhedron,
                           UniqueSolution, _BoundedSimplex, basis_holds,
@@ -254,6 +255,22 @@ class TestFourierMotzkin:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             fm_eliminate(poly([[1]], [0]), 1)
+
+    def test_growth_over_the_budget_is_refused(self, monkeypatch):
+        # k x0 + x1 <= 0 and k x0 - x1 <= 0: eliminating x1 pairs every
+        # row of one sign with every row of the other
+        def pairs(count):
+            return poly([[k, 1] for k in range(count)] +
+                        [[k, -1] for k in range(count)], [0] * (2 * count))
+
+        with pytest.raises(ValueError, match="exceeds 262144 rows"):
+            fm_eliminate(pairs(513), 1)  # 513^2 candidate rows
+        monkeypatch.setattr(exact, "FM_MAX_ROWS", 9)
+        assert fm_eliminate(pairs(3), 1).dim == 1
+        with pytest.raises(ValueError, match="exceeds 9 rows"):
+            fm_eliminate(pairs(4), 1)
+        with pytest.raises(ValueError, match="exceeds 9 rows"):
+            fm_feasible(pairs(4))
 
     def test_agrees_with_simplex_on_random_polyhedra(self):
         rng = random.Random(7)

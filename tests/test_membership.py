@@ -18,7 +18,8 @@ from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, SystemFormatError,
-                          TolerableSystem, residual_rows, residual_vectors)
+                          TolerableSystem, kernel_rows, residual_rows,
+                          residual_vectors)
 from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
                            member_first_class)
 
@@ -411,7 +412,7 @@ def _thin_forall(sys, quant):
 def _artificial_stays_basic(sys, quant, y):
     """Whether the kernel LP at the first universal vertex is feasible and
     ends phase 1 with an artificial (at 0) in its basis."""
-    lp = membership._kernel_lp(sys, quant, y)
+    lp = membership._VertexLP(sys, quant, kernel_rows(sys, y))
     _, rhs = next(lp.vertices())
     res = lp.solve(0, rhs)
     return isinstance(res, Feasible) and \
@@ -748,7 +749,7 @@ def test_integer_row_lps_match_the_rational_reference():
             x = _solved_point(rng, sys) or x
         if kind == 2:
             sys = sys.homogenized()
-            lp = membership._kernel_lp(sys, quant, x)
+            lp = membership._VertexLP(sys, quant, kernel_rows(sys, x))
         else:
             lp = membership._VertexLP(sys, quant, residual_rows(sys, x))
         v = residual_vectors(sys, x)
@@ -894,6 +895,27 @@ def _point_queries(rng, trials):
         yield sys, quant, x, kind == 3
 
 
+def test_one_box_scaling_per_query(monkeypatch):
+    """One vertex LP reads a query's box: the row test, the existential
+    bounds and every universal vertex come from one ``scaled_box`` call."""
+    calls = []
+    real = membership.scaled_box
+
+    def spy(lo, hi):
+        calls.append(len(lo))
+        return real(lo, hi)
+
+    monkeypatch.setattr(membership, "scaled_box", spy)
+    rng = random.Random(2424)
+    solved = 0
+    for sys, quant, x, _ in _point_queries(rng, 120):
+        calls.clear()
+        ok, _ = member_ae(sys, quant, x)
+        assert calls == [sys.K]
+        solved += ok
+    assert solved > 10
+
+
 class TestRowSeparator:
     """A point query first tries each equation alone."""
 
@@ -904,7 +926,7 @@ class TestRowSeparator:
             ok, cert = member_ae(sys, quant, x)
             assert ok == lp_member(sys, quant, x)[0]
             assert ok == ae_vertex_oracle(sys, quant, x)
-            sep = membership._row_separator(sys, quant, residual_rows(sys, x))
+            sep = membership._VertexLP(sys, quant, residual_rows(sys, x)).refute()
             if sep is None:
                 seen["lp", ok] += 1
                 continue
@@ -937,8 +959,8 @@ class TestRowSeparator:
         for sys, quant, x, first_class in _point_queries(rng, 600):
             if not first_class:
                 continue
-            refuted = membership._row_separator(
-                sys, quant, residual_rows(sys, x)) is not None
+            refuted = membership._VertexLP(
+                sys, quant, residual_rows(sys, x)).refute() is not None
             assert refuted != lp_member(sys, quant, x)[0]
             seen[refuted, bool(quant.forall_set)] += 1
         assert min(seen.values()) > 10, seen
@@ -959,8 +981,8 @@ class TestRowSeparator:
         rng = random.Random(2323)
         refuted = 0
         for sys, quant, x, _ in _point_queries(rng, 200):
-            if membership._row_separator(sys, quant,
-                                         residual_rows(sys, x)) is None:
+            if membership._VertexLP(sys, quant,
+                                    residual_rows(sys, x)).refute() is None:
                 continue
             refuted += 1
             with monkeypatch.context() as mp:
@@ -981,7 +1003,7 @@ class TestRowSeparator:
         def never(*args):
             raise AssertionError("the row test ran before a refusal")
 
-        monkeypatch.setattr(membership, "_row_separator", never)
+        monkeypatch.setattr(membership._VertexLP, "refute", never)
         # x = c_1 + ... + c_21 + a: 2^21 universal vertices, and x = 99
         # fails its one equation alone
         K = membership.MAX_FORALL + 2

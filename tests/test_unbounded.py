@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -352,6 +353,40 @@ class TestCascadeWalk:
                 assert len(lps) == 1 and lps[0] >= 1
                 probed += 1
         assert probed >= 5, probed
+
+    def test_walk_reads_the_kernel_rows_of_the_cascade(self, monkeypatch, e1):
+        """The rows at x0 + alpha*y are r0 + alpha*(A^(k) y): a walked base
+        point costs one ``residual_rows`` call, and the kernel rows of y
+        are built once per decision, for the kernel stage and every walk."""
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        spy(unbounded, "_walk_ray")
+        spy(unbounded, "residual_rows")
+        spy(unbounded, "kernel_rows")
+        spy(membership, "kernel_rows")
+        cases = [(e1.system, None, [Q(0), Q(-1)])] + [
+            (sys, quant, y) for sys, quant, y in self.cases(79, 20)
+            if y is not None and any(y)]
+        walked = 0
+        for sys, quant, y in cases:
+            calls.clear()
+            v = decide_unbounded(sys, quant, y)
+            if v.rule is not Rule.PROBE:
+                continue
+            # an exhausted walk's report drops the exited ones before it
+            assert calls["_walk_ray"] >= len(probe_reports(v))
+            assert calls["residual_rows"] == calls["_walk_ray"]
+            assert calls["kernel_rows"] == 1
+            walked += calls["_walk_ray"]
+        assert walked >= 10, walked
 
     def test_reports_match_cold_membership(self):
         kinds = {}
