@@ -283,23 +283,20 @@ class IntRowPolyhedron(_Record):
     integers E[i] over the positive integer dens[i], and no inequality rows.
 
     This is the form a simplex tableau starts from: the right-hand sides
-    are kept as an ``IntRhs`` and the bounds as integers over one scale
-    (``scaled_box``), so a caller that computes its rows, right-hand sides
-    and box as integers hands them to ``lp_feasible`` with no Fraction in
-    between (``IntRowPolyhedron.from_ints``); the result is the one
-    ``lp_feasible`` gives for the ``Polyhedron`` with rows E[i] / dens[i].
-    Only the LP routines take it, and ``f`` is its one Fraction view.  The
-    shapes and bounds are checked as a ``Polyhedron`` checks them, the
-    bounds on the scaled integers.
+    rhs are an ``IntRhs`` over the rows E / dens, and the box is the bounds
+    as integers over one scale, as ``scaled_box`` returns them.  So a
+    caller that computes its rows, right-hand sides and box as integers
+    hands them to ``lp_feasible`` with no Fraction in between; the result
+    is the one ``lp_feasible`` gives for the ``Polyhedron`` with rows
+    E[i] / dens[i].  Only the LP routines take it, and ``f`` is its one
+    Fraction view.  The shapes and bounds are checked as a ``Polyhedron``
+    checks them, the bounds on the scaled integers.
     """
 
     __slots__ = _fields = ("E", "dens", "rhs", "box")
 
-    @classmethod
-    def from_ints(cls, E: list[list[int]], dens: list[int], rhs: IntRhs,
-                  box: IntBox) -> "IntRowPolyhedron":
-        """The polyhedron from its integer form: rhs over the rows E / dens,
-        and a box as ``scaled_box`` returns it."""
+    def __init__(self, E: list[list[int]], dens: list[int], rhs: IntRhs,
+                 box: IntBox):
         lo, hi, _ = box
         if not len(E) == len(dens) == len(rhs.nums):
             raise ValueError("row counts do not match right-hand sides")
@@ -312,9 +309,7 @@ class IntRowPolyhedron(_Record):
         if any(l is not None and h is not None and l > h
                for l, h in zip(lo, hi)):
             raise ValueError("a lower bound exceeds its upper bound")
-        P = object.__new__(cls)
-        P.E, P.dens, P.rhs, P.box = E, dens, rhs, box
-        return P
+        self.E, self.dens, self.rhs, self.box = E, dens, rhs, box
 
     @property
     def f(self) -> Vector:
@@ -439,7 +434,6 @@ class _BoundedSimplex:
 
     def __init__(self, P: Union[Polyhedron, IntRowPolyhedron]):
         n = self.n = P.dim
-        self.P = P
         if isinstance(P, IntRowPolyhedron):
             C, cdens, crhs = [], [], IntRhs([], 1)
             E, self.edens, self.erhs = P.E, P.dens, P.rhs
@@ -661,8 +655,8 @@ def lp_feasible(P: Union[Polyhedron, IntRowPolyhedron]) -> LPResult:
 def basis_holds(res: Feasible, f: IntRhs) -> bool:
     """Re-check, with no pivot, the final basis of the LP that gave ``res``
     when the right-hand side of its equality rows becomes f, an ``IntRhs``
-    over the LP's own row denominators (``edens``), as a vertex LP of
-    ``IntRowPolyhedron.from_ints`` gives it.
+    over the LP's own row denominators (``edens``), as an
+    ``IntRowPolyhedron`` gives it.
 
     The nonbasic variables keep their values and the basic ones move by
     B^-1 S (f - f0), where f0 is the old right-hand side and S holds the

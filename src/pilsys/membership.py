@@ -35,30 +35,32 @@ points and certificates are.  A kernel query reads its rows as the same
 sums with the rhs column weighted 0 (``kernel_rows``), with no homogenized
 copy of the system.
 
-An AE query asks one LP per universal vertex; a later vertex first re-checks
-the last feasible basis and is solved cold only when that fails (see
-member_ae), so every certificate is that of a cold LP.  The strict kernel
-test asks the same vertex LP over the existential box once per vertex and
-maximizes each axis reach eps on a copy of its final tableau, with one
-equation relaxed by eps (see strict_kernel_member_ae); ``decide_unbounded``
-builds the homogenized vertex LP once and starts the strict kernel from the
-kernel query's first vertex LP.
+An AE query asks one LP per universal vertex, in ``box_vertices`` order
+over the scaled ends; a later vertex first re-checks the last feasible
+basis and is solved cold only when that fails (see member_ae), so every
+certificate is that of a cold LP.  A witness takes its universal entries
+from the first vertex, the lower ends, and its existential ones from that
+vertex's LP point.  The strict kernel test asks the same vertex LP over
+the existential box once per vertex and maximizes each axis reach eps on a
+copy of its final tableau, with one equation relaxed by eps (see
+strict_kernel_member_ae); ``decide_unbounded`` builds the homogenized
+vertex LP once and starts the strict kernel from the kernel query's first
+vertex LP.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
 from math import gcd
 from operator import add, mul, sub
 from typing import Iterator, Optional, Sequence
 
-from .exact import (FarkasCertificate, Feasible, Infeasible, IntRhs,
-                    IntRowPolyhedron, LPResult, Q, Vector, _Record,
-                    basis_holds, dot, lp_feasible, max_row_shift,
-                    scaled_box, vec_add, vec_scale, zeros)
+from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
+                    LPResult, Q, Vector, _Record, basis_holds, dot,
+                    lp_feasible, max_row_shift, scaled_box, vec_add,
+                    vec_scale)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
-                    kernel_rows, residual_rows, residual_vectors)
+                    box_vertices, kernel_rows, residual_rows, residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -118,13 +120,15 @@ class _VertexLP:
     Each vertex of the universal box asks for p_E in box_E with
     sum_{k in E} p_k v^(k) = rhs: the box is the bounds, the m rows E are
     shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
-    changes.  Everything stays integers, as the simplex takes them
-    (``IntRowPolyhedron.from_ints``): row i over its denominator dens[i],
-    and the existential bounds read off the scaled box.  A vertex's ends
-    are integers over L, so each rhs entry is one integer dot, handed on as
-    an ``IntRhs`` over L, which ``basis_holds`` reads too.  The first
-    vertex's cold LP is kept, so that ``strict`` after ``member`` starts
-    from the LP that ``member`` solved there.
+    changes.  Everything stays integers, as an ``IntRowPolyhedron`` takes
+    them: row i over its denominator dens[i], and the existential bounds
+    read off the scaled box.  The universal vertices are ``box_vertices``
+    of the scaled ends, integers over L, so each rhs entry is one integer
+    dot, handed on as an ``IntRhs`` over L, which ``basis_holds`` reads
+    too; no vertex is built as Fractions.  The first vertex is the lower
+    ends, which is all a witness reads of it.  Its cold LP is kept, so that
+    ``strict`` after ``member`` starts from the LP that ``member`` solved
+    there.
     """
 
     def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
@@ -182,45 +186,37 @@ class _VertexLP:
             return FarkasCertificate(w, u, v)
         return None
 
-    def vertices(self) -> Iterator[tuple[Vector, IntRhs]]:
-        """(universal vertex, rhs) in ``sys.vertices`` order; rhs_i is
-        rhs.nums[i] / (rhs.den * dens[i])."""
-        ends = [(l,) if l == h else (l, h)
-                for l, h in ((self.lo[k], self.hi[k]) for k in self.forall)]
-        for vertex, ints in zip(self.sys.vertices(self.forall), product(*ends)):
+    def vertices(self) -> Iterator[IntRhs]:
+        """The rhs at each universal vertex, in ``box_vertices`` order over
+        the scaled ends; rhs_i is rhs.nums[i] / (rhs.den * dens[i])."""
+        for ints in box_vertices([(self.lo[k], self.hi[k]) for k in self.forall]):
             coef = [self.L, *ints]
-            yield vertex, IntRhs([-sum(map(mul, coef, col)) for col in self.cols],
-                                 self.L)
+            yield IntRhs([-sum(map(mul, coef, col)) for col in self.cols],
+                         self.L)
 
-    def solve(self, i: int, rhs: IntRhs) -> LPResult:
-        """The cold LP at vertex i with right-hand side rhs."""
-        if i == 0 and self.first is not None:
-            return self.first
-        res = lp_feasible(IntRowPolyhedron.from_ints(self.E, self.dens, rhs,
-                                                  self.box))
-        if i == 0:
-            self.first = res
-        return res
+    def _first(self, rhs: IntRhs) -> LPResult:
+        """The cold LP at the first vertex, whose rhs is rhs: solved once
+        and kept, so that ``strict`` after ``member`` starts from it."""
+        if self.first is None:
+            self.first = self._lp(rhs)
+        return self.first
+
+    def _lp(self, rhs: IntRhs) -> LPResult:
+        """The cold LP at a vertex with right-hand side rhs."""
+        return lp_feasible(IntRowPolyhedron(self.E, self.dens, rhs, self.box))
 
     def member(self) -> tuple[bool, Certificate]:
         """Is the rhs reached at every vertex?  See ``member_ae``."""
-        witness: Optional[Vector] = None
-        last: Optional[Feasible] = None
-        for i, (vertex, rhs) in enumerate(self.vertices()):
-            if last is not None and basis_holds(last, rhs):
+        for i, rhs in enumerate(self.vertices()):
+            if i and basis_holds(res, rhs):
                 continue
-            res = self.solve(i, rhs)
+            res = self._lp(rhs) if i else self._first(rhs)
             if isinstance(res, Infeasible):
                 return False, Certificate.separator(_separator_from_farkas(res))
-            last = res
-            if witness is None:
-                p_full = zeros(self.sys.K)
-                for k, pk in zip(self.forall, vertex):
-                    p_full[k] = pk
-                for k, pk in zip(self.exists, res.point):
-                    p_full[k] = pk
-                witness = p_full
-        assert witness is not None
+        # the first vertex is the lower ends of the universal parameters
+        witness = [par.interval.lo for par in self.sys.params]
+        for k, pk in zip(self.exists, self.first.point):
+            witness[k] = pk
         return True, Certificate.witness(witness)
 
     def strict(self) -> tuple[bool, Q]:
@@ -229,8 +225,8 @@ class _VertexLP:
         if not self.E:  # m == 0: no axis
             return True, Q(1)
         best: Optional[Q] = None
-        for i, (_, rhs) in enumerate(self.vertices()):
-            res = self.solve(i, rhs)
+        for i, rhs in enumerate(self.vertices()):
+            res = self._lp(rhs) if i else self._first(rhs)
             for e in range(len(self.E)):
                 for sign in (1, -1):
                     status, val = max_row_shift(res, e, sign)
@@ -324,8 +320,6 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     column -+e_i.  The minimum of the maxima is returned; it is positive
     exactly when 0 is interior.
     """
-    if len(y) != sys.n:
-        raise ValueError(f"direction has length {len(y)}, expected {sys.n}")
     return _VertexLP(sys, quant, kernel_rows(sys, y)).strict()
 
 

@@ -29,6 +29,14 @@ class SystemFormatError(ValueError):
     """Raised for malformed system documents, with a location hint."""
 
 
+def box_vertices(ends: Sequence[tuple]) -> Iterator[tuple]:
+    """The vertices of the box with the given (lo, hi) ends: lexicographic
+    order, lo before hi; a pair with lo = hi gives one end, and no pairs
+    give one empty vertex."""
+    return itertools.product(*[(lo,) if lo == hi else (lo, hi)
+                               for lo, hi in ends])
+
+
 class Interval(_Record):
     __slots__ = _fields = ("lo", "hi")
 
@@ -129,14 +137,10 @@ class ParametricSystem(_Record):
         return [par.interval.mid for par in self.params]
 
     def vertices(self, indices: Sequence[int]) -> Iterator[Vector]:
-        """Vertices of the sub-box over the given parameter indices.
-
-        Lexicographic order, lo before hi; a thin interval gives one end, and
-        no indices give one empty vertex.
-        """
-        ends = [[iv.lo] if iv.is_thin() else [iv.lo, iv.hi]
-                for iv in (self.params[k].interval for k in indices)]
-        return (list(v) for v in itertools.product(*ends))
+        """Vertices of the sub-box over the given parameter indices, in
+        ``box_vertices`` order."""
+        return (list(v) for v in box_vertices(
+            [(iv.lo, iv.hi) for iv in (self.params[k].interval for k in indices)]))
 
     def homogenized(self) -> "ParametricSystem":
         """Same matrix family with every right-hand side zeroed."""
@@ -310,14 +314,16 @@ def kernel_rows(sys: ParametricSystem,
                 y: Sequence[Q]) -> list[tuple[list[int], int]]:
     """``residual_rows`` of the homogenized system at y, the entries
     A^(k)_i y: the same sums with the rhs column weighted 0, so no copy of
-    the system is made."""
+    the system is made.  A y of the wrong length is a ValueError that
+    names it a direction."""
     return _rows_at(sys, y, 0)
 
 
 def _rows_at(sys: ParametricSystem, x: Sequence[Q],
              rhs_sign: int) -> list[tuple[list[int], int]]:
     if len(x) != sys.n:
-        raise ValueError(f"point has length {len(x)}, expected {sys.n}")
+        what = "point" if rhs_sign else "direction"
+        raise ValueError(f"{what} has length {len(x)}, expected {sys.n}")
     xn, xd = scaled(x)
     xn.append(rhs_sign * xd)
     mats = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]

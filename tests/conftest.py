@@ -57,17 +57,18 @@ def int_row_polyhedron(E, dens, f, lo, hi):
     """An ``IntRowPolyhedron`` from rational right-hand sides f and bounds
     lo, hi: f over the row denominators (``IntRhs.of``) and the box scaled
     once (``scaled_box``), as a membership vertex LP gives them."""
-    return IntRowPolyhedron.from_ints(E, dens, IntRhs.of(f, dens),
-                                      scaled_box(lo, hi))
+    return IntRowPolyhedron(E, dens, IntRhs.of(f, dens), scaled_box(lo, hi))
 
 
 def tableau_state(res):
     """The final tableau an ``lp_feasible`` result keeps, as plain values:
     its integer rows and denominators, basis, nonbasic values, bounds,
-    scale, width, equality-row artificials and equality right-hand side."""
+    scale, width, equality-row artificials and equality right-hand side,
+    the last as rationals: ``erhs`` over the row denominators ``edens``."""
     lp = res.basis
+    f = [Q(n, lp.erhs.den * den) for n, den in zip(lp.erhs.nums, lp.edens)]
     return (lp.rows, lp.dens, lp.basis, lp.val, lp.lo, lp.hi, lp.scale,
-            lp.width, lp.arts, lp.P.f)
+            lp.width, lp.arts, f)
 
 
 def qrand(rng, lo=-3, hi=3, dens=(1, 2)):

@@ -72,6 +72,11 @@ class TestCheck:
         code, _, err = run(capsys, "check", e1_file, "--point", "1")
         assert code == 1 and "error" in err
 
+    def test_bad_point_entry(self, capsys, e1_file):
+        code, out, err = run(capsys, "check", e1_file, "--point", "1,x")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad point vector")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.json", "--point", "1")
         assert code == 1
@@ -347,6 +352,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", e1_file, "--samples", "10")
         assert code == 0
         assert "0 disagreements" in out
+
+    @pytest.mark.parametrize("oracle_name,file,label", [
+        ("fm_member_oracle", "e1_file", "fm"),
+        ("ae_vertex_oracle", "tol_file", "ae-vertex-vs-ae"),
+    ])
+    def test_disagreement_exits_2(self, capsys, monkeypatch, request,
+                                  oracle_name, file, label):
+        real = getattr(oracle, oracle_name)
+        monkeypatch.setattr(oracle, oracle_name,
+                            lambda *args: not real(*args))
+        code, out, _ = run(capsys, "verify", request.getfixturevalue(file),
+                           "--samples", "4")
+        lines = out.splitlines()
+        assert code == 2
+        assert len(lines) == 5 and lines[-1] == "verify: 4 points, 4 disagreements"
+        assert all(line.endswith(f"disagree: {label}") for line in lines[:-1])
 
     def test_byte_identical_given_seed(self, capsys, e1_file):
         _, out1, _ = run(capsys, "verify", e1_file, "--samples", "10", "--seed", "7")

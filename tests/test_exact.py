@@ -195,16 +195,14 @@ class TestIntRowPolyhedron:
     ], ids=["dens", "rhs", "width", "zero-den", "negative-den", "rhs-den"])
     def test_shapes_checked(self, args, match):
         with pytest.raises(ValueError, match=match):
-            IntRowPolyhedron.from_ints(*args, scaled_box([Q(0)], [Q(1)]))
+            IntRowPolyhedron(*args, scaled_box([Q(0)], [Q(1)]))
 
     def test_bounds_checked(self):
         rhs = IntRhs([0], 1)
         with pytest.raises(ValueError, match="wrong length"):
-            IntRowPolyhedron.from_ints([[1]], [1], rhs,
-                                       scaled_box([Q(0)], [Q(1), Q(1)]))
+            IntRowPolyhedron([[1]], [1], rhs, scaled_box([Q(0)], [Q(1), Q(1)]))
         with pytest.raises(ValueError, match="exceeds"):
-            IntRowPolyhedron.from_ints([[1]], [1], rhs,
-                                       scaled_box([Q(1)], [Q(0)]))
+            IntRowPolyhedron([[1]], [1], rhs, scaled_box([Q(1)], [Q(0)]))
 
 
 class TestLpMaximize:
@@ -460,6 +458,25 @@ class TestCertificates:
             else:
                 assert P.contains(res.point)
         assert seen > 20
+
+    def test_negative_inequality_multiplier_refused(self):
+        # x <= 1 minus x <= 2 reads 0 <= -1, but x = 0 is feasible: a
+        # multiplier of an inequality row must not be negative
+        P = poly([[1], [1]], [1, 2])
+        cert = Infeasible(qvec([1, -1]), [], qvec([0]))
+        assert not check_infeasibility_certificate(P, cert)
+        assert check_infeasibility_certificate(
+            poly([[1], [-1]], [1, -2]), Infeasible(qvec([1, 1]), [], qvec([0])))
+
+    @pytest.mark.parametrize("u,v,match", [
+        ([Q(-1)], [Q(0)], "nonnegative"),
+        ([Q(0)], [Q(-1, 2)], "nonnegative"),
+        ([Q(1)], [Q(2)], "complementary"),
+    ], ids=["u", "v", "both"])
+    def test_farkas_certificate_refusals(self, u, v, match):
+        with pytest.raises(ValueError, match=match):
+            exact.FarkasCertificate([Q(1)], u, v)
+        exact.FarkasCertificate([Q(1)], [Q(0)], [Q(0)])
 
 
 def fm_max(P, obj):

@@ -413,8 +413,7 @@ def _artificial_stays_basic(sys, quant, y):
     """Whether the kernel LP at the first universal vertex is feasible and
     ends phase 1 with an artificial (at 0) in its basis."""
     lp = membership._VertexLP(sys, quant, kernel_rows(sys, y))
-    _, rhs = next(lp.vertices())
-    res = lp.solve(0, rhs)
+    res = lp._first(next(lp.vertices()))
     return isinstance(res, Feasible) and \
         any(b >= res.basis.width for b in res.basis.basis)
 
@@ -613,6 +612,23 @@ class TestCertificateValidation:
             sep = Certificate.separator(FarkasCertificate(w, [Q(0)], [Q(0)]))
             assert not validate_certificate(e1.system, None, [Q(1), Q(1)], sep)
 
+    def test_witness_refusals(self, e1):
+        # E1 reads x1 = 1, x1 + p1 x2 = p1 with p1 in [0, 1]
+        from pilsys.membership import Certificate
+        x = [Q(1), Q(0)]
+        ok, cert = member_united(e1.system, x)
+        assert ok and cert.witness_p == [Q(1)]
+        with pytest.raises(ValueError, match="not a WITNESS"):
+            witness_resubstitutes(e1.system, x, member_united(
+                e1.system, [Q(1), Q(1)])[1])
+        # one entry too many still re-substitutes, but is no witness
+        assert not witness_resubstitutes(
+            e1.system, x, Certificate.witness([Q(1), Q(5)]))
+        # p1 = -1 solves the equations at (1, 2), outside the box
+        far, p = [Q(1), Q(2)], [Q(-1)]
+        assert [dot(row, far) for row in e1.system.A_at(p)] == e1.system.b_at(p)
+        assert not witness_resubstitutes(e1.system, far, Certificate.witness(p))
+
     def test_witness_carries_no_separator(self):
         import inspect
 
@@ -756,12 +772,12 @@ def test_integer_row_lps_match_the_rational_reference():
         E = [[Q(a, den) for a in row] for row, den in zip(lp.E, lp.dens)]
         assert E == [[v[k + 1][i] for k in lp.exists] for i in range(sys.m)]
         box = [sys.params[k].interval for k in lp.exists]
-        for vertex, rhs in lp.vertices():
+        for vertex, rhs in zip(sys.vertices(lp.forall), lp.vertices()):
             coef = [Q(1), *vertex]
             f = [Q(n, rhs.den * den) for n, den in zip(rhs.nums, lp.dens)]
             assert f == [-dot(coef, [v[k][i] for k in (0, *(k + 1 for k in lp.forall))])
                          for i in range(sys.m)]
-            got = lp_feasible(IntRowPolyhedron.from_ints(lp.E, lp.dens, rhs, lp.box))
+            got = lp_feasible(IntRowPolyhedron(lp.E, lp.dens, rhs, lp.box))
             want = lp_feasible(Polyhedron([], [], E, f, len(lp.exists),
                                           [iv.lo for iv in box],
                                           [iv.hi for iv in box]))
@@ -857,10 +873,9 @@ def test_vertex_lp_builds_fractions_only_for_its_results(monkeypatch):
             active = False
         entries = sum(len(r.point) if isinstance(r, Feasible)
                       else len(r.eq_mult) + len(r.bound_mult) for r in results)
-        # the witness starts as zeros(K), one Fraction, at the first
-        # feasible vertex; a separator copies w and builds a zero and the
-        # negated entries of v
-        extra = 1 if ok else 2 + len(cert.separator.v)
+        # the witness copies the lower ends and the first LP's point; a
+        # separator copies w and builds a zero and the negated entries of v
+        extra = 0 if ok else 2 + len(cert.separator.v)
         assert built[0] <= entries + extra, (trial, built[0], entries, extra)
         seen[ok] += 1
     assert seen[True] > 10 and seen[False] > 10, seen
@@ -914,6 +929,35 @@ def test_one_box_scaling_per_query(monkeypatch):
         assert calls == [sys.K]
         solved += ok
     assert solved > 10
+
+
+def test_vertex_lp_walks_no_fraction_vertex(monkeypatch):
+    """The vertex LP walks the universal vertices as ``box_vertices`` of
+    its integer ends: ``member`` and ``strict`` ask
+    ``ParametricSystem.vertices`` for none, and a witness still takes the
+    first vertex, the lower ends of the universal parameters."""
+    calls = []
+    real = ParametricSystem.vertices
+
+    def spy(sys, indices):
+        calls.append(list(indices))
+        return real(sys, indices)
+
+    monkeypatch.setattr(ParametricSystem, "vertices", spy)
+    rng = random.Random(2525)
+    seen = Counter()
+    for trial in range(40):
+        sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
+        y = random_point(rng, sys.n, -1, 1) if trial % 2 else [Q(0)] * sys.n
+        lp = membership._VertexLP(sys, quant, kernel_rows(sys, y))
+        ok, cert = lp.member()
+        lp.strict()
+        if ok:
+            assert [cert.witness_p[k] for k in lp.forall] == \
+                [sys.params[k].interval.lo for k in lp.forall]
+        seen[ok] += 1
+    assert calls == []
+    assert seen[True] >= 5 and seen[False] >= 5, seen
 
 
 class TestRowSeparator:

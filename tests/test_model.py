@@ -15,8 +15,8 @@ from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
                           ORDINARY, TOLERABLE_FORM, Interval, Parameter,
                           ParametricSystem, ParsedSystem,
                           QuantifierAssignment, RhsParameter,
-                          SystemFormatError, TolerableSystem, classify,
-                          kernel_rows, parse_rational, parse_system,
+                          SystemFormatError, TolerableSystem, box_vertices,
+                          classify, kernel_rows, parse_rational, parse_system,
                           residual_rows, residual_vectors,
                           serialize_system)
 
@@ -224,6 +224,11 @@ class TestVertices:
     def test_no_indices_give_one_empty_vertex(self):
         assert list(self.system((0, 1)).vertices([])) == [[]]
         assert list(self.system().vertices(range(0))) == [[]]
+
+    def test_box_vertices_take_any_ends(self):
+        assert list(box_vertices([(0, 2), (3, 3), (-1, 1)])) == \
+            [(0, 3, -1), (0, 3, 1), (2, 3, -1), (2, 3, 1)]
+        assert list(box_vertices([])) == [()]
 
     @pytest.mark.parametrize("k", range(5))
     def test_k_wide_intervals_give_2_to_the_k(self, k):

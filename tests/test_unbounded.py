@@ -102,6 +102,24 @@ class TestFindBasePoints:
                 decide_unbounded(parsed.system, None, y, budget=-1)
 
 
+@pytest.mark.parametrize("ask", [
+    lambda sys, y: membership.member_ae_kernel(
+        sys, QuantifierAssignment.all_exists(sys.K), y),
+    member_kernel,
+    lambda sys, y: strict_kernel_member_ae(
+        sys, QuantifierAssignment.all_exists(sys.K), y),
+    lambda sys, y: decide_unbounded(sys, None, y),
+], ids=["member_ae_kernel", "member_kernel", "strict_kernel_member_ae",
+        "decide_unbounded"])
+def test_direction_length_checked_by_the_kernel_rows(e1, ask):
+    for y in ([Q(0), Q(1), Q(1)], [Q(1)]):
+        with pytest.raises(ValueError, match=f"^direction has length {len(y)}, "
+                                             f"expected 2$"):
+            ask(e1.system, y)
+    with pytest.raises(ValueError, match="^point has length 1, expected 2$"):
+        member_united(e1.system, [Q(1)])
+
+
 class TestProbeRay:
     def test_e1_downward_ray_never_exits(self, e1):
         rep = probe_ray(e1.system, None, [Q(1), Q(0)], [Q(0), Q(-1)],
