@@ -6,23 +6,38 @@ Inside a fixed sign region the absolute values in the membership
 characterizations become linear, so each piece of the solution set and of the
 kernel is an ordinary polyhedron in exact rationals.  One linearization,
 A_c -+ sum_k s_k G_k on the region of the sign vector s, builds both pieces;
-the kernel piece is that linearization with a zero right-hand side.  A_c and
-the radii come from ``model.interval_data``.
+the kernel piece is that linearization with a zero right-hand side.
+
+The linearization is built in integers, once per system: the box is scaled
+once, lo_k and hi_k over one scale L, so that 2 L mid_k = lo_k + hi_k and
+2 L rad_k = hi_k - lo_k, and row i of the system is read once as integers
+over D_i (``ParametricSystem.int_coefficients``).  Every row of a piece is
+then integers over the one denominator 2 L D_i, and each piece is an
+``IntRowPolyhedron`` that the simplex reads as it is.  A piece keeps only
+that form, and a Fraction ``Polyhedron`` is built only where one is read
+(``Piece.solution_piece`` and ``Piece.kernel_piece``: ``classify
+--decompose``, a check of PROP1/PROP2 evidence, a repr).
+
+``decompose`` decides the nonemptiness of every piece, and the point that a
+piece's LP finds settles, with no LP, each later piece that contains it:
+nonemptiness is a property of the set, not of the LP's path.
 
 The piece builders take a system of their class as given: ``_pieces``
-classifies once and picks one, and ``orthant_decomposition`` and
-``classC_decomposition`` refuse a system of the other class first.
+classifies once (or reads the class its caller has) and picks one, and
+``orthant_decomposition`` and ``classC_decomposition`` refuse a system of the
+other class first.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .exact import (Feasible, Polyhedron, Q, _Record, lp_feasible,
-                    recession_cone, vec_add, zeros)
-from .model import (CLASS_C, ORDINARY, ParametricSystem, classify,
-                    interval_data)
+from .exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron, Q,
+                    Vector, _Record, doubled_mid_rad, lp_feasible,
+                    recession_cone, scaled_box)
+from .model import CLASS_C, ORDINARY, ParametricSystem, SystemClass, classify
 
 ORTHANT = "ORTHANT"
 SIGNCONE = "SIGNCONE"
@@ -47,14 +62,33 @@ class SignVector(_Record):
 
 
 class Piece(_Record):
-    __slots__ = _fields = ("sign", "solution_piece", "kernel_piece", "nonempty")
+    """One sign piece: its sign vector, its solution and kernel pieces, and
+    whether the solution piece is nonempty.
 
-    def __init__(self, sign: SignVector, solution_piece: Polyhedron,
-                 kernel_piece: Polyhedron, nonempty: bool):
+    A piece keeps its two polyhedra only in the integer form the simplex
+    reads (``solution`` and ``kernel``, ``IntRowPolyhedron``s that share
+    their rows), and ``solution_piece`` and ``kernel_piece`` build their
+    Fraction ``Polyhedron`` views on each read; repr and equality read the
+    views.
+    """
+
+    __slots__ = ("sign", "solution", "kernel", "nonempty")
+    _fields = ("sign", "solution_piece", "kernel_piece", "nonempty")
+
+    def __init__(self, sign: SignVector, solution: IntRowPolyhedron,
+                 kernel: IntRowPolyhedron, nonempty: bool):
         self.sign = sign
-        self.solution_piece = solution_piece
-        self.kernel_piece = kernel_piece
+        self.solution = solution
+        self.kernel = kernel
         self.nonempty = nonempty
+
+    @property
+    def solution_piece(self) -> Polyhedron:
+        return self.solution.polyhedron()
+
+    @property
+    def kernel_piece(self) -> Polyhedron:
+        return self.kernel.polyhedron()
 
 
 class PieceDecomposition(_Record):
@@ -74,44 +108,85 @@ def _sign_vectors(n: int):
 # Linearization on sign regions
 # ---------------------------------------------------------------------------
 
-# Per sign vector: (s, solution piece, kernel piece)
-RawPieces = Iterator[tuple[SignVector, Polyhedron, Polyhedron]]
+# Per sign vector: (s, solution piece, kernel piece), both in integer form
+RawPieces = Iterator[tuple[SignVector, IntRowPolyhedron, IntRowPolyhedron]]
 
 
-def _linearization(n: int, data, gens, region) -> RawPieces:
+class _Scaled:
+    """A system read once in integers: ``rows`` holds each row i as
+    ``int_coefficients`` gives it (term k's entries at k (n + 1) onwards,
+    over D_i), ``mids`` and ``rads`` are 2 L mid_k and 2 L rad_k for
+    k = 0..K (the constant term has mid 1 and radius 0), so each midpoint
+    or radius combination of row i is an integer over 2 L D_i (``dens``)."""
+
+    def __init__(self, sys: ParametricSystem):
+        lo, hi, L = scaled_box([iv.lo for iv in sys.box],
+                               [iv.hi for iv in sys.box])
+        self.n, self.w = sys.n, sys.n + 1
+        self.mids, self.rads = doubled_mid_rad(lo, hi, L)
+        self.rows = sys.int_coefficients()
+        self.dens = [2 * L * D for _, D in self.rows]
+
+    def spread(self, ints: list[int], j: int) -> int:
+        """Column j of row ints summed with the radii: 2 L D_i times
+        sum_k rad_k |coefficient|."""
+        return sum(map(mul, self.rads, map(abs, ints[j::self.w])))
+
+
+def _linearization(sc: _Scaled, gens, region) -> RawPieces:
     """One piece per sign vector s of the generators G_k, each given by its
-    nonzero entries (i, j, value): the matrices A_c -+ sum_k s_k G_k, and the
-    sign region region(s) as rows of C (each <= 0) plus lo/hi bounds.
+    nonzero entries (i, j, value) as integers over row i's denominator: the
+    matrices A_c -+ sum_k s_k G_k, and the sign region region(s) as rows of
+    C (each <= 0, integers over their own denominators) plus a box.
 
     The solution piece has right-hand side (b_c + Delta_b; Delta_b - b_c; 0).
     The kernel piece is the same linearization with a zero right-hand side,
     which is the kernel characterization of the homogenized system.  Pieces
     are built as they are asked for, and no LP is run here.
     """
-    Ac, _, bc, db = data
-    rhs = vec_add(bc, db) + [r - c for c, r in zip(bc, db)]
+    n, dens = sc.n, sc.dens
+    center = [[sum(map(mul, sc.mids, ints[j::sc.w])) for j in range(n + 1)]
+              for ints, _ in sc.rows]
+    db = [sc.spread(ints, n) for ints, _ in sc.rows]
+    rhs = [row[n] + d for row, d in zip(center, db)] + \
+        [d - row[n] for row, d in zip(center, db)]
+    no_rows = IntRhs([], 1)
     for sv in _sign_vectors(len(gens)):
-        lower = [row[:] for row in Ac]
-        upper = [row[:] for row in Ac]
+        lower = [row[:n] for row in center]
+        upper = [row[:n] for row in center]
         for sk, G in zip(sv.s, gens):
             for i, j, g in G:
                 lower[i][j] -= sk * g
                 upper[i][j] += sk * g
-        rows, lo, hi = region(sv.s)
+        rows, rdens, box = region(sv.s)
         C = lower + [[-a for a in r] for r in upper] + rows
-        solution = Polyhedron(C, rhs + zeros(len(rows)), [], [], n, lo, hi)
-        kernel = Polyhedron([r[:] for r in C], zeros(len(C)), [], [], n,
-                            lo[:], hi[:])
-        yield sv, solution, kernel
+        cdens = dens + dens + rdens
+        yield (sv,
+               IntRowPolyhedron([], [], no_rows, box, C, cdens,
+                                IntRhs(rhs + [0] * len(rows), 1)),
+               IntRowPolyhedron([], [], no_rows, box, C, cdens,
+                                IntRhs([0] * len(C), 1)))
 
 
-def _nonempty(P: Polyhedron) -> bool:
-    return isinstance(lp_feasible(P), Feasible)
+def _lp_point(P: IntRowPolyhedron) -> Optional[Vector]:
+    """The point the nonemptiness LP finds in P, or None when P is empty."""
+    res = lp_feasible(P)
+    return res.point if isinstance(res, Feasible) else None
 
 
 def _decomposition(mode: str, pieces: RawPieces) -> PieceDecomposition:
-    return PieceDecomposition(mode, [Piece(sv, sol, ker, _nonempty(sol))
-                                     for sv, sol, ker in pieces])
+    """Every piece with its nonemptiness: a piece that contains a point an
+    earlier piece's LP found is nonempty with no LP of its own."""
+    points, out = [], []
+    for sv, solution, kernel in pieces:
+        nonempty = any(solution.contains(x) for x in points)
+        if not nonempty:
+            x = _lp_point(solution)
+            if x is not None:
+                points.append(x)
+                nonempty = True
+        out.append(Piece(sv, solution, kernel, nonempty))
+    return PieceDecomposition(mode, out)
 
 
 def _orthant_pieces(sys: ParametricSystem) -> RawPieces:
@@ -121,38 +196,47 @@ def _orthant_pieces(sys: ParametricSystem) -> RawPieces:
     if sys.n > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"dimension {sys.n} exceeds the 2^n cap "
                                     f"of {_DECOMPOSITION_CAP}")
-    data = interval_data(sys)
-    gens = [[(i, j, row[j]) for i, row in enumerate(data[1]) if row[j] != 0]
+    sc = _Scaled(sys)
+    spreads = [[sc.spread(ints, j) for j in range(sys.n)] for ints, _ in sc.rows]
+    gens = [[(i, j, row[j]) for i, row in enumerate(spreads) if row[j]]
             for j in range(sys.n)]
-    return _linearization(sys.n, data, gens, lambda s: (
-        [], [Q(0) if sj > 0 else None for sj in s],
-        [None if sj > 0 else Q(0) for sj in s]))
+    return _linearization(sc, gens, lambda s: (
+        [], [], ([0 if sj > 0 else None for sj in s],
+                 [None if sj > 0 else 0 for sj in s], 1)))
 
 
 def _classC_pieces(sys: ParametricSystem) -> RawPieces:
     """The sign-cone linearization of a class-C system: generators
     rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b is the shift
     of the rhs parameters alone), and the sign cone as rows -s_k A^(k)_i.
-    A thin parameter has no radius, and interval_data puts it in A_c and
-    b_c.  The cap is checked before any piece is built."""
-    mats = [par for par in sys.params
+    A thin parameter has no radius, so it adds to A_c and b_c only.  The
+    cap is checked before any piece is built."""
+    mats = [k for k, par in enumerate(sys.params)
             if not par.interval.is_thin() and all(v == 0 for v in par.b)]
     if len(mats) > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"{len(mats)} matrix parameters exceed "
                                     f"the 2^K cap of {_DECOMPOSITION_CAP}")
-    gens = [[(i, j, par.interval.rad * a) for i, row in enumerate(par.A)
-             for j, a in enumerate(row) if a != 0] for par in mats]
-    cone = [(k, row) for k, par in enumerate(mats) for row in par.A
-            if any(a != 0 for a in row)]
-    return _linearization(
-        sys.n, interval_data(sys), gens,
-        lambda s: ([[-s[k] * a for a in row] for k, row in cone],
-                   [None] * sys.n, [None] * sys.n))
+    sc = _Scaled(sys)
+    n, w = sys.n, sys.n + 1
+    # term k + 1 of row i: parameter k's A^(k)_i, over D_i
+    terms = [[(ints[(k + 1) * w:(k + 1) * w + n], D) for ints, D in sc.rows]
+             for k in mats]
+    gens = [[(i, j, sc.rads[k + 1] * a) for i, (row, _) in enumerate(rows)
+             for j, a in enumerate(row) if a] for k, rows in zip(mats, terms)]
+    cone = [(c, row, D) for c, rows in enumerate(terms) for row, D in rows
+            if any(row)]
+    free = [None] * n
+    return _linearization(sc, gens, lambda s: (
+        [[-s[c] * a for a in row] for c, row, _ in cone],
+        [D for _, _, D in cone], (free, free, 1)))
 
 
-def _pieces(sys: ParametricSystem) -> tuple[str, RawPieces]:
-    """Orthant pieces for ordinary systems, sign-cone pieces for class C."""
-    flags = classify(sys)
+def _pieces(sys: ParametricSystem,
+            flags: Optional[SystemClass] = None) -> tuple[str, RawPieces]:
+    """Orthant pieces for ordinary systems, sign-cone pieces for class C;
+    the system is classified here unless its class is given."""
+    if flags is None:
+        flags = classify(sys)
     if ORDINARY in flags:
         return ORTHANT, _orthant_pieces(sys)
     if CLASS_C in flags:
@@ -179,15 +263,18 @@ def decompose(sys: ParametricSystem) -> PieceDecomposition:
     return _decomposition(*_pieces(sys))
 
 
-def first_unbounded_piece(sys: ParametricSystem,
-                          y: Sequence[Q]) -> tuple[str, Optional[Piece]]:
+def first_unbounded_piece(sys: ParametricSystem, y: Sequence[Q],
+                          flags: Optional[SystemClass] = None
+                          ) -> tuple[str, Optional[Piece]]:
     """The mode of ``decompose(sys)`` and its first piece, in the same order,
     whose kernel piece contains y and whose solution piece is nonempty, or
-    None.  The nonemptiness LP runs only on pieces whose kernel piece
-    contains y, and the search stops at the first nonempty one."""
-    mode, pieces = _pieces(sys)
+    None.  The kernel test is integer sums, the nonemptiness LP runs only on
+    pieces whose kernel piece contains y, and the search stops at the first
+    nonempty one.  ``flags``, the system's ``classify``, is read when given,
+    so that a caller that has classified the system is not made to again."""
+    mode, pieces = _pieces(sys, flags)
     for sv, solution, kernel in pieces:
-        if kernel.contains(y) and _nonempty(solution):
+        if kernel.contains(y) and _lp_point(solution) is not None:
             return mode, Piece(sv, solution, kernel, True)
     return mode, None
 
@@ -239,5 +326,5 @@ def special_class_unbounded_equality(sys: ParametricSystem) -> EqualityReport:
             continue
         reports.append(PieceEqualityReport(
             piece.sign, True,
-            recession_cone(piece.solution_piece) == piece.kernel_piece))
+            recession_cone(piece.solution) == piece.kernel))
     return EqualityReport(dec.mode, sigma_empty, reports)

@@ -18,15 +18,14 @@ box plus equalities") has one tableau row per equation.  A bound on one
 variable is always stated as lo/hi; a row of C with one nonzero entry is an
 ordinary row.  Bland's rule makes it terminate, and an infeasible outcome
 carries exact Farkas multipliers, read from the reduced costs, that a
-validator can re-check.  The simplex also takes an :class:`IntRowPolyhedron`,
-the membership form (bounds plus equations) with each equation already
+validator can re-check.  The simplex starts from one form, the
+:class:`IntRowPolyhedron`: the same set with every row of C and of E already
 integers over a positive denominator, which is the form a tableau row keeps,
-its right-hand sides as an :class:`IntRhs` and its bounds as integers over
-one scale; its result is the one the rational rows give.  Both kinds of
-polyhedron reach the one start routine in that integer form: a
-``Polyhedron`` is scaled to it first.  The phase-1 reduced costs are summed
-in one pass over a common denominator and made primitive once.  Every
-outcome of
+its right-hand sides as :class:`IntRhs` and its bounds as integers over one
+scale; its result is the one the rational rows give.  A ``Polyhedron`` is
+scaled to that form by one function, ``IntRowPolyhedron.of``, so the simplex
+has one input path.  The phase-1 reduced costs are summed in one pass over a
+common denominator and made primitive once.  Every outcome of
 ``lp_feasible`` keeps the simplex that solved it, at its final phase-1
 tableau.  ``basis_holds`` re-checks a feasible one under a new equality
 right-hand side with one integer dot per tableau row and no pivot, reading
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, sub
 from typing import Optional, Sequence, Union
 
 Q = Fraction
@@ -278,38 +277,76 @@ def scaled_box(lo: Sequence[Optional[Q]], hi: Sequence[Optional[Q]]) -> IntBox:
             L)
 
 
-class IntRowPolyhedron(_Record):
-    """{x : lo <= x <= hi, E x = f} with equality row i given as the
-    integers E[i] over the positive integer dens[i], and no inequality rows.
+def doubled_mid_rad(lo: Sequence[int], hi: Sequence[int],
+                    L: int) -> tuple[list[int], list[int]]:
+    """A box scaled to integers lo, hi over L (``scaled_box``, every end
+    finite) as 2 L mid_k = lo_k + hi_k and 2 L rad_k = hi_k - lo_k, each
+    list led by the constant term's entry (midpoint 1, radius 0)."""
+    return [2 * L, *map(add, lo, hi)], [0, *map(sub, hi, lo)]
 
-    This is the form a simplex tableau starts from: the right-hand sides
-    rhs are an ``IntRhs`` over the rows E / dens, and the box is the bounds
-    as integers over one scale, as ``scaled_box`` returns them.  So a
-    caller that computes its rows, right-hand sides and box as integers
-    hands them to ``lp_feasible`` with no Fraction in between; the result
-    is the one ``lp_feasible`` gives for the ``Polyhedron`` with rows
-    E[i] / dens[i].  Only the LP routines take it, and ``f`` is its one
-    Fraction view.  The shapes and bounds are checked as a ``Polyhedron``
-    checks them, the bounds on the scaled integers.
+
+class IntRowPolyhedron(_Record):
+    """{x : lo <= x <= hi, C x <= d, E x = f} with every row given as
+    integers over its own positive denominator: inequality row i is C[i]
+    over cdens[i], equality row i is E[i] over dens[i].
+
+    This is the form a simplex tableau starts from, and the one form
+    ``_BoundedSimplex`` reads: the right-hand sides are ``IntRhs``es over
+    those rows (crhs for C, rhs for E), and the box is the bounds as
+    integers over one scale, as ``scaled_box`` returns them.  So a caller
+    that computes its rows, right-hand sides and box as integers hands them
+    to ``lp_feasible`` with no Fraction in between; the result is the one
+    ``lp_feasible`` gives for the ``Polyhedron`` of the same rational rows,
+    and ``of`` is the one function that scales such a ``Polyhedron`` to this
+    form.  The inequality rows are optional, as a membership vertex LP
+    (bounds plus equations) has none.  ``d`` and ``f`` are the rational
+    right-hand sides, and ``polyhedron()`` the whole Fraction view;
+    ``contains`` decides a point with integer sums.  The shapes and bounds
+    are checked as a ``Polyhedron`` checks them, the bounds on the scaled
+    integers.
     """
 
-    __slots__ = _fields = ("E", "dens", "rhs", "box")
+    __slots__ = _fields = ("C", "cdens", "crhs", "E", "dens", "rhs", "box")
 
     def __init__(self, E: list[list[int]], dens: list[int], rhs: IntRhs,
-                 box: IntBox):
+                 box: IntBox, C: Optional[list[list[int]]] = None,
+                 cdens: Optional[list[int]] = None,
+                 crhs: Optional[IntRhs] = None):
+        if C is None:
+            C, cdens, crhs = [], [], _NO_ROWS
         lo, hi, _ = box
-        if not len(E) == len(dens) == len(rhs.nums):
+        if not (len(E) == len(dens) == len(rhs.nums)
+                and len(C) == len(cdens) == len(crhs.nums)):
             raise ValueError("row counts do not match right-hand sides")
         if len(lo) != len(hi):
             raise ValueError("bounds have wrong length")
         if any(len(row) != len(lo) for row in E):
             raise ValueError("equality row has wrong width")
-        if rhs.den <= 0 or any(den <= 0 for den in dens):
+        if any(len(row) != len(lo) for row in C):
+            raise ValueError("inequality row has wrong width")
+        if rhs.den <= 0 or crhs.den <= 0 or \
+                any(den <= 0 for den in (*dens, *cdens)):
             raise ValueError("a row denominator is not positive")
         if any(l is not None and h is not None and l > h
                for l, h in zip(lo, hi)):
             raise ValueError("a lower bound exceeds its upper bound")
+        self.C, self.cdens, self.crhs = C, cdens, crhs
         self.E, self.dens, self.rhs, self.box = E, dens, rhs, box
+
+    @staticmethod
+    def of(P: Polyhedron) -> "IntRowPolyhedron":
+        """P with each row as ``scaled`` gives it, its right-hand sides over
+        those rows and its bounds over one scale."""
+        C, cdens = _int_rows(P.C)
+        E, dens = _int_rows(P.E)
+        return IntRowPolyhedron(E, dens, IntRhs.of(P.f, dens),
+                                scaled_box(P.lo, P.hi), C, cdens,
+                                IntRhs.of(P.d, cdens))
+
+    @property
+    def d(self) -> Vector:
+        return [Q(n, self.crhs.den * den)
+                for n, den in zip(self.crhs.nums, self.cdens)]
 
     @property
     def f(self) -> Vector:
@@ -319,17 +356,49 @@ class IntRowPolyhedron(_Record):
     def dim(self) -> int:
         return len(self.box[0])
 
-    @property
-    def C(self) -> Matrix:
-        return []
+    def polyhedron(self) -> Polyhedron:
+        """The same set as a Fraction ``Polyhedron``."""
+        lo, hi, L = self.box
+        return Polyhedron(
+            [[Q(a, den) for a in row] for row, den in zip(self.C, self.cdens)],
+            self.d,
+            [[Q(a, den) for a in row] for row, den in zip(self.E, self.dens)],
+            self.f, self.dim, [None if b is None else Q(b, L) for b in lo],
+            [None if b is None else Q(b, L) for b in hi])
 
-    @property
-    def d(self) -> Vector:
-        return []
+    def contains(self, x: Sequence[Q]) -> bool:
+        """x in P, with x scaled once to integers xn over xd: a row holds
+        when the den of its ``IntRhs`` times row . xn compares with its
+        num times xd, and a bound when bound * xd compares with xn_j times
+        the box scale."""
+        if len(x) != self.dim:
+            raise ValueError("point has wrong dimension")
+        xn, xd = scaled(x)
+        lo, hi, L = self.box
+        return all((l is None or l * xd <= v * L) and (h is None or v * L <= h * xd)
+                   for l, v, h in zip(lo, xn, hi)) and \
+            all(self.crhs.den * sum(map(mul, row, xn)) <= n * xd
+                for row, n in zip(self.C, self.crhs.nums)) and \
+            all(self.rhs.den * sum(map(mul, row, xn)) == n * xd
+                for row, n in zip(self.E, self.rhs.nums))
 
 
-def recession_cone(P: Polyhedron) -> Polyhedron:
-    """{y : C y <= 0, E y = 0} with every finite bound of P made 0."""
+# the right-hand side of no rows
+_NO_ROWS = IntRhs([], 1)
+
+
+def recession_cone(P: Union[Polyhedron, IntRowPolyhedron]
+                   ) -> Union[Polyhedron, IntRowPolyhedron]:
+    """{y : C y <= 0, E y = 0} with every finite bound of P made 0, in the
+    form P is given in (an ``IntRowPolyhedron``'s right-hand sides and box
+    over 1)."""
+    if isinstance(P, IntRowPolyhedron):
+        lo, hi, _ = P.box
+        return IntRowPolyhedron(
+            P.E, P.dens, IntRhs([0] * len(P.E), 1),
+            ([None if l is None else 0 for l in lo],
+             [None if h is None else 0 for h in hi], 1),
+            P.C, P.cdens, IntRhs([0] * len(P.C), 1))
     return Polyhedron([row[:] for row in P.C], zeros(len(P.C)),
                       [row[:] for row in P.E], zeros(len(P.E)), P.dim,
                       [None if l is None else Q(0) for l in P.lo],
@@ -403,15 +472,17 @@ def _primitive(row: list[int], den: int) -> tuple[list[int], int]:
 class _BoundedSimplex:
     """Primal simplex over bounded variables, in Gauss-Jordan tableau form.
 
-    The bounds lo_j <= x_j <= hi_j (Dantzig's upper-bounding technique) are
-    exactly P.lo and P.hi, and are not rows of the tableau.  Every row of C
+    It reads P as an ``IntRowPolyhedron``; a ``Polyhedron`` is scaled to one
+    first (``IntRowPolyhedron.of``).  The bounds lo_j <= x_j <= hi_j
+    (Dantzig's upper-bounding technique) are exactly P's box, and are not
+    rows of the tableau.  Every row of C
     gets one slack s_i >= 0, and the rows of E stay equalities.  The columns
     are x, then the slacks, then one artificial per row that the start point
     violates and per equality row.  A nonbasic variable sits at a finite
     bound, or at 0 if it has none.
 
-    Every quantity is an integer.  ``scale`` is the lcm of the denominators
-    of P's finite bounds; ``lo``/``hi`` hold each bound times ``scale`` (None
+    Every quantity is an integer.  ``scale`` is the scale of P's box;
+    ``lo``/``hi`` hold each bound times ``scale`` (None
     is infinite), and ``val`` each nonbasic value times ``scale`` (a basic
     variable's entry is stale).  The tableau is fraction-free: row r is the
     list of integers ``rows[r]`` over the positive integer ``dens[r]``, and
@@ -433,16 +504,12 @@ class _BoundedSimplex:
     """
 
     def __init__(self, P: Union[Polyhedron, IntRowPolyhedron]):
+        if isinstance(P, Polyhedron):
+            P = IntRowPolyhedron.of(P)
         n = self.n = P.dim
-        if isinstance(P, IntRowPolyhedron):
-            C, cdens, crhs = [], [], IntRhs([], 1)
-            E, self.edens, self.erhs = P.E, P.dens, P.rhs
-            lo, hi, L = P.box
-        else:
-            C, cdens = _int_rows(P.C)
-            E, self.edens = _int_rows(P.E)
-            crhs, self.erhs = IntRhs.of(P.d, cdens), IntRhs.of(P.f, self.edens)
-            lo, hi, L = scaled_box(P.lo, P.hi)
+        C, cdens, crhs = P.C, P.cdens, P.crhs
+        E, self.edens, self.erhs = P.E, P.dens, P.rhs
+        lo, hi, L = P.box
         self.scale = L
         x = [l if l is not None else h if h is not None else 0
              for l, h in zip(lo, hi)]

@@ -52,12 +52,13 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
                     LPResult, Q, Vector, _Record, basis_holds, dot,
-                    lp_feasible, max_row_shift, scaled_box, vec_add,
+                    doubled_mid_rad, lp_feasible, max_row_shift, scaled_box,
+                    vec_add,
                     vec_scale)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
                     box_vertices, kernel_rows, residual_rows, residual_vectors)
@@ -165,9 +166,8 @@ class _VertexLP:
         dots.  u and v split t_k = w.v^(k) over the existential k as
         ``_separator_from_farkas`` does; only they and w are Fractions.
         """
-        mids = [2 * self.L, *map(add, self.lo, self.hi)]
+        mids, rads = doubled_mid_rad(self.lo, self.hi, self.L)
         # rad_k for an existential parameter, -rad_k for a universal one
-        rads = [0, *map(sub, self.hi, self.lo)]
         for k in self.forall:
             rads[k + 1] = -rads[k + 1]
         for i, (nums, den) in enumerate(self.rows):

@@ -9,8 +9,9 @@ p ranging over a box of intervals.  The constant term (A0, b0) is explicit;
 every formula treats it as a parameter fixed at 1 with radius 0.
 
 Nothing is kept on a system between queries: ``residual_rows``,
-``kernel_rows`` and ``ParametricSystem.int_system_at`` scale the
-coefficients they read to integers on each call and build no Fraction.
+``kernel_rows``, ``ParametricSystem.int_coefficients`` and
+``ParametricSystem.int_system_at`` scale the coefficients they read to
+integers on each call and build no Fraction.
 """
 
 from __future__ import annotations
@@ -102,22 +103,29 @@ class ParametricSystem(_Record):
     def box(self) -> list[Interval]:
         return [par.interval for par in self.params]
 
-    def int_system_at(self, p: Sequence[Q]) -> tuple[list[list[int]], list[int]]:
-        """A(p) and b(p) as integers: row i of [A(p) | b(p)] times D_i and
-        the common denominator of p, where D_i is the lcm of the
-        denominators of row i over every term; the same equations, with no
-        Fraction built."""
-        pn, pd = scaled(p)
-        coef = [pd, *pn]
+    def int_coefficients(self) -> list[tuple[list[int], int]]:
+        """Row i of every term as integers over one positive D_i, the lcm of
+        the denominators of row i over every term: (the flat list of
+        A0[i], b0[i], A^(1)[i], b^(1)[i], ..., each A row followed by its b
+        entry, times D_i; D_i).  No Fraction is built."""
         terms = [(self.A0, self.b0), *((par.A, par.b) for par in self.params)]
-        w = self.n + 1
-        rows = []
+        out = []
         for i in range(self.m):
             ratios = [a.as_integer_ratio() for A, b in terms
                       for a in (*A[i], b[i])]
             D = lcm(*[d for _, d in ratios])
-            ints = [n * (D // d) for n, d in ratios]
-            rows.append([sum(map(mul, coef, ints[j::w])) for j in range(w)])
+            out.append(([n * (D // d) for n, d in ratios], D))
+        return out
+
+    def int_system_at(self, p: Sequence[Q]) -> tuple[list[list[int]], list[int]]:
+        """A(p) and b(p) as integers: row i of [A(p) | b(p)] times D_i and
+        the common denominator of p (``int_coefficients``); the same
+        equations, with no Fraction built."""
+        pn, pd = scaled(p)
+        coef = [pd, *pn]
+        w = self.n + 1
+        rows = [[sum(map(mul, coef, ints[j::w])) for j in range(w)]
+                for ints, _ in self.int_coefficients()]
         return [row[:-1] for row in rows], [row[-1] for row in rows]
 
     def A_at(self, p: Sequence[Q]) -> Matrix:

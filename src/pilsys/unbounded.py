@@ -21,10 +21,11 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from math import prod
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
-                    lin_solve, vec_scale, zeros)
+                    doubled_mid_rad, lin_solve, scaled, vec_scale, zeros)
 from .membership import (_VertexLP, member_ae,
                          member_kernel)  # noqa: F401 -- re-exported
 from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
@@ -202,6 +203,22 @@ def _walk_ray(sys: ParametricSystem, quant: QuantifierAssignment,
     return ProbeReport(x0, y, tested, first_exit, exhausted=first_exit is None)
 
 
+def _rhs_bound(sys: ParametricSystem, lo: list[int], hi: list[int],
+               L: int) -> Q:
+    """R = ||b(mid)||_1 + sum_k rad_k ||b^(k)||_1 from the box scaled once
+    (lo and hi over L, as ``_VertexLP`` holds it) and the b column in
+    integers: with row i's entries b^(k)_i as integers over D_i (``scaled``),
+    2 L mid_k = lo_k + hi_k and 2 L rad_k = hi_k - lo_k, row i adds one
+    integer over D_i, and the sum is divided by 2 L once."""
+    mids, rads = doubled_mid_rad(lo, hi, L)
+    total = Q(0)
+    for entries in zip(sys.b0, *(par.b for par in sys.params)):
+        ints, D = scaled(entries)
+        total += Q(abs(sum(map(mul, mids, ints)))
+                   + sum(map(mul, rads, map(abs, ints))), D)
+    return total / (2 * L)
+
+
 def decide_unbounded(sys: ParametricSystem,
                      quant: Optional[QuantifierAssignment],
                      y: Sequence[Q], budget: int = 8,
@@ -249,9 +266,7 @@ def decide_unbounded(sys: ParametricSystem,
     # (R/eps + 1) y stays in the set.
     strict, eps = kernel.strict()
     if strict:
-        R = sum(map(abs, sys.b_at(sys.midpoint())), Q(0)) + sum(
-            (par.interval.rad * sum(map(abs, par.b)) for par in sys.params),
-            Q(0))
+        R = _rhs_bound(sys, kernel.lo, kernel.hi, kernel.L)
         return UnboundedVerdict(
             Status.CERTIFIED_YES, Rule.THM3, vec_scale(R / eps + 1, y),
             f"strict kernel membership (eps = {eps})")
@@ -264,7 +279,7 @@ def decide_unbounded(sys: ParametricSystem,
             from .cones import (ORTHANT, DecompositionTooLarge,
                                 first_unbounded_piece)
             try:
-                mode, piece = first_unbounded_piece(sys, y)
+                mode, piece = first_unbounded_piece(sys, y, flags)
             except DecompositionTooLarge:
                 piece = None
             if piece is not None:

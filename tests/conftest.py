@@ -297,3 +297,93 @@ def residual_rows_reference(sys, x):
             nums = [num * (D // den) for num, den in zip(nums, dens)]
         out.append((nums, D * xd))
     return out
+
+
+def sign_pieces_reference(sys):
+    """Reference: the sign pieces as the decompositions once built them, in
+    Fractions from ``interval_data`` (A_c -+ sum_k s_k G_k, the orthant as
+    bounds or the sign cone as rows): (s, solution piece, kernel piece) per
+    sign vector s, in ``decompose`` order, for an ordinary or class-C
+    system."""
+    import itertools
+
+    from pilsys.exact import Polyhedron
+    from pilsys.model import ORDINARY, classify, interval_data
+
+    n = sys.n
+    Ac, dA, bc, db = interval_data(sys)
+    if ORDINARY in classify(sys):
+        gens = [[(i, j, row[j]) for i, row in enumerate(dA) if row[j] != 0]
+                for j in range(n)]
+
+        def region(s):
+            return ([], [Q(0) if sj > 0 else None for sj in s],
+                    [None if sj > 0 else Q(0) for sj in s])
+    else:
+        mats = [par for par in sys.params
+                if not par.interval.is_thin() and all(v == 0 for v in par.b)]
+        gens = [[(i, j, par.interval.rad * a) for i, row in enumerate(par.A)
+                 for j, a in enumerate(row) if a != 0] for par in mats]
+        cone = [(k, row) for k, par in enumerate(mats) for row in par.A
+                if any(a != 0 for a in row)]
+
+        def region(s):
+            return ([[-s[k] * a for a in row] for k, row in cone],
+                    [None] * n, [None] * n)
+    rhs = [c + r for c, r in zip(bc, db)] + [r - c for c, r in zip(bc, db)]
+    for s in itertools.product((1, -1), repeat=len(gens)):
+        lower = [row[:] for row in Ac]
+        upper = [row[:] for row in Ac]
+        for sk, G in zip(s, gens):
+            for i, j, g in G:
+                lower[i][j] -= sk * g
+                upper[i][j] += sk * g
+        rows, lo, hi = region(s)
+        C = lower + [[-a for a in r] for r in upper] + rows
+        yield (s, Polyhedron(C, rhs + [Q(0)] * len(rows), [], [], n, lo, hi),
+               Polyhedron([r[:] for r in C], [Q(0)] * len(C), [], [], n,
+                          lo[:], hi[:]))
+
+
+# large primes, so that scaled rows and boxes meet coprime denominators
+BIG_PRIMES = (1_000_000_007, 998_244_353, 2 ** 61 - 1, 1_000_000_009,
+              2 ** 31 - 1)
+
+
+def with_big_denominators(rng, sys):
+    """The same solution set written over large coprime denominators: each
+    parameter p_k = c_k q_k with q_k's interval the old one over c_k and its
+    generator times c_k, and each equation times its own factor r_i; every
+    c_k and r_i is a ratio of two of BIG_PRIMES, and nonzero positions, so
+    the class flags, stay as they are."""
+    def big():
+        p, q = rng.sample(BIG_PRIMES, 2)
+        return Q(p, q)
+
+    r = [big() for _ in range(sys.m)]
+
+    def rows(A, c=1):
+        return [[a * c * ri for a in row] for row, ri in zip(A, r)]
+
+    def col(b, c=1):
+        return [v * c * ri for v, ri in zip(b, r)]
+
+    params = []
+    for par in sys.params:
+        c = big()
+        iv = par.interval
+        params.append(Parameter(par.name, Interval(iv.lo / c, iv.hi / c),
+                                rows(par.A, c), col(par.b, c)))
+    return ParametricSystem(sys.m, sys.n, rows(sys.A0), col(sys.b0), params)
+
+
+def with_zero_generator(rng, sys):
+    """sys with one parameter on a proper interval whose generator is all
+    zeros, put in at a random place."""
+    params = list(sys.params)
+    lo = qrand(rng, -2, 2)
+    params.insert(rng.randint(0, len(params)), Parameter(
+        "z", Interval(lo, lo + 1), [[Q(0)] * sys.n for _ in range(sys.m)],
+        [Q(0)] * sys.m))
+    return ParametricSystem(sys.m, sys.n, [row[:] for row in sys.A0],
+                            sys.b0[:], params)

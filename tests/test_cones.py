@@ -4,17 +4,24 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import (fold_thin_params, gen_class_c, gen_first_class,
-                      gen_general, gen_ordinary, random_point,
-                      with_thin_params)
+                      gen_general, gen_ordinary, gen_wide_ordinary,
+                      random_point, sign_pieces_reference,
+                      with_big_denominators, with_thin_params,
+                      with_zero_generator)
 from pilsys import cones
-from pilsys.cones import (Piece, PieceDecomposition, classC_decomposition,
-                          decompose, interval_data, orthant_decomposition,
+from pilsys.cones import (DecompositionTooLarge, Piece, PieceDecomposition,
+                          classC_decomposition, decompose,
+                          first_unbounded_piece, orthant_decomposition,
                           special_class_unbounded_equality)
-from pilsys.exact import Polyhedron, fm_feasible, recession_cone
+from pilsys.exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron,
+                          fm_feasible, lp_feasible, recession_cone)
 from pilsys.membership import member_kernel, member_united
 from pilsys.model import (CLASS_C, ORDINARY, Interval, Parameter,
-                          ParametricSystem, classify)
+                          ParametricSystem, classify, interval_data)
 from pilsys.oracle import oettli_prager_member
 
 
@@ -180,10 +187,11 @@ class TestUnboundedEquality:
     def test_mismatch_is_reported(self, e3, monkeypatch):
         # a kernel piece with one row dropped is no longer the recession cone
         piece = decompose(e3.system).pieces[0]
-        K = piece.kernel_piece
-        cut = Polyhedron(K.C[1:], K.d[1:], K.E, K.f, K.dim, K.lo, K.hi)
+        K = piece.kernel
+        cut = IntRowPolyhedron(K.E, K.dens, K.rhs, K.box, K.C[1:], K.cdens[1:],
+                               IntRhs(K.crhs.nums[1:], K.crhs.den))
         monkeypatch.setattr(cones, "decompose", lambda sys: PieceDecomposition(
-            "ORTHANT", [Piece(piece.sign, piece.solution_piece, cut, True)]))
+            "ORTHANT", [Piece(piece.sign, piece.solution, cut, True)]))
         rep = special_class_unbounded_equality(e3.system)
         assert rep.pieces[0].recession_equals_kernel is False
         assert rep.verified is False
@@ -250,3 +258,135 @@ class TestThinParameters:
             h.update(got.encode())
             h.update(b"\n")
         assert h.hexdigest() == self.DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([gen_ordinary, gen_class_c]),
+       st.booleans(), st.booleans(), st.booleans())
+def test_pieces_match_the_fraction_reference(seed, make, thin, zero, big):
+    """Every piece of the integer linearization reads as the Fraction piece
+    built from ``interval_data`` (rows, right-hand side and bounds), and its
+    nonemptiness, found by the LP or by an earlier piece's point, is FM's
+    answer on that reference piece; with thin parameters, zero generators
+    and large coprime denominators in the box and the rows."""
+    rng = random.Random(seed)
+    sys = make(rng, rng.randint(1, 2), rng.randint(1, 3))
+    if thin:
+        sys = with_thin_params(rng, sys, rng.randint(1, 2))
+    if zero:
+        sys = with_zero_generator(rng, sys)
+    if big:
+        sys = with_big_denominators(rng, sys)
+    dec = decompose(sys)
+    ref = list(sign_pieces_reference(sys))
+    assert len(dec.pieces) == len(ref)
+    for piece, (s, S, K) in zip(dec.pieces, ref):
+        assert piece.sign.s == s
+        assert piece.solution_piece == S and piece.kernel_piece == K
+        assert piece.nonempty == fm_feasible(S)
+
+
+def built_polyhedra(monkeypatch, cls):
+    """Every instance of cls built from now on, in order."""
+    built = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+class TestIntegerPieces:
+    """The pieces are built and decided in integers: a point already found
+    settles later pieces with no LP, and a Fraction polyhedron is built
+    only where one is read."""
+
+    def systems(self, seed):
+        rng = random.Random(seed)
+        for _ in range(8):
+            yield rng, gen_ordinary(rng, 2, 3)
+            yield rng, gen_class_c(rng, 2, 3)
+            yield rng, gen_wide_ordinary(rng, 2, 2)
+
+    def test_a_point_found_settles_later_pieces(self, monkeypatch):
+        solved = []
+
+        def recording(P):
+            res = lp_feasible(P)
+            solved.append((P, res))
+            return res
+
+        monkeypatch.setattr(cones, "lp_feasible", recording)
+        settled = 0
+        for _, sys in self.systems(41):
+            solved.clear()
+            points = []
+            for piece in decompose(sys).pieces:
+                mine = [res for P, res in solved if P is piece.solution]
+                if mine:
+                    res, = mine
+                    assert piece.nonempty == isinstance(res, Feasible)
+                    if piece.nonempty:
+                        points.append(res.point)
+                else:
+                    # no LP: a point of an earlier piece lies in this one
+                    settled += 1
+                    assert piece.nonempty
+                    assert any(piece.solution_piece.contains(x) for x in points)
+        assert settled > 20
+
+    def test_equality_report_builds_no_fraction_polyhedron(self, monkeypatch):
+        built = built_polyhedra(monkeypatch, Polyhedron)
+        reports = [special_class_unbounded_equality(sys)
+                   for _, sys in self.systems(42)]
+        assert built == []
+        assert sum(rep.verified for rep in reports) > 10
+
+    def test_first_unbounded_piece_builds_views_only_when_read(
+            self, monkeypatch):
+        built = built_polyhedra(monkeypatch, Polyhedron)
+        found = 0
+        for rng, sys in self.systems(43):
+            for _ in range(3):
+                y = random_point(rng, sys.n)
+                built.clear()
+                mode, piece = first_unbounded_piece(sys, y)
+                assert built == []
+                if piece is None:
+                    continue
+                found += 1
+                # the returned piece keeps the integer forms alone, and
+                # builds its two Fraction views when they are read
+                assert type(piece.solution) is type(piece.kernel) \
+                    is IntRowPolyhedron
+                S, K = piece.solution_piece, piece.kernel_piece
+                assert built == [S, K]
+                assert K.contains(y) and fm_feasible(S)
+                same, = [p for p in decompose(sys).pieces if p.sign == piece.sign]
+                assert piece == same
+        assert found > 10
+
+    def test_over_the_cap_before_any_piece(self, monkeypatch):
+        A = [[Q(1)]]
+        classc = ParametricSystem(1, 1, [[Q(0)]], [Q(1)], [
+            Parameter(f"p{k}", Interval(Q(0), Q(1)), A, [Q(0)])
+            for k in range(17)])
+        # x1 + a x17 = 1: ordinary, with 2^17 orthants
+        orthant = ParametricSystem(1, 17, [[Q(1)] + [Q(0)] * 16], [Q(1)], [
+            Parameter("a", Interval(Q(0), Q(1)), [[Q(0)] * 16 + [Q(1)]],
+                      [Q(0)])])
+        assert CLASS_C in classify(classc) and ORDINARY not in classify(classc)
+        assert ORDINARY in classify(orthant)
+        built = built_polyhedra(monkeypatch, IntRowPolyhedron)
+        fractions = built_polyhedra(monkeypatch, Polyhedron)
+        monkeypatch.setattr(ParametricSystem, "int_coefficients",
+                            lambda self: pytest.fail("the system was scaled"))
+        for sys, y in ((classc, [Q(1)]), (orthant, [Q(0)] * 16 + [Q(1)])):
+            with pytest.raises(DecompositionTooLarge):
+                decompose(sys)
+            with pytest.raises(DecompositionTooLarge):
+                first_unbounded_piece(sys, y)
+        assert built == [] and fractions == []

@@ -197,6 +197,40 @@ class TestIntRowPolyhedron:
         with pytest.raises(ValueError, match=match):
             IntRowPolyhedron(*args, scaled_box([Q(0)], [Q(1)]))
 
+    def test_inequality_rows_give_the_rational_result(self):
+        """``IntRowPolyhedron.of`` scales a Polyhedron with inequality rows,
+        equality rows and bounds: its Fraction view is the same set as
+        given, it has the same points, recession cone and LP result (the
+        same final tableau), and the simplex takes it as it is."""
+        rng = random.Random(88)
+        for _ in range(120):
+            P, _ = random_with_bounds(rng, mixed_rational)
+            R = IntRowPolyhedron.of(P)
+            assert R.polyhedron() == P
+            assert (R.d, R.f, R.dim) == (P.d, P.f, P.dim)
+            assert recession_cone(R).polyhedron() == recession_cone(P)
+            res, want = lp_feasible(R), lp_feasible(P)
+            assert type(res) is type(want) and res == want
+            assert tableau_state(res) == tableau_state(want)
+            for _ in range(6):
+                x = [Q(rng.randint(-8, 8), rng.choice((1, 2, 3)))
+                     for _ in range(P.dim)]
+                assert R.contains(x) == P.contains(x)
+            if isinstance(res, Feasible):
+                assert R.contains(res.point)
+
+    @pytest.mark.parametrize("C,cdens,crhs,match", [
+        ([[1]], [1, 2], IntRhs([0], 1), "row counts"),
+        ([[1]], [1], IntRhs([0, 1], 1), "row counts"),
+        ([[1, 2]], [1], IntRhs([0], 1), "inequality row has wrong width"),
+        ([[1]], [0], IntRhs([0], 1), "denominator"),
+        ([[1]], [1], IntRhs([0], -1), "denominator"),
+    ], ids=["dens", "rhs", "width", "zero-den", "rhs-den"])
+    def test_inequality_shapes_checked(self, C, cdens, crhs, match):
+        with pytest.raises(ValueError, match=match):
+            IntRowPolyhedron([], [], IntRhs([], 1), scaled_box([Q(0)], [Q(1)]),
+                             C, cdens, crhs)
+
     def test_bounds_checked(self):
         rhs = IntRhs([0], 1)
         with pytest.raises(ValueError, match="wrong length"):

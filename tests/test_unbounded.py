@@ -7,10 +7,12 @@ import pytest
 
 from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
-                      gen_wide_ordinary, random_point)
+                      gen_wide_ordinary, random_point, with_big_denominators,
+                      with_thin_params)
 from pilsys import cones, membership, oracle, unbounded
 from pilsys.cones import special_class_unbounded_equality
-from pilsys.exact import AffineSolutionSet, lin_solve, lp_feasible, zeros
+from pilsys.exact import (AffineSolutionSet, lin_solve, lp_feasible,
+                          scaled_box, zeros)
 from pilsys.membership import (member_ae, member_kernel, member_united,
                                strict_kernel_member_ae)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
@@ -472,12 +474,12 @@ class TestVerdictDigest:
 
 
 class TestClassifyCalls:
-    """Each question classifies its system as often as it must: a
-    PROP1/PROP2 decision in the cascade's stage (iv) and in
+    """Each question classifies its system once at most: a PROP1/PROP2
+    decision in the cascade's stage (iv), which hands the flags to
     ``cones._pieces``, an equality report in ``_pieces`` alone, and a united
     THM2 or THM3 decision not at all."""
 
-    WANT = {Rule.THM2: 0, Rule.THM3: 0, Rule.PROP1: 2, Rule.PROP2: 2}
+    WANT = {Rule.THM2: 0, Rule.THM3: 0, Rule.PROP1: 1, Rule.PROP2: 1}
 
     def test_classifications_per_question(self, monkeypatch):
         calls = []
@@ -710,6 +712,23 @@ class TestThresholdEvidence:
         # one point at each universal vertex
         assert sorted(checked) == ["ae", "general", "wide"]
         assert min(checked.values()) >= 4 and sum(checked.values()) >= 20
+
+    def test_bound_from_integers_is_the_fraction_bound(self):
+        """R from the box scaled once and the b column in integers is the
+        Fraction sum ||b(mid)||_1 + sum_k rad_k ||b^(k)||_1, with thin
+        parameters, no parameters and large coprime denominators."""
+        rng = random.Random(61)
+        systems = [ParametricSystem(1, 1, [[Q(1)]], [Q(-3, 7)], [])]
+        for _ in range(20):
+            sys = gen_general(rng, rng.randint(1, 3), 2)
+            sys = with_thin_params(rng, sys, rng.randint(0, 2))
+            systems += [sys, with_big_denominators(rng, sys)]
+        for sys in systems:
+            lo, hi, L = scaled_box([iv.lo for iv in sys.box],
+                                   [iv.hi for iv in sys.box])
+            want = sum(abs(v) for v in sys.b_at(sys.midpoint())) + sum(
+                par.interval.rad * abs(v) for par in sys.params for v in par.b)
+            assert unbounded._rhs_bound(sys, lo, hi, L) == want
 
     def test_only_kernel_and_strict_kernel_lps(self, monkeypatch):
         # x1 + a*x2 = 1 with a in [-1, 1]: e_2 is in the strict kernel
