@@ -8,14 +8,15 @@ kernel is an ordinary polyhedron in exact rationals.  One linearization,
 A_c -+ sum_k s_k G_k on the region of the sign vector s, builds both pieces;
 the kernel piece is that linearization with a zero right-hand side.
 
-The linearization is built in integers, once per system: the box is scaled
-once, lo_k and hi_k over one scale L, so that 2 L mid_k = lo_k + hi_k and
-2 L rad_k = hi_k - lo_k, and row i of the system is read once as integers
-over D_i (``ParametricSystem.int_coefficients``).  Every row of a piece is
-then integers over the one denominator 2 L D_i, and each piece is an
-``IntRowPolyhedron`` that the simplex reads as it is.  A piece keeps only
-that form, and a Fraction ``Polyhedron`` is built only where one is read
-(``Piece.solution_piece`` and ``Piece.kernel_piece``: ``classify
+The linearization is built in integers from one ``Reading`` of the system:
+the box scaled once, lo_k and hi_k over one scale L, so that
+2 L mid_k = lo_k + hi_k and 2 L rad_k = hi_k - lo_k, and row i of the
+system read once as integers over D_i (its ``int_coefficients`` table).
+A decision that has read its system hands that reading on.  Every row of
+a piece is then integers over the one denominator 2 L D_i, and each piece
+is an ``IntRowPolyhedron`` that the simplex reads as it is.  A piece keeps
+only that form, and a Fraction ``Polyhedron`` is built only where one is
+read (``Piece.solution_piece`` and ``Piece.kernel_piece``: ``classify
 --decompose``, a check of PROP1/PROP2 evidence, a repr).
 
 ``decompose`` decides the nonemptiness of every piece, and the point that a
@@ -35,8 +36,8 @@ from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron, Q,
-                    Vector, _Record, doubled_mid_rad, lp_feasible,
-                    recession_cone, scaled_box)
+                    Vector, _Record, lp_feasible, recession_cone)
+from .membership import Reading
 from .model import CLASS_C, ORDINARY, ParametricSystem, SystemClass, classify
 
 ORTHANT = "ORTHANT"
@@ -112,42 +113,24 @@ def _sign_vectors(n: int):
 RawPieces = Iterator[tuple[SignVector, IntRowPolyhedron, IntRowPolyhedron]]
 
 
-class _Scaled:
-    """A system read once in integers: ``rows`` holds each row i as
-    ``int_coefficients`` gives it (term k's entries at k (n + 1) onwards,
-    over D_i), ``mids`` and ``rads`` are 2 L mid_k and 2 L rad_k for
-    k = 0..K (the constant term has mid 1 and radius 0), so each midpoint
-    or radius combination of row i is an integer over 2 L D_i (``dens``)."""
-
-    def __init__(self, sys: ParametricSystem):
-        lo, hi, L = scaled_box([iv.lo for iv in sys.box],
-                               [iv.hi for iv in sys.box])
-        self.n, self.w = sys.n, sys.n + 1
-        self.mids, self.rads = doubled_mid_rad(lo, hi, L)
-        self.rows = sys.int_coefficients()
-        self.dens = [2 * L * D for _, D in self.rows]
-
-    def spread(self, ints: list[int], j: int) -> int:
-        """Column j of row ints summed with the radii: 2 L D_i times
-        sum_k rad_k |coefficient|."""
-        return sum(map(mul, self.rads, map(abs, ints[j::self.w])))
-
-
-def _linearization(sc: _Scaled, gens, region) -> RawPieces:
+def _linearization(sc: Reading, gens, region) -> RawPieces:
     """One piece per sign vector s of the generators G_k, each given by its
     nonzero entries (i, j, value) as integers over row i's denominator: the
     matrices A_c -+ sum_k s_k G_k, and the sign region region(s) as rows of
-    C (each <= 0, integers over their own denominators) plus a box.
+    C (each <= 0, integers over their own denominators) plus a box.  Each
+    midpoint or radius combination of row i of the reading's table is an
+    integer over 2 L D_i, the row's denominator here.
 
     The solution piece has right-hand side (b_c + Delta_b; Delta_b - b_c; 0).
     The kernel piece is the same linearization with a zero right-hand side,
     which is the kernel characterization of the homogenized system.  Pieces
     are built as they are asked for, and no LP is run here.
     """
-    n, dens = sc.n, sc.dens
+    n = sc.n
+    dens = [2 * sc.L * D for _, D in sc.table]
     center = [[sum(map(mul, sc.mids, ints[j::sc.w])) for j in range(n + 1)]
-              for ints, _ in sc.rows]
-    db = [sc.spread(ints, n) for ints, _ in sc.rows]
+              for ints, _ in sc.table]
+    db = [sc.spread(ints, n) for ints, _ in sc.table]
     rhs = [row[n] + d for row, d in zip(center, db)] + \
         [d - row[n] for row, d in zip(center, db)]
     no_rows = IntRhs([], 1)
@@ -189,15 +172,17 @@ def _decomposition(mode: str, pieces: RawPieces) -> PieceDecomposition:
     return PieceDecomposition(mode, out)
 
 
-def _orthant_pieces(sys: ParametricSystem) -> RawPieces:
-    """The orthant linearization of an ordinary system: the generators are
-    the columns of Delta_A, and the orthant s_j x_j >= 0 is given as
-    bounds.  The cap is checked before any piece is built."""
+def _orthant_pieces(sys: ParametricSystem,
+                    sc: Optional[Reading] = None) -> RawPieces:
+    """The orthant linearization of an ordinary system, read from sc (made
+    here when none is given): the generators are the columns of Delta_A,
+    and the orthant s_j x_j >= 0 is given as bounds.  The cap is checked
+    before any piece is built."""
     if sys.n > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"dimension {sys.n} exceeds the 2^n cap "
                                     f"of {_DECOMPOSITION_CAP}")
-    sc = _Scaled(sys)
-    spreads = [[sc.spread(ints, j) for j in range(sys.n)] for ints, _ in sc.rows]
+    sc = sc or Reading(sys)
+    spreads = [[sc.spread(ints, j) for j in range(sys.n)] for ints, _ in sc.table]
     gens = [[(i, j, row[j]) for i, row in enumerate(spreads) if row[j]]
             for j in range(sys.n)]
     return _linearization(sc, gens, lambda s: (
@@ -205,8 +190,10 @@ def _orthant_pieces(sys: ParametricSystem) -> RawPieces:
                  [None if sj > 0 else 0 for sj in s], 1)))
 
 
-def _classC_pieces(sys: ParametricSystem) -> RawPieces:
-    """The sign-cone linearization of a class-C system: generators
+def _classC_pieces(sys: ParametricSystem,
+                   sc: Optional[Reading] = None) -> RawPieces:
+    """The sign-cone linearization of a class-C system, read from sc (made
+    here when none is given): generators
     rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b is the shift
     of the rhs parameters alone), and the sign cone as rows -s_k A^(k)_i.
     A thin parameter has no radius, so it adds to A_c and b_c only.  The
@@ -216,10 +203,10 @@ def _classC_pieces(sys: ParametricSystem) -> RawPieces:
     if len(mats) > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"{len(mats)} matrix parameters exceed "
                                     f"the 2^K cap of {_DECOMPOSITION_CAP}")
-    sc = _Scaled(sys)
+    sc = sc or Reading(sys)
     n, w = sys.n, sys.n + 1
     # term k + 1 of row i: parameter k's A^(k)_i, over D_i
-    terms = [[(ints[(k + 1) * w:(k + 1) * w + n], D) for ints, D in sc.rows]
+    terms = [[(ints[(k + 1) * w:(k + 1) * w + n], D) for ints, D in sc.table]
              for k in mats]
     gens = [[(i, j, sc.rads[k + 1] * a) for i, (row, _) in enumerate(rows)
              for j, a in enumerate(row) if a] for k, rows in zip(mats, terms)]
@@ -231,16 +218,17 @@ def _classC_pieces(sys: ParametricSystem) -> RawPieces:
         [D for _, _, D in cone], (free, free, 1)))
 
 
-def _pieces(sys: ParametricSystem,
-            flags: Optional[SystemClass] = None) -> tuple[str, RawPieces]:
+def _pieces(sys: ParametricSystem, flags: Optional[SystemClass] = None,
+            reading: Optional[Reading] = None) -> tuple[str, RawPieces]:
     """Orthant pieces for ordinary systems, sign-cone pieces for class C;
-    the system is classified here unless its class is given."""
+    the system is classified here unless its class is given, and read here
+    unless its reading is."""
     if flags is None:
         flags = classify(sys)
     if ORDINARY in flags:
-        return ORTHANT, _orthant_pieces(sys)
+        return ORTHANT, _orthant_pieces(sys, reading)
     if CLASS_C in flags:
-        return SIGNCONE, _classC_pieces(sys)
+        return SIGNCONE, _classC_pieces(sys, reading)
     raise ValueError("system is neither ordinary nor of class C")
 
 
@@ -264,15 +252,17 @@ def decompose(sys: ParametricSystem) -> PieceDecomposition:
 
 
 def first_unbounded_piece(sys: ParametricSystem, y: Sequence[Q],
-                          flags: Optional[SystemClass] = None
+                          flags: Optional[SystemClass] = None,
+                          reading: Optional[Reading] = None
                           ) -> tuple[str, Optional[Piece]]:
     """The mode of ``decompose(sys)`` and its first piece, in the same order,
     whose kernel piece contains y and whose solution piece is nonempty, or
     None.  The kernel test is integer sums, the nonemptiness LP runs only on
     pieces whose kernel piece contains y, and the search stops at the first
-    nonempty one.  ``flags``, the system's ``classify``, is read when given,
-    so that a caller that has classified the system is not made to again."""
-    mode, pieces = _pieces(sys, flags)
+    nonempty one.  ``flags``, the system's ``classify``, and ``reading``,
+    its ``Reading``, are used when given, so that a caller that has
+    classified or read the system is not made to again."""
+    mode, pieces = _pieces(sys, flags, reading)
     for sv, solution, kernel in pieces:
         if kernel.contains(y) and _lp_point(solution) is not None:
             return mode, Piece(sv, solution, kernel, True)

@@ -46,22 +46,27 @@ copy of its final tableau, with one equation relaxed by eps (see
 strict_kernel_member_ae); ``decide_unbounded`` builds the homogenized
 vertex LP once and starts the strict kernel from the kernel query's first
 vertex LP.
+
+A caller that asks many bool questions of one system (the ray walks of a
+decision, the cells of a raster) reads the system once (``Reading``) and
+asks through one ``SeparatorPool``: the row test, and every separator an
+earlier LP returned, settle the points they refute with no LP.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
-                    LPResult, Q, Vector, _Record, basis_holds, dot,
-                    doubled_mid_rad, lp_feasible, max_row_shift, scaled_box,
-                    vec_add,
-                    vec_scale)
+from .exact import (FarkasCertificate, Infeasible, IntBox, IntRhs,
+                    IntRowPolyhedron, LPResult, Q, Vector, _Record, basis_holds,
+                    dot, doubled_mid_rad, lp_feasible, max_row_shift, scaled,
+                    scaled_box, vec_add, vec_scale)
 from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
-                    box_vertices, kernel_rows, residual_rows, residual_vectors)
+                    _system_at, box_vertices, kernel_rows, residual_rows,
+                    residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -112,11 +117,103 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
                              [-tk if tk.numerator < 0 else zero for tk in t])
 
 
+class Reading:
+    """A system read once in integers, for the many questions of one
+    decision, raster or decomposition.
+
+    The box is scaled once (``scaled_box``, or ``box`` when the caller has
+    it): ``lo`` and ``hi`` over ``L``, and ``mids`` and ``rads`` are
+    2 L mid_k and 2 L rad_k led by the constant term's 2 L and 0
+    (``doubled_mid_rad``).  ``table`` is the system's ``int_coefficients``,
+    read when first asked for: term k of row i at k w onwards, w = n + 1,
+    over D_i.  Residual rows at a point and the system at a box point are
+    then integer sums over that table, with no coefficient read again and
+    no Fraction built.
+    """
+
+    def __init__(self, sys: ParametricSystem, box: Optional[IntBox] = None):
+        self.sys, self.n, self.w = sys, sys.n, sys.n + 1
+        self.box = box or _scaled_box(sys)
+        self.lo, self.hi, self.L = self.box
+        self.mids, self.rads = doubled_mid_rad(self.lo, self.hi, self.L)
+        self._table: Optional[list[tuple[list[int], int]]] = None
+
+    @property
+    def table(self) -> list[tuple[list[int], int]]:
+        if self._table is None:
+            self._table = self.sys.int_coefficients()
+        return self._table
+
+    def rows_at(self, x: Sequence[Q],
+                rhs_sign: int = -1) -> list[tuple[list[int], int]]:
+        """``residual_rows`` at x (rhs_sign -1), or ``kernel_rows`` (0),
+        from the table: the same rational rows, row i over xd D_i for x
+        scaled to integers xn over xd."""
+        xn, xd = scaled(x)
+        xn.append(rhs_sign * xd)
+        w = self.w
+        return [([sum(map(mul, xn, ints[k:k + w]))
+                  for k in range(0, len(ints), w)], D * xd)
+                for ints, D in self.table]
+
+    def system_at(self, coef: list[int]) -> tuple[list[list[int]], list[int]]:
+        """[A(p) | b(p)] as integers (``int_system_at``) for
+        p = coef[1:] / coef[0], coef[0] > 0."""
+        return _system_at(self.table, coef, self.w)
+
+    def spread(self, ints: list[int], j: int) -> int:
+        """Column j of a table row summed with the radii: 2 L D_i times
+        sum_k rad_k |coefficient|."""
+        return sum(map(mul, self.rads, map(abs, ints[j::self.w])))
+
+
+def _scaled_box(sys: ParametricSystem) -> IntBox:
+    """The whole parameter box as integers over one scale L."""
+    return scaled_box([par.interval.lo for par in sys.params],
+                      [par.interval.hi for par in sys.params])
+
+
+def _check_quantifiers(sys: ParametricSystem,
+                       quant: QuantifierAssignment) -> None:
+    """Refuse an assignment that is no partition of the parameters, or that
+    has more than MAX_FORALL universal ones, before any row test or LP."""
+    quant.validate_for(sys.K)
+    if len(quant.forall_set) > MAX_FORALL:
+        raise ValueError(f"more than {MAX_FORALL} universal parameters")
+
+
+def _signed_rads(rads: list[int], forall: Iterable[int]) -> list[int]:
+    """2 L rad_k (``doubled_mid_rad``) with the universal entries negated:
+    the weights of |w.v^(k)| on the right of the characterization
+    inequality."""
+    rads = rads[:]
+    for k in forall:
+        rads[k + 1] = -rads[k + 1]
+    return rads
+
+
+def _failing_row(mids: list[int], rads: list[int],
+                 rows: Iterable[tuple[list[int], int]]
+                 ) -> Optional[tuple[int, int]]:
+    """The first row t for which the characterization inequality fails,
+    with w or -w, as (its index, the sign of mids.t), or None.  A row holds
+    t_k = w.v^(k) for k = 0..K as integers over one positive denominator,
+    so both sides times 2 L and that denominator are integer dots:
+    |mids.t| > rads.|t|, rads signed by ``_signed_rads``.  With w = e_i,
+    t is row i of the residual rows."""
+    for i, (t, _) in enumerate(rows):
+        c = sum(map(mul, mids, t))
+        if abs(c) > sum(map(mul, rads, map(abs, t))):
+            return i, -1 if c < 0 else 1
+    return None
+
+
 class _VertexLP:
-    """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``),
-    the one reader of its query's box.  It refuses bad quantifiers and more
-    than MAX_FORALL universal parameters first, then scales the whole box
-    to integers once (``scaled_box``): lo_k and hi_k over one scale L.
+    """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``).
+    It refuses bad quantifiers and more than MAX_FORALL universal parameters
+    first, then scales the whole box to integers once (``scaled_box``):
+    lo_k and hi_k over one scale L.  A caller that has that box (a
+    ``Reading``'s) hands it on as ``box`` instead.
 
     Each vertex of the universal box asks for p_E in box_E with
     sum_{k in E} p_k v^(k) = rhs: the box is the bounds, the m rows E are
@@ -133,18 +230,15 @@ class _VertexLP:
     """
 
     def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
-                 rows: list[tuple[list[int], int]]):
-        quant.validate_for(sys.K)
-        if len(quant.forall_set) > MAX_FORALL:
-            raise ValueError(f"more than {MAX_FORALL} universal parameters")
+                 rows: list[tuple[list[int], int]],
+                 box: Optional[IntBox] = None):
+        _check_quantifiers(sys, quant)
         self.sys, self.rows = sys, rows
         self.forall = sorted(quant.forall_set)
         self.exists = exists = sorted(quant.exists_set)
         self.E = [[nums[k + 1] for k in exists] for nums, _ in rows]
         self.dens = [den for _, den in rows]
-        self.lo, self.hi, self.L = scaled_box(
-            [par.interval.lo for par in sys.params],
-            [par.interval.hi for par in sys.params])
+        self.lo, self.hi, self.L = box or _scaled_box(sys)
         # the existential bounds over the lcm of their own denominators,
         # L / g, which is the scale scaled_box gives them alone
         lo, hi = [self.lo[k] for k in exists], [self.hi[k] for k in exists]
@@ -167,24 +261,21 @@ class _VertexLP:
         ``_separator_from_farkas`` does; only they and w are Fractions.
         """
         mids, rads = doubled_mid_rad(self.lo, self.hi, self.L)
-        # rad_k for an existential parameter, -rad_k for a universal one
-        for k in self.forall:
-            rads[k + 1] = -rads[k + 1]
-        for i, (nums, den) in enumerate(self.rows):
-            c = sum(map(mul, mids, nums))
-            if abs(c) <= sum(map(mul, rads, map(abs, nums))):
-                continue
-            sign = -1 if c < 0 else 1
-            zero = Q(0)
-            w = [zero] * self.sys.m
-            w[i] = Q(sign)
-            u, v = [], []
-            for k in self.exists:
-                t = sign * nums[k + 1]
-                u.append(Q(-t, den) if t < 0 else zero)
-                v.append(Q(t, den) if t > 0 else zero)
-            return FarkasCertificate(w, u, v)
-        return None
+        failing = _failing_row(mids, _signed_rads(rads, self.forall),
+                               self.rows)
+        if failing is None:
+            return None
+        i, sign = failing
+        nums, den = self.rows[i]
+        zero = Q(0)
+        w = [zero] * self.sys.m
+        w[i] = Q(sign)
+        u, v = [], []
+        for k in self.exists:
+            t = sign * nums[k + 1]
+            u.append(Q(-t, den) if t < 0 else zero)
+            v.append(Q(t, den) if t > 0 else zero)
+        return FarkasCertificate(w, u, v)
 
     def vertices(self) -> Iterator[IntRhs]:
         """The rhs at each universal vertex, in ``box_vertices`` order over
@@ -238,6 +329,65 @@ class _VertexLP:
         return True, best
 
 
+class SeparatorPool:
+    """Bool membership of many points of one system under one quantifier
+    assignment, from one ``Reading``, with the separators found so far.
+
+    A point comes as its residual rows (``Reading.rows_at``, or any rows of
+    that form) and is tested first in integers: each row alone, as
+    ``_VertexLP.refute`` tries it (w = +-e_i), then each kept separator w,
+    with both signs, in the characterization inequality.  A w that violates
+    it refutes the point whatever the LP would say, so a refuted point asks
+    no LP.  On a first-class system (``exact``), whose equations share no
+    parameter, the row test decides both ways and no LP is asked at all;
+    otherwise the vertex LPs decide what the pool leaves, and the w of each
+    one that refutes its point is kept for the points after it.  Only bools
+    come out, so no certificate is built for a refuted point.
+    """
+
+    def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
+                 reading: Reading, exact: bool):
+        _check_quantifiers(sys, quant)
+        self.sys, self.quant, self.reading, self.exact = \
+            sys, quant, reading, exact
+        self.mids = reading.mids
+        self.rads = _signed_rads(reading.rads, quant.forall_set)
+        # the kept separators as integers (``scaled``)
+        self.ws: list[list[int]] = []
+
+    def lp(self, rows: list[tuple[list[int], int]]) -> _VertexLP:
+        """The vertex LP over rows, on the pool's reading of the box."""
+        return _VertexLP(self.sys, self.quant, rows, self.reading.box)
+
+    def refutes(self, rows: list[tuple[list[int], int]]) -> bool:
+        """Does one row alone, or one kept separator, refute these rows?
+        A separator w combines the rows over their lcm D: t_k is the sum
+        of w_i times row i's k-th entry times D / D_i."""
+        mids, rads = self.mids, self.rads
+        if _failing_row(mids, rads, rows) is not None:
+            return True
+        if not self.ws:
+            return False
+        D = lcm(*[den for _, den in rows])
+        cols = list(zip(*[[a * (D // den) for a in nums] for nums, den in rows]))
+        return _failing_row(mids, rads, (
+            ([sum(map(mul, w, col)) for col in cols], D)
+            for w in self.ws)) is not None
+
+    def holds(self, rows: list[tuple[list[int], int]]) -> bool:
+        """Is the point of these residual rows a member?"""
+        if self.refutes(rows):
+            return False
+        if self.exact:
+            return True
+        ok, cert = self.lp(rows).member()
+        if not ok:
+            # w refutes this point, which no kept separator does, so w is
+            # none of them
+            self.ws.append(scaled(cert.separator.w)[0])
+        return ok
+
+
 def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:
     """v^(0) + sum_k mid(p_k) v^(k): the residual at the box midpoint."""
     mid = residuals[0]
@@ -257,7 +407,8 @@ def member_kernel(sys: ParametricSystem, y: Sequence[Q]) -> tuple[bool, Certific
 
 
 def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
-              x: Sequence[Q]) -> tuple[bool, Certificate]:
+              x: Sequence[Q],
+              reading: Optional[Reading] = None) -> tuple[bool, Certificate]:
     """Is x in the AE solution set for the given quantifier assignment?
 
     One vertex LP reads the box (``_VertexLP``), and each equation is
@@ -278,8 +429,15 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     its bounds is that vertex solved cold, and only a cold LP gives a
     separator.  So a verdict the row test leaves, and its certificate, are
     those of one cold LP per vertex.
+
+    A caller that has read the system (``Reading``) passes that reading,
+    and x's rows are built from it: the same rational rows, so the same
+    verdict and certificate.
     """
-    lp = _VertexLP(sys, quant, residual_rows(sys, x))
+    if reading is None:
+        lp = _VertexLP(sys, quant, residual_rows(sys, x))
+    else:
+        lp = _VertexLP(sys, quant, reading.rows_at(x), reading.box)
     sep = lp.refute()
     if sep is not None:
         return False, Certificate.separator(sep)

@@ -14,8 +14,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .exact import (Matrix, Polyhedron, Q, UniqueSolution, Vector, dot,
                     fm_feasible, lin_solve)
-from .membership import (_mid_residual, member_ae, member_ae_kernel,
-                         member_united)
+from .membership import Reading, SeparatorPool, _mid_residual
+from .membership import member_united  # noqa: F401 -- bench/test_bench.py reads it
 from .model import (FIRST_CLASS, ORDINARY, ParametricSystem,
                     QuantifierAssignment, SystemClass, classify,
                     interval_data, residual_vectors)
@@ -169,7 +169,13 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
               which: str = UNITED) -> list[list[bool]]:
     """Exact membership on a rational grid over a 2-D window (row-major).
     The kernel is that of the AE set under ``quant`` (the united kernel when
-    it is None), as ``pilsys kernel`` asks it."""
+    it is None), as ``pilsys kernel`` asks it.
+
+    Only bools come out, so every cell is asked through one reading of the
+    system and one ``SeparatorPool``: a row alone, or the separator of an
+    earlier cell's LP, settles a cell it refutes with no LP, and a
+    first-class system takes no LP at all.  The verdicts are those of one
+    cold query per cell."""
     if sys.n != 2:
         raise ValueError("rasterization requires n = 2")
     if not 2 <= resolution <= 512:
@@ -178,21 +184,20 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("window must have x_lo < x_hi and y_lo < y_hi")
 
-    def member(pt: Vector) -> bool:
-        if which == UNITED:
-            return member_united(sys, pt)[0]
-        if which == KERNEL:
-            return member_ae_kernel(
-                sys, quant or QuantifierAssignment.all_exists(sys.K), pt)[0]
-        if which == AE:
-            if quant is None:
-                raise ValueError("AE raster needs a quantifier assignment")
-            return member_ae(sys, quant, pt)[0]
+    if which not in (UNITED, AE, KERNEL):
         raise ValueError(f"unknown set {which!r}")
-
+    if which == AE and quant is None:
+        raise ValueError("AE raster needs a quantifier assignment")
+    if which == UNITED or quant is None:
+        quant = QuantifierAssignment.all_exists(sys.K)
+    reading = Reading(sys)
+    pool = SeparatorPool(sys, quant, reading, FIRST_CLASS in classify(sys))
+    # a kernel cell's rows are those of the homogenized system
+    rhs_sign = 0 if which == KERNEL else -1
     xs = _coords(x_lo, x_hi, resolution)
     ys = _coords(y_lo, y_hi, resolution)
-    return [[member([x1, x2]) for x2 in ys] for x1 in xs]
+    return [[pool.holds(reading.rows_at([x1, x2], rhs_sign)) for x2 in ys]
+            for x1 in xs]
 
 
 def raster_csv(sys: ParametricSystem, quant: Optional[QuantifierAssignment],

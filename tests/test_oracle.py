@@ -5,8 +5,9 @@ import pytest
 
 from conftest import (gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, load, random_point)
-from pilsys import exact
-from pilsys.membership import member_ae, member_kernel, member_united
+from pilsys import exact, membership
+from pilsys.membership import (member_ae, member_ae_kernel, member_kernel,
+                               member_united)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment)
 from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
@@ -137,6 +138,52 @@ class TestRasterize:
         assert lines[4] == "1/1,-1/1,1"
         assert lines[6] == "1/1,0/1,1"
         assert lines[1].endswith(",0")
+
+    @staticmethod
+    def counted_lps(monkeypatch):
+        lps = []
+        solve = membership.lp_feasible
+
+        def counting(P):
+            lps.append(P)
+            return solve(P)
+
+        monkeypatch.setattr(membership, "lp_feasible", counting)
+        return lps
+
+    def test_cells_are_cold_queries(self, monkeypatch):
+        # one reading and one pool of separators serve every cell, and each
+        # cell is what a cold query of its own says, with fewer LPs
+        rng = random.Random(61)
+        window, res = (Q(-3), Q(3), Q(-3), Q(3)), 9
+        steps = [Q(i, res - 1) for i in range(res)]
+        cells = [[Q(-3) + 6 * s, Q(-3) + 6 * t] for s in steps for t in steps]
+        lps = self.counted_lps(monkeypatch)
+        asked = pooled = 0
+        for _ in range(4):
+            sys, quant = gen_quantified(rng, 2, 2)
+            for which, cold in (
+                    ("UNITED", lambda x: member_united(sys, x)),
+                    ("AE", lambda x: member_ae(sys, quant, x)),
+                    ("KERNEL", lambda x: member_ae_kernel(sys, quant, x))):
+                lps.clear()
+                want = [cold(x)[0] for x in cells]
+                asked += len(lps)
+                lps.clear()
+                grid = rasterize(sys, quant, window, res, which)
+                pooled += len(lps)
+                assert [v for row in grid for v in row] == want
+        assert pooled < asked
+
+    def test_first_class_raster_takes_no_lp(self, monkeypatch):
+        rng = random.Random(67)
+        lps = self.counted_lps(monkeypatch)
+        members = 0
+        for _ in range(6):
+            sys = gen_first_class(rng, 2, 2)
+            grid = rasterize(sys, None, (Q(-2), Q(2), Q(-2), Q(2)), 9)
+            members += sum(map(sum, grid))
+        assert lps == [] and members > 0
 
 
 class TestKernelSymmetry:

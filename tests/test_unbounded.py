@@ -9,7 +9,7 @@ from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, random_point, with_big_denominators,
                       with_thin_params)
-from pilsys import cones, membership, oracle, unbounded
+from pilsys import cones, membership, model, oracle, unbounded
 from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import (AffineSolutionSet, lin_solve, lp_feasible,
                           scaled_box, zeros)
@@ -375,23 +375,29 @@ class TestCascadeWalk:
         assert probed >= 5, probed
 
     def test_walk_reads_the_kernel_rows_of_the_cascade(self, monkeypatch, e1):
-        """The rows at x0 + alpha*y are r0 + alpha*(A^(k) y): a walked base
-        point costs one ``residual_rows`` call, and the kernel rows of y
-        are built once per decision, for the kernel stage and every walk."""
+        """A decision reads its system once: one ``int_coefficients`` table
+        serves the base points, every walked base point's rows r0 and the
+        sign pieces, so no ``residual_rows`` or ``int_system_at`` runs; the
+        rows at x0 + alpha*y are r0 + alpha*(A^(k) y), and the kernel rows
+        of y are built once per decision, for the kernel stage and every
+        walk."""
         calls = Counter()
 
-        def spy(module, name):
-            real = getattr(module, name)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
             def counting(*args):
                 calls[name] += 1
                 return real(*args)
-            monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(owner, name, counting)
 
         spy(unbounded, "_walk_ray")
-        spy(unbounded, "residual_rows")
+        spy(model, "residual_rows")
+        spy(membership, "residual_rows")
         spy(unbounded, "kernel_rows")
         spy(membership, "kernel_rows")
+        spy(ParametricSystem, "int_coefficients")
+        spy(ParametricSystem, "int_system_at")
         cases = [(e1.system, None, [Q(0), Q(-1)])] + [
             (sys, quant, y) for sys, quant, y in self.cases(79, 20)
             if y is not None and any(y)]
@@ -403,7 +409,8 @@ class TestCascadeWalk:
                 continue
             # an exhausted walk's report drops the exited ones before it
             assert calls["_walk_ray"] >= len(probe_reports(v))
-            assert calls["residual_rows"] == calls["_walk_ray"]
+            assert calls["int_coefficients"] == 1
+            assert calls["residual_rows"] == calls["int_system_at"] == 0
             assert calls["kernel_rows"] == 1
             walked += calls["_walk_ray"]
         assert walked >= 10, walked
@@ -422,6 +429,185 @@ class TestCascadeWalk:
                 kind = "ae" if quant else "united"
                 kinds[kind] = kinds.get(kind, 0) + 1
         assert min(kinds.get("ae", 0), kinds.get("united", 0)) >= 5, kinds
+
+
+def separator_validates(sys, quant, x, w):
+    """Does w, or -w, fail the characterization inequality at x?"""
+    zero = [Q(0)] * len(quant.exists_set)
+    return any(membership.validate_certificate(
+        sys, quant, x, membership.Certificate.separator(
+            membership.FarkasCertificate([s * wi for wi in w], zero, zero)))
+        for s in (1, -1))
+
+
+class TestSeparatorPool:
+    """The pool of one decision settles ray points in integers: a row alone
+    or a kept separator refutes a point exactly when that separator, with
+    one sign or the other, fails the characterization inequality there, and
+    the walks it serves report what cold membership queries report."""
+
+    def systems(self, seed):
+        rng = random.Random(seed)
+        for _ in range(6):
+            yield "general", gen_general(rng, 2, 3), None
+            yield ("quantified",) + gen_quantified(rng, 2, 3)
+            yield "first class", gen_first_class(rng, 2, 3), None
+
+    def test_refuted_points_fail_the_inequality(self):
+        refuted = Counter()
+        for kind, sys, quant in self.systems(83):
+            q = quant or QuantifierAssignment.all_exists(sys.K)
+            reading = membership.Reading(sys)
+            pool = membership.SeparatorPool(sys, q, reading, exact=False)
+            rng = random.Random(sys.K)
+            # points near the set, so that rows alone refute few of them
+            near = [[a + Q(rng.randint(-4, 4), 8) for a in x0]
+                    for x0 in find_base_points(sys, quant, 4) for _ in range(8)]
+            for x in near[::2]:  # let the LPs fill the pool
+                pool.holds(reading.rows_at(x))
+            units = [[Q(int(i == j)) for j in range(sys.m)]
+                     for i in range(sys.m)]
+            kept = [[Q(a) for a in w] for w in pool.ws]
+            for x in near + [random_point(rng, sys.n) for _ in range(8)]:
+                settled = pool.refutes(reading.rows_at(x))
+                assert settled == any(separator_validates(sys, q, x, w)
+                                      for w in units + kept)
+                if settled:
+                    assert not member_ae(sys, q, x)[0]
+                    by_row = any(separator_validates(sys, q, x, w)
+                                 for w in units)
+                    refuted[kind, "by a row" if by_row else "by a separator"] += 1
+        # a row alone decides a first-class system, so no separator is
+        # ever what refutes a point there
+        assert ("first class", "by a separator") not in refuted
+        assert len(refuted) == 5 and min(refuted.values()) >= 5, refuted
+
+    def test_first_class_rows_decide_both_ways(self):
+        # with no LP asked, the pool answers what member_ae answers
+        rng = random.Random(89)
+        members = Counter()
+        for _ in range(12):
+            sys = gen_first_class(rng, 2, 3)
+            forall = frozenset(k for k in range(sys.K) if rng.random() < 0.3)
+            quant = QuantifierAssignment(forall, frozenset(range(sys.K)) - forall)
+            reading = membership.Reading(sys)
+            pool = membership.SeparatorPool(sys, quant, reading, exact=True)
+            base = find_base_points(sys, None, 2)
+            for x in base + [random_point(rng, sys.n, -2, 2) for _ in range(6)]:
+                want = member_ae(sys, quant, x)[0]
+                assert pool.holds(reading.rows_at(x)) == want
+                members[want] += 1
+        assert members[True] >= 5 and members[False] >= 5, members
+
+    def cases(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            sys = gen_first_class(rng, 2, 3)
+            yield sys, None, null_direction(rng, sys, sys.midpoint())
+            yield sys, None, null_direction(rng, sys)
+            sys, quant = gen_quantified(rng, 2, 3)
+            yield sys, quant, null_direction(rng, sys, sys.midpoint())
+            yield sys, quant, null_direction(rng, sys)
+
+    @staticmethod
+    def walk_lps(monkeypatch):
+        """The ``lp_feasible`` calls inside each ``_walk_ray``, one count
+        per walk."""
+        walks = []
+        walk, solve = unbounded._walk_ray, membership.lp_feasible
+
+        def counting_walk(*args, **kwargs):
+            walks.append(0)
+            try:
+                return walk(*args, **kwargs)
+            finally:
+                walks.append(None)
+
+        def counting_solve(P):
+            if walks and walks[-1] is not None:
+                walks[-1] += 1
+            return solve(P)
+
+        monkeypatch.setattr(unbounded, "_walk_ray", counting_walk)
+        monkeypatch.setattr(membership, "lp_feasible", counting_solve)
+        return walks
+
+    def test_reports_match_cold_membership(self):
+        kinds = Counter()
+        for sys, quant, y in self.cases(101, 30):
+            if y is None or not any(y):
+                continue
+            v = decide_unbounded(sys, quant, y)
+            if v.rule is not Rule.PROBE:
+                continue
+            for rep in probe_reports(v):
+                assert rep == reference_probe(sys, quant, rep.base_point, y,
+                                              PROBE_DOUBLINGS)
+                kinds["ae" if quant else "first class"] += 1
+        assert kinds["ae"] >= 5 and kinds["first class"] >= 5, kinds
+
+    def test_first_class_walks_ask_no_lp(self, monkeypatch, e1):
+        walks = self.walk_lps(monkeypatch)
+        cases = [(e1.system, [Q(0), Q(-1)]), (e1.system, [Q(0), Q(1)])] + [
+            (sys, y) for sys, quant, y in self.cases(103, 30)
+            if quant is None and y is not None and any(y)]
+        walked = 0
+        for sys, y in cases:
+            walks.clear()
+            if decide_unbounded(sys, None, y).rule is Rule.PROBE:
+                lps = [n for n in walks if n is not None]
+                assert lps and not any(lps), lps
+                walked += len(lps)
+        assert walked >= 10, walked
+
+    def test_separators_settle_later_walks(self, monkeypatch):
+        # walks from every base point of a general 3x4 system, in turn: with
+        # one shared pool each walk reports what it reports with a pool of
+        # its own, and never asks more LPs, and the separators that earlier
+        # walks kept spare LPs in total
+        rng = random.Random(107)
+        saved = 0
+        for _ in range(40):
+            sys = gen_general(rng, 3, 4, K=3)
+            y = random_point(rng, sys.n)
+            quant = QuantifierAssignment.all_exists(sys.K)
+            reading = membership.Reading(sys)
+            ky = model.kernel_rows(sys, y)
+            shared = membership.SeparatorPool(sys, quant, reading, False)
+            for x0 in find_base_points(sys, None, 8):
+                lps = []
+                for pool in (shared, membership.SeparatorPool(
+                        sys, quant, reading, False)):
+                    walks = self.walk_lps(monkeypatch)
+                    lps.append((unbounded._walk_ray(pool, x0, y, ky, 8),
+                                walks[0]))
+                    monkeypatch.undo()
+                (rep, with_shared), (alone, with_own) = lps
+                assert rep == alone == reference_probe(sys, None, x0, y, 8)
+                assert with_shared <= with_own
+                saved += with_own - with_shared
+        assert saved >= 10, saved
+
+    def test_alphas_are_shared(self, e1):
+        x0 = [Q(1), Q(0)]
+        down = probe_ray(e1.system, None, x0, [Q(0), Q(-1)])
+        v = decide_unbounded(e1.system, None, [Q(0), Q(-1)])
+        (rep,) = probe_reports(v)
+        assert len(down.alphas_tested) == len(rep.alphas_tested) == \
+            PROBE_DOUBLINGS + 2
+        assert all(a is b for a, b in zip(down.alphas_tested,
+                                          rep.alphas_tested))
+        want = [Q(0)] + [Q(2) ** i for i in range(PROBE_DOUBLINGS + 1)]
+        assert repr(rep.alphas_tested) == repr(want)
+        # a longer probe shares the doublings it has in common
+        longer = probe_ray(e1.system, None, x0, [Q(0), Q(-1)],
+                           max_doublings=PROBE_DOUBLINGS + 3)
+        assert longer.alphas_tested == want + [
+            Q(2) ** i for i in range(PROBE_DOUBLINGS + 1, PROBE_DOUBLINGS + 4)]
+        assert all(a is b for a, b in zip(longer.alphas_tested,
+                                          rep.alphas_tested))
+        up = probe_ray(e1.system, None, x0, [Q(0), Q(1)])
+        assert up.first_exit is rep.alphas_tested[1]
 
 
 class TestVerdictDigest:
