@@ -17,7 +17,7 @@ import sys as _sys
 from typing import Optional
 
 from . import membership, model
-from .exact import Polyhedron, Q, Vector
+from .exact import IntRowPolyhedron, Q, Vector
 from .model import (TOLERABLE_FORM, ParsedSystem, QuantifierAssignment,
                     SystemFormatError, parse_rational, parse_system)
 
@@ -114,9 +114,10 @@ def cmd_unbounded(args) -> int:
     return 0
 
 
-def _constraints(P: Polyhedron) -> int:
+def _constraints(P: IntRowPolyhedron) -> int:
     """Rows of C plus finite bounds: the inequalities that state P."""
-    return len(P.C) + sum(b is not None for b in P.lo + P.hi)
+    lo, hi, _ = P.box
+    return len(P.C) + sum(b is not None for b in lo + hi)
 
 
 def cmd_classify(args) -> int:
@@ -133,8 +134,8 @@ def cmd_classify(args) -> int:
         for piece in dec.pieces:
             print(f"piece {piece.sign}: "
                   f"{'nonempty' if piece.nonempty else 'empty'}, "
-                  f"{_constraints(piece.solution_piece)} solution rows, "
-                  f"{_constraints(piece.kernel_piece)} kernel rows")
+                  f"{_constraints(piece.solution)} solution rows, "
+                  f"{_constraints(piece.kernel)} kernel rows")
     return 0
 
 

@@ -12,7 +12,9 @@ The linearization is built in integers from one ``Reading`` of the system:
 the box scaled once, lo_k and hi_k over one scale L, so that
 2 L mid_k = lo_k + hi_k and 2 L rad_k = hi_k - lo_k, and row i of the
 system read once as integers over D_i (its ``int_coefficients`` table).
-A decision that has read its system hands that reading on.  Every row of
+``decompose`` and ``first_unbounded_piece`` take that reading, and the
+system's class, from one united query (``membership._Query``): a decision
+hands its own on, so it reads and classifies its system once.  Every row of
 a piece is then integers over the one denominator 2 L D_i, and each piece
 is an ``IntRowPolyhedron`` that the simplex reads as it is.  A piece keeps
 only that form, and a Fraction ``Polyhedron`` is built only where one is
@@ -24,9 +26,8 @@ piece's LP finds settles, with no LP, each later piece that contains it:
 nonemptiness is a property of the set, not of the LP's path.
 
 The piece builders take a system of their class as given: ``_pieces``
-classifies once (or reads the class its caller has) and picks one, and
-``orthant_decomposition`` and ``classC_decomposition`` refuse a system of the
-other class first.
+picks one by the class its query reads, and ``orthant_decomposition`` and
+``classC_decomposition`` refuse a system of the other class first.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from typing import Iterator, Optional, Sequence
 
 from .exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron, Q,
                     Vector, _Record, lp_feasible, recession_cone)
-from .membership import Reading
-from .model import CLASS_C, ORDINARY, ParametricSystem, SystemClass, classify
+from .membership import Reading, _Query
+from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
+                    classify)
 
 ORTHANT = "ORTHANT"
 SIGNCONE = "SIGNCONE"
@@ -172,39 +174,34 @@ def _decomposition(mode: str, pieces: RawPieces) -> PieceDecomposition:
     return PieceDecomposition(mode, out)
 
 
-def _orthant_pieces(sys: ParametricSystem,
-                    sc: Optional[Reading] = None) -> RawPieces:
-    """The orthant linearization of an ordinary system, read from sc (made
-    here when none is given): the generators are the columns of Delta_A,
-    and the orthant s_j x_j >= 0 is given as bounds.  The cap is checked
-    before any piece is built."""
-    if sys.n > _DECOMPOSITION_CAP:
-        raise DecompositionTooLarge(f"dimension {sys.n} exceeds the 2^n cap "
+def _orthant_pieces(sc: Reading) -> RawPieces:
+    """The orthant linearization of an ordinary system, read from sc: the
+    generators are the columns of Delta_A, and the orthant s_j x_j >= 0 is
+    given as bounds.  The cap is checked before any piece is built."""
+    n = sc.n
+    if n > _DECOMPOSITION_CAP:
+        raise DecompositionTooLarge(f"dimension {n} exceeds the 2^n cap "
                                     f"of {_DECOMPOSITION_CAP}")
-    sc = sc or Reading(sys)
-    spreads = [[sc.spread(ints, j) for j in range(sys.n)] for ints, _ in sc.table]
+    spreads = [[sc.spread(ints, j) for j in range(n)] for ints, _ in sc.table]
     gens = [[(i, j, row[j]) for i, row in enumerate(spreads) if row[j]]
-            for j in range(sys.n)]
+            for j in range(n)]
     return _linearization(sc, gens, lambda s: (
         [], [], ([0 if sj > 0 else None for sj in s],
                  [None if sj > 0 else 0 for sj in s], 1)))
 
 
-def _classC_pieces(sys: ParametricSystem,
-                   sc: Optional[Reading] = None) -> RawPieces:
-    """The sign-cone linearization of a class-C system, read from sc (made
-    here when none is given): generators
-    rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b is the shift
-    of the rhs parameters alone), and the sign cone as rows -s_k A^(k)_i.
-    A thin parameter has no radius, so it adds to A_c and b_c only.  The
-    cap is checked before any piece is built."""
-    mats = [k for k, par in enumerate(sys.params)
+def _classC_pieces(sc: Reading) -> RawPieces:
+    """The sign-cone linearization of a class-C system, read from sc:
+    generators rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b
+    is the shift of the rhs parameters alone), and the sign cone as rows
+    -s_k A^(k)_i.  A thin parameter has no radius, so it adds to A_c and b_c
+    only.  The cap is checked before any piece is built."""
+    mats = [k for k, par in enumerate(sc.sys.params)
             if not par.interval.is_thin() and all(v == 0 for v in par.b)]
     if len(mats) > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"{len(mats)} matrix parameters exceed "
                                     f"the 2^K cap of {_DECOMPOSITION_CAP}")
-    sc = sc or Reading(sys)
-    n, w = sys.n, sys.n + 1
+    n, w = sc.n, sc.w
     # term k + 1 of row i: parameter k's A^(k)_i, over D_i
     terms = [[(ints[(k + 1) * w:(k + 1) * w + n], D) for ints, D in sc.table]
              for k in mats]
@@ -218,17 +215,13 @@ def _classC_pieces(sys: ParametricSystem,
         [D for _, _, D in cone], (free, free, 1)))
 
 
-def _pieces(sys: ParametricSystem, flags: Optional[SystemClass] = None,
-            reading: Optional[Reading] = None) -> tuple[str, RawPieces]:
-    """Orthant pieces for ordinary systems, sign-cone pieces for class C;
-    the system is classified here unless its class is given, and read here
-    unless its reading is."""
-    if flags is None:
-        flags = classify(sys)
-    if ORDINARY in flags:
-        return ORTHANT, _orthant_pieces(sys, reading)
-    if CLASS_C in flags:
-        return SIGNCONE, _classC_pieces(sys, reading)
+def _pieces(query: _Query) -> tuple[str, RawPieces]:
+    """Orthant pieces for ordinary systems, sign-cone pieces for class C,
+    read from the query's reading, by the class the query reads."""
+    if ORDINARY in query.flags:
+        return ORTHANT, _orthant_pieces(query.reading)
+    if CLASS_C in query.flags:
+        return SIGNCONE, _classC_pieces(query.reading)
     raise ValueError("system is neither ordinary nor of class C")
 
 
@@ -236,33 +229,32 @@ def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     """Per-orthant linearization of an ordinary system and its kernel."""
     if ORDINARY not in classify(sys):
         raise ValueError("system is not ordinary")
-    return _decomposition(ORTHANT, _orthant_pieces(sys))
+    return _decomposition(ORTHANT, _orthant_pieces(Reading(sys)))
 
 
 def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
     """Sign-cone linearization of a class-C system and its kernel."""
     if CLASS_C not in classify(sys):
         raise ValueError("system is not of class C")
-    return _decomposition(SIGNCONE, _classC_pieces(sys))
+    return _decomposition(SIGNCONE, _classC_pieces(Reading(sys)))
 
 
 def decompose(sys: ParametricSystem) -> PieceDecomposition:
     """Orthant decomposition for ordinary systems, sign-cone for class C."""
-    return _decomposition(*_pieces(sys))
+    return _decomposition(*_pieces(
+        _Query(Reading(sys), QuantifierAssignment.all_exists(sys.K))))
 
 
-def first_unbounded_piece(sys: ParametricSystem, y: Sequence[Q],
-                          flags: Optional[SystemClass] = None,
-                          reading: Optional[Reading] = None
+def first_unbounded_piece(query: _Query, y: Sequence[Q]
                           ) -> tuple[str, Optional[Piece]]:
-    """The mode of ``decompose(sys)`` and its first piece, in the same order,
-    whose kernel piece contains y and whose solution piece is nonempty, or
-    None.  The kernel test is integer sums, the nonemptiness LP runs only on
-    pieces whose kernel piece contains y, and the search stops at the first
-    nonempty one.  ``flags``, the system's ``classify``, and ``reading``,
-    its ``Reading``, are used when given, so that a caller that has
-    classified or read the system is not made to again."""
-    mode, pieces = _pieces(sys, flags, reading)
+    """The mode of ``decompose`` of the query's system and its first piece,
+    in the same order, whose kernel piece contains y and whose solution
+    piece is nonempty, or None.  The kernel test is integer sums, the
+    nonemptiness LP runs only on pieces whose kernel piece contains y, and
+    the search stops at the first nonempty one.  The query is a united one
+    (``decide_unbounded``'s), whose reading and class are read here, so
+    that a decision reads and classifies its system once."""
+    mode, pieces = _pieces(query)
     for sv, solution, kernel in pieces:
         if kernel.contains(y) and _lp_point(solution) is not None:
             return mode, Piece(sv, solution, kernel, True)

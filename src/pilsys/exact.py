@@ -138,8 +138,9 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
     Each row of [A | b] is kept as primitive integers (gcd 1), as a simplex
     tableau row is: a nonzero factor does not change an equation, so the
     elimination row_i <- pv * row_i - f * row_r needs no division, and only
-    the read-out builds Fractions.  Integer entries (``int_system_at``)
-    are taken as they are, with no Fraction built.  A pivot is the first
+    the read-out builds Fractions.  Integer entries
+    (``membership.Reading.system_at``) are taken as they are, with no
+    Fraction built.  A pivot is the first
     row at or below r with a nonzero entry in column c; a factor keeps an
     entry nonzero, so the pivot columns, and the reduced echelon form read
     out at the end, are those of the rational elimination.

@@ -17,13 +17,20 @@ characterization inequality
 
 fails strictly; validate_certificate re-checks that violation exactly.
 
-Every query builds one vertex LP (``_VertexLP``), which refuses bad
-quantifiers and scales the whole parameter box to integers once; every
-test reads those integers.  A point query (``member_ae``) first tries each
-equation alone: with w = +-e_i the inequality needs no LP, only integer
-sums, and the first equation that fails is the separator.  On a
-first-class system that test decides the query; what it leaves goes to the
-vertex LPs.  Kernel and strict kernel queries go to the vertex LPs directly.
+Every question is asked of one query object (``_Query``), built from one
+reading of the system (``Reading``: the whole parameter box scaled to
+integers once, and the coefficients read once when first needed) and one
+quantifier assignment, which it refuses first when it is bad.  The query
+asks a point in one of four ways.  ``member`` (``member_ae``) first tries
+each equation alone: with w = +-e_i the inequality needs no LP, only
+integer sums, and the first equation that fails is the separator; on a
+first-class system that test decides the query, and what it leaves goes to
+the vertex LPs.  ``refute`` is that test alone, and ``lp`` the vertex LP
+alone, which is what kernel and strict kernel queries ask.  ``holds`` is
+for callers that ask many bool questions of one system (the ray walks of a
+decision, the cells of a raster): the row test, and every separator an
+earlier LP of the query returned, settle the points they refute with no
+LP, and a first-class system asks no LP at all.
 
 The vertex LPs are built from integer residual rows (``residual_rows``):
 equation i is the numerators of v^(0)_i, ..., v^(K)_i over one positive
@@ -33,7 +40,9 @@ integer dot of its scaled ends with the rows (``IntRhs``), so no residual,
 bound or right-hand side is built as a Fraction on the way; only returned
 points and certificates are.  A kernel query reads its rows as the same
 sums with the rhs column weighted 0 (``kernel_rows``), with no homogenized
-copy of the system.
+copy of the system.  A one-shot query reads its rows straight from the
+system; a caller that asks many points builds them from the reading's
+table (``Reading.rows_at``), the same rational rows.
 
 An AE query asks one LP per universal vertex, in ``box_vertices`` order
 over the scaled ends; a later vertex first re-checks the last feasible
@@ -46,11 +55,6 @@ copy of its final tableau, with one equation relaxed by eps (see
 strict_kernel_member_ae); ``decide_unbounded`` builds the homogenized
 vertex LP once and starts the strict kernel from the kernel query's first
 vertex LP.
-
-A caller that asks many bool questions of one system (the ray walks of a
-decision, the cells of a raster) reads the system once (``Reading``) and
-asks through one ``SeparatorPool``: the row test, and every separator an
-earlier LP returned, settle the points they refute with no LP.
 """
 
 from __future__ import annotations
@@ -60,13 +64,13 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import (FarkasCertificate, Infeasible, IntBox, IntRhs,
-                    IntRowPolyhedron, LPResult, Q, Vector, _Record, basis_holds,
-                    dot, doubled_mid_rad, lp_feasible, max_row_shift, scaled,
+from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
+                    LPResult, Q, Vector, _Record, basis_holds, dot,
+                    doubled_mid_rad, lp_feasible, max_row_shift, scaled,
                     scaled_box, vec_add, vec_scale)
-from .model import (ParametricSystem, QuantifierAssignment, TolerableSystem,
-                    _system_at, box_vertices, kernel_rows, residual_rows,
-                    residual_vectors)
+from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
+                    SystemClass, TolerableSystem, box_vertices, classify,
+                    kernel_rows, residual_rows, residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -118,23 +122,23 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
 
 
 class Reading:
-    """A system read once in integers, for the many questions of one
+    """A system read once in integers, for every question of one query,
     decision, raster or decomposition.
 
-    The box is scaled once (``scaled_box``, or ``box`` when the caller has
-    it): ``lo`` and ``hi`` over ``L``, and ``mids`` and ``rads`` are
-    2 L mid_k and 2 L rad_k led by the constant term's 2 L and 0
-    (``doubled_mid_rad``).  ``table`` is the system's ``int_coefficients``,
-    read when first asked for: term k of row i at k w onwards, w = n + 1,
-    over D_i.  Residual rows at a point and the system at a box point are
-    then integer sums over that table, with no coefficient read again and
-    no Fraction built.
+    The box is scaled once (``scaled_box``): ``lo`` and ``hi`` over ``L``,
+    and ``mids`` and ``rads`` are 2 L mid_k and 2 L rad_k led by the
+    constant term's 2 L and 0 (``doubled_mid_rad``).  ``table`` is the
+    system's ``int_coefficients``, read when first asked for: term k of row
+    i at k w onwards, w = n + 1, over D_i.  Residual rows at a point and
+    the system at a box point are then integer sums over that table, with
+    no coefficient read again and no Fraction built.
     """
 
-    def __init__(self, sys: ParametricSystem, box: Optional[IntBox] = None):
+    def __init__(self, sys: ParametricSystem):
         self.sys, self.n, self.w = sys, sys.n, sys.n + 1
-        self.box = box or _scaled_box(sys)
-        self.lo, self.hi, self.L = self.box
+        self.lo, self.hi, self.L = scaled_box(
+            [par.interval.lo for par in sys.params],
+            [par.interval.hi for par in sys.params])
         self.mids, self.rads = doubled_mid_rad(self.lo, self.hi, self.L)
         self._table: Optional[list[tuple[list[int], int]]] = None
 
@@ -157,39 +161,18 @@ class Reading:
                 for ints, D in self.table]
 
     def system_at(self, coef: list[int]) -> tuple[list[list[int]], list[int]]:
-        """[A(p) | b(p)] as integers (``int_system_at``) for
-        p = coef[1:] / coef[0], coef[0] > 0."""
-        return _system_at(self.table, coef, self.w)
+        """A(p) and b(p) as integers for p = coef[1:] / coef[0], coef[0] > 0:
+        row i of [A(p) | b(p)] times D_i and coef[0], the same equations
+        as A(p) x = b(p), with no Fraction built."""
+        w = self.w
+        rows = [[sum(map(mul, coef, ints[j::w])) for j in range(w)]
+                for ints, _ in self.table]
+        return [row[:-1] for row in rows], [row[-1] for row in rows]
 
     def spread(self, ints: list[int], j: int) -> int:
         """Column j of a table row summed with the radii: 2 L D_i times
         sum_k rad_k |coefficient|."""
         return sum(map(mul, self.rads, map(abs, ints[j::self.w])))
-
-
-def _scaled_box(sys: ParametricSystem) -> IntBox:
-    """The whole parameter box as integers over one scale L."""
-    return scaled_box([par.interval.lo for par in sys.params],
-                      [par.interval.hi for par in sys.params])
-
-
-def _check_quantifiers(sys: ParametricSystem,
-                       quant: QuantifierAssignment) -> None:
-    """Refuse an assignment that is no partition of the parameters, or that
-    has more than MAX_FORALL universal ones, before any row test or LP."""
-    quant.validate_for(sys.K)
-    if len(quant.forall_set) > MAX_FORALL:
-        raise ValueError(f"more than {MAX_FORALL} universal parameters")
-
-
-def _signed_rads(rads: list[int], forall: Iterable[int]) -> list[int]:
-    """2 L rad_k (``doubled_mid_rad``) with the universal entries negated:
-    the weights of |w.v^(k)| on the right of the characterization
-    inequality."""
-    rads = rads[:]
-    for k in forall:
-        rads[k + 1] = -rads[k + 1]
-    return rads
 
 
 def _failing_row(mids: list[int], rads: list[int],
@@ -199,8 +182,8 @@ def _failing_row(mids: list[int], rads: list[int],
     with w or -w, as (its index, the sign of mids.t), or None.  A row holds
     t_k = w.v^(k) for k = 0..K as integers over one positive denominator,
     so both sides times 2 L and that denominator are integer dots:
-    |mids.t| > rads.|t|, rads signed by ``_signed_rads``.  With w = e_i,
-    t is row i of the residual rows."""
+    |mids.t| > rads.|t|, rads those of ``_Query``.  With w = e_i, t is row
+    i of the residual rows."""
     for i, (t, _) in enumerate(rows):
         c = sum(map(mul, mids, t))
         if abs(c) > sum(map(mul, rads, map(abs, t))):
@@ -208,47 +191,54 @@ def _failing_row(mids: list[int], rads: list[int],
     return None
 
 
-class _VertexLP:
-    """The AE vertex LP over the residual rows of ``rows`` (``residual_rows``).
-    It refuses bad quantifiers and more than MAX_FORALL universal parameters
-    first, then scales the whole box to integers once (``scaled_box``):
-    lo_k and hi_k over one scale L.  A caller that has that box (a
-    ``Reading``'s) hands it on as ``box`` instead.
+class _Query:
+    """One system under one quantifier assignment, read from one
+    ``Reading``: everything a membership question asks of that pair and
+    not of its point.
 
-    Each vertex of the universal box asks for p_E in box_E with
-    sum_{k in E} p_k v^(k) = rhs: the box is the bounds, the m rows E are
-    shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
-    changes.  Everything stays integers, as an ``IntRowPolyhedron`` takes
-    them: row i over its denominator dens[i], and the existential bounds
-    read off the scaled box.  The universal vertices are ``box_vertices``
-    of the scaled ends, integers over L, so each rhs entry is one integer
-    dot, handed on as an ``IntRhs`` over L, which ``basis_holds`` reads
-    too; no vertex is built as Fractions.  The first vertex is the lower
-    ends, which is all a witness reads of it.  Its cold LP is kept, so that
-    ``strict`` after ``member`` starts from the LP that ``member`` solved
-    there.
+    The assignment is refused here, once, when it is no partition of the
+    parameters or has more than MAX_FORALL universal ones, before any row
+    test or LP.  The query keeps the universal and existential indices in
+    order, the reading's ``mids`` and its ``rads`` with the universal
+    entries negated (the weights of |w.v^(k)| on the right of the
+    characterization inequality), the existential box, the universal ends
+    and the separators its LPs returned (``ws``).  The system's class
+    (``classify`` under the assignment) is read when first asked for:
+    ``holds`` reads whether it is first class, and a decision its other
+    flags.  A point comes as its rows, in the form of ``residual_rows`` (a
+    kernel question's as ``kernel_rows``).
     """
 
-    def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
-                 rows: list[tuple[list[int], int]],
-                 box: Optional[IntBox] = None):
-        _check_quantifiers(sys, quant)
-        self.sys, self.rows = sys, rows
+    def __init__(self, reading: Reading, quant: QuantifierAssignment):
+        quant.validate_for(reading.sys.K)
+        if len(quant.forall_set) > MAX_FORALL:
+            raise ValueError(f"more than {MAX_FORALL} universal parameters")
+        self.reading, self.quant = reading, quant
         self.forall = sorted(quant.forall_set)
         self.exists = exists = sorted(quant.exists_set)
-        self.E = [[nums[k + 1] for k in exists] for nums, _ in rows]
-        self.dens = [den for _, den in rows]
-        self.lo, self.hi, self.L = box or _scaled_box(sys)
+        self.mids = reading.mids
+        self.rads = rads = reading.rads[:]
+        for k in self.forall:
+            rads[k + 1] = -rads[k + 1]
+        lo, hi, L = reading.lo, reading.hi, reading.L
         # the existential bounds over the lcm of their own denominators,
         # L / g, which is the scale scaled_box gives them alone
-        lo, hi = [self.lo[k] for k in exists], [self.hi[k] for k in exists]
-        g = gcd(self.L, *lo, *hi)
-        self.box = ([b // g for b in lo], [b // g for b in hi], self.L // g)
-        self.cols = [[nums[k] for k in (0, *(k + 1 for k in self.forall))]
-                     for nums, _ in rows]
-        self.first: Optional[LPResult] = None
+        elo, ehi = [lo[k] for k in exists], [hi[k] for k in exists]
+        g = gcd(L, *elo, *ehi)
+        self.box = ([b // g for b in elo], [b // g for b in ehi], L // g)
+        self.ends = [(lo[k], hi[k]) for k in self.forall]
+        # the kept separators as integers (``scaled``)
+        self.ws: list[list[int]] = []
+        self._flags: Optional[SystemClass] = None
 
-    def refute(self) -> Optional[FarkasCertificate]:
+    @property
+    def flags(self) -> SystemClass:
+        if self._flags is None:
+            self._flags = classify(self.reading.sys, self.quant)
+        return self._flags
+
+    def refute(self, rows: list[tuple[list[int], int]]
+               ) -> Optional[FarkasCertificate]:
         """The first equation i that cannot hold alone, as the separator
         w = sign(c_i) e_i (+1 when c_i = 0), or None when every one can.
 
@@ -260,15 +250,13 @@ class _VertexLP:
         dots.  u and v split t_k = w.v^(k) over the existential k as
         ``_separator_from_farkas`` does; only they and w are Fractions.
         """
-        mids, rads = doubled_mid_rad(self.lo, self.hi, self.L)
-        failing = _failing_row(mids, _signed_rads(rads, self.forall),
-                               self.rows)
+        failing = _failing_row(self.mids, self.rads, rows)
         if failing is None:
             return None
         i, sign = failing
-        nums, den = self.rows[i]
+        nums, den = rows[i]
         zero = Q(0)
-        w = [zero] * self.sys.m
+        w = [zero] * len(rows)
         w[i] = Q(sign)
         u, v = [], []
         for k in self.exists:
@@ -277,13 +265,85 @@ class _VertexLP:
             v.append(Q(t, den) if t > 0 else zero)
         return FarkasCertificate(w, u, v)
 
+    def lp(self, rows: list[tuple[list[int], int]]) -> _VertexLP:
+        """The vertex LP over rows."""
+        return _VertexLP(self, rows)
+
+    def member(self, rows: list[tuple[list[int], int]]
+               ) -> tuple[bool, Certificate]:
+        """Is the point of these rows a member?  See ``member_ae``."""
+        sep = self.refute(rows)
+        if sep is not None:
+            return False, Certificate.separator(sep)
+        return self.lp(rows).member()
+
+    def holds(self, rows: list[tuple[list[int], int]]) -> bool:
+        """Is the point of these rows a member?  Only the bool comes out,
+        so the point is tested first in integers: each row alone, as
+        ``refute`` tries it, then each kept separator w, with both signs,
+        in the characterization inequality.  A w that violates it refutes
+        the point whatever the LP would say, so a refuted point asks no LP.
+        On a first-class system, whose equations share no parameter, the
+        row test decides both ways and no LP is asked at all; otherwise
+        the vertex LPs decide what is left, and the w of each one that
+        refutes its point is kept for the points after it.  A separator w
+        combines the rows over their lcm D: t_k is the sum of w_i times
+        row i's k-th entry times D / D_i."""
+        mids, rads = self.mids, self.rads
+        if _failing_row(mids, rads, rows) is not None:
+            return False
+        if self.ws:
+            D = lcm(*[den for _, den in rows])
+            cols = list(zip(*[[a * (D // den) for a in nums]
+                              for nums, den in rows]))
+            if _failing_row(mids, rads, (
+                    ([sum(map(mul, w, col)) for col in cols], D)
+                    for w in self.ws)) is not None:
+                return False
+        if FIRST_CLASS in self.flags:
+            return True
+        ok, cert = self.lp(rows).member()
+        if not ok:
+            # w refutes this point, which no kept separator does, so w is
+            # none of them
+            self.ws.append(scaled(cert.separator.w)[0])
+        return ok
+
+
+class _VertexLP:
+    """The AE vertex LP of a query over the rows of one point (the form of
+    ``residual_rows``): the query owns the box and the quantifiers, and
+    this keeps only what depends on the rows.
+
+    Each vertex of the universal box asks for p_E in box_E with
+    sum_{k in E} p_k v^(k) = rhs: the box is the bounds, the m rows E are
+    shared, and only rhs_i = -(v^(0)_i + sum_{k universal} p_k v^(k)_i)
+    changes.  Everything stays integers, as an ``IntRowPolyhedron`` takes
+    them: row i over its denominator dens[i], and the existential bounds
+    read off the query's box.  The universal vertices are ``box_vertices``
+    of the query's integer ends over L, so each rhs entry is one integer
+    dot, handed on as an ``IntRhs`` over L, which ``basis_holds`` reads
+    too; no vertex is built as Fractions.  The first vertex is the lower
+    ends, which is all a witness reads of it.  Its cold LP is kept, so that
+    ``strict`` after ``member`` starts from the LP that ``member`` solved
+    there.
+    """
+
+    def __init__(self, query: _Query, rows: list[tuple[list[int], int]]):
+        self.query = query
+        self.E = [[nums[k + 1] for k in query.exists] for nums, _ in rows]
+        self.dens = [den for _, den in rows]
+        self.cols = [[nums[k] for k in (0, *(k + 1 for k in query.forall))]
+                     for nums, _ in rows]
+        self.first: Optional[LPResult] = None
+
     def vertices(self) -> Iterator[IntRhs]:
         """The rhs at each universal vertex, in ``box_vertices`` order over
         the scaled ends; rhs_i is rhs.nums[i] / (rhs.den * dens[i])."""
-        for ints in box_vertices([(self.lo[k], self.hi[k]) for k in self.forall]):
-            coef = [self.L, *ints]
-            yield IntRhs([-sum(map(mul, coef, col)) for col in self.cols],
-                         self.L)
+        L = self.query.reading.L
+        for ints in box_vertices(self.query.ends):
+            coef = [L, *ints]
+            yield IntRhs([-sum(map(mul, coef, col)) for col in self.cols], L)
 
     def _first(self, rhs: IntRhs) -> LPResult:
         """The cold LP at the first vertex, whose rhs is rhs: solved once
@@ -294,7 +354,8 @@ class _VertexLP:
 
     def _lp(self, rhs: IntRhs) -> LPResult:
         """The cold LP at a vertex with right-hand side rhs."""
-        return lp_feasible(IntRowPolyhedron(self.E, self.dens, rhs, self.box))
+        return lp_feasible(IntRowPolyhedron(self.E, self.dens, rhs,
+                                            self.query.box))
 
     def member(self) -> tuple[bool, Certificate]:
         """Is the rhs reached at every vertex?  See ``member_ae``."""
@@ -305,8 +366,8 @@ class _VertexLP:
             if isinstance(res, Infeasible):
                 return False, Certificate.separator(_separator_from_farkas(res))
         # the first vertex is the lower ends of the universal parameters
-        witness = [par.interval.lo for par in self.sys.params]
-        for k, pk in zip(self.exists, self.first.point):
+        witness = [par.interval.lo for par in self.query.reading.sys.params]
+        for k, pk in zip(self.query.exists, self.first.point):
             witness[k] = pk
         return True, Certificate.witness(witness)
 
@@ -329,65 +390,6 @@ class _VertexLP:
         return True, best
 
 
-class SeparatorPool:
-    """Bool membership of many points of one system under one quantifier
-    assignment, from one ``Reading``, with the separators found so far.
-
-    A point comes as its residual rows (``Reading.rows_at``, or any rows of
-    that form) and is tested first in integers: each row alone, as
-    ``_VertexLP.refute`` tries it (w = +-e_i), then each kept separator w,
-    with both signs, in the characterization inequality.  A w that violates
-    it refutes the point whatever the LP would say, so a refuted point asks
-    no LP.  On a first-class system (``exact``), whose equations share no
-    parameter, the row test decides both ways and no LP is asked at all;
-    otherwise the vertex LPs decide what the pool leaves, and the w of each
-    one that refutes its point is kept for the points after it.  Only bools
-    come out, so no certificate is built for a refuted point.
-    """
-
-    def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment,
-                 reading: Reading, exact: bool):
-        _check_quantifiers(sys, quant)
-        self.sys, self.quant, self.reading, self.exact = \
-            sys, quant, reading, exact
-        self.mids = reading.mids
-        self.rads = _signed_rads(reading.rads, quant.forall_set)
-        # the kept separators as integers (``scaled``)
-        self.ws: list[list[int]] = []
-
-    def lp(self, rows: list[tuple[list[int], int]]) -> _VertexLP:
-        """The vertex LP over rows, on the pool's reading of the box."""
-        return _VertexLP(self.sys, self.quant, rows, self.reading.box)
-
-    def refutes(self, rows: list[tuple[list[int], int]]) -> bool:
-        """Does one row alone, or one kept separator, refute these rows?
-        A separator w combines the rows over their lcm D: t_k is the sum
-        of w_i times row i's k-th entry times D / D_i."""
-        mids, rads = self.mids, self.rads
-        if _failing_row(mids, rads, rows) is not None:
-            return True
-        if not self.ws:
-            return False
-        D = lcm(*[den for _, den in rows])
-        cols = list(zip(*[[a * (D // den) for a in nums] for nums, den in rows]))
-        return _failing_row(mids, rads, (
-            ([sum(map(mul, w, col)) for col in cols], D)
-            for w in self.ws)) is not None
-
-    def holds(self, rows: list[tuple[list[int], int]]) -> bool:
-        """Is the point of these residual rows a member?"""
-        if self.refutes(rows):
-            return False
-        if self.exact:
-            return True
-        ok, cert = self.lp(rows).member()
-        if not ok:
-            # w refutes this point, which no kept separator does, so w is
-            # none of them
-            self.ws.append(scaled(cert.separator.w)[0])
-        return ok
-
-
 def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:
     """v^(0) + sum_k mid(p_k) v^(k): the residual at the box midpoint."""
     mid = residuals[0]
@@ -407,16 +409,15 @@ def member_kernel(sys: ParametricSystem, y: Sequence[Q]) -> tuple[bool, Certific
 
 
 def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
-              x: Sequence[Q],
-              reading: Optional[Reading] = None) -> tuple[bool, Certificate]:
+              x: Sequence[Q]) -> tuple[bool, Certificate]:
     """Is x in the AE solution set for the given quantifier assignment?
 
-    One vertex LP reads the box (``_VertexLP``), and each equation is
-    tried alone first (``_VertexLP.refute``): an equation whose residual at
-    the box midpoint exceeds its existential spread less its universal one
-    cannot hold, and refutes x with w = +-e_i and no LP.  On a first-class
-    system, whose equations share no parameter, that test is exact;
-    otherwise the vertex LPs decide what it leaves.
+    One query reads the box and refuses bad quantifiers (``_Query``), and
+    each equation is tried alone first (``_Query.refute``): an equation
+    whose residual at the box midpoint exceeds its existential spread less
+    its universal one cannot hold, and refutes x with w = +-e_i and no LP.
+    On a first-class system, whose equations share no parameter, that test
+    is exact; otherwise the vertex LPs decide what it leaves.
 
     The admissible universal parameters form a convex set (projection of a
     polyhedron), so containment of the whole universal box is decided at its
@@ -429,25 +430,15 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     its bounds is that vertex solved cold, and only a cold LP gives a
     separator.  So a verdict the row test leaves, and its certificate, are
     those of one cold LP per vertex.
-
-    A caller that has read the system (``Reading``) passes that reading,
-    and x's rows are built from it: the same rational rows, so the same
-    verdict and certificate.
     """
-    if reading is None:
-        lp = _VertexLP(sys, quant, residual_rows(sys, x))
-    else:
-        lp = _VertexLP(sys, quant, reading.rows_at(x), reading.box)
-    sep = lp.refute()
-    if sep is not None:
-        return False, Certificate.separator(sep)
-    return lp.member()
+    return _Query(Reading(sys), quant).member(residual_rows(sys, x))
 
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
                      y: Sequence[Q]) -> tuple[bool, Certificate]:
-    """AE membership of the homogenized system."""
-    return _VertexLP(sys, quant, kernel_rows(sys, y)).member()
+    """AE membership of the homogenized system, decided by the vertex LPs
+    alone."""
+    return _Query(Reading(sys), quant).lp(kernel_rows(sys, y)).member()
 
 
 def member_tolerable(tsys: TolerableSystem,
@@ -478,7 +469,7 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     column -+e_i.  The minimum of the maxima is returned; it is positive
     exactly when 0 is interior.
     """
-    return _VertexLP(sys, quant, kernel_rows(sys, y)).strict()
+    return _Query(Reading(sys), quant).lp(kernel_rows(sys, y)).strict()
 
 
 def validate_certificate(sys: ParametricSystem,

@@ -9,11 +9,14 @@ p ranging over a box of intervals.  The constant term (A0, b0) is explicit;
 every formula treats it as a parameter fixed at 1 with radius 0.
 
 Nothing is kept on a system between queries: ``residual_rows``,
-``kernel_rows``, ``ParametricSystem.int_coefficients`` and
-``ParametricSystem.int_system_at`` scale the coefficients they read to
-integers on each call and build no Fraction.  A caller that asks many
-questions of one system (a decision, a raster, the sign pieces) reads it
-once instead, as a ``membership.Reading``, and passes that reading down.
+``kernel_rows`` and ``ParametricSystem.int_coefficients`` scale the
+coefficients they read to integers on each call and build no Fraction.
+One membership query reads a point's rows with ``residual_rows`` or
+``kernel_rows``, which read only the coefficients that meet the point.  A
+caller that asks many questions of one system (a decision, a raster, the
+sign pieces, a solution cloud) reads it once instead, as a
+``membership.Reading`` of the ``int_coefficients`` table, and asks through
+one query object built on that reading.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import itertools
 import json
 import re
 from math import lcm
-from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import Matrix, Q, Vector, _Record, dot, scaled, zeros
@@ -119,13 +121,6 @@ class ParametricSystem(_Record):
             out.append(([n * (D // d) for n, d in ratios], D))
         return out
 
-    def int_system_at(self, p: Sequence[Q]) -> tuple[list[list[int]], list[int]]:
-        """A(p) and b(p) as integers: row i of [A(p) | b(p)] times D_i and
-        the common denominator of p (``int_coefficients``); the same
-        equations, with no Fraction built."""
-        pn, pd = scaled(p)
-        return _system_at(self.int_coefficients(), [pd, *pn], self.n + 1)
-
     def A_at(self, p: Sequence[Q]) -> Matrix:
         # each entry is (1, p).(A0[i][j], A^(1)[i][j], ...), summed by dot
         # over one common denominator with the zero products skipped
@@ -154,16 +149,6 @@ class ParametricSystem(_Record):
             self.m, self.n, [row[:] for row in self.A0], zeros(self.m),
             [Parameter(par.name, par.interval, [r[:] for r in par.A], zeros(self.m))
              for par in self.params])
-
-
-def _system_at(table: list[tuple[list[int], int]], coef: list[int],
-               w: int) -> tuple[list[list[int]], list[int]]:
-    """A(p) and b(p) as integers from an ``int_coefficients`` table, for
-    p = coef[1:] / coef[0] with coef[0] > 0: row i of [A(p) | b(p)] times
-    D_i and coef[0]."""
-    rows = [[sum(map(mul, coef, ints[j::w])) for j in range(w)]
-            for ints, _ in table]
-    return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 class QuantifierAssignment(_Record):

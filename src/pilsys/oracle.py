@@ -13,8 +13,8 @@ import itertools
 from typing import Callable, Iterator, Optional, Sequence
 
 from .exact import (Matrix, Polyhedron, Q, UniqueSolution, Vector, dot,
-                    fm_feasible, lin_solve)
-from .membership import Reading, SeparatorPool, _mid_residual
+                    fm_feasible, lin_solve, scaled)
+from .membership import Reading, _mid_residual, _Query
 from .membership import member_united  # noqa: F401 -- bench/test_bench.py reads it
 from .model import (FIRST_CLASS, ORDINARY, ParametricSystem,
                     QuantifierAssignment, SystemClass, classify,
@@ -132,15 +132,20 @@ def solution_cloud(sys: ParametricSystem,
 
     Parameter values where the system is singular or inconsistent are skipped.
     Deterministic, and lazy: a caller that takes the first few points solves
-    only the grid points up to them, and never more than _CLOUD_CAP.
+    only the grid points up to them, and never more than _CLOUD_CAP.  The
+    system is read once (``Reading``), and each grid point p, scaled to
+    integers over one denominator, is solved from the integer rows of
+    [A(p) | b(p)] over that reading's table.
     """
     if grid_per_param < 2:
         raise ValueError("grid_per_param must be at least 2")
+    reading = Reading(sys)
     seen = set()
     axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)
             for iv in sys.box]
     for p in itertools.islice(itertools.product(*axes), _CLOUD_CAP):
-        res = lin_solve(*sys.int_system_at(p))
+        pn, pd = scaled(p)
+        res = lin_solve(*reading.system_at([pd, *pn]))
         if isinstance(res, UniqueSolution):
             key = tuple(res.point)
             if key not in seen:
@@ -171,11 +176,11 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     The kernel is that of the AE set under ``quant`` (the united kernel when
     it is None), as ``pilsys kernel`` asks it.
 
-    Only bools come out, so every cell is asked through one reading of the
-    system and one ``SeparatorPool``: a row alone, or the separator of an
-    earlier cell's LP, settles a cell it refutes with no LP, and a
-    first-class system takes no LP at all.  The verdicts are those of one
-    cold query per cell."""
+    Only bools come out, so every cell is asked as a bool of one query
+    (``_Query.holds``) on one reading of the system: a row alone, or the
+    separator of an earlier cell's LP, settles a cell it refutes with no
+    LP, and a first-class system takes no LP at all.  The verdicts are
+    those of one cold query per cell."""
     if sys.n != 2:
         raise ValueError("rasterization requires n = 2")
     if not 2 <= resolution <= 512:
@@ -190,14 +195,13 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
         raise ValueError("AE raster needs a quantifier assignment")
     if which == UNITED or quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
-    reading = Reading(sys)
-    pool = SeparatorPool(sys, quant, reading, FIRST_CLASS in classify(sys))
+    query = _Query(Reading(sys), quant)
     # a kernel cell's rows are those of the homogenized system
     rhs_sign = 0 if which == KERNEL else -1
     xs = _coords(x_lo, x_hi, resolution)
     ys = _coords(y_lo, y_hi, resolution)
-    return [[pool.holds(reading.rows_at([x1, x2], rhs_sign)) for x2 in ys]
-            for x1 in xs]
+    return [[query.holds(query.reading.rows_at([x1, x2], rhs_sign))
+             for x2 in ys] for x1 in xs]
 
 
 def raster_csv(sys: ParametricSystem, quant: Optional[QuantifierAssignment],

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from pilsys import membership
 from pilsys.exact import IntRhs, IntRowPolyhedron, scaled_box
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
@@ -58,6 +59,13 @@ def int_row_polyhedron(E, dens, f, lo, hi):
     lo, hi: f over the row denominators (``IntRhs.of``) and the box scaled
     once (``scaled_box``), as a membership vertex LP gives them."""
     return IntRowPolyhedron(E, dens, IntRhs.of(f, dens), scaled_box(lo, hi))
+
+
+def query(sys, quant=None):
+    """The membership query (``membership._Query``) of sys under quant, the
+    united set when it is None, on a reading of its own."""
+    return membership._Query(membership.Reading(sys),
+                             quant or QuantifierAssignment.all_exists(sys.K))
 
 
 def tableau_state(res):

@@ -484,14 +484,14 @@ class TestVerify:
         path.write_text(model.serialize_system(
             model.ParsedSystem(sys, quant, True)))
         refuted = Counter()
-        real = membership._VertexLP.refute
+        real = membership._Query.refute
 
-        def spy(lp):
-            sep = real(lp)
+        def spy(query, rows):
+            sep = real(query, rows)
             refuted[sep is not None] += 1
             return sep
 
-        monkeypatch.setattr(membership._VertexLP, "refute", spy)
+        monkeypatch.setattr(membership._Query, "refute", spy)
         code, out, _ = run(capsys, "verify", str(path), "--samples", "12",
                            "--seed", "3")
         assert code == 0 and out.endswith("verify: 12 points, 0 disagreements\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (fold_thin_params, gen_class_c, gen_first_class,
                       gen_general, gen_ordinary, gen_wide_ordinary,
-                      random_point, sign_pieces_reference,
+                      query, random_point, sign_pieces_reference,
                       with_big_denominators, with_thin_params,
                       with_zero_generator)
 from pilsys import cones
@@ -353,7 +353,7 @@ class TestIntegerPieces:
             for _ in range(3):
                 y = random_point(rng, sys.n)
                 built.clear()
-                mode, piece = first_unbounded_piece(sys, y)
+                mode, piece = first_unbounded_piece(query(sys), y)
                 assert built == []
                 if piece is None:
                     continue
@@ -388,5 +388,5 @@ class TestIntegerPieces:
             with pytest.raises(DecompositionTooLarge):
                 decompose(sys)
             with pytest.raises(DecompositionTooLarge):
-                first_unbounded_piece(sys, y)
+                first_unbounded_piece(query(sys), y)
         assert built == [] and fractions == []

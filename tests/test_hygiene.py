@@ -7,7 +7,9 @@ decision path exact, no ``dataclasses`` in the package, which every
 command line would pay for at start-up, no import of ``oracle`` outside
 ``cli.py``, which keeps the cross-checks out of the decisions, and no
 change in place to a system's coefficients, parameters or intervals, which
-systems share by reference.  An import
+systems share by reference, and no optional reading or box handed down,
+with the vertex LP named outside ``membership.py``, which keeps every
+membership question asked through one query object.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
 named functions of the package, and its files read attributes of the
 package's modules; they must all still exist.
@@ -176,6 +178,33 @@ def system_mutations(path):
     return found
 
 
+# A membership question is asked through one query object, which owns its
+# reading of the system and its box; these may not come back as options.
+KNOBS = {f"Optional[{name}]" for name in ("Reading", "IntBox")} | \
+    {f"{name}|None" for name in ("Reading", "IntBox")} | \
+    {f"None|{name}" for name in ("Reading", "IntBox")}
+
+
+def query_knobs(path):
+    """Each name of ``_VertexLP`` in a module other than ``membership.py``,
+    and each function parameter annotated, in code or in a string, as an
+    optional ``Reading`` or ``IntBox``, in line order."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if path.name != "membership.py" and (
+                isinstance(node, ast.Name) and node.id == "_VertexLP"
+                or isinstance(node, ast.Attribute) and node.attr == "_VertexLP"
+                or isinstance(node, ast.alias) and node.name == "_VertexLP"):
+            found.append((node.lineno, "_VertexLP"))
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            ann = node.annotation
+            text = ann.value if isinstance(ann, ast.Constant) and \
+                isinstance(ann.value, str) else ast.unparse(ann)
+            if text.replace(" ", "") in KNOBS:
+                found.append((node.lineno, node.arg))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -231,6 +260,32 @@ def test_mutation_check_catches_offenders(tmp_path):
                     "    params.append(par)\n"
                     "    sys.m = len(sys.A0)\n")
     assert system_mutations(path) == [f"line {n}" for n in range(5, 13)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_query_object(path):
+    assert query_knobs(path) == []
+
+
+def test_query_check_catches_offenders(tmp_path):
+    path = tmp_path / "decision.py"
+    path.write_text("from typing import Optional\n"
+                    "from .membership import Reading, _VertexLP\n"
+                    "from . import membership\n"
+                    "def f(sys, reading: Optional[Reading] = None,\n"
+                    "      box: 'IntBox | None' = None, r: Reading = None):\n"
+                    "    return membership._VertexLP(sys)\n"
+                    "def g(box: Optional[IntBox]):\n"
+                    "    return _VertexLP\n")
+    assert query_knobs(path) == [
+        "line 2: _VertexLP", "line 4: reading", "line 5: box",
+        "line 6: _VertexLP", "line 7: box", "line 8: _VertexLP"]
+    # the vertex LP is named in its own module, and a Reading is no option
+    own = tmp_path / "membership.py"
+    own.write_text("class _VertexLP:\n    pass\n"
+                   "def lp(reading: Reading) -> _VertexLP:\n"
+                   "    return _VertexLP()\n")
+    assert query_knobs(own) == []
 
 
 def traced_names(path):

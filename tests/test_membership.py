@@ -5,13 +5,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import (gen_first_class, gen_general, gen_ordinary,
+from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
-                      gen_wide_ordinary, load, random_point, tableau_state)
+                      gen_wide_ordinary, load, query, random_point,
+                      tableau_state)
 from pilsys import membership
-from pilsys.exact import (FarkasCertificate, Feasible, IntRowPolyhedron,
-                          NoSolution, Polyhedron, dot, fm_eliminate, lin_solve,
-                          lp_feasible, lp_maximize, scaled_box)
+from pilsys.exact import (AffineSolutionSet, FarkasCertificate, Feasible,
+                          IntRowPolyhedron, NoSolution, Polyhedron, dot,
+                          fm_eliminate, lin_solve, lp_feasible, lp_maximize,
+                          scaled_box)
 from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
                                member_kernel, member_tolerable, member_united,
                                strict_kernel_member, strict_kernel_member_ae,
@@ -20,8 +22,9 @@ from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, SystemFormatError,
                           TolerableSystem, kernel_rows, residual_rows,
                           residual_vectors)
-from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
-                           member_first_class)
+from pilsys.oracle import (AE, UNITED, ae_vertex_oracle, fm_member_oracle,
+                           member_first_class, rasterize)
+from pilsys.unbounded import decide_unbounded, probe_ray
 
 PINNED_CERTIFICATES = \
     "46cca54ed1c13f72c869237f511eb380c0d9f1647704750c9e131147af74d4ff"
@@ -34,7 +37,7 @@ PX_EQ_Q = {"m": 1, "n": 1, "parameters": [
 def lp_member(sys, quant, x):
     """``member_ae`` on its vertex LPs alone, with no row test first: the
     path whose LP counts and certificates the tests below pin."""
-    return membership._VertexLP(sys, quant, residual_rows(sys, x)).member()
+    return query(sys, quant).lp(residual_rows(sys, x)).member()
 
 
 class TestMemberUnited:
@@ -291,11 +294,12 @@ class TestStrictKernelAE:
         # alone: strict at every one of the 2^21 universal vertices, so only
         # the cap ends the enumeration
         K = membership.MAX_FORALL + 2
-        sys = ParametricSystem(1, 1, [[Q(0)]], [Q(0)], [
-            Parameter("a", Interval(Q(-2), Q(2)), [[Q(1)]], [Q(0)])] + [
-            Parameter(f"c{k}", Interval(Q(0), Q(1)), [[Q(0)]], [Q(0)])
+        sys = ParametricSystem(1, 2, [[Q(0), Q(0)]], [Q(0)], [
+            Parameter("a", Interval(Q(-2), Q(2)), [[Q(1), Q(0)]], [Q(0)])] + [
+            Parameter(f"c{k}", Interval(Q(0), Q(1)), [[Q(0), Q(0)]], [Q(0)])
             for k in range(1, K)])
         qa = QuantifierAssignment(frozenset(range(1, K)), frozenset({0}))
+        y = [Q(1), Q(0)]
         calls = []
 
         def counted(real):
@@ -306,14 +310,19 @@ class TestStrictKernelAE:
                 return real(*args)
             return lp
 
-        # no LP of any kind: neither a vertex phase 1 nor an axis reach
+        # no LP of any kind: neither a vertex phase 1 nor an axis reach;
+        # every question that takes an assignment refuses it first
         for name in ("lp_feasible", "max_row_shift"):
             monkeypatch.setattr(membership, name,
                                 counted(getattr(membership, name)))
-        with pytest.raises(ValueError, match="universal parameters"):
-            strict_kernel_member_ae(sys, qa, [Q(1)])
-        with pytest.raises(ValueError, match="universal parameters"):
-            member_ae(sys, qa, [Q(1)])
+        for ask in (lambda: strict_kernel_member_ae(sys, qa, y),
+                    lambda: member_ae(sys, qa, y),
+                    lambda: member_ae_kernel(sys, qa, y),
+                    lambda: decide_unbounded(sys, qa, y),
+                    lambda: probe_ray(sys, qa, [Q(0), Q(0)], y),
+                    lambda: rasterize(sys, qa, (-1, 1, -1, 1), 2, AE)):
+            with pytest.raises(ValueError, match="universal parameters"):
+                ask()
         assert calls == []
 
 
@@ -412,7 +421,7 @@ def _thin_forall(sys, quant):
 def _artificial_stays_basic(sys, quant, y):
     """Whether the kernel LP at the first universal vertex is feasible and
     ends phase 1 with an artificial (at 0) in its basis."""
-    lp = membership._VertexLP(sys, quant, kernel_rows(sys, y))
+    lp = query(sys, quant).lp(kernel_rows(sys, y))
     res = lp._first(next(lp.vertices()))
     return isinstance(res, Feasible) and \
         any(b >= res.basis.width for b in res.basis.basis)
@@ -765,20 +774,21 @@ def test_integer_row_lps_match_the_rational_reference():
             x = _solved_point(rng, sys) or x
         if kind == 2:
             sys = sys.homogenized()
-            lp = membership._VertexLP(sys, quant, kernel_rows(sys, x))
+            lp = query(sys, quant).lp(kernel_rows(sys, x))
         else:
-            lp = membership._VertexLP(sys, quant, residual_rows(sys, x))
+            lp = query(sys, quant).lp(residual_rows(sys, x))
         v = residual_vectors(sys, x)
         E = [[Q(a, den) for a in row] for row, den in zip(lp.E, lp.dens)]
-        assert E == [[v[k + 1][i] for k in lp.exists] for i in range(sys.m)]
-        box = [sys.params[k].interval for k in lp.exists]
-        for vertex, rhs in zip(sys.vertices(lp.forall), lp.vertices()):
+        forall, exists = lp.query.forall, lp.query.exists
+        assert E == [[v[k + 1][i] for k in exists] for i in range(sys.m)]
+        box = [sys.params[k].interval for k in exists]
+        for vertex, rhs in zip(sys.vertices(forall), lp.vertices()):
             coef = [Q(1), *vertex]
             f = [Q(n, rhs.den * den) for n, den in zip(rhs.nums, lp.dens)]
-            assert f == [-dot(coef, [v[k][i] for k in (0, *(k + 1 for k in lp.forall))])
+            assert f == [-dot(coef, [v[k][i] for k in (0, *(k + 1 for k in forall))])
                          for i in range(sys.m)]
-            got = lp_feasible(IntRowPolyhedron(lp.E, lp.dens, rhs, lp.box))
-            want = lp_feasible(Polyhedron([], [], E, f, len(lp.exists),
+            got = lp_feasible(IntRowPolyhedron(lp.E, lp.dens, rhs, lp.query.box))
+            want = lp_feasible(Polyhedron([], [], E, f, len(exists),
                                           [iv.lo for iv in box],
                                           [iv.hi for iv in box]))
             assert type(got) is type(want) and got == want
@@ -863,7 +873,7 @@ def test_vertex_lp_builds_fractions_only_for_its_results(monkeypatch):
             sys = gen_general(rng, 3, 3, K=rng.randint(1, 4))
             quant = QuantifierAssignment.all_exists(sys.K)
             x = _solved_point(rng, sys) or random_point(rng, sys.n)
-        lp = membership._VertexLP(sys, quant, residual_rows(sys, x))
+        lp = query(sys, quant).lp(residual_rows(sys, x))
         results.clear()
         built[0] = 0
         active = True
@@ -911,8 +921,10 @@ def _point_queries(rng, trials):
 
 
 def test_one_box_scaling_per_query(monkeypatch):
-    """One vertex LP reads a query's box: the row test, the existential
-    bounds and every universal vertex come from one ``scaled_box`` call."""
+    """One query reads its box: the row test, the existential bounds and
+    every universal vertex come from one ``scaled_box`` call.  So does
+    every stage of one ``decide_unbounded`` (kernel, strict kernel, sign
+    pieces, base points and walks) and every cell of one ``rasterize``."""
     calls = []
     real = membership.scaled_box
 
@@ -929,6 +941,28 @@ def test_one_box_scaling_per_query(monkeypatch):
         assert calls == [sys.K]
         solved += ok
     assert solved > 10
+    rules = Counter()
+    for _ in range(6):
+        for sys, quant in ((gen_general(rng, 2, 2), None),
+                           (gen_ordinary(rng, 2, 2), None),
+                           (gen_class_c(rng, 2, 2), None),
+                           gen_quantified(rng, 2, 2)):
+            for y in (random_point(rng, 2), _kernel_direction(sys)):
+                if y is None:
+                    continue
+                calls.clear()
+                rules[decide_unbounded(sys, quant, y).rule.value] += 1
+                assert calls == [sys.K]
+            calls.clear()
+            rasterize(sys, quant, (-2, 2, -2, 2), 4, AE if quant else UNITED)
+            assert calls == [sys.K]
+    assert len(rules) >= 4, rules
+
+
+def _kernel_direction(sys):
+    """A nonzero y with A(p) y = 0 at the box midpoint, or None."""
+    res = lin_solve(sys.A_at(sys.midpoint()), [Q(0)] * sys.m)
+    return res.basis[0] if isinstance(res, AffineSolutionSet) else None
 
 
 def test_vertex_lp_walks_no_fraction_vertex(monkeypatch):
@@ -949,12 +983,12 @@ def test_vertex_lp_walks_no_fraction_vertex(monkeypatch):
     for trial in range(40):
         sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
         y = random_point(rng, sys.n, -1, 1) if trial % 2 else [Q(0)] * sys.n
-        lp = membership._VertexLP(sys, quant, kernel_rows(sys, y))
+        lp = query(sys, quant).lp(kernel_rows(sys, y))
         ok, cert = lp.member()
         lp.strict()
         if ok:
-            assert [cert.witness_p[k] for k in lp.forall] == \
-                [sys.params[k].interval.lo for k in lp.forall]
+            assert [cert.witness_p[k] for k in lp.query.forall] == \
+                [sys.params[k].interval.lo for k in lp.query.forall]
         seen[ok] += 1
     assert calls == []
     assert seen[True] >= 5 and seen[False] >= 5, seen
@@ -970,7 +1004,7 @@ class TestRowSeparator:
             ok, cert = member_ae(sys, quant, x)
             assert ok == lp_member(sys, quant, x)[0]
             assert ok == ae_vertex_oracle(sys, quant, x)
-            sep = membership._VertexLP(sys, quant, residual_rows(sys, x)).refute()
+            sep = query(sys, quant).refute(residual_rows(sys, x))
             if sep is None:
                 seen["lp", ok] += 1
                 continue
@@ -1003,8 +1037,8 @@ class TestRowSeparator:
         for sys, quant, x, first_class in _point_queries(rng, 600):
             if not first_class:
                 continue
-            refuted = membership._VertexLP(
-                sys, quant, residual_rows(sys, x)).refute() is not None
+            refuted = query(sys, quant).refute(
+                residual_rows(sys, x)) is not None
             assert refuted != lp_member(sys, quant, x)[0]
             seen[refuted, bool(quant.forall_set)] += 1
         assert min(seen.values()) > 10, seen
@@ -1025,8 +1059,7 @@ class TestRowSeparator:
         rng = random.Random(2323)
         refuted = 0
         for sys, quant, x, _ in _point_queries(rng, 200):
-            if membership._VertexLP(sys, quant,
-                                    residual_rows(sys, x)).refute() is None:
+            if query(sys, quant).refute(residual_rows(sys, x)) is None:
                 continue
             refuted += 1
             with monkeypatch.context() as mp:
@@ -1047,7 +1080,7 @@ class TestRowSeparator:
         def never(*args):
             raise AssertionError("the row test ran before a refusal")
 
-        monkeypatch.setattr(membership._VertexLP, "refute", never)
+        monkeypatch.setattr(membership._Query, "refute", never)
         # x = c_1 + ... + c_21 + a: 2^21 universal vertices, and x = 99
         # fails its one equation alone
         K = membership.MAX_FORALL + 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (E1_DOC, E2_DOC, E3_DOC, gen_general, load,
                       residual_rows_reference)
 from pilsys.exact import lin_solve, scaled
-from pilsys.membership import member_kernel, member_united
+from pilsys.membership import Reading, member_kernel, member_united
 from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
                           ORDINARY, TOLERABLE_FORM, Interval, Parameter,
                           ParametricSystem, ParsedSystem,
@@ -372,8 +372,8 @@ def _values(rows):
 def test_integer_form_rows_match_the_reference(case):
     """``residual_rows`` gives the rational values of the per-coefficient
     reference; ``kernel_rows`` those of the homogenized system;
-    ``int_system_at`` each row of [A(p) | b(p)] times D_i (the lcm of the
-    row's denominators over every term) and the denominator of p, which
+    ``Reading.system_at`` each row of [A(p) | b(p)] times D_i (the lcm of
+    the row's denominators over every term) and the denominator of p, which
     ``lin_solve`` solves alike."""
     sys, x, p = case
     rows = residual_rows(sys, x)
@@ -381,8 +381,8 @@ def test_integer_form_rows_match_the_reference(case):
     assert _values(rows) == _values(residual_rows_reference(sys, x))
     assert _values(kernel_rows(sys, x)) == \
         _values(residual_rows(sys.homogenized(), x))
-    A, b = sys.int_system_at(p)
-    pd = scaled(p)[1]
+    pn, pd = scaled(p)
+    A, b = Reading(sys).system_at([pd, *pn])
     terms = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
     for i, (row, bi, want, want_b) in enumerate(zip(A, b, sys.A_at(p),
                                                     sys.b_at(p))):
@@ -403,7 +403,8 @@ def test_a_queried_system_keeps_its_value():
         x = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(sys.n)]
         member_united(sys, x)
         member_kernel(sys, x)
-        sys.int_system_at(sys.midpoint())
+        pn, pd = scaled(sys.midpoint())
+        Reading(sys).system_at([pd, *pn])
         assert repr(sys) == before and sys == fresh and fresh == sys
 
 

@@ -7,15 +7,14 @@ import pytest
 
 from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
-                      gen_wide_ordinary, random_point, with_big_denominators,
-                      with_thin_params)
+                      gen_wide_ordinary, query, random_point,
+                      with_big_denominators, with_thin_params)
 from pilsys import cones, membership, model, oracle, unbounded
 from pilsys.cones import special_class_unbounded_equality
-from pilsys.exact import (AffineSolutionSet, lin_solve, lp_feasible,
-                          scaled_box, zeros)
+from pilsys.exact import AffineSolutionSet, lin_solve, lp_feasible, zeros
 from pilsys.membership import (member_ae, member_kernel, member_united,
                                strict_kernel_member_ae)
-from pilsys.model import (Interval, Parameter, ParametricSystem,
+from pilsys.model import (FIRST_CLASS, Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
                           classify, residual_rows)
 from pilsys.unbounded import (PROBE_DOUBLINGS, ProbeReport, Rule, Status,
@@ -176,11 +175,15 @@ class TestProbeRay:
             probe_ray(e1.system, None, x0[:1], y)
 
     def test_common_witness_ray_takes_two_lps(self, monkeypatch):
-        # x1 + a*x2 = 1, a in [-1, 1]: x0 = (1/2, 1/2) solves it at a = 1
+        # x1 + a*x2 = 1 and a*x1 + x2 = 1, a in [-1, 1]: a touches both
+        # equations, so the system is not first class and the row test
+        # leaves every point to the LPs.  x0 = (1/2, 1/2) solves it at a = 1
         # only, and y = (1, -1) has A(1) y = 0, so a = 1 is a common witness
         sys = ParametricSystem(
-            1, 2, [[Q(1), Q(0)]], [Q(1)],
-            [Parameter("a", Interval(Q(-1), Q(1)), [[Q(0), Q(1)]], [Q(0)])])
+            2, 2, [[Q(1), Q(0)], [Q(0), Q(1)]], [Q(1), Q(1)],
+            [Parameter("a", Interval(Q(-1), Q(1)),
+                       [[Q(0), Q(1)], [Q(1), Q(0)]], [Q(0), Q(0)])])
+        assert FIRST_CLASS not in classify(sys)
         x0, y = [Q(1, 2), Q(1, 2)], [Q(1), Q(-1)]
         lps = []
 
@@ -193,18 +196,21 @@ class TestProbeRay:
         assert want.exhausted
         lps.clear()
         assert probe_ray(sys, None, x0, y, 20) == want
-        # alpha = 0 and alpha = 1 (one row each), then the common witness
+        # alpha = 0 and alpha = 1 (two rows each), then the common witness
         # (r0 stacked on r1)
-        assert lps == [1, 1, 2]
+        assert lps == [2, 2, 4]
 
     def test_alpha_0_asked_with_universal_parameters(self, monkeypatch):
-        # x = u + q, u in [0, 1] universal, q in [-1, 1]: x0 = 0 is a member
-        # because every u has a q
-        sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)],
-                               [rhs_only("u", 0, 1, [1]),
-                                rhs_only("q", -1, 1, [1])])
+        # x1 = u + q and x2 = u + q, u in [0, 1] universal, q in [-1, 1]:
+        # both parameters touch both equations, so the system is not first
+        # class, and x0 = 0 is a member because every u has a q
+        sys = ParametricSystem(2, 2, [[Q(1), Q(0)], [Q(0), Q(1)]], [Q(0)] * 2,
+                               [rhs_only("u", 0, 1, [1, 1], n=2),
+                                rhs_only("q", -1, 1, [1, 1], n=2)])
+        assert FIRST_CLASS not in classify(sys)
         quant = QuantifierAssignment(frozenset({0}), frozenset({1}))
-        want = reference_probe(sys, quant, [Q(0)], [Q(1)], 4)
+        x0, y = [Q(0), Q(0)], [Q(1), Q(1)]
+        want = reference_probe(sys, quant, x0, y, 4)
         calls = []
         real = membership._VertexLP.member
 
@@ -213,11 +219,13 @@ class TestProbeRay:
             return real(lp)
 
         monkeypatch.setattr(membership._VertexLP, "member", member)
-        rep = probe_ray(sys, quant, [Q(0)], [Q(1)], 4)
+        rep = probe_ray(sys, quant, x0, y, 4)
         assert rep == want
-        # the set is [0, 1]; alpha = 0 takes its query, and no p has
-        # A(p) y = 1 = 0, so the common-witness query (two rows) fails
-        assert rep.first_exit == Q(2) and calls == [1, 1, 2, 1]
+        # the set is the diagonal from 0 to (1, 1); alpha = 0 takes its
+        # query, and no p has A(p) y = (1, 1) = 0, so the common-witness
+        # query (four rows) fails; x1 = 2 fails alone (its midpoint residual
+        # 3/2 exceeds rad q - rad u = 1/2), so alpha = 2 exits with no LP
+        assert rep.first_exit == Q(2) and calls == [2, 2, 4]
 
 
 def reference_probe(sys, quant, x0, y, max_doublings):
@@ -312,7 +320,7 @@ class TestProbeMatchesColdQueries:
 
 
 def rows_key(lp):
-    """The equations of a ``membership._VertexLP`` as rationals, each row
+    """The equations of a vertex LP (``membership._VertexLP``) as rationals, each row
     divided by the size of its first nonzero entry: the same equations give
     the same key whatever integers carry them."""
     key = []
@@ -366,8 +374,8 @@ class TestCascadeWalk:
             if v.rule is not Rule.PROBE:
                 continue
             for rep in probe_reports(v):
-                base = rows_key(membership._VertexLP(
-                    sys, quant, residual_rows(sys, rep.base_point)))
+                base = rows_key(query(sys, quant).lp(
+                    residual_rows(sys, rep.base_point)))
                 lps = [n for key, n in queries if key == base]
                 # the one query is the one that accepted the base point
                 assert len(lps) == 1 and lps[0] >= 1
@@ -377,7 +385,7 @@ class TestCascadeWalk:
     def test_walk_reads_the_kernel_rows_of_the_cascade(self, monkeypatch, e1):
         """A decision reads its system once: one ``int_coefficients`` table
         serves the base points, every walked base point's rows r0 and the
-        sign pieces, so no ``residual_rows`` or ``int_system_at`` runs; the
+        sign pieces, so no ``residual_rows`` runs; the
         rows at x0 + alpha*y are r0 + alpha*(A^(k) y), and the kernel rows
         of y are built once per decision, for the kernel stage and every
         walk."""
@@ -397,7 +405,6 @@ class TestCascadeWalk:
         spy(unbounded, "kernel_rows")
         spy(membership, "kernel_rows")
         spy(ParametricSystem, "int_coefficients")
-        spy(ParametricSystem, "int_system_at")
         cases = [(e1.system, None, [Q(0), Q(-1)])] + [
             (sys, quant, y) for sys, quant, y in self.cases(79, 20)
             if y is not None and any(y)]
@@ -410,7 +417,7 @@ class TestCascadeWalk:
             # an exhausted walk's report drops the exited ones before it
             assert calls["_walk_ray"] >= len(probe_reports(v))
             assert calls["int_coefficients"] == 1
-            assert calls["residual_rows"] == calls["int_system_at"] == 0
+            assert calls["residual_rows"] == 0
             assert calls["kernel_rows"] == 1
             walked += calls["_walk_ray"]
         assert walked >= 10, walked
@@ -441,10 +448,11 @@ def separator_validates(sys, quant, x, w):
 
 
 class TestSeparatorPool:
-    """The pool of one decision settles ray points in integers: a row alone
-    or a kept separator refutes a point exactly when that separator, with
-    one sign or the other, fails the characterization inequality there, and
-    the walks it serves report what cold membership queries report."""
+    """The separators one query keeps settle later points in integers
+    (``_Query.holds``): a row alone or a kept separator refutes a point,
+    with no LP, exactly when that separator, with one sign or the other,
+    fails the characterization inequality there, and the walks the query
+    serves report what cold membership queries report."""
 
     def systems(self, seed):
         rng = random.Random(seed)
@@ -453,23 +461,33 @@ class TestSeparatorPool:
             yield ("quantified",) + gen_quantified(rng, 2, 3)
             yield "first class", gen_first_class(rng, 2, 3), None
 
-    def test_refuted_points_fail_the_inequality(self):
+    def test_refuted_points_fail_the_inequality(self, monkeypatch):
+        lps = []
+
+        def counting(P):
+            lps.append(P)
+            return lp_feasible(P)
+
+        monkeypatch.setattr(membership, "lp_feasible", counting)
         refuted = Counter()
         for kind, sys, quant in self.systems(83):
             q = quant or QuantifierAssignment.all_exists(sys.K)
-            reading = membership.Reading(sys)
-            pool = membership.SeparatorPool(sys, q, reading, exact=False)
+            qry = query(sys, q)
+            reading = qry.reading
             rng = random.Random(sys.K)
             # points near the set, so that rows alone refute few of them
             near = [[a + Q(rng.randint(-4, 4), 8) for a in x0]
                     for x0 in find_base_points(sys, quant, 4) for _ in range(8)]
-            for x in near[::2]:  # let the LPs fill the pool
-                pool.holds(reading.rows_at(x))
+            for x in near[::2]:  # let the LPs fill the query's separators
+                qry.holds(reading.rows_at(x))
             units = [[Q(int(i == j)) for j in range(sys.m)]
                      for i in range(sys.m)]
-            kept = [[Q(a) for a in w] for w in pool.ws]
             for x in near + [random_point(rng, sys.n) for _ in range(8)]:
-                settled = pool.refutes(reading.rows_at(x))
+                kept = [[Q(a) for a in w] for w in qry.ws]
+                lps.clear()
+                # a point the integers refute asks no LP; a first-class
+                # system asks none either way
+                settled = not qry.holds(reading.rows_at(x)) and not lps
                 assert settled == any(separator_validates(sys, q, x, w)
                                       for w in units + kept)
                 if settled:
@@ -482,20 +500,24 @@ class TestSeparatorPool:
         assert ("first class", "by a separator") not in refuted
         assert len(refuted) == 5 and min(refuted.values()) >= 5, refuted
 
-    def test_first_class_rows_decide_both_ways(self):
-        # with no LP asked, the pool answers what member_ae answers
+    def test_first_class_rows_decide_both_ways(self, monkeypatch):
+        # with no LP asked, the query answers what member_ae answers
+        def no_lp(P):
+            raise AssertionError("a first-class query asked an LP")
+
         rng = random.Random(89)
         members = Counter()
         for _ in range(12):
             sys = gen_first_class(rng, 2, 3)
             forall = frozenset(k for k in range(sys.K) if rng.random() < 0.3)
             quant = QuantifierAssignment(forall, frozenset(range(sys.K)) - forall)
-            reading = membership.Reading(sys)
-            pool = membership.SeparatorPool(sys, quant, reading, exact=True)
+            qry = query(sys, quant)
             base = find_base_points(sys, None, 2)
             for x in base + [random_point(rng, sys.n, -2, 2) for _ in range(6)]:
                 want = member_ae(sys, quant, x)[0]
-                assert pool.holds(reading.rows_at(x)) == want
+                with monkeypatch.context() as mp:
+                    mp.setattr(membership, "lp_feasible", no_lp)
+                    assert qry.holds(qry.reading.rows_at(x)) == want
                 members[want] += 1
         assert members[True] >= 5 and members[False] >= 5, members
 
@@ -562,7 +584,7 @@ class TestSeparatorPool:
 
     def test_separators_settle_later_walks(self, monkeypatch):
         # walks from every base point of a general 3x4 system, in turn: with
-        # one shared pool each walk reports what it reports with a pool of
+        # one shared query each walk reports what it reports with a query of
         # its own, and never asks more LPs, and the separators that earlier
         # walks kept spare LPs in total
         rng = random.Random(107)
@@ -571,15 +593,13 @@ class TestSeparatorPool:
             sys = gen_general(rng, 3, 4, K=3)
             y = random_point(rng, sys.n)
             quant = QuantifierAssignment.all_exists(sys.K)
-            reading = membership.Reading(sys)
             ky = model.kernel_rows(sys, y)
-            shared = membership.SeparatorPool(sys, quant, reading, False)
+            shared = query(sys, quant)
             for x0 in find_base_points(sys, None, 8):
                 lps = []
-                for pool in (shared, membership.SeparatorPool(
-                        sys, quant, reading, False)):
+                for qry in (shared, query(sys, quant)):
                     walks = self.walk_lps(monkeypatch)
-                    lps.append((unbounded._walk_ray(pool, x0, y, ky, 8),
+                    lps.append((unbounded._walk_ray(qry, x0, y, ky, 8),
                                 walks[0]))
                     monkeypatch.undo()
                 (rep, with_shared), (alone, with_own) = lps
@@ -661,9 +681,10 @@ class TestVerdictDigest:
 
 class TestClassifyCalls:
     """Each question classifies its system once at most: a PROP1/PROP2
-    decision in the cascade's stage (iv), which hands the flags to
-    ``cones._pieces``, an equality report in ``_pieces`` alone, and a united
-    THM2 or THM3 decision not at all."""
+    decision in the cascade's stage (iv), whose query reads the class and
+    hands it, with the query, to ``cones._pieces``, an equality report in
+    the query of its ``decompose`` alone, and a united THM2 or THM3
+    decision not at all."""
 
     WANT = {Rule.THM2: 0, Rule.THM3: 0, Rule.PROP1: 1, Rule.PROP2: 1}
 
@@ -674,7 +695,7 @@ class TestClassifyCalls:
             calls.append(sys)
             return classify(sys, quant)
 
-        for module in (unbounded, cones):
+        for module in (membership, cones):
             monkeypatch.setattr(module, "classify", counting)
         rng = random.Random(19)
         seen = set()
@@ -910,11 +931,9 @@ class TestThresholdEvidence:
             sys = with_thin_params(rng, sys, rng.randint(0, 2))
             systems += [sys, with_big_denominators(rng, sys)]
         for sys in systems:
-            lo, hi, L = scaled_box([iv.lo for iv in sys.box],
-                                   [iv.hi for iv in sys.box])
             want = sum(abs(v) for v in sys.b_at(sys.midpoint())) + sum(
                 par.interval.rad * abs(v) for par in sys.params for v in par.b)
-            assert unbounded._rhs_bound(sys, lo, hi, L) == want
+            assert unbounded._rhs_bound(membership.Reading(sys)) == want
 
     def test_only_kernel_and_strict_kernel_lps(self, monkeypatch):
         # x1 + a*x2 = 1 with a in [-1, 1]: e_2 is in the strict kernel
