@@ -236,7 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unbounded", help="unbounded-direction verdict")
     p.add_argument("file")
     p.add_argument("--dir", required=True)
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=int, default=8,
+                   help="most sampled base points to probe from (default "
+                        "8); the point solved at the kernel witness is "
+                        "probed first and not counted")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_unbounded)
 

@@ -11,9 +11,15 @@ The stages of ``decide_unbounded``, in order:
 (iv)  ordinary and class-C united systems (PROP1/PROP2): the kernel pieces
       of nonempty solution pieces characterize unboundedness.
 (v)   probing: everything else is probed along the ray and reported honestly
-      as UNKNOWN with the probe trace as evidence.  A base point is a member
-      when it is drawn (solved at a box point, and asked of the query with
-      universal parameters), so the walk does not ask alpha = 0 again.
+      as UNKNOWN with the probe trace as evidence.  The first base point
+      solves A(p) x = b(p) at the kernel witness p of (i), where A(p) y = 0,
+      so when that system is consistent the whole ray solves it at p; with
+      no universal parameters the walk then ends after alpha = 1 and one
+      common-witness LP (none on a first-class system).  Grid points follow
+      only if that walk exits or there is no such point.  A base
+      point is a member when it is drawn (solved at a box point, and asked
+      of the query with universal parameters), so the walk does not ask
+      alpha = 0 again.
 
 Every stage asks one query object (``membership._Query``), built from one
 reading of the system (``Reading``) and the decision's quantifier
@@ -99,7 +105,10 @@ def find_base_points(sys: ParametricSystem,
 
     Candidates come from the box midpoint, box vertices, and seeded random
     box points; each is kept only if it passes the exact membership test.
-    Deterministic for a fixed seed.  No assignment means the united set.
+    At most budget points are returned.  Deterministic for a fixed seed.
+    No assignment means the united set.  These are the grid points only:
+    the kernel witness that ``decide_unbounded`` probes first is not one of
+    them.
     Vertices and draws take the universal parameters first, so the samples
     do not depend on how a file interleaves the two quantifier blocks.
     """
@@ -154,17 +163,30 @@ def _base_points(query: _Query, budget: int, seed: int) -> Iterator[Vector]:
         if key in tried:
             continue
         tried.add(key)
-        res = lin_solve(*reading.system_at(
-            [8 * L, *(8 * l + i * (h - l) for l, h, i in zip(lo, hi, key))]))
-        if isinstance(res, (UniqueSolution, AffineSolutionSet)):
-            x = res.point
-            point = tuple(x)
-            # x solves A(p) x = b(p) at a box point p, so with no universal
-            # parameters it is a member by construction
-            if point not in seen and (not query.forall
-                                      or query.holds(reading.rows_at(x))):
-                seen.add(point)
-                yield x
+        x = _member_at(query, [8 * L, *(8 * l + i * (h - l)
+                                        for l, h, i in zip(lo, hi, key))],
+                       seen)
+        if x is not None:
+            yield x
+
+
+def _member_at(query: _Query, coef: list[int],
+               seen: set[tuple[Q, ...]]) -> Optional[Vector]:
+    """A solution x of A(p) x = b(p) at the box point p = coef[1:] / coef[0]
+    (``Reading.system_at``), when there is one, x is not in seen, and x is
+    a member; x is then added to seen.  x solves the system at a box
+    point, so with no universal parameters it is a member by construction;
+    with universal ones it is asked of the query (``_Query.holds``)."""
+    res = lin_solve(*query.reading.system_at(coef))
+    if not isinstance(res, (UniqueSolution, AffineSolutionSet)):
+        return None
+    x = res.point
+    point = tuple(x)
+    if point in seen or (query.forall
+                         and not query.holds(query.reading.rows_at(x))):
+        return None
+    seen.add(point)
+    return x
 
 
 def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
@@ -253,7 +275,12 @@ def decide_unbounded(sys: ParametricSystem,
                      y: Sequence[Q], budget: int = 8,
                      seed: int = 0) -> UnboundedVerdict:
     """Decision cascade for 'is y an unbounded direction of the solution set'.
-    y must be nonzero."""
+    y must be nonzero.
+
+    budget bounds the sampled base points (``find_base_points``) that THM7
+    and the probes may use.  The probes first walk from a solution of
+    A(p) x = b(p) at the kernel witness p, which the budget does not count,
+    so a budget of 0 still probes once where that system is consistent."""
     y = list(y)
     if not any(y):
         raise ValueError("the zero vector is not a direction")
@@ -321,11 +348,18 @@ def decide_unbounded(sys: ParametricSystem,
                 Status.CERTIFIED_YES, rule, piece,
                 f"kernel piece {piece.sign} with nonempty solution piece")
 
-    # (v) probing fallback; each base point is found only when the probes
-    # before it have all exited, and is a member already; the walks share
-    # the query, and with it the separators its LPs returned
+    # (v) probing fallback.  The first base point x0 is solved at the kernel
+    # witness p of (i): A(p) y = 0 there, so the whole ray x0 + alpha y
+    # solves the system at p, and with no universal parameters its walk
+    # ends after alpha = 1 and the common-witness LP.  The grid's points
+    # follow, each found only when the probes before it have all exited,
+    # and each a member already; the walks share the query, and with it the
+    # separators its LPs returned
+    xw = _member_at(query, scaled([Q(1), *cert.witness_p])[0], set())
     reports = []
-    for x0 in _base_points(query, budget, seed):
+    for x0 in itertools.chain(
+            [] if xw is None else [xw],
+            (x for x in _base_points(query, budget, seed) if x != xw)):
         rep = _walk_ray(query, x0, y, ky, PROBE_DOUBLINGS)
         reports.append(rep)
         if rep.exhausted:

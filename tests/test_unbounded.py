@@ -11,9 +11,11 @@ from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       with_big_denominators, with_thin_params)
 from pilsys import cones, membership, model, oracle, unbounded
 from pilsys.cones import special_class_unbounded_equality
-from pilsys.exact import AffineSolutionSet, lin_solve, lp_feasible, zeros
-from pilsys.membership import (member_ae, member_kernel, member_united,
-                               strict_kernel_member_ae)
+from pilsys.exact import (AffineSolutionSet, UniqueSolution, lin_solve,
+                          lp_feasible, zeros)
+from pilsys.membership import (Certificate, member_ae, member_kernel,
+                               member_united, strict_kernel_member_ae,
+                               witness_resubstitutes)
 from pilsys.model import (FIRST_CLASS, Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
                           classify, residual_rows)
@@ -636,7 +638,7 @@ class TestVerdictDigest:
     directions, hashed.  A change that keeps every verdict keeps DIGEST; a
     change that moves one must update it on purpose."""
 
-    DIGEST = "df411feac2eb35929954bb7d606a10a59c47175ae9ec8da023fffc9916dc60cf"
+    DIGEST = "25f8e14c9786f8ae0d8d9b67137ad6a0bcd873e340312fa7a6bd56fb284a8bd2"
 
     def cases(self):
         rng = random.Random(97)
@@ -746,28 +748,32 @@ class TestDecideUnbounded:
     def test_base_points_found_on_demand(self, e1, monkeypatch):
         # E1 has few distinct base points, so a large budget used to draw and
         # solve every candidate; each verdict below rests on the first point
-        # (the midpoint's ray never exits, and THM7 takes one member)
+        # found, and a budget of 10^6 solves what a budget of 8 solves: the
+        # probes solve the kernel witness p = 0, where A(p) x = b(p) has no
+        # solution, and then the midpoint, whose ray never exits; THM7 takes
+        # one member
         tol = ParametricSystem(
             1, 2, [[Q(1), Q(0)]], [Q(0)],
             [Parameter("p", Interval(Q(0), Q(1)), [[Q(1), Q(0)]], [Q(0)]),
              Parameter("q", Interval(Q(-1), Q(1)), [[Q(0), Q(0)]], [Q(1)])])
-        cases = [(e1.system, None, [Q(0), Q(-1)], Rule.PROBE),
+        cases = [(e1.system, None, [Q(0), Q(-1)], Rule.PROBE, 2),
                  (tol, QuantifierAssignment(frozenset({0}), frozenset({1})),
-                  [Q(0), Q(1)], Rule.THM7)]
-        for sys, quant, y, rule in cases:
-            want = decide_unbounded(sys, quant, y, budget=8)
-            solves = []
+                  [Q(0), Q(1)], Rule.THM7, 1)]
+        for sys, quant, y, rule, want_solves in cases:
+            got = []
+            for budget in (8, 10 ** 6):
+                solves = []
 
-            def counting(A, b):
-                solves.append(A)
-                return lin_solve(A, b)
+                def counting(A, b):
+                    solves.append(A)
+                    return lin_solve(A, b)
 
-            with monkeypatch.context() as mp:
-                mp.setattr(unbounded, "lin_solve", counting)
-                got = decide_unbounded(sys, quant, y, budget=10 ** 6)
-            assert got.rule is rule
-            assert repr(got) == repr(want)
-            assert len(solves) == 1
+                with monkeypatch.context() as mp:
+                    mp.setattr(unbounded, "lin_solve", counting)
+                    got.append(decide_unbounded(sys, quant, y, budget=budget))
+                assert len(solves) == want_solves
+            assert got[1].rule is rule
+            assert repr(got[1]) == repr(got[0])
 
     def test_certified_no_probes_always_exit(self):
         rng = random.Random(41)
@@ -832,6 +838,104 @@ class TestDecideUnbounded:
         a = decide_unbounded(e1.system, None, [Q(0), Q(1)], budget=4, seed=1)
         b = decide_unbounded(e1.system, None, [Q(0), Q(1)], budget=4, seed=1)
         assert (a.status, a.rule, a.detail) == (b.status, b.rule, b.detail)
+
+
+class TestKernelWitnessProbe:
+    """Stage (v) walks first from a solution of A(p) x = b(p) at the kernel
+    witness p of stage (i): A(p) y = 0 there, so when that system is
+    consistent the whole ray solves it at p, and the walk ends after
+    alpha = 1 and the common-witness LP."""
+
+    def cases(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            sys = gen_general(rng, 3, 4)
+            yield sys, null_direction(rng, sys)
+            yield sys, null_direction(rng, sys, sys.midpoint())
+
+    @staticmethod
+    def consistent_witness(sys, y):
+        """The kernel witness p of y, when A(p) x = b(p) has a solution."""
+        ok, cert = member_kernel(sys, y)
+        assert ok
+        p = cert.witness_p
+        res = lin_solve(sys.A_at(p), sys.b_at(p))
+        return p if isinstance(res, (UniqueSolution, AffineSolutionSet)) \
+            else None
+
+    def test_consistent_witness_exhausts_in_one_solve(self, monkeypatch):
+        events = []
+
+        def solving(A, b):
+            events.append("solve")
+            return lin_solve(A, b)
+
+        def solving_lp(P):
+            events.append("lp")
+            return lp_feasible(P)
+
+        monkeypatch.setattr(unbounded, "lin_solve", solving)
+        monkeypatch.setattr(membership, "lp_feasible", solving_lp)
+        checked = 0
+        for sys, y in self.cases(71, 40):
+            if y is None or not any(y):
+                continue
+            p = self.consistent_witness(sys, y)
+            events.clear()
+            v = decide_unbounded(sys, None, y)
+            if v.rule is not Rule.PROBE or p is None:
+                continue
+            # stage (v) starts with the witness's solve
+            probes = events[events.index("solve"):]
+            assert probes.count("solve") == 1
+            assert probes.count("lp") <= 2
+            rep = v.evidence
+            assert isinstance(rep, ProbeReport) and rep.exhausted
+            assert rep.alphas_tested[-1] == 2 ** PROBE_DOUBLINGS
+            assert witness_resubstitutes(sys, rep.base_point,
+                                         Certificate.witness(p))
+            checked += 1
+        assert checked >= 10
+
+    def test_zero_budget_still_probes_from_the_witness(self):
+        for sys, y in self.cases(73, 20):
+            if y is None or not any(y):
+                continue
+            p = self.consistent_witness(sys, y)
+            v = decide_unbounded(sys, None, y, budget=0)
+            if v.rule is Rule.PROBE and p is not None:
+                break
+        else:
+            pytest.fail("no consistent kernel witness reached the probes")
+        # the budget counts sampled points, and find_base_points samples only
+        assert find_base_points(sys, budget=0) == []
+        assert v.status is Status.UNKNOWN and v.evidence.exhausted
+        assert witness_resubstitutes(sys, v.evidence.base_point,
+                                     Certificate.witness(p))
+        assert repr(decide_unbounded(sys, None, y, budget=8)) == repr(v)
+
+    def test_exhausted_reports_are_fm_members(self):
+        # an independent check of every ray the probes report unexited: the
+        # base point and its last point pass the FM oracles
+        exhausted = 0
+        for sys, quant, y in TestVerdictDigest().cases():
+            if y is None or not any(y):
+                continue
+            v = decide_unbounded(sys, quant, y)
+            if v.rule is not Rule.PROBE or not isinstance(v.evidence,
+                                                          ProbeReport):
+                continue
+            rep = v.evidence
+            assert rep.exhausted
+            x0 = rep.base_point
+            far = [a + rep.alphas_tested[-1] * b for a, b in zip(x0, y)]
+            for x in (x0, far):
+                if quant is None or not quant.forall_set:
+                    assert oracle.fm_member_oracle(sys, x)
+                else:
+                    assert oracle.ae_vertex_oracle(sys, quant, x)
+            exhausted += 1
+        assert exhausted >= 5
 
 
 def unit(n, j):
