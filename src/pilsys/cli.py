@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit status: 0 = completed, 1 = usage or input error, 2 = an oracle
-cross-check disagreed.  All output has a stable line format and identical
-invocations (including seeds) produce byte-identical output.
+cross-check disagreed.  Every refusal, of a command or of the package, is
+a ``ValueError``, which ``main`` prints as ``error: ...``.  All output has
+a stable line format and identical invocations (including seeds) produce
+byte-identical output.
 
 Each process runs one subcommand, so start-up is most of its cost: a
 command imports ``unbounded``, ``oracle`` and ``cones`` only when it runs
@@ -22,27 +24,23 @@ from .model import (TOLERABLE_FORM, ParsedSystem, QuantifierAssignment,
                     SystemFormatError, parse_rational, parse_system)
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load(path: str) -> ParsedSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_system(fh.read())
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except (SystemFormatError, UnicodeDecodeError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _vector(text: str, n: int, what: str) -> Vector:
     try:
         v = [parse_rational(t) for t in text.split(",")]
     except SystemFormatError as exc:
-        raise UsageError(f"bad {what} vector: {exc}") from None
+        raise ValueError(f"bad {what} vector: {exc}") from None
     if len(v) != n:
-        raise UsageError(f"{what} vector must have {n} entries, got {len(v)}")
+        raise ValueError(f"{what} vector must have {n} entries, got {len(v)}")
     return v
 
 
@@ -55,7 +53,7 @@ def _require_tolerable(parsed: ParsedSystem) -> None:
     quantifiers and its existential parameters touch only b."""
     if not parsed.explicit_quantifiers or \
             TOLERABLE_FORM not in model.classify(parsed.system, parsed.quant):
-        raise UsageError("system has no tolerable form "
+        raise ValueError("system has no tolerable form "
                          "(existential parameters touch the matrix)")
 
 
@@ -98,7 +96,7 @@ def cmd_unbounded(args) -> int:
     sys = parsed.system
     y = _vector(args.dir, sys.n, "direction")
     if args.budget < 0:
-        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
+        raise ValueError(f"--budget must be nonnegative, got {args.budget}")
     verdict = unbounded.decide_unbounded(sys, parsed.quant, y,
                                          budget=args.budget, seed=args.seed)
     print(f"{verdict.status.value} by {verdict.rule.value}: {verdict.detail}")
@@ -126,10 +124,7 @@ def cmd_classify(args) -> int:
     print(str(flags))
     if args.decompose:
         from . import cones
-        try:
-            dec = cones.decompose(parsed.system)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        dec = cones.decompose(parsed.system)
         print(f"decomposition: {dec.mode}, {len(dec.pieces)} pieces")
         for piece in dec.pieces:
             print(f"piece {piece.sign}: "
@@ -145,21 +140,18 @@ def cmd_raster(args) -> int:
     sys = parsed.system
     parts = args.window.split(",")
     if len(parts) != 4:
-        raise UsageError("--window must be x_lo,x_hi,y_lo,y_hi")
+        raise ValueError("--window must be x_lo,x_hi,y_lo,y_hi")
     window = tuple(parse_rational(t) for t in parts)
     which = args.set
     if which == "TOLERABLE":
         _require_tolerable(parsed)
         which = oracle.AE
-    try:
-        csv = oracle.raster_csv(sys, parsed.quant, window, args.res, which)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    csv = oracle.raster_csv(sys, parsed.quant, window, args.res, which)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv)
     except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc}") from None
+        raise ValueError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {args.res}x{args.res} raster to {args.out}")
     return 0
 
@@ -172,7 +164,7 @@ def cmd_verify(args) -> int:
     parsed = _load(args.file)
     sys = parsed.system
     if args.samples < 0:
-        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     if args.samples:
         # every point goes to the FM oracle; refuse a system over its cap
         # before the cloud, which may scan all 3^K grid points
@@ -273,9 +265,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

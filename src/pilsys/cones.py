@@ -33,7 +33,6 @@ picks one by the class its query reads, and ``orthant_decomposition`` and
 from __future__ import annotations
 
 import itertools
-from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron, Q,
@@ -119,9 +118,11 @@ def _linearization(sc: Reading, gens, region) -> RawPieces:
     """One piece per sign vector s of the generators G_k, each given by its
     nonzero entries (i, j, value) as integers over row i's denominator: the
     matrices A_c -+ sum_k s_k G_k, and the sign region region(s) as rows of
-    C (each <= 0, integers over their own denominators) plus a box.  Each
-    midpoint or radius combination of row i of the reading's table is an
-    integer over 2 L D_i, the row's denominator here.
+    C (each <= 0, integers over their own denominators) plus a box.  A_c
+    and b_c are the system at the box midpoint (``Reading.system_at`` at
+    the reading's ``mids``), and each midpoint or radius combination of row
+    i of the reading's table is an integer over 2 L D_i, the row's
+    denominator here.
 
     The solution piece has right-hand side (b_c + Delta_b; Delta_b - b_c; 0).
     The kernel piece is the same linearization with a zero right-hand side,
@@ -130,15 +131,13 @@ def _linearization(sc: Reading, gens, region) -> RawPieces:
     """
     n = sc.n
     dens = [2 * sc.L * D for _, D in sc.table]
-    center = [[sum(map(mul, sc.mids, ints[j::sc.w])) for j in range(n + 1)]
-              for ints, _ in sc.table]
+    Ac, bc = sc.system_at(sc.mids)
     db = [sc.spread(ints, n) for ints, _ in sc.table]
-    rhs = [row[n] + d for row, d in zip(center, db)] + \
-        [d - row[n] for row, d in zip(center, db)]
+    rhs = [b + d for b, d in zip(bc, db)] + [d - b for b, d in zip(bc, db)]
     no_rows = IntRhs([], 1)
     for sv in _sign_vectors(len(gens)):
-        lower = [row[:n] for row in center]
-        upper = [row[:n] for row in center]
+        lower = [row[:] for row in Ac]
+        upper = [row[:] for row in Ac]
         for sk, G in zip(sv.s, gens):
             for i, j, g in G:
                 lower[i][j] -= sk * g

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, attrgetter, mul, sub
+from operator import attrgetter, mul
 from typing import Optional, Sequence, Union
 
 Q = Fraction
@@ -276,14 +276,6 @@ def scaled_box(lo: Sequence[Optional[Q]], hi: Sequence[Optional[Q]]) -> IntBox:
     return ([None if b is None else b.numerator * (L // b.denominator) for b in lo],
             [None if b is None else b.numerator * (L // b.denominator) for b in hi],
             L)
-
-
-def doubled_mid_rad(lo: Sequence[int], hi: Sequence[int],
-                    L: int) -> tuple[list[int], list[int]]:
-    """A box scaled to integers lo, hi over L (``scaled_box``, every end
-    finite) as 2 L mid_k = lo_k + hi_k and 2 L rad_k = hi_k - lo_k, each
-    list led by the constant term's entry (midpoint 1, radius 0)."""
-    return [2 * L, *map(add, lo, hi)], [0, *map(sub, hi, lo)]
 
 
 class IntRowPolyhedron(_Record):

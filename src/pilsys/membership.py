@@ -61,13 +61,12 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
-                    LPResult, Q, Vector, _Record, basis_holds, dot,
-                    doubled_mid_rad, lp_feasible, max_row_shift, scaled,
-                    scaled_box, vec_add, vec_scale)
+                    LPResult, Q, Vector, _Record, basis_holds, dot, lp_feasible,
+                    max_row_shift, scaled, scaled_box, vec_add, vec_scale)
 from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
                     SystemClass, TolerableSystem, box_vertices, classify,
                     kernel_rows, residual_rows, residual_vectors)
@@ -126,12 +125,12 @@ class Reading:
     decision, raster or decomposition.
 
     The box is scaled once (``scaled_box``): ``lo`` and ``hi`` over ``L``,
-    and ``mids`` and ``rads`` are 2 L mid_k and 2 L rad_k led by the
-    constant term's 2 L and 0 (``doubled_mid_rad``).  ``table`` is the
-    system's ``int_coefficients``, read when first asked for: term k of row
-    i at k w onwards, w = n + 1, over D_i.  Residual rows at a point and
-    the system at a box point are then integer sums over that table, with
-    no coefficient read again and no Fraction built.
+    and ``mids`` and ``rads`` are 2 L mid_k = lo_k + hi_k and
+    2 L rad_k = hi_k - lo_k, led by the constant term's 2 L and 0.
+    ``table`` is the system's ``int_coefficients``, read when first asked
+    for: term k of row i at k w onwards, w = n + 1, over D_i.  Residual
+    rows at a point and the system at a box point are then integer sums
+    over that table, with no coefficient read again and no Fraction built.
     """
 
     def __init__(self, sys: ParametricSystem):
@@ -139,7 +138,8 @@ class Reading:
         self.lo, self.hi, self.L = scaled_box(
             [par.interval.lo for par in sys.params],
             [par.interval.hi for par in sys.params])
-        self.mids, self.rads = doubled_mid_rad(self.lo, self.hi, self.L)
+        self.mids = [2 * self.L, *map(add, self.lo, self.hi)]
+        self.rads = [0, *map(sub, self.hi, self.lo)]
         self._table: Optional[list[tuple[list[int], int]]] = None
 
     @property

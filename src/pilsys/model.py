@@ -46,9 +46,14 @@ class Interval(_Record):
     __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: Q, hi: Q):
-        if lo > hi:
+        # the ends are kept as Fractions, so mid and rad are exact too
+        for end in (lo, hi):
+            if not isinstance(end, (int, Q)):
+                raise SystemFormatError(f"interval end {end!r} is not an int "
+                                        f"or a Fraction")
+        self.lo, self.hi = Q(lo), Q(hi)
+        if self.lo > self.hi:
             raise SystemFormatError(f"interval [{lo}, {hi}] has lo > hi")
-        self.lo, self.hi = lo, hi
 
     @property
     def mid(self) -> Q:

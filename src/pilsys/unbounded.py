@@ -190,9 +190,9 @@ def _member_at(query: _Query, coef: list[int],
 
 
 def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
-              x0: Sequence[Q], y: Sequence[Q],
-              max_doublings: int = PROBE_DOUBLINGS) -> ProbeReport:
-    """Test membership of x0 + alpha*y at alpha = 0, 1, 2, 4, ..., 2^max_doublings.
+              x0: Sequence[Q], y: Sequence[Q]) -> ProbeReport:
+    """Test membership of x0 + alpha*y at alpha = 0, 1, 2, 4, ...,
+    2^PROBE_DOUBLINGS, the depth the cascade's probes walk.
 
     alpha = 0 is one membership query, and a base point that is not a member
     raises ValueError; the rest is ``_walk_ray`` on the same query.  The
@@ -201,8 +201,6 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     """
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
-    if max_doublings < 0:
-        raise ValueError("max_doublings must be nonnegative")
     for name, v in (("base point", x0), ("direction", y)):
         if len(v) != sys.n:
             raise ValueError(f"{name} has length {len(v)}, expected {sys.n}")
@@ -210,14 +208,14 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     query = _Query(Reading(sys), quant)
     if not query.holds(query.reading.rows_at(x0)):
         raise ValueError("probe base point is not a member")
-    return _walk_ray(query, x0, y, kernel_rows(sys, y), max_doublings)
+    return _walk_ray(query, x0, y, kernel_rows(sys, y))
 
 
 def _walk_ray(query: _Query, x0: Vector, y: Vector,
-              ky: list[tuple[list[int], int]],
-              max_doublings: int) -> ProbeReport:
+              ky: list[tuple[list[int], int]]) -> ProbeReport:
     """The probe from a base point x0 that is a member, along y with kernel
-    rows ky (``kernel_rows``): alpha = 0 is reported as tested and not asked.
+    rows ky (``kernel_rows``), through alpha = 2^PROBE_DOUBLINGS: alpha = 0
+    is reported as tested and not asked.
 
     The residuals are affine in the point, so the rows at x0 + alpha*y are
     r0 + alpha ky, with r0 the integer residual rows at x0, built from the
@@ -229,8 +227,8 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
     alpha = 0 stacked on those at alpha = 1 asks for a common witness, a p
     in the box (one per universal vertex) with A(p) x0 = b(p) and
     A(p) y = 0.  That p solves every combination, so if it exists every
-    alpha is a member and no other LP is asked.  Every alpha reported is
-    one of ``_ALPHAS``, or of the doublings past them.
+    alpha is a member and no other LP is asked.  The alphas reported are a
+    prefix of ``_ALPHAS``.
     """
     # row i at alpha is (u + alpha*w) / den, with u / den = r0_i and
     # w / den = ky_i over the product den of their denominators
@@ -241,18 +239,16 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
         return [([a + alpha * b for a, b in zip(u, w)], den)
                 for u, w, den in rays]
 
-    alphas = _ALPHAS + [Q(2) ** i
-                        for i in range(PROBE_DOUBLINGS + 1, max_doublings + 1)]
-    tested = max_doublings + 2
+    tested = len(_ALPHAS)
     first_exit: Optional[Q] = None
-    for i in range(max_doublings + 1):
+    for i in range(PROBE_DOUBLINGS + 1):
         if not query.holds(rows(2 ** i)):
-            tested, first_exit = i + 2, alphas[i + 1]
+            tested, first_exit = i + 2, _ALPHAS[i + 1]
             break
-        if i == 0 and max_doublings > 0 and FIRST_CLASS not in query.flags \
+        if i == 0 and FIRST_CLASS not in query.flags \
                 and query.lp(rows(0) + rows(1)).member()[0]:
             break
-    return ProbeReport(x0, y, alphas[:tested], first_exit,
+    return ProbeReport(x0, y, _ALPHAS[:tested], first_exit,
                        exhausted=first_exit is None)
 
 
@@ -360,7 +356,7 @@ def decide_unbounded(sys: ParametricSystem,
     for x0 in itertools.chain(
             [] if xw is None else [xw],
             (x for x in _base_points(query, budget, seed) if x != xw)):
-        rep = _walk_ray(query, x0, y, ky, PROBE_DOUBLINGS)
+        rep = _walk_ray(query, x0, y, ky)
         reports.append(rep)
         if rep.exhausted:
             return UnboundedVerdict(

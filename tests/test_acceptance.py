@@ -100,9 +100,10 @@ def test_criterion_4_theorem2_probes_exit():
                 directions.append(y)
         for y in directions:
             for x0 in base_points:
-                rep = probe_ray(sys, None, x0, y, max_doublings=16)
+                rep = probe_ray(sys, None, x0, y)
                 assert rep.first_exit is not None, \
                     "kernel-false direction survived a probe"
+                assert rep.first_exit <= 2 ** 16
                 probed += 1
     assert probed > 500
     ok(4, f"{probed} probes from base points, all exited by alpha <= 2^16")
@@ -119,7 +120,7 @@ def test_criterion_5_theorem3_probes_pass():
                 continue
             v = decide_unbounded(sys, None, y)
             if v.status is Status.CERTIFIED_YES and v.rule is Rule.THM3:
-                rep = probe_ray(sys, None, v.evidence, y, max_doublings=20)
+                rep = probe_ray(sys, None, v.evidence, y)
                 assert rep.exhausted, "THM3-certified ray exited"
                 certified += 1
     assert certified > 5
@@ -165,15 +166,16 @@ def test_criterion_7_theorem7_property():
                 continue
             v = decide_unbounded(combined, quant, y)
             if member_ae_kernel(combined, quant, y)[0]:
-                rep = probe_ray(combined, quant, x0, y, max_doublings=20)
+                rep = probe_ray(combined, quant, x0, y)
                 assert rep.exhausted, "tolerable-kernel ray exited"
                 assert v.rule is Rule.THM7 and v.status is not Status.CERTIFIED_NO
                 kernel_true_checked += 1
             else:
                 assert v.status is Status.CERTIFIED_NO and v.rule is Rule.THM2
-                rep = probe_ray(combined, quant, x0, y, max_doublings=16)
+                rep = probe_ray(combined, quant, x0, y)
                 assert rep.first_exit is not None, \
                     "non-kernel tolerable direction survived a probe"
+                assert rep.first_exit <= 2 ** 16
                 kernel_false_checked += 1
     assert kernel_true_checked >= 20 and kernel_false_checked >= 20
     ok(7, f"20 tolerable systems: {kernel_true_checked} kernel rays clean, "

@@ -255,6 +255,15 @@ class TestRaster:
                            "--res", "9", "--out", str(tmp_path / "r.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("res", ["1", "513"])
+    def test_bad_resolution(self, capsys, e1_file, tmp_path, res):
+        out_path = tmp_path / "r.csv"
+        code, out, err = run(capsys, "raster", e1_file, "--window=-2,2,-6,1",
+                             "--res", res, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: resolution must be between 2 and 512\n"
+        assert not out_path.exists()
+
 
 # Two universal parameters listed first, then one existential parameter per
 # row that touches only b: the layout of the benchmark's tolerable files.

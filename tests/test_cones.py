@@ -39,6 +39,10 @@ class TestOettliPrager:
         with pytest.raises(ValueError):
             oettli_prager_member(e1.system, [Q(0), Q(0)])
 
+    def test_point_length_checked(self, e3):
+        with pytest.raises(ValueError, match="^point has length 2, expected 1$"):
+            oettli_prager_member(e3.system, [Q(1), Q(0)])
+
     def test_interval_data_e2(self, e2):
         Ac, dA, bc, db = interval_data(e2.system)
         assert Ac == [[Q(3)]] and dA == [[Q(1)]]
@@ -53,6 +57,19 @@ class TestOettliPrager:
 
 
 class TestOrthantDecomposition:
+    def test_rejects_non_ordinary(self):
+        # p touches two entries of A: class C, not ordinary
+        sys = ParametricSystem(1, 2, [[Q(0), Q(1)]], [Q(1)], [
+            Parameter("p", Interval(Q(1), Q(2)), [[Q(1), Q(1)]], [Q(0)])])
+        assert CLASS_C in classify(sys) and ORDINARY not in classify(sys)
+        with pytest.raises(ValueError, match="^system is not ordinary$"):
+            orthant_decomposition(sys)
+
+    def test_sign_entries_checked(self):
+        assert str(cones.SignVector((1, -1))) == "+-"
+        with pytest.raises(ValueError, match="^sign entries must be"):
+            cones.SignVector((1, 0))
+
     def test_e3_pieces(self, e3):
         dec = orthant_decomposition(e3.system)
         assert dec.mode == "ORTHANT" and len(dec.pieces) == 2
@@ -111,6 +128,11 @@ class TestOrthantDecomposition:
 
 
 class TestClassCDecomposition:
+    def test_rejects_non_class_c(self, e1):
+        assert CLASS_C not in classify(e1.system)
+        with pytest.raises(ValueError, match="^system is not of class C$"):
+            classC_decomposition(e1.system)
+
     def test_nonsingular_kernel_is_origin(self):
         # A(p) = [[p,1],[0,1]], p in [1,2], b = q*(1,0), q in [0,1]
         sys = ParametricSystem(2, 2, [[Q(0), Q(1)], [Q(0), Q(1)]],

@@ -61,6 +61,8 @@ class TestLinSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lin_solve(qmat([[1, 0]]), qvec([1, 2]))
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            lin_solve(qmat([[1, 0], [1]]), qvec([1, 2]))
 
     @staticmethod
     def reference(A, b):
@@ -231,6 +233,12 @@ class TestIntRowPolyhedron:
             IntRowPolyhedron([], [], IntRhs([], 1), scaled_box([Q(0)], [Q(1)]),
                              C, cdens, crhs)
 
+    def test_point_length_checked(self):
+        P = IntRowPolyhedron([[1]], [1], IntRhs([0], 1),
+                             scaled_box([Q(0)], [Q(1)]))
+        with pytest.raises(ValueError, match="^point has wrong dimension$"):
+            P.contains([Q(0), Q(0)])
+
     def test_bounds_checked(self):
         rhs = IntRhs([0], 1)
         with pytest.raises(ValueError, match="wrong length"):
@@ -251,6 +259,10 @@ class TestLpMaximize:
     def test_infeasible(self):
         status, _, _ = lp_maximize(poly([[-1], [1]], [-1, 0]), qvec([1]))
         assert status == "infeasible"
+
+    def test_objective_length_checked(self):
+        with pytest.raises(ValueError, match="^objective has wrong dimension$"):
+            lp_maximize(poly([[-1], [1]], [0, 1]), qvec([1, 0]))
 
     def test_2d(self):
         # max x+y over the triangle x,y >= 0, x+y <= 3/2
@@ -730,6 +742,22 @@ class TestExplicitBounds:
             Polyhedron([], [], [], [], 2, [Q(0)], None)
         with pytest.raises(ValueError):
             Polyhedron([], [], [], [], 1, [Q(1)], [Q(0)])
+
+    @pytest.mark.parametrize("C,d,E,f,match", [
+        ([[Q(1)]], [], [], [], "row counts do not match right-hand sides"),
+        ([], [], [[Q(1)]], [Q(0), Q(1)],
+         "row counts do not match right-hand sides"),
+        ([[Q(1), Q(0)]], [Q(0)], [], [], "inequality row has wrong width"),
+        ([], [], [[Q(1), Q(0)]], [Q(0)], "equality row has wrong width"),
+    ], ids=["inequality-rhs", "equality-rhs", "inequality-width",
+            "equality-width"])
+    def test_malformed_rows(self, C, d, E, f, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            Polyhedron(C, d, E, f, 1)
+
+    def test_point_length_checked(self):
+        with pytest.raises(ValueError, match="^point has wrong dimension$"):
+            Polyhedron([], [], [], [], 2).contains([Q(0)])
         P = Polyhedron([], [], [], [], 2, [Q(0), None], None)
         assert P.hi == [None, None]
         assert P.contains([Q(0), Q(-7)]) and not P.contains([Q(-1), Q(0)])

@@ -9,7 +9,8 @@ command line would pay for at start-up, no import of ``oracle`` outside
 change in place to a system's coefficients, parameters or intervals, which
 systems share by reference, and no optional reading or box handed down,
 with the vertex LP named outside ``membership.py``, which keeps every
-membership question asked through one query object.  An import
+membership question asked through one query object, and no refusal other
+than a ``ValueError``, which is what ``cli.main`` reports.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
 named functions of the package, and its files read attributes of the
 package's modules; they must all still exist.
@@ -205,6 +206,56 @@ def query_knobs(path):
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+# Every refusal of the package is a ValueError, so the one handler of
+# ``cli.main`` reports each as ``error: ...`` with exit 1.  Two raises are
+# protocol, not refusals: a module's __getattr__ raises AttributeError
+# (PEP 562), and the __main__ guard hands the exit code on as SystemExit.
+PROTOCOL_RAISES = {("__getattr__", "AttributeError"), ("__main__", "SystemExit")}
+
+
+def _class_name(node):
+    """The name a raise or a base class names: ``X``, ``X(...)`` or
+    ``module.X``; None for a bare re-raise or anything else."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def refusal_classes(paths):
+    """ValueError and every class of the package derived from it."""
+    classes = [(node.name, {_class_name(b) for b in node.bases})
+               for path in paths for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ClassDef)]
+    found = {"ValueError"}
+    while new := {name for name, bases in classes if bases & found} - found:
+        found |= new
+    return found
+
+
+def foreign_raises(path, refusals):
+    """Raise statements whose class is not one of refusals, the protocol
+    raises aside, in line order; a bare re-raise names no class."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.If) and \
+                ast.unparse(node.test) == "__name__ == '__main__'":
+            where = "__main__"
+        if isinstance(node, ast.Raise):
+            name = _class_name(node.exc)
+            if name not in refusals and (where, name) not in PROTOCOL_RAISES:
+                found.append(f"line {node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(_tree(path), None)
+    return found
+
+
 def test_modules_found():
     assert len(MODULES) >= 8
 
@@ -222,6 +273,39 @@ def test_no_unreferenced_definitions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_floats(path):
     assert floats(path) == []
+
+
+def test_every_refusal_is_a_value_error():
+    refusals = refusal_classes(MODULES)
+    assert {"SystemFormatError", "DecompositionTooLarge"} <= refusals
+    assert [f"{path.name}: {raise_}" for path in MODULES
+            for raise_ in foreign_raises(path, refusals)] == []
+
+
+def test_raise_check_catches_offenders(tmp_path):
+    path = tmp_path / "refusing.py"
+    path.write_text("import errors\n"
+                    "class Refused(ValueError):\n    pass\n"
+                    "class Narrower(Refused):\n    pass\n"
+                    "class Usage(Exception):\n    pass\n"
+                    "def f(x):\n"
+                    "    if x: raise ValueError(x)\n"
+                    "    if x: raise Narrower\n"
+                    "    if x: raise Usage(x)\n"
+                    "    if x: raise errors.Usage(x)\n"
+                    "    if x: raise KeyError(x)\n"
+                    "    if x: raise\n"
+                    "    raise AttributeError(x)\n"
+                    "def __getattr__(name):\n"
+                    "    raise AttributeError(name)\n"
+                    "if __name__ == '__main__':\n"
+                    "    raise SystemExit(f(1))\n"
+                    "raise SystemExit(0)\n")
+    refusals = refusal_classes([path])
+    assert refusals == {"ValueError", "Refused", "Narrower"}
+    assert foreign_raises(path, refusals) == [
+        "line 11: Usage", "line 12: Usage", "line 13: KeyError",
+        "line 14: None", "line 15: AttributeError", "line 20: SystemExit"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

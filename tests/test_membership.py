@@ -98,6 +98,11 @@ class TestStrictKernel:
         sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [])
         assert not strict_kernel_member(sys, [Q(0)])[0]
 
+    def test_no_equations_strict(self):
+        # m = 0: no equation constrains y, and no axis bounds eps
+        sys = ParametricSystem(0, 2, [], [], [])
+        assert strict_kernel_member(sys, [Q(1), Q(0)]) == (True, Q(1))
+
     def test_strict_implies_kernel(self):
         rng = random.Random(9)
         hits = 0

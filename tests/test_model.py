@@ -33,6 +33,27 @@ class TestInterval:
         with pytest.raises(SystemFormatError):
             Interval(Q(1), Q(0))
 
+    def test_int_ends_kept_as_fractions(self):
+        iv = Interval(2, 3)
+        assert type(iv.lo) is type(iv.hi) is Q
+        assert iv == Interval(Q(2), Q(3)) and iv != (Q(2), Q(3))
+        assert type(iv.mid) is type(iv.rad) is Q and iv.mid == Q(5, 2)
+        # (-1 + p) x = 3/7 at x = 3/7 holds for p = 2 in [2, 3]; with the
+        # int ends read as Fractions the first-class characterization reads
+        # the exact midpoint and agrees with the LP
+        from pilsys.oracle import member_first_class
+        sys = ParametricSystem(1, 1, [[Q(-1)]], [Q(3, 7)],
+                               [Parameter("p", iv, [[Q(1)]], [Q(0)])])
+        assert member_united(sys, [Q(3, 7)])[0]
+        assert member_first_class(sys, [Q(3, 7)])
+
+    @pytest.mark.parametrize("ends", [(Q(1, 2), 1.0), (0.5, 1), ("0", "1"),
+                                      (None, 1)],
+                             ids=["float-hi", "float-lo", "str", "none"])
+    def test_reject_inexact_ends(self, ends):
+        with pytest.raises(SystemFormatError, match="is not an int or a Fraction"):
+            Interval(*ends)
+
 
 class TestParsing:
     def test_e1_roundtrip(self):
@@ -63,6 +84,16 @@ class TestParsing:
         doc = {"m": 2, "n": 2, "constant": {"A": [["1", "0"]], "b": ["1", "0"]}}
         with pytest.raises(SystemFormatError):
             load(doc)
+        eye = [[Q(1), Q(0)], [Q(0), Q(1)]]
+        with pytest.raises(SystemFormatError, match="^constant matrix is not 2x2$"):
+            ParametricSystem(2, 2, eye[:1], [Q(1), Q(0)], [])
+        with pytest.raises(SystemFormatError,
+                           match="^matrix of parameter 'p' is not 2x2$"):
+            ParametricSystem(2, 2, eye, [Q(1), Q(0)], [Parameter(
+                "p", Interval(Q(0), Q(1)), [[Q(1)], [Q(0)]], [Q(0), Q(0)])])
+        with pytest.raises(SystemFormatError,
+                           match="^constant rhs does not have length 2$"):
+            ParametricSystem(2, 2, eye, [Q(1)], [])
 
     def test_duplicate_name_rejected(self):
         doc = {"m": 1, "n": 1, "parameters": [
@@ -149,8 +180,11 @@ class TestParserTotality:
         {"m": 1, "n": 1, "parameters": 5},
         {"m": 1, "n": 1, "parameters": [{"name": ["p"], "interval": ["0", "1"]}]},
         {"m": True, "n": True, "constant": {"A": [["1"]], "b": ["1"]}},
+        {"m": 1, "n": 1, "parameters": [{"interval": ["0", "1"], "A": [["1"]],
+                                         "quantifier": "sometimes"}]},
     ], ids=["int-interval", "int-entry", "float-interval", "constant-5",
-            "parameters-5", "list-name", "bool-dimensions"])
+            "parameters-5", "list-name", "bool-dimensions",
+            "unknown-quantifier"])
     def test_mistyped_fields_rejected(self, doc):
         with pytest.raises(SystemFormatError):
             load(doc)

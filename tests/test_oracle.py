@@ -12,7 +12,8 @@ from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment)
 from pilsys.oracle import (ae_vertex_oracle, fm_member_oracle,
                            member_first_class, oettli_prager_member,
-                           raster_csv, rasterize, sample_solution_cloud)
+                           raster_csv, rasterize, sample_solution_cloud,
+                           solution_cloud)
 
 PX_EQ_Q = {"m": 1, "n": 1, "parameters": [
     {"name": "p", "interval": ["0", "1"], "A": [["1"]], "quantifier": "forall"},
@@ -41,6 +42,14 @@ class TestAeVertexOracle:
         parsed = load(PX_EQ_Q)
         assert ae_vertex_oracle(parsed.system, parsed.quant, [Q(1)])
         assert not ae_vertex_oracle(parsed.system, parsed.quant, [Q(2)])
+
+    def test_block_over_the_cap_rejected(self):
+        sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [
+            Parameter(f"p{k}", Interval(Q(0), Q(1)), [[Q(1)]], [Q(0)])
+            for k in range(13)])
+        with pytest.raises(ValueError,
+                           match="^quantifier block exceeds the FM oracle cap$"):
+            ae_vertex_oracle(sys, QuantifierAssignment.all_exists(13), [Q(0)])
 
     def test_all_exists_is_fm_oracle(self):
         rng = random.Random(53)
@@ -93,6 +102,10 @@ class TestSolutionCloud:
         sys = ParametricSystem(1, 1, [[Q(2)]], [Q(4)], [])
         assert sample_solution_cloud(sys, 5) == [[Q(2)]]
 
+    def test_grid_below_2_rejected(self, e1):
+        with pytest.raises(ValueError, match="^grid_per_param must be at least 2$"):
+            next(solution_cloud(e1.system, 1))
+
     def test_every_point_is_a_member(self):
         rng = random.Random(57)
         for _ in range(10):
@@ -128,6 +141,14 @@ class TestRasterize:
     def test_rejects_non_2d(self, e3):
         with pytest.raises(ValueError):
             rasterize(e3.system, None, (Q(0), Q(1), Q(0), Q(1)), 5)
+
+    @pytest.mark.parametrize("which,match", [
+        ("TOLERABLE", "^unknown set 'TOLERABLE'$"),
+        ("AE", "^AE raster needs a quantifier assignment$"),
+    ], ids=["unknown-set", "ae-without-quantifiers"])
+    def test_rejects_bad_set(self, e1, which, match):
+        with pytest.raises(ValueError, match=match):
+            rasterize(e1.system, None, (Q(0), Q(1), Q(0), Q(1)), 5, which)
 
     def test_csv_format(self, e1):
         csv = raster_csv(e1.system, None, (Q(0), Q(2), Q(-1), Q(0)), 3)

@@ -125,8 +125,7 @@ def test_direction_length_checked_by_the_kernel_rows(e1, ask):
 
 class TestProbeRay:
     def test_e1_downward_ray_never_exits(self, e1):
-        rep = probe_ray(e1.system, None, [Q(1), Q(0)], [Q(0), Q(-1)],
-                        max_doublings=20)
+        rep = probe_ray(e1.system, None, [Q(1), Q(0)], [Q(0), Q(-1)])
         assert rep.exhausted and rep.first_exit is None
         assert rep.alphas_tested[0] == 0
         assert rep.alphas_tested == sorted(rep.alphas_tested)
@@ -136,8 +135,7 @@ class TestProbeRay:
         assert rep.first_exit == Q(1)
 
     def test_zero_direction_never_exits(self, e1):
-        rep = probe_ray(e1.system, None, [Q(1), Q(0)], [Q(0), Q(0)],
-                        max_doublings=5)
+        rep = probe_ray(e1.system, None, [Q(1), Q(0)], [Q(0), Q(0)])
         assert rep.exhausted
 
     def test_nonmember_base_rejected(self, e1):
@@ -164,8 +162,6 @@ class TestProbeRay:
 
     def test_input_checks(self, e1):
         x0, y = [Q(1), Q(0)], [Q(0), Q(1)]
-        with pytest.raises(ValueError, match="max_doublings must be nonnegative"):
-            probe_ray(e1.system, None, x0, y, max_doublings=-1)
         with pytest.raises(ValueError,
                            match="direction has length 3, expected 2"):
             probe_ray(e1.system, None, x0, y + [Q(1)])
@@ -194,10 +190,10 @@ class TestProbeRay:
             return lp_feasible(P)
 
         monkeypatch.setattr(membership, "lp_feasible", counting)
-        want = reference_probe(sys, None, x0, y, 20)
+        want = reference_probe(sys, None, x0, y)
         assert want.exhausted
         lps.clear()
-        assert probe_ray(sys, None, x0, y, 20) == want
+        assert probe_ray(sys, None, x0, y) == want
         # alpha = 0 and alpha = 1 (two rows each), then the common witness
         # (r0 stacked on r1)
         assert lps == [2, 2, 4]
@@ -212,7 +208,7 @@ class TestProbeRay:
         assert FIRST_CLASS not in classify(sys)
         quant = QuantifierAssignment(frozenset({0}), frozenset({1}))
         x0, y = [Q(0), Q(0)], [Q(1), Q(1)]
-        want = reference_probe(sys, quant, x0, y, 4)
+        want = reference_probe(sys, quant, x0, y)
         calls = []
         real = membership._VertexLP.member
 
@@ -221,7 +217,7 @@ class TestProbeRay:
             return real(lp)
 
         monkeypatch.setattr(membership._VertexLP, "member", member)
-        rep = probe_ray(sys, quant, x0, y, 4)
+        rep = probe_ray(sys, quant, x0, y)
         assert rep == want
         # the set is the diagonal from 0 to (1, 1); alpha = 0 takes its
         # query, and no p has A(p) y = (1, 1) = 0, so the common-witness
@@ -230,12 +226,12 @@ class TestProbeRay:
         assert rep.first_exit == Q(2) and calls == [2, 2, 4]
 
 
-def reference_probe(sys, quant, x0, y, max_doublings):
+def reference_probe(sys, quant, x0, y):
     """``probe_ray`` as cold membership queries: ``member_ae`` at each
-    alpha = 0, 1, 2, ..., 2^max_doublings, up to the first exit."""
+    alpha = 0, 1, 2, ..., 2^PROBE_DOUBLINGS, up to the first exit."""
     q = quant or QuantifierAssignment.all_exists(sys.K)
     tested, first_exit = [], None
-    for a in [Q(0)] + [Q(2) ** i for i in range(max_doublings + 1)]:
+    for a in [Q(0)] + [Q(2) ** i for i in range(PROBE_DOUBLINGS + 1)]:
         tested.append(a)
         if not member_ae(sys, q, [xj + a * yj for xj, yj in zip(x0, y)])[0]:
             first_exit = a
@@ -290,8 +286,8 @@ class TestProbeMatchesColdQueries:
                 continue
             q = quant or QuantifierAssignment.all_exists(sys.K)
             for x0 in find_base_points(sys, quant, 4)[:2]:
-                want = reference_probe(sys, quant, x0, y, 8)
-                assert probe_ray(sys, quant, x0, y, 8) == want
+                want = reference_probe(sys, quant, x0, y)
+                assert probe_ray(sys, quant, x0, y) == want
                 common = member_ae(ray_system(sys), q, x0 + y)[0]
                 if common:
                     assert want.exhausted
@@ -308,17 +304,15 @@ class TestProbeMatchesColdQueries:
     def test_e1_downward_ray_has_no_common_witness(self, e1):
         x0, y = [Q(1), Q(0)], [Q(0), Q(-1)]
         assert not member_united(ray_system(e1.system), x0 + y)[0]
-        want = reference_probe(e1.system, None, x0, y, 20)
+        want = reference_probe(e1.system, None, x0, y)
         assert want.exhausted
-        assert probe_ray(e1.system, None, x0, y, 20) == want
+        assert probe_ray(e1.system, None, x0, y) == want
 
     def test_zero_direction(self, e1):
         x0 = [Q(1), Q(0)]
-        for doublings in (0, 1, 5):
-            want = reference_probe(e1.system, None, x0, [Q(0), Q(0)], doublings)
-            assert want.exhausted
-            assert probe_ray(e1.system, None, x0, [Q(0), Q(0)],
-                             doublings) == want
+        want = reference_probe(e1.system, None, x0, [Q(0), Q(0)])
+        assert want.exhausted
+        assert probe_ray(e1.system, None, x0, [Q(0), Q(0)]) == want
 
 
 def rows_key(lp):
@@ -433,8 +427,7 @@ class TestCascadeWalk:
             if v.rule is not Rule.PROBE:
                 continue
             for rep in probe_reports(v):
-                assert rep == reference_probe(sys, quant, rep.base_point, y,
-                                              PROBE_DOUBLINGS)
+                assert rep == reference_probe(sys, quant, rep.base_point, y)
                 kind = "ae" if quant else "united"
                 kinds[kind] = kinds.get(kind, 0) + 1
         assert min(kinds.get("ae", 0), kinds.get("united", 0)) >= 5, kinds
@@ -565,8 +558,7 @@ class TestSeparatorPool:
             if v.rule is not Rule.PROBE:
                 continue
             for rep in probe_reports(v):
-                assert rep == reference_probe(sys, quant, rep.base_point, y,
-                                              PROBE_DOUBLINGS)
+                assert rep == reference_probe(sys, quant, rep.base_point, y)
                 kinds["ae" if quant else "first class"] += 1
         assert kinds["ae"] >= 5 and kinds["first class"] >= 5, kinds
 
@@ -601,11 +593,11 @@ class TestSeparatorPool:
                 lps = []
                 for qry in (shared, query(sys, quant)):
                     walks = self.walk_lps(monkeypatch)
-                    lps.append((unbounded._walk_ray(qry, x0, y, ky, 8),
+                    lps.append((unbounded._walk_ray(qry, x0, y, ky),
                                 walks[0]))
                     monkeypatch.undo()
                 (rep, with_shared), (alone, with_own) = lps
-                assert rep == alone == reference_probe(sys, None, x0, y, 8)
+                assert rep == alone == reference_probe(sys, None, x0, y)
                 assert with_shared <= with_own
                 saved += with_own - with_shared
         assert saved >= 10, saved
@@ -621,13 +613,6 @@ class TestSeparatorPool:
                                           rep.alphas_tested))
         want = [Q(0)] + [Q(2) ** i for i in range(PROBE_DOUBLINGS + 1)]
         assert repr(rep.alphas_tested) == repr(want)
-        # a longer probe shares the doublings it has in common
-        longer = probe_ray(e1.system, None, x0, [Q(0), Q(-1)],
-                           max_doublings=PROBE_DOUBLINGS + 3)
-        assert longer.alphas_tested == want + [
-            Q(2) ** i for i in range(PROBE_DOUBLINGS + 1, PROBE_DOUBLINGS + 4)]
-        assert all(a is b for a, b in zip(longer.alphas_tested,
-                                          rep.alphas_tested))
         up = probe_ray(e1.system, None, x0, [Q(0), Q(1)])
         assert up.first_exit is rep.alphas_tested[1]
 
@@ -790,8 +775,9 @@ class TestDecideUnbounded:
                 v = decide_unbounded(sys, None, y)
                 assert v.status is Status.CERTIFIED_NO
                 for x0 in base_points:
-                    rep = probe_ray(sys, None, x0, y, max_doublings=16)
+                    rep = probe_ray(sys, None, x0, y)
                     assert rep.first_exit is not None
+                    assert rep.first_exit <= 2 ** 16
                     checked += 1
         assert checked > 10
 
@@ -804,7 +790,7 @@ class TestDecideUnbounded:
             y = random_point(rng, sys.n)
             v = decide_unbounded(sys, None, y)
             if v.status is Status.CERTIFIED_YES and v.rule is Rule.THM3:
-                rep = probe_ray(sys, None, v.evidence, y, max_doublings=20)
+                rep = probe_ray(sys, None, v.evidence, y)
                 assert rep.exhausted
                 checked += 1
         assert checked > 0
@@ -827,7 +813,7 @@ class TestDecideUnbounded:
         assert v.evidence == [Q(-21), Q(14)]
         assert v.detail == "strict kernel membership (eps = 1)"
         assert oracle.ae_vertex_oracle(sys, quant, v.evidence)
-        assert probe_ray(sys, quant, v.evidence, y, max_doublings=20).exhausted
+        assert probe_ray(sys, quant, v.evidence, y).exhausted
 
     def test_decomposition_over_cap_falls_through_to_probes(self):
         v = decide_unbounded(over_cap_ordinary(), None, unit(17, 16))
@@ -1015,8 +1001,7 @@ class TestThresholdEvidence:
                 assert oracle.fm_member_oracle(sys, v.evidence)
             else:
                 assert oracle.ae_vertex_oracle(sys, quant, v.evidence)
-            assert probe_ray(sys, quant, v.evidence, y,
-                             max_doublings=20).exhausted
+            assert probe_ray(sys, quant, v.evidence, y).exhausted
             checked[family] = checked.get(family, 0) + 1
         # THM7 decides every tolerable case before the strict kernel, which
         # cannot hold there: every matrix parameter is universal, so Z(y) is
@@ -1152,7 +1137,7 @@ class TestDecideUnboundedTolerable:
                     with pytest.raises(ValueError, match="not a direction"):
                         decide_unbounded(combined, quant, y)
                     continue
-                rep = probe_ray(combined, quant, x0, y, max_doublings=20)
+                rep = probe_ray(combined, quant, x0, y)
                 if member_ae_kernel(combined, quant, y)[0]:
                     assert rep.exhausted
                     v = decide_unbounded(combined, quant, y)
@@ -1203,7 +1188,6 @@ class TestDecideUnboundedTolerable:
                     assert v.rule is Rule.THM7
                     assert v.status is Status.CERTIFIED_YES
                     assert oracle.ae_vertex_oracle(sys, quant, v.evidence)
-                    assert probe_ray(sys, quant, v.evidence, y,
-                                     max_doublings=20).exhausted
+                    assert probe_ray(sys, quant, v.evidence, y).exhausted
         assert seen[Status.CERTIFIED_YES, Rule.THM7] >= 20
         assert seen[Status.CERTIFIED_NO, Rule.THM2] >= 20
