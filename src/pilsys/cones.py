@@ -23,7 +23,11 @@ read (``Piece.solution_piece`` and ``Piece.kernel_piece``: ``classify
 
 ``decompose`` decides the nonemptiness of every piece, and the point that a
 piece's LP finds settles, with no LP, each later piece that contains it:
-nonemptiness is a property of the set, not of the LP's path.
+nonemptiness is a property of the set, not of the LP's path.  Before a
+nonemptiness LP (``_lp_point``, of ``decompose`` and of
+``first_unbounded_piece`` alike), each inequality row of the piece is
+tested against its box in integers: a row whose least value over the box
+exceeds its right-hand side proves the piece empty with no LP.
 
 The piece builders take a system of their class as given: ``_pieces``
 picks one by the class its query reads, and ``orthant_decomposition`` and
@@ -152,8 +156,33 @@ def _linearization(sc: Reading, gens, region) -> RawPieces:
                                 IntRhs([0] * len(C), 1)))
 
 
+def _row_refutes(P: IntRowPolyhedron) -> bool:
+    """Does one inequality row of P fail at every point of P's box?  Row i
+    reads C[i] x <= crhs.nums[i] / crhs.den, and its least value over the
+    box lo / L, hi / L takes lo_j where C[i][j] > 0 and hi_j where it is
+    negative, so with those ends finite the row fails everywhere when
+    least * crhs.den > nums[i] * L, all in integers."""
+    lo, hi, L = P.box
+    den = P.crhs.den
+    for row, num in zip(P.C, P.crhs.nums):
+        least = 0
+        for a, l, h in zip(row, lo, hi):
+            if a:
+                end = l if a > 0 else h
+                if end is None:
+                    break
+                least += a * end
+        else:
+            if least * den > num * L:
+                return True
+    return False
+
+
 def _lp_point(P: IntRowPolyhedron) -> Optional[Vector]:
-    """The point the nonemptiness LP finds in P, or None when P is empty."""
+    """The point the nonemptiness LP finds in P, or None when P is empty.
+    A row that fails on the whole box proves P empty with no LP."""
+    if _row_refutes(P):
+        return None
     res = lp_feasible(P)
     return res.point if isinstance(res, Feasible) else None
 

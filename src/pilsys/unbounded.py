@@ -14,12 +14,13 @@ The stages of ``decide_unbounded``, in order:
       as UNKNOWN with the probe trace as evidence.  The first base point
       solves A(p) x = b(p) at the kernel witness p of (i), where A(p) y = 0,
       so when that system is consistent the whole ray solves it at p; with
-      no universal parameters the walk then ends after alpha = 1 and one
-      common-witness LP (none on a first-class system).  Grid points follow
-      only if that walk exits or there is no such point.  A base
-      point is a member when it is drawn (solved at a box point, and asked
-      of the query with universal parameters), so the walk does not ask
-      alpha = 0 again.
+      no universal parameters every point of the ray is then a member, and
+      its exhausted report is returned with no walk and no LP.  With
+      universal ones p holds the first universal vertex only, so that ray
+      is walked.  Grid points follow only if that walk exits or there is
+      no such point.  A base point is a member when it is drawn (solved at
+      a box point, and asked of the query with universal parameters), so
+      the walk does not ask alpha = 0 again.
 
 Every stage asks one query object (``membership._Query``), built from one
 reading of the system (``Reading``) and the decision's quantifier
@@ -42,7 +43,7 @@ from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
-                    lin_solve, scaled, vec_scale)
+                    lin_solve, scaled, vec_scale, zeros)
 from .membership import Reading, _Query
 from .membership import member_kernel  # noqa: F401 -- re-exported
 from .model import (CLASS_C, FIRST_CLASS, ORDINARY, TOLERABLE_FORM,
@@ -177,10 +178,16 @@ def _member_at(query: _Query, coef: list[int],
     a member; x is then added to seen.  x solves the system at a box
     point, so with no universal parameters it is a member by construction;
     with universal ones it is asked of the query (``_Query.holds``)."""
-    res = lin_solve(*query.reading.system_at(coef))
-    if not isinstance(res, (UniqueSolution, AffineSolutionSet)):
-        return None
-    x = res.point
+    A, b = query.reading.system_at(coef)
+    if A:
+        res = lin_solve(A, b)
+        if not isinstance(res, (UniqueSolution, AffineSolutionSet)):
+            return None
+        x = res.point
+    else:
+        # with no equation every x solves the system, and lin_solve, which
+        # reads the width from a row, would return a point of length 0
+        x = zeros(query.reading.n)
     point = tuple(x)
     if point in seen or (query.forall
                          and not query.holds(query.reading.rows_at(x))):
@@ -274,7 +281,7 @@ def decide_unbounded(sys: ParametricSystem,
     y must be nonzero.
 
     budget bounds the sampled base points (``find_base_points``) that THM7
-    and the probes may use.  The probes first walk from a solution of
+    and the probes may use.  The probes start from a solution of
     A(p) x = b(p) at the kernel witness p, which the budget does not count,
     so a budget of 0 still probes once where that system is consistent."""
     y = list(y)
@@ -346,23 +353,29 @@ def decide_unbounded(sys: ParametricSystem,
 
     # (v) probing fallback.  The first base point x0 is solved at the kernel
     # witness p of (i): A(p) y = 0 there, so the whole ray x0 + alpha y
-    # solves the system at p, and with no universal parameters its walk
-    # ends after alpha = 1 and the common-witness LP.  The grid's points
-    # follow, each found only when the probes before it have all exited,
-    # and each a member already; the walks share the query, and with it the
-    # separators its LPs returned
+    # solves the system at p.  With no universal parameters every point of
+    # the ray is then a member, a walk could only end exhausted, and the
+    # report is settled with no walk.  With universal ones p covers only
+    # the first universal vertex, so x0's ray is walked, and the grid's
+    # points follow, each found only when the probes before it have all
+    # exited, and each a member already; the walks share the query, and
+    # with it the separators its LPs returned
     xw = _member_at(query, scaled([Q(1), *cert.witness_p])[0], set())
-    reports = []
-    for x0 in itertools.chain(
+    if xw is not None and not query.forall:
+        walks = [ProbeReport(xw, y, _ALPHAS[:], None, exhausted=True)]
+    else:
+        walks = (_walk_ray(query, x0, y, ky) for x0 in itertools.chain(
             [] if xw is None else [xw],
-            (x for x in _base_points(query, budget, seed) if x != xw)):
-        rep = _walk_ray(query, x0, y, ky)
+            (x for x in _base_points(query, budget, seed) if x != xw)))
+    reports = []
+    for rep in walks:
         reports.append(rep)
         if rep.exhausted:
             return UnboundedVerdict(
                 Status.UNKNOWN, Rule.PROBE, rep,
                 f"no exit through alpha = 2^{PROBE_DOUBLINGS} from base "
-                f"{','.join(str(v) for v in x0)}; kernel: yes; strict: no")
+                f"{','.join(str(v) for v in rep.base_point)}; kernel: yes; "
+                "strict: no")
     detail = "no base point found" if not reports else \
         "every probe exits; kernel: yes; strict: no"
     return UnboundedVerdict(Status.UNKNOWN, Rule.PROBE, reports, detail)

@@ -385,6 +385,30 @@ def with_big_denominators(rng, sys):
     return ParametricSystem(sys.m, sys.n, rows(sys.A0), col(sys.b0), params)
 
 
+def with_scaled_rows(rng, sys):
+    """The same system with each equation times its own small rational
+    factor p/q, q in (3, 5, 7) and p prime to it: A0, b0 and every
+    generator's row i, so that row i of the integer table has a
+    denominator D_i > 1 unless q divides all of its entries, and the
+    nonzero positions, and with them the class flags, stay as they are."""
+    r = []
+    for _ in range(sys.m):
+        q = rng.choice((3, 5, 7))
+        p = rng.choice([v for v in range(-8, 9) if v and v % q])
+        r.append(Q(p, q))
+
+    def rows(A):
+        return [[a * ri for a in row] for row, ri in zip(A, r)]
+
+    def col(b):
+        return [v * ri for v, ri in zip(b, r)]
+
+    return ParametricSystem(
+        sys.m, sys.n, rows(sys.A0), col(sys.b0),
+        [Parameter(par.name, par.interval, rows(par.A), col(par.b))
+         for par in sys.params])
+
+
 def with_zero_generator(rng, sys):
     """sys with one parameter on a proper interval whose generator is all
     zeros, put in at a random place."""

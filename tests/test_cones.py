@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import (fold_thin_params, gen_class_c, gen_first_class,
                       gen_general, gen_ordinary, gen_wide_ordinary,
                       query, random_point, sign_pieces_reference,
-                      with_big_denominators, with_thin_params,
-                      with_zero_generator)
+                      with_big_denominators, with_scaled_rows,
+                      with_thin_params, with_zero_generator)
 from pilsys import cones
 from pilsys.cones import (DecompositionTooLarge, Piece, PieceDecomposition,
                           classC_decomposition, decompose,
@@ -308,6 +308,19 @@ def test_pieces_match_the_fraction_reference(seed, make, thin, zero, big):
         assert piece.nonempty == fm_feasible(S)
 
 
+def row_fails_on_box(P):
+    """Does one inequality row of the Fraction polyhedron P exceed its
+    right-hand side at every point of P's box?  Its least value there takes
+    lo_j where the coefficient is positive and hi_j where it is negative."""
+    for row, d in zip(P.C, P.d):
+        ends = [(a, P.lo[j] if a > 0 else P.hi[j])
+                for j, a in enumerate(row) if a]
+        if all(e is not None for _, e in ends) and \
+                sum((a * e for a, e in ends), Q(0)) > d:
+            return True
+    return False
+
+
 def built_polyhedra(monkeypatch, cls):
     """Every instance of cls built from now on, in order."""
     built = []
@@ -342,7 +355,7 @@ class TestIntegerPieces:
             return res
 
         monkeypatch.setattr(cones, "lp_feasible", recording)
-        settled = 0
+        settled = refuted = 0
         for _, sys in self.systems(41):
             solved.clear()
             points = []
@@ -353,12 +366,16 @@ class TestIntegerPieces:
                     assert piece.nonempty == isinstance(res, Feasible)
                     if piece.nonempty:
                         points.append(res.point)
-                else:
+                elif piece.nonempty:
                     # no LP: a point of an earlier piece lies in this one
                     settled += 1
-                    assert piece.nonempty
                     assert any(piece.solution_piece.contains(x) for x in points)
-        assert settled > 20
+                else:
+                    # no LP: one row fails on the whole box
+                    refuted += 1
+                    assert row_fails_on_box(piece.solution_piece)
+                    assert fm_feasible(piece.solution_piece) is False
+        assert settled > 20 and refuted > 0, (settled, refuted)
 
     def test_equality_report_builds_no_fraction_polyhedron(self, monkeypatch):
         built = built_polyhedra(monkeypatch, Polyhedron)
@@ -412,3 +429,67 @@ class TestIntegerPieces:
             with pytest.raises(DecompositionTooLarge):
                 first_unbounded_piece(query(sys), y)
         assert built == [] and fractions == []
+
+
+def lp_point_alone(P):
+    """``cones._lp_point`` with every piece left to the nonemptiness LP."""
+    res = lp_feasible(P)
+    return res.point if isinstance(res, Feasible) else None
+
+
+class TestRowRefutation:
+    """A piece one of whose inequality rows fails at every point of its box
+    is empty, and ``_lp_point`` says so with no LP: the pieces, their
+    nonemptiness and every report built on them are what the LP alone
+    gives, on the tier-1 systems and on copies whose equations are scaled
+    by rational factors (row denominators D_i > 1)."""
+
+    def systems(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            for make in (gen_ordinary, gen_class_c):
+                sys = make(rng, 2, rng.randint(2, 3))
+                yield rng, sys
+                yield rng, with_scaled_rows(rng, sys)
+
+    def test_refuted_pieces_are_empty(self, monkeypatch):
+        asked = []
+
+        def recording(P):
+            asked.append(P)
+            return lp_feasible(P)
+
+        monkeypatch.setattr(cones, "lp_feasible", recording)
+        refuted = {False: 0, True: 0}  # by whether a row has D_i > 1
+        for _, sys in self.systems(53):
+            asked.clear()
+            for piece in decompose(sys).pieces:
+                S = piece.solution_piece
+                # the integer test is the Fraction one on the same rows
+                assert cones._row_refutes(piece.solution) == row_fails_on_box(S)
+                if row_fails_on_box(S):
+                    assert not any(P is piece.solution for P in asked)
+                    assert not piece.nonempty
+                    assert fm_feasible(S) is False
+                    refuted[any(D > 1 for _, D in sys.int_coefficients())] += 1
+        assert min(refuted.values()) >= 5, refuted
+
+    def test_same_reprs_as_the_lp_alone(self, monkeypatch):
+        found, scaled = 0, 0
+        for rng, sys in self.systems(47):
+            scaled += any(D > 1 for _, D in sys.int_coefficients())
+            ys = [random_point(rng, sys.n) for _ in range(2)] + [
+                [Q(s * (i == j)) for i in range(sys.n)]
+                for j in range(sys.n) for s in (1, -1)]
+
+            def reports():
+                pieces = [first_unbounded_piece(query(sys), y) for y in ys]
+                return (repr(decompose(sys)), repr(pieces),
+                        repr(special_class_unbounded_equality(sys)))
+
+            got = reports()
+            with monkeypatch.context() as mp:
+                mp.setattr(cones, "_lp_point", lp_point_alone)
+                assert got == reports()
+            found += got[1].count("Piece(")
+        assert scaled >= 15 and found >= 10, (scaled, found)

@@ -8,7 +8,8 @@ import pytest
 from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, query, random_point,
-                      with_big_denominators, with_thin_params)
+                      with_big_denominators, with_scaled_rows,
+                      with_thin_params)
 from pilsys import cones, membership, model, oracle, unbounded
 from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import (AffineSolutionSet, UniqueSolution, lin_solve,
@@ -16,7 +17,8 @@ from pilsys.exact import (AffineSolutionSet, UniqueSolution, lin_solve,
 from pilsys.membership import (Certificate, member_ae, member_kernel,
                                member_united, strict_kernel_member_ae,
                                witness_resubstitutes)
-from pilsys.model import (FIRST_CLASS, Interval, Parameter, ParametricSystem,
+from pilsys.model import (CLASS_C, FIRST_CLASS, ORDINARY, Interval, Parameter,
+                          ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
                           classify, residual_rows)
 from pilsys.unbounded import (PROBE_DOUBLINGS, ProbeReport, Rule, Status,
@@ -24,6 +26,19 @@ from pilsys.unbounded import (PROBE_DOUBLINGS, ProbeReport, Rule, Status,
 
 
 class TestFindBasePoints:
+    def test_no_equations(self):
+        # every x solves a system with no equation, so each base point, and
+        # THM7's evidence, has length n
+        sys = ParametricSystem(0, 2, [], [], [
+            Parameter("p", Interval(Q(0), Q(1)), [], [])])
+        assert find_base_points(sys) == [[Q(0), Q(0)]]
+        quant = QuantifierAssignment(frozenset({0}), frozenset())
+        v = decide_unbounded(sys, quant, [Q(1), Q(0)])
+        assert (v.status, v.rule, v.evidence, v.detail) == (
+            Status.CERTIFIED_YES, Rule.THM7, [Q(0), Q(0)],
+            "tolerable kernel holds; base 0,0")
+        assert member_ae(sys, quant, v.evidence)[0]
+
     def test_e1_contains_vertex_solution(self, e1):
         pts = find_base_points(e1.system)
         assert [Q(1), Q(0)] in pts
@@ -332,6 +347,28 @@ def probe_reports(verdict):
     return ev if isinstance(ev, list) else [ev]
 
 
+def consistent_witness(sys, y):
+    """The united kernel witness p of y, when A(p) x = b(p) has a solution:
+    stage (v) of a united decision then settles its report there."""
+    ok, cert = member_kernel(sys, y)
+    assert ok
+    p = cert.witness_p
+    res = lin_solve(sys.A_at(p), sys.b_at(p))
+    return p if isinstance(res, (UniqueSolution, AffineSolutionSet)) \
+        else None
+
+
+def settled_at_the_witness(sys, y, v):
+    """Is v's evidence the exhausted report of a base point that solves the
+    system at the consistent kernel witness of y, with every alpha?"""
+    p = consistent_witness(sys, y)
+    rep = v.evidence
+    return p is not None and isinstance(rep, ProbeReport) and rep.exhausted \
+        and rep.alphas_tested == [Q(0)] + [Q(2) ** i for i in
+                                           range(PROBE_DOUBLINGS + 1)] \
+        and witness_resubstitutes(sys, rep.base_point, Certificate.witness(p))
+
+
 class TestCascadeWalk:
     """``decide_unbounded`` walks each ray from a base point that
     ``_base_points`` has already found to be a member, so it asks no alpha = 0
@@ -402,21 +439,28 @@ class TestCascadeWalk:
         spy(membership, "kernel_rows")
         spy(ParametricSystem, "int_coefficients")
         cases = [(e1.system, None, [Q(0), Q(-1)])] + [
-            (sys, quant, y) for sys, quant, y in self.cases(79, 20)
+            (sys, quant, y) for sys, quant, y in self.cases(79, 60)
             if y is not None and any(y)]
-        walked = 0
+        walked = settled = 0
         for sys, quant, y in cases:
             calls.clear()
             v = decide_unbounded(sys, quant, y)
             if v.rule is not Rule.PROBE:
                 continue
-            # an exhausted walk's report drops the exited ones before it
-            assert calls["_walk_ray"] >= len(probe_reports(v))
             assert calls["int_coefficients"] == 1
             assert calls["residual_rows"] == 0
             assert calls["kernel_rows"] == 1
-            walked += calls["_walk_ray"]
-        assert walked >= 10, walked
+            walks = calls["_walk_ray"]
+            if quant is None and consistent_witness(sys, y) is not None:
+                # a united report settled at the kernel witness: no walk
+                assert walks == 0
+                assert settled_at_the_witness(sys, y, v)
+                settled += 1
+            else:
+                # an exhausted walk's report drops the exited ones before it
+                assert walks >= len(probe_reports(v))
+            walked += walks
+        assert walked >= 10 and settled >= 3, (walked, settled)
 
     def test_reports_match_cold_membership(self):
         kinds = {}
@@ -567,14 +611,19 @@ class TestSeparatorPool:
         cases = [(e1.system, [Q(0), Q(-1)]), (e1.system, [Q(0), Q(1)])] + [
             (sys, y) for sys, quant, y in self.cases(103, 30)
             if quant is None and y is not None and any(y)]
-        walked = 0
+        walked = settled = 0
         for sys, y in cases:
             walks.clear()
-            if decide_unbounded(sys, None, y).rule is Rule.PROBE:
+            v = decide_unbounded(sys, None, y)
+            if v.rule is Rule.PROBE:
                 lps = [n for n in walks if n is not None]
-                assert lps and not any(lps), lps
+                assert not any(lps), lps
+                if not lps:
+                    # no walk: the report is settled at the kernel witness
+                    assert settled_at_the_witness(sys, y, v)
+                    settled += 1
                 walked += len(lps)
-        assert walked >= 10, walked
+        assert walked >= 10 and settled >= 3, (walked, settled)
 
     def test_separators_settle_later_walks(self, monkeypatch):
         # walks from every base point of a general 3x4 system, in turn: with
@@ -839,16 +888,6 @@ class TestKernelWitnessProbe:
             yield sys, null_direction(rng, sys)
             yield sys, null_direction(rng, sys, sys.midpoint())
 
-    @staticmethod
-    def consistent_witness(sys, y):
-        """The kernel witness p of y, when A(p) x = b(p) has a solution."""
-        ok, cert = member_kernel(sys, y)
-        assert ok
-        p = cert.witness_p
-        res = lin_solve(sys.A_at(p), sys.b_at(p))
-        return p if isinstance(res, (UniqueSolution, AffineSolutionSet)) \
-            else None
-
     def test_consistent_witness_exhausts_in_one_solve(self, monkeypatch):
         events = []
 
@@ -866,7 +905,7 @@ class TestKernelWitnessProbe:
         for sys, y in self.cases(71, 40):
             if y is None or not any(y):
                 continue
-            p = self.consistent_witness(sys, y)
+            p = consistent_witness(sys, y)
             events.clear()
             v = decide_unbounded(sys, None, y)
             if v.rule is not Rule.PROBE or p is None:
@@ -887,7 +926,7 @@ class TestKernelWitnessProbe:
         for sys, y in self.cases(73, 20):
             if y is None or not any(y):
                 continue
-            p = self.consistent_witness(sys, y)
+            p = consistent_witness(sys, y)
             v = decide_unbounded(sys, None, y, budget=0)
             if v.rule is Rule.PROBE and p is not None:
                 break
@@ -899,6 +938,96 @@ class TestKernelWitnessProbe:
         assert witness_resubstitutes(sys, v.evidence.base_point,
                                      Certificate.witness(p))
         assert repr(decide_unbounded(sys, None, y, budget=8)) == repr(v)
+
+    def test_settled_report_is_the_walk(self, monkeypatch):
+        """A united report settled at the kernel witness is the report of
+        the walk from its base point and of ``probe_ray``, and once the
+        strict stage returns the decision asks no LP and walks no ray; on
+        general 3x4 systems and on copies whose equations are scaled by
+        rational factors."""
+        events = []
+        walk, solve, strict = (unbounded._walk_ray, membership.lp_feasible,
+                               membership._VertexLP.strict)
+
+        def walking(*args):
+            events.append("walk")
+            return walk(*args)
+
+        def solving(P):
+            events.append("lp")
+            return solve(P)
+
+        def stricting(lp):
+            res = strict(lp)
+            events.append("strict")
+            return res
+
+        monkeypatch.setattr(unbounded, "_walk_ray", walking)
+        monkeypatch.setattr(membership, "lp_feasible", solving)
+        monkeypatch.setattr(membership._VertexLP, "strict", stricting)
+        rng = random.Random(113)
+        checked = Counter()
+        for _ in range(30):
+            plain = gen_general(rng, 3, 4)
+            for sys in (plain, with_scaled_rows(rng, plain)):
+                flags = classify(sys)
+                if ORDINARY in flags or CLASS_C in flags:
+                    continue  # stage (iv) asks its piece LPs
+                scaled = any(D > 1 for _, D in sys.int_coefficients())
+                for y in (null_direction(rng, sys),
+                          null_direction(rng, sys, sys.midpoint())):
+                    if y is None or not any(y) or \
+                            consistent_witness(sys, y) is None:
+                        continue
+                    events.clear()
+                    v = decide_unbounded(sys, None, y)
+                    if v.rule is not Rule.PROBE:
+                        continue
+                    assert events[events.index("strict") + 1:] == []
+                    assert settled_at_the_witness(sys, y, v)
+                    x0 = v.evidence.base_point
+                    assert walk(query(sys), x0, y, model.kernel_rows(sys, y)) \
+                        == v.evidence == probe_ray(sys, None, x0, y)
+                    checked[scaled] += 1
+        assert checked[False] >= 5 and checked[True] >= 5, checked
+
+    def test_universal_parameters_still_walk(self, monkeypatch):
+        # the witness p of an AE kernel query holds the first universal
+        # vertex only, so the ray from the point solved at p is walked
+        walked = []
+        walk = unbounded._walk_ray
+
+        def walking(qry, x0, y, ky):
+            walked.append(x0)
+            return walk(qry, x0, y, ky)
+
+        monkeypatch.setattr(unbounded, "_walk_ray", walking)
+        rng = random.Random(127)
+        checked = 0
+        for _ in range(60):
+            sys, quant = gen_quantified(rng, 2, 3)
+            for y in (null_direction(rng, sys),
+                      null_direction(rng, sys, sys.midpoint())):
+                if y is None or not any(y):
+                    continue
+                ok, cert = query(sys, quant).lp(
+                    model.kernel_rows(sys, y)).member()
+                if not ok:
+                    continue
+                p = cert.witness_p
+                res = lin_solve(sys.A_at(p), sys.b_at(p))
+                if not isinstance(res, (UniqueSolution, AffineSolutionSet)) \
+                        or not member_ae(sys, quant, res.point)[0]:
+                    continue
+                walked.clear()
+                v = decide_unbounded(sys, quant, y)
+                if v.rule is not Rule.PROBE:
+                    continue
+                assert walked[0] == res.point
+                assert probe_reports(v)[0] == reference_probe(
+                    sys, quant, res.point, y)
+                checked += 1
+        assert checked >= 3, checked
 
     def test_exhausted_reports_are_fm_members(self):
         # an independent check of every ray the probes report unexited: the
