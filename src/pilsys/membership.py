@@ -54,12 +54,17 @@ the existential box once per vertex and maximizes each axis reach eps on a
 copy of its final tableau, with one equation relaxed by eps (see
 strict_kernel_member_ae); ``decide_unbounded`` builds the homogenized
 vertex LP once and starts the strict kernel from the kernel query's first
-vertex LP.
+vertex LP.  When every existential parameter meets at most one of the
+rows (``_VertexLP.decoupled``, which only its ``strict`` and ``separator``
+read), the rows are independent at each vertex: each reaches one integer
+interval over the box, the axis reaches are read off those intervals with
+no LP, and the row test alone decides that the point is a member.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -330,7 +335,7 @@ class _VertexLP:
     """
 
     def __init__(self, query: _Query, rows: list[tuple[list[int], int]]):
-        self.query = query
+        self.query, self.rows = query, rows
         self.E = [[nums[k + 1] for k in query.exists] for nums, _ in rows]
         self.dens = [den for _, den in rows]
         self.cols = [[nums[k] for k in (0, *(k + 1 for k in query.forall))]
@@ -365,17 +370,46 @@ class _VertexLP:
             res = self._lp(rhs) if i else self._first(rhs)
             if isinstance(res, Infeasible):
                 return False, Certificate.separator(_separator_from_farkas(res))
-        # the first vertex is the lower ends of the universal parameters
+        return True, Certificate.witness(self.witness())
+
+    def separator(self) -> Optional[Certificate]:
+        """The separator that refutes the rows' point, or None for a
+        member.  On decoupled rows the row test is exact, so a point it
+        passes is a member with no LP (``witness`` solves the first vertex
+        if it is asked for); any other point asks ``member``, so a refuted
+        point gets the LP's separator."""
+        if self.decoupled and _failing_row(
+                self.query.mids, self.query.rads, self.rows) is None:
+            return None
+        ok, cert = self.member()
+        return None if ok else cert
+
+    def witness(self) -> Vector:
+        """The witness of a member: the universal lower ends, which are the
+        first vertex, and the existential values of that vertex's cold LP,
+        solved here when ``member`` has not solved it."""
+        if self.first is None:
+            self._first(next(self.vertices()))
         witness = [par.interval.lo for par in self.query.reading.sys.params]
         for k, pk in zip(self.query.exists, self.first.point):
             witness[k] = pk
-        return True, Certificate.witness(witness)
+        return witness
+
+    @cached_property
+    def decoupled(self) -> bool:
+        """Does every existential parameter meet at most one row?  Then the
+        rows are independent at each vertex, and row i reaches exactly the
+        interval of its own existential terms over the box.  Read when first
+        asked for, which only ``strict`` and ``separator`` do."""
+        return all(sum(map(bool, col)) < 2 for col in zip(*self.E))
 
     def strict(self) -> tuple[bool, Q]:
         """Is the rhs interior to the reach at every vertex?  See
         ``strict_kernel_member_ae``."""
         if not self.E:  # m == 0: no axis
             return True, Q(1)
+        if self.decoupled:
+            return self._strict_decoupled()
         best: Optional[Q] = None
         for i, rhs in enumerate(self.vertices()):
             res = self._lp(rhs) if i else self._first(rhs)
@@ -388,6 +422,40 @@ class _VertexLP:
                     if best is None or val < best:
                         best = val
         return True, best
+
+    def _strict_decoupled(self) -> tuple[bool, Q]:
+        """``strict`` on decoupled rows, in integers and with no LP.
+
+        Row i reaches [zlo_i, zhi_i] over box_E, as integers over L D_i like
+        the rhs (the box is over L / g, so each end is times g).  With row e
+        relaxed, the other rows hold or not on their own, so axis (e, +1)
+        is infeasible when another row misses its rhs, and otherwise its
+        optimum is zhi_e - rhs_e; axis (e, -1) is rhs_e - zlo_e.  These are
+        the optima ``max_row_shift`` finds, taken in the same order, with
+        the same failure values."""
+        lo, hi, Lb = self.query.box
+        L = self.query.reading.L
+        g = L // Lb
+        reach = []
+        for row in self.E:
+            ends = [(a * l, a * h) for a, l, h in zip(row, lo, hi)]
+            reach.append((g * sum(map(min, ends)), g * sum(map(max, ends))))
+        best = None  # (num, den)
+        for rhs in self.vertices():
+            shifts = [(zhi - f, f - zlo)
+                      for (zlo, zhi), f in zip(reach, rhs.nums)]
+            missed = [i for i, (up, down) in enumerate(shifts)
+                      if up < 0 or down < 0]
+            for e, den in enumerate(self.dens):
+                if len(missed) > 1 or (missed and missed[0] != e):
+                    return False, Q(0)
+                den *= L
+                for val in shifts[e]:
+                    if val <= 0:
+                        return False, Q(val, den)
+                    if best is None or val * best[1] < best[0] * den:
+                        best = (val, den)
+        return True, Q(*best)
 
 
 def _mid_residual(sys: ParametricSystem, residuals: list[Vector]) -> Vector:
@@ -467,7 +535,10 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     +-e_i, equation i becomes E_i p = rhs_i +- eps with eps free, and eps is
     maximized (``max_row_shift``), which is the cold LP with one more free
     column -+e_i.  The minimum of the maxima is returned; it is positive
-    exactly when 0 is interior.
+    exactly when 0 is interior.  When every existential parameter meets at
+    most one row, each row's reach is one interval over the box, and the
+    same maxima and failure values are read off those intervals in
+    integers with no LP.
     """
     return _Query(Reading(sys), quant).lp(kernel_rows(sys, y)).strict()
 

@@ -130,7 +130,8 @@ def solution_cloud(sys: ParametricSystem,
                    grid_per_param: int = 5) -> Iterator[Vector]:
     """Unique solutions of A(p) x = b(p) on a uniform rational grid over the box.
 
-    Parameter values where the system is singular or inconsistent are skipped.
+    Parameter values where the system is singular or inconsistent are skipped,
+    and a system with no equation in n >= 1 unknowns gives no point.
     Deterministic, and lazy: a caller that takes the first few points solves
     only the grid points up to them, and never more than _CLOUD_CAP.  The
     system is read once (``Reading``), and each grid point p, scaled to
@@ -139,6 +140,9 @@ def solution_cloud(sys: ParametricSystem,
     """
     if grid_per_param < 2:
         raise ValueError("grid_per_param must be at least 2")
+    if not sys.m and sys.n:
+        # every x solves a system with no equation, so none is unique
+        return
     reading = Reading(sys)
     seen = set()
     axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)

@@ -3,11 +3,17 @@
 The stages of ``decide_unbounded``, in order:
 
 (i)   kernel (THM2): AE kernel membership is necessary; a separator of the
-      homogenized system certifies NO.
+      homogenized system certifies NO.  When every existential parameter
+      meets at most one kernel row, the row test is exact, and a direction
+      that passes it is in the kernel with no LP; the witness LP then runs
+      only when (v) reads the kernel witness.
 (ii)  tolerable form (THM7): with universal parameters and existential ones
       that touch only b, the set is a polyhedron whose recession cone is the
       AE kernel, so a member base point certifies YES.
-(iii) strict kernel (THM3): sufficient, with an explicit threshold point.
+(iii) strict kernel (THM3): sufficient, with an explicit threshold point;
+      on such decoupled rows the axis reaches are integer intervals, so the
+      strict kernel asks no LP either, and THM3's bound R is one integer
+      sum.
 (iv)  ordinary and class-C united systems (PROP1/PROP2): the kernel pieces
       of nonempty solution pieces characterize unboundedness.
 (v)   probing: everything else is probed along the ray and reported honestly
@@ -261,16 +267,18 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
 
 def _rhs_bound(reading: Reading) -> Q:
     """R = ||b(mid)||_1 + sum_k rad_k ||b^(k)||_1 from the reading's box
-    (2 L mid_k and 2 L rad_k) and the b column in integers: with row i's
-    entries b^(k)_i as integers over D_i (``scaled``), row i adds one
-    integer over D_i, and the sum is divided by 2 L once."""
+    (2 L mid_k and 2 L rad_k) and the b column in integers: every entry
+    b^(k)_i as an integer over the lcm D of their denominators (``scaled``),
+    so each row adds one integer over D, and the one Fraction is their sum
+    over 2 L D."""
     sys, mids, rads = reading.sys, reading.mids, reading.rads
-    total = Q(0)
-    for entries in zip(sys.b0, *(par.b for par in sys.params)):
-        ints, D = scaled(entries)
-        total += Q(abs(sum(map(mul, mids, ints)))
-                   + sum(map(mul, rads, map(abs, ints))), D)
-    return total / (2 * reading.L)
+    w = len(mids)
+    ints, D = scaled([v for row in zip(sys.b0, *(par.b for par in sys.params))
+                      for v in row])
+    rows = (ints[i:i + w] for i in range(0, len(ints), w))
+    total = sum(abs(sum(map(mul, mids, row)))
+                + sum(map(mul, rads, map(abs, row))) for row in rows)
+    return Q(total, 2 * reading.L * D)
 
 
 def decide_unbounded(sys: ParametricSystem,
@@ -296,12 +304,14 @@ def decide_unbounded(sys: ParametricSystem,
     query = _Query(Reading(sys), quant)
 
     # (i) kernel membership is necessary; its vertex LP, built once, serves
-    # the strict kernel of (iii) too, and its rows every ray walk of (v)
+    # the strict kernel of (iii) too, and its rows every ray walk of (v).
+    # (``separator``: on decoupled rows, a direction the row test passes
+    # asks no LP)
     ky = kernel_rows(sys, y)
     kernel = query.lp(ky)
-    in_kernel, cert = kernel.member()
-    if not in_kernel:
-        return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM2, cert,
+    sep = kernel.separator()
+    if sep is not None:
+        return UnboundedVerdict(Status.CERTIFIED_NO, Rule.THM2, sep,
                                 "direction is not in the kernel")
 
     # (ii) existential parameters that touch only b: at each universal vertex
@@ -360,7 +370,7 @@ def decide_unbounded(sys: ParametricSystem,
     # points follow, each found only when the probes before it have all
     # exited, and each a member already; the walks share the query, and
     # with it the separators its LPs returned
-    xw = _member_at(query, scaled([Q(1), *cert.witness_p])[0], set())
+    xw = _member_at(query, scaled([Q(1), *kernel.witness()])[0], set())
     if xw is not None and not query.forall:
         walks = [ProbeReport(xw, y, _ALPHAS[:], None, exhausted=True)]
     else:

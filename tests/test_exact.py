@@ -514,6 +514,28 @@ class TestCertificates:
         assert check_infeasibility_certificate(
             poly([[1], [-1]], [1, -2]), Infeasible(qvec([1, 1]), [], qvec([0])))
 
+    # a valid refutation, then one multiplier vector with a zero too many at
+    # its end, which sums over zip would ignore, so only the length check
+    # refuses it: x <= 1 and x >= 2 (multipliers 1, 1), then x <= 1 and
+    # x = 2 (1, -1), each with a 0 on x's bounds
+    @pytest.mark.parametrize("E,f,valid,wrong", [
+        ([], [], ([1, 1], [], [0]), ([1, 1, 0], [], [0])),
+        ([[1]], [2], ([1, 0], [-1], [0]), ([1, 0], [-1, 0], [0])),
+        ([[1]], [2], ([1, 0], [-1], [0]), ([1, 0], [-1], [0, 0])),
+    ], ids=["ineq_mult", "eq_mult", "bound_mult"])
+    def test_wrong_length_multipliers_refused(self, E, f, valid, wrong):
+        P = poly([[1], [-1]], [1, -2] if not E else [1, 5], E=E, f=f, dim=1)
+        assert check_infeasibility_certificate(
+            P, Infeasible(*map(qvec, valid)))
+        assert not check_infeasibility_certificate(
+            P, Infeasible(*map(qvec, wrong)))
+
+    def test_zero_inequality_multiplier_accepted(self):
+        # x <= 1 and x >= 2 refute x; the third row, x <= 7, gets 0
+        P = poly([[1], [-1], [1]], [1, -2, 7])
+        assert check_infeasibility_certificate(
+            P, Infeasible(qvec([1, 1, 0]), [], qvec([0])))
+
     @pytest.mark.parametrize("u,v,match", [
         ([Q(-1)], [Q(0)], "nonnegative"),
         ([Q(0)], [Q(-1, 2)], "nonnegative"),

@@ -8,12 +8,12 @@ import pytest
 from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
                       gen_quantified, gen_tolerable_nonempty,
                       gen_wide_ordinary, load, query, random_point,
-                      tableau_state)
+                      tableau_state, with_scaled_rows)
 from pilsys import membership
 from pilsys.exact import (AffineSolutionSet, FarkasCertificate, Feasible,
                           IntRowPolyhedron, NoSolution, Polyhedron, dot,
                           fm_eliminate, lin_solve, lp_feasible, lp_maximize,
-                          scaled_box)
+                          max_row_shift, scaled_box)
 from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
                                member_kernel, member_tolerable, member_united,
                                strict_kernel_member, strict_kernel_member_ae,
@@ -488,6 +488,92 @@ def test_strict_kernel_resumes_an_infeasible_vertex():
     assert strict_kernel_member_ae(sys, quant, [Q(1)]) == (False, Q(-3))
 
 
+def _decoupled_ae(rng, m, n_forall, n_exists):
+    """A system whose existential parameters each meet one row (first-class
+    generators) and whose universal ones are dense, listed in a random
+    order, with its quantifier assignment."""
+    ex = gen_first_class(rng, m, 2, K=n_exists)
+    params = [Parameter(f"e{k}", par.interval, par.A, par.b)
+              for k, par in enumerate(ex.params)] + \
+        [Parameter(f"u{k}", par.interval, par.A, par.b)
+         for k, par in enumerate(gen_general(rng, m, 2, K=n_forall).params)]
+    rng.shuffle(params)
+    forall = frozenset(k for k, par in enumerate(params)
+                       if par.name.startswith("u"))
+    return (ParametricSystem(m, 2, ex.A0, ex.b0, params),
+            QuantifierAssignment(forall, frozenset(range(len(params))) - forall))
+
+
+def _row_shift_strict(lp):
+    """The strict kernel of a vertex LP by its LP path: one cold LP per
+    universal vertex and ``max_row_shift`` on each axis, +e_i before -e_i.
+    Returns the verdict, eps and what ended it ("infeasible", "value" or
+    "strict")."""
+    best = None
+    for rhs in lp.vertices():
+        res = lp._lp(rhs)
+        for e in range(len(lp.E)):
+            for sign in (1, -1):
+                status, val = max_row_shift(res, e, sign)
+                assert status != "unbounded"  # the box bounds every axis
+                if status == "infeasible":
+                    return False, Q(0), "infeasible"
+                if val <= 0:
+                    return False, val, "value"
+                best = val if best is None else min(best, val)
+    return True, best, "strict"
+
+
+def test_decoupled_strict_matches_the_row_shift_reference():
+    """When every existential parameter meets one row, the strict kernel
+    reads each row's reach in integers and asks no LP; its verdict, eps and
+    failure value must be those of the LP path on the same kernel LP, on
+    united and AE systems (1-3 universal parameters, all of them universal
+    included), kernel and non-kernel directions, rows with D_i > 1 and rows
+    that no existential parameter meets.  Its ``separator``, which trusts
+    the row test there, must agree with the LP's kernel verdict and
+    return the LP's separator."""
+    rng = random.Random(3131)
+    seen = Counter()
+    for trial in range(240):
+        m = rng.choice((1, 2, 3))
+        n_forall = 0 if trial % 4 == 0 else rng.randint(1, 3)
+        n_exists = 0 if trial % 9 == 0 else rng.randint(1, 3)
+        if n_forall + n_exists == 0:
+            n_exists = 1
+        if trial % 8 == 0:  # a wide ordinary system: Z(y) has interior
+            sys = gen_wide_ordinary(rng, m, 2)
+            quant = QuantifierAssignment.all_exists(sys.K)
+        else:
+            sys, quant = _decoupled_ae(rng, m, n_forall, n_exists)
+        if trial % 3 == 0:
+            sys = with_scaled_rows(rng, sys)
+        y = random_point(rng, sys.n, -1, 1)
+        if trial % 2 and any(y):
+            sys = _through_kernel(rng, sys, y)
+        if not any(y):
+            continue
+        lp = query(sys, quant).lp(kernel_rows(sys, y))
+        assert lp.decoupled
+        ok, eps, why = _row_shift_strict(lp)
+        assert strict_kernel_member_ae(sys, quant, y) == (ok, eps), trial
+        in_kernel, cert = query(sys, quant).lp(kernel_rows(sys, y)).member()
+        assert lp.separator() == (None if in_kernel else cert), trial
+        seen["in kernel", in_kernel] += 1
+        seen[why, eps < 0] += 1
+        seen["ae" if quant.forall_set else "united", ok] += 1
+        seen["all universal"] += not quant.exists_set
+        seen["scaled rows"] += trial % 3 == 0
+        seen["zero existential row"] += any(not any(row) for row in lp.E)
+    assert seen["infeasible", False] >= 5 and seen["value", True] >= 5, seen
+    assert seen["value", False] >= 2, seen  # an axis that reaches 0 exactly
+    for key in (("united", True), ("united", False), ("ae", True),
+                ("ae", False), "all universal", "scaled rows",
+                "zero existential row", ("in kernel", True),
+                ("in kernel", False)):
+        assert seen[key] >= 3, (key, seen)
+
+
 def test_strict_kernel_eps_matches_fm():
     """Multi-row verdicts and eps against an FM projection onto eps: strict
     exactly when every axis reach is positive, and then eps is the least of
@@ -724,15 +810,20 @@ class TestLPShape:
                                            [iv.hi for iv in box])
 
     def test_strict_kernel_lps(self, monkeypatch):
-        """The strict kernel solves the kernel query's vertex LP over the
+        """On coupled rows (some existential parameter meets two of them),
+        the strict kernel solves the kernel query's vertex LP over the
         existential box once per universal vertex, and each axis reach
         resumes that LP's result with one equation relaxed."""
         lps = self.spy(monkeypatch, "lp_feasible")
         shifts = self.spy(monkeypatch, "max_row_shift")
         rng = random.Random(72)
-        for _ in range(20):
+        checked = 0
+        while checked < 20:
             sys, quant = gen_quantified(rng, 2, 2, n_forall=1)
             y = random_point(rng, sys.n, -2, 2)
+            if query(sys, quant).lp(kernel_rows(sys, y)).decoupled:
+                continue  # decoupled rows ask no LP (see below)
+            checked += 1
             lps.clear()
             member_ae_kernel(sys, quant, y)
             kernel = lps[0][0]

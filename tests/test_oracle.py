@@ -102,6 +102,15 @@ class TestSolutionCloud:
         sys = ParametricSystem(1, 1, [[Q(2)]], [Q(4)], [])
         assert sample_solution_cloud(sys, 5) == [[Q(2)]]
 
+    def test_no_equations_no_point(self):
+        # every x in R^2 solves a system with no equation, so no solution
+        # is unique; with no unknown either, the empty point is
+        sys = ParametricSystem(0, 2, [], [], [
+            Parameter("p", Interval(Q(0), Q(1)), [], [])])
+        assert sample_solution_cloud(sys, 5) == []
+        assert sample_solution_cloud(ParametricSystem(0, 0, [], [], []),
+                                     5) == [[]]
+
     def test_grid_below_2_rejected(self, e1):
         with pytest.raises(ValueError, match="^grid_per_param must be at least 2$"):
             next(solution_cloud(e1.system, 1))

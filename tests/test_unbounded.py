@@ -888,6 +888,26 @@ class TestKernelWitnessProbe:
             yield sys, null_direction(rng, sys)
             yield sys, null_direction(rng, sys, sys.midpoint())
 
+    def test_decoupled_probe_asks_the_witness_lp_once(self, e1, monkeypatch):
+        """On decoupled kernel rows stage (i) asks no LP; stage (v) reads
+        the kernel witness, and that first vertex LP is the one LP the
+        decision asks of the membership module."""
+        y = [Q(0), Q(-1)]
+        lp = query(e1.system).lp(model.kernel_rows(e1.system, y))
+        assert lp.decoupled
+        seen = []
+
+        def spying(P):
+            seen.append(P)
+            return lp_feasible(P)
+
+        monkeypatch.setattr(membership, "lp_feasible", spying)
+        v = decide_unbounded(e1.system, None, y)
+        assert (v.status, v.rule) == (Status.UNKNOWN, Rule.PROBE)
+        assert len(seen) == 1
+        assert seen[0] == membership.IntRowPolyhedron(
+            lp.E, lp.dens, next(lp.vertices()), query(e1.system).box)
+
     def test_consistent_witness_exhausts_in_one_solve(self, monkeypatch):
         events = []
 
@@ -1141,9 +1161,11 @@ class TestThresholdEvidence:
     def test_bound_from_integers_is_the_fraction_bound(self):
         """R from the box scaled once and the b column in integers is the
         Fraction sum ||b(mid)||_1 + sum_k rad_k ||b^(k)||_1, with thin
-        parameters, no parameters and large coprime denominators."""
+        parameters, no parameters, no equations and large coprime
+        denominators."""
         rng = random.Random(61)
-        systems = [ParametricSystem(1, 1, [[Q(1)]], [Q(-3, 7)], [])]
+        systems = [ParametricSystem(1, 1, [[Q(1)]], [Q(-3, 7)], []),
+                   ParametricSystem(0, 2, [], [], [])]
         for _ in range(20):
             sys = gen_general(rng, rng.randint(1, 3), 2)
             sys = with_thin_params(rng, sys, rng.randint(0, 2))
@@ -1153,13 +1175,9 @@ class TestThresholdEvidence:
                 par.interval.rad * abs(v) for par in sys.params for v in par.b)
             assert unbounded._rhs_bound(membership.Reading(sys)) == want
 
-    def test_only_kernel_and_strict_kernel_lps(self, monkeypatch):
-        # x1 + a*x2 = 1 with a in [-1, 1]: e_2 is in the strict kernel
-        sys = ParametricSystem(
-            1, 2, [[Q(1), Q(0)]], [Q(1)],
-            [Parameter("a", Interval(Q(-1), Q(1)), [[Q(0), Q(1)]], [Q(0)])])
-        y = [Q(0), Q(1)]
-
+    def lp_calls(self, monkeypatch):
+        """The LPs and axis reaches a decision asks, in order, with base
+        point sampling and solving forbidden."""
         def forbidden(*args, **kwargs):
             raise AssertionError("a THM3 decision samples base points")
 
@@ -1177,11 +1195,38 @@ class TestThresholdEvidence:
                             counting("feasible", membership.lp_feasible))
         monkeypatch.setattr(membership, "max_row_shift",
                             counting("shift", membership.max_row_shift))
+        return calls
+
+    def test_only_kernel_and_strict_kernel_lps(self, monkeypatch):
+        # x1 + (a + c) x3 = 1 and x2 + (b + c) x3 = 1 with a, b, c in
+        # [-1, 1]: c meets both rows, and e_3 is in the strict kernel, where
+        # each axis reaches 2 (R = 2, so the evidence is 2 e_3)
+        def gen(rows):
+            return [[Q(0), Q(0), Q(int(i in rows))] for i in range(2)]
+        sys = ParametricSystem(
+            2, 3, [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)]], [Q(1), Q(1)],
+            [Parameter(name, Interval(Q(-1), Q(1)), gen(rows), [Q(0), Q(0)])
+             for name, rows in (("a", (0,)), ("b", (1,)), ("c", (0, 1)))])
+        y = [Q(0), Q(0), Q(1)]
+        calls = self.lp_calls(monkeypatch)
         v = decide_unbounded(sys, None, y)
-        assert v.rule is Rule.THM3 and v.evidence == [Q(0), Q(2)]
+        assert v.rule is Rule.THM3 and v.evidence == [Q(0), Q(0), Q(2)]
+        assert v.detail == "strict kernel membership (eps = 2)"
         # one kernel LP, which is also the strict kernel's phase 1 at the one
         # vertex, then 2m axis reaches resumed from it
-        assert calls == ["feasible", "shift", "shift"]
+        assert calls == ["feasible"] + ["shift"] * 4
+
+    def test_decoupled_thm3_asks_no_lp(self, monkeypatch):
+        # x1 + a*x2 = 1 with a in [-1, 1]: e_2 is in the strict kernel, and
+        # a meets one row, so the row test and the row's reach decide
+        sys = ParametricSystem(
+            1, 2, [[Q(1), Q(0)]], [Q(1)],
+            [Parameter("a", Interval(Q(-1), Q(1)), [[Q(0), Q(1)]], [Q(0)])])
+        calls = self.lp_calls(monkeypatch)
+        v = decide_unbounded(sys, None, [Q(0), Q(1)])
+        assert v.rule is Rule.THM3 and v.evidence == [Q(0), Q(2)]
+        assert v.detail == "strict kernel membership (eps = 1)"
+        assert calls == []
 
 
 def permuted(sys, quant, order):
