@@ -40,7 +40,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from .exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron, Q,
-                    Vector, _Record, lp_feasible, recession_cone)
+                    Vector, _NO_ROWS, _Record, lp_feasible, recession_cone)
 from .membership import Reading, _Query
 from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
                     classify)
@@ -116,6 +116,9 @@ def _sign_vectors(n: int):
 
 # Per sign vector: (s, solution piece, kernel piece), both in integer form
 RawPieces = Iterator[tuple[SignVector, IntRowPolyhedron, IntRowPolyhedron]]
+# the equality rows of every piece, and their denominators: none, in one
+# list that every piece shares and nothing changes
+_NO_E: list = []
 
 
 def _linearization(sc: Reading, gens, region) -> RawPieces:
@@ -138,7 +141,6 @@ def _linearization(sc: Reading, gens, region) -> RawPieces:
     Ac, bc = sc.system_at(sc.mids)
     db = [sc.spread(ints, n) for ints, _ in sc.table]
     rhs = [b + d for b, d in zip(bc, db)] + [d - b for b, d in zip(bc, db)]
-    no_rows = IntRhs([], 1)
     for sv in _sign_vectors(len(gens)):
         lower = [row[:] for row in Ac]
         upper = [row[:] for row in Ac]
@@ -150,9 +152,9 @@ def _linearization(sc: Reading, gens, region) -> RawPieces:
         C = lower + [[-a for a in r] for r in upper] + rows
         cdens = dens + dens + rdens
         yield (sv,
-               IntRowPolyhedron([], [], no_rows, box, C, cdens,
+               IntRowPolyhedron(_NO_E, _NO_E, _NO_ROWS, box, C, cdens,
                                 IntRhs(rhs + [0] * len(rows), 1)),
-               IntRowPolyhedron([], [], no_rows, box, C, cdens,
+               IntRowPolyhedron(_NO_E, _NO_E, _NO_ROWS, box, C, cdens,
                                 IntRhs([0] * len(C), 1)))
 
 

@@ -23,14 +23,18 @@ integers once, and the coefficients read once when first needed) and one
 quantifier assignment, which it refuses first when it is bad.  The query
 asks a point in one of four ways.  ``member`` (``member_ae``) first tries
 each equation alone: with w = +-e_i the inequality needs no LP, only
-integer sums, and the first equation that fails is the separator; on a
-first-class system that test decides the query, and what it leaves goes to
-the vertex LPs.  ``refute`` is that test alone, and ``lp`` the vertex LP
-alone, which is what kernel and strict kernel queries ask.  ``holds`` is
-for callers that ask many bool questions of one system (the ray walks of a
-decision, the cells of a raster): the row test, and every separator an
-earlier LP of the query returned, settle the points they refute with no
-LP, and a first-class system asks no LP at all.
+integer sums, and the first equation that fails is the separator; what
+it leaves goes to the vertex LPs.  ``refute`` is that test alone, and
+``lp`` the vertex LP alone, which is what kernel and strict kernel queries
+ask.  ``holds`` is for callers that ask many bool questions of one system
+(the ray walks of a decision, the cells of a raster): the row test, and
+every separator an earlier LP of the query returned, settle the points
+they refute with no LP.
+
+The row test decides a point both ways on decoupled rows
+(``_Query.decoupled``: no existential parameter that is not thin meets two
+of them, as on ordinary, class-C and first-class systems), and every
+shortcut past an LP asks that one rule.
 
 The vertex LPs are built from integer residual rows (``residual_rows``):
 equation i is the numerators of v^(0)_i, ..., v^(K)_i over one positive
@@ -54,11 +58,8 @@ the existential box once per vertex and maximizes each axis reach eps on a
 copy of its final tableau, with one equation relaxed by eps (see
 strict_kernel_member_ae); ``decide_unbounded`` builds the homogenized
 vertex LP once and starts the strict kernel from the kernel query's first
-vertex LP.  When every existential parameter meets at most one of the
-rows (``_VertexLP.decoupled``, which only its ``strict`` and ``separator``
-read), the rows are independent at each vertex: each reaches one integer
-interval over the box, the axis reaches are read off those intervals with
-no LP, and the row test alone decides that the point is a member.
+vertex LP.  On decoupled rows each row reaches one integer interval over
+the box, and the axis reaches are read off those intervals with no LP.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
                     LPResult, Q, Vector, _Record, basis_holds, dot, lp_feasible,
                     max_row_shift, scaled, scaled_box, vec_add, vec_scale)
-from .model import (FIRST_CLASS, ParametricSystem, QuantifierAssignment,
-                    SystemClass, TolerableSystem, box_vertices, classify,
-                    kernel_rows, residual_rows, residual_vectors)
+from .model import (ParametricSystem, QuantifierAssignment, SystemClass,
+                    TolerableSystem, box_vertices, classify, kernel_rows,
+                    residual_rows, residual_vectors)
 
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
@@ -208,10 +209,10 @@ class _Query:
     entries negated (the weights of |w.v^(k)| on the right of the
     characterization inequality), the existential box, the universal ends
     and the separators its LPs returned (``ws``).  The system's class
-    (``classify`` under the assignment) is read when first asked for:
-    ``holds`` reads whether it is first class, and a decision its other
-    flags.  A point comes as its rows, in the form of ``residual_rows`` (a
-    kernel question's as ``kernel_rows``).
+    (``classify`` under the assignment) is read when a decision first asks
+    for it; no membership question reads it, since ``decoupled`` reads the
+    point's rows.  A point comes as its rows, in the form of
+    ``residual_rows`` (a kernel question's as ``kernel_rows``).
     """
 
     def __init__(self, reading: Reading, quant: QuantifierAssignment):
@@ -274,29 +275,43 @@ class _Query:
         """The vertex LP over rows."""
         return _VertexLP(self, rows)
 
+    def decoupled(self, rows: list[tuple[list[int], int]]) -> bool:
+        """Does every existential parameter that is not thin meet at most
+        one of the rows?  Then the row test decides the point both ways: at
+        each universal vertex the rows are independent (a thin parameter is
+        a constant), and the largest |c_i| over the universal box is
+        |c_i(mid)| + sum_{k universal} rad_k |v^(k)_i|, which is
+        ``_failing_row`` with the universal radii negated."""
+        return all(sum(1 for nums, _ in rows if nums[k + 1]) < 2
+                   for k in self.exists if self.rads[k + 1])
+
     def member(self, rows: list[tuple[list[int], int]]
                ) -> tuple[bool, Certificate]:
         """Is the point of these rows a member?  See ``member_ae``."""
         sep = self.refute(rows)
         if sep is not None:
             return False, Certificate.separator(sep)
-        return self.lp(rows).member()
+        lp = self.lp(rows)
+        if self.forall and self.decoupled(rows):
+            return True, Certificate.witness(lp.witness())
+        return lp.member()
 
     def holds(self, rows: list[tuple[list[int], int]]) -> bool:
         """Is the point of these rows a member?  Only the bool comes out,
         so the point is tested first in integers: each row alone, as
-        ``refute`` tries it, then each kept separator w, with both signs,
-        in the characterization inequality.  A w that violates it refutes
-        the point whatever the LP would say, so a refuted point asks no LP.
-        On a first-class system, whose equations share no parameter, the
-        row test decides both ways and no LP is asked at all; otherwise
-        the vertex LPs decide what is left, and the w of each one that
+        ``refute`` tries it, which on decoupled rows (``decoupled``)
+        decides both ways, then each kept separator w, with both signs, in
+        the characterization inequality.  A w that violates it refutes the
+        point whatever the LP would say, so a refuted point asks no LP.
+        The vertex LPs decide what is left, and the w of each one that
         refutes its point is kept for the points after it.  A separator w
         combines the rows over their lcm D: t_k is the sum of w_i times
         row i's k-th entry times D / D_i."""
         mids, rads = self.mids, self.rads
         if _failing_row(mids, rads, rows) is not None:
             return False
+        if self.decoupled(rows):
+            return True
         if self.ws:
             D = lcm(*[den for _, den in rows])
             cols = list(zip(*[[a * (D // den) for a in nums]
@@ -305,8 +320,6 @@ class _Query:
                     ([sum(map(mul, w, col)) for col in cols], D)
                     for w in self.ws)) is not None:
                 return False
-        if FIRST_CLASS in self.flags:
-            return True
         ok, cert = self.lp(rows).member()
         if not ok:
             # w refutes this point, which no kept separator does, so w is
@@ -329,9 +342,9 @@ class _VertexLP:
     of the query's integer ends over L, so each rhs entry is one integer
     dot, handed on as an ``IntRhs`` over L, which ``basis_holds`` reads
     too; no vertex is built as Fractions.  The first vertex is the lower
-    ends, which is all a witness reads of it.  Its cold LP is kept, so that
-    ``strict`` after ``member`` starts from the LP that ``member`` solved
-    there.
+    ends, which is all a witness reads of it.  Its cold LP is solved once
+    (``first``), so ``member``, ``strict`` and ``witness`` share it, in
+    whatever order they are asked.
     """
 
     def __init__(self, query: _Query, rows: list[tuple[list[int], int]]):
@@ -340,7 +353,6 @@ class _VertexLP:
         self.dens = [den for _, den in rows]
         self.cols = [[nums[k] for k in (0, *(k + 1 for k in query.forall))]
                      for nums, _ in rows]
-        self.first: Optional[LPResult] = None
 
     def vertices(self) -> Iterator[IntRhs]:
         """The rhs at each universal vertex, in ``box_vertices`` order over
@@ -350,12 +362,11 @@ class _VertexLP:
             coef = [L, *ints]
             yield IntRhs([-sum(map(mul, coef, col)) for col in self.cols], L)
 
-    def _first(self, rhs: IntRhs) -> LPResult:
-        """The cold LP at the first vertex, whose rhs is rhs: solved once
-        and kept, so that ``strict`` after ``member`` starts from it."""
-        if self.first is None:
-            self.first = self._lp(rhs)
-        return self.first
+    @cached_property
+    def first(self) -> LPResult:
+        """The cold LP at the first vertex, solved once for ``member``,
+        ``strict`` and ``witness``, whichever asks first."""
+        return self._lp(next(self.vertices()))
 
     def _lp(self, rhs: IntRhs) -> LPResult:
         """The cold LP at a vertex with right-hand side rhs."""
@@ -367,18 +378,18 @@ class _VertexLP:
         for i, rhs in enumerate(self.vertices()):
             if i and basis_holds(res, rhs):
                 continue
-            res = self._lp(rhs) if i else self._first(rhs)
+            res = self._lp(rhs) if i else self.first
             if isinstance(res, Infeasible):
                 return False, Certificate.separator(_separator_from_farkas(res))
         return True, Certificate.witness(self.witness())
 
     def separator(self) -> Optional[Certificate]:
         """The separator that refutes the rows' point, or None for a
-        member.  On decoupled rows the row test is exact, so a point it
-        passes is a member with no LP (``witness`` solves the first vertex
-        if it is asked for); any other point asks ``member``, so a refuted
-        point gets the LP's separator."""
-        if self.decoupled and _failing_row(
+        member.  On decoupled rows (``_Query.decoupled``) the row test is
+        exact, so a point it passes is a member with no LP (``witness``
+        solves the first vertex if it is asked for); any other point asks
+        ``member``, so a refuted point gets the LP's separator."""
+        if self.query.decoupled(self.rows) and _failing_row(
                 self.query.mids, self.query.rads, self.rows) is None:
             return None
         ok, cert = self.member()
@@ -386,33 +397,23 @@ class _VertexLP:
 
     def witness(self) -> Vector:
         """The witness of a member: the universal lower ends, which are the
-        first vertex, and the existential values of that vertex's cold LP,
-        solved here when ``member`` has not solved it."""
-        if self.first is None:
-            self._first(next(self.vertices()))
+        first vertex, and the existential values of that vertex's cold LP
+        (``first``)."""
         witness = [par.interval.lo for par in self.query.reading.sys.params]
         for k, pk in zip(self.query.exists, self.first.point):
             witness[k] = pk
         return witness
-
-    @cached_property
-    def decoupled(self) -> bool:
-        """Does every existential parameter meet at most one row?  Then the
-        rows are independent at each vertex, and row i reaches exactly the
-        interval of its own existential terms over the box.  Read when first
-        asked for, which only ``strict`` and ``separator`` do."""
-        return all(sum(map(bool, col)) < 2 for col in zip(*self.E))
 
     def strict(self) -> tuple[bool, Q]:
         """Is the rhs interior to the reach at every vertex?  See
         ``strict_kernel_member_ae``."""
         if not self.E:  # m == 0: no axis
             return True, Q(1)
-        if self.decoupled:
+        if self.query.decoupled(self.rows):
             return self._strict_decoupled()
         best: Optional[Q] = None
         for i, rhs in enumerate(self.vertices()):
-            res = self._lp(rhs) if i else self._first(rhs)
+            res = self._lp(rhs) if i else self.first
             for e in range(len(self.E)):
                 for sign in (1, -1):
                     status, val = max_row_shift(res, e, sign)
@@ -484,8 +485,10 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     each equation is tried alone first (``_Query.refute``): an equation
     whose residual at the box midpoint exceeds its existential spread less
     its universal one cannot hold, and refutes x with w = +-e_i and no LP.
-    On a first-class system, whose equations share no parameter, that test
-    is exact; otherwise the vertex LPs decide what it leaves.
+    On decoupled rows (``_Query.decoupled``: no existential parameter that
+    is not thin meets two of x's rows) that test is exact, and a member
+    takes the witness of the first universal vertex alone, one LP;
+    otherwise the vertex LPs decide what it leaves.
 
     The admissible universal parameters form a convex set (projection of a
     polyhedron), so containment of the whole universal box is decided at its

@@ -183,8 +183,9 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     Only bools come out, so every cell is asked as a bool of one query
     (``_Query.holds``) on one reading of the system: a row alone, or the
     separator of an earlier cell's LP, settles a cell it refutes with no
-    LP, and a first-class system takes no LP at all.  The verdicts are
-    those of one cold query per cell."""
+    LP, and a cell whose rows are decoupled (``_Query.decoupled``: no
+    existential parameter that is not thin meets two of them) takes no LP
+    at all.  The verdicts are those of one cold query per cell."""
     if sys.n != 2:
         raise ValueError("rasterization requires n = 2")
     if not 2 <= resolution <= 512:

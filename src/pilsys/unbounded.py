@@ -3,10 +3,11 @@
 The stages of ``decide_unbounded``, in order:
 
 (i)   kernel (THM2): AE kernel membership is necessary; a separator of the
-      homogenized system certifies NO.  When every existential parameter
-      meets at most one kernel row, the row test is exact, and a direction
-      that passes it is in the kernel with no LP; the witness LP then runs
-      only when (v) reads the kernel witness.
+      homogenized system certifies NO.  On decoupled kernel rows (every
+      existential parameter that is not thin meets at most one of them,
+      ``_Query.decoupled``) the row test is exact, and a direction that
+      passes it is in the kernel with no LP; the witness LP then runs only
+      when (v) reads the kernel witness.
 (ii)  tolerable form (THM7): with universal parameters and existential ones
       that touch only b, the set is a polyhedron whose recession cone is the
       AE kernel, so a member base point certifies YES.
@@ -37,7 +38,7 @@ probes of (v).  Base points are solved from that table and every ray's
 rows are built from it.  Base points and ray points are asked as bools
 through the query (``_Query.holds``): a point that a row alone, or the
 separator of an earlier LP of the decision, refutes is settled in integers
-with no LP, and on a first-class system no base point or walk asks an LP.
+with no LP, and a point whose rows are decoupled asks no LP either way.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
                     lin_solve, scaled, vec_scale, zeros)
 from .membership import Reading, _Query
 from .membership import member_kernel  # noqa: F401 -- re-exported
-from .model import (CLASS_C, FIRST_CLASS, ORDINARY, TOLERABLE_FORM,
-                    ParametricSystem, QuantifierAssignment, box_vertices,
-                    kernel_rows)
+from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
+                    QuantifierAssignment, box_vertices, kernel_rows)
 
 
 # The probing fallback of decide_unbounded tests alpha up to 2^PROBE_DOUBLINGS.
@@ -235,13 +235,14 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
     query's reading (``Reading.rows_at``); each alpha's rows are their
     integer combination, which the query asks as a bool (``_Query.holds``):
     a row alone or a separator kept from an earlier LP settles a point that
-    it refutes, and on a first-class system the row test settles every
-    point.  Otherwise, once alpha = 1 holds, one vertex LP over the rows at
-    alpha = 0 stacked on those at alpha = 1 asks for a common witness, a p
-    in the box (one per universal vertex) with A(p) x0 = b(p) and
-    A(p) y = 0.  That p solves every combination, so if it exists every
-    alpha is a member and no other LP is asked.  The alphas reported are a
-    prefix of ``_ALPHAS``.
+    it refutes, and on decoupled rows the row test settles the point.
+    Once alpha = 1 holds on rows that are not decoupled, one vertex LP over
+    the rows at alpha = 0 stacked on those at alpha = 1 asks for a common
+    witness, a p in the box (one per universal vertex) with A(p) x0 = b(p)
+    and A(p) y = 0.  That p solves every combination, so if it exists every
+    alpha is a member and no other LP is asked; the report is the same
+    whether that LP is asked or not.  The alphas reported are a prefix of
+    ``_ALPHAS``.
     """
     # row i at alpha is (u + alpha*w) / den, with u / den = r0_i and
     # w / den = ky_i over the product den of their denominators
@@ -255,11 +256,12 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
     tested = len(_ALPHAS)
     first_exit: Optional[Q] = None
     for i in range(PROBE_DOUBLINGS + 1):
-        if not query.holds(rows(2 ** i)):
+        at = rows(2 ** i)
+        if not query.holds(at):
             tested, first_exit = i + 2, _ALPHAS[i + 1]
             break
-        if i == 0 and FIRST_CLASS not in query.flags \
-                and query.lp(rows(0) + rows(1)).member()[0]:
+        if i == 0 and not query.decoupled(at) \
+                and query.lp(rows(0) + at).member()[0]:
             break
     return ProbeReport(x0, y, _ALPHAS[:tested], first_exit,
                        exhausted=first_exit is None)

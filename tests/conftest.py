@@ -198,6 +198,22 @@ def gen_quantified(rng, m=2, n=2, n_forall=1, n_exists=2):
     return sys, quant
 
 
+def gen_decoupled_ae(rng, m, n_forall, n_exists):
+    """A system whose existential parameters each meet one row (first-class
+    generators) and whose universal ones are dense, listed in a random
+    order, with its quantifier assignment."""
+    ex = gen_first_class(rng, m, 2, K=n_exists)
+    params = [Parameter(f"e{k}", par.interval, par.A, par.b)
+              for k, par in enumerate(ex.params)] + \
+        [Parameter(f"u{k}", par.interval, par.A, par.b)
+         for k, par in enumerate(gen_general(rng, m, 2, K=n_forall).params)]
+    rng.shuffle(params)
+    forall = frozenset(k for k, par in enumerate(params)
+                       if par.name.startswith("u"))
+    return (ParametricSystem(m, 2, ex.A0, ex.b0, params),
+            QuantifierAssignment(forall, frozenset(range(len(params))) - forall))
+
+
 def gen_tolerable_nonempty(rng, m=2, n=2, K=2, common_kernel_col=None):
     """Tolerable system guaranteed nonempty: rhs intervals are widened until
     they absorb the base residual range at a chosen anchor point."""

@@ -474,6 +474,24 @@ class TestRowRefutation:
                     refuted[any(D > 1 for _, D in sys.int_coefficients())] += 1
         assert min(refuted.values()) >= 5, refuted
 
+    def test_box_ends_that_are_not_zero(self):
+        """A piece's box ends are 0 or none, so every term a * end of its
+        least row value is 0; on a box with other ends the integer test is
+        still the Fraction one."""
+        rng = random.Random(59)
+        box = ([1, -3], [4, 2], 2)  # [1/2, 2] x [-3/2, 1]
+        refuted = {False: 0, True: 0}
+        for _ in range(100):
+            P = IntRowPolyhedron(
+                [], [], IntRhs([], 1), box,
+                [[rng.randint(-2, 2), rng.randint(-2, 2)]],
+                [rng.choice((1, 2))],
+                IntRhs([rng.randint(-6, 6)], rng.choice((1, 3))))
+            want = row_fails_on_box(P.polyhedron())
+            assert cones._row_refutes(P) == want
+            refuted[want] += 1
+        assert min(refuted.values()) >= 10, refuted
+
     def test_same_reprs_as_the_lp_alone(self, monkeypatch):
         found, scaled = 0, 0
         for rng, sys in self.systems(47):

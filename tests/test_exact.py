@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (gen_quantified, int_row_polyhedron, random_point,
-                      tableau_state)
+from conftest import (gen_quantified, int_row_polyhedron, query,
+                      random_point, tableau_state)
 from pilsys import exact
 from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, IntRhs,
                           IntRowPolyhedron, NoSolution, Polyhedron,
@@ -16,8 +16,8 @@ from pilsys.exact import (AffineSolutionSet, Feasible, Infeasible, IntRhs,
                           check_infeasibility_certificate, dot, fm_eliminate,
                           fm_feasible, lin_solve, lp_feasible, lp_maximize,
                           max_row_shift, recession_cone, scaled_box)
-from pilsys.membership import (member_ae, member_united,
-                               strict_kernel_member_ae)
+from pilsys.membership import member_united, strict_kernel_member_ae
+from pilsys.model import residual_rows
 
 
 def qvec(items):
@@ -530,6 +530,19 @@ class TestCertificates:
         assert not check_infeasibility_certificate(
             P, Infeasible(*map(qvec, wrong)))
 
+    # multipliers that read no contradiction, on feasible sets: x <= 1 and
+    # x >= 1 (x = 1) combine to 0 <= 0, which is not below 0; x <= -1
+    # (x = -2) alone reads x <= -1, a rhs below 0 on a row that is not 0
+    @pytest.mark.parametrize("C,d,mult", [
+        ([[1], [-1]], [1, -1], [1, 1]),
+        ([[1]], [-1], [1]),
+    ], ids=["zero_rhs", "nonzero_row"])
+    def test_no_contradiction_refused(self, C, d, mult):
+        P = poly(C, d)
+        assert isinstance(lp_feasible(P), Feasible)
+        assert not check_infeasibility_certificate(
+            P, Infeasible(qvec(mult), [], qvec([0])))
+
     def test_zero_inequality_multiplier_accepted(self):
         # x <= 1 and x >= 2 refute x; the third row, x <= 7, gets 0
         P = poly([[1], [-1], [1]], [1, -2, 7])
@@ -1010,7 +1023,9 @@ def test_solve_builds_no_fraction(monkeypatch):
     rng = random.Random(4242)
     for _ in range(12):
         sys, quant = gen_quantified(rng, rng.choice((2, 3)), 2)
-        member_ae(sys, quant, random_point(rng, sys.n))
+        # the vertex LPs alone: a row test first would settle some points
+        rows = residual_rows(sys, random_point(rng, sys.n))
+        query(sys, quant).lp(rows).member()
         member_united(sys, random_point(rng, sys.n))
         strict_kernel_member_ae(sys, quant, random_point(rng, sys.n))
     for _ in range(20):

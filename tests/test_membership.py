@@ -5,10 +5,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
-                      gen_quantified, gen_tolerable_nonempty,
-                      gen_wide_ordinary, load, query, random_point,
-                      tableau_state, with_scaled_rows)
+from conftest import (gen_class_c, gen_decoupled_ae, gen_first_class,
+                      gen_general, gen_ordinary, gen_quantified,
+                      gen_tolerable_nonempty, gen_wide_ordinary, load, query,
+                      random_point, tableau_state, with_scaled_rows,
+                      with_thin_params)
 from pilsys import membership
 from pilsys.exact import (AffineSolutionSet, FarkasCertificate, Feasible,
                           IntRowPolyhedron, NoSolution, Polyhedron, dot,
@@ -276,6 +277,45 @@ class TestWarmStart:
         assert not ok and validate_certificate(sys, quant, [Q(-2)], cert)
         assert calls == [[Q(2)], [Q(4)]]
 
+    def test_decoupled_rows_solve_the_first_vertex_only(self, monkeypatch):
+        """On decoupled AE rows (``_Query.decoupled``) the row test decides:
+        ``member_ae`` refutes with no LP, and answers a member with the
+        witness of the first vertex alone, one LP and no basis re-check.
+        Its verdict is that of the vertex LPs, which ask every universal
+        vertex (``lp_member``), and so is a member's witness."""
+        rng = random.Random(5353)
+        asked = Counter()
+        for name in ("lp_feasible", "basis_holds"):
+            def spy(*args, real=getattr(membership, name), name=name):
+                asked[name] += 1
+                return real(*args)
+            monkeypatch.setattr(membership, name, spy)
+        seen = Counter()
+        for trial in range(150):
+            sys, quant = gen_decoupled_ae(rng, rng.randint(1, 3),
+                                          rng.randint(1, 3), rng.randint(1, 3))
+            if trial % 3 == 0:
+                sys = with_scaled_rows(rng, sys)
+            x = random_point(rng, sys.n, -2, 2)
+            if trial % 2:  # the residual at the box midpoint is 0
+                c = [dot(row, x) - bi for row, bi in zip(
+                    sys.A_at(sys.midpoint()), sys.b_at(sys.midpoint()))]
+                sys = ParametricSystem(sys.m, sys.n, sys.A0,
+                                       [bi + ci for bi, ci in zip(sys.b0, c)],
+                                       sys.params)
+            asked.clear()
+            got = member_ae(sys, quant, x)
+            assert asked == (Counter(lp_feasible=1) if got[0] else Counter())
+            asked.clear()
+            want = lp_member(sys, quant, x)
+            if got[0]:
+                assert repr(got) == repr(want), trial
+            else:  # refuted by a row, where the LP finds its own separator
+                assert not want[0], trial
+                assert validate_certificate(sys, quant, x, got[1]), trial
+            seen[got[0], "re-checked" if asked["basis_holds"] else "one"] += 1
+        assert seen[True, "re-checked"] >= 5 and seen[False, "re-checked"] >= 5, seen
+
 
 class TestStrictKernelAE:
     def test_reduces_to_plain_strict_when_all_exists(self, e3):
@@ -427,7 +467,7 @@ def _artificial_stays_basic(sys, quant, y):
     """Whether the kernel LP at the first universal vertex is feasible and
     ends phase 1 with an artificial (at 0) in its basis."""
     lp = query(sys, quant).lp(kernel_rows(sys, y))
-    res = lp._first(next(lp.vertices()))
+    res = lp.first
     return isinstance(res, Feasible) and \
         any(b >= res.basis.width for b in res.basis.basis)
 
@@ -488,22 +528,6 @@ def test_strict_kernel_resumes_an_infeasible_vertex():
     assert strict_kernel_member_ae(sys, quant, [Q(1)]) == (False, Q(-3))
 
 
-def _decoupled_ae(rng, m, n_forall, n_exists):
-    """A system whose existential parameters each meet one row (first-class
-    generators) and whose universal ones are dense, listed in a random
-    order, with its quantifier assignment."""
-    ex = gen_first_class(rng, m, 2, K=n_exists)
-    params = [Parameter(f"e{k}", par.interval, par.A, par.b)
-              for k, par in enumerate(ex.params)] + \
-        [Parameter(f"u{k}", par.interval, par.A, par.b)
-         for k, par in enumerate(gen_general(rng, m, 2, K=n_forall).params)]
-    rng.shuffle(params)
-    forall = frozenset(k for k, par in enumerate(params)
-                       if par.name.startswith("u"))
-    return (ParametricSystem(m, 2, ex.A0, ex.b0, params),
-            QuantifierAssignment(forall, frozenset(range(len(params))) - forall))
-
-
 def _row_shift_strict(lp):
     """The strict kernel of a vertex LP by its LP path: one cold LP per
     universal vertex and ``max_row_shift`` on each axis, +e_i before -e_i.
@@ -524,16 +548,42 @@ def _row_shift_strict(lp):
     return True, best, "strict"
 
 
-def test_decoupled_strict_matches_the_row_shift_reference():
-    """When every existential parameter meets one row, the strict kernel
-    reads each row's reach in integers and asks no LP; its verdict, eps and
-    failure value must be those of the LP path on the same kernel LP, on
-    united and AE systems (1-3 universal parameters, all of them universal
-    included), kernel and non-kernel directions, rows with D_i > 1 and rows
-    that no existential parameter meets.  Its ``separator``, which trusts
-    the row test there, must agree with the LP's kernel verdict and
-    return the LP's separator."""
+def _with_thin_exists(rng, sys, quant):
+    """sys with two thin parameters put in (``with_thin_params``), each
+    meeting one to m rows, as existential ones; the others keep their
+    quantifiers."""
+    names = {sys.params[k].name for k in quant.forall_set}
+    sys = with_thin_params(rng, sys)
+    forall = frozenset(k for k, par in enumerate(sys.params)
+                       if par.name in names)
+    return sys, QuantifierAssignment(forall, frozenset(range(sys.K)) - forall)
+
+
+def _spied_lps(monkeypatch):
+    """Every ``lp_feasible`` and ``max_row_shift`` call the membership
+    module makes, by name, in a list the caller clears."""
+    asked = []
+    for name in ("lp_feasible", "max_row_shift"):
+        def spy(*args, real=getattr(membership, name), name=name):
+            asked.append(name)
+            return real(*args)
+        monkeypatch.setattr(membership, name, spy)
+    return asked
+
+
+def test_decoupled_strict_matches_the_row_shift_reference(monkeypatch):
+    """When every existential parameter that is not thin meets one row
+    (``_Query.decoupled``), the strict kernel reads each row's reach in
+    integers and asks no LP; its verdict, eps and failure value must be
+    those of the LP path on the same kernel LP, on united and AE systems
+    (1-3 universal parameters, all of them universal included), kernel and
+    non-kernel directions, rows with D_i > 1, rows that no existential
+    parameter meets, and rows that only a thin existential parameter
+    couples.  Its ``separator``, which trusts the row test there, must
+    agree with the LP's kernel verdict and return the LP's separator, and
+    ask no LP for a direction in the kernel."""
     rng = random.Random(3131)
+    asked = _spied_lps(monkeypatch)
     seen = Counter()
     for trial in range(240):
         m = rng.choice((1, 2, 3))
@@ -545,7 +595,9 @@ def test_decoupled_strict_matches_the_row_shift_reference():
             sys = gen_wide_ordinary(rng, m, 2)
             quant = QuantifierAssignment.all_exists(sys.K)
         else:
-            sys, quant = _decoupled_ae(rng, m, n_forall, n_exists)
+            sys, quant = gen_decoupled_ae(rng, m, n_forall, n_exists)
+        if trial % 5 in (1, 2, 3):
+            sys, quant = _with_thin_exists(rng, sys, quant)
         if trial % 3 == 0:
             sys = with_scaled_rows(rng, sys)
         y = random_point(rng, sys.n, -1, 1)
@@ -553,24 +605,35 @@ def test_decoupled_strict_matches_the_row_shift_reference():
             sys = _through_kernel(rng, sys, y)
         if not any(y):
             continue
-        lp = query(sys, quant).lp(kernel_rows(sys, y))
-        assert lp.decoupled
+        qry = query(sys, quant)
+        ky = kernel_rows(sys, y)
+        assert qry.decoupled(ky)
+        lp = qry.lp(ky)
         ok, eps, why = _row_shift_strict(lp)
+        asked.clear()
         assert strict_kernel_member_ae(sys, quant, y) == (ok, eps), trial
+        assert asked == [], trial
         in_kernel, cert = query(sys, quant).lp(kernel_rows(sys, y)).member()
+        asked.clear()
         assert lp.separator() == (None if in_kernel else cert), trial
+        assert not (in_kernel and asked), trial
         seen["in kernel", in_kernel] += 1
         seen[why, eps < 0] += 1
         seen["ae" if quant.forall_set else "united", ok] += 1
         seen["all universal"] += not quant.exists_set
         seen["scaled rows"] += trial % 3 == 0
         seen["zero existential row"] += any(not any(row) for row in lp.E)
+        seen["coupled by a thin parameter", in_kernel] += any(
+            sum(map(bool, col)) > 1
+            for k, col in zip(qry.exists, zip(*lp.E))
+            if sys.params[k].interval.is_thin())
     assert seen["infeasible", False] >= 5 and seen["value", True] >= 5, seen
     assert seen["value", False] >= 2, seen  # an axis that reaches 0 exactly
     for key in (("united", True), ("united", False), ("ae", True),
                 ("ae", False), "all universal", "scaled rows",
                 "zero existential row", ("in kernel", True),
-                ("in kernel", False)):
+                ("in kernel", False), ("coupled by a thin parameter", True),
+                ("coupled by a thin parameter", False)):
         assert seen[key] >= 3, (key, seen)
 
 
@@ -821,7 +884,7 @@ class TestLPShape:
         while checked < 20:
             sys, quant = gen_quantified(rng, 2, 2, n_forall=1)
             y = random_point(rng, sys.n, -2, 2)
-            if query(sys, quant).lp(kernel_rows(sys, y)).decoupled:
+            if query(sys, quant).decoupled(kernel_rows(sys, y)):
                 continue  # decoupled rows ask no LP (see below)
             checked += 1
             lps.clear()

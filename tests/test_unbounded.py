@@ -5,8 +5,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import (gen_class_c, gen_first_class, gen_general, gen_ordinary,
-                      gen_quantified, gen_tolerable_nonempty,
+from conftest import (gen_class_c, gen_decoupled_ae, gen_first_class,
+                      gen_general, gen_ordinary, gen_quantified,
+                      gen_tolerable_nonempty,
                       gen_wide_ordinary, query, random_point,
                       with_big_denominators, with_scaled_rows,
                       with_thin_params)
@@ -560,6 +561,46 @@ class TestSeparatorPool:
                 members[want] += 1
         assert members[True] >= 5 and members[False] >= 5, members
 
+    def test_decoupled_ae_rows_decide_both_ways(self, monkeypatch):
+        """Universal parameters may meet several rows: when each
+        existential one meets one row (``_Query.decoupled``) the row test is
+        exact, so ``holds``, an AE raster and a ray walk ask no LP, and
+        answer what the FM vertex oracle and cold membership answer."""
+        def no_lp(P):
+            raise AssertionError("a decoupled query asked an LP")
+
+        rng = random.Random(113)
+        coords = [Q(v) for v in range(-2, 3)]
+        cells = [[x1, x2] for x1 in coords for x2 in coords]
+        seen = Counter()
+        for trial in range(60):
+            sys, quant = gen_decoupled_ae(rng, rng.randint(1, 2),
+                                          rng.randint(1, 2), rng.randint(1, 3))
+            if trial % 2:  # the residual at x = 0 and the box midpoint is 0
+                sys = ParametricSystem(
+                    sys.m, sys.n, sys.A0,
+                    [bi - ci for bi, ci in zip(sys.b0, sys.b_at(sys.midpoint()))],
+                    sys.params)
+            want = [oracle.ae_vertex_oracle(sys, quant, x) for x in cells]
+            members = [x for x, ok in zip(cells, want) if ok]
+            y = random_point(rng, sys.n, -1, 1)
+            refs = [reference_probe(sys, quant, x, y) for x in members[:2]]
+            qry = query(sys, quant)
+            with monkeypatch.context() as mp:
+                mp.setattr(membership, "lp_feasible", no_lp)
+                assert [qry.holds(qry.reading.rows_at(x))
+                        for x in cells] == want
+                grid = oracle.rasterize(sys, quant,
+                                        (coords[0], coords[-1]) * 2, 5,
+                                        oracle.AE)
+                assert [v for row in grid for v in row] == want
+                for x0, ref in zip(members, refs):
+                    assert probe_ray(sys, quant, x0, y) == ref
+                    seen["walk", ref.exhausted] += 1
+            seen["member"] += len(members)
+            seen["not a member"] += len(cells) - len(members)
+        assert min(seen.values()) >= 5 and len(seen) == 4, seen
+
     def cases(self, seed, count):
         rng = random.Random(seed)
         for _ in range(count):
@@ -893,8 +934,9 @@ class TestKernelWitnessProbe:
         the kernel witness, and that first vertex LP is the one LP the
         decision asks of the membership module."""
         y = [Q(0), Q(-1)]
-        lp = query(e1.system).lp(model.kernel_rows(e1.system, y))
-        assert lp.decoupled
+        ky = model.kernel_rows(e1.system, y)
+        lp = query(e1.system).lp(ky)
+        assert query(e1.system).decoupled(ky)
         seen = []
 
         def spying(P):
