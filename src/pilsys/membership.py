@@ -42,11 +42,12 @@ denominator, and that denominator goes with its row into the simplex
 tableau (``IntRowPolyhedron``).  Each vertex's right-hand side is one
 integer dot of its scaled ends with the rows (``IntRhs``), so no residual,
 bound or right-hand side is built as a Fraction on the way; only returned
-points and certificates are.  A kernel query reads its rows as the same
-sums with the rhs column weighted 0 (``kernel_rows``), with no homogenized
-copy of the system.  A one-shot query reads its rows straight from the
-system; a caller that asks many points builds them from the reading's
-table (``Reading.rows_at``), the same rational rows.
+points and certificates are.  A one-shot point query (``member_ae``) reads
+its rows straight from the system, only the coefficients that meet the
+point; every other question, a direction's rows included (the same sums
+with the rhs column weighted 0, with no homogenized copy of the system),
+reads them from the reading's table (``Reading.rows_at``).  The
+certificate checks read the Fraction coefficients (``residual_vectors``).
 
 An AE query asks one LP per universal vertex, in ``box_vertices`` order
 over the scaled ends; a later vertex first re-checks the last feasible
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import cycle
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -74,7 +76,7 @@ from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
                     LPResult, Q, Vector, _Record, basis_holds, dot, lp_feasible,
                     max_row_shift, scaled, scaled_box, vec_add, vec_scale)
 from .model import (ParametricSystem, QuantifierAssignment, SystemClass,
-                    TolerableSystem, box_vertices, classify, kernel_rows,
+                    TolerableSystem, _check_entries, box_vertices, classify,
                     residual_rows, residual_vectors)
 
 
@@ -156,15 +158,16 @@ class Reading:
 
     def rows_at(self, x: Sequence[Q],
                 rhs_sign: int = -1) -> list[tuple[list[int], int]]:
-        """``residual_rows`` at x (rhs_sign -1), or ``kernel_rows`` (0),
-        from the table: the same rational rows, row i over xd D_i for x
-        scaled to integers xn over xd."""
+        """The rows of ``residual_rows`` at the point x (rhs_sign -1), or of
+        the homogenized system at the direction x (0), from the table: row
+        i over xd D_i for x scaled to integers xn over xd.  A bad x is
+        refused as ``residual_rows`` refuses one."""
+        _check_entries(x, self.n, "point" if rhs_sign else "direction")
         xn, xd = scaled(x)
         xn.append(rhs_sign * xd)
-        w = self.w
-        return [([sum(map(mul, xn, ints[k:k + w]))
-                  for k in range(0, len(ints), w)], D * xd)
-                for ints, D in self.table]
+        # the products with xn repeated, summed w at a time (one per term)
+        return [(list(map(sum, zip(*[map(mul, ints, cycle(xn))] * self.w))),
+                 D * xd) for ints, D in self.table]
 
     def system_at(self, coef: list[int]) -> tuple[list[list[int]], list[int]]:
         """A(p) and b(p) as integers for p = coef[1:] / coef[0], coef[0] > 0:
@@ -212,7 +215,8 @@ class _Query:
     (``classify`` under the assignment) is read when a decision first asks
     for it; no membership question reads it, since ``decoupled`` reads the
     point's rows.  A point comes as its rows, in the form of
-    ``residual_rows`` (a kernel question's as ``kernel_rows``).
+    ``residual_rows`` (a direction's as ``Reading.rows_at`` with the rhs
+    column weighted 0).
     """
 
     def __init__(self, reading: Reading, quant: QuantifierAssignment):
@@ -509,7 +513,8 @@ def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
                      y: Sequence[Q]) -> tuple[bool, Certificate]:
     """AE membership of the homogenized system, decided by the vertex LPs
     alone."""
-    return _Query(Reading(sys), quant).lp(kernel_rows(sys, y)).member()
+    query = _Query(Reading(sys), quant)
+    return query.lp(query.reading.rows_at(y, 0)).member()
 
 
 def member_tolerable(tsys: TolerableSystem,
@@ -543,7 +548,8 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     same maxima and failure values are read off those intervals in
     integers with no LP.
     """
-    return _Query(Reading(sys), quant).lp(kernel_rows(sys, y)).strict()
+    query = _Query(Reading(sys), quant)
+    return query.lp(query.reading.rows_at(y, 0)).strict()
 
 
 def validate_certificate(sys: ParametricSystem,
@@ -572,8 +578,7 @@ def witness_resubstitutes(sys: ParametricSystem, x: Sequence[Q],
     """Check a WITNESS exactly: A(p) x = b(p) and p inside the box."""
     if cert.kind is not CertKind.WITNESS:
         raise ValueError("not a WITNESS certificate")
-    if len(x) != sys.n:
-        raise ValueError(f"point has length {len(x)}, expected {sys.n}")
+    _check_entries(x, sys.n, "point")
     p = cert.witness_p
     if len(p) != sys.K:
         return False

@@ -8,15 +8,16 @@ A system is the family A(p) x = b(p) with
 p ranging over a box of intervals.  The constant term (A0, b0) is explicit;
 every formula treats it as a parameter fixed at 1 with radius 0.
 
-Nothing is kept on a system between queries: ``residual_rows``,
-``kernel_rows`` and ``ParametricSystem.int_coefficients`` scale the
-coefficients they read to integers on each call and build no Fraction.
-One membership query reads a point's rows with ``residual_rows`` or
-``kernel_rows``, which read only the coefficients that meet the point.  A
-caller that asks many questions of one system (a decision, a raster, the
-sign pieces, a solution cloud) reads it once instead, as a
-``membership.Reading`` of the ``int_coefficients`` table, and asks through
-one query object built on that reading.
+Nothing is kept on a system between queries: ``residual_rows`` and
+``ParametricSystem.int_coefficients`` scale the coefficients they read to
+integers on each call and build no Fraction.  A one-shot point query reads
+its rows with ``residual_rows``, which reads only the coefficients that
+meet the point.  Every other question (a direction's kernel rows, a
+decision, a raster, the sign pieces, a solution cloud) reads the system
+once, as a ``membership.Reading`` of the ``int_coefficients`` table, and
+asks through one query object built on that reading.  ``residual_vectors``
+reads the Fraction coefficients instead, for the certificate checks and
+oracles, which are meant to be apart from the solver's integer rows.
 """
 
 from __future__ import annotations
@@ -302,6 +303,17 @@ def interval_data(sys: ParametricSystem) -> tuple[Matrix, Matrix, Vector, Vector
 # Residuals
 # ---------------------------------------------------------------------------
 
+def _check_entries(x: Sequence[Q], n: int, what: str) -> None:
+    """Refuse x (a point, a direction or a window, as ``what`` names it)
+    unless it has length n and every entry is an int or a Fraction: a
+    ValueError that names the length or the entry."""
+    if len(x) != n:
+        raise ValueError(f"{what} has length {len(x)}, expected {n}")
+    for v in x:
+        if not isinstance(v, (int, Q)):
+            raise ValueError(f"{what} entry {v!r} is not an int or a Fraction")
+
+
 def residual_rows(sys: ParametricSystem,
                   x: Sequence[Q]) -> list[tuple[list[int], int]]:
     """Row i of the residuals v^(k) = A^(k) x - b^(k), k = 0..K (index 0 is
@@ -311,27 +323,12 @@ def residual_rows(sys: ParametricSystem,
     x is scaled once to integers xn over xd, so each entry is
     (A^(k)_i, b^(k)_i).(xn, -xd) / xd: the nonzero products are summed as
     one integer over the lcm of their denominators, as in ``dot``, and D_i
-    is xd times the lcm of those over k.  No Fraction is built.
+    is xd times the lcm of those over k.  Only the coefficients that meet x
+    are read, and no Fraction is built.
     """
-    return _rows_at(sys, x, -1)
-
-
-def kernel_rows(sys: ParametricSystem,
-                y: Sequence[Q]) -> list[tuple[list[int], int]]:
-    """``residual_rows`` of the homogenized system at y, the entries
-    A^(k)_i y: the same sums with the rhs column weighted 0, so no copy of
-    the system is made.  A y of the wrong length is a ValueError that
-    names it a direction."""
-    return _rows_at(sys, y, 0)
-
-
-def _rows_at(sys: ParametricSystem, x: Sequence[Q],
-             rhs_sign: int) -> list[tuple[list[int], int]]:
-    if len(x) != sys.n:
-        what = "point" if rhs_sign else "direction"
-        raise ValueError(f"{what} has length {len(x)}, expected {sys.n}")
+    _check_entries(x, sys.n, "point")
     xn, xd = scaled(x)
-    xn.append(rhs_sign * xd)
+    xn.append(-xd)
     mats = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
     out = []
     for i in range(sys.m):
@@ -358,9 +355,12 @@ def _rows_at(sys: ParametricSystem, x: Sequence[Q],
 
 def residual_vectors(sys: ParametricSystem, x: Sequence[Q]) -> list[Vector]:
     """v^(k) = A^(k) x - b^(k) for k = 0..K as Fractions; index 0 is the
-    constant term.  The rational view of ``residual_rows``."""
-    rows = residual_rows(sys, x)
-    return [[Q(nums[k], den) for nums, den in rows] for k in range(sys.K + 1)]
+    constant term.  Each entry is one ``dot`` over the Fraction
+    coefficients, not the solver's integer rows, so the certificate checks
+    and oracles that read it check those rows."""
+    _check_entries(x, sys.n, "point")
+    terms = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
+    return [[dot(row, x) - bi for row, bi in zip(A, b)] for A, b in terms]
 
 
 # ---------------------------------------------------------------------------

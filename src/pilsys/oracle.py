@@ -17,8 +17,8 @@ from .exact import (Matrix, Polyhedron, Q, UniqueSolution, Vector, dot,
 from .membership import Reading, _mid_residual, _Query
 from .membership import member_united  # noqa: F401 -- bench/test_bench.py reads it
 from .model import (FIRST_CLASS, ORDINARY, ParametricSystem,
-                    QuantifierAssignment, SystemClass, classify,
-                    interval_data, residual_vectors)
+                    QuantifierAssignment, SystemClass, _check_entries,
+                    classify, interval_data, residual_vectors)
 
 _FM_CAP = 12
 _CLOUD_CAP = 3 ** 8  # grid points solution_cloud tries: all of K = 8 at 3
@@ -80,8 +80,7 @@ def oettli_prager_member(sys: ParametricSystem, x: Sequence[Q]) -> bool:
 def _oettli_prager(sys: ParametricSystem,
                    data: tuple[Matrix, Matrix, Vector, Vector],
                    x: Sequence[Q]) -> bool:
-    if len(x) != sys.n:
-        raise ValueError(f"point has length {len(x)}, expected {sys.n}")
+    _check_entries(x, sys.n, "point")
     Ac, dA, bc, db = data
     absx = [abs(v) for v in x]
     for i in range(sys.m):
@@ -185,11 +184,13 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     separator of an earlier cell's LP, settles a cell it refutes with no
     LP, and a cell whose rows are decoupled (``_Query.decoupled``: no
     existential parameter that is not thin meets two of them) takes no LP
-    at all.  The verdicts are those of one cold query per cell."""
+    at all.  The verdicts are those of one cold query per cell.  The
+    window's ends are ints or Fractions."""
     if sys.n != 2:
         raise ValueError("rasterization requires n = 2")
     if not 2 <= resolution <= 512:
         raise ValueError("resolution must be between 2 and 512")
+    _check_entries(window, 4, "window")
     x_lo, x_hi, y_lo, y_hi = (Q(v) for v in window)
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("window must have x_lo < x_hi and y_lo < y_hi")

@@ -13,8 +13,8 @@ The stages of ``decide_unbounded``, in order:
       AE kernel, so a member base point certifies YES.
 (iii) strict kernel (THM3): sufficient, with an explicit threshold point;
       on such decoupled rows the axis reaches are integer intervals, so the
-      strict kernel asks no LP either, and THM3's bound R is one integer
-      sum.
+      strict kernel asks no LP either, and THM3's bound R is summed in
+      integers from the table's b column.
 (iv)  ordinary and class-C united systems (PROP1/PROP2): the kernel pieces
       of nonempty solution pieces characterize unboundedness.
 (v)   probing: everything else is probed along the ray and reported honestly
@@ -32,20 +32,21 @@ The stages of ``decide_unbounded``, in order:
 Every stage asks one query object (``membership._Query``), built from one
 reading of the system (``Reading``) and the decision's quantifier
 assignment: the box is scaled once, the system is classified when a stage
-first reads its class, and the ``int_coefficients`` table is read when a
-stage first needs it, the sign pieces of (iv), THM7's base point or the
-probes of (v).  Base points are solved from that table and every ray's
-rows are built from it.  Base points and ray points are asked as bools
-through the query (``_Query.holds``): a point that a row alone, or the
-separator of an earlier LP of the decision, refutes is settled in integers
-with no LP, and a point whose rows are decoupled asks no LP either way.
+first reads its class, and the ``int_coefficients`` table is read once, at
+stage (i), where the direction's kernel rows are built from it.  THM3's
+bound R, the sign pieces of (iv), the base points and every ray's rows are
+built from that same table, so a decision reads its coefficients once.
+Base points and ray points are asked as bools through the query
+(``_Query.holds``): a point that a row alone, or the separator of an
+earlier LP of the decision, refutes is settled in integers with no LP, and
+a point whose rows are decoupled asks no LP either way.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -54,7 +55,7 @@ from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
 from .membership import Reading, _Query
 from .membership import member_kernel  # noqa: F401 -- re-exported
 from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
-                    QuantifierAssignment, box_vertices, kernel_rows)
+                    QuantifierAssignment, box_vertices)
 
 
 # The probing fallback of decide_unbounded tests alpha up to 2^PROBE_DOUBLINGS.
@@ -210,29 +211,31 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     alpha = 0 is one membership query, and a base point that is not a member
     raises ValueError; the rest is ``_walk_ray`` on the same query.  The
     report is the same as from one cold membership query per alpha, up to
-    the first exit.
+    the first exit.  A direction the reading refuses (``Reading.rows_at``)
+    is refused before the base point is asked.
     """
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
-    for name, v in (("base point", x0), ("direction", y)):
-        if len(v) != sys.n:
-            raise ValueError(f"{name} has length {len(v)}, expected {sys.n}")
+    if len(x0) != sys.n:
+        raise ValueError(f"base point has length {len(x0)}, expected {sys.n}")
     x0, y = list(x0), list(y)
     query = _Query(Reading(sys), quant)
+    ky = query.reading.rows_at(y, 0)
     if not query.holds(query.reading.rows_at(x0)):
         raise ValueError("probe base point is not a member")
-    return _walk_ray(query, x0, y, kernel_rows(sys, y))
+    return _walk_ray(query, x0, y, ky)
 
 
 def _walk_ray(query: _Query, x0: Vector, y: Vector,
               ky: list[tuple[list[int], int]]) -> ProbeReport:
     """The probe from a base point x0 that is a member, along y with kernel
-    rows ky (``kernel_rows``), through alpha = 2^PROBE_DOUBLINGS: alpha = 0
-    is reported as tested and not asked.
+    rows ky (the query's ``Reading.rows_at(y, 0)``), through
+    alpha = 2^PROBE_DOUBLINGS: alpha = 0 is reported as tested and not
+    asked.
 
     The residuals are affine in the point, so the rows at x0 + alpha*y are
     r0 + alpha ky, with r0 the integer residual rows at x0, built from the
-    query's reading (``Reading.rows_at``); each alpha's rows are their
+    same table (``Reading.rows_at``); each alpha's rows are their
     integer combination, which the query asks as a bool (``_Query.holds``):
     a row alone or a separator kept from an earlier LP settles a point that
     it refutes, and on decoupled rows the row test settles the point.
@@ -269,18 +272,15 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
 
 def _rhs_bound(reading: Reading) -> Q:
     """R = ||b(mid)||_1 + sum_k rad_k ||b^(k)||_1 from the reading's box
-    (2 L mid_k and 2 L rad_k) and the b column in integers: every entry
-    b^(k)_i as an integer over the lcm D of their denominators (``scaled``),
-    so each row adds one integer over D, and the one Fraction is their sum
-    over 2 L D."""
-    sys, mids, rads = reading.sys, reading.mids, reading.rads
-    w = len(mids)
-    ints, D = scaled([v for row in zip(sys.b0, *(par.b for par in sys.params))
-                      for v in row])
-    rows = (ints[i:i + w] for i in range(0, len(ints), w))
-    total = sum(abs(sum(map(mul, mids, row)))
-                + sum(map(mul, rads, map(abs, row))) for row in rows)
-    return Q(total, 2 * reading.L * D)
+    (2 L mid_k and 2 L rad_k) and its table: the b column of table row i is
+    b^(k)_i times D_i, so row i adds |mids.b_i| plus its radius sum
+    (``Reading.spread``), one integer over 2 L D_i, and the one Fraction is
+    their sum over 2 L times the lcm D of the D_i."""
+    n, mids, table = reading.n, reading.mids, reading.table
+    D = lcm(*[d for _, d in table])
+    return Q(sum((abs(sum(map(mul, mids, ints[n::reading.w])))
+                  + reading.spread(ints, n)) * (D // d) for ints, d in table),
+             2 * reading.L * D)
 
 
 def decide_unbounded(sys: ParametricSystem,
@@ -308,8 +308,9 @@ def decide_unbounded(sys: ParametricSystem,
     # (i) kernel membership is necessary; its vertex LP, built once, serves
     # the strict kernel of (iii) too, and its rows every ray walk of (v).
     # (``separator``: on decoupled rows, a direction the row test passes
-    # asks no LP)
-    ky = kernel_rows(sys, y)
+    # asks no LP).  The rows come from the reading's table, which every
+    # later stage reads too
+    ky = query.reading.rows_at(y, 0)
     kernel = query.lp(ky)
     sep = kernel.separator()
     if sep is not None:

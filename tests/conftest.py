@@ -68,6 +68,13 @@ def query(sys, quant=None):
                              quant or QuantifierAssignment.all_exists(sys.K))
 
 
+def kernel_rows(sys, y):
+    """The kernel rows of the direction y, A^(k)_i y for k = 0..K, as a
+    decision reads them: from a reading's table with the rhs column
+    weighted 0 (``Reading.rows_at(y, 0)``)."""
+    return membership.Reading(sys).rows_at(y, 0)
+
+
 def tableau_state(res):
     """The final tableau an ``lp_feasible`` result keeps, as plain values:
     its integer rows and denominators, basis, nonbasic values, bounds,

@@ -42,6 +42,10 @@ class TestOettliPrager:
     def test_point_length_checked(self, e3):
         with pytest.raises(ValueError, match="^point has length 2, expected 1$"):
             oettli_prager_member(e3.system, [Q(1), Q(0)])
+        with pytest.raises(ValueError, match="^point entry 1.0 is not an int "
+                                             "or a Fraction$"):
+            oettli_prager_member(e3.system, [1.0])
+        assert oettli_prager_member(e3.system, [1])
 
     def test_interval_data_e2(self, e2):
         Ac, dA, bc, db = interval_data(e2.system)

@@ -9,8 +9,10 @@ command line would pay for at start-up, no import of ``oracle`` outside
 change in place to a system's coefficients, parameters or intervals, which
 systems share by reference, and no optional reading or box handed down,
 with the vertex LP named outside ``membership.py``, which keeps every
-membership question asked through one query object, and no refusal other
-than a ``ValueError``, which is what ``cli.main`` reports.  An import
+membership question asked through one query object, no integer rows read
+outside ``membership.py`` and none by the certificate checks and oracles,
+which keeps those checks apart from the solver, and no refusal other than
+a ``ValueError``, which is what ``cli.main`` reports.  An import
 kept on purpose is marked ``# noqa: F401``.  The benchmark's tracer wraps
 named functions of the package, and its files read attributes of the
 package's modules; they must all still exist.
@@ -206,6 +208,60 @@ def query_knobs(path):
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+# The readers of a system's integer rows: a point's rows straight from the
+# system, the table, and the reading that builds every other question's
+# rows from that table.  Only ``membership.py`` reads the first two, and the
+# certificate checks and oracles read none, so they stay a check of those
+# rows.
+ROW_READERS = ("residual_rows", "int_coefficients")
+INTEGER_READERS = {*ROW_READERS, "Reading", "rows_at"}
+CHECKS = ("residual_vectors", "validate_certificate", "witness_resubstitutes",
+          "fm_member_oracle", "ae_vertex_oracle", "member_first_class")
+
+
+def _calls(node):
+    """(line, name) of each call ``f(...)`` or ``x.f(...)`` under node."""
+    return [(n.lineno, n.func.id if isinstance(n.func, ast.Name)
+             else n.func.attr) for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))]
+
+
+def row_reads(path):
+    """Calls of ``residual_rows`` or ``int_coefficients`` in a module other
+    than ``membership.py``, and definitions of ``kernel_rows``, the second
+    reader of a direction's rows that ``Reading.rows_at`` replaced."""
+    tree = _tree(path)
+    found = [(line, name) for line, name in _calls(tree)
+             if name in ROW_READERS and path.name != "membership.py"]
+    found += [(node.lineno, "def kernel_rows") for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name == "kernel_rows"]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def integer_reads_of_checks(paths):
+    """Each call of an integer reader that one of CHECKS makes, itself or
+    through the package's functions and methods it calls (by name), as
+    ``file:line: reader``."""
+    defs = {}
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append((path.name, node))
+    found, seen, todo = set(), set(), list(CHECKS)
+    while todo:
+        name = todo.pop()
+        for file, node in defs.get(name, []):
+            for line, called in _calls(node):
+                if called in INTEGER_READERS:
+                    found.add(f"{file}:{line}: {called}")
+                elif called not in seen:
+                    seen.add(called)
+                    todo.append(called)
+    return sorted(found)
+
+
 # Every refusal of the package is a ValueError, so the one handler of
 # ``cli.main`` reports each as ``error: ...`` with exit 1.  Two raises are
 # protocol, not refusals: a module's __getattr__ raises AttributeError
@@ -370,6 +426,46 @@ def test_query_check_catches_offenders(tmp_path):
                    "def lp(reading: Reading) -> _VertexLP:\n"
                    "    return _VertexLP()\n")
     assert query_knobs(own) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_reader_of_integer_rows(path):
+    assert row_reads(path) == []
+
+
+def test_checks_read_no_integer_rows():
+    assert integer_reads_of_checks(MODULES) == []
+
+
+def test_reader_checks_catch_offenders(tmp_path):
+    path = tmp_path / "unbounded.py"
+    path.write_text("def kernel_rows(sys, y):\n"
+                    "    return residual_rows(sys, y)\n"
+                    "def f(sys, x):\n"
+                    "    return sys.int_coefficients(), model.residual_rows(sys, x)\n"
+                    "def g(reading, x):\n"
+                    "    return reading.rows_at(x), residual_rows\n")
+    assert row_reads(path) == ["line 1: def kernel_rows", "line 2: residual_rows",
+                               "line 4: int_coefficients",
+                               "line 4: residual_rows"]
+    # membership.py reads the rows, and may
+    own = tmp_path / "membership.py"
+    own.write_text("def member(sys, x):\n    return residual_rows(sys, x)\n")
+    assert row_reads(own) == []
+    checks = tmp_path / "oracle.py"
+    checks.write_text("def fm_member_oracle(sys, x):\n"
+                      "    return _first(sys, x)\n"
+                      "def _first(sys, x):\n"
+                      "    return sys.helper(x), Reading(sys)\n"
+                      "def witness_resubstitutes(sys, x, cert):\n"
+                      "    return cert.witness_p\n"
+                      "class S:\n"
+                      "    def helper(self, x):\n"
+                      "        return self.reading.rows_at(x, 0)\n"
+                      "def unrelated(sys, x):\n"
+                      "    return residual_rows(sys, x)\n")
+    assert integer_reads_of_checks([checks]) == ["oracle.py:4: Reading",
+                                                 "oracle.py:9: rows_at"]
 
 
 def traced_names(path):

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import (gen_class_c, gen_decoupled_ae, gen_first_class,
                       gen_general, gen_ordinary, gen_quantified,
-                      gen_tolerable_nonempty, gen_wide_ordinary, load, query,
-                      random_point, tableau_state, with_scaled_rows,
-                      with_thin_params)
+                      gen_tolerable_nonempty, gen_wide_ordinary, kernel_rows,
+                      load, query, random_point, tableau_state,
+                      with_scaled_rows, with_thin_params)
 from pilsys import membership
 from pilsys.exact import (AffineSolutionSet, FarkasCertificate, Feasible,
                           IntRowPolyhedron, NoSolution, Polyhedron, dot,
@@ -21,8 +21,7 @@ from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
                           QuantifierAssignment, RhsParameter, SystemFormatError,
-                          TolerableSystem, kernel_rows, residual_rows,
-                          residual_vectors)
+                          TolerableSystem, residual_rows, residual_vectors)
 from pilsys.oracle import (AE, UNITED, ae_vertex_oracle, fm_member_oracle,
                            member_first_class, rasterize)
 from pilsys.unbounded import decide_unbounded, probe_ray
@@ -774,6 +773,18 @@ class TestCertificateValidation:
         for w in ([Q(0), Q(1), Q(5)], [Q(1)]):
             sep = Certificate.separator(FarkasCertificate(w, [Q(0)], [Q(0)]))
             assert not validate_certificate(e1.system, None, [Q(1), Q(1)], sep)
+        # an entry that is not an int or a Fraction is refused by both
+        # checks, not read as a binary fraction; ints are accepted
+        sep = Certificate.separator(FarkasCertificate([Q(0), Q(1)], [], []))
+        for x in ([Q(1), 0.0], [1, "0"]):
+            with pytest.raises(ValueError, match=f"^point entry {x[1]!r} is "
+                                                 f"not an int or a Fraction$"):
+                witness_resubstitutes(e1.system, x, cert)
+            with pytest.raises(ValueError, match=f"^point entry {x[1]!r} is "
+                                                 f"not an int or a Fraction$"):
+                validate_certificate(e1.system, None, x, sep)
+        assert witness_resubstitutes(e1.system, [1, 0], cert)
+        assert validate_certificate(e1.system, None, [1, Q(1)], sep)
 
     def test_witness_refusals(self, e1):
         # E1 reads x1 = 1, x1 + p1 x2 = p1 with p1 in [0, 1]
@@ -823,6 +834,30 @@ class TestCertificateValidation:
         assert ok
         with pytest.raises(ValueError):
             validate_certificate(e1.system, None, [Q(1), Q(0)], cert)
+
+    def test_checks_call_no_integer_reader(self, monkeypatch, e1):
+        """The certificate check and the oracles read the system's Fraction
+        coefficients (``residual_vectors``), never the integer rows or table
+        the LPs read, so a fault in those rows cannot pass its own check."""
+        from pilsys import model
+        x, y = [Q(1), Q(1)], [Q(0), Q(-1)]
+        ok, sep = member_united(e1.system, x)
+        assert not ok
+        quant = QuantifierAssignment.all_exists(e1.system.K)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+        for owner in (model, membership):
+            monkeypatch.setattr(owner, "residual_rows", spy)
+        monkeypatch.setattr(ParametricSystem, "int_coefficients", spy)
+        assert validate_certificate(e1.system, None, x, sep)
+        assert not fm_member_oracle(e1.system, x)
+        assert fm_member_oracle(e1.system.homogenized(), y)
+        assert not ae_vertex_oracle(e1.system, quant, x)
+        assert not member_first_class(e1.system, x)
+        assert member_first_class(e1.system, [Q(1), Q(0)])
+        assert calls == []
 
     def test_random_separators_validate(self):
         rng = random.Random(13)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (E1_DOC, E2_DOC, E3_DOC, gen_general, load,
-                      residual_rows_reference)
+from conftest import (E1_DOC, E2_DOC, E3_DOC, gen_general, kernel_rows,
+                      load, residual_rows_reference)
 from pilsys.exact import lin_solve, scaled
 from pilsys.membership import Reading, member_kernel, member_united
 from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
@@ -16,7 +16,7 @@ from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
                           ParametricSystem, ParsedSystem,
                           QuantifierAssignment, RhsParameter,
                           SystemFormatError, TolerableSystem, box_vertices,
-                          classify, kernel_rows, parse_rational, parse_system,
+                          classify, parse_rational, parse_system,
                           residual_rows, residual_vectors,
                           serialize_system)
 
@@ -334,6 +334,24 @@ class TestResiduals:
         with pytest.raises(ValueError):
             residual_vectors(e1.system, [Q(1)])
 
+    @pytest.mark.parametrize("read,what", [
+        (residual_vectors, "point"), (residual_rows, "point"),
+        (lambda sys, x: Reading(sys).rows_at(x), "point"),
+        (lambda sys, x: Reading(sys).rows_at(x, 0), "direction"),
+    ], ids=["residual_vectors", "residual_rows", "rows_at", "kernel-rows_at"])
+    def test_entries_are_ints_or_fractions(self, e1, read, what):
+        """Each reader of a point or direction refuses a wrong length and
+        an entry that is not an int or a Fraction, naming it, before it
+        reads a coefficient; an int reads as the Fraction it equals."""
+        with pytest.raises(ValueError, match=f"^{what} has length 1, "
+                                             f"expected 2$"):
+            read(e1.system, [Q(1)])
+        for bad in (0.5, "1/2", None):
+            with pytest.raises(ValueError, match=f"^{what} entry {bad!r} is "
+                                                 f"not an int or a Fraction$"):
+                read(e1.system, [Q(1), bad])
+        assert read(e1.system, [1, -3]) == read(e1.system, [Q(1), Q(-3)])
+
 
 @settings(deadline=None)
 @given(systems_with_parameter_values(), st.data())
@@ -405,7 +423,8 @@ def _values(rows):
 @given(big_denominator_systems())
 def test_integer_form_rows_match_the_reference(case):
     """``residual_rows`` gives the rational values of the per-coefficient
-    reference; ``kernel_rows`` those of the homogenized system;
+    reference; a direction's rows from the table (``Reading.rows_at(y,
+    0)``) those of the homogenized system;
     ``Reading.system_at`` each row of [A(p) | b(p)] times D_i (the lcm of
     the row's denominators over every term) and the denominator of p, which
     ``lin_solve`` solves alike."""

@@ -151,6 +151,16 @@ class TestRasterize:
         with pytest.raises(ValueError):
             rasterize(e3.system, None, (Q(0), Q(1), Q(0), Q(1)), 5)
 
+    def test_window_ends_are_ints_or_fractions(self, e1):
+        # a float end is refused, not read as a binary fraction
+        for window, bad in (((Q(-2), 2.0, Q(-6), Q(1)), "2.0"),
+                            ((-2, 2, "-6", 1), "'-6'")):
+            with pytest.raises(ValueError, match=f"^window entry {bad} is not "
+                                                 f"an int or a Fraction$"):
+                rasterize(e1.system, None, window, 5)
+        assert rasterize(e1.system, None, (-2, 2, -6, 1), 5) == \
+            rasterize(e1.system, None, (Q(-2), Q(2), Q(-6), Q(1)), 5)
+
     @pytest.mark.parametrize("which,match", [
         ("TOLERABLE", "^unknown set 'TOLERABLE'$"),
         ("AE", "^AE raster needs a quantifier assignment$"),

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import (gen_class_c, gen_decoupled_ae, gen_first_class,
                       gen_general, gen_ordinary, gen_quantified,
-                      gen_tolerable_nonempty,
-                      gen_wide_ordinary, query, random_point,
+                      gen_tolerable_nonempty, gen_wide_ordinary, kernel_rows,
+                      query, random_point,
                       with_big_denominators, with_scaled_rows,
                       with_thin_params)
 from pilsys import cones, membership, model, oracle, unbounded
@@ -128,15 +128,32 @@ class TestFindBasePoints:
     lambda sys, y: strict_kernel_member_ae(
         sys, QuantifierAssignment.all_exists(sys.K), y),
     lambda sys, y: decide_unbounded(sys, None, y),
+    lambda sys, y: probe_ray(sys, None, [Q(1), Q(0)], y),
 ], ids=["member_ae_kernel", "member_kernel", "strict_kernel_member_ae",
-        "decide_unbounded"])
+        "decide_unbounded", "probe_ray"])
 def test_direction_length_checked_by_the_kernel_rows(e1, ask):
+    """Every kernel question reads its direction's rows from the reading's
+    table (``Reading.rows_at``), which refuses a wrong length and an entry
+    that is not an int or a Fraction; a float is not read as a binary
+    fraction."""
     for y in ([Q(0), Q(1), Q(1)], [Q(1)]):
         with pytest.raises(ValueError, match=f"^direction has length {len(y)}, "
                                              f"expected 2$"):
             ask(e1.system, y)
+    for y in ([Q(0), 0.5], [Q(-1, 2), "1"]):
+        with pytest.raises(ValueError, match=f"^direction entry {y[1]!r} is "
+                                             f"not an int or a Fraction$"):
+            ask(e1.system, y)
+    # ints and Fractions are the accepted entries, mixed too
+    assert ask(e1.system, [0, -1]) == ask(e1.system, [Q(0), Q(-1)]) \
+        == ask(e1.system, [Q(0), -1])
     with pytest.raises(ValueError, match="^point has length 1, expected 2$"):
         member_united(e1.system, [Q(1)])
+    with pytest.raises(ValueError, match="^point entry 0.5 is not an int or "
+                                         "a Fraction$"):
+        member_united(e1.system, [Q(1), 0.5])
+    assert member_united(e1.system, [1, 0]) == member_united(e1.system,
+                                                             [Q(1), Q(0)])
 
 
 class TestProbeRay:
@@ -418,11 +435,11 @@ class TestCascadeWalk:
 
     def test_walk_reads_the_kernel_rows_of_the_cascade(self, monkeypatch, e1):
         """A decision reads its system once: one ``int_coefficients`` table
-        serves the base points, every walked base point's rows r0 and the
-        sign pieces, so no ``residual_rows`` runs; the
-        rows at x0 + alpha*y are r0 + alpha*(A^(k) y), and the kernel rows
-        of y are built once per decision, for the kernel stage and every
-        walk."""
+        serves the kernel rows of y at stage (i), THM3's bound, the base
+        points, every walked base point's rows r0 and the sign pieces, so
+        no ``residual_rows`` runs, whatever rule decides; the rows at
+        x0 + alpha*y are r0 + alpha*(A^(k) y), and the kernel rows of y are
+        built once per decision, for the kernel stage and every walk."""
         calls = Counter()
 
         def spy(owner, name):
@@ -436,21 +453,28 @@ class TestCascadeWalk:
         spy(unbounded, "_walk_ray")
         spy(model, "residual_rows")
         spy(membership, "residual_rows")
-        spy(unbounded, "kernel_rows")
-        spy(membership, "kernel_rows")
         spy(ParametricSystem, "int_coefficients")
+        real_rows_at = membership.Reading.rows_at
+
+        def rows_at(reading, x, rhs_sign=-1):
+            if not rhs_sign:
+                calls["kernel rows"] += 1
+            return real_rows_at(reading, x, rhs_sign)
+        monkeypatch.setattr(membership.Reading, "rows_at", rows_at)
         cases = [(e1.system, None, [Q(0), Q(-1)])] + [
             (sys, quant, y) for sys, quant, y in self.cases(79, 60)
             if y is not None and any(y)]
         walked = settled = 0
+        rules = Counter()
         for sys, quant, y in cases:
             calls.clear()
             v = decide_unbounded(sys, quant, y)
-            if v.rule is not Rule.PROBE:
-                continue
+            rules[v.rule] += 1
             assert calls["int_coefficients"] == 1
             assert calls["residual_rows"] == 0
-            assert calls["kernel_rows"] == 1
+            assert calls["kernel rows"] == 1
+            if v.rule is not Rule.PROBE:
+                continue
             walks = calls["_walk_ray"]
             if quant is None and consistent_witness(sys, y) is not None:
                 # a united report settled at the kernel witness: no walk
@@ -462,6 +486,7 @@ class TestCascadeWalk:
                 assert walks >= len(probe_reports(v))
             walked += walks
         assert walked >= 10 and settled >= 3, (walked, settled)
+        assert len(rules) >= 3, rules
 
     def test_reports_match_cold_membership(self):
         kinds = {}
@@ -677,7 +702,7 @@ class TestSeparatorPool:
             sys = gen_general(rng, 3, 4, K=3)
             y = random_point(rng, sys.n)
             quant = QuantifierAssignment.all_exists(sys.K)
-            ky = model.kernel_rows(sys, y)
+            ky = kernel_rows(sys, y)
             shared = query(sys, quant)
             for x0 in find_base_points(sys, None, 8):
                 lps = []
@@ -934,7 +959,7 @@ class TestKernelWitnessProbe:
         the kernel witness, and that first vertex LP is the one LP the
         decision asks of the membership module."""
         y = [Q(0), Q(-1)]
-        ky = model.kernel_rows(e1.system, y)
+        ky = kernel_rows(e1.system, y)
         lp = query(e1.system).lp(ky)
         assert query(e1.system).decoupled(ky)
         seen = []
@@ -1048,7 +1073,7 @@ class TestKernelWitnessProbe:
                     assert events[events.index("strict") + 1:] == []
                     assert settled_at_the_witness(sys, y, v)
                     x0 = v.evidence.base_point
-                    assert walk(query(sys), x0, y, model.kernel_rows(sys, y)) \
+                    assert walk(query(sys), x0, y, kernel_rows(sys, y)) \
                         == v.evidence == probe_ray(sys, None, x0, y)
                     checked[scaled] += 1
         assert checked[False] >= 5 and checked[True] >= 5, checked
@@ -1073,7 +1098,7 @@ class TestKernelWitnessProbe:
                 if y is None or not any(y):
                     continue
                 ok, cert = query(sys, quant).lp(
-                    model.kernel_rows(sys, y)).member()
+                    kernel_rows(sys, y)).member()
                 if not ok:
                     continue
                 p = cert.witness_p

@@ -46,6 +46,9 @@ TARGETS = [
     ("exact.py", "max_row_shift"),
     ("cones.py", "_row_refutes"),
     ("unbounded.py", "_member_at"),
+    ("model.py", "residual_rows"),
+    ("model.py", "_check_entries"),
+    ("unbounded.py", "_rhs_bound"),
 ]
 
 # surviving mutants that cannot change a result, by the id ``mutants``
@@ -59,6 +62,9 @@ EQUIVALENT = {
     "val * best[1] <= best[0] * den":
         "a tie keeps another (num, den) of the same value, and only the "
         "value Q(*best) comes out",
+    "residual_rows: D > 1 -> D >= 1":
+        "D is a positive lcm, and at D = 1 every den is 1, so each num is "
+        "times D // den = 1 either way",
 }
 
 _SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
