@@ -36,6 +36,7 @@ picks one by the class its query reads, and ``orthant_decomposition`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Optional, Sequence
 
@@ -105,9 +106,12 @@ class PieceDecomposition(_Record):
         self.pieces = pieces
 
 
-def _sign_vectors(n: int):
-    # lexicographic with +1 before -1
-    return (SignVector(s) for s in itertools.product((1, -1), repeat=n))
+@functools.lru_cache(maxsize=_DECOMPOSITION_CAP + 1)
+def _sign_vectors(n: int) -> tuple[SignVector, ...]:
+    """The 2^n sign vectors, lexicographic with +1 before -1, built once per
+    n and shared by every decomposition; the callers check the cap first,
+    so n <= _DECOMPOSITION_CAP here."""
+    return tuple(SignVector(s) for s in itertools.product((1, -1), repeat=n))
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,18 @@ Every question is asked of one query object (``_Query``), built from one
 reading of the system (``Reading``: the whole parameter box scaled to
 integers once, and the coefficients read once when first needed) and one
 quantifier assignment, which it refuses first when it is bad.  The query
-asks a point in one of four ways.  ``member`` (``member_ae``) first tries
-each equation alone: with w = +-e_i the inequality needs no LP, only
-integer sums, and the first equation that fails is the separator; what
-it leaves goes to the vertex LPs.  ``refute`` is that test alone, and
-``lp`` the vertex LP alone, which is what kernel and strict kernel queries
-ask.  ``holds`` is for callers that ask many bool questions of one system
-(the ray walks of a decision, the cells of a raster): the row test, and
-every separator an earlier LP of the query returned, settle the points
-they refute with no LP.
+asks a point in one of four ways.  ``member`` (``member_ae``) asks the
+vertex LP's ``separator``, which keeps the one order of a membership
+question: each equation alone first (with w = +-e_i the inequality needs
+no LP, only integer sums, and the first equation that fails is the
+separator), then on decoupled rows nothing more, and only then the vertex
+LPs.  A decision's kernel question (THM2) asks the same ``separator`` of
+its direction's rows.  ``refute`` is the row test alone, and ``lp`` the
+vertex LP, whose ``member`` alone is what ``member_ae_kernel`` asks, and
+whose ``strict`` the strict kernel queries ask.  ``holds`` is for callers
+that ask many bool questions of one system (the ray walks of a decision,
+the cells of a raster): the row test, and every separator an earlier LP
+of the query returned, settle the points they refute with no LP.
 
 The row test decides a point both ways on decoupled rows
 (``_Query.decoupled``: no existential parameter that is not thin meets two
@@ -291,14 +294,14 @@ class _Query:
 
     def member(self, rows: list[tuple[list[int], int]]
                ) -> tuple[bool, Certificate]:
-        """Is the point of these rows a member?  See ``member_ae``."""
-        sep = self.refute(rows)
-        if sep is not None:
-            return False, Certificate.separator(sep)
+        """Is the point of these rows a member?  See ``member_ae``: the
+        vertex LP's ``separator`` decides, and a member takes the witness
+        of its first vertex."""
         lp = self.lp(rows)
-        if self.forall and self.decoupled(rows):
-            return True, Certificate.witness(lp.witness())
-        return lp.member()
+        sep = lp.separator()
+        if sep is not None:
+            return False, sep
+        return True, Certificate.witness(lp.witness())
 
     def holds(self, rows: list[tuple[list[int], int]]) -> bool:
         """Is the point of these rows a member?  Only the bool comes out,
@@ -389,12 +392,17 @@ class _VertexLP:
 
     def separator(self) -> Optional[Certificate]:
         """The separator that refutes the rows' point, or None for a
-        member.  On decoupled rows (``_Query.decoupled``) the row test is
-        exact, so a point it passes is a member with no LP (``witness``
-        solves the first vertex if it is asked for); any other point asks
-        ``member``, so a refuted point gets the LP's separator."""
-        if self.query.decoupled(self.rows) and _failing_row(
-                self.query.mids, self.query.rads, self.rows) is None:
+        member, asked in one order: the row test first (``_Query.refute``),
+        whose failing equation is the separator w = +-e_i with no LP; on
+        decoupled rows (``_Query.decoupled``) that test is exact, so a
+        point it passes is a member with no LP (``witness`` solves the
+        first vertex if it is asked for); any other point asks ``member``,
+        so a point no row refutes gets the LP's separator."""
+        query = self.query
+        sep = query.refute(self.rows)
+        if sep is not None:
+            return Certificate.separator(sep)
+        if query.decoupled(self.rows):
             return None
         ok, cert = self.member()
         return None if ok else cert
@@ -512,7 +520,12 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
                      y: Sequence[Q]) -> tuple[bool, Certificate]:
     """AE membership of the homogenized system, decided by the vertex LPs
-    alone."""
+    alone, with no row test first, so that its separators (``pilsys
+    kernel``'s output) stay those of the LP.  ``decide_unbounded``'s THM2
+    asks the row test first (``_VertexLP.separator``), so the same verdict
+    can come with another separator there: on x1 = 1, x1 + p x2 = p with
+    p in [0, 1] and y = (1, 0) this gives w = (1, 1), the row test
+    w = (1, 0)."""
     query = _Query(Reading(sys), quant)
     return query.lp(query.reading.rows_at(y, 0)).member()
 

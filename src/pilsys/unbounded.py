@@ -3,11 +3,14 @@
 The stages of ``decide_unbounded``, in order:
 
 (i)   kernel (THM2): AE kernel membership is necessary; a separator of the
-      homogenized system certifies NO.  On decoupled kernel rows (every
-      existential parameter that is not thin meets at most one of them,
-      ``_Query.decoupled``) the row test is exact, and a direction that
-      passes it is in the kernel with no LP; the witness LP then runs only
-      when (v) reads the kernel witness.
+      homogenized system certifies NO.  The row test comes first
+      (``_VertexLP.separator``): an equation of the homogenized system
+      that fails alone is the separator w = +-e_i, with no LP.  On
+      decoupled kernel rows (every existential parameter that is not thin
+      meets at most one of them, ``_Query.decoupled``) that test is exact,
+      and a direction that passes it is in the kernel with no LP; the
+      witness LP then runs only when (v) reads the kernel witness.  Only
+      coupled rows that no equation refutes alone ask the vertex LP.
 (ii)  tolerable form (THM7): with universal parameters and existential ones
       that touch only b, the set is a polyhedron whose recession cone is the
       AE kernel, so a member base point certifies YES.
@@ -307,9 +310,9 @@ def decide_unbounded(sys: ParametricSystem,
 
     # (i) kernel membership is necessary; its vertex LP, built once, serves
     # the strict kernel of (iii) too, and its rows every ray walk of (v).
-    # (``separator``: on decoupled rows, a direction the row test passes
-    # asks no LP).  The rows come from the reading's table, which every
-    # later stage reads too
+    # (``separator``: a direction one row refutes asks no LP, nor, on
+    # decoupled rows, one the row test passes).  The rows come from the
+    # reading's table, which every later stage reads too
     ky = query.reading.rows_at(y, 0)
     kernel = query.lp(ky)
     sep = kernel.separator()

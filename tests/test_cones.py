@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -433,6 +434,30 @@ class TestIntegerPieces:
             with pytest.raises(DecompositionTooLarge):
                 first_unbounded_piece(query(sys), y)
         assert built == [] and fractions == []
+
+    def test_sign_vectors_are_shared(self):
+        """The sign vectors of each n are built once (``_sign_vectors``)
+        and shared by every decomposition, in the same order and with the
+        same reprs; an over-cap system is refused before any is built."""
+        rng = random.Random(3737)
+        for sys in (gen_ordinary(rng, 2, 3), gen_class_c(rng, 2, 2, K=3)):
+            first, second = decompose(sys), decompose(sys)
+            n = len(first.pieces).bit_length() - 1
+            assert all(a.sign is b.sign
+                       for a, b in zip(first.pieces, second.pieces))
+            want = [cones.SignVector(s)
+                    for s in itertools.product((1, -1), repeat=n)]
+            assert [p.sign for p in first.pieces] == want
+            assert [repr(p.sign) for p in first.pieces] == list(map(repr, want))
+        before = cones._sign_vectors.cache_info()
+        classc = ParametricSystem(1, 1, [[Q(0)]], [Q(1)], [
+            Parameter(f"p{k}", Interval(Q(0), Q(1)), [[Q(1)]], [Q(0)])
+            for k in range(17)])
+        with pytest.raises(DecompositionTooLarge):
+            decompose(classc)
+        after = cones._sign_vectors.cache_info()
+        assert (after.misses, after.currsize) == (before.misses,
+                                                  before.currsize)
 
 
 def lp_point_alone(P):

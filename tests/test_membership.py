@@ -15,8 +15,9 @@ from pilsys.exact import (AffineSolutionSet, FarkasCertificate, Feasible,
                           IntRowPolyhedron, NoSolution, Polyhedron, dot,
                           fm_eliminate, lin_solve, lp_feasible, lp_maximize,
                           max_row_shift, scaled_box)
-from pilsys.membership import (CertKind, member_ae, member_ae_kernel,
-                               member_kernel, member_tolerable, member_united,
+from pilsys.membership import (CertKind, Certificate, member_ae,
+                               member_ae_kernel, member_kernel,
+                               member_tolerable, member_united,
                                strict_kernel_member, strict_kernel_member_ae,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (Interval, Parameter, ParametricSystem,
@@ -579,8 +580,9 @@ def test_decoupled_strict_matches_the_row_shift_reference(monkeypatch):
     non-kernel directions, rows with D_i > 1, rows that no existential
     parameter meets, and rows that only a thin existential parameter
     couples.  Its ``separator``, which trusts the row test there, must
-    agree with the LP's kernel verdict and return the LP's separator, and
-    ask no LP for a direction in the kernel."""
+    agree with the LP's kernel verdict, return the separator of the row
+    that refutes the direction (``refute``), and the LP's when none does,
+    and ask no LP for a direction in the kernel or one that a row refutes."""
     rng = random.Random(3131)
     asked = _spied_lps(monkeypatch)
     seen = Counter()
@@ -613,9 +615,12 @@ def test_decoupled_strict_matches_the_row_shift_reference(monkeypatch):
         assert strict_kernel_member_ae(sys, quant, y) == (ok, eps), trial
         assert asked == [], trial
         in_kernel, cert = query(sys, quant).lp(kernel_rows(sys, y)).member()
+        refuted = qry.refute(ky)
+        if refuted is not None:
+            cert = Certificate.separator(refuted)
         asked.clear()
         assert lp.separator() == (None if in_kernel else cert), trial
-        assert not (in_kernel and asked), trial
+        assert not ((in_kernel or refuted) and asked), trial
         seen["in kernel", in_kernel] += 1
         seen[why, eps < 0] += 1
         seen["ae" if quant.forall_set else "united", ok] += 1
@@ -1186,6 +1191,49 @@ def test_vertex_lp_walks_no_fraction_vertex(monkeypatch):
         seen[ok] += 1
     assert calls == []
     assert seen[True] >= 5 and seen[False] >= 5, seen
+
+
+def _member_reference(qry, rows):
+    """``_Query.member`` in three steps of its own: the row test's
+    separator, then on decoupled rows with universal parameters the first
+    vertex's witness, then the vertex LPs."""
+    sep = qry.refute(rows)
+    if sep is not None:
+        return False, Certificate.separator(sep)
+    lp = qry.lp(rows)
+    if qry.forall and qry.decoupled(rows):
+        return True, Certificate.witness(lp.witness())
+    return lp.member()
+
+
+def test_member_matches_the_three_step_reference():
+    """``_Query.member``, asked through the vertex LP's ``separator``,
+    gives the verdict and certificate, to the repr, of the reference order
+    on general, quantified and decoupled AE draws, at random points,
+    solved points and kernel directions."""
+    rng = random.Random(3636)
+    seen = Counter()
+    for trial in range(240):
+        if trial % 3 == 0:
+            sys = gen_general(rng, rng.randint(1, 3), rng.randint(1, 3))
+            quant = QuantifierAssignment.all_exists(sys.K)
+        elif trial % 3 == 1:
+            sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
+        else:
+            sys, quant = gen_decoupled_ae(rng, rng.randint(1, 3),
+                                          rng.randint(0, 2), rng.randint(1, 2))
+        if trial % 4 == 0:
+            rows, kind = kernel_rows(sys, random_point(rng, sys.n, -1, 1)), "y"
+        else:
+            x = (_solved_point(rng, sys) if trial % 4 == 1 else None) \
+                or random_point(rng, sys.n, -1, 1)
+            rows, kind = residual_rows(sys, x), "x"
+        got = query(sys, quant).member(rows)
+        want = _member_reference(query(sys, quant), rows)
+        assert got == want and repr(got) == repr(want), trial
+        seen[kind, got[0]] += 1
+        seen["decoupled", query(sys, quant).decoupled(rows)] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 class TestRowSeparator:

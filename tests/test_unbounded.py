@@ -17,7 +17,7 @@ from pilsys.exact import (AffineSolutionSet, UniqueSolution, lin_solve,
                           lp_feasible, zeros)
 from pilsys.membership import (Certificate, member_ae, member_kernel,
                                member_united, strict_kernel_member_ae,
-                               witness_resubstitutes)
+                               validate_certificate, witness_resubstitutes)
 from pilsys.model import (CLASS_C, FIRST_CLASS, ORDINARY, Interval, Parameter,
                           ParametricSystem,
                           QuantifierAssignment, RhsParameter, TolerableSystem,
@@ -736,9 +736,14 @@ class TestVerdictDigest:
     """A guard on the cascade's output: the repr of every verdict (status,
     rule, detail and evidence) over a fixed seeded set of systems and
     directions, hashed.  A change that keeps every verdict keeps DIGEST; a
-    change that moves one must update it on purpose."""
+    change that moves one must update it on purpose.  VERDICTS hashes the
+    status, rule and detail alone, so a change that moves only evidence
+    (THM2's separator, when the row test finds one before the LP) keeps
+    it; every THM2 separator must validate on the homogenized system."""
 
-    DIGEST = "25f8e14c9786f8ae0d8d9b67137ad6a0bcd873e340312fa7a6bd56fb284a8bd2"
+    DIGEST = "cb55a55a933d74676075e775beea5c9902c3524c5c46f432ec9c0b5e6f5fc546"
+    VERDICTS = \
+        "cf5ca5baeb4ce293cbf49b4f5671c84d81dbcd9b1d495c42def1a37fe7137ec9"
 
     def cases(self):
         rng = random.Random(97)
@@ -767,7 +772,7 @@ class TestVerdictDigest:
             yield sys, quant, unit(sys.n, 0)
 
     def test_verdicts_unchanged(self):
-        h = hashlib.sha256()
+        h, verdicts = hashlib.sha256(), hashlib.sha256()
         rules = set()
         for sys, quant, y in self.cases():
             if y is None or not any(y):
@@ -776,9 +781,92 @@ class TestVerdictDigest:
             rules.add(v.rule)
             h.update(repr((v.status, v.rule, v.detail, v.evidence)).encode())
             h.update(b"\n")
+            verdicts.update(repr((v.status, v.rule, v.detail)).encode())
+            verdicts.update(b"\n")
+            if v.rule is Rule.THM2:
+                assert validate_certificate(sys.homogenized(), quant, y,
+                                            v.evidence)
         assert rules == {Rule.THM2, Rule.THM3, Rule.PROP1, Rule.THM7,
                          Rule.PROBE}
+        assert verdicts.hexdigest() == self.VERDICTS
         assert h.hexdigest() == self.DIGEST
+
+
+class TestKernelRowTest:
+    """Stage (i) asks the row test first: a direction that one equation of
+    the homogenized system refutes alone is a THM2 NO with that equation's
+    separator (``_Query.refute``) and no LP, and only a direction that no
+    row refutes, on rows that are not decoupled, asks the vertex LP."""
+
+    def cases(self, rng, trials):
+        """(system, quantifiers, direction, kernel rows): decoupled 2x2
+        systems, united (first class) and AE, and coupled general 3x4
+        ones."""
+        for trial in range(trials):
+            if trial % 3 == 0:
+                sys = gen_first_class(rng, 2, 2)
+                quant = QuantifierAssignment.all_exists(sys.K)
+            elif trial % 3 == 1:
+                sys, quant = gen_decoupled_ae(rng, 2, rng.randint(1, 2),
+                                              rng.randint(1, 2))
+            else:
+                sys = gen_general(rng, 3, 4)
+                quant = QuantifierAssignment.all_exists(sys.K)
+            y = random_point(rng, sys.n, -1, 1)
+            if any(y):
+                yield sys, quant, y, kernel_rows(sys, y)
+
+    @staticmethod
+    def spied(monkeypatch):
+        asked = []
+
+        def spy(*args, real=membership.lp_feasible):
+            asked.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(membership, "lp_feasible", spy)
+        return asked
+
+    def test_a_refuting_row_asks_no_lp(self, monkeypatch):
+        rng = random.Random(3434)
+        asked = self.spied(monkeypatch)
+        seen = Counter()
+        for sys, quant, y, ky in self.cases(rng, 180):
+            sep = query(sys, quant).refute(ky)
+            if sep is None:
+                continue
+            asked.clear()
+            v = decide_unbounded(sys, quant, y)
+            assert asked == []
+            assert (v.status, v.rule) == (Status.CERTIFIED_NO, Rule.THM2)
+            assert v.evidence == Certificate.separator(sep)
+            assert repr(v.evidence) == repr(Certificate.separator(sep))
+            assert validate_certificate(sys.homogenized(), quant, y,
+                                        v.evidence)
+            seen[query(sys, quant).decoupled(ky), bool(quant.forall_set)] += 1
+        assert seen[True, False] >= 10 and seen[True, True] >= 10 and \
+            seen[False, False] >= 10, seen
+
+    def test_a_coupled_direction_no_row_refutes_asks_the_lp(self,
+                                                             monkeypatch):
+        rng = random.Random(3535)
+        asked = self.spied(monkeypatch)
+        seen = Counter()
+        for sys, quant, y, ky in self.cases(rng, 900):
+            qry = query(sys, quant)
+            if qry.refute(ky) is not None or qry.decoupled(ky):
+                continue
+            in_kernel, cert = qry.lp(ky).member()
+            asked.clear()
+            v = decide_unbounded(sys, quant, y)
+            if in_kernel:
+                assert v.rule is not Rule.THM2
+            else:
+                assert asked
+                assert (v.rule, v.evidence) == (Rule.THM2, cert)
+                assert repr(v.evidence) == repr(cert)
+            seen[in_kernel] += 1
+        assert seen[False] >= 10, seen
 
 
 class TestClassifyCalls:

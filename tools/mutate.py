@@ -40,6 +40,8 @@ TARGETS = [
     ("membership.py", "witness_resubstitutes"),
     ("membership.py", "_failing_row"),
     ("membership.py", "_Query.decoupled"),
+    ("membership.py", "_Query.member"),
+    ("membership.py", "_VertexLP.separator"),
     ("membership.py", "_VertexLP._strict_decoupled"),
     ("exact.py", "check_infeasibility_certificate"),
     ("exact.py", "basis_holds"),
@@ -54,8 +56,6 @@ TARGETS = [
 # surviving mutants that cannot change a result, by the id ``mutants``
 # gives them, each with the reason
 EQUIVALENT = {
-    "_failing_row: c < 0 -> c <= 0":
-        "c != 0 there: |c| exceeds a sum of nonnegative terms",
     "_row_refutes: a > 0 -> a >= 0":
         "under `if a:`, so a != 0",
     "_strict_decoupled: val * best[1] < best[0] * den -> "
