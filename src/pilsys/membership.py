@@ -20,19 +20,16 @@ fails strictly; validate_certificate re-checks that violation exactly.
 Every question is asked of one query object (``_Query``), built from one
 reading of the system (``Reading``: the whole parameter box scaled to
 integers once, and the coefficients read once when first needed) and one
-quantifier assignment, which it refuses first when it is bad.  The query
-asks a point in one of four ways.  ``member`` (``member_ae``) asks the
-vertex LP's ``separator``, which keeps the one order of a membership
-question: each equation alone first (with w = +-e_i the inequality needs
-no LP, only integer sums, and the first equation that fails is the
-separator), then on decoupled rows nothing more, and only then the vertex
-LPs.  A decision's kernel question (THM2) asks the same ``separator`` of
-its direction's rows.  ``refute`` is the row test alone, and ``lp`` the
-vertex LP, whose ``member`` alone is what ``member_ae_kernel`` asks, and
-whose ``strict`` the strict kernel queries ask.  ``holds`` is for callers
-that ask many bool questions of one system (the ray walks of a decision,
-the cells of a raster): the row test, and every separator an earlier LP
-of the query returned, settle the points they refute with no LP.
+quantifier assignment, which it refuses first when it is bad.  Every
+membership question asks the vertex LP's ``refuter``, which keeps the one
+order: each equation alone (with w = +-e_i the inequality needs only
+integer sums, no LP), then, on rows that are not decoupled, the separators
+that earlier LPs of the query returned, and only then the vertex LPs,
+whose separator is kept for the points after it.  Only ``separator``
+builds a certificate of what refutes: ``member`` (``member_ae``, and
+``member_ae_kernel`` on a direction's rows) and THM2 ask it; ``holds``,
+for the ray walks of a decision and the cells of a raster, keeps the
+bool.  The strict kernel queries ask the vertex LP's ``strict``.
 
 The row test decides a point both ways on decoupled rows
 (``_Query.decoupled``: no existential parameter that is not thin meets two
@@ -70,10 +67,10 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from itertools import cycle
+from itertools import chain, cycle
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
                     LPResult, Q, Vector, _Record, basis_holds, dot, lp_feasible,
@@ -82,6 +79,9 @@ from .model import (ParametricSystem, QuantifierAssignment, SystemClass,
                     TolerableSystem, _check_entries, box_vertices, classify,
                     residual_rows, residual_vectors)
 
+
+# one equation of a point: integers over a positive denominator
+_Row = tuple[list[int], int]
 
 # Both AE routines enumerate the 2^|forall| universal vertices; above this
 # many universal parameters they refuse before any LP.
@@ -151,16 +151,12 @@ class Reading:
             [par.interval.hi for par in sys.params])
         self.mids = [2 * self.L, *map(add, self.lo, self.hi)]
         self.rads = [0, *map(sub, self.hi, self.lo)]
-        self._table: Optional[list[tuple[list[int], int]]] = None
 
-    @property
-    def table(self) -> list[tuple[list[int], int]]:
-        if self._table is None:
-            self._table = self.sys.int_coefficients()
-        return self._table
+    @cached_property
+    def table(self) -> list[_Row]:
+        return self.sys.int_coefficients()
 
-    def rows_at(self, x: Sequence[Q],
-                rhs_sign: int = -1) -> list[tuple[list[int], int]]:
+    def rows_at(self, x: Sequence[Q], rhs_sign: int = -1) -> list[_Row]:
         """The rows of ``residual_rows`` at the point x (rhs_sign -1), or of
         the homogenized system at the direction x (0), from the table: row
         i over xd D_i for x scaled to integers xn over xd.  A bad x is
@@ -188,18 +184,18 @@ class Reading:
 
 
 def _failing_row(mids: list[int], rads: list[int],
-                 rows: Iterable[tuple[list[int], int]]
-                 ) -> Optional[tuple[int, int]]:
+                 rows: Iterable[_Row]) -> Optional[tuple[int, int, _Row]]:
     """The first row t for which the characterization inequality fails,
-    with w or -w, as (its index, the sign of mids.t), or None.  A row holds
-    t_k = w.v^(k) for k = 0..K as integers over one positive denominator,
-    so both sides times 2 L and that denominator are integer dots:
-    |mids.t| > rads.|t|, rads those of ``_Query``.  With w = e_i, t is row
-    i of the residual rows."""
-    for i, (t, _) in enumerate(rows):
+    with w or -w, as (its index, the sign of mids.t, the row), or None.  A
+    row holds t_k = w.v^(k) for k = 0..K as integers over one positive
+    denominator, so both sides times 2 L and that denominator are integer
+    dots: |mids.t| > rads.|t|, rads those of ``_Query``.  With w = e_i, t
+    is row i of the residual rows."""
+    for i, row in enumerate(rows):
+        t = row[0]
         c = sum(map(mul, mids, t))
         if abs(c) > sum(map(mul, rads, map(abs, t))):
-            return i, -1 if c < 0 else 1
+            return i, -1 if c < 0 else 1, row
     return None
 
 
@@ -214,12 +210,10 @@ class _Query:
     order, the reading's ``mids`` and its ``rads`` with the universal
     entries negated (the weights of |w.v^(k)| on the right of the
     characterization inequality), the existential box, the universal ends
-    and the separators its LPs returned (``ws``).  The system's class
-    (``classify`` under the assignment) is read when a decision first asks
-    for it; no membership question reads it, since ``decoupled`` reads the
-    point's rows.  A point comes as its rows, in the form of
-    ``residual_rows`` (a direction's as ``Reading.rows_at`` with the rhs
-    column weighted 0).
+    and the separators its LPs returned (``ws``), tried on each later
+    point before an LP.  The system's class (``classify``) is read when a
+    decision first asks for it.  A point comes as its rows, in the form
+    of ``residual_rows`` (a direction's as ``Reading.rows_at(y, 0)``).
     """
 
     def __init__(self, reading: Reading, quant: QuantifierAssignment):
@@ -242,35 +236,34 @@ class _Query:
         self.ends = [(lo[k], hi[k]) for k in self.forall]
         # the kept separators as integers (``scaled``)
         self.ws: list[list[int]] = []
-        self._flags: Optional[SystemClass] = None
 
-    @property
+    @cached_property
     def flags(self) -> SystemClass:
-        if self._flags is None:
-            self._flags = classify(self.reading.sys, self.quant)
-        return self._flags
+        return classify(self.reading.sys, self.quant)
 
-    def refute(self, rows: list[tuple[list[int], int]]
-               ) -> Optional[FarkasCertificate]:
-        """The first equation i that cannot hold alone, as the separator
-        w = sign(c_i) e_i (+1 when c_i = 0), or None when every one can.
+    def refute(self, rows: list[_Row], kept: Iterable[_Row] = ()
+               ) -> Optional[tuple[int, int, _Row]]:
+        """The first failing row, in integers, of the point's rows (w =
+        sign(c_i) e_i, +1 when c_i = 0) and then of ``kept`` (row m + j is
+        the j-th kept w at the point, ``_VertexLP.kept``), as
+        ``_failing_row`` gives it, or None; ``certificate`` makes it a
+        separator.  With w = +-e_i the inequality reads |c_i| <=
+        sum_{k existential} rad_k |v^(k)_i| - sum_{k universal} rad_k
+        |v^(k)_i|, c the residual at the box midpoint; both sides times
+        2 L D_i are integer dots of row i with ``mids`` and ``rads``."""
+        return _failing_row(self.mids, self.rads, chain(rows, kept))
 
-        With w = +-e_i the characterization inequality reads, for equation
-        i, |c_i| <= sum_{k existential} rad_k |v^(k)_i| - sum_{k universal}
-        rad_k |v^(k)_i|, c the residual at the box midpoint.  Row i is
-        v^(0)_i, ..., v^(K)_i over D_i, and 2 L mid_k = lo_k + hi_k and
-        2 L rad_k = hi_k - lo_k, so both sides times 2 L D_i are integer
-        dots.  u and v split t_k = w.v^(k) over the existential k as
-        ``_separator_from_farkas`` does; only they and w are Fractions.
-        """
-        failing = _failing_row(self.mids, self.rads, rows)
-        if failing is None:
-            return None
-        i, sign = failing
-        nums, den = rows[i]
-        zero = Q(0)
-        w = [zero] * len(rows)
-        w[i] = Q(sign)
+    def certificate(self, rows: list[_Row],
+                    failing: tuple[int, int, _Row]) -> FarkasCertificate:
+        """The separator of a row ``refute`` found: w (+-e_i, or a kept w
+        times the sign), and u and v splitting t_k = w.v^(k) over the
+        existential k as ``_separator_from_farkas`` does; only they and w
+        are Fractions."""
+        i, sign, (nums, den) = failing
+        zero, m = Q(0), len(rows)
+        w = [Q(sign * a) for a in self.ws[i - m]] if i >= m else [zero] * m
+        if i < m:
+            w[i] = Q(sign)
         u, v = [], []
         for k in self.exists:
             t = sign * nums[k + 1]
@@ -278,11 +271,11 @@ class _Query:
             v.append(Q(t, den) if t > 0 else zero)
         return FarkasCertificate(w, u, v)
 
-    def lp(self, rows: list[tuple[list[int], int]]) -> _VertexLP:
+    def lp(self, rows: list[_Row]) -> _VertexLP:
         """The vertex LP over rows."""
         return _VertexLP(self, rows)
 
-    def decoupled(self, rows: list[tuple[list[int], int]]) -> bool:
+    def decoupled(self, rows: list[_Row]) -> bool:
         """Does every existential parameter that is not thin meet at most
         one of the rows?  Then the row test decides the point both ways: at
         each universal vertex the rows are independent (a thin parameter is
@@ -292,8 +285,7 @@ class _Query:
         return all(sum(1 for nums, _ in rows if nums[k + 1]) < 2
                    for k in self.exists if self.rads[k + 1])
 
-    def member(self, rows: list[tuple[list[int], int]]
-               ) -> tuple[bool, Certificate]:
+    def member(self, rows: list[_Row]) -> tuple[bool, Certificate]:
         """Is the point of these rows a member?  See ``member_ae``: the
         vertex LP's ``separator`` decides, and a member takes the witness
         of its first vertex."""
@@ -303,36 +295,10 @@ class _Query:
             return False, sep
         return True, Certificate.witness(lp.witness())
 
-    def holds(self, rows: list[tuple[list[int], int]]) -> bool:
-        """Is the point of these rows a member?  Only the bool comes out,
-        so the point is tested first in integers: each row alone, as
-        ``refute`` tries it, which on decoupled rows (``decoupled``)
-        decides both ways, then each kept separator w, with both signs, in
-        the characterization inequality.  A w that violates it refutes the
-        point whatever the LP would say, so a refuted point asks no LP.
-        The vertex LPs decide what is left, and the w of each one that
-        refutes its point is kept for the points after it.  A separator w
-        combines the rows over their lcm D: t_k is the sum of w_i times
-        row i's k-th entry times D / D_i."""
-        mids, rads = self.mids, self.rads
-        if _failing_row(mids, rads, rows) is not None:
-            return False
-        if self.decoupled(rows):
-            return True
-        if self.ws:
-            D = lcm(*[den for _, den in rows])
-            cols = list(zip(*[[a * (D // den) for a in nums]
-                              for nums, den in rows]))
-            if _failing_row(mids, rads, (
-                    ([sum(map(mul, w, col)) for col in cols], D)
-                    for w in self.ws)) is not None:
-                return False
-        ok, cert = self.lp(rows).member()
-        if not ok:
-            # w refutes this point, which no kept separator does, so w is
-            # none of them
-            self.ws.append(scaled(cert.separator.w)[0])
-        return ok
+    def holds(self, rows: list[_Row]) -> bool:
+        """Is the point of these rows a member?  The vertex LP's
+        ``refuter`` decides, and no certificate is built."""
+        return self.lp(rows).refuter() is None
 
 
 class _VertexLP:
@@ -350,16 +316,29 @@ class _VertexLP:
     dot, handed on as an ``IntRhs`` over L, which ``basis_holds`` reads
     too; no vertex is built as Fractions.  The first vertex is the lower
     ends, which is all a witness reads of it.  Its cold LP is solved once
-    (``first``), so ``member``, ``strict`` and ``witness`` share it, in
-    whatever order they are asked.
+    (``first``), so ``refutation``, ``strict`` and ``witness`` share it, in
+    whatever order they are asked.  ``E`` and ``cols`` are read off the
+    rows when an LP first needs them, so a point that the integer tests
+    settle builds neither, and ``decoupled`` is asked once per point.
     """
 
-    def __init__(self, query: _Query, rows: list[tuple[list[int], int]]):
+    def __init__(self, query: _Query, rows: list[_Row]):
         self.query, self.rows = query, rows
-        self.E = [[nums[k + 1] for k in query.exists] for nums, _ in rows]
-        self.dens = [den for _, den in rows]
-        self.cols = [[nums[k] for k in (0, *(k + 1 for k in query.forall))]
-                     for nums, _ in rows]
+
+    @cached_property
+    def dens(self) -> list[int]:
+        return [den for _, den in self.rows]
+
+    @cached_property
+    def E(self) -> list[list[int]]:
+        return [[nums[k + 1] for k in self.query.exists]
+                for nums, _ in self.rows]
+
+    @cached_property
+    def cols(self) -> list[list[int]]:
+        """The constant and universal entries of the rows (``vertices``)."""
+        keep = (0, *(k + 1 for k in self.query.forall))
+        return [[nums[k] for k in keep] for nums, _ in self.rows]
 
     def vertices(self) -> Iterator[IntRhs]:
         """The rhs at each universal vertex, in ``box_vertices`` order over
@@ -370,8 +349,24 @@ class _VertexLP:
             yield IntRhs([-sum(map(mul, coef, col)) for col in self.cols], L)
 
     @cached_property
+    def decoupled(self) -> bool:
+        return self.query.decoupled(self.rows)
+
+    def kept(self) -> Iterator[_Row]:
+        """The row t of each kept w at this point, over the rows' lcm D, on
+        rows that are not decoupled: t_k = sum_i w_i nums_i[k] D / D_i.
+        Nothing is read before the point's own rows have passed."""
+        if self.decoupled:
+            return
+        D = lcm(*self.dens)
+        cols = list(zip(*[[a * (D // den) for a in nums]
+                          for nums, den in self.rows]))
+        for w in self.query.ws:
+            yield [sum(map(mul, w, col)) for col in cols], D
+
+    @cached_property
     def first(self) -> LPResult:
-        """The cold LP at the first vertex, solved once for ``member``,
+        """The cold LP at the first vertex, solved once for ``refutation``,
         ``strict`` and ``witness``, whichever asks first."""
         return self._lp(next(self.vertices()))
 
@@ -380,32 +375,44 @@ class _VertexLP:
         return lp_feasible(IntRowPolyhedron(self.E, self.dens, rhs,
                                             self.query.box))
 
-    def member(self) -> tuple[bool, Certificate]:
-        """Is the rhs reached at every vertex?  See ``member_ae``."""
+    def refutation(self) -> Optional[Infeasible]:
+        """The first vertex LP that does not reach its rhs, or None when
+        every vertex does; no row test and no witness.  See
+        ``member_ae``."""
         for i, rhs in enumerate(self.vertices()):
             if i and basis_holds(res, rhs):
                 continue
             res = self._lp(rhs) if i else self.first
             if isinstance(res, Infeasible):
-                return False, Certificate.separator(_separator_from_farkas(res))
-        return True, Certificate.witness(self.witness())
+                return res
+        return None
+
+    def refuter(self) -> Union[None, Infeasible, tuple[int, int, _Row]]:
+        """What refutes the rows' point, or None for a member, in the one
+        order of a membership question, with no certificate built: the
+        integer tests' failing row (``_Query.refute``), then nothing more
+        on decoupled rows, where those tests are exact, then the vertex
+        LPs' ``Infeasible`` (``refutation``), whose w is kept in the
+        query's ``ws`` for the points after it."""
+        query = self.query
+        found = query.refute(self.rows, self.kept() if query.ws else ())
+        if found is not None or self.decoupled:
+            return found
+        res = self.refutation()
+        if res is not None:
+            query.ws.append(scaled(res.eq_mult)[0])
+        return res
 
     def separator(self) -> Optional[Certificate]:
-        """The separator that refutes the rows' point, or None for a
-        member, asked in one order: the row test first (``_Query.refute``),
-        whose failing equation is the separator w = +-e_i with no LP; on
-        decoupled rows (``_Query.decoupled``) that test is exact, so a
-        point it passes is a member with no LP (``witness`` solves the
-        first vertex if it is asked for); any other point asks ``member``,
-        so a point no row refutes gets the LP's separator."""
-        query = self.query
-        sep = query.refute(self.rows)
-        if sep is not None:
-            return Certificate.separator(sep)
-        if query.decoupled(self.rows):
+        """The separator of what ``refuter`` found, or None for a member:
+        a failing row's (``_Query.certificate``) or a vertex LP's
+        (``_separator_from_farkas``)."""
+        found = self.refuter()
+        if found is None:
             return None
-        ok, cert = self.member()
-        return None if ok else cert
+        if isinstance(found, Infeasible):
+            return Certificate.separator(_separator_from_farkas(found))
+        return Certificate.separator(self.query.certificate(self.rows, found))
 
     def witness(self) -> Vector:
         """The witness of a member: the universal lower ends, which are the
@@ -421,7 +428,7 @@ class _VertexLP:
         ``strict_kernel_member_ae``."""
         if not self.E:  # m == 0: no axis
             return True, Q(1)
-        if self.query.decoupled(self.rows):
+        if self.decoupled:
             return self._strict_decoupled()
         best: Optional[Q] = None
         for i, rhs in enumerate(self.vertices()):
@@ -494,13 +501,10 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     """Is x in the AE solution set for the given quantifier assignment?
 
     One query reads the box and refuses bad quantifiers (``_Query``), and
-    each equation is tried alone first (``_Query.refute``): an equation
-    whose residual at the box midpoint exceeds its existential spread less
-    its universal one cannot hold, and refutes x with w = +-e_i and no LP.
-    On decoupled rows (``_Query.decoupled``: no existential parameter that
-    is not thin meets two of x's rows) that test is exact, and a member
-    takes the witness of the first universal vertex alone, one LP;
-    otherwise the vertex LPs decide what it leaves.
+    the vertex LP's ``separator`` decides: an equation whose residual at
+    the box midpoint exceeds its existential spread less its universal one
+    refutes x with w = +-e_i and no LP, and on decoupled rows that test is
+    exact; a member takes the witness of the first universal vertex.
 
     The admissible universal parameters form a convex set (projection of a
     polyhedron), so containment of the whole universal box is decided at its
@@ -519,15 +523,12 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
                      y: Sequence[Q]) -> tuple[bool, Certificate]:
-    """AE membership of the homogenized system, decided by the vertex LPs
-    alone, with no row test first, so that its separators (``pilsys
-    kernel``'s output) stay those of the LP.  ``decide_unbounded``'s THM2
-    asks the row test first (``_VertexLP.separator``), so the same verdict
-    can come with another separator there: on x1 = 1, x1 + p x2 = p with
-    p in [0, 1] and y = (1, 0) this gives w = (1, 1), the row test
-    w = (1, 0)."""
+    """AE membership of the homogenized system: ``member_ae``'s one order on
+    the direction's rows (``Reading.rows_at(y, 0)``), so a direction that
+    one equation refutes gets the separator w = +-e_i with no LP, the same
+    certificate as ``decide_unbounded``'s THM2."""
     query = _Query(Reading(sys), quant)
-    return query.lp(query.reading.rows_at(y, 0)).member()
+    return query.member(query.reading.rows_at(y, 0))
 
 
 def member_tolerable(tsys: TolerableSystem,

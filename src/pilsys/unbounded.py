@@ -3,14 +3,16 @@
 The stages of ``decide_unbounded``, in order:
 
 (i)   kernel (THM2): AE kernel membership is necessary; a separator of the
-      homogenized system certifies NO.  The row test comes first
-      (``_VertexLP.separator``): an equation of the homogenized system
-      that fails alone is the separator w = +-e_i, with no LP.  On
-      decoupled kernel rows (every existential parameter that is not thin
-      meets at most one of them, ``_Query.decoupled``) that test is exact,
-      and a direction that passes it is in the kernel with no LP; the
-      witness LP then runs only when (v) reads the kernel witness.  Only
-      coupled rows that no equation refutes alone ask the vertex LP.
+      homogenized system certifies NO.  It is asked in the one order of a
+      membership question (``_VertexLP.separator``), the order of ``pilsys
+      kernel`` too, so both give the same separator: an equation of the
+      homogenized system that fails alone is the separator w = +-e_i, with
+      no LP.  On decoupled kernel rows (every existential parameter that
+      is not thin meets at most one of them, ``_Query.decoupled``) that
+      test is exact, and a direction that passes it is in the kernel with
+      no LP; the witness LP then runs only when (v) reads the kernel
+      witness.  Only coupled rows that no equation refutes alone ask the
+      vertex LP.
 (ii)  tolerable form (THM7): with universal parameters and existential ones
       that touch only b, the set is a polyhedron whose recession cone is the
       AE kernel, so a member base point certifies YES.
@@ -245,10 +247,11 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
     Once alpha = 1 holds on rows that are not decoupled, one vertex LP over
     the rows at alpha = 0 stacked on those at alpha = 1 asks for a common
     witness, a p in the box (one per universal vertex) with A(p) x0 = b(p)
-    and A(p) y = 0.  That p solves every combination, so if it exists every
-    alpha is a member and no other LP is asked; the report is the same
-    whether that LP is asked or not.  The alphas reported are a prefix of
-    ``_ALPHAS``.
+    and A(p) y = 0, of the LPs alone (``refutation``): the query's kept
+    separators have one entry per row of one point.  That p solves every
+    combination, so if it exists every alpha is a member and no other LP
+    is asked; the report is the same whether that LP is asked or not.
+    The alphas reported are a prefix of ``_ALPHAS``.
     """
     # row i at alpha is (u + alpha*w) / den, with u / den = r0_i and
     # w / den = ky_i over the product den of their denominators
@@ -267,7 +270,7 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
             tested, first_exit = i + 2, _ALPHAS[i + 1]
             break
         if i == 0 and not query.decoupled(at) \
-                and query.lp(rows(0) + at).member()[0]:
+                and query.lp(rows(0) + at).refutation() is None:
             break
     return ProbeReport(x0, y, _ALPHAS[:tested], first_exit,
                        exhausted=first_exit is None)

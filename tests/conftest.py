@@ -68,6 +68,17 @@ def query(sys, quant=None):
                              quant or QuantifierAssignment.all_exists(sys.K))
 
 
+def lp_verdict(lp):
+    """(ok, certificate) of a vertex LP (``query.lp(rows)``) alone, with no
+    row test and no kept separator first: ``refutation()``'s Farkas
+    certificate, or the witness of a member."""
+    res = lp.refutation()
+    if res is None:
+        return True, membership.Certificate.witness(lp.witness())
+    return False, membership.Certificate.separator(
+        membership._separator_from_farkas(res))
+
+
 def kernel_rows(sys, y):
     """The kernel rows of the direction y, A^(k)_i y for k = 0..K, as a
     decision reads them: from a reading's table with the rhs column

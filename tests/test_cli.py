@@ -166,7 +166,7 @@ PINNED = [
     (("kernel", "E1", "--dir", "0,-1", "--strict"),
      "IN KERNEL (witness p = 0)\nSTRICT: no (eps = 0)\n"),
     (("kernel", "E1", "--dir", "1,0", "--strict"),
-     "NOT IN KERNEL (separator w = 1,1)\nSTRICT: no (eps = 0)\n"),
+     "NOT IN KERNEL (separator w = 1,0)\nSTRICT: no (eps = 0)\n"),
     (("kernel", "E3", "--dir", "1", "--strict"),
      "IN KERNEL (witness p = 0)\nSTRICT: yes (eps = 1)\n"),
     (("unbounded", "E1", "--dir", "0,-1"),
@@ -495,10 +495,10 @@ class TestVerify:
         refuted = Counter()
         real = membership._Query.refute
 
-        def spy(query, rows):
-            sep = real(query, rows)
-            refuted[sep is not None] += 1
-            return sep
+        def spy(query, rows, *kept):
+            failing = real(query, rows, *kept)
+            refuted[failing is not None] += 1
+            return failing
 
         monkeypatch.setattr(membership._Query, "refute", spy)
         code, out, _ = run(capsys, "verify", str(path), "--samples", "12",

@@ -9,7 +9,9 @@ command line would pay for at start-up, no import of ``oracle`` outside
 change in place to a system's coefficients, parameters or intervals, which
 systems share by reference, and no optional reading or box handed down,
 with the vertex LP named outside ``membership.py``, which keeps every
-membership question asked through one query object, no integer rows read
+membership question asked through one query object, no row test or vertex
+LP asked in ``membership.py`` outside the one method that asks each, which
+keeps one order of a membership question, no integer rows read
 outside ``membership.py`` and none by the certificate checks and oracles,
 which keeps those checks apart from the solver, and no refusal other than
 a ``ValueError``, which is what ``cli.main`` reports.  An import
@@ -206,6 +208,37 @@ def query_knobs(path):
             if text.replace(" ", "") in KNOBS:
                 found.append((node.lineno, node.arg))
     return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+# A membership question is asked in one order (``_VertexLP.refuter``):
+# the integer tests first (``_Query.refute``, which alone runs the row
+# test and the kept separators), then the vertex LPs (``_VertexLP._lp``,
+# which alone solves one).  No other code of ``membership.py`` may ask
+# either for itself, which would be a second order.
+ONE_ORDER = {"_failing_row": "_Query.refute", "lp_feasible": "_VertexLP._lp"}
+
+
+def order_bypasses(path):
+    """Each call of a name of ONE_ORDER from anywhere but its one caller,
+    by qualified name, in line order."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) \
+                else node.func.attr
+            if name in ONE_ORDER and ONE_ORDER[name] != where:
+                found.append(f"line {node.lineno}: {name} in "
+                             f"{where or 'the module'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(_tree(path), "")
+    return found
 
 
 # The readers of a system's integer rows: a point's rows straight from the
@@ -426,6 +459,36 @@ def test_query_check_catches_offenders(tmp_path):
                    "def lp(reading: Reading) -> _VertexLP:\n"
                    "    return _VertexLP()\n")
     assert query_knobs(own) == []
+
+
+def test_one_order_of_membership():
+    assert order_bypasses(SRC / "membership.py") == []
+
+
+def test_order_check_catches_offenders(tmp_path):
+    path = tmp_path / "membership.py"
+    path.write_text("def _failing_row(mids, rads, rows):\n"
+                    "    return None\n"
+                    "class _Query:\n"
+                    "    def refute(self, rows):\n"
+                    "        return _failing_row(self.mids, self.rads, rows)\n"
+                    "    def holds(self, rows):\n"
+                    "        if _failing_row(self.mids, self.rads, rows):\n"
+                    "            return False\n"
+                    "        return exact.lp_feasible(self.lp(rows).P)\n"
+                    "class _VertexLP:\n"
+                    "    def _lp(self, rhs):\n"
+                    "        return lp_feasible(rhs)\n"
+                    "    def refutation(self):\n"
+                    "        def cold(rhs):\n"
+                    "            return lp_feasible(rhs)\n"
+                    "        return cold\n"
+                    "_failing_row([], [], [])\n")
+    assert order_bypasses(path) == [
+        "line 7: _failing_row in _Query.holds",
+        "line 9: lp_feasible in _Query.holds",
+        "line 15: lp_feasible in _VertexLP.refutation.cold",
+        "line 17: _failing_row in the module"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -8,7 +8,7 @@ import pytest
 from conftest import (gen_class_c, gen_decoupled_ae, gen_first_class,
                       gen_general, gen_ordinary, gen_quantified,
                       gen_tolerable_nonempty, gen_wide_ordinary, kernel_rows,
-                      load, query, random_point, tableau_state,
+                      load, lp_verdict, query, random_point, tableau_state,
                       with_scaled_rows, with_thin_params)
 from pilsys import membership
 from pilsys.exact import (AffineSolutionSet, FarkasCertificate, Feasible,
@@ -38,7 +38,7 @@ PX_EQ_Q = {"m": 1, "n": 1, "parameters": [
 def lp_member(sys, quant, x):
     """``member_ae`` on its vertex LPs alone, with no row test first: the
     path whose LP counts and certificates the tests below pin."""
-    return query(sys, quant).lp(residual_rows(sys, x)).member()
+    return lp_verdict(query(sys, quant).lp(residual_rows(sys, x)))
 
 
 class TestMemberUnited:
@@ -614,10 +614,10 @@ def test_decoupled_strict_matches_the_row_shift_reference(monkeypatch):
         asked.clear()
         assert strict_kernel_member_ae(sys, quant, y) == (ok, eps), trial
         assert asked == [], trial
-        in_kernel, cert = query(sys, quant).lp(kernel_rows(sys, y)).member()
+        in_kernel, cert = lp_verdict(query(sys, quant).lp(kernel_rows(sys, y)))
         refuted = qry.refute(ky)
         if refuted is not None:
-            cert = Certificate.separator(refuted)
+            cert = Certificate.separator(qry.certificate(ky, refuted))
         asked.clear()
         assert lp.separator() == (None if in_kernel else cert), trial
         assert not ((in_kernel or refuted) and asked), trial
@@ -928,7 +928,9 @@ class TestLPShape:
                 continue  # decoupled rows ask no LP (see below)
             checked += 1
             lps.clear()
-            member_ae_kernel(sys, quant, y)
+            # the vertex LPs alone: the row test would settle some
+            # directions with no LP
+            query(sys, quant).lp(kernel_rows(sys, y)).refutation()
             kernel = lps[0][0]
             lps.clear()
             shifts.clear()
@@ -1036,7 +1038,8 @@ def test_certificates_pinned():
 
 
 def test_vertex_lp_builds_fractions_only_for_its_results(monkeypatch):
-    """A whole ``_VertexLP.member`` builds Fractions only for what it
+    """The vertex LPs' whole verdict (``lp_verdict``: ``refutation()``,
+    then the witness or the separator) builds Fractions only for what it
     returns: the point or Farkas multipliers of each cold LP it solves, and
     the witness or separator made from them.  Its rows, box, right-hand
     sides, warm re-checks and the sign tests of a separator are integers."""
@@ -1077,7 +1080,7 @@ def test_vertex_lp_builds_fractions_only_for_its_results(monkeypatch):
         built[0] = 0
         active = True
         try:
-            ok, cert = lp.member()
+            ok, cert = lp_verdict(lp)
         finally:
             active = False
         entries = sum(len(r.point) if isinstance(r, Feasible)
@@ -1183,7 +1186,7 @@ def test_vertex_lp_walks_no_fraction_vertex(monkeypatch):
         sys, quant = gen_quantified(rng, 2, 2, n_forall=rng.randint(1, 2))
         y = random_point(rng, sys.n, -1, 1) if trial % 2 else [Q(0)] * sys.n
         lp = query(sys, quant).lp(kernel_rows(sys, y))
-        ok, cert = lp.member()
+        ok, cert = lp_verdict(lp)
         lp.strict()
         if ok:
             assert [cert.witness_p[k] for k in lp.query.forall] == \
@@ -1197,13 +1200,13 @@ def _member_reference(qry, rows):
     """``_Query.member`` in three steps of its own: the row test's
     separator, then on decoupled rows with universal parameters the first
     vertex's witness, then the vertex LPs."""
-    sep = qry.refute(rows)
-    if sep is not None:
-        return False, Certificate.separator(sep)
+    failing = qry.refute(rows)
+    if failing is not None:
+        return False, Certificate.separator(qry.certificate(rows, failing))
     lp = qry.lp(rows)
     if qry.forall and qry.decoupled(rows):
         return True, Certificate.witness(lp.witness())
-    return lp.member()
+    return lp_verdict(lp)
 
 
 def test_member_matches_the_three_step_reference():
@@ -1246,10 +1249,12 @@ class TestRowSeparator:
             ok, cert = member_ae(sys, quant, x)
             assert ok == lp_member(sys, quant, x)[0]
             assert ok == ae_vertex_oracle(sys, quant, x)
-            sep = query(sys, quant).refute(residual_rows(sys, x))
-            if sep is None:
+            qry, rows = query(sys, quant), residual_rows(sys, x)
+            failing = qry.refute(rows)
+            if failing is None:
                 seen["lp", ok] += 1
                 continue
+            sep = qry.certificate(rows, failing)
             seen["row"] += 1
             assert not ok and cert.separator == sep
             w = sep.w

@@ -8,15 +8,16 @@ import pytest
 from conftest import (gen_class_c, gen_decoupled_ae, gen_first_class,
                       gen_general, gen_ordinary, gen_quantified,
                       gen_tolerable_nonempty, gen_wide_ordinary, kernel_rows,
-                      query, random_point,
+                      lp_verdict, query, random_point,
                       with_big_denominators, with_scaled_rows,
                       with_thin_params)
 from pilsys import cones, membership, model, oracle, unbounded
 from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import (AffineSolutionSet, UniqueSolution, lin_solve,
                           lp_feasible, zeros)
-from pilsys.membership import (Certificate, member_ae, member_kernel,
-                               member_united, strict_kernel_member_ae,
+from pilsys.membership import (Certificate, member_ae, member_ae_kernel,
+                               member_kernel, member_united,
+                               strict_kernel_member_ae,
                                validate_certificate, witness_resubstitutes)
 from pilsys.model import (CLASS_C, FIRST_CLASS, ORDINARY, Interval, Parameter,
                           ParametricSystem,
@@ -243,13 +244,13 @@ class TestProbeRay:
         x0, y = [Q(0), Q(0)], [Q(1), Q(1)]
         want = reference_probe(sys, quant, x0, y)
         calls = []
-        real = membership._VertexLP.member
+        real = membership._VertexLP.refutation
 
-        def member(lp):
+        def refutation(lp):
             calls.append(len(lp.E))
             return real(lp)
 
-        monkeypatch.setattr(membership._VertexLP, "member", member)
+        monkeypatch.setattr(membership._VertexLP, "refutation", refutation)
         rep = probe_ray(sys, quant, x0, y)
         assert rep == want
         # the set is the diagonal from 0 to (1, 1); alpha = 0 takes its
@@ -404,17 +405,19 @@ class TestCascadeWalk:
 
     def test_ae_base_point_takes_no_second_alpha_0_lp(self, monkeypatch):
         queries = []  # [rows key, LPs solved] per vertex-LP query
-        member, solve = membership._VertexLP.member, membership.lp_feasible
+        refutation = membership._VertexLP.refutation
+        solve = membership.lp_feasible
 
-        def counting_member(lp):
+        def counting_refutation(lp):
             queries.append([rows_key(lp), 0])
-            return member(lp)
+            return refutation(lp)
 
         def counting_solve(P):
             queries[-1][1] += 1
             return solve(P)
 
-        monkeypatch.setattr(membership._VertexLP, "member", counting_member)
+        monkeypatch.setattr(membership._VertexLP, "refutation",
+                            counting_refutation)
         monkeypatch.setattr(membership, "lp_feasible", counting_solve)
         probed = 0
         for sys, quant, y in self.cases(71, 20):
@@ -550,11 +553,16 @@ class TestSeparatorPool:
             for x in near + [random_point(rng, sys.n) for _ in range(8)]:
                 kept = [[Q(a) for a in w] for w in qry.ws]
                 lps.clear()
+                rows = reading.rows_at(x)
                 # a point the integers refute asks no LP; a first-class
                 # system asks none either way
-                settled = not qry.holds(reading.rows_at(x)) and not lps
+                ok = qry.holds(rows)
+                settled = not ok and not lps
                 assert settled == any(separator_validates(sys, q, x, w)
                                       for w in units + kept)
+                # the query certifies each point it refutes, a kept w too
+                assert ok or validate_certificate(sys, q, x,
+                                                  qry.lp(rows).separator())
                 if settled:
                     assert not member_ae(sys, q, x)[0]
                     by_row = any(separator_validates(sys, q, x, w)
@@ -832,15 +840,17 @@ class TestKernelRowTest:
         asked = self.spied(monkeypatch)
         seen = Counter()
         for sys, quant, y, ky in self.cases(rng, 180):
-            sep = query(sys, quant).refute(ky)
-            if sep is None:
+            qry = query(sys, quant)
+            failing = qry.refute(ky)
+            if failing is None:
                 continue
             asked.clear()
             v = decide_unbounded(sys, quant, y)
             assert asked == []
             assert (v.status, v.rule) == (Status.CERTIFIED_NO, Rule.THM2)
-            assert v.evidence == Certificate.separator(sep)
-            assert repr(v.evidence) == repr(Certificate.separator(sep))
+            sep = Certificate.separator(qry.certificate(ky, failing))
+            assert v.evidence == sep
+            assert repr(v.evidence) == repr(sep)
             assert validate_certificate(sys.homogenized(), quant, y,
                                         v.evidence)
             seen[query(sys, quant).decoupled(ky), bool(quant.forall_set)] += 1
@@ -856,7 +866,7 @@ class TestKernelRowTest:
             qry = query(sys, quant)
             if qry.refute(ky) is not None or qry.decoupled(ky):
                 continue
-            in_kernel, cert = qry.lp(ky).member()
+            in_kernel, cert = lp_verdict(qry.lp(ky))
             asked.clear()
             v = decide_unbounded(sys, quant, y)
             if in_kernel:
@@ -867,6 +877,34 @@ class TestKernelRowTest:
                 assert repr(v.evidence) == repr(cert)
             seen[in_kernel] += 1
         assert seen[False] >= 10, seen
+
+    def test_pilsys_kernel_and_thm2_agree(self, e1):
+        """``member_ae_kernel`` (``pilsys kernel``) asks a direction in the
+        order THM2 asks it, so every THM2 NO comes with the separator that
+        the kernel query returns, a row-refuted direction's w = +-e_i as
+        well as an LP's w."""
+        rng = random.Random(3636)
+        cases = [(e1.system, None, [Q(1), Q(0)])]
+        for _ in range(120):
+            sys = gen_general(rng, 3, 4)
+            cases.append((sys, None, random_point(rng, sys.n, -1, 1)))
+            cases.append(gen_quantified(rng, 2, 3)
+                         + (random_point(rng, 3, -1, 1),))
+        seen = Counter()
+        for sys, quant, y in cases:
+            if not any(y):
+                continue
+            v = decide_unbounded(sys, quant, y)
+            if v.rule is not Rule.THM2:
+                continue
+            q = quant or QuantifierAssignment.all_exists(sys.K)
+            assert member_ae_kernel(sys, q, y) == (False, v.evidence)
+            ky = kernel_rows(sys, y)
+            seen["by a row" if query(sys, q).refute(ky) else "by the LP"] += 1
+        assert seen["by a row"] >= 10 and seen["by the LP"] >= 5, seen
+        # on x1 = 1, x1 + p x2 = p the first equation refutes y = (1, 0)
+        assert member_ae_kernel(e1.system, QuantifierAssignment.all_exists(1),
+                                [Q(1), Q(0)])[1].separator.w == [1, 0]
 
 
 class TestClassifyCalls:
@@ -1185,8 +1223,8 @@ class TestKernelWitnessProbe:
                       null_direction(rng, sys, sys.midpoint())):
                 if y is None or not any(y):
                     continue
-                ok, cert = query(sys, quant).lp(
-                    kernel_rows(sys, y)).member()
+                ok, cert = lp_verdict(query(sys, quant).lp(
+                    kernel_rows(sys, y)))
                 if not ok:
                     continue
                 p = cert.witness_p
@@ -1453,7 +1491,7 @@ class TestDecideUnboundedTolerable:
         assert v.detail == "no base point of the tolerable set found"
 
     def test_kernel_matches_long_probes(self):
-        from pilsys.membership import member_ae_kernel, member_tolerable
+        from pilsys.membership import member_tolerable
         rng = random.Random(47)
         checked = 0
         for trial in range(8):

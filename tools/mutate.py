@@ -39,8 +39,12 @@ TARGETS = [
     ("membership.py", "validate_certificate"),
     ("membership.py", "witness_resubstitutes"),
     ("membership.py", "_failing_row"),
+    ("membership.py", "_Query.refute"),
+    ("membership.py", "_Query.certificate"),
     ("membership.py", "_Query.decoupled"),
     ("membership.py", "_Query.member"),
+    ("membership.py", "_VertexLP.refutation"),
+    ("membership.py", "_VertexLP.refuter"),
     ("membership.py", "_VertexLP.separator"),
     ("membership.py", "_VertexLP._strict_decoupled"),
     ("exact.py", "check_infeasibility_certificate"),
@@ -62,6 +66,12 @@ EQUIVALENT = {
     "val * best[1] <= best[0] * den":
         "a tie keeps another (num, den) of the same value, and only the "
         "value Q(*best) comes out",
+    "certificate: t < 0 -> t <= 0":
+        "at t = 0, Q(-t, den) is Fraction(0, 1), equal to zero with the same "
+        "repr, and each existential k still builds at most one Fraction",
+    "certificate: t > 0 -> t >= 0":
+        "at t = 0, Q(t, den) is Fraction(0, 1), equal to zero with the same "
+        "repr, and each existential k still builds at most one Fraction",
     "residual_rows: D > 1 -> D >= 1":
         "D is a positive lcm, and at D = 1 every den is 1, so each num is "
         "times D // den = 1 either way",
