@@ -25,8 +25,7 @@ if TYPE_CHECKING:
                              member_tolerable, member_united,
                              strict_kernel_member, strict_kernel_member_ae,
                              validate_certificate, witness_resubstitutes)
-    from .cones import (classC_decomposition, orthant_decomposition,
-                        special_class_unbounded_equality)
+    from .cones import decompose, special_class_unbounded_equality
     from .unbounded import (ProbeReport, Rule, Status, UnboundedVerdict,
                             decide_unbounded, find_base_points, probe_ray)
     from .oracle import (ae_vertex_oracle, fm_member_oracle,
@@ -48,8 +47,7 @@ _EXPORTS = {name: module for module, names in (
                    "member_kernel member_tolerable member_united "
                    "strict_kernel_member strict_kernel_member_ae "
                    "validate_certificate witness_resubstitutes"),
-    ("cones", "classC_decomposition orthant_decomposition "
-              "special_class_unbounded_equality"),
+    ("cones", "decompose special_class_unbounded_equality"),
     ("unbounded", "ProbeReport Rule Status UnboundedVerdict decide_unbounded "
                   "find_base_points probe_ray"),
     ("oracle", "ae_vertex_oracle fm_member_oracle member_first_class "

@@ -8,18 +8,17 @@ kernel is an ordinary polyhedron in exact rationals.  One linearization,
 A_c -+ sum_k s_k G_k on the region of the sign vector s, builds both pieces;
 the kernel piece is that linearization with a zero right-hand side.
 
-The linearization is built in integers from one ``Reading`` of the system:
-the box scaled once, lo_k and hi_k over one scale L, so that
-2 L mid_k = lo_k + hi_k and 2 L rad_k = hi_k - lo_k, and row i of the
-system read once as integers over D_i (its ``int_coefficients`` table).
-``decompose`` and ``first_unbounded_piece`` take that reading, and the
-system's class, from one united query (``membership._Query``): a decision
-hands its own on, so it reads and classifies its system once.  Every row of
-a piece is then integers over the one denominator 2 L D_i, and each piece
-is an ``IntRowPolyhedron`` that the simplex reads as it is.  A piece keeps
-only that form, and a Fraction ``Polyhedron`` is built only where one is
-read (``Piece.solution_piece`` and ``Piece.kernel_piece``: ``classify
---decompose``, a check of PROP1/PROP2 evidence, a repr).
+The linearization is built in integers from one united query of the
+system (``membership._Query``): its box over one scale L, so that
+2 L mid_k and 2 L rad_k are integers, and row i of its
+``int_coefficients`` table over D_i.  ``first_unbounded_piece`` takes a
+decision's query, so a decision reads and classifies its system once.
+Every row of a piece is then integers over the one denominator 2 L D_i,
+and each piece is an ``IntRowPolyhedron`` that the simplex reads as it
+is.  A piece keeps only that form, and a Fraction ``Polyhedron`` is built
+only where one is read (``Piece.solution_piece`` and
+``Piece.kernel_piece``: ``classify --decompose``, a check of PROP1/PROP2
+evidence, a repr).
 
 ``decompose`` decides the nonemptiness of every piece, and the point that a
 piece's LP finds settles, with no LP, each later piece that contains it:
@@ -30,8 +29,7 @@ tested against its box in integers: a row whose least value over the box
 exceeds its right-hand side proves the piece empty with no LP.
 
 The piece builders take a system of their class as given: ``_pieces``
-picks one by the class its query reads, and ``orthant_decomposition`` and
-``classC_decomposition`` refuse a system of the other class first.
+picks one by the class its query reads, and refuses a system of neither.
 """
 
 from __future__ import annotations
@@ -42,9 +40,8 @@ from typing import Iterator, Optional, Sequence
 
 from .exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron, Q,
                     Vector, _NO_ROWS, _Record, lp_feasible, recession_cone)
-from .membership import Reading, _Query
-from .model import (CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment,
-                    classify)
+from .membership import _Query
+from .model import CLASS_C, ORDINARY, ParametricSystem, QuantifierAssignment
 
 ORTHANT = "ORTHANT"
 SIGNCONE = "SIGNCONE"
@@ -125,14 +122,14 @@ RawPieces = Iterator[tuple[SignVector, IntRowPolyhedron, IntRowPolyhedron]]
 _NO_E: list = []
 
 
-def _linearization(sc: Reading, gens, region) -> RawPieces:
+def _linearization(query: _Query, gens, region) -> RawPieces:
     """One piece per sign vector s of the generators G_k, each given by its
     nonzero entries (i, j, value) as integers over row i's denominator: the
     matrices A_c -+ sum_k s_k G_k, and the sign region region(s) as rows of
     C (each <= 0, integers over their own denominators) plus a box.  A_c
-    and b_c are the system at the box midpoint (``Reading.system_at`` at
-    the reading's ``mids``), and each midpoint or radius combination of row
-    i of the reading's table is an integer over 2 L D_i, the row's
+    and b_c are the system at the box midpoint (``_Query.system_at`` at
+    the query's ``mids``), and each midpoint or radius combination of row
+    i of the query's table is an integer over 2 L D_i, the row's
     denominator here.
 
     The solution piece has right-hand side (b_c + Delta_b; Delta_b - b_c; 0).
@@ -140,10 +137,10 @@ def _linearization(sc: Reading, gens, region) -> RawPieces:
     which is the kernel characterization of the homogenized system.  Pieces
     are built as they are asked for, and no LP is run here.
     """
-    n = sc.n
-    dens = [2 * sc.L * D for _, D in sc.table]
-    Ac, bc = sc.system_at(sc.mids)
-    db = [sc.spread(ints, n) for ints, _ in sc.table]
+    n = query.n
+    dens = [2 * query.L * D for _, D in query.table]
+    Ac, bc = query.system_at(query.mids)
+    db = [query.spread(ints, n) for ints, _ in query.table]
     rhs = [b + d for b, d in zip(bc, db)] + [d - b for b, d in zip(bc, db)]
     for sv in _sign_vectors(len(gens)):
         lower = [row[:] for row in Ac]
@@ -208,86 +205,71 @@ def _decomposition(mode: str, pieces: RawPieces) -> PieceDecomposition:
     return PieceDecomposition(mode, out)
 
 
-def _orthant_pieces(sc: Reading) -> RawPieces:
-    """The orthant linearization of an ordinary system, read from sc: the
+def _orthant_pieces(query: _Query) -> RawPieces:
+    """The orthant linearization of an ordinary system, read from query: the
     generators are the columns of Delta_A, and the orthant s_j x_j >= 0 is
     given as bounds.  The cap is checked before any piece is built."""
-    n = sc.n
+    n = query.n
     if n > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"dimension {n} exceeds the 2^n cap "
                                     f"of {_DECOMPOSITION_CAP}")
-    spreads = [[sc.spread(ints, j) for j in range(n)] for ints, _ in sc.table]
+    spreads = [[query.spread(ints, j) for j in range(n)]
+               for ints, _ in query.table]
     gens = [[(i, j, row[j]) for i, row in enumerate(spreads) if row[j]]
             for j in range(n)]
-    return _linearization(sc, gens, lambda s: (
+    return _linearization(query, gens, lambda s: (
         [], [], ([0 if sj > 0 else None for sj in s],
                  [None if sj > 0 else 0 for sj in s], 1)))
 
 
-def _classC_pieces(sc: Reading) -> RawPieces:
-    """The sign-cone linearization of a class-C system, read from sc:
+def _classC_pieces(query: _Query) -> RawPieces:
+    """The sign-cone linearization of a class-C system, read from query:
     generators rad_k A^(k) of the matrix parameters (b^(k) = 0, so Delta_b
     is the shift of the rhs parameters alone), and the sign cone as rows
     -s_k A^(k)_i.  A thin parameter has no radius, so it adds to A_c and b_c
     only.  The cap is checked before any piece is built."""
-    mats = [k for k, par in enumerate(sc.sys.params)
+    mats = [k for k, par in enumerate(query.sys.params)
             if not par.interval.is_thin() and all(v == 0 for v in par.b)]
     if len(mats) > _DECOMPOSITION_CAP:
         raise DecompositionTooLarge(f"{len(mats)} matrix parameters exceed "
                                     f"the 2^K cap of {_DECOMPOSITION_CAP}")
-    n, w = sc.n, sc.w
+    n, w = query.n, query.w
     # term k + 1 of row i: parameter k's A^(k)_i, over D_i
-    terms = [[(ints[(k + 1) * w:(k + 1) * w + n], D) for ints, D in sc.table]
-             for k in mats]
-    gens = [[(i, j, sc.rads[k + 1] * a) for i, (row, _) in enumerate(rows)
+    terms = [[(ints[(k + 1) * w:(k + 1) * w + n], D)
+              for ints, D in query.table] for k in mats]
+    gens = [[(i, j, query.rads[k + 1] * a) for i, (row, _) in enumerate(rows)
              for j, a in enumerate(row) if a] for k, rows in zip(mats, terms)]
     cone = [(c, row, D) for c, rows in enumerate(terms) for row, D in rows
             if any(row)]
     free = [None] * n
-    return _linearization(sc, gens, lambda s: (
+    return _linearization(query, gens, lambda s: (
         [[-s[c] * a for a in row] for c, row, _ in cone],
         [D for _, _, D in cone], (free, free, 1)))
 
 
 def _pieces(query: _Query) -> tuple[str, RawPieces]:
-    """Orthant pieces for ordinary systems, sign-cone pieces for class C,
-    read from the query's reading, by the class the query reads."""
+    """Orthant pieces for ordinary systems, sign cones for class C."""
     if ORDINARY in query.flags:
-        return ORTHANT, _orthant_pieces(query.reading)
+        return ORTHANT, _orthant_pieces(query)
     if CLASS_C in query.flags:
-        return SIGNCONE, _classC_pieces(query.reading)
+        return SIGNCONE, _classC_pieces(query)
     raise ValueError("system is neither ordinary nor of class C")
-
-
-def orthant_decomposition(sys: ParametricSystem) -> PieceDecomposition:
-    """Per-orthant linearization of an ordinary system and its kernel."""
-    if ORDINARY not in classify(sys):
-        raise ValueError("system is not ordinary")
-    return _decomposition(ORTHANT, _orthant_pieces(Reading(sys)))
-
-
-def classC_decomposition(sys: ParametricSystem) -> PieceDecomposition:
-    """Sign-cone linearization of a class-C system and its kernel."""
-    if CLASS_C not in classify(sys):
-        raise ValueError("system is not of class C")
-    return _decomposition(SIGNCONE, _classC_pieces(Reading(sys)))
 
 
 def decompose(sys: ParametricSystem) -> PieceDecomposition:
     """Orthant decomposition for ordinary systems, sign-cone for class C."""
     return _decomposition(*_pieces(
-        _Query(Reading(sys), QuantifierAssignment.all_exists(sys.K))))
+        _Query(sys, QuantifierAssignment.all_exists(sys.K))))
 
 
 def first_unbounded_piece(query: _Query, y: Sequence[Q]
                           ) -> tuple[str, Optional[Piece]]:
     """The mode of ``decompose`` of the query's system and its first piece,
     in the same order, whose kernel piece contains y and whose solution
-    piece is nonempty, or None.  The kernel test is integer sums, the
-    nonemptiness LP runs only on pieces whose kernel piece contains y, and
-    the search stops at the first nonempty one.  The query is a united one
-    (``decide_unbounded``'s), whose reading and class are read here, so
-    that a decision reads and classifies its system once."""
+    piece is nonempty, or None: the kernel test is integer sums, and the
+    nonemptiness LP runs only on those pieces, up to the first nonempty
+    one.  The query is a decision's united one, so a decision reads and
+    classifies its system once."""
     mode, pieces = _pieces(query)
     for sv, solution, kernel in pieces:
         if kernel.contains(y) and _lp_point(solution) is not None:

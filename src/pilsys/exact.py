@@ -50,6 +50,17 @@ Vector = list[Q]
 Matrix = list[list[Q]]
 
 
+def _check_entries(x: Sequence[Q], n: int, what: str) -> None:
+    """Refuse x (a point, direction, window, witness or multipliers, as
+    ``what`` names it) unless it has length n and every entry is an int or
+    a Fraction, naming either: no float is read as its binary fraction."""
+    if len(x) != n:
+        raise ValueError(f"{what} has length {len(x)}, expected {n}")
+    for v in x:
+        if not isinstance(v, (int, Q)):
+            raise ValueError(f"{what} entry {v!r} is not an int or a Fraction")
+
+
 class _Record:
     """Base of the package's plain value classes: repr and equality over the
     fields named in ``_fields``, written as a dataclass writes them.  A
@@ -139,11 +150,11 @@ def lin_solve(A: Sequence[Sequence[Q]], b: Sequence[Q]) -> LinSolveResult:
     tableau row is: a nonzero factor does not change an equation, so the
     elimination row_i <- pv * row_i - f * row_r needs no division, and only
     the read-out builds Fractions.  Integer entries
-    (``membership.Reading.system_at``) are taken as they are, with no
-    Fraction built.  A pivot is the first
-    row at or below r with a nonzero entry in column c; a factor keeps an
-    entry nonzero, so the pivot columns, and the reduced echelon form read
-    out at the end, are those of the rational elimination.
+    (``membership._Query.system_at``) are taken as they are, with no
+    Fraction built.  A pivot is the first row at or below r with a nonzero
+    entry in column c; a factor keeps an entry nonzero, so the pivot
+    columns, and the reduced echelon form read out at the end, are those of
+    the rational elimination.
     """
     m = len(A)
     if len(b) != m:
@@ -813,11 +824,14 @@ def lp_maximize(P: Union[Polyhedron, IntRowPolyhedron], obj: Sequence[Q]):
 
 
 def check_infeasibility_certificate(P: Polyhedron, cert: Infeasible) -> bool:
-    """Re-derive the exact contradiction 0 <= c with c < 0 from multipliers."""
+    """Re-derive the exact contradiction 0 <= c with c < 0 from multipliers:
+    wrong lengths are no refutation, and a float entry is refused."""
     t = cert.bound_mult
     if len(cert.ineq_mult) != len(P.C) or len(cert.eq_mult) != len(P.E) \
             or len(t) != P.dim:
         return False
+    _check_entries((*cert.ineq_mult, *cert.eq_mult, *t),
+                   len(P.C) + len(P.E) + P.dim, "multiplier")
     if any(l < 0 for l in cert.ineq_mult):
         return False
     ends = [h if tj > 0 else l if tj < 0 else Q(0)
@@ -949,17 +963,24 @@ def fm_feasible(P: Polyhedron) -> bool:
 class FarkasCertificate(_Record):
     """Separating vector w plus complementary box multipliers u, v.
 
-    u and v are indexed by the existential parameters; u_k * v_k = 0.
+    u and v are indexed by the existential parameters; u_k * v_k = 0.  An
+    entry with no numerator (a float) is refused.
     """
 
     __slots__ = _fields = ("w", "u", "v")
 
     def __init__(self, w: Vector, u: Vector, v: Vector):
         num = attrgetter("numerator")
-        if min(map(num, (*u, *v)), default=0) < 0:
+        try:
+            wn, un, vn = [*map(num, w)], [*map(num, u)], [*map(num, v)]
+        except AttributeError:
+            bad = next(e for e in (*w, *u, *v) if not hasattr(e, "numerator"))
+            raise ValueError(f"certificate entry {bad!r} is not an int or a "
+                             f"Fraction") from None
+        if min(un + vn, default=0) < 0:
             raise ValueError("box multipliers must be nonnegative")
-        if any(map(mul, map(num, u), map(num, v))):
+        if any(map(mul, un, vn)):
             raise ValueError("u and v must be complementary")
-        if not any(map(num, w)):
+        if not any(wn):
             raise ValueError("separating vector must be nonzero")
         self.w, self.u, self.v = w, u, v

@@ -17,19 +17,19 @@ characterization inequality
 
 fails strictly; validate_certificate re-checks that violation exactly.
 
-Every question is asked of one query object (``_Query``), built from one
-reading of the system (``Reading``: the whole parameter box scaled to
-integers once, and the coefficients read once when first needed) and one
-quantifier assignment, which it refuses first when it is bad.  Every
-membership question asks the vertex LP's ``refuter``, which keeps the one
-order: each equation alone (with w = +-e_i the inequality needs only
-integer sums, no LP), then, on rows that are not decoupled, the separators
-that earlier LPs of the query returned, and only then the vertex LPs,
-whose separator is kept for the points after it.  Only ``separator``
-builds a certificate of what refutes: ``member`` (``member_ae``, and
-``member_ae_kernel`` on a direction's rows) and THM2 ask it; ``holds``,
-for the ray walks of a decision and the cells of a raster, keeps the
-bool.  The strict kernel queries ask the vertex LP's ``strict``.
+Every question is asked of one query object (``_Query``) of one system
+and one quantifier assignment, which it refuses first when it is bad; the
+query scales the whole parameter box to integers once and reads the
+coefficients once, when first needed.  Every membership question asks
+the vertex LP's ``refuter``, which keeps the one order: each equation
+alone (with w = +-e_i the inequality needs only integer sums, no LP),
+then, on rows that are not decoupled, the separators that earlier LPs of
+the query returned, and only then the vertex LPs, whose separator is kept
+for the points after it.  Only ``separator`` builds a certificate of what
+refutes: ``member`` (``member_ae``, and ``member_ae_kernel`` on a
+direction's rows) and THM2 ask it; ``holds``, for the ray walks of a
+decision and the cells of a raster, keeps the bool.  The strict kernel
+queries ask the vertex LP's ``strict``.
 
 The row test decides a point both ways on decoupled rows
 (``_Query.decoupled``: no existential parameter that is not thin meets two
@@ -46,8 +46,8 @@ points and certificates are.  A one-shot point query (``member_ae``) reads
 its rows straight from the system, only the coefficients that meet the
 point; every other question, a direction's rows included (the same sums
 with the rhs column weighted 0, with no homogenized copy of the system),
-reads them from the reading's table (``Reading.rows_at``).  The
-certificate checks read the Fraction coefficients (``residual_vectors``).
+reads them from the query's table (``_Query.rows_at``).  The certificate
+checks read the Fraction coefficients (``residual_vectors``).
 
 An AE query asks one LP per universal vertex, in ``box_vertices`` order
 over the scaled ends; a later vertex first re-checks the last feasible
@@ -73,11 +73,12 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exact import (FarkasCertificate, Infeasible, IntRhs, IntRowPolyhedron,
-                    LPResult, Q, Vector, _Record, basis_holds, dot, lp_feasible,
-                    max_row_shift, scaled, scaled_box, vec_add, vec_scale)
+                    LPResult, Q, Vector, _check_entries, _Record,
+                    basis_holds, dot, lp_feasible, max_row_shift, scaled,
+                    scaled_box, vec_add, vec_scale)
 from .model import (ParametricSystem, QuantifierAssignment, SystemClass,
-                    TolerableSystem, _check_entries, box_vertices, classify,
-                    residual_rows, residual_vectors)
+                    TolerableSystem, box_vertices, classify, residual_rows,
+                    residual_vectors)
 
 
 # one equation of a point: integers over a positive denominator
@@ -131,26 +132,65 @@ def _separator_from_farkas(res: Infeasible) -> FarkasCertificate:
                              [-tk if tk.numerator < 0 else zero for tk in t])
 
 
-class Reading:
-    """A system read once in integers, for every question of one query,
-    decision, raster or decomposition.
+def _failing_row(mids: list[int], weights: list[int],
+                 rows: Iterable[_Row]) -> Optional[tuple[int, int, _Row]]:
+    """The first row t for which the characterization inequality fails,
+    with w or -w, as (its index, the sign of mids.t, the row), or None.  A
+    row holds t_k = w.v^(k) for k = 0..K as integers over one positive
+    denominator, so both sides times 2 L and that denominator are integer
+    dots: |mids.t| > weights.|t|, those of ``_Query``.  With w = e_i, t
+    is row i of the residual rows."""
+    for i, row in enumerate(rows):
+        t = row[0]
+        c = sum(map(mul, mids, t))
+        if abs(c) > sum(map(mul, weights, map(abs, t))):
+            return i, -1 if c < 0 else 1, row
+    return None
 
-    The box is scaled once (``scaled_box``): ``lo`` and ``hi`` over ``L``,
-    and ``mids`` and ``rads`` are 2 L mid_k = lo_k + hi_k and
-    2 L rad_k = hi_k - lo_k, led by the constant term's 2 L and 0.
-    ``table`` is the system's ``int_coefficients``, read when first asked
-    for: term k of row i at k w onwards, w = n + 1, over D_i.  Residual
-    rows at a point and the system at a box point are then integer sums
-    over that table, with no coefficient read again and no Fraction built.
+
+class _Query:
+    """One system under one quantifier assignment: what every question of
+    one query, decision, raster or decomposition asks of that pair and not
+    of its point.
+
+    The assignment is refused first, before any row test or LP, when it is
+    no partition of the parameters or has more than MAX_FORALL universal
+    ones.  The box is scaled once (``scaled_box``): ``lo`` and ``hi`` over
+    ``L``, and ``mids`` and ``rads`` are 2 L mid_k = lo_k + hi_k and
+    2 L rad_k = hi_k - lo_k, led by the constant term's 2 L and 0;
+    ``weights`` are ``rads`` with the universal entries negated, as
+    |w.v^(k)| is weighted in the characterization inequality.  ``table``,
+    the system's ``int_coefficients``, is read when first asked for (term k
+    of row i at k w onwards, w = n + 1, over D_i), and a point's rows and
+    the system at a box point are integer sums over it, with no Fraction
+    built.  The query keeps each quantifier's indices in order, the
+    existential box, the universal ends, the separators its LPs returned
+    (``ws``), tried on each later point before an LP, and the class
+    (``classify``), read when a decision first asks for it.
     """
 
-    def __init__(self, sys: ParametricSystem):
-        self.sys, self.n, self.w = sys, sys.n, sys.n + 1
-        self.lo, self.hi, self.L = scaled_box(
-            [par.interval.lo for par in sys.params],
-            [par.interval.hi for par in sys.params])
-        self.mids = [2 * self.L, *map(add, self.lo, self.hi)]
-        self.rads = [0, *map(sub, self.hi, self.lo)]
+    def __init__(self, sys: ParametricSystem, quant: QuantifierAssignment):
+        quant.validate_for(sys.K)
+        if len(quant.forall_set) > MAX_FORALL:
+            raise ValueError(f"more than {MAX_FORALL} universal parameters")
+        self.sys, self.quant, self.n, self.w = sys, quant, sys.n, sys.n + 1
+        lo, hi, L = scaled_box([par.interval.lo for par in sys.params],
+                               [par.interval.hi for par in sys.params])
+        self.lo, self.hi, self.L = lo, hi, L
+        self.mids = [2 * L, *map(add, lo, hi)]
+        self.rads = [0, *map(sub, hi, lo)]
+        self.forall = sorted(quant.forall_set)
+        self.exists = exists = sorted(quant.exists_set)
+        self.weights = [-r if k - 1 in quant.forall_set else r
+                        for k, r in enumerate(self.rads)]
+        # the existential bounds over the lcm of their own denominators,
+        # L / g, which is the scale scaled_box gives them alone
+        elo, ehi = [lo[k] for k in exists], [hi[k] for k in exists]
+        g = gcd(L, *elo, *ehi)
+        self.box = ([b // g for b in elo], [b // g for b in ehi], L // g)
+        self.ends = [(lo[k], hi[k]) for k in self.forall]
+        # the kept separators as integers (``scaled``)
+        self.ws: list[list[int]] = []
 
     @cached_property
     def table(self) -> list[_Row]:
@@ -182,64 +222,9 @@ class Reading:
         sum_k rad_k |coefficient|."""
         return sum(map(mul, self.rads, map(abs, ints[j::self.w])))
 
-
-def _failing_row(mids: list[int], rads: list[int],
-                 rows: Iterable[_Row]) -> Optional[tuple[int, int, _Row]]:
-    """The first row t for which the characterization inequality fails,
-    with w or -w, as (its index, the sign of mids.t, the row), or None.  A
-    row holds t_k = w.v^(k) for k = 0..K as integers over one positive
-    denominator, so both sides times 2 L and that denominator are integer
-    dots: |mids.t| > rads.|t|, rads those of ``_Query``.  With w = e_i, t
-    is row i of the residual rows."""
-    for i, row in enumerate(rows):
-        t = row[0]
-        c = sum(map(mul, mids, t))
-        if abs(c) > sum(map(mul, rads, map(abs, t))):
-            return i, -1 if c < 0 else 1, row
-    return None
-
-
-class _Query:
-    """One system under one quantifier assignment, read from one
-    ``Reading``: everything a membership question asks of that pair and
-    not of its point.
-
-    The assignment is refused here, once, when it is no partition of the
-    parameters or has more than MAX_FORALL universal ones, before any row
-    test or LP.  The query keeps the universal and existential indices in
-    order, the reading's ``mids`` and its ``rads`` with the universal
-    entries negated (the weights of |w.v^(k)| on the right of the
-    characterization inequality), the existential box, the universal ends
-    and the separators its LPs returned (``ws``), tried on each later
-    point before an LP.  The system's class (``classify``) is read when a
-    decision first asks for it.  A point comes as its rows, in the form
-    of ``residual_rows`` (a direction's as ``Reading.rows_at(y, 0)``).
-    """
-
-    def __init__(self, reading: Reading, quant: QuantifierAssignment):
-        quant.validate_for(reading.sys.K)
-        if len(quant.forall_set) > MAX_FORALL:
-            raise ValueError(f"more than {MAX_FORALL} universal parameters")
-        self.reading, self.quant = reading, quant
-        self.forall = sorted(quant.forall_set)
-        self.exists = exists = sorted(quant.exists_set)
-        self.mids = reading.mids
-        self.rads = rads = reading.rads[:]
-        for k in self.forall:
-            rads[k + 1] = -rads[k + 1]
-        lo, hi, L = reading.lo, reading.hi, reading.L
-        # the existential bounds over the lcm of their own denominators,
-        # L / g, which is the scale scaled_box gives them alone
-        elo, ehi = [lo[k] for k in exists], [hi[k] for k in exists]
-        g = gcd(L, *elo, *ehi)
-        self.box = ([b // g for b in elo], [b // g for b in ehi], L // g)
-        self.ends = [(lo[k], hi[k]) for k in self.forall]
-        # the kept separators as integers (``scaled``)
-        self.ws: list[list[int]] = []
-
     @cached_property
     def flags(self) -> SystemClass:
-        return classify(self.reading.sys, self.quant)
+        return classify(self.sys, self.quant)
 
     def refute(self, rows: list[_Row], kept: Iterable[_Row] = ()
                ) -> Optional[tuple[int, int, _Row]]:
@@ -250,8 +235,8 @@ class _Query:
         separator.  With w = +-e_i the inequality reads |c_i| <=
         sum_{k existential} rad_k |v^(k)_i| - sum_{k universal} rad_k
         |v^(k)_i|, c the residual at the box midpoint; both sides times
-        2 L D_i are integer dots of row i with ``mids`` and ``rads``."""
-        return _failing_row(self.mids, self.rads, chain(rows, kept))
+        2 L D_i are integer dots of row i with ``mids`` and ``weights``."""
+        return _failing_row(self.mids, self.weights, chain(rows, kept))
 
     def certificate(self, rows: list[_Row],
                     failing: tuple[int, int, _Row]) -> FarkasCertificate:
@@ -343,7 +328,7 @@ class _VertexLP:
     def vertices(self) -> Iterator[IntRhs]:
         """The rhs at each universal vertex, in ``box_vertices`` order over
         the scaled ends; rhs_i is rhs.nums[i] / (rhs.den * dens[i])."""
-        L = self.query.reading.L
+        L = self.query.L
         for ints in box_vertices(self.query.ends):
             coef = [L, *ints]
             yield IntRhs([-sum(map(mul, coef, col)) for col in self.cols], L)
@@ -418,7 +403,7 @@ class _VertexLP:
         """The witness of a member: the universal lower ends, which are the
         first vertex, and the existential values of that vertex's cold LP
         (``first``)."""
-        witness = [par.interval.lo for par in self.query.reading.sys.params]
+        witness = [par.interval.lo for par in self.query.sys.params]
         for k, pk in zip(self.query.exists, self.first.point):
             witness[k] = pk
         return witness
@@ -454,7 +439,7 @@ class _VertexLP:
         the optima ``max_row_shift`` finds, taken in the same order, with
         the same failure values."""
         lo, hi, Lb = self.query.box
-        L = self.query.reading.L
+        L = self.query.L
         g = L // Lb
         reach = []
         for row in self.E:
@@ -518,17 +503,17 @@ def member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     separator.  So a verdict the row test leaves, and its certificate, are
     those of one cold LP per vertex.
     """
-    return _Query(Reading(sys), quant).member(residual_rows(sys, x))
+    return _Query(sys, quant).member(residual_rows(sys, x))
 
 
 def member_ae_kernel(sys: ParametricSystem, quant: QuantifierAssignment,
                      y: Sequence[Q]) -> tuple[bool, Certificate]:
     """AE membership of the homogenized system: ``member_ae``'s one order on
-    the direction's rows (``Reading.rows_at(y, 0)``), so a direction that
+    the direction's rows (``_Query.rows_at(y, 0)``), so a direction that
     one equation refutes gets the separator w = +-e_i with no LP, the same
     certificate as ``decide_unbounded``'s THM2."""
-    query = _Query(Reading(sys), quant)
-    return query.member(query.reading.rows_at(y, 0))
+    query = _Query(sys, quant)
+    return query.member(query.rows_at(y, 0))
 
 
 def member_tolerable(tsys: TolerableSystem,
@@ -562,8 +547,8 @@ def strict_kernel_member_ae(sys: ParametricSystem, quant: QuantifierAssignment,
     same maxima and failure values are read off those intervals in
     integers with no LP.
     """
-    query = _Query(Reading(sys), quant)
-    return query.lp(query.reading.rows_at(y, 0)).strict()
+    query = _Query(sys, quant)
+    return query.lp(query.rows_at(y, 0)).strict()
 
 
 def validate_certificate(sys: ParametricSystem,
@@ -589,13 +574,15 @@ def validate_certificate(sys: ParametricSystem,
 
 def witness_resubstitutes(sys: ParametricSystem, x: Sequence[Q],
                           cert: Certificate) -> bool:
-    """Check a WITNESS exactly: A(p) x = b(p) and p inside the box."""
+    """Check a WITNESS exactly: A(p) x = b(p) and p inside the box.  A
+    witness of the wrong length is none, and a float entry is refused."""
     if cert.kind is not CertKind.WITNESS:
         raise ValueError("not a WITNESS certificate")
     _check_entries(x, sys.n, "point")
     p = cert.witness_p
     if len(p) != sys.K:
         return False
+    _check_entries(p, sys.K, "witness")
     if not all(par.interval.contains(pk) for pk, par in zip(p, sys.params)):
         return False
     A = sys.A_at(p)

@@ -13,9 +13,9 @@ Nothing is kept on a system between queries: ``residual_rows`` and
 integers on each call and build no Fraction.  A one-shot point query reads
 its rows with ``residual_rows``, which reads only the coefficients that
 meet the point.  Every other question (a direction's kernel rows, a
-decision, a raster, the sign pieces, a solution cloud) reads the system
-once, as a ``membership.Reading`` of the ``int_coefficients`` table, and
-asks through one query object built on that reading.  ``residual_vectors``
+decision, a raster, the sign pieces, a solution cloud) reads the system's
+``int_coefficients`` table once, through one query object
+(``membership._Query``).  ``residual_vectors``
 reads the Fraction coefficients instead, for the certificate checks and
 oracles, which are meant to be apart from the solver's integer rows.
 """
@@ -28,7 +28,8 @@ import re
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .exact import Matrix, Q, Vector, _Record, dot, scaled, zeros
+from .exact import (Matrix, Q, Vector, _check_entries, _Record, dot, scaled,
+                    zeros)
 
 
 class SystemFormatError(ValueError):
@@ -302,17 +303,6 @@ def interval_data(sys: ParametricSystem) -> tuple[Matrix, Matrix, Vector, Vector
 # ---------------------------------------------------------------------------
 # Residuals
 # ---------------------------------------------------------------------------
-
-def _check_entries(x: Sequence[Q], n: int, what: str) -> None:
-    """Refuse x (a point, a direction or a window, as ``what`` names it)
-    unless it has length n and every entry is an int or a Fraction: a
-    ValueError that names the length or the entry."""
-    if len(x) != n:
-        raise ValueError(f"{what} has length {len(x)}, expected {n}")
-    for v in x:
-        if not isinstance(v, (int, Q)):
-            raise ValueError(f"{what} entry {v!r} is not an int or a Fraction")
-
 
 def residual_rows(sys: ParametricSystem,
                   x: Sequence[Q]) -> list[tuple[list[int], int]]:

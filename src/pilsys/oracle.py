@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Optional, Sequence
 
-from .exact import (Matrix, Polyhedron, Q, UniqueSolution, Vector, dot,
-                    fm_feasible, lin_solve, scaled)
-from .membership import Reading, _mid_residual, _Query
+from .exact import (Matrix, Polyhedron, Q, UniqueSolution, Vector,
+                    _check_entries, dot, fm_feasible, lin_solve, scaled)
+from .membership import _mid_residual, _Query
 from .membership import member_united  # noqa: F401 -- bench/test_bench.py reads it
 from .model import (FIRST_CLASS, ORDINARY, ParametricSystem,
-                    QuantifierAssignment, SystemClass, _check_entries,
-                    classify, interval_data, residual_vectors)
+                    QuantifierAssignment, SystemClass, classify,
+                    interval_data, residual_vectors)
 
 _FM_CAP = 12
 _CLOUD_CAP = 3 ** 8  # grid points solution_cloud tries: all of K = 8 at 3
@@ -133,22 +133,22 @@ def solution_cloud(sys: ParametricSystem,
     and a system with no equation in n >= 1 unknowns gives no point.
     Deterministic, and lazy: a caller that takes the first few points solves
     only the grid points up to them, and never more than _CLOUD_CAP.  The
-    system is read once (``Reading``), and each grid point p, scaled to
-    integers over one denominator, is solved from the integer rows of
-    [A(p) | b(p)] over that reading's table.
+    system is read once, by a united query (``_Query``), and each grid
+    point p, scaled to integers over one denominator, is solved from the
+    integer rows of [A(p) | b(p)] over that query's table.
     """
     if grid_per_param < 2:
         raise ValueError("grid_per_param must be at least 2")
     if not sys.m and sys.n:
         # every x solves a system with no equation, so none is unique
         return
-    reading = Reading(sys)
+    query = _Query(sys, QuantifierAssignment.all_exists(sys.K))
     seen = set()
     axes = [[iv.lo] if iv.is_thin() else _coords(iv.lo, iv.hi, grid_per_param)
             for iv in sys.box]
     for p in itertools.islice(itertools.product(*axes), _CLOUD_CAP):
         pn, pd = scaled(p)
-        res = lin_solve(*reading.system_at([pd, *pn]))
+        res = lin_solve(*query.system_at([pd, *pn]))
         if isinstance(res, UniqueSolution):
             key = tuple(res.point)
             if key not in seen:
@@ -180,7 +180,7 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     it is None), as ``pilsys kernel`` asks it.
 
     Only bools come out, so every cell is asked as a bool of one query
-    (``_Query.holds``) on one reading of the system: a row alone, or the
+    (``_Query.holds``), which reads the system once: a row alone, or the
     separator of an earlier cell's LP, settles a cell it refutes with no
     LP, and a cell whose rows are decoupled (``_Query.decoupled``: no
     existential parameter that is not thin meets two of them) takes no LP
@@ -201,12 +201,12 @@ def rasterize(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
         raise ValueError("AE raster needs a quantifier assignment")
     if which == UNITED or quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
-    query = _Query(Reading(sys), quant)
+    query = _Query(sys, quant)
     # a kernel cell's rows are those of the homogenized system
     rhs_sign = 0 if which == KERNEL else -1
     xs = _coords(x_lo, x_hi, resolution)
     ys = _coords(y_lo, y_hi, resolution)
-    return [[query.holds(query.reading.rows_at([x1, x2], rhs_sign))
+    return [[query.holds(query.rows_at([x1, x2], rhs_sign))
              for x2 in ys] for x1 in xs]
 
 

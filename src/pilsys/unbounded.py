@@ -34,17 +34,15 @@ The stages of ``decide_unbounded``, in order:
       a box point, and asked of the query with universal parameters), so
       the walk does not ask alpha = 0 again.
 
-Every stage asks one query object (``membership._Query``), built from one
-reading of the system (``Reading``) and the decision's quantifier
-assignment: the box is scaled once, the system is classified when a stage
-first reads its class, and the ``int_coefficients`` table is read once, at
-stage (i), where the direction's kernel rows are built from it.  THM3's
-bound R, the sign pieces of (iv), the base points and every ray's rows are
-built from that same table, so a decision reads its coefficients once.
-Base points and ray points are asked as bools through the query
-(``_Query.holds``): a point that a row alone, or the separator of an
-earlier LP of the decision, refutes is settled in integers with no LP, and
-a point whose rows are decoupled asks no LP either way.
+Every stage asks one query object (``membership._Query``) of the system
+under the decision's quantifier assignment, which scales the box once,
+classifies the system when a stage first reads its class, and reads the
+``int_coefficients`` table once, at stage (i), for the kernel rows; THM3's
+bound R, the sign pieces of (iv), the base points and every ray's rows
+are built from that same table.  Base points and ray points are asked as
+bools (``_Query.holds``): a point that a row alone, or the separator of an
+earlier LP of the decision, refutes is settled in integers with no LP,
+and a point whose rows are decoupled asks no LP either way.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from typing import Iterator, Optional, Sequence
 
 from .exact import (AffineSolutionSet, Q, UniqueSolution, Vector, _Record,
                     lin_solve, scaled, vec_scale, zeros)
-from .membership import Reading, _Query
+from .membership import _Query
 from .membership import member_kernel  # noqa: F401 -- re-exported
 from .model import (CLASS_C, ORDINARY, TOLERABLE_FORM, ParametricSystem,
                     QuantifierAssignment, box_vertices)
@@ -129,7 +127,7 @@ def find_base_points(sys: ParametricSystem,
         raise ValueError("budget must be nonnegative")
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
-    return list(_base_points(_Query(Reading(sys), quant), budget, seed))
+    return list(_base_points(_Query(sys, quant), budget, seed))
 
 
 def _base_points(query: _Query, budget: int, seed: int) -> Iterator[Vector]:
@@ -142,13 +140,12 @@ def _base_points(query: _Query, budget: int, seed: int) -> Iterator[Vector]:
     i, with 0 on a thin parameter: the midpoint is i = 4, a vertex takes
     0 or 8, and a random draw takes each i from the seeded generator.  A
     tuple of indices already tried is skipped, and the search ends once
-    every grid point has been tried.  With the query's reading of the box
-    as lo and hi over L, p_k = (8 lo_k + i_k (hi_k - lo_k)) / 8 L, so a
-    candidate is solved from the integer rows of [A(p) | b(p)] over the
-    reading's table (``Reading.system_at``), with no Fraction p built."""
-    reading = query.reading
+    every grid point has been tried.  With the query's box as lo and hi
+    over L, p_k = (8 lo_k + i_k (hi_k - lo_k)) / 8 L, so a candidate is
+    solved from the integer rows of [A(p) | b(p)] over the query's table
+    (``_Query.system_at``), with no Fraction p built."""
     order = query.forall + query.exists
-    lo, hi, L = reading.lo, reading.hi, reading.L
+    lo, hi, L = query.lo, query.hi, query.L
     top = [0 if l == h else 8 for l, h in zip(lo, hi)]
 
     def placed(indices: Sequence[int]) -> tuple[int, ...]:
@@ -186,11 +183,11 @@ def _base_points(query: _Query, budget: int, seed: int) -> Iterator[Vector]:
 def _member_at(query: _Query, coef: list[int],
                seen: set[tuple[Q, ...]]) -> Optional[Vector]:
     """A solution x of A(p) x = b(p) at the box point p = coef[1:] / coef[0]
-    (``Reading.system_at``), when there is one, x is not in seen, and x is
+    (``_Query.system_at``), when there is one, x is not in seen, and x is
     a member; x is then added to seen.  x solves the system at a box
     point, so with no universal parameters it is a member by construction;
     with universal ones it is asked of the query (``_Query.holds``)."""
-    A, b = query.reading.system_at(coef)
+    A, b = query.system_at(coef)
     if A:
         res = lin_solve(A, b)
         if not isinstance(res, (UniqueSolution, AffineSolutionSet)):
@@ -199,10 +196,10 @@ def _member_at(query: _Query, coef: list[int],
     else:
         # with no equation every x solves the system, and lin_solve, which
         # reads the width from a row, would return a point of length 0
-        x = zeros(query.reading.n)
+        x = zeros(query.n)
     point = tuple(x)
     if point in seen or (query.forall
-                         and not query.holds(query.reading.rows_at(x))):
+                         and not query.holds(query.rows_at(x))):
         return None
     seen.add(point)
     return x
@@ -216,7 +213,7 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     alpha = 0 is one membership query, and a base point that is not a member
     raises ValueError; the rest is ``_walk_ray`` on the same query.  The
     report is the same as from one cold membership query per alpha, up to
-    the first exit.  A direction the reading refuses (``Reading.rows_at``)
+    the first exit.  A direction the query refuses (``_Query.rows_at``)
     is refused before the base point is asked.
     """
     if quant is None:
@@ -224,9 +221,9 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
     if len(x0) != sys.n:
         raise ValueError(f"base point has length {len(x0)}, expected {sys.n}")
     x0, y = list(x0), list(y)
-    query = _Query(Reading(sys), quant)
-    ky = query.reading.rows_at(y, 0)
-    if not query.holds(query.reading.rows_at(x0)):
+    query = _Query(sys, quant)
+    ky = query.rows_at(y, 0)
+    if not query.holds(query.rows_at(x0)):
         raise ValueError("probe base point is not a member")
     return _walk_ray(query, x0, y, ky)
 
@@ -234,13 +231,13 @@ def probe_ray(sys: ParametricSystem, quant: Optional[QuantifierAssignment],
 def _walk_ray(query: _Query, x0: Vector, y: Vector,
               ky: list[tuple[list[int], int]]) -> ProbeReport:
     """The probe from a base point x0 that is a member, along y with kernel
-    rows ky (the query's ``Reading.rows_at(y, 0)``), through
+    rows ky (the query's ``rows_at(y, 0)``), through
     alpha = 2^PROBE_DOUBLINGS: alpha = 0 is reported as tested and not
     asked.
 
     The residuals are affine in the point, so the rows at x0 + alpha*y are
     r0 + alpha ky, with r0 the integer residual rows at x0, built from the
-    same table (``Reading.rows_at``); each alpha's rows are their
+    same table (``_Query.rows_at``); each alpha's rows are their
     integer combination, which the query asks as a bool (``_Query.holds``):
     a row alone or a separator kept from an earlier LP settles a point that
     it refutes, and on decoupled rows the row test settles the point.
@@ -256,7 +253,7 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
     # row i at alpha is (u + alpha*w) / den, with u / den = r0_i and
     # w / den = ky_i over the product den of their denominators
     rays = [([a * dk for a in n0], [b * d0 for b in nk], d0 * dk)
-            for (n0, d0), (nk, dk) in zip(query.reading.rows_at(x0), ky)]
+            for (n0, d0), (nk, dk) in zip(query.rows_at(x0), ky)]
 
     def rows(alpha: int) -> list[tuple[list[int], int]]:
         return [([a + alpha * b for a, b in zip(u, w)], den)
@@ -276,17 +273,17 @@ def _walk_ray(query: _Query, x0: Vector, y: Vector,
                        exhausted=first_exit is None)
 
 
-def _rhs_bound(reading: Reading) -> Q:
-    """R = ||b(mid)||_1 + sum_k rad_k ||b^(k)||_1 from the reading's box
+def _rhs_bound(query: _Query) -> Q:
+    """R = ||b(mid)||_1 + sum_k rad_k ||b^(k)||_1 from the query's box
     (2 L mid_k and 2 L rad_k) and its table: the b column of table row i is
     b^(k)_i times D_i, so row i adds |mids.b_i| plus its radius sum
-    (``Reading.spread``), one integer over 2 L D_i, and the one Fraction is
+    (``_Query.spread``), one integer over 2 L D_i, and the one Fraction is
     their sum over 2 L times the lcm D of the D_i."""
-    n, mids, table = reading.n, reading.mids, reading.table
+    n, mids, table = query.n, query.mids, query.table
     D = lcm(*[d for _, d in table])
-    return Q(sum((abs(sum(map(mul, mids, ints[n::reading.w])))
-                  + reading.spread(ints, n)) * (D // d) for ints, d in table),
-             2 * reading.L * D)
+    return Q(sum((abs(sum(map(mul, mids, ints[n::query.w])))
+                  + query.spread(ints, n)) * (D // d) for ints, d in table),
+             2 * query.L * D)
 
 
 def decide_unbounded(sys: ParametricSystem,
@@ -308,15 +305,15 @@ def decide_unbounded(sys: ParametricSystem,
     if quant is None:
         quant = QuantifierAssignment.all_exists(sys.K)
 
-    # every stage asks one query: one reading of the system, under quant
-    query = _Query(Reading(sys), quant)
+    # every stage asks one query: the system read once, under quant
+    query = _Query(sys, quant)
 
     # (i) kernel membership is necessary; its vertex LP, built once, serves
     # the strict kernel of (iii) too, and its rows every ray walk of (v).
     # (``separator``: a direction one row refutes asks no LP, nor, on
     # decoupled rows, one the row test passes).  The rows come from the
-    # reading's table, which every later stage reads too
-    ky = query.reading.rows_at(y, 0)
+    # query's table, which every later stage reads too
+    ky = query.rows_at(y, 0)
     kernel = query.lp(ky)
     sep = kernel.separator()
     if sep is not None:
@@ -348,7 +345,7 @@ def decide_unbounded(sys: ParametricSystem,
     # (R/eps + 1) y stays in the set.
     strict, eps = kernel.strict()
     if strict:
-        R = _rhs_bound(query.reading)
+        R = _rhs_bound(query)
         return UnboundedVerdict(
             Status.CERTIFIED_YES, Rule.THM3, vec_scale(R / eps + 1, y),
             f"strict kernel membership (eps = {eps})")

@@ -63,8 +63,8 @@ def int_row_polyhedron(E, dens, f, lo, hi):
 
 def query(sys, quant=None):
     """The membership query (``membership._Query``) of sys under quant, the
-    united set when it is None, on a reading of its own."""
-    return membership._Query(membership.Reading(sys),
+    united set when it is None."""
+    return membership._Query(sys,
                              quant or QuantifierAssignment.all_exists(sys.K))
 
 
@@ -81,9 +81,9 @@ def lp_verdict(lp):
 
 def kernel_rows(sys, y):
     """The kernel rows of the direction y, A^(k)_i y for k = 0..K, as a
-    decision reads them: from a reading's table with the rhs column
-    weighted 0 (``Reading.rows_at(y, 0)``)."""
-    return membership.Reading(sys).rows_at(y, 0)
+    decision reads them: from a query's table with the rhs column
+    weighted 0 (``_Query.rows_at(y, 0)``)."""
+    return query(sys).rows_at(y, 0)
 
 
 def tableau_state(res):

@@ -15,8 +15,7 @@ from conftest import (fold_thin_params, gen_class_c, gen_first_class,
                       with_thin_params, with_zero_generator)
 from pilsys import cones
 from pilsys.cones import (DecompositionTooLarge, Piece, PieceDecomposition,
-                          classC_decomposition, decompose,
-                          first_unbounded_piece, orthant_decomposition,
+                          decompose, first_unbounded_piece,
                           special_class_unbounded_equality)
 from pilsys.exact import (Feasible, IntRhs, IntRowPolyhedron, Polyhedron,
                           fm_feasible, lp_feasible, recession_cone)
@@ -61,14 +60,21 @@ class TestOettliPrager:
             assert oettli_prager_member(sys, x) == member_united(sys, x)[0]
 
 
+def sign_cones(sys):
+    """The sign-cone decomposition of a class-C system, which ``decompose``
+    gives only to one that is not ordinary too."""
+    return cones._decomposition(cones.SIGNCONE,
+                                cones._classC_pieces(query(sys)))
+
+
 class TestOrthantDecomposition:
     def test_rejects_non_ordinary(self):
-        # p touches two entries of A: class C, not ordinary
+        # p touches two entries of A: class C, not ordinary, so it gets
+        # sign cones and no orthant piece
         sys = ParametricSystem(1, 2, [[Q(0), Q(1)]], [Q(1)], [
             Parameter("p", Interval(Q(1), Q(2)), [[Q(1), Q(1)]], [Q(0)])])
         assert CLASS_C in classify(sys) and ORDINARY not in classify(sys)
-        with pytest.raises(ValueError, match="^system is not ordinary$"):
-            orthant_decomposition(sys)
+        assert decompose(sys).mode == "SIGNCONE"
 
     def test_sign_entries_checked(self):
         assert str(cones.SignVector((1, -1))) == "+-"
@@ -76,7 +82,7 @@ class TestOrthantDecomposition:
             cones.SignVector((1, 0))
 
     def test_e3_pieces(self, e3):
-        dec = orthant_decomposition(e3.system)
+        dec = decompose(e3.system)
         assert dec.mode == "ORTHANT" and len(dec.pieces) == 2
         plus, minus = dec.pieces
         assert str(plus.sign) == "+" and str(minus.sign) == "-"
@@ -92,7 +98,7 @@ class TestOrthantDecomposition:
         assert plus.nonempty and minus.nonempty
 
     def test_e2_bounded_pieces(self, e2):
-        dec = orthant_decomposition(e2.system)
+        dec = decompose(e2.system)
         for piece in dec.pieces:
             rc = recession_cone(piece.solution_piece)
             # radius 1 < |midpoint| 3: only the zero direction recedes
@@ -103,7 +109,7 @@ class TestOrthantDecomposition:
         rng = random.Random(30)
         for _ in range(10):
             sys = gen_ordinary(rng)
-            dec = orthant_decomposition(sys)
+            dec = decompose(sys)
             for _ in range(20):
                 x = random_point(rng, sys.n)
                 in_piece = any(p.solution_piece.contains(x) for p in dec.pieces)
@@ -113,7 +119,7 @@ class TestOrthantDecomposition:
         rng = random.Random(32)
         for _ in range(10):
             sys = gen_ordinary(rng)
-            for piece in orthant_decomposition(sys).pieces:
+            for piece in decompose(sys).pieces:
                 lo = [Q(0) if s > 0 else None for s in piece.sign.s]
                 hi = [None if s > 0 else Q(0) for s in piece.sign.s]
                 for P in (piece.solution_piece, piece.kernel_piece):
@@ -125,7 +131,7 @@ class TestOrthantDecomposition:
         rng = random.Random(31)
         for _ in range(10):
             sys = gen_ordinary(rng)
-            dec = orthant_decomposition(sys)
+            dec = decompose(sys)
             for _ in range(20):
                 y = random_point(rng, sys.n)
                 in_piece = any(p.kernel_piece.contains(y) for p in dec.pieces)
@@ -134,9 +140,11 @@ class TestOrthantDecomposition:
 
 class TestClassCDecomposition:
     def test_rejects_non_class_c(self, e1):
-        assert CLASS_C not in classify(e1.system)
-        with pytest.raises(ValueError, match="^system is not of class C$"):
-            classC_decomposition(e1.system)
+        flags = classify(e1.system)
+        assert CLASS_C not in flags and ORDINARY not in flags
+        with pytest.raises(ValueError, match="^system is neither ordinary "
+                                             "nor of class C$"):
+            decompose(e1.system)
 
     def test_nonsingular_kernel_is_origin(self):
         # A(p) = [[p,1],[0,1]], p in [1,2], b = q*(1,0), q in [0,1]
@@ -147,7 +155,7 @@ class TestClassCDecomposition:
             Parameter("q", Interval(Q(0), Q(1)),
                       [[Q(0), Q(0)], [Q(0), Q(0)]], [Q(1), Q(0)])])
         assert "CLASS_C" in classify(sys)
-        dec = classC_decomposition(sys)
+        dec = sign_cones(sys)
         for piece in dec.pieces:
             assert piece.kernel_piece.contains([Q(0), Q(0)])
             for y in ([Q(1), Q(0)], [Q(0), Q(1)], [Q(1), Q(-1)], [Q(-2), Q(1)]):
@@ -156,15 +164,15 @@ class TestClassCDecomposition:
     def test_no_matrix_parameters_single_piece(self):
         sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [
             Parameter("q", Interval(Q(-1), Q(1)), [[Q(0)]], [Q(1)])])
-        dec = classC_decomposition(sys)
+        dec = sign_cones(sys)
         assert len(dec.pieces) == 1
         piece = dec.pieces[0]
         assert piece.kernel_piece.contains([Q(0)])
         assert not piece.kernel_piece.contains([Q(1)])
 
     def test_e3_matches_orthant(self, e3):
-        orth = orthant_decomposition(e3.system)
-        sign = classC_decomposition(e3.system)
+        orth = decompose(e3.system)
+        sign = sign_cones(e3.system)
         assert len(orth.pieces) == len(sign.pieces) == 2
         for po, ps in zip(orth.pieces, sign.pieces):
             for y in ([Q(0)], [Q(1)], [Q(-1)], [Q(2)], [Q(-3)]):
@@ -175,7 +183,7 @@ class TestClassCDecomposition:
         rng = random.Random(33)
         for _ in range(8):
             sys = gen_class_c(rng)
-            dec = classC_decomposition(sys)
+            dec = sign_cones(sys)
             for _ in range(15):
                 y = random_point(rng, sys.n)
                 in_piece = any(p.kernel_piece.contains(y) for p in dec.pieces)

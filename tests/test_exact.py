@@ -559,6 +559,33 @@ class TestCertificates:
             exact.FarkasCertificate([Q(1)], u, v)
         exact.FarkasCertificate([Q(1)], [Q(0)], [Q(0)])
 
+    def test_multipliers_are_ints_or_fractions(self):
+        # x <= 0 and -x <= -1 refuted with float multipliers: refused, not
+        # read as binary fractions; wrong lengths are still no refutation
+        P = poly([[1], [-1]], [0, -1])
+        assert check_infeasibility_certificate(
+            P, Infeasible([1, Q(1)], [], [0]))
+        for cert in (Infeasible([1.0, 1.0], [], [0.0]),
+                     Infeasible(qvec([1, 1]), [], ["0"])):
+            bad = next(e for e in (*cert.ineq_mult, *cert.bound_mult)
+                       if not isinstance(e, (int, Q)))
+            with pytest.raises(ValueError, match=f"^multiplier entry {bad!r} "
+                                                 f"is not an int or a "
+                                                 f"Fraction$"):
+                check_infeasibility_certificate(P, cert)
+        assert not check_infeasibility_certificate(
+            P, Infeasible([1.0, 1.0, 1.0], [], [0.0]))
+
+    @pytest.mark.parametrize("w,u,v", [
+        ([1.0], [], []), ([Q(1), 0.5], [], []), ([Q(1)], [Q(0)], ["0"]),
+    ], ids=["w", "w_after_nonzero", "v"])
+    def test_farkas_certificate_entries_are_ints_or_fractions(self, w, u, v):
+        bad = next(e for e in (*w, *u, *v) if not isinstance(e, (int, Q)))
+        with pytest.raises(ValueError, match=f"^certificate entry {bad!r} is "
+                                             f"not an int or a Fraction$"):
+            exact.FarkasCertificate(w, u, v)
+        assert exact.FarkasCertificate([1, Q(0)], [0], [Q(1, 2)]).w == [1, 0]
+
 
 def fm_max(P, obj):
     """max obj.x over a bounded P: project P and t = obj.x onto t by FM."""

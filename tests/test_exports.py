@@ -9,7 +9,7 @@ import pytest
 
 import pilsys
 
-# Every name ``pilsys`` exported when its __init__ imported all six modules.
+# Every name ``pilsys`` exports, by its defining module.
 EXPORTS = {
     "exact": "AffineSolutionSet FarkasCertificate Feasible Infeasible "
              "NoSolution Polyhedron Q UniqueSolution "
@@ -23,8 +23,7 @@ EXPORTS = {
                   "member_kernel member_tolerable member_united "
                   "strict_kernel_member strict_kernel_member_ae "
                   "validate_certificate witness_resubstitutes",
-    "cones": "classC_decomposition orthant_decomposition "
-             "special_class_unbounded_equality",
+    "cones": "decompose special_class_unbounded_equality",
     "unbounded": "ProbeReport Rule Status UnboundedVerdict decide_unbounded "
                  "find_base_points probe_ray",
     "oracle": "ae_vertex_oracle fm_member_oracle member_first_class "

@@ -185,15 +185,15 @@ def system_mutations(path):
 
 # A membership question is asked through one query object, which owns its
 # reading of the system and its box; these may not come back as options.
-KNOBS = {f"Optional[{name}]" for name in ("Reading", "IntBox")} | \
-    {f"{name}|None" for name in ("Reading", "IntBox")} | \
-    {f"None|{name}" for name in ("Reading", "IntBox")}
+KNOBS = {f"Optional[{name}]" for name in ("_Query", "IntBox")} | \
+    {f"{name}|None" for name in ("_Query", "IntBox")} | \
+    {f"None|{name}" for name in ("_Query", "IntBox")}
 
 
 def query_knobs(path):
     """Each name of ``_VertexLP`` in a module other than ``membership.py``,
     and each function parameter annotated, in code or in a string, as an
-    optional ``Reading`` or ``IntBox``, in line order."""
+    optional ``_Query`` or ``IntBox``, in line order."""
     found = []
     for node in ast.walk(_tree(path)):
         if path.name != "membership.py" and (
@@ -242,12 +242,12 @@ def order_bypasses(path):
 
 
 # The readers of a system's integer rows: a point's rows straight from the
-# system, the table, and the reading that builds every other question's
-# rows from that table.  Only ``membership.py`` reads the first two, and the
+# system, the table, and the query that builds every other question's rows
+# from that table.  Only ``membership.py`` reads the first two, and the
 # certificate checks and oracles read none, so they stay a check of those
 # rows.
 ROW_READERS = ("residual_rows", "int_coefficients")
-INTEGER_READERS = {*ROW_READERS, "Reading", "rows_at"}
+INTEGER_READERS = {*ROW_READERS, "_Query", "rows_at"}
 CHECKS = ("residual_vectors", "validate_certificate", "witness_resubstitutes",
           "fm_member_oracle", "ae_vertex_oracle", "member_first_class")
 
@@ -263,7 +263,7 @@ def _calls(node):
 def row_reads(path):
     """Calls of ``residual_rows`` or ``int_coefficients`` in a module other
     than ``membership.py``, and definitions of ``kernel_rows``, the second
-    reader of a direction's rows that ``Reading.rows_at`` replaced."""
+    reader of a direction's rows that ``_Query.rows_at`` replaced."""
     tree = _tree(path)
     found = [(line, name) for line, name in _calls(tree)
              if name in ROW_READERS and path.name != "membership.py"]
@@ -443,20 +443,20 @@ def test_one_query_object(path):
 def test_query_check_catches_offenders(tmp_path):
     path = tmp_path / "decision.py"
     path.write_text("from typing import Optional\n"
-                    "from .membership import Reading, _VertexLP\n"
+                    "from .membership import _Query, _VertexLP\n"
                     "from . import membership\n"
-                    "def f(sys, reading: Optional[Reading] = None,\n"
-                    "      box: 'IntBox | None' = None, r: Reading = None):\n"
+                    "def f(sys, query: Optional[_Query] = None,\n"
+                    "      box: 'IntBox | None' = None, q: _Query = None):\n"
                     "    return membership._VertexLP(sys)\n"
                     "def g(box: Optional[IntBox]):\n"
                     "    return _VertexLP\n")
     assert query_knobs(path) == [
-        "line 2: _VertexLP", "line 4: reading", "line 5: box",
+        "line 2: _VertexLP", "line 4: query", "line 5: box",
         "line 6: _VertexLP", "line 7: box", "line 8: _VertexLP"]
-    # the vertex LP is named in its own module, and a Reading is no option
+    # the vertex LP is named in its own module, and a _Query is no option
     own = tmp_path / "membership.py"
     own.write_text("class _VertexLP:\n    pass\n"
-                   "def lp(reading: Reading) -> _VertexLP:\n"
+                   "def lp(query: _Query) -> _VertexLP:\n"
                    "    return _VertexLP()\n")
     assert query_knobs(own) == []
 
@@ -519,15 +519,15 @@ def test_reader_checks_catch_offenders(tmp_path):
     checks.write_text("def fm_member_oracle(sys, x):\n"
                       "    return _first(sys, x)\n"
                       "def _first(sys, x):\n"
-                      "    return sys.helper(x), Reading(sys)\n"
+                      "    return sys.helper(x), _Query(sys, quant)\n"
                       "def witness_resubstitutes(sys, x, cert):\n"
                       "    return cert.witness_p\n"
                       "class S:\n"
                       "    def helper(self, x):\n"
-                      "        return self.reading.rows_at(x, 0)\n"
+                      "        return self.query.rows_at(x, 0)\n"
                       "def unrelated(sys, x):\n"
                       "    return residual_rows(sys, x)\n")
-    assert integer_reads_of_checks([checks]) == ["oracle.py:4: Reading",
+    assert integer_reads_of_checks([checks]) == ["oracle.py:4: _Query",
                                                  "oracle.py:9: rows_at"]
 
 

@@ -808,6 +808,19 @@ class TestCertificateValidation:
         assert [dot(row, far) for row in e1.system.A_at(p)] == e1.system.b_at(p)
         assert not witness_resubstitutes(e1.system, far, Certificate.witness(p))
 
+    def test_witness_entries_are_ints_or_fractions(self):
+        # x = p, p in [0, 1]: the witness 0.5 is refused, not read as the
+        # binary fraction 1/2; a witness of the wrong length is still none
+        sys = ParametricSystem(1, 1, [[Q(1)]], [Q(0)], [
+            Parameter("p", Interval(Q(0), Q(1)), [[Q(0)]], [Q(1)])])
+        x = [Q(1, 2)]
+        assert witness_resubstitutes(sys, x, Certificate.witness([Q(1, 2)]))
+        for p in ([0.5], ["1/2"]):
+            with pytest.raises(ValueError, match=f"^witness entry {p[0]!r} is "
+                                                 f"not an int or a Fraction$"):
+                witness_resubstitutes(sys, x, Certificate.witness(p))
+        assert not witness_resubstitutes(sys, x, Certificate.witness([0.5, 1]))
+
     def test_witness_carries_no_separator(self):
         import inspect
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (E1_DOC, E2_DOC, E3_DOC, gen_general, kernel_rows,
-                      load, residual_rows_reference)
+                      load, query, residual_rows_reference)
 from pilsys.exact import lin_solve, scaled
-from pilsys.membership import Reading, member_kernel, member_united
+from pilsys.membership import member_kernel, member_united
 from pilsys.model import (CLASS_C, FIRST_CLASS, GENERAL, MAX_COEFFICIENTS,
                           ORDINARY, TOLERABLE_FORM, Interval, Parameter,
                           ParametricSystem, ParsedSystem,
@@ -178,12 +178,13 @@ class TestParserTotality:
         {"m": 1, "n": 1, "parameters": [{"interval": [0.1, 1], "A": [["1"]]}]},
         {"m": 1, "n": 1, "constant": 5},
         {"m": 1, "n": 1, "parameters": 5},
+        {"m": 1, "n": 1, "parameters": [5]},
         {"m": 1, "n": 1, "parameters": [{"name": ["p"], "interval": ["0", "1"]}]},
         {"m": True, "n": True, "constant": {"A": [["1"]], "b": ["1"]}},
         {"m": 1, "n": 1, "parameters": [{"interval": ["0", "1"], "A": [["1"]],
                                          "quantifier": "sometimes"}]},
     ], ids=["int-interval", "int-entry", "float-interval", "constant-5",
-            "parameters-5", "list-name", "bool-dimensions",
+            "parameters-5", "parameter-5", "list-name", "bool-dimensions",
             "unknown-quantifier"])
     def test_mistyped_fields_rejected(self, doc):
         with pytest.raises(SystemFormatError):
@@ -336,8 +337,8 @@ class TestResiduals:
 
     @pytest.mark.parametrize("read,what", [
         (residual_vectors, "point"), (residual_rows, "point"),
-        (lambda sys, x: Reading(sys).rows_at(x), "point"),
-        (lambda sys, x: Reading(sys).rows_at(x, 0), "direction"),
+        (lambda sys, x: query(sys).rows_at(x), "point"),
+        (lambda sys, x: query(sys).rows_at(x, 0), "direction"),
     ], ids=["residual_vectors", "residual_rows", "rows_at", "kernel-rows_at"])
     def test_entries_are_ints_or_fractions(self, e1, read, what):
         """Each reader of a point or direction refuses a wrong length and
@@ -423,9 +424,9 @@ def _values(rows):
 @given(big_denominator_systems())
 def test_integer_form_rows_match_the_reference(case):
     """``residual_rows`` gives the rational values of the per-coefficient
-    reference; a direction's rows from the table (``Reading.rows_at(y,
+    reference; a direction's rows from the table (``_Query.rows_at(y,
     0)``) those of the homogenized system;
-    ``Reading.system_at`` each row of [A(p) | b(p)] times D_i (the lcm of
+    ``_Query.system_at`` each row of [A(p) | b(p)] times D_i (the lcm of
     the row's denominators over every term) and the denominator of p, which
     ``lin_solve`` solves alike."""
     sys, x, p = case
@@ -435,7 +436,7 @@ def test_integer_form_rows_match_the_reference(case):
     assert _values(kernel_rows(sys, x)) == \
         _values(residual_rows(sys.homogenized(), x))
     pn, pd = scaled(p)
-    A, b = Reading(sys).system_at([pd, *pn])
+    A, b = query(sys).system_at([pd, *pn])
     terms = [(sys.A0, sys.b0), *((par.A, par.b) for par in sys.params)]
     for i, (row, bi, want, want_b) in enumerate(zip(A, b, sys.A_at(p),
                                                     sys.b_at(p))):
@@ -457,7 +458,7 @@ def test_a_queried_system_keeps_its_value():
         member_united(sys, x)
         member_kernel(sys, x)
         pn, pd = scaled(sys.midpoint())
-        Reading(sys).system_at([pd, *pn])
+        query(sys).system_at([pd, *pn])
         assert repr(sys) == before and sys == fresh and fresh == sys
 
 

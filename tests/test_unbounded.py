@@ -11,7 +11,7 @@ from conftest import (gen_class_c, gen_decoupled_ae, gen_first_class,
                       lp_verdict, query, random_point,
                       with_big_denominators, with_scaled_rows,
                       with_thin_params)
-from pilsys import cones, membership, model, oracle, unbounded
+from pilsys import membership, model, oracle, unbounded
 from pilsys.cones import special_class_unbounded_equality
 from pilsys.exact import (AffineSolutionSet, UniqueSolution, lin_solve,
                           lp_feasible, zeros)
@@ -133,8 +133,8 @@ class TestFindBasePoints:
 ], ids=["member_ae_kernel", "member_kernel", "strict_kernel_member_ae",
         "decide_unbounded", "probe_ray"])
 def test_direction_length_checked_by_the_kernel_rows(e1, ask):
-    """Every kernel question reads its direction's rows from the reading's
-    table (``Reading.rows_at``), which refuses a wrong length and an entry
+    """Every kernel question reads its direction's rows from the query's
+    table (``_Query.rows_at``), which refuses a wrong length and an entry
     that is not an int or a Fraction; a float is not read as a binary
     fraction."""
     for y in ([Q(0), Q(1), Q(1)], [Q(1)]):
@@ -457,13 +457,13 @@ class TestCascadeWalk:
         spy(model, "residual_rows")
         spy(membership, "residual_rows")
         spy(ParametricSystem, "int_coefficients")
-        real_rows_at = membership.Reading.rows_at
+        real_rows_at = membership._Query.rows_at
 
-        def rows_at(reading, x, rhs_sign=-1):
+        def rows_at(qry, x, rhs_sign=-1):
             if not rhs_sign:
                 calls["kernel rows"] += 1
-            return real_rows_at(reading, x, rhs_sign)
-        monkeypatch.setattr(membership.Reading, "rows_at", rows_at)
+            return real_rows_at(qry, x, rhs_sign)
+        monkeypatch.setattr(membership._Query, "rows_at", rows_at)
         cases = [(e1.system, None, [Q(0), Q(-1)])] + [
             (sys, quant, y) for sys, quant, y in self.cases(79, 60)
             if y is not None and any(y)]
@@ -541,19 +541,18 @@ class TestSeparatorPool:
         for kind, sys, quant in self.systems(83):
             q = quant or QuantifierAssignment.all_exists(sys.K)
             qry = query(sys, q)
-            reading = qry.reading
             rng = random.Random(sys.K)
             # points near the set, so that rows alone refute few of them
             near = [[a + Q(rng.randint(-4, 4), 8) for a in x0]
                     for x0 in find_base_points(sys, quant, 4) for _ in range(8)]
             for x in near[::2]:  # let the LPs fill the query's separators
-                qry.holds(reading.rows_at(x))
+                qry.holds(qry.rows_at(x))
             units = [[Q(int(i == j)) for j in range(sys.m)]
                      for i in range(sys.m)]
             for x in near + [random_point(rng, sys.n) for _ in range(8)]:
                 kept = [[Q(a) for a in w] for w in qry.ws]
                 lps.clear()
-                rows = reading.rows_at(x)
+                rows = qry.rows_at(x)
                 # a point the integers refute asks no LP; a first-class
                 # system asks none either way
                 ok = qry.holds(rows)
@@ -590,7 +589,7 @@ class TestSeparatorPool:
                 want = member_ae(sys, quant, x)[0]
                 with monkeypatch.context() as mp:
                     mp.setattr(membership, "lp_feasible", no_lp)
-                    assert qry.holds(qry.reading.rows_at(x)) == want
+                    assert qry.holds(qry.rows_at(x)) == want
                 members[want] += 1
         assert members[True] >= 5 and members[False] >= 5, members
 
@@ -621,7 +620,7 @@ class TestSeparatorPool:
             qry = query(sys, quant)
             with monkeypatch.context() as mp:
                 mp.setattr(membership, "lp_feasible", no_lp)
-                assert [qry.holds(qry.reading.rows_at(x))
+                assert [qry.holds(qry.rows_at(x))
                         for x in cells] == want
                 grid = oracle.rasterize(sys, quant,
                                         (coords[0], coords[-1]) * 2, 5,
@@ -923,8 +922,8 @@ class TestClassifyCalls:
             calls.append(sys)
             return classify(sys, quant)
 
-        for module in (membership, cones):
-            monkeypatch.setattr(module, "classify", counting)
+        # membership alone calls it: cones reads the class of its query
+        monkeypatch.setattr(membership, "classify", counting)
         rng = random.Random(19)
         seen = set()
         for _ in range(8):
@@ -1366,7 +1365,7 @@ class TestThresholdEvidence:
         for sys in systems:
             want = sum(abs(v) for v in sys.b_at(sys.midpoint())) + sum(
                 par.interval.rad * abs(v) for par in sys.params for v in par.b)
-            assert unbounded._rhs_bound(membership.Reading(sys)) == want
+            assert unbounded._rhs_bound(query(sys)) == want
 
     def lp_calls(self, monkeypatch):
         """The LPs and axis reaches a decision asks, in order, with base

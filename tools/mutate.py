@@ -48,12 +48,13 @@ TARGETS = [
     ("membership.py", "_VertexLP.separator"),
     ("membership.py", "_VertexLP._strict_decoupled"),
     ("exact.py", "check_infeasibility_certificate"),
+    ("exact.py", "FarkasCertificate.__init__"),
+    ("exact.py", "_check_entries"),
     ("exact.py", "basis_holds"),
     ("exact.py", "max_row_shift"),
     ("cones.py", "_row_refutes"),
     ("unbounded.py", "_member_at"),
     ("model.py", "residual_rows"),
-    ("model.py", "_check_entries"),
     ("unbounded.py", "_rhs_bound"),
 ]
 
